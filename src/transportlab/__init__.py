@@ -13,7 +13,7 @@ from .flow import (TimeField, Trajectory, integrate_flow, flow_push,  # noqa: F4
 from .ot import (TransportPlan, w1_1d, wp_discrete,  # noqa: F401
                  displacement_interpolate, wasserstein_inequality_suite,
                  subsampled_w1)
-from .synth import (grid_control, storage_control, funnel_control,  # noqa: F401
-                    geodesic_transport, approx_controller, exact_controller,
+from .synth import (grid_control, storage_control,  # noqa: F401
+                    approx_controller, exact_controller,
                     bv_blowup_diagnostic, grid_error_bound)
 from .scenarios import Scenario, load_scenario, PRESETS  # noqa: F401

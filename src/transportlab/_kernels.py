@@ -1,89 +1,25 @@
-"""Hot numeric kernels, JIT-compiled when numba is available.
-
-Two lanes share the same arithmetic:
-
-* the numba lane (default) compiles the per-particle loops with ``@njit``;
-* the numpy lane is pure vectorized numpy, selected by setting the
-  environment variable ``TRANSPORTLAB_NUMBA=0`` (or when numba cannot be
-  imported).
-
-``benchmarks/bench_kernels.py`` times both lanes on representative sizes.
-The env var ``TRANSPORTLAB_WORKERS`` caps the thread count used by the
-parallel kernels.
-"""
+"""Hot numeric kernels: the weighted 1D W1 merge and the moving-cell grid
+field, both vectorized numpy over whole particle batches."""
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _truthy(val: str) -> bool:
-    return val.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-NUMBA_ENABLED = False
-if _truthy(os.environ.get("TRANSPORTLAB_NUMBA", "1")):
-    try:
-        import numba
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-        workers = os.environ.get("TRANSPORTLAB_WORKERS", "")
-        if workers.strip():
-            numba.set_num_threads(max(1, min(int(workers), numba.config.NUMBA_NUM_THREADS)))
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):  # noqa: D103 - decorator stub for the numpy lane
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]) and len(args) == 1 and not kwargs:
-            return args[0]
-        return wrap
-
-    prange = range
 
 
 # ---------------------------------------------------------------------------
 # weighted 1D Wasserstein-1: exact integral of |F_a^{-1} - F_b^{-1}| over mass
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _w1_pair_sorted_jit(xa, wa, xb, wb):
-    na = xa.shape[0]
-    nb = xb.shape[0]
-    i = 0
-    j = 0
-    ra = wa[0]
-    rb = wb[0]
-    acc = 0.0
-    while True:
-        m = ra if ra < rb else rb
-        d = xa[i] - xb[j]
-        if d < 0.0:
-            d = -d
-        acc += m * d
-        ra -= m
-        rb -= m
-        if ra <= 0.0:
-            i += 1
-            if i >= na:
-                break
-            ra = wa[i]
-        if rb <= 0.0:
-            j += 1
-            if j >= nb:
-                break
-            rb = wb[j]
-    return acc
+def w1_pair_sorted(xa, wa, xb, wb):
+    """W1 between weighted 1D atom lists already sorted by position.
 
-
-def _w1_pair_sorted_np(xa, wa, xb, wb):
-    ca = np.cumsum(wa)
-    cb = np.cumsum(wb)
+    Both inputs must carry (numerically) equal total mass; the caller
+    validates that. Exact up to float rounding: the quantile functions are
+    piecewise constant and the merge visits every breakpoint once.
+    """
+    xa = np.asarray(xa, dtype=np.float64)
+    xb = np.asarray(xb, dtype=np.float64)
+    ca = np.cumsum(np.asarray(wa, dtype=np.float64))
+    cb = np.cumsum(np.asarray(wb, dtype=np.float64))
     total = min(ca[-1], cb[-1])
     cuts = np.concatenate([ca[:-1], cb[:-1]])
     cuts = cuts[cuts < total]
@@ -93,22 +29,6 @@ def _w1_pair_sorted_np(xa, wa, xb, wb):
     ia = np.minimum(np.searchsorted(ca, mid, side="left"), len(xa) - 1)
     ib = np.minimum(np.searchsorted(cb, mid, side="left"), len(xb) - 1)
     return float(np.sum(seg * np.abs(xa[ia] - xb[ib])))
-
-
-def w1_pair_sorted(xa, wa, xb, wb):
-    """W1 between weighted 1D atom lists already sorted by position.
-
-    Both inputs must carry (numerically) equal total mass; the caller
-    validates that. Exact up to float rounding: the quantile functions are
-    piecewise constant and the merge visits every breakpoint once.
-    """
-    xa = np.ascontiguousarray(xa, dtype=np.float64)
-    wa = np.ascontiguousarray(wa, dtype=np.float64)
-    xb = np.ascontiguousarray(xb, dtype=np.float64)
-    wb = np.ascontiguousarray(wb, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return float(_w1_pair_sorted_jit(xa, wa, xb, wb))
-    return _w1_pair_sorted_np(xa, wa, xb, wb)
 
 
 # ---------------------------------------------------------------------------
@@ -122,88 +42,32 @@ def w1_pair_sorted(xa, wa, xb, wb):
 # cell), so fields of distinct cells never overlap and the global field
 # stays smooth.
 
-@njit(cache=True, inline="always")
 def _falloff(dist, margin):
-    if dist <= 0.0:
-        return 1.0
-    if dist >= margin or margin <= 0.0:
-        return 0.0
-    u = dist / margin
-    return 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-
-
-@njit(cache=True, parallel=True)
-def _grid_eval_2d_jit(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
-                      gxm, gxp, gym, gyp, out):
-    n = cxm.shape[0]
-    for p in prange(px.shape[0]):
-        x = px[p]
-        y = py[p]
-        # nearest column by interval distance; intervals are ordered
-        i = np.searchsorted(cxp, x)
-        if i >= n:
-            i = n - 1
-        if i > 0:
-            d_here = cxm[i] - x if x < cxm[i] else 0.0
-            d_prev = x - cxp[i - 1]
-            if d_prev < d_here:
-                i -= 1
-        if x < cxm[i]:
-            dx = cxm[i] - x
-            mx = gxm[i]
-        elif x > cxp[i]:
-            dx = x - cxp[i]
-            mx = gxp[i]
-        else:
-            dx = 0.0
-            mx = 1.0
-        sx = _falloff(dx, mx)
-        if sx <= 0.0:
-            out[p, 0] = 0.0
-            out[p, 1] = 0.0
-            continue
-        j = np.searchsorted(cyp[i], y)
-        if j >= n:
-            j = n - 1
-        if j > 0:
-            d_here = cym[i, j] - y if y < cym[i, j] else 0.0
-            d_prev = y - cyp[i, j - 1]
-            if d_prev < d_here:
-                j -= 1
-        if y < cym[i, j]:
-            dy = cym[i, j] - y
-            my = gym[i, j]
-        elif y > cyp[i, j]:
-            dy = y - cyp[i, j]
-            my = gyp[i, j]
-        else:
-            dy = 0.0
-            my = 1.0
-        s = sx * _falloff(dy, my)
-        out[p, 0] = s * (ax[i] * x + bx[i])
-        out[p, 1] = s * (ay[i, j] * y + by[i, j])
-
-
-def _falloff_np(dist, margin):
     u = np.clip(np.divide(dist, margin, out=np.full_like(dist, np.inf),
                           where=margin > 0.0), 0.0, 1.0)
     return 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def _grid_eval_2d_np(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
-                     gxm, gxp, gym, gyp, out):
+def _nearest_column(px, cxm, cxp, gxm, gxp):
+    """Index of the nearest interval and the falloff factor there."""
     n = cxm.shape[0]
     i = np.minimum(np.searchsorted(cxp, px), n - 1)
     has_prev = i > 0
     d_here = np.maximum(cxm[i] - px, 0.0)
     d_prev = np.where(has_prev, px - cxp[np.maximum(i - 1, 0)], np.inf)
     i = np.where(has_prev & (d_prev < d_here), i - 1, i)
-
     below = px < cxm[i]
     above = px > cxp[i]
     dx = np.where(below, cxm[i] - px, np.where(above, px - cxp[i], 0.0))
     mx = np.where(below, gxm[i], np.where(above, gxp[i], 1.0))
-    sx = _falloff_np(dx, mx)
+    return i, _falloff(dx, mx)
+
+
+def grid_eval_2d(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
+                 gxm, gxp, gym, gyp):
+    """Velocity of the 2D moving-cell field at particle positions."""
+    n = cxm.shape[0]
+    i, sx = _nearest_column(px, cxm, cxp, gxm, gxp)
 
     cym_i = cym[i]
     cyp_i = cyp[i]
@@ -221,72 +85,20 @@ def _grid_eval_2d_np(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
     above = py > cyp_i[rows, j]
     dy = np.where(below, cym_i[rows, j] - py, np.where(above, py - cyp_i[rows, j], 0.0))
     my = np.where(below, gym[i, j], np.where(above, gyp[i, j], 1.0))
-    s = sx * _falloff_np(dy, my)
+    s = sx * _falloff(dy, my)
 
+    out = np.empty((px.shape[0], 2))
     out[:, 0] = s * (ax[i] * px + bx[i])
     out[:, 1] = s * (ay[i, j] * py + by[i, j])
-
-
-def grid_eval_2d(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
-                 gxm, gxp, gym, gyp):
-    """Velocity of the 2D moving-cell field at particle positions."""
-    out = np.empty((px.shape[0], 2))
-    if NUMBA_ENABLED:
-        _grid_eval_2d_jit(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
-                          gxm, gxp, gym, gyp, out)
-    else:
-        _grid_eval_2d_np(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
-                         gxm, gxp, gym, gyp, out)
     return out
-
-
-@njit(cache=True, parallel=True)
-def _grid_eval_1d_jit(px, cxm, cxp, ax, bx, gxm, gxp, out):
-    n = cxm.shape[0]
-    for p in prange(px.shape[0]):
-        x = px[p]
-        i = np.searchsorted(cxp, x)
-        if i >= n:
-            i = n - 1
-        if i > 0:
-            d_here = cxm[i] - x if x < cxm[i] else 0.0
-            d_prev = x - cxp[i - 1]
-            if d_prev < d_here:
-                i -= 1
-        if x < cxm[i]:
-            dx = cxm[i] - x
-            mx = gxm[i]
-        elif x > cxp[i]:
-            dx = x - cxp[i]
-            mx = gxp[i]
-        else:
-            dx = 0.0
-            mx = 1.0
-        out[p, 0] = _falloff(dx, mx) * (ax[i] * x + bx[i])
-
-
-def _grid_eval_1d_np(px, cxm, cxp, ax, bx, gxm, gxp, out):
-    n = cxm.shape[0]
-    i = np.minimum(np.searchsorted(cxp, px), n - 1)
-    has_prev = i > 0
-    d_here = np.maximum(cxm[i] - px, 0.0)
-    d_prev = np.where(has_prev, px - cxp[np.maximum(i - 1, 0)], np.inf)
-    i = np.where(has_prev & (d_prev < d_here), i - 1, i)
-    below = px < cxm[i]
-    above = px > cxp[i]
-    dx = np.where(below, cxm[i] - px, np.where(above, px - cxp[i], 0.0))
-    mx = np.where(below, gxm[i], np.where(above, gxp[i], 1.0))
-    out[:, 0] = _falloff_np(dx, mx) * (ax[i] * px + bx[i])
 
 
 def grid_eval_1d(px, cxm, cxp, ax, bx, gxm, gxp):
-    out = np.empty((px.shape[0], 1))
-    if NUMBA_ENABLED:
-        _grid_eval_1d_jit(px, cxm, cxp, ax, bx, gxm, gxp, out)
-    else:
-        _grid_eval_1d_np(px, cxm, cxp, ax, bx, gxm, gxp, out)
-    return out
+    """Velocity of the 1D moving-cell field at particle positions."""
+    i, sx = _nearest_column(px, cxm, cxp, gxm, gxp)
+    return (sx * (ax[i] * px + bx[i]))[:, None]
 
 
 def active_lane() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel implementation in use; numpy is the only one."""
+    return "numpy"

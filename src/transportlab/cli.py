@@ -17,14 +17,13 @@ import numpy as np
 from . import __version__
 from .flow import flow_push, TimeField
 from .geometry import ConditionFailure, check_geometric_condition
-from .measure import ParticleMeasure, sample, DensitySpec
+from .measure import ParticleMeasure, quantile_partition
 from .oracle import sqrt_field_solution
 from .ot import subsampled_w1, w1_1d
 from .scenarios import Scenario, load_scenario
 from .synth import (approx_controller, exact_controller, grid_control,
                     grid_error_bound, bv_blowup_diagnostic, linear_merge_toy,
-                    shear_diagnostic, ControllerResult)
-from .measure import quantile_partition
+                    shear_diagnostic)
 
 
 def _write_json(path, payload):

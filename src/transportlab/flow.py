@@ -25,7 +25,6 @@ __all__ = [
     "stopped_flow",
     "stopped_flow_batch",
     "weak_residual",
-    "add_fields",
     "GaussianBump",
 ]
 
@@ -114,18 +113,6 @@ class TimeField:
         return fld
 
 
-def add_fields(a: TimeField, b: TimeField, label="", control_fn=None,
-               descriptor=None) -> TimeField:
-    return TimeField(lambda p, t: a.evaluate(p, t) + b.evaluate(p, t), a.dim,
-                     a.lipschitz_bound + b.lipschitz_bound,
-                     a.sup_bound + b.sup_bound,
-                     label=label or f"{a.label}+{b.label}",
-                     control_fn=control_fn,
-                     non_lipschitz=a.non_lipschitz or b.non_lipschitz,
-                     descriptor=descriptor or {"kind": "sum",
-                                               "parts": [a.descriptor, b.descriptor]})
-
-
 # ---------------------------------------------------------------------------
 # RK4 stepping
 # ---------------------------------------------------------------------------
@@ -212,10 +199,12 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
 
     Returns ``(endpoints, hit_times)`` where a hit time of nan means the
     point never entered the region within the horizon. Entry times are
-    located by bisection between the straddling RK4 steps. With
-    ``record=True`` also returns the knot times (relative to t0) and the
-    recorded per-point polylines (parked points repeat their final
-    position).
+    located by bisection between the straddling RK4 steps. Stepping stops
+    once every point is parked, so a generous horizon costs nothing past the
+    last entry. With ``record=True`` also returns the knot times (relative
+    to t0) and the recorded per-point polylines (parked points repeat their
+    final position); the knots then end at the first step after which no
+    point is active, not at the horizon.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -232,29 +221,30 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     t = float(t0)
     paths = [pts.copy()] if record else None
     for _ in range(steps):
-        if np.any(active):
-            moved = _rk4_advance(field, pts[active], t, h)
-            entered_rel = stop_region.contains(moved)
-            act_idx = np.flatnonzero(active)
-            hit_idx = act_idx[entered_rel]
-            if len(hit_idx):
-                # bisect all entries of this step together; stage times are
-                # taken at the step start (events are detected for
-                # time-autonomous fields)
-                base = pts[hit_idx]
-                lo = np.zeros(len(hit_idx))
-                hi = np.full(len(hit_idx), h)
-                for _ in range(bisections):
-                    mid = 0.5 * (lo + hi)
-                    probe = _rk4_partial(field, base, t, mid)
-                    inside = stop_region.contains(probe)
-                    hi = np.where(inside, mid, hi)
-                    lo = np.where(inside, lo, mid)
-                pts[hit_idx] = _rk4_partial(field, base, t, hi)
-                hit_times[hit_idx] = (t - t0) + hi
-            keep = ~entered_rel
-            pts[act_idx[keep]] = moved[keep]
-            active[hit_idx] = False
+        if not np.any(active):
+            break
+        moved = _rk4_advance(field, pts[active], t, h)
+        entered_rel = stop_region.contains(moved)
+        act_idx = np.flatnonzero(active)
+        hit_idx = act_idx[entered_rel]
+        if len(hit_idx):
+            # bisect all entries of this step together; stage times are
+            # taken at the step start (events are detected for
+            # time-autonomous fields)
+            base = pts[hit_idx]
+            lo = np.zeros(len(hit_idx))
+            hi = np.full(len(hit_idx), h)
+            for _ in range(bisections):
+                mid = 0.5 * (lo + hi)
+                probe = _rk4_partial(field, base, t, mid)
+                inside = stop_region.contains(probe)
+                hi = np.where(inside, mid, hi)
+                lo = np.where(inside, lo, mid)
+            pts[hit_idx] = _rk4_partial(field, base, t, hi)
+            hit_times[hit_idx] = (t - t0) + hi
+        keep = ~entered_rel
+        pts[act_idx[keep]] = moved[keep]
+        active[hit_idx] = False
         t += h
         if record:
             paths.append(pts.copy())

@@ -120,7 +120,7 @@ def w1_1d(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
                                    nu.positions[ib, 0], nu.weights[ib])
 
 
-def _assignment_plan(mu, nu, p, mass):
+def _assignment_plan(mu, nu, p):
     cost = cdist(mu.positions, nu.positions)
     if p == 2:
         cost = cost ** 2
@@ -131,7 +131,7 @@ def _assignment_plan(mu, nu, p, mass):
     return plan
 
 
-def _transportation_plan(mu, nu, p, mass):
+def _transportation_plan(mu, nu, p):
     n, m = len(mu), len(nu)
     cost = cdist(mu.positions, nu.positions)
     if p == 2:
@@ -189,9 +189,9 @@ def wp_discrete(mu: ParticleMeasure, nu: ParticleMeasure, p: int = 1,
                and np.allclose(mun.weights, mun.weights[0], rtol=0, atol=1e-12)
                and np.allclose(nun.weights, nun.weights[0], rtol=0, atol=1e-12))
     if uniform:
-        plan_n = _assignment_plan(mun, nun, p, 1.0)
+        plan_n = _assignment_plan(mun, nun, p)
     else:
-        plan_n = _transportation_plan(mun, nun, p, 1.0)
+        plan_n = _transportation_plan(mun, nun, p)
     distance = mass ** (1.0 / p) * plan_n.distance()
     plan = TransportPlan(plan_n.src_idx, plan_n.tgt_idx, plan_n.mass * mass,
                          mu, nu, p, plan_n.method, plan_n.dual_gap, plan_n.meta)

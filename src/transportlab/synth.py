@@ -1,5 +1,5 @@
-"""Control-field synthesis: grid, storage, funnel and geodesic controls,
-and the five-phase schedules composing them.
+"""Control-field synthesis: grid, storage and funnel controls, and the
+five-phase schedules composing them.
 
 The approximate lane synthesizes genuinely Lipschitz fields and simulates
 the resulting flow; the exact lane transports atoms with stopped flows and a
@@ -11,18 +11,16 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .flow import (TimeField, Trajectory, flow_push, stopped_flow_batch,
-                   choose_step, _integrate_batch as _integrate_batch_local)
-from .geometry import (Region, cutoff_theta, weight_eta,
-                       check_geometric_condition, ConditionFailure)
-from .measure import (ParticleMeasure, GridPartition, LinePartition,
-                      quantile_partition, line_quantile_partition, combine)
-from .ot import wp_discrete, displacement_interpolate, subsampled_w1
+                   _integrate_batch as _integrate_batch_local)
+from .geometry import Region, cutoff_theta, weight_eta, check_geometric_condition
+from .measure import ParticleMeasure, GridPartition, quantile_partition
+from .ot import wp_discrete, subsampled_w1
 
 __all__ = [
     "ControlSegment",
@@ -31,19 +29,17 @@ __all__ = [
     "grid_control",
     "storage_control",
     "storage_total",
-    "funnel_control",
-    "funnel_total",
-    "geodesic_transport",
     "approx_controller",
     "exact_controller",
     "bv_blowup_diagnostic",
     "shear_diagnostic",
     "grid_error_bound",
     "ControllerResult",
-    "FUNNEL_K_CAP",
+    "STORAGE_K_CAP",
 ]
 
-FUNNEL_K_CAP = 2 ** 20
+# largest cutoff index the storage escalation tries
+STORAGE_K_CAP = 2 ** 20
 
 
 def grid_error_bound(n: int) -> float:
@@ -390,101 +386,17 @@ def _eta_grad_lipschitz(eta, omega1: Region, per_axis: int = 48) -> float:
     return est
 
 
-def _peak_curvatures(eta, peak, h: float = 1e-5) -> np.ndarray:
-    """Per-axis second derivative magnitude of the weight at its peak."""
-    peak = np.asarray(peak, dtype=float)
-    d = len(peak)
-    out = np.empty(d)
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = h
-        gp = eta.gradient((peak + e)[None, :])[0, a]
-        gm = eta.gradient((peak - e)[None, :])[0, a]
-        out[a] = abs(gp - gm) / (2 * h)
-    return out
-
-
-def _layer_max_grad(eta, region: Region, band: float, outside: bool,
-                    n: int = 4096, seed: int = 0) -> float:
-    """Sampled max |grad eta| in a boundary layer of the region."""
+def _layer_max_grad(eta, region: Region, band: float, n: int = 4096,
+                    seed: int = 0) -> float:
+    """Sampled max |grad eta| in the inner boundary layer of the region."""
     lo, hi = region.bounding_box()
     rng = np.random.default_rng(seed)
     pts = (lo - band) + (hi - lo + 2 * band) * rng.random((n, region.dim))
     sd = region.signed_distance(pts)
-    keep = (sd >= -band) & (sd <= 0.0) if not outside else (np.abs(sd) <= band)
-    pts = pts[keep]
+    pts = pts[(sd >= -band) & (sd <= 0.0)]
     if len(pts) == 0:
         return 0.0
     return float(np.max(np.linalg.norm(eta.gradient(pts), axis=1)))
-
-
-def funnel_total(v: TimeField, omega1: Region, s0: Region, k: int,
-                 eta=None, blend_band: float | None = None,
-                 axis_weights=None):
-    """Total velocity of the funnel phase: k grad(eta) inside omega1, the
-    ambient v outside a blend band around it. The control part is the
-    difference, supported in the inflated omega1.
-
-    ``axis_weights`` rescales the gain per coordinate (the ascent of the
-    weight in stretched coordinates); the escalation uses it to keep axes
-    that arrive early from compressing while the slow axis finishes.
-    """
-    if eta is None:
-        eta, _, _ = weight_eta(omega1, s0)
-    if blend_band is None:
-        blend_band = 0.1 * omega1.inradius()
-    if axis_weights is None:
-        weights = np.ones(v.dim)
-    else:
-        weights = np.asarray(axis_weights, dtype=float)
-    blend = _blend_factor(omega1, blend_band)
-
-    def total(pts, t):
-        b = blend(pts)[:, None]
-        ascent = float(k) * weights * eta.gradient(pts)
-        return b * ascent + (1.0 - b) * v.evaluate(pts, t)
-
-    def ctrl(pts, t):
-        ascent = float(k) * weights * eta.gradient(pts)
-        return blend(pts)[:, None] * (ascent - v.evaluate(pts, t))
-
-    grad_lip = getattr(eta, "grad_lipschitz", None)
-    if grad_lip is None:
-        grad_lip = _eta_grad_lipschitz(eta, omega1)
-        eta.grad_lipschitz = grad_lip
-    sup_grad = getattr(eta, "sup_gradient", None)
-    if sup_grad is None:
-        lo, hi = omega1.bounding_box()
-        probe = lo + (hi - lo) * np.random.default_rng(0).random((2048, omega1.dim))
-        probe = probe[omega1.contains(probe)]
-        sup_grad = float(np.max(np.linalg.norm(eta.gradient(probe), axis=1)))
-        eta.sup_gradient = sup_grad
-    # the blend factor is steep only in its own layer, where the gradient of
-    # the weight is small by construction; use the layer-local speed there
-    shell_speed = k * _layer_max_grad(eta, omega1, blend_band, outside=False)
-    lip = (k * grad_lip
-           + (shell_speed + v.sup_bound) * 1.875 / blend_band
-           + v.lipschitz_bound)
-    fld = TimeField(total, v.dim, lipschitz_bound=lip,
-                    sup_bound=k * sup_grad + v.sup_bound,
-                    label=f"funnel_k{k}", control_fn=ctrl,
-                    descriptor={"kind": "funnel", "k": k,
-                                "axis_weights": weights.tolist(),
-                                "omega1": omega1.to_dict(), "s0": s0.to_dict()})
-    fld.eta = eta
-    fld.k = k
-    fld.blend_band = blend_band
-    fld.axis_weights = weights
-    return fld
-
-
-def hold_total(v: TimeField, region: Region, k: int) -> TimeField:
-    """Freeze-in-place segment: the storage cutoff built on ``region`` keeps
-    everything at depth 1/k motionless while the ambient drift acts outside."""
-    fld = storage_total(v, region, k)
-    fld.label = f"hold_k{k}"
-    fld.descriptor = {"kind": "hold", "k": k, "region": region.to_dict()}
-    return fld
 
 
 def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
@@ -555,87 +467,8 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     return fld
 
 
-def funnel_control(v: TimeField, omega1: Region, s0: Region, delta: float,
-                   mu: ParticleMeasure, blend_band: float | None = None,
-                   tol: float = 1e-6):
-    """Escalate the gradient-ascent gain until every particle reaches s0
-    strictly before delta; returns (control field, k used).
-
-    Doubles k from 1; termination follows from the no-critical-point
-    property of the weight (the ascent speed is bounded below outside s0).
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    inside = omega1.contains(mu.positions)
-    if not np.all(inside):
-        bad = mu.positions[~inside][0]
-        raise ValueError(f"particle at {bad.tolist()} is outside the funnel "
-                         "domain omega1")
-    eta, kappa0, kappa1 = weight_eta(omega1, s0)
-    curv = _peak_curvatures(eta, s0.center_point())
-
-    # ascent paths do not depend on a scalar gain, so hitting times scale
-    # exactly like 1/k: a probe run at k = 1 sets the gain, and the per-axis
-    # weights then cap how hard early axes keep compressing while the slow
-    # one finishes (contraction budget in e-folds)
-    def probe(weights, gain, horizon):
-        total = funnel_total(v, omega1, s0, gain, eta=eta,
-                             blend_band=blend_band, axis_weights=weights)
-        _, hits = stopped_flow_batch(total, s0, mu.positions, 0.0, horizon, tol)
-        return hits
-
-    probe_horizon = 8.0 * delta
-    tau_max = None
-    while probe_horizon <= 512.0 * delta:
-        hits = probe(None, 1, probe_horizon)
-        if not np.any(np.isnan(hits)):
-            tau_max = float(np.max(hits))
-            break
-        probe_horizon *= 8.0
-    if tau_max is None:
-        stranded = mu.positions[np.isnan(hits)]
-        raise RuntimeError(
-            f"funnel probe found {len(stranded)} stranded particles within "
-            f"horizon {probe_horizon / 8:.3g} (first: {stranded[0].tolist()}); "
-            "the geometry likely violates s0 strictly inside omega1")
-
-    budget = 18.0
-    k = max(1, 2 ** math.ceil(math.log2(max(tau_max, 1e-12) / (0.9 * delta))))
-    while k <= FUNNEL_K_CAP:
-        tau_star = min(1.15 * tau_max / k, 0.98 * delta)
-        weights = np.minimum(1.0, budget / np.maximum(curv * k * tau_star, 1e-9))
-        total = funnel_total(v, omega1, s0, k, eta=eta, blend_band=blend_band,
-                             axis_weights=weights)
-        _, hits = stopped_flow_batch(total, s0, mu.positions, 0.0,
-                                     0.98 * delta, tol)
-        ok = not np.any(np.isnan(hits))
-        if ok:
-            tau_star = min(1.05 * float(np.max(hits)), 0.98 * delta)
-            final = flow_push(total, mu, 0.0, tau_star, tol)
-            if np.all(s0.contains(final.positions)):
-                ctrl = TimeField(total.control_fn, v.dim,
-                                 lipschitz_bound=total.lipschitz_bound + v.lipschitz_bound,
-                                 sup_bound=total.sup_bound + v.sup_bound,
-                                 support_region=omega1.inflate(total.blend_band),
-                                 label=f"funnel_control_k{k}",
-                                 control_fn=total.control_fn,
-                                 descriptor=total.descriptor)
-                ctrl.eta = eta
-                ctrl.kappa = (kappa0, kappa1)
-                ctrl.k = k
-                ctrl.total_field = total
-                ctrl.tau_star = tau_star
-                ctrl.final_state = final
-                ctrl.axis_weights = weights
-                return ctrl, k
-        k *= 2
-    raise RuntimeError(
-        f"funnel gain escalation exceeded {FUNNEL_K_CAP}; "
-        "the geometry likely violates s0 strictly inside omega1")
-
-
 # ---------------------------------------------------------------------------
-# geodesic transport
+# per-atom witness of the exact lane
 # ---------------------------------------------------------------------------
 
 class ParticleWitnessField(TimeField):
@@ -690,34 +523,6 @@ class ParticleWitnessField(TimeField):
         w[~miss] -= self.base.evaluate(pts[~miss], t)
         w[miss] = 0.0
         return w
-
-
-def geodesic_transport(mu0: ParticleMeasure, mu1: ParticleMeasure,
-                       delta: float, s: Region, snapshots: int = 11) -> Trajectory:
-    """Constant-speed quadratic-cost interpolation from mu0 to mu1 inside s."""
-    if not s.is_convex():
-        raise ValueError("geodesic transport needs a convex region "
-                         "(the interpolant could exit a non-convex one)")
-    for name, m in (("source", mu0), ("target", mu1)):
-        if not np.all(s.contains(m.positions)):
-            raise ValueError(f"{name} support must sit inside the region")
-    _, plan = wp_discrete(mu0, mu1, p=2)
-    times = np.linspace(0.0, delta, snapshots)
-    states = [displacement_interpolate(plan, t, delta) for t in times]
-    endpoints = np.stack([plan.source.positions[plan.src_idx],
-                          plan.target.positions[plan.tgt_idx]], axis=1)
-    witness = ParticleWitnessField(
-        np.array([0.0, delta]), endpoints, TimeField.zero(mu0.dim),
-        label="geodesic",
-        descriptor={"kind": "geodesic", "delta": delta,
-                    "entries": len(plan.mass)})
-    traj = Trajectory(times, states, field_ref=witness,
-                      meta={"plan_entries": len(plan.mass),
-                            "max_speed": float(np.max(np.linalg.norm(
-                                (endpoints[:, 1] - endpoints[:, 0]) / delta,
-                                axis=1))) if len(plan.mass) else 0.0})
-    traj.plan = plan
-    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -885,7 +690,7 @@ class MovingFrameGridField(TimeField):
         return ParticleMeasure(pos, mu.weights, mu.tags)
 
 
-def _shift_time(field: TimeField, offset: float, v: TimeField) -> TimeField:
+def _shift_time(field: TimeField, offset: float) -> TimeField:
     """The same field with its clock started at ``offset`` (segment-local
     fields in a schedule)."""
     fld = TimeField(lambda pts, t: field.evaluate(pts, t - offset),
@@ -906,7 +711,7 @@ def _sample_sup_v(v: TimeField, bbox_lo, bbox_hi, seed=0, n=4096) -> float:
 
 def _escalate_storage(v: TimeField, omega0: Region, mu: ParticleMeasure,
                       horizon: float, mass_target: float, tol: float,
-                      k_cap: int = FUNNEL_K_CAP):
+                      k_cap: int = STORAGE_K_CAP):
     """Double the cutoff index until the mass left outside omega0 at the end
     of the storage phase is at most mass_target."""
     k = 2
@@ -1102,7 +907,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     state4_all = flow_push(fun_rev, state3_all, t3, t4, tol)
     state5_all = flow_push(store_rev, state4_all, t4, t5, tol)
 
-    fun_fwd_seg = _shift_time(fun_fwd, t1, v)
+    fun_fwd_seg = _shift_time(fun_fwd, t1)
     segments = [
         ControlSegment(0.0, t1, store_fwd, "storage"),
         ControlSegment(t1, t2, fun_fwd_seg, "funnel"),
@@ -1159,7 +964,19 @@ def _resample_path(knots, path, new_knots):
     return out
 
 
-def _stopped_paths(field, stop_region, pts, horizon, tol, n_knots=33):
+def _uniform_paths(pts, end, knots, raw, horizon, n_knots=33):
+    """Recorded stopped-flow polylines resampled on a uniform knot grid over
+    [0, horizon], with exact start and end points (past its last recorded
+    knot a path stays where it parked)."""
+    new_knots = np.linspace(0.0, horizon, n_knots)
+    paths = np.stack([_resample_path(knots, raw[e], new_knots)
+                      for e in range(raw.shape[0])])
+    paths[:, 0, :] = pts
+    paths[:, -1, :] = end
+    return new_knots, paths
+
+
+def _stopped_paths(field, stop_region, pts, horizon, tol):
     """Stopped-flow paths resampled on a uniform knot grid, exact endpoints."""
     end, hits, knots, raw = stopped_flow_batch(field, stop_region, pts, 0.0,
                                                horizon, tol, record=True)
@@ -1167,60 +984,47 @@ def _stopped_paths(field, stop_region, pts, horizon, tol, n_knots=33):
         bad = int(np.flatnonzero(np.isnan(hits))[0])
         raise RuntimeError(f"point {pts[bad].tolist()} failed to reach the "
                            "stop region; escalate first")
-    new_knots = np.linspace(0.0, horizon, n_knots)
-    paths = np.stack([_resample_path(knots, raw[e], new_knots)
-                      for e in range(raw.shape[0])])
-    paths[:, 0, :] = pts
-    paths[:, -1, :] = end
+    new_knots, paths = _uniform_paths(pts, end, knots, raw, horizon)
     return end, hits, new_knots, paths
 
 
 def _escalate_exact_funnel(v, omega1, s0, delta, pts, tol, blend_band):
-    """Gradient-ascent gain for the parked variant: total field k grad(eta)
-    inside omega1, particles freeze at first entry into s0."""
-    eta, kappa0, kappa1 = weight_eta(omega1, s0)
+    """Gain and parked paths of the exact funnel: total field k grad(eta)
+    inside omega1, blended into v outside it; points freeze at first entry
+    into s0. Returns ``(k, endpoints, hit_times, knots, paths)`` with every
+    hit time at most 0.9 delta.
+
+    The blend factor is 1 inside omega1, and ascent lines of eta started in
+    omega1 stay there, so along every path the field is exactly k grad(eta)
+    and the gain-k flow is the k = 1 flow with time divided by k. One
+    recorded k = 1 run therefore gives the largest hitting time tau, the
+    gain k = 2^ceil(log2(tau / 0.9 delta)) and, with its knot times divided
+    by k, the gain-k paths. The name dates from the gain-doubling search
+    this replaced; callers and tooling still look it up by that name.
+    """
+    eta, _, kappa1 = weight_eta(omega1, s0)
     blend = _blend_factor(omega1, blend_band)
     grad_lip = _eta_grad_lipschitz(eta, omega1)
-    eta.grad_lipschitz = grad_lip
-    shell = _layer_max_grad(eta, omega1, blend_band, outside=False)
+    shell = _layer_max_grad(eta, omega1, blend_band)
 
-    def make_field(k):
-        def total(p, t, k=k):
-            b = blend(p)[:, None]
-            return b * (float(k) * eta.gradient(p)) + (1.0 - b) * v.evaluate(p, t)
+    def total(p, t):
+        b = blend(p)[:, None]
+        return b * eta.gradient(p) + (1.0 - b) * v.evaluate(p, t)
 
-        return TimeField(total, v.dim,
-                         lipschitz_bound=k * grad_lip + v.lipschitz_bound
-                         + (k * shell + v.sup_bound) * 1.875 / blend_band,
-                         sup_bound=k * kappa1 + v.sup_bound,
-                         label=f"exact_funnel_k{k}",
-                         descriptor={"kind": "funnel_exact", "k": k})
-
-    # hitting times scale like 1/k (the ascent lines are gain-independent)
-    probe_horizon = 8.0 * delta
-    tau_max = None
-    while probe_horizon <= 512.0 * delta:
-        _, hits = stopped_flow_batch(make_field(1), s0, pts, 0.0,
-                                     probe_horizon, tol)
-        if not np.any(np.isnan(hits)):
-            tau_max = float(np.max(hits))
-            break
-        probe_horizon *= 8.0
-    if tau_max is None:
+    ascent = TimeField(total, v.dim,
+                       lipschitz_bound=grad_lip + v.lipschitz_bound
+                       + (shell + v.sup_bound) * 1.875 / blend_band,
+                       sup_bound=kappa1 + v.sup_bound, label="exact_funnel_k1",
+                       descriptor={"kind": "funnel_exact", "k": 1})
+    end, hits, knots, raw = stopped_flow_batch(ascent, s0, pts, 0.0,
+                                               512.0 * delta, tol, record=True)
+    if np.any(np.isnan(hits)):
         raise RuntimeError("funnel probe found stranded points; the geometry "
                            "likely violates s0 strictly inside omega1")
+    tau_max = float(np.max(hits))
     k = max(1, 2 ** math.ceil(math.log2(max(tau_max, 1e-12) / (0.9 * delta))))
-    while k <= FUNNEL_K_CAP:
-        fld = make_field(k)
-        try:
-            end, hits, knots, paths = _stopped_paths(fld, s0, pts, delta, tol)
-        except RuntimeError:
-            k *= 2
-            continue
-        if np.max(hits) < delta * (1 - 1e-9):
-            return fld, k, end, knots, paths
-        k *= 2
-    raise RuntimeError(f"exact funnel escalation exceeded {FUNNEL_K_CAP}")
+    new_knots, paths = _uniform_paths(pts, end, knots / k, raw, delta)
+    return k, end, hits / k, new_knots, paths
 
 
 def exact_controller(scenario) -> ControllerResult:
@@ -1253,7 +1057,7 @@ def exact_controller(scenario) -> ControllerResult:
     # forward lane: park in omega0, then funnel-park into s0
     _, _, knots1, paths1 = _stopped_paths(v, cond.omega0, mu0.positions, t1, tol)
     fwd_parked = paths1[:, -1, :]
-    fun_fwd, k_fun_fwd, fwd_in_s0, knots2, paths2 = _escalate_exact_funnel(
+    k_fun_fwd, fwd_in_s0, _, knots2, paths2 = _escalate_exact_funnel(
         v, omega1, s0, t2 - t1, fwd_parked, tol, band)
 
     # backward lane on the reversed drift, recorded for replay
@@ -1261,7 +1065,7 @@ def exact_controller(scenario) -> ControllerResult:
     _, _, knots5, paths5 = _stopped_paths(v_back, cond.omega0, mu1.positions,
                                           t_back, tol)
     back_parked = paths5[:, -1, :]
-    fun_back, k_fun_back, back_in_s0, knots4, paths4 = _escalate_exact_funnel(
+    k_fun_back, back_in_s0, _, knots4, paths4 = _escalate_exact_funnel(
         v_back, omega1, s0, t4 - t3, back_parked, tol, band)
 
     # geodesic plan between the parked clouds
@@ -1390,7 +1194,7 @@ def linear_merge_toy(halvings: int = 12, samples_per_halving: int = 24) -> Traje
     return Trajectory(times, states, field_ref="linear-merge-toy")
 
 
-def shear_diagnostic(n_values=(2, 4, 8), probes: int = 7) -> dict:
+def shear_diagnostic(probes: int = 7) -> dict:
     """Velocity mismatch of the naive map that sends full outer cells onto
     their targets; the swapped two-by-two configuration makes the jump across
     the interior column line explicit."""

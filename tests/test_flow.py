@@ -125,14 +125,26 @@ class TestStoppedFlow:
     def test_recorded_paths_consistent(self):
         region = Region.box([1.0, -1.0], [3.0, 1.0])
         fld = TimeField.constant([1.0, 0.0])
-        pts = np.array([[0.0, 0.0]])
+        pts = np.array([[0.0, 0.0], [-0.5, 0.2]])
+        # tol 2^-16 gives the step 1/16, which divides both horizons below,
+        # so the two runs take identical steps
+        tol = 2.0 ** -16
         ends, hits, knots, paths = stopped_flow_batch(
-            fld, region, pts, 0.0, 3.0, 1e-6, record=True)
-        assert paths.shape[0] == 1 and paths.shape[1] == len(knots)
-        assert np.allclose(paths[0, -1], ends[0])
+            fld, region, pts, 0.0, 3.0, tol, record=True)
+        assert paths.shape[0] == 2 and paths.shape[1] == len(knots)
+        assert np.allclose(paths[:, -1], ends)
         # position frozen after the hit
-        after = knots >= hits[0] + 1e-9
-        assert np.allclose(paths[0, after], ends[0])
+        for e in range(2):
+            after = knots >= hits[e] + 1e-9
+            assert np.allclose(paths[e, after], ends[e])
+        # stepping stops within one step of the last entry
+        step = knots[1] - knots[0]
+        assert np.max(hits) <= knots[-1] <= np.max(hits) + step
+        # so a longer horizon changes nothing
+        ends_long, hits_long = stopped_flow_batch(fld, region, pts, 0.0, 30.0,
+                                                  tol)
+        assert np.array_equal(ends_long, ends)
+        assert np.array_equal(hits_long, hits)
 
 
 class TestWeakResidual:
