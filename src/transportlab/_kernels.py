@@ -63,33 +63,53 @@ def _nearest_column(px, cxm, cxp, gxm, gxp):
     return i, _falloff(dx, mx)
 
 
+def _row_keys(rows, values):
+    keys = np.empty(np.broadcast_shapes(np.shape(rows), np.shape(values)),
+                    dtype=np.complex128)
+    keys.real = rows
+    keys.imag = values
+    return keys
+
+
+def row_search(table, rows, values, side="left"):
+    """``np.searchsorted(table[rows[k]], values[k], side)`` for every k.
+
+    One search over (row, value) keys, O(N log n) for N points and n-wide
+    rows, each of which must be sorted. Complex numbers compare
+    lexicographically, and the keys are assembled without arithmetic on the
+    values, so ties resolve exactly as in a search within one row.
+    """
+    keys = _row_keys(np.arange(table.shape[0])[:, None], table).ravel()
+    found = np.searchsorted(keys, _row_keys(rows, values), side=side)
+    return found - table.shape[1] * rows
+
+
 def grid_eval_2d(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
                  gxm, gxp, gym, gyp):
     """Velocity of the 2D moving-cell field at particle positions."""
     n = cxm.shape[0]
     i, sx = _nearest_column(px, cxm, cxp, gxm, gxp)
 
-    cym_i = cym[i]
-    cyp_i = cyp[i]
-    # per-row searchsorted over the i-th row of the (n, n) cell tables
-    j = np.sum(cyp_i < py[:, None], axis=1)
-    j = np.minimum(j, n - 1)
-    has_prev = j > 0
-    jm = np.maximum(j - 1, 0)
-    rows = np.arange(len(px))
-    d_here = np.maximum(cym_i[rows, j] - py, 0.0)
-    d_prev = np.where(has_prev, py - cyp_i[rows, jm], np.inf)
-    j = np.where(has_prev & (d_prev < d_here), jm, j)
+    # flat indices into the (n, n) cell tables: the first cell of row i
+    # whose top is at or above py, and the one below it
+    row = n * i
+    here = row + np.minimum(row_search(cyp, i, py), n - 1)
+    prev = np.maximum(here - 1, row)
+    cym_f, cyp_f = cym.ravel(), cyp.ravel()
+    d_here = np.maximum(cym_f[here] - py, 0.0)
+    d_prev = np.where(prev < here, py - cyp_f[prev], np.inf)
+    k = np.where(d_prev < d_here, prev, here)
 
-    below = py < cym_i[rows, j]
-    above = py > cyp_i[rows, j]
-    dy = np.where(below, cym_i[rows, j] - py, np.where(above, py - cyp_i[rows, j], 0.0))
-    my = np.where(below, gym[i, j], np.where(above, gyp[i, j], 1.0))
+    lo, hi = cym_f[k], cyp_f[k]
+    below = py < lo
+    above = py > hi
+    dy = np.where(below, lo - py, np.where(above, py - hi, 0.0))
+    my = np.where(below, gym.ravel()[k], np.where(above, gyp.ravel()[k], 1.0))
     s = sx * _falloff(dy, my)
 
     out = np.empty((px.shape[0], 2))
     out[:, 0] = s * (ax[i] * px + bx[i])
-    out[:, 1] = s * (ay[i, j] * py + by[i, j])
+    out[:, 1] = s * (ay.ravel()[k] * py + by.ravel()[k])
     return out
 
 

@@ -155,7 +155,7 @@ def _integrate_batch(field: TimeField, pts, t0, t1, tol, observer=None):
     if span < 0:
         raise ValueError("t1 must be >= t0 (negate the field to go backward)")
     pts = np.array(np.atleast_2d(pts), dtype=np.float64)
-    if span == 0:
+    if span == 0 or pts.shape[0] == 0:
         return pts
     field.warn_if_non_lipschitz()
     h = choose_step(field, tol, span)

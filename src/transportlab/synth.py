@@ -1,10 +1,12 @@
 """Control-field synthesis: grid, storage and funnel controls, and the
 five-phase schedules composing them.
 
-The approximate lane synthesizes genuinely Lipschitz fields and simulates
-the resulting flow; the exact lane transports atoms with stopped flows and a
-quadratic-cost geodesic, storing the control as a per-plan-entry witness
-(the velocity field is Borel, not Lipschitz, and atoms may overlap).
+The approximate lane synthesizes genuinely Lipschitz fields and pushes the
+particles through their flows phase by phase, in closed form where the
+construction gives the flow map; the exact lane transports atoms with
+stopped flows and a quadratic-cost geodesic, storing the control as a
+per-plan-entry witness (the velocity field is Borel, not Lipschitz, and
+atoms may overlap).
 """
 from __future__ import annotations
 
@@ -100,26 +102,6 @@ class ControlSchedule:
     def control_part(self, pts, t):
         return self.segment_at(t).field.control_part(pts, t)
 
-    def simulate(self, mu: ParticleMeasure, tol: float,
-                 snapshots_per_segment: int = 5) -> Trajectory:
-        times = [self.t_start]
-        states = [mu]
-        state = mu
-        for seg in self.segments:
-            sub = np.linspace(seg.t_start, seg.t_end, snapshots_per_segment + 1)[1:]
-            prev = seg.t_start
-            advance = getattr(seg.field, "advect", None)
-            for t in sub:
-                if advance is not None:
-                    state = advance(state, prev, t, tol)
-                else:
-                    state = flow_push(seg.field, state, prev, t, tol)
-                times.append(t)
-                states.append(state)
-                prev = t
-        return Trajectory(np.array(times), states, field_ref=self,
-                          meta={"segments": [s.label for s in self.segments]})
-
     def max_control_outside(self, omega: Region, n_samples: int, seed: int,
                             bbox=None) -> float:
         """Largest sampled |control| outside omega over all segments."""
@@ -163,6 +145,12 @@ class GridControlField(TimeField):
     Outside, each cell's formula is damped by a quintic falloff over half the
     gap to its neighbour, which keeps the field smooth, bounded and supported
     near the unit box.
+
+    Because the field is Lipschitz and the cell walls are characteristics,
+    no characteristic crosses a wall: each closed moving cell is invariant,
+    and inside it the affine velocity keeps a point's relative coordinate s
+    on every axis. ``cell_flow`` moves such points in closed form,
+    x(tb) = c-(tb) + s (c+(tb) - c-(tb)) per axis.
     """
 
     def __init__(self, part_src, part_tgt, T):
@@ -184,6 +172,9 @@ class GridControlField(TimeField):
             self.ayp = part_src.inner_y[:, :, 1].copy()
             self.bym = part_tgt.inner_y[:, :, 0].copy()
             self.byp = part_tgt.inner_y[:, :, 1].copy()
+        # the last two (t, tables) pairs: RK4's middle stages share a time,
+        # and a step's last stage usually shares it with the next step's first
+        self._recent_tables = []
         self._assert_disjoint()
         dim = 2 if self.planar else 1
         sup, lip = self._bounds()
@@ -194,7 +185,9 @@ class GridControlField(TimeField):
 
     # boundary interpolants and their coefficient functions -----------------
     def _interp(self, a, b, t):
-        return a + (t / self.T) * (b - a)
+        # exact at both ends, so corners land on their targets bit for bit
+        u = t / self.T
+        return (1.0 - u) * a + u * b
 
     def _coeffs(self, am, ap, bm, bp, t):
         cm = self._interp(am, bm, t)
@@ -204,30 +197,31 @@ class GridControlField(TimeField):
         beta = (cp * (bm - am) - cm * (bp - ap)) / (self.T * width)
         return cm, cp, alpha, beta
 
-    def _margins(self, cm, cp):
-        # half gaps to the neighbouring moving cells; walls of the unit box
-        # bound the outermost falloffs
+    @staticmethod
+    def _margins(cm, cp):
+        # half gaps to the neighbouring moving cells along the last axis;
+        # walls of the unit box bound the outermost falloffs
         left = np.empty_like(cm)
         right = np.empty_like(cp)
-        left[0] = np.maximum(cm[0], 1e-12)
-        left[1:] = 0.5 * (cm[1:] - cp[:-1])
-        right[:-1] = 0.5 * (cm[1:] - cp[:-1])
-        right[-1] = np.maximum(1.0 - cp[-1], 1e-12)
+        left[..., 0] = np.maximum(cm[..., 0], 1e-12)
+        left[..., 1:] = 0.5 * (cm[..., 1:] - cp[..., :-1])
+        right[..., :-1] = 0.5 * (cm[..., 1:] - cp[..., :-1])
+        right[..., -1] = np.maximum(1.0 - cp[..., -1], 1e-12)
         return np.maximum(left, 1e-12), np.maximum(right, 1e-12)
 
     def _tables(self, t):
+        for t_key, tabs in self._recent_tables:
+            if t_key == t:
+                return tabs
         cxm, cxp, ax, bx = self._coeffs(self.axm, self.axp, self.bxm, self.bxp, t)
         gxm, gxp = self._margins(cxm, cxp)
-        if not self.planar:
-            return cxm, cxp, ax, bx, gxm, gxp
-        cym, cyp, ay, by = self._coeffs(self.aym, self.ayp, self.bym, self.byp, t)
-        gym = np.empty_like(cym)
-        gyp = np.empty_like(cyp)
-        for i in range(self.n):
-            gm, gp = self._margins(cym[i], cyp[i])
-            gym[i] = gm
-            gyp[i] = gp
-        return cxm, cxp, ax, bx, gxm, gxp, cym, cyp, ay, by, gym, gyp
+        tabs = (cxm, cxp, ax, bx, gxm, gxp)
+        if self.planar:
+            cym, cyp, ay, by = self._coeffs(self.aym, self.ayp, self.bym, self.byp, t)
+            gym, gyp = self._margins(cym, cyp)
+            tabs += (cym, cyp, ay, by, gym, gyp)
+        self._recent_tables = [(t, tabs)] + self._recent_tables[:1]
+        return tabs
 
     def _eval(self, pts, t):
         t = min(max(t, 0.0), self.T)
@@ -239,15 +233,23 @@ class GridControlField(TimeField):
         cxm, cxp, ax, bx, gxm, gxp = self._tables(t)
         return _kernels.grid_eval_1d(pts[:, 0], cxm, cxp, ax, bx, gxm, gxp)
 
+    def _walls(self, t):
+        """Cell walls at time t: x lower and upper per column, then (planar)
+        y lower and upper per cell."""
+        walls = [self._interp(self.axm, self.bxm, t),
+                 self._interp(self.axp, self.bxp, t)]
+        if self.planar:
+            walls += [self._interp(self.aym, self.bym, t),
+                      self._interp(self.ayp, self.byp, t)]
+        return walls
+
     def _assert_disjoint(self):
         for t in (0.0, self.T):
-            cxm = self._interp(self.axm, self.bxm, t)
-            cxp = self._interp(self.axp, self.bxp, t)
+            cxm, cxp, *y_walls = self._walls(t)
             if np.any(cxp[:-1] >= cxm[1:]):
                 raise ValueError("moving cells overlap in x")
             if self.planar:
-                cym = self._interp(self.aym, self.bym, t)
-                cyp = self._interp(self.ayp, self.byp, t)
+                cym, cyp = y_walls
                 if np.any(cyp[:, :-1] >= cym[:, 1:]):
                     raise ValueError("moving cells overlap in y")
 
@@ -272,6 +274,32 @@ class GridControlField(TimeField):
             sup = max(sup, sup_t)
             lip = max(lip, lip_t)
         return sup, lip
+
+    def cell_flow(self, pts, ta, tb):
+        """Closed-form flow from ta to tb of the points inside a moving cell.
+
+        Returns ``(inside, images)``: the mask of the rows of ``pts`` that
+        lie in a closed moving cell at time ta, and those rows' positions at
+        tb. Cells are invariant under the flow (see the class docstring), so
+        these points never need numerical integration; the others are left
+        to the caller.
+        """
+        pts = np.atleast_2d(pts)
+        xm_a, xp_a, *y_a = self._walls(min(max(ta, 0.0), self.T))
+        xm_b, xp_b, *y_b = self._walls(min(max(tb, 0.0), self.T))
+        px = pts[:, 0]
+        i = np.maximum(np.searchsorted(xm_a, px, side="right") - 1, 0)
+        inside, x = _carry(px, xm_a[i], xp_a[i], xm_b[i], xp_b[i])
+        images = x[:, None]
+        if self.planar:
+            (ym_a, yp_a), (ym_b, yp_b) = y_a, y_b
+            py = pts[:, 1]
+            j = np.maximum(_kernels.row_search(ym_a, i, py, side="right") - 1, 0)
+            inside_y, y = _carry(py, ym_a[i, j], yp_a[i, j], ym_b[i, j],
+                                 yp_b[i, j])
+            inside &= inside_y
+            images = np.stack([x, y], axis=1)
+        return inside, images[inside]
 
     # test hooks -------------------------------------------------------------
     def corner_pairs(self):
@@ -306,6 +334,14 @@ class GridControlField(TimeField):
                     for i in range(self.n) for j in range(self.n)]
         return [(np.array([self.bxm[i]]), np.array([self.bxp[i]]))
                 for i in range(self.n)]
+
+
+def _carry(p, lo_a, hi_a, lo_b, hi_b):
+    """Whether each p lies in [lo_a, hi_a], and the point with the same
+    relative coordinate in [lo_b, hi_b] (exact when that coordinate is 0
+    or 1)."""
+    s = (p - lo_a) / (hi_a - lo_a)
+    return (lo_a <= p) & (p <= hi_a), (1.0 - s) * lo_b + s * hi_b
 
 
 def grid_control(partition_src, partition_tgt, T: float) -> GridControlField:
@@ -399,6 +435,18 @@ def _layer_max_grad(eta, region: Region, band: float, n: int = 4096,
     return float(np.max(np.linalg.norm(eta.gradient(pts), axis=1)))
 
 
+def _boxes_inside(region: Region, lo, hi):
+    """Per row, whether the box [lo, hi] lies in the convex region, i.e.
+    whether all its corners do."""
+    lo = np.atleast_2d(lo)
+    hi = np.atleast_2d(hi)
+    d = lo.shape[1]
+    bits = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1
+    corners = np.where(bits[:, None, :] == 1, hi, lo)
+    return np.all(region.contains(corners.reshape(-1, d)).reshape(2 ** d, -1),
+                  axis=0)
+
+
 def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
                         duration: float, blend_band: float) -> TimeField:
     """Straight-line funnel: a time-gated affine similarity carrying the
@@ -409,6 +457,15 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     so the per-axis contraction is exactly the ratio the geometry requires
     and early arrivals never keep compressing. The ramp has zero velocity at
     both ends, which makes the segment handoff exact.
+
+    Inside omega1 the blend factor is 1, so there the flow is the similarity
+    x(t) - c(t) = lam^w(t) (x0 - c0) with w the ramp. On each axis the box
+    c(t) +- lam^w(t) |x0 - c0| is a linear function of w plus or minus a
+    convex one, so it never leaves the hull of its two end boxes. A point
+    whose two end boxes lie in omega1 therefore stays in omega1, and its
+    whole-span image is c1 + lam (x0 - c0); ``fld.closed_form`` applies that
+    test and map (or, with ``reverse=True``, those of the time-reversed
+    funnel, whose image is c0 + (x - c1) / lam).
     """
     if not omega1.is_convex():
         raise ValueError("the straight-line funnel needs a convex omega1")
@@ -420,10 +477,9 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     log_lam = np.log(lam)
     span = float(duration)
 
-    hull = Region.box(np.minimum(cloud_box.lo, c1 - lam * half0 - 1e-12),
-                      np.maximum(cloud_box.hi, c1 + lam * half0 + 1e-12))
-    if not np.all(omega1.contains(np.stack(np.meshgrid(
-            *zip(hull.lo, hull.hi), indexing="ij"), axis=-1).reshape(-1, v.dim))):
+    if not _boxes_inside(omega1,
+                         np.minimum(cloud_box.lo, c1 - lam * half0 - 1e-12),
+                         np.maximum(cloud_box.hi, c1 + lam * half0 + 1e-12))[0]:
         raise ValueError("funnel endpoints do not fit inside omega1")
     blend = _blend_factor(omega1, blend_band)
 
@@ -462,9 +518,39 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
                                 "ratios": lam.tolist(),
                                 "from": cloud_box.to_dict(),
                                 "to": target_box.to_dict()})
+
+    def closed_form(pts, reverse=False):
+        """``(certified, images)``: the mask of the points whose whole-span
+        path provably stays in omega1, and those points' images."""
+        start, end, scale = (c1, c0, 1.0 / lam) if reverse else (c0, c1, lam)
+        reach = np.abs(pts - start)
+        certified = _boxes_inside(
+            omega1, np.minimum(start - reach, end - scale * reach),
+            np.maximum(start + reach, end + scale * reach))
+        return certified, end + scale * (pts[certified] - start)
+
     fld.ratios = lam
     fld.expansion = float(np.max(1.0 / lam))
+    fld.closed_form = closed_form
     return fld
+
+
+def _push_funnel(field: TimeField, funnel: TimeField, mu: ParticleMeasure,
+                 t0: float, t1: float, tol: float, reverse=False):
+    """Flow of a straight-line funnel phase over its whole span.
+
+    ``field`` is the phase's total field and ``funnel`` the
+    ``affine_funnel_total`` it runs (forward, or time-reversed when
+    ``reverse``). Points ``funnel.closed_form`` certifies move in closed
+    form; the rest go through ``flow_push`` on ``field``. Returns the pushed
+    measure and the number of points moved in closed form.
+    """
+    certified, images = funnel.closed_form(mu.positions, reverse)
+    pos = mu.positions.copy()
+    pos[certified] = images
+    pos[~certified] = flow_push(field, mu.subset(~certified), t0, t1,
+                                tol).positions
+    return ParticleMeasure(pos, mu.weights, mu.tags), int(np.sum(certified))
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +678,12 @@ class MovingFrameGridField(TimeField):
     The world field's literal Lipschitz constant is dominated by the cell
     falloff bands, whose world width shrinks with the frame; stepping by it
     would be hopeless. Inside the gate core the conjugation is exact
-    (pulled back, the field IS the normalized one), so ``advect`` integrates
-    core particles in normalized coordinates and only the outside ones in
-    world coordinates, where the field is mild.
+    (pulled back, the field IS the normalized one), so ``advect`` moves core
+    particles in normalized coordinates and integrates only the outside ones
+    in world coordinates, where the field is mild. In normalized coordinates
+    the moving cells are invariant (see ``GridControlField``), so core
+    particles inside a cell move in closed form, and only those in the cell
+    margins are integrated, with the normalized field's step.
     """
 
     def __init__(self, inner: GridControlField, v: TimeField, o0, s0, o1, s1,
@@ -660,20 +749,29 @@ class MovingFrameGridField(TimeField):
         return g * (self.world_grid_velocity(pts, t) - self.v.evaluate(pts, t))
 
     def advect(self, mu: ParticleMeasure, ta: float, tb: float,
-               tol: float) -> ParticleMeasure:
-        """Flow of this field, via the exact conjugation for core particles."""
+               tol: float) -> tuple[ParticleMeasure, int]:
+        """Flow of this field, via the exact conjugation for core particles.
+
+        Returns the pushed measure and the number of particles moved in
+        closed form (core particles inside a moving cell at ta).
+        """
         core = self.gate_core.contains(mu.positions)
         pos = mu.positions.copy()
+        moved = 0
         if np.any(core):
             o_a, s_a, _, _ = self.frame(ta)
             o_b, s_b, _, _ = self.frame(tb)
             y = (pos[core] - o_a) / s_a
+            in_cell, images = self.inner.cell_flow(y, ta - self.t0,
+                                                   tb - self.t0)
+            y[in_cell] = images
+            moved = int(np.sum(in_cell))
             inner_shifted = TimeField(
                 lambda p, t: self.inner.evaluate(p, t),
                 self.dim, self.inner.lipschitz_bound, self.inner.sup_bound,
                 label="grid_norm")
-            y = _integrate_batch_local(inner_shifted, y, ta - self.t0,
-                                       tb - self.t0, tol)
+            y[~in_cell] = _integrate_batch_local(inner_shifted, y[~in_cell],
+                                                 ta - self.t0, tb - self.t0, tol)
             pos[core] = o_b + s_b * y
         if np.any(~core):
             outer_field = TimeField(self._eval, self.dim,
@@ -687,7 +785,7 @@ class MovingFrameGridField(TimeField):
                 warnings.warn("a particle outside the gate core drifted into "
                               "it during the grid phase; its step control "
                               "used the mild outer bound", stacklevel=2)
-        return ParticleMeasure(pos, mu.weights, mu.tags)
+        return ParticleMeasure(pos, mu.weights, mu.tags), moved
 
 
 def _shift_time(field: TimeField, offset: float) -> TimeField:
@@ -766,8 +864,11 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     reversals of a funnel and a storage synthesized on the reversed drift.
 
     Tags an untouched particle set of mass eps/(2 d Rbar) on each side,
-    simulates the full schedule and reports the measured transport error
-    against the target.
+    pushes the particles through the phases one at a time (the backward
+    storage and funnel on the target side, the forward ones, the grid, then
+    the reversals) and reports the measured transport error against the
+    target. Particles inside a funnel's core or a moving grid cell move
+    along their closed-form characteristics; the rest are integrated.
     """
     from .scenarios import Scenario
 
@@ -832,7 +933,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     fun_back = affine_funnel_total(
         v_back, omega1, cloud_box_of(back1.subset(~tag_back)), s0,
         t4 - t3, blend_band=0.45 * gap)
-    back2_all = flow_push(fun_back, back1, 0.0, t4 - t3, tol)
+    back2_all, cf_back = _push_funnel(fun_back, fun_back, back1, 0.0,
+                                      t4 - t3, tol)
     grid_target_cloud = back2_all.subset(~tag_back)
     if not np.all(s0.contains(grid_target_cloud.positions)):
         raise RuntimeError("backward funnel failed to reach the storage cube")
@@ -840,7 +942,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     fun_fwd = affine_funnel_total(
         v, omega1, cloud_box_of(state1.subset(~tag_fwd)), s0,
         t2 - t1, blend_band=0.45 * gap)
-    state2_all = flow_push(fun_fwd, state1, 0.0, t2 - t1, tol)
+    state2_all, cf_fwd = _push_funnel(fun_fwd, fun_fwd, state1, 0.0,
+                                      t2 - t1, tol)
     grid_source_cloud = state2_all.subset(~tag_fwd)
     if not np.all(s0.contains(grid_source_cloud.positions)):
         raise RuntimeError("forward funnel failed to reach the storage cube")
@@ -883,7 +986,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     gate_region = Region.box(hull_lo - room / 3, hull_hi + room / 3)
     grid_total = MovingFrameGridField(grid_norm, v, o0, s0n, o1, s1n,
                                       t2, t3, gate_region, band=room / 3)
-    state3_all = grid_total.advect(state2_all, t2, t3, tol)
+    state3_all, cf_grid = grid_total.advect(state2_all, t2, t3, tol)
 
     # phases 4 and 5: time reversals of the backward synthesis. Reversing a
     # time-dependent segment of length D maps the field w to -w(x, D - t).
@@ -904,7 +1007,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     store_rev.control_fn = lambda pts, t: store_rev.evaluate(pts, t) - v.evaluate(pts, t)
     store_rev.descriptor = {"kind": "storage_reversed",
                             "inner": store_back.descriptor}
-    state4_all = flow_push(fun_rev, state3_all, t3, t4, tol)
+    state4_all, cf_rev = _push_funnel(fun_rev, fun_back, state3_all, t3, t4,
+                                      tol, reverse=True)
     state5_all = flow_push(store_rev, state4_all, t4, t5, tol)
 
     fun_fwd_seg = _shift_time(fun_fwd, t1)
@@ -947,6 +1051,12 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             "count_target": int(np.sum(tag_back)),
         },
         "mass_total": state5_all.total_mass(),
+        "closed_form": {
+            name: {"count": count, "total": len(mu)}
+            for name, count, mu in (("funnel_forward", cf_fwd, state1),
+                                    ("funnel_backward", cf_back, back1),
+                                    ("grid", cf_grid, state2_all),
+                                    ("funnel_reversed", cf_rev, state3_all))},
         "regions": {"omega0": cond.omega0.to_dict(), "S": s_box.to_dict(),
                     "S0": s0.to_dict(), "omega1": omega1.to_dict()},
     }

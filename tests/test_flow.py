@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from transportlab.flow import (GaussianBump, TimeField, Trajectory, flow_push,
+from transportlab.flow import (GaussianBump, TimeField, Trajectory,
+                               _integrate_batch, flow_push,
                                integrate_flow, stopped_flow,
                                stopped_flow_batch, weak_residual)
 from transportlab.geometry import Region
@@ -23,6 +26,21 @@ class TestIntegrateFlow:
         out = integrate_flow(TimeField.constant([2.0, -1.0]), [0.0, 0.0],
                              0.0, 1.0, 1e-9)
         assert np.allclose(out, [2.0, -1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("span,tol", [(1.0, 1e-6), (2.5, 1e-8),
+                                          (0.3, 1e-2)])
+    def test_step_count(self, span, tol):
+        # constant field: L = 0, so the step is min(tol^(1/4), 0.1) before
+        # rounding to a whole number of steps over the span t1 - t0
+        h = min(tol ** 0.25, 0.1)
+        t0, t1 = 1.0, 1.0 + span
+        times = []
+        out = _integrate_batch(TimeField.constant([1.0, 0.5]), [[0.0, 0.0]],
+                               t0, t1, tol,
+                               observer=lambda a, b, ta, tb: times.append(tb))
+        assert len(times) == math.ceil((t1 - t0) / h)
+        assert times[-1] == pytest.approx(t1, abs=1e-12)
+        assert np.allclose(out, [[span, 0.5 * span]], atol=1e-12)
 
     def test_sqrt_drift_closed_form(self):
         # separable dynamics: x(t) = (sqrt(x0) + t/2)^2, so 1 -> 2.25 at t = 1
@@ -57,6 +75,18 @@ class TestFlowPush:
                                 {"lo": [0, 0], "hi": [1, 1]}), 50, seed=0)
         out = flow_push(TimeField.constant([1.0, 0.0]), mu, 1.0, 1.0, 1e-6)
         assert np.array_equal(out.positions, mu.positions)
+
+    def test_empty_measure_takes_no_steps(self):
+        calls = []
+
+        def fn(p, t):
+            calls.append(t)
+            return np.ones_like(p)
+
+        out = flow_push(TimeField(fn, 2, 1.0, 1.0), ParticleMeasure(
+            np.zeros((0, 2)), np.zeros(0)), 0.0, 5.0, 1e-8)
+        assert out.positions.shape == (0, 2)
+        assert calls == []
 
     def test_mass_and_tags_ride_along(self):
         mu = sample(DensitySpec("uniform_box", 2,

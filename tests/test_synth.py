@@ -1,14 +1,159 @@
+import json
 import math
 
 import numpy as np
+import pytest
 
-from transportlab.flow import TimeField, stopped_flow_batch
+from transportlab import cli
+from transportlab.flow import (TimeField, _integrate_batch, flow_push,
+                               stopped_flow_batch)
 from transportlab.geometry import Region, weight_eta
+from transportlab.measure import (DensitySpec, ParticleMeasure,
+                                  quantile_partition, sample)
 from transportlab.ot import wp_discrete
 from transportlab.scenarios import Scenario
 from transportlab.synth import (_blend_factor, _escalate_exact_funnel,
                                 _eta_grad_lipschitz, _layer_max_grad,
-                                exact_controller)
+                                _push_funnel, affine_funnel_total,
+                                exact_controller, grid_control)
+
+
+class TestGridClosedForm:
+    """Moving cells are invariant, so ``cell_flow`` is the grid field's
+    exact flow on them."""
+
+    T = 0.5
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        src = sample(DensitySpec("uniform_box", 2, {"lo": [0, 0], "hi": [1, 1]}),
+                     1500, seed=1)
+        tgt = sample(DensitySpec("uniform_box", 2,
+                                 {"lo": [0.1, 0.3], "hi": [0.7, 0.9]}),
+                     1500, seed=2)
+        part_src, part_tgt = quantile_partition(src, tgt, 4)
+        return grid_control(part_src, part_tgt, self.T)
+
+    def test_corners_reach_their_ends(self, grid):
+        starts, ends = grid.corner_pairs()
+        inside, images = grid.cell_flow(starts, 0.0, self.T)
+        assert np.all(inside)
+        assert np.array_equal(images, ends)
+
+    def in_cell_points(self, grid, per_cell=6):
+        rng = np.random.default_rng(3)
+        pts, cells = [], []
+        for k, (lo, hi) in enumerate(grid.source_cells()):
+            pts.append(lo + (hi - lo) * rng.random((per_cell, 2)))
+            cells.extend([k] * per_cell)
+        return np.concatenate(pts), np.array(cells)
+
+    def test_source_cells_land_in_target_cells(self, grid):
+        pts, cells = self.in_cell_points(grid)
+        inside, images = grid.cell_flow(pts, 0.0, self.T)
+        assert np.all(inside)
+        targets = grid.target_cells()
+        lo = np.array([targets[k][0] for k in cells])
+        hi = np.array([targets[k][1] for k in cells])
+        assert np.all((lo <= images) & (images <= hi))
+
+    def test_matches_rk4(self, grid):
+        pts, _ = self.in_cell_points(grid, per_cell=2)
+        # a mid-phase start as well as the whole phase
+        mid = _integrate_batch(grid, pts, 0.0, 0.2, 1e-8)
+        for start, ta in ((pts, 0.0), (mid, 0.2)):
+            inside, images = grid.cell_flow(start, ta, self.T)
+            assert np.all(inside)
+            ref = _integrate_batch(grid, start, ta, self.T, 1e-8)
+            assert np.max(np.abs(images - ref)) < 1e-9
+
+    def test_points_off_the_cells_are_left_out(self, grid):
+        (lo, hi), = grid.source_cells()[:1]
+        gap = np.array([[0.5 * lo[0], 0.5 * (lo[1] + hi[1])],
+                        [0.5 * (lo[0] + hi[0]), hi[1] + 1e-9],
+                        [1.5, 0.5]])
+        inside, images = grid.cell_flow(gap, 0.0, self.T)
+        assert not np.any(inside)
+        assert images.shape == (0, 2)
+
+
+class TestFunnelClosedForm:
+    """Inside omega1 the straight-line funnel is an affine similarity, so
+    certified points move in closed form; the others are integrated."""
+
+    omega1 = Region.box([0.0, 0.0], [2.0, 1.5])
+    v = TimeField.constant([0.6, 0.2])
+    duration, tol = 0.4, 1e-8
+
+    def funnel(self):
+        return affine_funnel_total(
+            self.v, self.omega1, Region.box([0.2, 0.2], [0.9, 1.2]),
+            Region.box([1.4, 0.5], [1.7, 0.8]), self.duration,
+            blend_band=0.2)
+
+    def cloud(self, n=60):
+        rng = np.random.default_rng(5)
+        return ParticleMeasure([0.2, 0.2] + [0.7, 1.0] * rng.random((n, 2)),
+                               np.full(n, 1.0 / n))
+
+    def reversed_field(self, fld):
+        return TimeField(lambda p, t: -fld.evaluate(p, self.duration - t), 2,
+                         fld.lipschitz_bound, fld.sup_bound,
+                         label="rev(funnel_affine)")
+
+    def test_forward_and_reversed_match_rk4(self):
+        fld = self.funnel()
+        mu = self.cloud()
+        certified, images = fld.closed_form(mu.positions)
+        assert np.all(certified)
+        ref = flow_push(fld, mu, 0.0, self.duration, self.tol).positions
+        assert np.max(np.abs(images - ref)) < 1e-9
+
+        back, back_images = fld.closed_form(images, reverse=True)
+        assert np.all(back)
+        assert np.max(np.abs(back_images - mu.positions)) < 1e-12
+        rev_ref = _integrate_batch(self.reversed_field(fld), images, 0.0,
+                                   self.duration, self.tol)
+        assert np.max(np.abs(back_images - rev_ref)) < 1e-9
+
+    def test_uncertified_points_take_rk4(self):
+        fld = self.funnel()
+        mu = self.cloud(20)
+        # one point outside omega1, and one inside it whose start box, the
+        # box around c0 with a corner at the point, pokes out of omega1
+        pos = mu.positions.copy()
+        pos[0] = [-0.1, 0.7]
+        pos[1] = [0.3, 1.45]
+        mu = ParticleMeasure(pos, mu.weights)
+        certified, _ = fld.closed_form(mu.positions)
+        assert not certified[0] and not certified[1]
+        assert np.all(certified[2:])
+        pushed, count = _push_funnel(fld, fld, mu, 0.0, self.duration, self.tol)
+        assert count == len(mu) - 2
+        ref = flow_push(fld, mu, 0.0, self.duration, self.tol).positions
+        assert np.array_equal(pushed.positions[:2], ref[:2])
+        assert np.max(np.abs(pushed.positions - ref)) < 1e-9
+
+        rev = self.reversed_field(fld)
+        pulled, rev_count = _push_funnel(rev, fld, pushed, 0.0, self.duration,
+                                         self.tol, reverse=True)
+        assert rev_count == len(mu) - 2
+        rev_ref = flow_push(rev, pushed, 0.0, self.duration, self.tol).positions
+        assert np.array_equal(pulled.positions[:2], rev_ref[:2])
+
+
+def test_report_counts_closed_form_moves(tmp_path):
+    code = cli.main(["run", "--scenario", "unit-shift", "--mode", "approx",
+                     "--particles", "400", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "report.json") as fh:
+        closed = json.load(fh)["closed_form"]
+    assert set(closed) == {"funnel_forward", "funnel_backward", "grid",
+                           "funnel_reversed"}
+    for entry in closed.values():
+        assert set(entry) == {"count", "total"}
+        assert 0 <= entry["count"] <= entry["total"] == 400
+    assert closed["grid"]["count"] > 0
 
 
 class TestExactFunnelTimeChange:
