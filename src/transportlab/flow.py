@@ -125,7 +125,10 @@ def choose_step(field: TimeField, tol: float, span: float) -> float:
         h = min(h_tol, 0.05)
     else:
         h = min(h_tol, 0.1 / max(field.lipschitz_bound, 1.0))
-    steps = max(1, int(math.ceil(span / h)))
+    # a whole number of steps up to rounding takes that number, not one more
+    steps = max(1, round(span / h))
+    if abs(span / h - steps) > 1e-9 * steps:
+        steps = math.ceil(span / h)
     return span / steps
 
 

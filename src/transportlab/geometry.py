@@ -258,39 +258,23 @@ def _box_eta(omega1: Region, peak, floor_slope: float = 0.0):
     u_c = np.clip((np.asarray(peak, dtype=float) - lo) / ext, 1e-3, 1 - 1e-3)
     lam = u_c / (1.0 - u_c)
 
-    # per-axis factor 4 s (1 - s) with the rational warp s = u / (u + lam(1-u));
-    # the warp is a diffeomorphism of [0, 1] placing the single peak at u_c
-    def _axis(pts, a):
-        u = np.clip((pts[:, a] - lo[a]) / ext[a], 0.0, 1.0)
-        denom = u + lam[a] * (1.0 - u)
+    # per-axis factor g = 4 s (1 - s) with the rational warp
+    # s = u / (u + lam(1-u)); the warp is a diffeomorphism of [0, 1] placing
+    # the single peak at u_c. The bump is the product of the factors, and
+    # its partial derivative along an axis is that axis's dg times the
+    # product of the other factors: ``before`` and ``after`` hold, per axis,
+    # the products of the factors before and after it.
+    def _bump(pts):
+        u = np.minimum(np.maximum((np.atleast_2d(pts) - lo) / ext, 0.0), 1.0)
+        denom = u + lam * (1.0 - u)
         s = u / denom
         g = 4.0 * s * (1.0 - s)
-        ds = lam[a] / denom ** 2
-        dg = 4.0 * (1.0 - 2.0 * s) * ds / ext[a]
-        return g, dg
-
-    def _bump(pts):
-        pts = np.atleast_2d(pts)
-        if len(lo) == 1:
-            g0, d0 = _axis(pts, 0)
-            return g0, d0[:, None]
-        if len(lo) == 2:
-            g0, d0 = _axis(pts, 0)
-            g1, d1 = _axis(pts, 1)
-            return g0 * g1, np.stack([d0 * g1, g0 * d1], axis=1)
-        vals = []
-        ders = []
-        for a in range(len(lo)):
-            g, dg = _axis(pts, a)
-            vals.append(g)
-            ders.append(dg)
-        vals = np.array(vals)
-        prod = np.prod(vals, axis=0)
-        grad = np.empty((pts.shape[0], len(lo)))
-        for a in range(len(lo)):
-            others = np.prod(np.delete(vals, a, axis=0), axis=0)
-            grad[:, a] = ders[a] * others
-        return prod, grad
+        dg = 4.0 * (1.0 - 2.0 * s) * (lam / denom ** 2) / ext
+        before = np.ones_like(g)
+        after = np.ones_like(g)
+        np.multiply.accumulate(g[:, :-1], axis=1, out=before[:, 1:])
+        np.multiply.accumulate(g[:, :0:-1], axis=1, out=after[:, -2::-1])
+        return before[:, -1] * g[:, -1], dg * before * after
 
     # eta = b (floor + b): same ascent lines as the bump b itself. With the
     # default floor 0 this is the squared bump, whose speed profile scales

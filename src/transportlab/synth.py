@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .flow import (TimeField, Trajectory, flow_push, stopped_flow_batch,
+from .flow import (TimeField, Trajectory, choose_step, flow_push,
+                   stopped_flow_batch,
                    _integrate_batch as _integrate_batch_local)
 from .geometry import Region, cutoff_theta, weight_eta, check_geometric_condition
 from .measure import ParticleMeasure, GridPartition, quantile_partition
@@ -420,19 +421,6 @@ def _eta_grad_lipschitz(eta, omega1: Region, per_axis: int = 48) -> float:
         diff = (eta.gradient(pts + shift) - grad) / 1e-5
         est = max(est, float(np.max(np.abs(diff))))
     return est
-
-
-def _layer_max_grad(eta, region: Region, band: float, n: int = 4096,
-                    seed: int = 0) -> float:
-    """Sampled max |grad eta| in the inner boundary layer of the region."""
-    lo, hi = region.bounding_box()
-    rng = np.random.default_rng(seed)
-    pts = (lo - band) + (hi - lo + 2 * band) * rng.random((n, region.dim))
-    sd = region.signed_distance(pts)
-    pts = pts[(sd >= -band) & (sd <= 0.0)]
-    if len(pts) == 0:
-        return 0.0
-    return float(np.max(np.linalg.norm(eta.gradient(pts), axis=1)))
 
 
 def _boxes_inside(region: Region, lo, hi):
@@ -1098,49 +1086,66 @@ def _stopped_paths(field, stop_region, pts, horizon, tol):
     return end, hits, new_knots, paths
 
 
-def _escalate_exact_funnel(v, omega1, s0, delta, pts, tol, blend_band):
-    """Gain and parked paths of the exact funnel: total field k grad(eta)
-    inside omega1, blended into v outside it; points freeze at first entry
-    into s0. Returns ``(k, endpoints, hit_times, knots, paths)`` with every
-    hit time at most 0.9 delta.
+def _escalate_exact_funnel(omega1, s0, lanes, tol):
+    """Gains and parked paths of the exact funnels, from one recorded
+    ascent of grad(eta) that parks the points of every lane in s0.
 
-    The blend factor is 1 inside omega1, and ascent lines of eta started in
-    omega1 stay there, so along every path the field is exactly k grad(eta)
-    and the gain-k flow is the k = 1 flow with time divided by k. One
-    recorded k = 1 run therefore gives the largest hitting time tau, the
-    gain k = 2^ceil(log2(tau / 0.9 delta)) and, with its knot times divided
-    by k, the gain-k paths. The name dates from the gain-doubling search
-    this replaced; callers and tooling still look it up by that name.
+    ``lanes`` maps a lane name to ``(delta, pts)``. Returns ``(funnels,
+    ascent)``: ``funnels`` maps each name to ``(k, endpoints, hit_times,
+    knots, paths)`` with every hit time at most 0.9 delta; ``ascent`` holds
+    the step ``h``, the ``lipschitz`` bound that chose it, the ``steps``
+    taken and each lane's k = 1 ``tau_max``.
+
+    The funnel field is k grad(eta) inside omega1, blended into the drift
+    outside it. Ascent lines of eta started in omega1 stay there, so no
+    path sees the blend: the run integrates grad(eta) alone, steps by its
+    own Lipschitz bound, not the blend band's, and raises if a recorded knot
+    leaves omega1. All lanes share eta and hence the run. The gain-k flow is
+    the k = 1 flow with time divided by k, so each lane takes
+    k = 2^ceil(log2(tau / 0.9 delta)) from its own largest hitting time tau
+    and divides its knot times by k. The name dates from the gain-doubling
+    search this replaced; tooling still looks it up by that name.
     """
     eta, _, kappa1 = weight_eta(omega1, s0)
-    blend = _blend_factor(omega1, blend_band)
-    grad_lip = _eta_grad_lipschitz(eta, omega1)
-    shell = _layer_max_grad(eta, omega1, blend_band)
-
-    def total(p, t):
-        b = blend(p)[:, None]
-        return b * eta.gradient(p) + (1.0 - b) * v.evaluate(p, t)
-
-    ascent = TimeField(total, v.dim,
-                       lipschitz_bound=grad_lip + v.lipschitz_bound
-                       + (shell + v.sup_bound) * 1.875 / blend_band,
-                       sup_bound=kappa1 + v.sup_bound, label="exact_funnel_k1",
+    lip = _eta_grad_lipschitz(eta, omega1)
+    ascent = TimeField(lambda p, t: eta.gradient(p), omega1.dim,
+                       lipschitz_bound=lip, sup_bound=kappa1,
+                       label="exact_funnel_k1",
                        descriptor={"kind": "funnel_exact", "k": 1})
-    end, hits, knots, raw = stopped_flow_batch(ascent, s0, pts, 0.0,
-                                               512.0 * delta, tol, record=True)
+    names = list(lanes)
+    pts = np.concatenate([lanes[name][1] for name in names])
+    horizon = 512.0 * max(lanes[name][0] for name in names)
+    end, hits, knots, raw = stopped_flow_batch(ascent, s0, pts, 0.0, horizon,
+                                               tol, record=True)
+    # omega1 is a box, so the knots lie in it iff their bounding box does
+    lo, hi = raw.min(axis=(0, 1)), raw.max(axis=(0, 1))
+    if not _boxes_inside(omega1, lo, hi)[0]:
+        raise RuntimeError("a funnel ascent path left omega1, where the "
+                           "funnel field is no longer grad(eta)")
     if np.any(np.isnan(hits)):
         raise RuntimeError("funnel probe found stranded points; the geometry "
                            "likely violates s0 strictly inside omega1")
-    tau_max = float(np.max(hits))
-    k = max(1, 2 ** math.ceil(math.log2(max(tau_max, 1e-12) / (0.9 * delta))))
-    new_knots, paths = _uniform_paths(pts, end, knots / k, raw, delta)
-    return k, end, hits / k, new_knots, paths
+    funnels, tau = {}, {}
+    split = np.cumsum([len(lanes[name][1]) for name in names])[:-1]
+    for name, e, hit, r in zip(names, np.split(end, split),
+                               np.split(hits, split), np.split(raw, split)):
+        delta, start = lanes[name]
+        tau[name] = float(np.max(hit))
+        k = max(1, 2 ** math.ceil(math.log2(max(tau[name], 1e-12)
+                                            / (0.9 * delta))))
+        new_knots, paths = _uniform_paths(start, e, knots / k, r, delta)
+        funnels[name] = (k, e, hit / k, new_knots, paths)
+    return funnels, {"h": choose_step(ascent, tol, horizon), "lipschitz": lip,
+                     "steps": len(knots) - 1, "tau_max": tau}
 
 
 def exact_controller(scenario) -> ControllerResult:
     """Atom-exact steering: park along the drift, funnel-park into S0, ride
     the quadratic-cost geodesic, then replay the target-side construction
     backwards. The composite control is stored as a per-plan-entry witness.
+
+    Both funnels share one ascent of grad(eta) with no blend into the drift,
+    which its paths never reach (see ``_escalate_exact_funnel``).
     """
     from .scenarios import Scenario
 
@@ -1161,22 +1166,20 @@ def exact_controller(scenario) -> ControllerResult:
     t3 = t1 + 2.0 * delta / 3.0
     t4 = t1 + delta
     t5 = t4 + t_back
-    s_box, s0, omega1, gap = _place_sets(omega, cond.omega0)
-    band = 0.45 * gap
+    s_box, s0, omega1, _ = _place_sets(omega, cond.omega0)
 
-    # forward lane: park in omega0, then funnel-park into s0
+    # park in omega0: forward along the drift, backward along the reversed
+    # drift (recorded for replay)
     _, _, knots1, paths1 = _stopped_paths(v, cond.omega0, mu0.positions, t1, tol)
-    fwd_parked = paths1[:, -1, :]
-    k_fun_fwd, fwd_in_s0, _, knots2, paths2 = _escalate_exact_funnel(
-        v, omega1, s0, t2 - t1, fwd_parked, tol, band)
+    _, _, knots5, paths5 = _stopped_paths(v.negated(), cond.omega0,
+                                          mu1.positions, t_back, tol)
 
-    # backward lane on the reversed drift, recorded for replay
-    v_back = v.negated()
-    _, _, knots5, paths5 = _stopped_paths(v_back, cond.omega0, mu1.positions,
-                                          t_back, tol)
-    back_parked = paths5[:, -1, :]
-    k_fun_back, back_in_s0, _, knots4, paths4 = _escalate_exact_funnel(
-        v_back, omega1, s0, t4 - t3, back_parked, tol, band)
+    # both lanes funnel-park into s0 along one ascent of grad(eta)
+    funnels, ascent = _escalate_exact_funnel(
+        omega1, s0, {"forward": (t2 - t1, paths1[:, -1, :]),
+                     "backward": (t4 - t3, paths5[:, -1, :])}, tol)
+    k_fun_fwd, fwd_in_s0, _, knots2, paths2 = funnels["forward"]
+    k_fun_back, back_in_s0, _, knots4, paths4 = funnels["backward"]
 
     # geodesic plan between the parked clouds
     src_cloud = ParticleMeasure(fwd_in_s0, mu0.weights)
@@ -1243,6 +1246,7 @@ def exact_controller(scenario) -> ControllerResult:
         "T0star": cond.T0star,
         "T1star": cond.T1star,
         "funnel_k": {"forward": k_fun_fwd, "backward": k_fun_back},
+        "funnel_ascent": ascent,
         "plan_entries": int(len(plan.mass)),
         "mass_total": states[-1].total_mass(),
         "regions": {"omega0": cond.omega0.to_dict(), "S": s_box.to_dict(),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from transportlab.flow import (GaussianBump, TimeField, Trajectory,
-                               _integrate_batch, flow_push,
+                               _integrate_batch, choose_step, flow_push,
                                integrate_flow, stopped_flow,
                                stopped_flow_batch, weak_residual)
 from transportlab.geometry import Region
@@ -31,16 +31,32 @@ class TestIntegrateFlow:
                                           (0.3, 1e-2)])
     def test_step_count(self, span, tol):
         # constant field: L = 0, so the step is min(tol^(1/4), 0.1) before
-        # rounding to a whole number of steps over the span t1 - t0
+        # rounding to a whole number of steps over the span t1 - t0; a span
+        # within 1e-9 (relative) above a whole number of steps takes that
+        # number
         h = min(tol ** 0.25, 0.1)
         t0, t1 = 1.0, 1.0 + span
+        times = self.step_ends(t0, t1, tol)
+        assert len(times) == math.ceil((t1 - t0) / h * (1.0 - 1e-9))
+        assert times[-1] == pytest.approx(t1, abs=1e-12)
+
+    @staticmethod
+    def step_ends(t0, t1, tol):
         times = []
         out = _integrate_batch(TimeField.constant([1.0, 0.5]), [[0.0, 0.0]],
                                t0, t1, tol,
                                observer=lambda a, b, ta, tb: times.append(tb))
-        assert len(times) == math.ceil((t1 - t0) / h)
-        assert times[-1] == pytest.approx(t1, abs=1e-12)
-        assert np.allclose(out, [[span, 0.5 * span]], atol=1e-12)
+        assert np.allclose(out, [[t1 - t0, 0.5 * (t1 - t0)]], atol=1e-12)
+        return times
+
+    def test_rounded_whole_span_takes_no_extra_step(self):
+        # 1.3 - 1.0 is 0.30000000000000004, three steps of 0.1 up to rounding
+        assert (1.3 - 1.0) / 0.1 > 3.0
+        assert len(self.step_ends(1.0, 1.3, 1e-2)) == 3
+        assert choose_step(TimeField.constant([1.0]), 1e-2, 1.3 - 1.0) \
+            == pytest.approx(0.1, rel=1e-12)
+        # a span just past the rounding window still takes one more step
+        assert len(self.step_ends(1.0, 1.3 + 1e-6, 1e-2)) == 4
 
     def test_sqrt_drift_closed_form(self):
         # separable dynamics: x(t) = (sqrt(x0) + t/2)^2, so 1 -> 2.25 at t = 1

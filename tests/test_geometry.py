@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from transportlab.flow import TimeField
-from transportlab.geometry import (ConditionFailure, Region,
+from transportlab.geometry import (ConditionFailure, Region, _box_eta,
                                    check_geometric_condition, cutoff_theta,
                                    weight_eta)
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
@@ -100,7 +100,45 @@ class TestCutoff:
             assert np.allclose(grad[:, a], fd, atol=1e-5)
 
 
+def box_bump_per_axis(omega1, peak, pts):
+    """Reference for ``_box_eta``'s bump and its gradient: one axis at a
+    time, with the product of the other factors taken directly."""
+    lo, hi = omega1.lo, omega1.hi
+    ext = hi - lo
+    u_c = np.clip((np.asarray(peak, dtype=float) - lo) / ext, 1e-3, 1 - 1e-3)
+    lam = u_c / (1.0 - u_c)
+    vals, ders = [], []
+    for a in range(len(lo)):
+        u = np.clip((pts[:, a] - lo[a]) / ext[a], 0.0, 1.0)
+        denom = u + lam[a] * (1.0 - u)
+        s = u / denom
+        vals.append(4.0 * s * (1.0 - s))
+        ders.append(4.0 * (1.0 - 2.0 * s) * (lam[a] / denom ** 2) / ext[a])
+    vals = np.array(vals)
+    grad = np.stack([ders[a] * np.prod(np.delete(vals, a, axis=0), axis=0)
+                     for a in range(len(lo))], axis=1)
+    return np.prod(vals, axis=0), grad
+
+
 class TestWeightEta:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_eta_matches_per_axis_bump(self, dim):
+        omega1 = Region.box(-0.5 * np.arange(1, dim + 1), np.full(dim, 1.5))
+        peak = np.full(dim, 0.4)
+        eta = _box_eta(omega1, peak)
+        rng = np.random.default_rng(dim)
+        # some points outside omega1, where a factor clips to 0
+        pts = rng.uniform(-0.7, 1.7, size=(300, dim))
+        b, gb = box_bump_per_axis(omega1, peak, pts)
+        value, grad = b * b, (2.0 * b)[:, None] * gb
+        if dim < 3:
+            # in 1D and 2D both forms do the same operations in the same order
+            assert np.array_equal(eta.evaluate(pts), value)
+            assert np.array_equal(eta.gradient(pts), grad)
+        else:
+            assert np.allclose(eta.evaluate(pts), value, rtol=1e-14, atol=0)
+            assert np.allclose(eta.gradient(pts), grad, rtol=1e-14, atol=0)
+
     def test_concentric_ball_oracle(self):
         omega1 = Region.ball([0.5, 0.5], 1.0)
         s0 = Region.ball([0.5, 0.5], 0.25)

@@ -4,16 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from transportlab import cli
-from transportlab.flow import (TimeField, _integrate_batch, flow_push,
-                               stopped_flow_batch)
-from transportlab.geometry import Region, weight_eta
+from transportlab import cli, synth
+from transportlab.flow import (TimeField, _integrate_batch, choose_step,
+                               flow_push, stopped_flow_batch)
+from transportlab.geometry import Region, ScalarField, weight_eta
 from transportlab.measure import (DensitySpec, ParticleMeasure,
                                   quantile_partition, sample)
 from transportlab.ot import wp_discrete
-from transportlab.scenarios import Scenario
-from transportlab.synth import (_blend_factor, _escalate_exact_funnel,
-                                _eta_grad_lipschitz, _layer_max_grad,
+from transportlab.scenarios import Scenario, random_exact_scenario
+from transportlab.synth import (_escalate_exact_funnel, _eta_grad_lipschitz,
                                 _push_funnel, affine_funnel_total,
                                 exact_controller, grid_control)
 
@@ -157,40 +156,35 @@ def test_report_counts_closed_form_moves(tmp_path):
 
 
 class TestExactFunnelTimeChange:
-    """Inside omega1 the funnel field is k grad(eta), so its gain-k flow is
-    the k = 1 flow run k times faster."""
+    """Ascent lines of eta stay in omega1, where the funnel field is
+    k grad(eta), so the gain-k flow is the k = 1 ascent run k times faster,
+    and every lane can share that one ascent."""
 
     omega1 = Region.box([0.0, 0.0], [1.0, 1.0])
     s0 = Region.box([0.55, 0.4], [0.75, 0.6])
-    v = TimeField.constant([0.7, 0.0])
     pts = np.array([[0.1, 0.1], [0.2, 0.85], [0.9, 0.15], [0.5, 0.5],
                     [0.3, 0.45]])
-    delta, tol, band = 0.2, 1e-6, 0.05
+    delta, tol = 0.2, 1e-6
 
-    def gain_field(self, k):
-        """The funnel field at gain k, built directly with the gain-k step
-        bound (the reference the time change must reproduce)."""
-        eta, _, kappa1 = weight_eta(self.omega1, self.s0)
-        blend = _blend_factor(self.omega1, self.band)
-        lip = (k * _eta_grad_lipschitz(eta, self.omega1)
-               + (k * _layer_max_grad(eta, self.omega1, self.band)
-                  + self.v.sup_bound) * 1.875 / self.band)
+    def ascent(self, gain, refine=1.0):
+        """gain * grad(eta), stepped by gain * refine times grad(eta)'s
+        Lipschitz bound (refine > 1 gives a finer step)."""
+        eta, _, _ = weight_eta(self.omega1, self.s0)
+        lip = _eta_grad_lipschitz(eta, self.omega1)
+        return TimeField(lambda p, t: gain * eta.gradient(p), 2,
+                         lipschitz_bound=gain * refine * lip,
+                         label=f"gain_k{gain}")
 
-        def total(p, t):
-            b = blend(p)[:, None]
-            return b * (k * eta.gradient(p)) + (1.0 - b) * self.v.evaluate(p, t)
-
-        return TimeField(total, 2, lipschitz_bound=lip,
-                         sup_bound=k * kappa1 + self.v.sup_bound,
-                         label=f"gain_k{k}")
+    def funnel(self, lanes):
+        return _escalate_exact_funnel(self.omega1, self.s0, lanes, self.tol)
 
     def test_matches_gain_k_run(self):
-        k, end, hits, knots, paths = _escalate_exact_funnel(
-            self.v, self.omega1, self.s0, self.delta, self.pts, self.tol,
-            self.band)
-        _, probe_hits = stopped_flow_batch(self.gain_field(1), self.s0,
-                                           self.pts, 0.0, 8.0, self.tol)
+        funnels, ascent = self.funnel({"lane": (self.delta, self.pts)})
+        k, end, hits, knots, paths = funnels["lane"]
+        _, probe_hits = stopped_flow_batch(self.ascent(1), self.s0, self.pts,
+                                           0.0, 512.0 * self.delta, self.tol)
         tau = float(np.max(probe_hits))
+        assert ascent["tau_max"]["lane"] == tau
         assert k == max(1, 2 ** math.ceil(math.log2(tau / (0.9 * self.delta))))
         assert k > 1
         assert np.all(hits < self.delta)
@@ -199,11 +193,51 @@ class TestExactFunnelTimeChange:
         assert np.array_equal(paths[:, 0], self.pts)
         assert np.array_equal(paths[:, -1], end)
 
-        ref_end, ref_hits = stopped_flow_batch(self.gain_field(k), self.s0,
+        ref_end, ref_hits = stopped_flow_batch(self.ascent(k), self.s0,
                                                self.pts, 0.0, self.delta,
                                                self.tol)
         assert np.max(np.abs(end - ref_end)) < 1e-9
         assert np.max(np.abs(hits - ref_hits)) < 1e-9
+
+    def test_matches_a_finer_step(self):
+        pts = self.pts[3:]
+        funnels, ascent = self.funnel({"lane": (self.delta, pts)})
+        k, end, hits, _, _ = funnels["lane"]
+        fine = self.ascent(1, refine=20.0)
+        ref_end, ref_hits = stopped_flow_batch(fine, self.s0, pts, 0.0,
+                                               512.0 * self.delta, self.tol)
+        assert ascent["h"] > 19.0 * choose_step(fine, self.tol,
+                                                512.0 * self.delta)
+        assert np.max(np.abs(end - ref_end)) < 1e-9
+        assert np.max(np.abs(hits - ref_hits / k)) < 1e-9
+
+    def test_lane_alone_equals_lane_in_merged_run(self):
+        # the second lane parks later, so the merged run takes more steps
+        alone, alone_run = self.funnel({"a": (self.delta, self.pts[3:])})
+        merged, merged_run = self.funnel({"a": (self.delta, self.pts[3:]),
+                                          "b": (self.delta, self.pts[:3])})
+        assert merged_run["steps"] > alone_run["steps"]
+        assert merged_run["tau_max"]["a"] == alone_run["tau_max"]["a"]
+        for got, want in zip(merged["a"], alone["a"]):
+            assert np.array_equal(got, want)
+
+    def test_path_leaving_omega1_raises(self, monkeypatch):
+        # an eta whose ascent runs straight out of omega1 into an s0 beyond
+        # its right edge
+        tilt = ScalarField(lambda p: p[:, 0],
+                           lambda p: np.tile([1.0, 0.0], (len(p), 1)))
+        monkeypatch.setattr(synth, "weight_eta",
+                            lambda omega1, s0: (tilt, 1.0, 1.0))
+        s0 = Region.box([1.2, 0.3], [1.4, 0.7])
+        with pytest.raises(RuntimeError, match="left omega1"):
+            _escalate_exact_funnel(self.omega1, s0,
+                                   {"lane": (self.delta, self.pts[3:])},
+                                   self.tol)
+
+    def test_start_outside_omega1_raises(self):
+        pts = np.vstack([self.pts[3:], [[1.05, 0.5]]])
+        with pytest.raises(RuntimeError, match="left omega1"):
+            self.funnel({"lane": (0.002, pts)})
 
 
 class TestExactControllerContract:
@@ -241,3 +275,39 @@ class TestExactControllerContract:
 
         omega = self.scenario.omega_region()
         assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
+
+    def test_report_carries_funnel_ascent(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        self.scenario.save(path)
+        code = cli.main(["run", "--scenario", str(path), "--mode", "exact",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        with open(tmp_path / "out" / "report.json") as fh:
+            report = json.load(fh)
+        ascent = report["funnel_ascent"]
+        assert set(ascent) == {"h", "lipschitz", "steps", "tau_max"}
+        assert set(ascent["tau_max"]) == {"forward", "backward"}
+        # the bound chose the step, the run reached the last entry, and each
+        # lane's gain brings its largest hitting time under 0.9 delta / 3
+        bound_step = 0.1 / max(ascent["lipschitz"], 1.0)
+        assert 0.0 < ascent["h"] <= bound_step * (1 + 1e-9)
+        assert ascent["steps"] * ascent["h"] >= max(ascent["tau_max"].values())
+        delta = self.scenario.params["delta"]
+        for lane, k in report["funnel_k"].items():
+            assert ascent["tau_max"][lane] / k <= 0.3 * delta * (1 + 1e-12)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["plain", "merge", "split"])
+def test_random_exact_scenario_contract(kind):
+    scenario = random_exact_scenario(0, kind)
+    mu0 = scenario.measure("mu0")
+    mu1 = scenario.measure("mu1")
+    result = exact_controller(scenario)
+    final = result.trajectory.final().merged_coincident()
+    assert result.report["final_w1"]["estimate"] <= 1e-9
+    assert wp_discrete(final, mu1, p=1)[0] <= 1e-9
+    for state in result.trajectory.states:
+        assert abs(state.total_mass() - mu0.total_mass()) < 1e-12
+    omega = scenario.omega_region()
+    assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
