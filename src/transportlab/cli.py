@@ -133,12 +133,15 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
     mu1n_bis = norm(resampled.measure("mu1"))
     floor = subsampled_w1(mu1n, mu1n_bis, seed=seed)["estimate"]
 
+    # every mesh first, so an n too fine for the particle count fails
+    # before any flow runs
+    meshes = [quantile_partition(mu0n, mu1n, int(n)) for n in n_list]
     rows = []
-    for n in n_list:
-        part_src, part_tgt = quantile_partition(mu0n, mu1n, int(n))
+    for n, (part_src, part_tgt) in zip(n_list, meshes):
         fld = grid_control(part_src, part_tgt, T=1.0)
-        moved = flow_push(fld, mu0n, 0.0, 1.0, tol)
-        est = subsampled_w1(moved, mu1n, seed=seed)
+        moved, _, _ = fld.flow(mu0n.positions, 0.0, 1.0, tol)
+        est = subsampled_w1(ParticleMeasure(moved, mu0n.weights), mu1n,
+                            seed=seed)
         rows.append({"n": int(n), "measured_w1": est["estimate"],
                      "predicted_bound": grid_error_bound(int(n)),
                      "sample_error": floor})
@@ -161,11 +164,19 @@ def cmd_study(args) -> int:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok]
         if not n_list:
             raise ValueError("empty n list")
+        if min(n_list) < 3:
+            raise ValueError("every n must be >= 3 (inner cells degenerate "
+                             "below that)")
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    rows = convergence_study(scenario, n_list, args.out,
-                             tol=float(scenario.params["tol"]))
+    try:
+        rows = convergence_study(scenario, n_list, args.out,
+                                 tol=float(scenario.params["tol"]))
+    except ValueError as exc:
+        # quantile_partition: an n too fine for the particle count
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
     for row in rows:
         print(f"n={row['n']:3d} measured={row['measured_w1']:.4f} "
               f"bound={row['predicted_bound']:.4f} "

@@ -1,9 +1,19 @@
 """Characteristic flows of time-dependent velocity fields.
 
-Integration is fixed-step RK4 with the step tied to the field's Lipschitz
-bound (stability step 0.1/max(L, 1)) and to the requested tolerance. Fields
-declared non-Lipschitz (the square-root splitting example) fall back to the
-tolerance step and emit a warning once per field.
+Two steppers integrate a batch of particles, all sharing one step:
+
+- Fixed-step RK4 (``_integrate_batch``, ``flow_push``, ``stopped_flow_batch``),
+  with the step tied to the field's Lipschitz bound (stability step
+  0.1/max(L, 1)) and to the requested tolerance. It serves every field that
+  is only Lipschitz: the storage and funnel blends and the crossing check
+  take signed distances to boxes, whose kinks defeat an error estimate.
+  Fields declared non-Lipschitz (the square-root splitting example) fall
+  back to the tolerance step and emit a warning once per field.
+- Embedded Dormand-Prince 5(4) with error control (``dopri_batch``), for
+  smooth fields whose Lipschitz bound is set by a narrow feature most
+  particles never cross: the moving-cell grid field, which is C2 through its
+  quintic falloff. Its first step is ``choose_step``'s, as for RK4; the
+  error estimate sets every later one.
 """
 from __future__ import annotations
 
@@ -22,6 +32,7 @@ __all__ = [
     "Trajectory",
     "integrate_flow",
     "flow_push",
+    "dopri_batch",
     "stopped_flow",
     "stopped_flow_batch",
     "weak_residual",
@@ -151,13 +162,29 @@ def _rk4_partial(field: TimeField, pts, t, h_vec):
     return pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_batch(field: TimeField, pts, t0, t1, tol, observer=None):
+def _batch_span(pts, t0, t1, tol):
+    """Input checks shared by the steppers: the batch as a float array and
+    the span t1 - t0."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     span = float(t1) - float(t0)
     if span < 0:
         raise ValueError("t1 must be >= t0 (negate the field to go backward)")
-    pts = np.array(np.atleast_2d(pts), dtype=np.float64)
+    return np.array(np.atleast_2d(pts), dtype=np.float64), span
+
+
+def _check_finite(new, pts, t):
+    """Raise, naming the first particle, if a row of ``new`` is not finite."""
+    finite = np.isfinite(new).all(axis=1)
+    if not np.all(finite):
+        bad = int(np.flatnonzero(~finite)[0])
+        raise FloatingPointError(
+            f"non-finite field value near particle {bad} "
+            f"(position {pts[bad].tolist()}) at time {t:.6g}")
+
+
+def _integrate_batch(field: TimeField, pts, t0, t1, tol, observer=None):
+    pts, span = _batch_span(pts, t0, t1, tol)
     if span == 0 or pts.shape[0] == 0:
         return pts
     field.warn_if_non_lipschitz()
@@ -166,16 +193,104 @@ def _integrate_batch(field: TimeField, pts, t0, t1, tol, observer=None):
     t = float(t0)
     for k in range(steps):
         new = _rk4_advance(field, pts, t, h)
-        if not np.all(np.isfinite(new)):
-            bad = int(np.argwhere(~np.isfinite(new).all(axis=1))[0, 0])
-            raise FloatingPointError(
-                f"non-finite field value near particle {bad} "
-                f"(position {pts[bad].tolist()}) at time {t + h:.6g}")
+        _check_finite(new, pts, t + h)
         t = t0 + (k + 1) * h
         if observer is not None:
             observer(pts, new, t - h, t)
         pts = new
     return pts
+
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table
+# II.5.2): stage nodes, the stage rows, the fifth-order weights (the row of
+# the seventh stage, so that stage is the next step's first: FSAL) and the
+# embedded fourth-order weights
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((),
+         (1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
+_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# step-size controller: safety factor, and the largest and smallest factor
+# one step may change h by
+_DP_SAFETY, _DP_GROW, _DP_SHRINK = 0.9, 5.0, 0.2
+
+
+def _combine(pts, h, weights, stages):
+    out = pts.copy()
+    for w, k in zip(weights, stages):
+        if w:
+            out += (h * w) * k
+    return out
+
+
+def dopri_batch(field: TimeField, pts, t0, t1, tol):
+    """Endpoints at t1 of the characteristics through ``pts`` at t0, by
+    embedded Dormand-Prince 5(4) with one step size for the whole batch.
+
+    The first step is ``choose_step``'s. A step is accepted when every
+    particle's max-norm error estimate (fifth- minus fourth-order solution)
+    is at most tol * h / (t1 - t0), so the local errors over the span sum to
+    at most tol; the fifth-order solution is kept. The field must be smooth
+    (C2 at least) for the estimate to follow the error; a field with kinks
+    belongs to the fixed-step ``_integrate_batch``.
+
+    Returns ``(endpoints, stats)``: ``stats`` counts accepted and rejected
+    steps and gives the first, smallest and largest accepted step (None
+    when no step was taken; the last step is cut to land on t1) and the
+    Lipschitz bound that chose the first step.
+    """
+    pts, span = _batch_span(pts, t0, t1, tol)
+    stats = {"accepted": 0, "rejected": 0, "h_first": None, "h_min": None,
+             "h_max": None, "lipschitz": field.lipschitz_bound}
+    if span == 0 or pts.shape[0] == 0:
+        return pts, stats
+    h = choose_step(field, tol, span)
+    stats["h_first"] = h
+    err_per_time = tol / span
+    grow = _DP_GROW
+    t = float(t0)
+    k1 = field.evaluate(pts, t)
+    while t < t1:
+        last = t + 1.01 * h >= t1
+        if last:
+            h = t1 - t
+        if t + h == t:
+            raise RuntimeError(f"step size underflow at time {t:.6g}: the "
+                               f"field {field.label!r} is not smooth enough "
+                               "for error control")
+        stages = [k1]
+        for c, row in zip(_DP_C[1:], _DP_A[1:]):
+            stages.append(field.evaluate(_combine(pts, h, row, stages),
+                                         t + c * h))
+        new = _combine(pts, h, _DP_B5, stages)
+        stages.append(field.evaluate(new, t + h))
+        err = _combine(np.zeros_like(pts), h, _DP_ERR, stages)
+        _check_finite(np.hstack([new, err]), pts, t + h)
+        err_max = float(np.max(np.abs(err)))
+        bound = err_per_time * h
+        if err_max <= bound:
+            t = t1 if last else t + h
+            pts = new
+            k1 = stages[-1]
+            stats["accepted"] += 1
+            stats["h_min"] = min(h, stats["h_min"] or h)
+            stats["h_max"] = max(h, stats["h_max"] or h)
+            grow = _DP_GROW
+        else:
+            stats["rejected"] += 1
+            # no growth right after a rejection (HNW II.4)
+            grow = 1.0
+        # err ~ h^5 against a bound ~ h: the 1/4 power aims at the bound
+        fac = (_DP_SAFETY * (bound / err_max) ** 0.25 if err_max > 0
+               else grow)
+        h *= min(grow, max(_DP_SHRINK, fac))
+    return pts, stats
 
 
 def integrate_flow(field: TimeField, x0, t0: float, t1: float, tol: float):

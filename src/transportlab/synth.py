@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .flow import (TimeField, Trajectory, choose_step, flow_push,
-                   stopped_flow_batch,
+from .flow import (TimeField, Trajectory, choose_step, dopri_batch,
+                   flow_push, stopped_flow_batch,
                    _integrate_batch as _integrate_batch_local)
 from .geometry import Region, cutoff_theta, weight_eta, check_geometric_condition
 from .measure import ParticleMeasure, GridPartition, quantile_partition
@@ -152,6 +152,12 @@ class GridControlField(TimeField):
     and inside it the affine velocity keeps a point's relative coordinate s
     on every axis. ``cell_flow`` moves such points in closed form,
     x(tb) = c-(tb) + s (c+(tb) - c-(tb)) per axis.
+
+    ``flow`` is the whole flow map: ``cell_flow`` inside the cells, and
+    error-controlled Dormand-Prince 5(4) (``flow.dopri_batch``) for the
+    margin points. The Lipschitz bound is set by the narrowest falloff gap,
+    which few margin points cross, and the quintic falloff makes the field
+    C2, so the error estimate, not that bound, sets the steps.
     """
 
     def __init__(self, part_src, part_tgt, T):
@@ -301,6 +307,23 @@ class GridControlField(TimeField):
             inside &= inside_y
             images = np.stack([x, y], axis=1)
         return inside, images[inside]
+
+    def flow(self, pts, ta, tb, tol):
+        """Positions at tb of the points ``pts`` at ta.
+
+        Returns ``(images, in_cell, stats)``: the images of every row, the
+        mask of the rows moved in closed form by ``cell_flow``, and the
+        Dormand-Prince statistics of the margin rows (see
+        ``flow.dopri_batch``), which meet ``tol`` over the span.
+        """
+        images = np.array(np.atleast_2d(pts), dtype=np.float64)
+        in_cell, cell_images = self.cell_flow(images, ta, tb)
+        margin = TimeField(self.evaluate, self.dim, self.lipschitz_bound,
+                           self.sup_bound, label="grid_norm")
+        images[~in_cell], stats = dopri_batch(margin, images[~in_cell],
+                                              ta, tb, tol)
+        images[in_cell] = cell_images
+        return images, in_cell, stats
 
     # test hooks -------------------------------------------------------------
     def corner_pairs(self):
@@ -667,11 +690,11 @@ class MovingFrameGridField(TimeField):
     falloff bands, whose world width shrinks with the frame; stepping by it
     would be hopeless. Inside the gate core the conjugation is exact
     (pulled back, the field IS the normalized one), so ``advect`` moves core
-    particles in normalized coordinates and integrates only the outside ones
-    in world coordinates, where the field is mild. In normalized coordinates
-    the moving cells are invariant (see ``GridControlField``), so core
-    particles inside a cell move in closed form, and only those in the cell
-    margins are integrated, with the normalized field's step.
+    particles in normalized coordinates with ``GridControlField.flow``:
+    closed form inside the moving cells, error-controlled Dormand-Prince
+    5(4) in the cell margins. Only the particles outside the core are
+    integrated in world coordinates, by fixed-step RK4 at the mild outer
+    bound (the gate blend has kinks).
     """
 
     def __init__(self, inner: GridControlField, v: TimeField, o0, s0, o1, s1,
@@ -737,30 +760,20 @@ class MovingFrameGridField(TimeField):
         return g * (self.world_grid_velocity(pts, t) - self.v.evaluate(pts, t))
 
     def advect(self, mu: ParticleMeasure, ta: float, tb: float,
-               tol: float) -> tuple[ParticleMeasure, int]:
+               tol: float) -> tuple[ParticleMeasure, int, dict]:
         """Flow of this field, via the exact conjugation for core particles.
 
-        Returns the pushed measure and the number of particles moved in
-        closed form (core particles inside a moving cell at ta).
+        Returns the pushed measure, the number of particles moved in closed
+        form (core particles inside a moving cell at ta) and the
+        Dormand-Prince statistics of the cell-margin particles.
         """
         core = self.gate_core.contains(mu.positions)
         pos = mu.positions.copy()
-        moved = 0
-        if np.any(core):
-            o_a, s_a, _, _ = self.frame(ta)
-            o_b, s_b, _, _ = self.frame(tb)
-            y = (pos[core] - o_a) / s_a
-            in_cell, images = self.inner.cell_flow(y, ta - self.t0,
-                                                   tb - self.t0)
-            y[in_cell] = images
-            moved = int(np.sum(in_cell))
-            inner_shifted = TimeField(
-                lambda p, t: self.inner.evaluate(p, t),
-                self.dim, self.inner.lipschitz_bound, self.inner.sup_bound,
-                label="grid_norm")
-            y[~in_cell] = _integrate_batch_local(inner_shifted, y[~in_cell],
-                                                 ta - self.t0, tb - self.t0, tol)
-            pos[core] = o_b + s_b * y
+        o_a, s_a, _, _ = self.frame(ta)
+        o_b, s_b, _, _ = self.frame(tb)
+        y, in_cell, stats = self.inner.flow((pos[core] - o_a) / s_a,
+                                            ta - self.t0, tb - self.t0, tol)
+        pos[core] = o_b + s_b * y
         if np.any(~core):
             outer_field = TimeField(self._eval, self.dim,
                                     lipschitz_bound=self.outer_lipschitz,
@@ -773,7 +786,8 @@ class MovingFrameGridField(TimeField):
                 warnings.warn("a particle outside the gate core drifted into "
                               "it during the grid phase; its step control "
                               "used the mild outer bound", stacklevel=2)
-        return ParticleMeasure(pos, mu.weights, mu.tags), moved
+        return (ParticleMeasure(pos, mu.weights, mu.tags),
+                int(np.sum(in_cell)), stats)
 
 
 def _shift_time(field: TimeField, offset: float) -> TimeField:
@@ -974,7 +988,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     gate_region = Region.box(hull_lo - room / 3, hull_hi + room / 3)
     grid_total = MovingFrameGridField(grid_norm, v, o0, s0n, o1, s1n,
                                       t2, t3, gate_region, band=room / 3)
-    state3_all, cf_grid = grid_total.advect(state2_all, t2, t3, tol)
+    state3_all, cf_grid, grid_flow = grid_total.advect(state2_all, t2, t3,
+                                                       tol)
 
     # phases 4 and 5: time reversals of the backward synthesis. Reversing a
     # time-dependent segment of length D maps the field w to -w(x, D - t).
@@ -1045,6 +1060,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
                                     ("funnel_backward", cf_back, back1),
                                     ("grid", cf_grid, state2_all),
                                     ("funnel_reversed", cf_rev, state3_all))},
+        "grid_flow": grid_flow,
         "regions": {"omega0": cond.omega0.to_dict(), "S": s_box.to_dict(),
                     "S0": s0.to_dict(), "omega1": omega1.to_dict()},
     }

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from transportlab.flow import (GaussianBump, TimeField, Trajectory,
-                               _integrate_batch, choose_step, flow_push,
-                               integrate_flow, stopped_flow,
+                               _integrate_batch, choose_step, dopri_batch,
+                               flow_push, integrate_flow, stopped_flow,
                                stopped_flow_batch, weak_residual)
 from transportlab.geometry import Region
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
@@ -83,6 +84,102 @@ class TestIntegrateFlow:
         fld = TimeField(lambda p, t: np.sqrt(p), 1, sup_bound=np.inf)
         with pytest.raises(FloatingPointError, match="particle 0"):
             integrate_flow(fld, [-1.0], 0.0, 1.0, 1e-6)
+
+
+class TestDopri:
+    """Embedded Dormand-Prince 5(4) with one step for the batch."""
+
+    @staticmethod
+    def counted(field):
+        calls = []
+        evaluate = field.evaluate
+
+        def fn(p, t):
+            calls.append(t)
+            return evaluate(p, t)
+
+        return TimeField(fn, field.dim, field.lipschitz_bound,
+                         field.sup_bound), calls
+
+    def test_affine_matches_expm(self):
+        # an expanding spiral with an offset: x(t) = e^{At} x0 + (e^{At} - I)
+        # A^{-1} b, read off the exponential of the augmented matrix
+        mat = np.array([[0.3, -1.0], [1.0, 0.3]])
+        off = np.array([0.2, -0.1])
+        aug = np.zeros((3, 3))
+        aug[:2, :2], aug[:2, 2] = mat, off
+        pts = np.random.default_rng(0).standard_normal((12, 2))
+        t0, t1, tol = 0.5, 3.0, 1e-8
+        out, stats = dopri_batch(TimeField.affine(mat, off), pts, t0, t1, tol)
+        flow_map = expm(aug * (t1 - t0))
+        exact = pts @ flow_map[:2, :2].T + flow_map[:2, 2]
+        assert np.max(np.abs(out - exact)) <= tol
+        assert stats["accepted"] >= 2
+        assert stats["h_first"] == choose_step(TimeField.affine(mat, off),
+                                               tol, t1 - t0)
+        assert stats["h_min"] <= stats["h_max"]
+
+    def test_sharp_switch_is_resolved_by_rejections(self):
+        # x' = tanh((t - 1)/w) x turns from contraction to expansion within
+        # w = 0.01, far inside steps grown on the calm stretch before it:
+        # only rejected steps keep the error within tol. Exact flow:
+        # x0 exp(w [log cosh((t - 1)/w)] from t0 to t1)
+        w = 0.01
+        fld = TimeField(lambda p, t: np.tanh((t - 1.0) / w) * p, 1,
+                        lipschitz_bound=1.0)
+        pts = np.array([[1.0], [-0.5], [2.0]])
+        t0, t1, tol = 0.0, 2.5, 1e-6
+
+        def log_cosh(z):
+            return np.logaddexp(z, -z) - math.log(2.0)
+
+        out, stats = dopri_batch(fld, pts, t0, t1, tol)
+        exact = pts * np.exp(w * (log_cosh((t1 - 1.0) / w)
+                                  - log_cosh((t0 - 1.0) / w)))
+        assert np.max(np.abs(out - exact)) <= tol
+        assert stats["rejected"] >= 1
+        assert stats["h_min"] < stats["h_first"] < stats["h_max"]
+
+    def test_constant_field_one_step(self):
+        # the whole span fits in choose_step's first step: one accepted step
+        # of seven stages
+        fld, calls = self.counted(TimeField.constant([1.0, -0.5]))
+        pts = np.array([[0.0, 0.0], [1.0, 2.0]])
+        out, stats = dopri_batch(fld, pts, 1.0, 1.05, 1e-4)
+        assert stats["accepted"] == 1 and stats["rejected"] == 0
+        assert len(calls) == 7
+        assert np.allclose(out, pts + [0.05, -0.025], atol=1e-15)
+        assert stats["h_first"] == stats["h_min"] == stats["h_max"] \
+            == pytest.approx(0.05, rel=1e-12)
+
+    def test_last_stage_is_reused(self):
+        # FSAL: one evaluation to start, then six per attempted step
+        fld, calls = self.counted(TimeField.radial([0.3, 0.1], -2.0))
+        pts = np.random.default_rng(1).random((5, 2))
+        _, stats = dopri_batch(fld, pts, 0.0, 2.0, 1e-6)
+        steps = stats["accepted"] + stats["rejected"]
+        assert steps > 1
+        assert len(calls) == 1 + 6 * steps
+
+    def test_empty_batch_evaluates_nothing(self):
+        fld, calls = self.counted(TimeField.constant([1.0, 0.0]))
+        out, stats = dopri_batch(fld, np.zeros((0, 2)), 0.0, 5.0, 1e-8)
+        assert out.shape == (0, 2)
+        assert calls == []
+        assert stats["accepted"] == stats["rejected"] == 0
+
+    def test_nonfinite_field_reports_particle(self):
+        fld = TimeField(lambda p, t: np.sqrt(p), 1, sup_bound=np.inf)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="particle 1 "):
+            dopri_batch(fld, [[1.0], [-1.0], [2.0]], 0.0, 1.0, 1e-6)
+
+    def test_input_checks(self):
+        fld = TimeField.constant([1.0])
+        with pytest.raises(ValueError, match="tol"):
+            dopri_batch(fld, [[0.0]], 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="t1 must be >= t0"):
+            dopri_batch(fld, [[0.0]], 1.0, 0.0, 1e-6)
 
 
 class TestFlowPush:

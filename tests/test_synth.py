@@ -66,6 +66,48 @@ class TestGridClosedForm:
             ref = _integrate_batch(grid, start, ta, self.T, 1e-8)
             assert np.max(np.abs(images - ref)) < 1e-9
 
+    @staticmethod
+    def gap_midpoint(grid, t):
+        """Midpoint of the gap between the first two columns at time t,
+        where a margin point's nearest column switches."""
+        xm, xp, *_ = grid._walls(t)
+        return 0.5 * (xp[0] + xm[1])
+
+    def margin_points(self, grid, count=40):
+        """Random points outside every cell, after one that sits where the
+        gap midpoint passes at mid-phase, so the midpoint crosses it."""
+        rng = np.random.default_rng(4)
+        pts = rng.random((10 * count, 2))
+        inside, _ = grid.cell_flow(pts, 0.0, 0.0)
+        crosser = [self.gap_midpoint(grid, 0.5 * self.T), 0.5]
+        return np.vstack([crosser, pts[~inside][:count]])
+
+    def test_margin_points_match_finer_rk4(self, grid):
+        tol = 1e-7
+        finer = TimeField(grid.evaluate, 2, 4.0 * grid.lipschitz_bound,
+                          grid.sup_bound)
+        pts = self.margin_points(grid)
+        mid = _integrate_batch(finer, pts, 0.0, 0.2, tol)
+        for start, ta in ((pts, 0.0), (mid, 0.2)):
+            images, in_cell, stats = grid.flow(start, ta, self.T, tol)
+            assert not np.any(in_cell)
+            assert stats["accepted"] >= 1
+            ref = _integrate_batch(finer, start, ta, self.T, tol)
+            assert np.max(np.abs(images - ref)) <= tol
+            # the first point changes sides of the gap midpoint
+            before = start[0, 0] - self.gap_midpoint(grid, ta)
+            after = ref[0, 0] - self.gap_midpoint(grid, self.T)
+            assert before * after < 0
+
+    def test_flow_moves_cell_points_in_closed_form(self, grid):
+        pts = np.vstack([self.in_cell_points(grid, per_cell=1)[0],
+                         self.margin_points(grid, count=5)])
+        images, in_cell, _ = grid.flow(pts, 0.0, self.T, 1e-7)
+        inside, cell_images = grid.cell_flow(pts, 0.0, self.T)
+        assert np.array_equal(in_cell, inside)
+        assert np.array_equal(images[in_cell], cell_images)
+        assert in_cell.sum() == len(grid.source_cells())
+
     def test_points_off_the_cells_are_left_out(self, grid):
         (lo, hi), = grid.source_cells()[:1]
         gap = np.array([[0.5 * lo[0], 0.5 * (lo[1] + hi[1])],
@@ -146,13 +188,88 @@ def test_report_counts_closed_form_moves(tmp_path):
                      "--particles", "400", "--out", str(tmp_path)])
     assert code == 0
     with open(tmp_path / "report.json") as fh:
-        closed = json.load(fh)["closed_form"]
+        report = json.load(fh)
+    closed = report["closed_form"]
     assert set(closed) == {"funnel_forward", "funnel_backward", "grid",
                            "funnel_reversed"}
     for entry in closed.values():
         assert set(entry) == {"count", "total"}
         assert 0 <= entry["count"] <= entry["total"] == 400
     assert closed["grid"]["count"] > 0
+    grid_flow = report["grid_flow"]
+    assert set(grid_flow) == {"accepted", "rejected", "h_first", "h_min",
+                              "h_max", "lipschitz"}
+    assert grid_flow["accepted"] >= 1
+    assert 0.0 < grid_flow["h_min"] <= grid_flow["h_max"]
+    assert grid_flow["h_first"] == pytest.approx(
+        0.1 / grid_flow["lipschitz"], rel=1e-2)
+
+
+class TestStudyCli:
+    """``transportlab study``: artifacts, exit codes, and the margin
+    stepper against RK4 at a finer step."""
+
+    args = ["study", "--scenario", "figure1", "--particles", "300",
+            "--n-list", "3,4"]
+
+    def study_rows(self, out):
+        code = cli.main(self.args + ["--out", str(out)])
+        assert code == 0
+        with open(out / "study.csv") as fh:
+            header = fh.readline().strip().split(",")
+            lines = fh.read().strip().splitlines()
+        assert header == ["n", "measured_w1", "predicted_bound",
+                          "sample_error"]
+        assert len(lines) == 2
+        with open(out / "study.json") as fh:
+            study = json.load(fh)
+        assert {"artifact_version", "scenario_hash", "resolved_params",
+                "rows"} <= set(study)
+        rows = study["rows"]
+        assert [row["n"] for row in rows] == [3, 4]
+        assert [set(row) for row in rows] == [set(header)] * 2
+        return rows
+
+    def test_artifacts(self, tmp_path):
+        coarse, fine = self.study_rows(tmp_path)
+        # the finer mesh transports closer to the target, against one
+        # sampling floor
+        assert 0.0 < fine["measured_w1"] < coarse["measured_w1"]
+        assert coarse["sample_error"] == fine["sample_error"]
+
+    @pytest.mark.slow
+    def test_table_matches_finer_rk4(self, tmp_path, monkeypatch):
+        # the reference RK4s every particle at a quarter of the 0.1/L step
+        # (~37 000 steps over both meshes), ~40 s
+        rows = self.study_rows(tmp_path)
+
+        def rk4_flow(grid, pts, ta, tb, tol):
+            finer = TimeField(grid.evaluate, grid.dim,
+                              4.0 * grid.lipschitz_bound, grid.sup_bound)
+            mu = ParticleMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
+            return (flow_push(finer, mu, ta, tb, tol).positions,
+                    np.zeros(len(pts), dtype=bool), {})
+
+        monkeypatch.setattr(synth.GridControlField, "flow", rk4_flow)
+        scenario = cli._apply_overrides(
+            cli.load_scenario("figure1"),
+            cli.build_parser().parse_args(self.args + ["--out",
+                                                       str(tmp_path)]))
+        ref = cli.convergence_study(scenario, [3, 4], None,
+                                    tol=float(scenario.params["tol"]))
+        for got, want in zip(rows, ref):
+            assert abs(got["measured_w1"] - want["measured_w1"]) <= 1e-6
+
+    @pytest.mark.parametrize("n_list", ["2", "3,12"])
+    @pytest.mark.filterwarnings("ignore:.* has an atom heavier")
+    def test_bad_n_is_an_input_error(self, tmp_path, capsys, n_list):
+        # n = 2 leaves the inner cells empty; n = 12 is too fine for 300
+        # particles, which quantile_partition finds before any flow runs
+        code = cli.main(["study", "--scenario", "figure1", "--particles",
+                         "300", "--n-list", n_list, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not (tmp_path / "study.csv").exists()
 
 
 class TestExactFunnelTimeChange:
