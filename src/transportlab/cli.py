@@ -109,10 +109,17 @@ def cmd_check(args) -> int:
     return 0
 
 
+class MeshError(ValueError):
+    """A study n the quantile partition cannot build from the particles."""
+
+
 def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dict]:
     """Moving-cell convergence: advect the source under the synthesized grid
     field for each n and record the measured W1 against the target sampling,
-    the predicted finite-n bound and the sampling error floor."""
+    the predicted finite-n bound and the sampling error floor.
+
+    Every mesh is built before any flow runs; an n the particles cannot
+    partition (too fine for their count) raises ``MeshError``."""
     mu0 = scenario.measure("mu0")
     mu1 = scenario.measure("mu1")
     seed = int(scenario.params["seed"])
@@ -133,9 +140,10 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
     mu1n_bis = norm(resampled.measure("mu1"))
     floor = subsampled_w1(mu1n, mu1n_bis, seed=seed)["estimate"]
 
-    # every mesh first, so an n too fine for the particle count fails
-    # before any flow runs
-    meshes = [quantile_partition(mu0n, mu1n, int(n)) for n in n_list]
+    try:
+        meshes = [quantile_partition(mu0n, mu1n, int(n)) for n in n_list]
+    except ValueError as exc:
+        raise MeshError(str(exc)) from exc
     rows = []
     for n, (part_src, part_tgt) in zip(n_list, meshes):
         fld = grid_control(part_src, part_tgt, T=1.0)
@@ -173,8 +181,7 @@ def cmd_study(args) -> int:
     try:
         rows = convergence_study(scenario, n_list, args.out,
                                  tol=float(scenario.params["tol"]))
-    except ValueError as exc:
-        # quantile_partition: an n too fine for the particle count
+    except MeshError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     for row in rows:

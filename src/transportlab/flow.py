@@ -14,6 +14,9 @@ Two steppers integrate a batch of particles, all sharing one step:
   particles never cross: the moving-cell grid field, which is C2 through its
   quintic falloff. Its first step is ``choose_step``'s, as for RK4; the
   error estimate sets every later one.
+
+``integrate_batch`` picks between them by the field's construction: a field
+built with ``smooth=True`` gets Dormand-Prince, any other fixed-step RK4.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ __all__ = [
     "Trajectory",
     "integrate_flow",
     "flow_push",
+    "integrate_batch",
     "dopri_batch",
     "stopped_flow",
     "stopped_flow_batch",
@@ -46,12 +50,15 @@ class TimeField:
     ``fn(points, t)`` maps an ``(N, d)`` array and a scalar time to ``(N, d)``
     velocities. ``control_fn``, when present, evaluates the localized control
     part of the field (total minus ambient); schedule support checks sample
-    it.
+    it. ``smooth`` declares the field C2 in x and t, so an embedded error
+    estimate follows the error: ``integrate_batch`` then steps it with
+    Dormand-Prince 5(4) instead of fixed-step RK4.
     """
 
     def __init__(self, fn, dim, lipschitz_bound=0.0, sup_bound=np.inf,
                  support_region=None, time_domain=(0.0, math.inf), label="",
-                 control_fn=None, non_lipschitz=False, descriptor=None):
+                 control_fn=None, non_lipschitz=False, descriptor=None,
+                 smooth=False):
         self._fn = fn
         self.dim = int(dim)
         self.lipschitz_bound = float(lipschitz_bound)
@@ -61,6 +68,7 @@ class TimeField:
         self.label = label
         self.control_fn = control_fn
         self.non_lipschitz = bool(non_lipschitz)
+        self.smooth = bool(smooth)
         self.descriptor = descriptor or {"kind": "opaque", "label": label}
         self._warned = False
 
@@ -120,7 +128,8 @@ class TimeField:
                         self.lipschitz_bound, self.sup_bound,
                         self.support_region, self.time_domain,
                         label=f"-({self.label})", non_lipschitz=self.non_lipschitz,
-                        descriptor={"kind": "negated", "inner": self.descriptor})
+                        descriptor={"kind": "negated", "inner": self.descriptor},
+                        smooth=self.smooth)
         return fld
 
 
@@ -235,10 +244,12 @@ def dopri_batch(field: TimeField, pts, t0, t1, tol):
 
     The first step is ``choose_step``'s. A step is accepted when every
     particle's max-norm error estimate (fifth- minus fourth-order solution)
-    is at most tol * h / (t1 - t0), so the local errors over the span sum to
-    at most tol; the fifth-order solution is kept. The field must be smooth
-    (C2 at least) for the estimate to follow the error; a field with kinks
-    belongs to the fixed-step ``_integrate_batch``.
+    is at most tol * h / (t1 - t0), so the accepted steps' local error
+    estimates sum to at most tol; the fifth-order solution is kept. That
+    bounds the local estimates, not the global error: local errors can grow
+    along the flow, by up to exp(L (t1 - t0)) for a Lipschitz bound L. The
+    field must be smooth (C2 at least) for the estimate to follow the error;
+    a field with kinks belongs to the fixed-step ``_integrate_batch``.
 
     Returns ``(endpoints, stats)``: ``stats`` counts accepted and rejected
     steps and gives the first, smallest and largest accepted step (None
@@ -291,6 +302,19 @@ def dopri_batch(field: TimeField, pts, t0, t1, tol):
                else grow)
         h *= min(grow, max(_DP_SHRINK, fac))
     return pts, stats
+
+
+def integrate_batch(field: TimeField, pts, t0, t1, tol):
+    """Endpoints at t1 of the characteristics through ``pts`` at t0, by the
+    stepper the field's construction calls for: ``dopri_batch`` for a field
+    built smooth, fixed-step RK4 (``_integrate_batch``) for any other.
+
+    Returns ``(endpoints, stats)``; ``stats`` is ``dopri_batch``'s, or None
+    for fixed steps.
+    """
+    if field.smooth:
+        return dopri_batch(field, pts, t0, t1, tol)
+    return _integrate_batch(field, pts, t0, t1, tol), None
 
 
 def integrate_flow(field: TimeField, x0, t0: float, t1: float, tol: float):

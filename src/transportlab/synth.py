@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .flow import (TimeField, Trajectory, choose_step, dopri_batch,
+from .flow import (TimeField, Trajectory, choose_step,
                    flow_push, stopped_flow_batch,
-                   _integrate_batch as _integrate_batch_local)
+                   integrate_batch as _integrate_batch_local)
 from .geometry import Region, cutoff_theta, weight_eta, check_geometric_condition
 from .measure import ParticleMeasure, GridPartition, quantile_partition
 from .ot import wp_discrete, subsampled_w1
@@ -157,7 +157,8 @@ class GridControlField(TimeField):
     error-controlled Dormand-Prince 5(4) (``flow.dopri_batch``) for the
     margin points. The Lipschitz bound is set by the narrowest falloff gap,
     which few margin points cross, and the quintic falloff makes the field
-    C2, so the error estimate, not that bound, sets the steps.
+    C2, so it is built ``smooth`` and the error estimate, not that bound,
+    sets the steps.
     """
 
     def __init__(self, part_src, part_tgt, T):
@@ -187,7 +188,7 @@ class GridControlField(TimeField):
         sup, lip = self._bounds()
         super().__init__(self._eval, dim, lipschitz_bound=lip, sup_bound=sup,
                          time_domain=(0.0, self.T), label=f"grid_n{self.n}",
-                         control_fn=self._eval,
+                         control_fn=self._eval, smooth=True,
                          descriptor={"kind": "grid", "n": self.n, "T": self.T})
 
     # boundary interpolants and their coefficient functions -----------------
@@ -314,14 +315,16 @@ class GridControlField(TimeField):
         Returns ``(images, in_cell, stats)``: the images of every row, the
         mask of the rows moved in closed form by ``cell_flow``, and the
         Dormand-Prince statistics of the margin rows (see
-        ``flow.dopri_batch``), which meet ``tol`` over the span.
+        ``flow.dopri_batch``: each accepted step's local error estimate is
+        at most tol * h / (tb - ta), so the estimates sum to at most tol).
         """
         images = np.array(np.atleast_2d(pts), dtype=np.float64)
         in_cell, cell_images = self.cell_flow(images, ta, tb)
         margin = TimeField(self.evaluate, self.dim, self.lipschitz_bound,
-                           self.sup_bound, label="grid_norm")
-        images[~in_cell], stats = dopri_batch(margin, images[~in_cell],
-                                              ta, tb, tol)
+                           self.sup_bound, label="grid_norm",
+                           smooth=self.smooth)
+        images[~in_cell], stats = _integrate_batch_local(
+            margin, images[~in_cell], ta, tb, tol)
         images[in_cell] = cell_images
         return images, in_cell, stats
 
@@ -779,8 +782,8 @@ class MovingFrameGridField(TimeField):
                                     lipschitz_bound=self.outer_lipschitz,
                                     sup_bound=self.sup_bound,
                                     label="grid_frame_outer")
-            pos[~core] = _integrate_batch_local(outer_field, pos[~core],
-                                                ta, tb, tol)
+            pos[~core], _ = _integrate_batch_local(outer_field, pos[~core],
+                                                   ta, tb, tol)
             inside_after = self.gate_core.contains(pos[~core])
             if np.any(inside_after):
                 warnings.warn("a particle outside the gate core drifted into "

@@ -6,7 +6,8 @@ from scipy.linalg import expm
 
 from transportlab.flow import (GaussianBump, TimeField, Trajectory,
                                _integrate_batch, choose_step, dopri_batch,
-                               flow_push, integrate_flow, stopped_flow,
+                               flow_push, integrate_batch,
+                               integrate_flow, stopped_flow,
                                stopped_flow_batch, weak_residual)
 from transportlab.geometry import Region
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
@@ -180,6 +181,25 @@ class TestDopri:
             dopri_batch(fld, [[0.0]], 0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="t1 must be >= t0"):
             dopri_batch(fld, [[0.0]], 1.0, 0.0, 1e-6)
+
+    def test_construction_picks_the_stepper(self):
+        # smooth=True gets Dormand-Prince and its statistics; any other
+        # field gets fixed-step RK4, bit for bit, and no statistics
+        pts = np.random.default_rng(2).random((4, 2))
+        rate, centre = -2.0, [0.3, 0.1]
+        smooth = TimeField(lambda p, t: rate * (p - centre), 2, abs(rate),
+                           smooth=True)
+        out, stats = integrate_batch(smooth, pts, 0.0, 1.0, 1e-6)
+        ref, ref_stats = dopri_batch(smooth, pts, 0.0, 1.0, 1e-6)
+        assert np.array_equal(out, ref) and stats == ref_stats
+        assert smooth.negated().smooth
+
+        plain = TimeField.radial(centre, rate)
+        assert not plain.smooth
+        out, stats = integrate_batch(plain, pts, 0.0, 1.0, 1e-6)
+        assert np.array_equal(out, _integrate_batch(plain, pts, 0.0, 1.0,
+                                                    1e-6))
+        assert stats is None
 
 
 class TestFlowPush:
