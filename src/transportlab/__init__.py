@@ -9,7 +9,7 @@ from .measure import (ParticleMeasure, DensitySpec, GridPartition,  # noqa: F401
                       quantile_partition, line_quantile_partition)
 from .geometry import Region, cutoff_theta, weight_eta  # noqa: F401
 from .flow import (TimeField, Trajectory, integrate_flow, flow_push,  # noqa: F401
-                   stopped_flow, weak_residual)
+                   weak_residual)
 from .ot import (TransportPlan, w1_1d, wp_discrete,  # noqa: F401
                  displacement_interpolate, wasserstein_inequality_suite,
                  subsampled_w1)

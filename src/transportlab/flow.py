@@ -2,21 +2,26 @@
 
 Two steppers integrate a batch of particles, all sharing one step:
 
-- Fixed-step RK4 (``_integrate_batch``, ``flow_push``, ``stopped_flow_batch``),
-  with the step tied to the field's Lipschitz bound (stability step
-  0.1/max(L, 1)) and to the requested tolerance. It serves every field that
-  is only Lipschitz: the storage and funnel blends and the crossing check
-  take signed distances to boxes, whose kinks defeat an error estimate.
-  Fields declared non-Lipschitz (the square-root splitting example) fall
-  back to the tolerance step and emit a warning once per field.
-- Embedded Dormand-Prince 5(4) with error control (``dopri_batch``), for
-  smooth fields whose Lipschitz bound is set by a narrow feature most
-  particles never cross: the moving-cell grid field, which is C2 through its
-  quintic falloff. Its first step is ``choose_step``'s, as for RK4; the
-  error estimate sets every later one.
+- Fixed-step RK4 (``_integrate_batch``, ``flow_push``), with the step tied
+  to the field's Lipschitz bound (stability step 0.1/max(L, 1)) and to the
+  requested tolerance. It serves every field that is only Lipschitz: the
+  storage and funnel blends take signed distances to boxes, whose kinks
+  defeat an error estimate. Fields declared non-Lipschitz (the square-root
+  splitting example) fall back to the tolerance step and emit a warning once
+  per field.
+- Embedded Dormand-Prince 5(4) with error control, for fields built
+  ``smooth=True``: the scenario drifts (zero, constant, affine, radial),
+  the exact funnel's grad(eta) ascent and the moving-cell grid field, which
+  is C2 through its quintic falloff. ``dopri_batch`` runs it to a fixed end
+  time (the grid margins); ``stopped_flow_batch`` parks each point at its
+  first entry into a region (the crossing check and the exact lane), located
+  on DOPRI5's continuous extension. Both run one loop, ``_dopri``. Its first
+  step is ``choose_step``'s, as for RK4; the error estimate sets every later
+  one.
 
-``integrate_batch`` picks between them by the field's construction: a field
-built with ``smooth=True`` gets Dormand-Prince, any other fixed-step RK4.
+``integrate_batch`` picks between the fixed-end steppers by the field's
+construction: a field built with ``smooth=True`` gets Dormand-Prince, any
+other fixed-step RK4.
 """
 from __future__ import annotations
 
@@ -37,8 +42,8 @@ __all__ = [
     "flow_push",
     "integrate_batch",
     "dopri_batch",
-    "stopped_flow",
     "stopped_flow_batch",
+    "StoppedPaths",
     "weak_residual",
     "GaussianBump",
 ]
@@ -96,14 +101,15 @@ class TimeField:
     @classmethod
     def zero(cls, dim):
         return cls(lambda p, t: np.zeros_like(p), dim, 0.0, 0.0, label="zero",
-                   descriptor={"kind": "zero"})
+                   descriptor={"kind": "zero"}, smooth=True)
 
     @classmethod
     def constant(cls, vec):
         vec = np.asarray(vec, dtype=float).reshape(-1)
         return cls(lambda p, t: np.broadcast_to(vec, p.shape).copy(), len(vec),
                    0.0, float(np.linalg.norm(vec)), label="constant",
-                   descriptor={"kind": "constant", "value": vec.tolist()})
+                   descriptor={"kind": "constant", "value": vec.tolist()},
+                   smooth=True)
 
     @classmethod
     def affine(cls, matrix, offset):
@@ -113,14 +119,16 @@ class TimeField:
         return cls(lambda p, t: p @ mat.T + off, len(off), lip, np.inf,
                    label="affine",
                    descriptor={"kind": "affine", "matrix": mat.tolist(),
-                               "offset": off.tolist()})
+                               "offset": off.tolist()},
+                   smooth=True)
 
     @classmethod
     def radial(cls, center, rate):
         c = np.asarray(center, dtype=float).reshape(-1)
         return cls(lambda p, t: rate * (p - c), len(c), abs(rate), np.inf,
                    label="radial",
-                   descriptor={"kind": "radial", "center": c.tolist(), "rate": rate})
+                   descriptor={"kind": "radial", "center": c.tolist(), "rate": rate},
+                   smooth=True)
 
     def negated(self):
         """-w, for reversing autonomous dynamics."""
@@ -160,17 +168,6 @@ def _rk4_advance(field: TimeField, pts, t, h):
     return pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_partial(field: TimeField, pts, t, h_vec):
-    """One RK4 step with a per-point step length, stages evaluated at the
-    shared start time (used by event bisection on autonomous fields)."""
-    h = np.asarray(h_vec, dtype=float)[:, None]
-    k1 = field.evaluate(pts, t)
-    k2 = field.evaluate(pts + 0.5 * h * k1, t)
-    k3 = field.evaluate(pts + 0.5 * h * k2, t)
-    k4 = field.evaluate(pts + h * k3, t)
-    return pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _batch_span(pts, t0, t1, tol):
     """Input checks shared by the steppers: the batch as a float array and
     the span t1 - t0."""
@@ -182,13 +179,15 @@ def _batch_span(pts, t0, t1, tol):
     return np.array(np.atleast_2d(pts), dtype=np.float64), span
 
 
-def _check_finite(new, pts, t):
-    """Raise, naming the first particle, if a row of ``new`` is not finite."""
+def _check_finite(new, pts, t, ids=None):
+    """Raise, naming the first particle, if a row of ``new`` is not finite;
+    ``ids`` maps rows to particle numbers (default: the row itself)."""
     finite = np.isfinite(new).all(axis=1)
     if not np.all(finite):
         bad = int(np.flatnonzero(~finite)[0])
+        particle = bad if ids is None else int(ids[bad])
         raise FloatingPointError(
-            f"non-finite field value near particle {bad} "
+            f"non-finite field value near particle {particle} "
             f"(position {pts[bad].tolist()}) at time {t:.6g}")
 
 
@@ -238,6 +237,121 @@ def _combine(pts, h, weights, stages):
     return out
 
 
+# weights of the last coefficient of DOPRI5's fourth-order continuous
+# extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6; Shampine,
+# Math. Comp. 46, 1986)
+_DP_DENSE = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+             -10690763975 / 1880347072, 701980252875 / 199316789632,
+             -1453857185 / 822651844, 69997945 / 29380423)
+
+
+def _dense_coefficients(y, new, h, stages):
+    """``(5, n, d)`` coefficients of the continuous extension of one step
+    from ``y`` to ``new``; row 0 is ``y``."""
+    ydiff = new - y
+    bspl = h * stages[0] - ydiff
+    return np.stack([y, ydiff, bspl, ydiff - h * stages[-1] - bspl,
+                     _combine(np.zeros_like(y), h, _DP_DENSE, stages)])
+
+
+def _dense_at(coef, theta):
+    """Positions at step fraction ``theta`` (a scalar, or one per row) on
+    the continuous extension with coefficients ``coef``."""
+    th = np.reshape(theta, (-1, 1))
+    y, ydiff, bspl, c3, c4 = coef
+    return y + th * (ydiff + (1 - th) * (bspl + th * (c3 + (1 - th) * c4)))
+
+
+def _dopri(field: TimeField, pts, t0, t1, tol, stop_region=None,
+           record=None):
+    """The Dormand-Prince 5(4) loop behind ``dopri_batch`` and
+    ``stopped_flow_batch``; see their docstrings for the step control.
+
+    Without ``stop_region`` every point runs to t1. With it, a point inside
+    at t0 never moves, and a point that ends an accepted step inside is
+    parked at its entry and leaves the batch; every step also keeps each
+    active point's move within ``_step_cap``. ``record``, a
+    list, receives ``(start - t0, h, rows, coefficients)`` for each accepted
+    step of a stopped flow: the rows active in it and their continuous
+    extension. Returns ``(endpoints, hit_times, stats)``; a hit time is
+    relative to t0, nan for a point never parked.
+    """
+    pts, span = _batch_span(pts, t0, t1, tol)
+    stats = {"accepted": 0, "rejected": 0, "h_first": None, "h_min": None,
+             "h_max": None, "lipschitz": field.lipschitz_bound}
+    hits = np.full(pts.shape[0], np.nan)
+    rows = np.arange(pts.shape[0])
+    cap = math.inf
+    if stop_region is not None:
+        inside = stop_region.contains(pts)
+        hits[inside] = 0.0
+        rows = rows[~inside]
+        cap = _step_cap(stop_region)
+    if span == 0 or rows.size == 0:
+        return pts, hits, stats
+    h = choose_step(field, tol, span)
+    stats["h_first"] = h
+    err_per_time = tol / span
+    grow = _DP_GROW
+    t = float(t0)
+    y = pts[rows]
+    k1 = field.evaluate(y, t)
+    while t < t1 and rows.size:
+        last = t + 1.01 * h >= t1
+        if last:
+            h = t1 - t
+        if t + h == t:
+            raise RuntimeError(f"step size underflow at time {t:.6g}: the "
+                               f"field {field.label!r} is not smooth enough "
+                               "for error control")
+        stages = [k1]
+        for c, row in zip(_DP_C[1:], _DP_A[1:]):
+            stages.append(field.evaluate(_combine(y, h, row, stages),
+                                         t + c * h))
+        new = _combine(y, h, _DP_B5, stages)
+        stages.append(field.evaluate(new, t + h))
+        err = _combine(np.zeros_like(y), h, _DP_ERR, stages)
+        _check_finite(np.hstack([new, err]), y, t + h, rows)
+        err_max = float(np.max(np.abs(err)))
+        bound = err_per_time * h
+        move = 0.0
+        if stop_region is not None:
+            move = float(np.sqrt(np.max(np.sum((new - y) ** 2, axis=1))))
+        if err_max <= bound and move <= cap:
+            if stop_region is not None:
+                entered = stop_region.contains(new)
+                if record is not None or np.any(entered):
+                    coef = _dense_coefficients(y, new, h, stages)
+                if record is not None:
+                    record.append((t - t0, h, rows, coef))
+                if np.any(entered):
+                    theta, pts[rows[entered]] = _locate_entry(
+                        stop_region, coef[:, entered])
+                    hits[rows[entered]] = (t - t0) + theta * h
+                    keep = ~entered
+                    rows, new, stages[-1] = (rows[keep], new[keep],
+                                             stages[-1][keep])
+            t = t1 if last else t + h
+            y = new
+            k1 = stages[-1]
+            stats["accepted"] += 1
+            stats["h_min"] = min(h, stats["h_min"] or h)
+            stats["h_max"] = max(h, stats["h_max"] or h)
+            grow = _DP_GROW
+        else:
+            stats["rejected"] += 1
+            # no growth right after a rejection (HNW II.4)
+            grow = 1.0
+        # err ~ h^5 against a bound ~ h: the 1/4 power aims at the bound
+        fac = (_DP_SAFETY * (bound / err_max) ** 0.25 if err_max > 0
+               else grow)
+        # and the largest move at the same share of the cap
+        fac_cap = _DP_SAFETY * cap / move if move > 0 else math.inf
+        h *= min(grow, max(_DP_SHRINK, fac), fac_cap)
+    pts[rows] = y
+    return pts, hits, stats
+
+
 def dopri_batch(field: TimeField, pts, t0, t1, tol):
     """Endpoints at t1 of the characteristics through ``pts`` at t0, by
     embedded Dormand-Prince 5(4) with one step size for the whole batch.
@@ -256,52 +370,8 @@ def dopri_batch(field: TimeField, pts, t0, t1, tol):
     when no step was taken; the last step is cut to land on t1) and the
     Lipschitz bound that chose the first step.
     """
-    pts, span = _batch_span(pts, t0, t1, tol)
-    stats = {"accepted": 0, "rejected": 0, "h_first": None, "h_min": None,
-             "h_max": None, "lipschitz": field.lipschitz_bound}
-    if span == 0 or pts.shape[0] == 0:
-        return pts, stats
-    h = choose_step(field, tol, span)
-    stats["h_first"] = h
-    err_per_time = tol / span
-    grow = _DP_GROW
-    t = float(t0)
-    k1 = field.evaluate(pts, t)
-    while t < t1:
-        last = t + 1.01 * h >= t1
-        if last:
-            h = t1 - t
-        if t + h == t:
-            raise RuntimeError(f"step size underflow at time {t:.6g}: the "
-                               f"field {field.label!r} is not smooth enough "
-                               "for error control")
-        stages = [k1]
-        for c, row in zip(_DP_C[1:], _DP_A[1:]):
-            stages.append(field.evaluate(_combine(pts, h, row, stages),
-                                         t + c * h))
-        new = _combine(pts, h, _DP_B5, stages)
-        stages.append(field.evaluate(new, t + h))
-        err = _combine(np.zeros_like(pts), h, _DP_ERR, stages)
-        _check_finite(np.hstack([new, err]), pts, t + h)
-        err_max = float(np.max(np.abs(err)))
-        bound = err_per_time * h
-        if err_max <= bound:
-            t = t1 if last else t + h
-            pts = new
-            k1 = stages[-1]
-            stats["accepted"] += 1
-            stats["h_min"] = min(h, stats["h_min"] or h)
-            stats["h_max"] = max(h, stats["h_max"] or h)
-            grow = _DP_GROW
-        else:
-            stats["rejected"] += 1
-            # no growth right after a rejection (HNW II.4)
-            grow = 1.0
-        # err ~ h^5 against a bound ~ h: the 1/4 power aims at the bound
-        fac = (_DP_SAFETY * (bound / err_max) ** 0.25 if err_max > 0
-               else grow)
-        h *= min(grow, max(_DP_SHRINK, fac))
-    return pts, stats
+    end, _, stats = _dopri(field, pts, t0, t1, tol)
+    return end, stats
 
 
 def integrate_batch(field: TimeField, pts, t0, t1, tol):
@@ -335,74 +405,102 @@ def flow_push(field: TimeField, mu: ParticleMeasure, t0: float, t1: float,
 # ---------------------------------------------------------------------------
 
 def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
-                       horizon: float, tol: float, bisections: int = 40,
-                       record: bool = False):
-    """Advance a batch, parking each point at first entry into ``stop_region``.
+                       horizon: float, tol: float, record: bool = False):
+    """Advance a batch along a field built smooth, parking each point at its
+    first entry into ``stop_region``.
 
-    Returns ``(endpoints, hit_times)`` where a hit time of nan means the
-    point never entered the region within the horizon. Entry times are
-    located by bisection between the straddling RK4 steps. Stepping stops
-    once every point is parked, so a generous horizon costs nothing past the
-    last entry. With ``record=True`` also returns the knot times (relative
-    to t0) and the recorded per-point polylines (parked points repeat their
-    final position); the knots then end at the first step after which no
-    point is active, not at the horizon.
+    The points still active share ``dopri_batch``'s Dormand-Prince 5(4)
+    steps over [t0, t0 + horizon]: each accepted step's local error
+    estimate is at most tol * h / horizon, so the estimates along any path
+    sum to at most tol (a bound on local estimates, not on the global
+    error). Two rules serve the stop event:
+
+    - No active point moves more than half the region's inradius in one
+      step (for a union, its thinnest part's); a step that would is rejected
+      and the next one shrunk. However far the error estimate would let
+      a step grow, it cannot carry a point over the region, only past a
+      corner or an edge that the path grazes within the step.
+    - A point that ends a step inside the region is parked at its entry,
+      found by bisecting the step on DOPRI5's fourth-order continuous
+      extension, which costs no field evaluations. A graze, a path that
+      enters and leaves within one step, is not seen.
+
+    Stepping stops once every point is parked, so a generous horizon costs
+    nothing past the last entry. Returns ``(endpoints, hit_times)``; a hit
+    time, relative to t0, is nan when the point never entered within the
+    horizon. With ``record=True`` also returns a ``StoppedPaths``, which
+    keeps the accepted steps' continuous extensions of the points active in
+    them and the step statistics.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    pts = np.array(np.atleast_2d(pts), dtype=np.float64)
-    n = pts.shape[0]
-    hit_times = np.full(n, np.nan)
-    inside0 = stop_region.contains(pts)
-    hit_times[inside0] = 0.0
-
-    span = float(horizon)
-    h = choose_step(field, tol, span)
-    steps = int(round(span / h))
-    active = ~inside0
-    t = float(t0)
-    paths = [pts.copy()] if record else None
-    for _ in range(steps):
-        if not np.any(active):
-            break
-        moved = _rk4_advance(field, pts[active], t, h)
-        entered_rel = stop_region.contains(moved)
-        act_idx = np.flatnonzero(active)
-        hit_idx = act_idx[entered_rel]
-        if len(hit_idx):
-            # bisect all entries of this step together; stage times are
-            # taken at the step start (events are detected for
-            # time-autonomous fields)
-            base = pts[hit_idx]
-            lo = np.zeros(len(hit_idx))
-            hi = np.full(len(hit_idx), h)
-            for _ in range(bisections):
-                mid = 0.5 * (lo + hi)
-                probe = _rk4_partial(field, base, t, mid)
-                inside = stop_region.contains(probe)
-                hi = np.where(inside, mid, hi)
-                lo = np.where(inside, lo, mid)
-            pts[hit_idx] = _rk4_partial(field, base, t, hi)
-            hit_times[hit_idx] = (t - t0) + hi
-        keep = ~entered_rel
-        pts[act_idx[keep]] = moved[keep]
-        active[hit_idx] = False
-        t += h
-        if record:
-            paths.append(pts.copy())
+    if not field.smooth:
+        raise ValueError(f"field {field.label!r} is not built smooth; stopped "
+                         "flows step by Dormand-Prince error control")
+    steps = [] if record else None
+    end, hits, stats = _dopri(field, pts, t0, t0 + horizon, tol, stop_region,
+                              steps)
     if record:
-        knots = t0 + h * np.arange(len(paths))
-        return pts, hit_times, knots - t0, np.stack(paths, axis=1)
-    return pts, hit_times
+        return end, hits, StoppedPaths(end, hits, steps, stats)
+    return end, hits
 
 
-def stopped_flow(field: TimeField, stop_region, x0, horizon: float, tol: float):
-    """Scalar version: returns (endpoint, hit_time or None)."""
-    pts, hits = stopped_flow_batch(field, stop_region,
-                                   np.asarray(x0, dtype=float)[None, :],
-                                   0.0, horizon, tol)
-    hit = None if np.isnan(hits[0]) else float(hits[0])
-    return pts[0], hit
+def _step_cap(region):
+    """Half the inradius of the thinnest part of ``region``: the farthest
+    a stopped flow moves a point in one step."""
+    if region.kind == "union":
+        return min(_step_cap(part) for part in region.parts)
+    return 0.5 * region.inradius()
+
+
+# bisections of a step that locate an entry: to 2^-50 of the step
+_EVENT_BISECTIONS = 50
+
+
+def _locate_entry(stop_region, coef):
+    """Step fractions and positions at which continuous extensions that
+    start outside ``stop_region`` and end the step inside it enter it, by
+    bisection; each position returned is inside."""
+    lo = np.zeros(coef.shape[1])
+    hi = np.ones(coef.shape[1])
+    for _ in range(_EVENT_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        inside = stop_region.contains(_dense_at(coef, mid))
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    return hi, _dense_at(coef, hi)
+
+
+class StoppedPaths:
+    """A recorded stopped flow: for each accepted step its start (relative
+    to t0), its length, the rows active in it and their continuous
+    extension; ``stats`` are the steps' statistics (``dopri_batch``'s)."""
+
+    def __init__(self, end, hits, steps, stats):
+        self.end = end
+        self.hits = hits
+        self.steps = steps
+        self.stats = stats
+        self._starts = np.array([step[0] for step in steps])
+
+    def at(self, times):
+        """``(n, len(times), d)`` positions at ``times`` (relative to t0,
+        nonnegative): on the continuous extension while a point is active,
+        its endpoint from its hit time on."""
+        out = np.repeat(self.end[:, None, :], len(times), axis=1)
+        for m, s in enumerate(times):
+            j = np.searchsorted(self._starts, s, side="right") - 1
+            if j < 0:
+                continue
+            start, h, rows, coef = self.steps[j]
+            moving = ~(self.hits[rows] <= s)
+            out[rows[moving], m] = _dense_at(coef[:, moving], (s - start) / h)
+        return out
+
+    def nodes(self):
+        """Every accepted step's start points, and the endpoints."""
+        return np.concatenate([coef[0] for *_, coef in self.steps]
+                              + [self.end])
 
 
 # ---------------------------------------------------------------------------

@@ -382,7 +382,8 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
     Returns the worst hitting times and a compactly included storage box
     around the entry points. Raises ConditionFailure with the first stranded
     particle otherwise. The check certifies the condition at the particle
-    resolution only.
+    resolution only. ``v`` must be built smooth: both flows are
+    ``stopped_flow_batch``'s error-controlled stopped flows.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

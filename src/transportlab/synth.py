@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .flow import (TimeField, Trajectory, choose_step,
-                   flow_push, stopped_flow_batch,
+from .flow import (TimeField, Trajectory, flow_push, stopped_flow_batch,
                    integrate_batch as _integrate_batch_local)
 from .geometry import Region, cutoff_theta, weight_eta, check_geometric_condition
 from .measure import ParticleMeasure, GridPartition, quantile_partition
@@ -1074,35 +1073,25 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 # exact controller (stopped flows + geodesic, per-atom witness)
 # ---------------------------------------------------------------------------
 
-def _resample_path(knots, path, new_knots):
-    out = np.empty((len(new_knots), path.shape[1]))
-    for a in range(path.shape[1]):
-        out[:, a] = np.interp(new_knots, knots, path[:, a])
-    return out
-
-
-def _uniform_paths(pts, end, knots, raw, horizon, n_knots=33):
-    """Recorded stopped-flow polylines resampled on a uniform knot grid over
-    [0, horizon], with exact start and end points (past its last recorded
-    knot a path stays where it parked)."""
-    new_knots = np.linspace(0.0, horizon, n_knots)
-    paths = np.stack([_resample_path(knots, raw[e], new_knots)
-                      for e in range(raw.shape[0])])
-    paths[:, 0, :] = pts
-    paths[:, -1, :] = end
-    return new_knots, paths
+def _uniform_paths(path, horizon, speed=1.0, n_knots=33):
+    """A recorded stopped flow's paths on a uniform knot grid over
+    [0, horizon], for the same flow run ``speed`` times faster: knot t reads
+    the recorded flow at time speed * t. Returns ``(knots, paths)``."""
+    knots = np.linspace(0.0, horizon, n_knots)
+    return knots, path.at(speed * knots)
 
 
 def _stopped_paths(field, stop_region, pts, horizon, tol):
-    """Stopped-flow paths resampled on a uniform knot grid, exact endpoints."""
-    end, hits, knots, raw = stopped_flow_batch(field, stop_region, pts, 0.0,
-                                               horizon, tol, record=True)
+    """Stopped-flow paths on a uniform knot grid, read off the continuous
+    extension, so a knot past a point's hit time is its endpoint."""
+    end, hits, path = stopped_flow_batch(field, stop_region, pts, 0.0,
+                                         horizon, tol, record=True)
     if np.any(np.isnan(hits)):
         bad = int(np.flatnonzero(np.isnan(hits))[0])
         raise RuntimeError(f"point {pts[bad].tolist()} failed to reach the "
                            "stop region; escalate first")
-    new_knots, paths = _uniform_paths(pts, end, knots, raw, horizon)
-    return end, hits, new_knots, paths
+    knots, paths = _uniform_paths(path, horizon)
+    return end, hits, knots, paths
 
 
 def _escalate_exact_funnel(omega1, s0, lanes, tol):
@@ -1112,33 +1101,37 @@ def _escalate_exact_funnel(omega1, s0, lanes, tol):
     ``lanes`` maps a lane name to ``(delta, pts)``. Returns ``(funnels,
     ascent)``: ``funnels`` maps each name to ``(k, endpoints, hit_times,
     knots, paths)`` with every hit time at most 0.9 delta; ``ascent`` holds
-    the step ``h``, the ``lipschitz`` bound that chose it, the ``steps``
-    taken and each lane's k = 1 ``tau_max``.
+    the ascent's Dormand-Prince statistics (``flow.dopri_batch``'s keys)
+    and each lane's k = 1 ``tau_max``.
 
     The funnel field is k grad(eta) inside omega1, blended into the drift
     outside it. Ascent lines of eta started in omega1 stay there, so no
-    path sees the blend: the run integrates grad(eta) alone, steps by its
-    own Lipschitz bound, not the blend band's, and raises if a recorded knot
-    leaves omega1. All lanes share eta and hence the run. The gain-k flow is
-    the k = 1 flow with time divided by k, so each lane takes
+    path sees the blend: the run integrates grad(eta) alone, a smooth field,
+    by ``flow.stopped_flow_batch`` (error-controlled steps, entries into s0
+    located on the continuous extension), and raises if a step starts
+    outside omega1. All lanes share eta and hence the run. The gain-k flow
+    is the k = 1 flow with time divided by k, so each lane takes
     k = 2^ceil(log2(tau / 0.9 delta)) from its own largest hitting time tau
-    and divides its knot times by k. The name dates from the gain-doubling
-    search this replaced; tooling still looks it up by that name.
+    and reads its knots off the recorded run at k times their time. The
+    name dates from the gain-doubling search this replaced; tooling still
+    looks it up by that name.
     """
     eta, _, kappa1 = weight_eta(omega1, s0)
     lip = _eta_grad_lipschitz(eta, omega1)
     ascent = TimeField(lambda p, t: eta.gradient(p), omega1.dim,
                        lipschitz_bound=lip, sup_bound=kappa1,
                        label="exact_funnel_k1",
-                       descriptor={"kind": "funnel_exact", "k": 1})
+                       descriptor={"kind": "funnel_exact", "k": 1},
+                       smooth=True)
     names = list(lanes)
     pts = np.concatenate([lanes[name][1] for name in names])
     horizon = 512.0 * max(lanes[name][0] for name in names)
-    end, hits, knots, raw = stopped_flow_batch(ascent, s0, pts, 0.0, horizon,
-                                               tol, record=True)
-    # omega1 is a box, so the knots lie in it iff their bounding box does
-    lo, hi = raw.min(axis=(0, 1)), raw.max(axis=(0, 1))
-    if not _boxes_inside(omega1, lo, hi)[0]:
+    end, hits, path = stopped_flow_batch(ascent, s0, pts, 0.0, horizon, tol,
+                                         record=True)
+    # omega1 is a box, so the step start points lie in it iff their
+    # bounding box does
+    nodes = path.nodes()
+    if not _boxes_inside(omega1, nodes.min(axis=0), nodes.max(axis=0))[0]:
         raise RuntimeError("a funnel ascent path left omega1, where the "
                            "funnel field is no longer grad(eta)")
     if np.any(np.isnan(hits)):
@@ -1146,16 +1139,14 @@ def _escalate_exact_funnel(omega1, s0, lanes, tol):
                            "likely violates s0 strictly inside omega1")
     funnels, tau = {}, {}
     split = np.cumsum([len(lanes[name][1]) for name in names])[:-1]
-    for name, e, hit, r in zip(names, np.split(end, split),
-                               np.split(hits, split), np.split(raw, split)):
-        delta, start = lanes[name]
-        tau[name] = float(np.max(hit))
+    for name, rows in zip(names, np.split(np.arange(len(pts)), split)):
+        delta = lanes[name][0]
+        tau[name] = float(np.max(hits[rows]))
         k = max(1, 2 ** math.ceil(math.log2(max(tau[name], 1e-12)
                                             / (0.9 * delta))))
-        new_knots, paths = _uniform_paths(start, e, knots / k, r, delta)
-        funnels[name] = (k, e, hit / k, new_knots, paths)
-    return funnels, {"h": choose_step(ascent, tol, horizon), "lipschitz": lip,
-                     "steps": len(knots) - 1, "tau_max": tau}
+        knots, paths = _uniform_paths(path, delta, k)
+        funnels[name] = (k, end[rows], hits[rows] / k, knots, paths[rows])
+    return funnels, {**path.stats, "tau_max": tau}
 
 
 def exact_controller(scenario) -> ControllerResult:

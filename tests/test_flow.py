@@ -7,8 +7,8 @@ from scipy.linalg import expm
 from transportlab.flow import (GaussianBump, TimeField, Trajectory,
                                _integrate_batch, choose_step, dopri_batch,
                                flow_push, integrate_batch,
-                               integrate_flow, stopped_flow,
-                               stopped_flow_batch, weak_residual)
+                               integrate_flow, stopped_flow_batch,
+                               weak_residual)
 from transportlab.geometry import Region
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.ot import wp_discrete
@@ -193,8 +193,12 @@ class TestDopri:
         ref, ref_stats = dopri_batch(smooth, pts, 0.0, 1.0, 1e-6)
         assert np.array_equal(out, ref) and stats == ref_stats
         assert smooth.negated().smooth
+        for built in (TimeField.zero(2), TimeField.constant([1.0, 0.0]),
+                      TimeField.affine(np.eye(2), [0.0, 1.0]),
+                      TimeField.radial(centre, rate)):
+            assert built.smooth and built.negated().smooth
 
-        plain = TimeField.radial(centre, rate)
+        plain = TimeField(lambda p, t: rate * (p - centre), 2, abs(rate))
         assert not plain.smooth
         out, stats = integrate_batch(plain, pts, 0.0, 1.0, 1e-6)
         assert np.array_equal(out, _integrate_batch(plain, pts, 0.0, 1.0,
@@ -256,58 +260,107 @@ class TestFlowPush:
 class TestStoppedFlow:
     def test_already_inside(self):
         region = Region.box([0, 0], [1, 1])
-        end, hit = stopped_flow(TimeField.constant([1.0, 0.0]), region,
-                                [0.5, 0.5], 4.0, 1e-6)
-        assert hit == 0.0 and np.allclose(end, [0.5, 0.5])
+        end, hit = stopped_flow_batch(TimeField.constant([1.0, 0.0]), region,
+                                      [[0.5, 0.5]], 0.0, 4.0, 1e-6)
+        assert hit[0] == 0.0 and np.array_equal(end, [[0.5, 0.5]])
 
     def test_never_hit(self):
         region = Region.box([5, 5], [6, 6])
-        end, hit = stopped_flow(TimeField.zero(2), region, [0.0, 0.0],
-                                3.0, 1e-6)
-        assert hit is None and np.allclose(end, [0, 0])
+        end, hit = stopped_flow_batch(TimeField.zero(2), region, [[0.0, 0.0]],
+                                      0.0, 3.0, 1e-6)
+        assert np.isnan(hit[0]) and np.array_equal(end, [[0.0, 0.0]])
 
     def test_linear_hit_time(self):
-        region = Region.box([1.0, -10.0], [20.0, 10.0])
-        tol = 1e-6
-        end, hit = stopped_flow(TimeField.constant([1.0, 0.0]), region,
-                                [0.0, 0.0], 4.0, tol)
-        assert abs(hit - 1.0) < 1e-4
-        assert np.allclose(end, [1.0, 0.0], atol=1e-4)
-
-    def test_batch_matches_scalar(self):
+        # x' = (1, 0) into the ball of radius 1/2 about (2, 0): a point at
+        # height y enters at x = 2 - sqrt(1/4 - y^2); one point misses it
         region = Region.ball([2.0, 0.0], 0.5)
         fld = TimeField.constant([1.0, 0.0])
         pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.0, 5.0]])
-        ends, hits = stopped_flow_batch(fld, region, pts, 0.0, 6.0, 1e-6)
+        ends, hits = stopped_flow_batch(fld, region, pts, 1.0, 6.0, 1e-6)
+        entry = 2.0 - np.sqrt(0.25 - pts[:2, 1] ** 2)
+        assert np.max(np.abs(hits[:2] - (entry - pts[:2, 0]))) < 1e-12
+        assert np.max(np.abs(ends[:2, 0] - entry)) < 1e-12
+        assert np.array_equal(ends[:2, 1], pts[:2, 1])
         assert np.isnan(hits[2])
-        for i in range(2):
-            end_i, hit_i = stopped_flow(fld, region, pts[i], 6.0, 1e-6)
-            assert abs(hits[i] - hit_i) < 1e-9
-            assert np.allclose(ends[i], end_i)
+        assert np.allclose(ends[2], [6.0, 5.0], atol=1e-12)
+
+    def test_batch_matches_scalar(self):
+        # each point alone takes its own steps, which the batch shares, so
+        # they agree to the error control, not bit for bit
+        region = Region.ball([0.0, 0.0], 0.3)
+        fld = TimeField.radial([0.1, -0.1], -0.8)
+        pts = np.array([[1.0, 0.5], [-2.0, 0.2], [0.4, -1.5]])
+        tol = 1e-9
+        ends, hits = stopped_flow_batch(fld, region, pts, 0.0, 10.0, tol)
+        for i in range(3):
+            end_i, hit_i = stopped_flow_batch(fld, region, pts[i:i + 1], 0.0,
+                                              10.0, tol)
+            assert abs(hits[i] - hit_i[0]) < tol
+            assert np.max(np.abs(ends[i] - end_i[0])) < tol
+
+    @pytest.mark.parametrize("union", [False, True])
+    def test_thin_box_is_not_stepped_over(self, union):
+        # error control lets a constant field's step grow by 5x per step;
+        # only the cap of half the inradius keeps the 0.02-thick box from
+        # being jumped, also when a union with a wide box off the path sets
+        # the region's inradius
+        region = thin = Region.box([30.0, -1.0], [30.02, 1.0])
+        if union:
+            region = Region.union(Region.box([0.0, 10.0], [4.0, 14.0]), thin)
+        fld = TimeField.constant([1.0, 0.0])
+        pts = np.array([[0.0, 0.0], [0.0, 0.5]])
+        ends, hits, path = stopped_flow_batch(fld, region, pts, 0.0, 100.0,
+                                              1e-6, record=True)
+        # the hit time sums some 6 700 steps
+        assert np.max(np.abs(hits - 30.0)) < 1e-10
+        assert np.allclose(ends, [[30.0, 0.0], [30.0, 0.5]], atol=1e-10)
+        moves = [h for _, h, _, _ in path.steps]
+        assert max(moves) <= 0.5 * thin.inradius()
+
+    def test_radial_hit_time(self):
+        # x' = r (x - c) with r < 0 takes a point at distance d0 from c to
+        # the ball of radius R < d0 about c at time log(R / d0) / r
+        centre, rate, radius = np.array([0.3, -0.2]), -0.7, 0.25
+        dirs = np.array([[1.0, 0.0], [0.6, 0.8], [-0.28, 0.96]])
+        d0 = np.array([0.4, 1.5, 3.0])
+        pts = centre + d0[:, None] * dirs
+        ends, hits = stopped_flow_batch(TimeField.radial(centre, rate),
+                                        Region.ball(centre, radius), pts, 0.0,
+                                        20.0, 1e-6)
+        assert np.max(np.abs(hits - np.log(radius / d0) / rate)) < 1e-8
+        assert np.max(np.abs(ends - (centre + radius * dirs))) < 1e-8
+
+    def test_rejects_a_field_not_built_smooth(self):
+        region = Region.box([1.0, -1.0], [2.0, 1.0])
+        kinked = TimeField(lambda p, t: np.abs(p), 2, 1.0, label="kinked")
+        with pytest.raises(ValueError, match="kinked"):
+            stopped_flow_batch(kinked, region, [[0.0, 0.0]], 0.0, 1.0, 1e-6)
 
     def test_recorded_paths_consistent(self):
         region = Region.box([1.0, -1.0], [3.0, 1.0])
-        fld = TimeField.constant([1.0, 0.0])
+        v = np.array([1.0, 0.0])
+        fld = TimeField.constant(v)
         pts = np.array([[0.0, 0.0], [-0.5, 0.2]])
-        # tol 2^-16 gives the step 1/16, which divides both horizons below,
-        # so the two runs take identical steps
-        tol = 2.0 ** -16
-        ends, hits, knots, paths = stopped_flow_batch(
-            fld, region, pts, 0.0, 3.0, tol, record=True)
-        assert paths.shape[0] == 2 and paths.shape[1] == len(knots)
-        assert np.allclose(paths[:, -1], ends)
-        # position frozen after the hit
-        for e in range(2):
-            after = knots >= hits[e] + 1e-9
-            assert np.allclose(paths[e, after], ends[e])
-        # stepping stops within one step of the last entry
-        step = knots[1] - knots[0]
-        assert np.max(hits) <= knots[-1] <= np.max(hits) + step
+        tol = 1e-6
+        ends, hits, path = stopped_flow_batch(fld, region, pts, 0.0, 3.0, tol,
+                                              record=True)
+        times = np.linspace(0.0, 3.0, 41)
+        paths = path.at(times)
+        assert paths.shape == (2, len(times), 2)
+        # x0 + v min(t, hit) under a constant field, frozen after the hit
+        exact = pts[:, None] + np.minimum(times, hits[:, None])[..., None] * v
+        assert np.max(np.abs(paths - exact)) < 1e-12
+        assert np.array_equal(paths[:, 0], pts)
+        assert np.array_equal(paths[:, -1], ends)
+        # stepping stops at the step of the last entry
+        start, h, rows, _ = path.steps[-1]
+        assert start < np.max(hits) <= start + h
+        assert np.array_equal(rows, [1])
         # so a longer horizon changes nothing
         ends_long, hits_long = stopped_flow_batch(fld, region, pts, 0.0, 30.0,
                                                   tol)
-        assert np.array_equal(ends_long, ends)
-        assert np.array_equal(hits_long, hits)
+        assert np.max(np.abs(ends_long - ends)) < 1e-12
+        assert np.max(np.abs(hits_long - hits)) < 1e-12
 
 
 class TestWeakResidual:

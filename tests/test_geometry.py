@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+
+from transportlab import cli
 
 from transportlab.flow import TimeField
 from transportlab.geometry import (ConditionFailure, Region, _box_eta,
@@ -263,3 +267,42 @@ class TestGeometricCondition:
         with pytest.raises(ValueError):
             check_geometric_condition(TimeField.zero(2), empty, mu, omega,
                                       1.0, 1e-6)
+
+
+@pytest.mark.parametrize("drift, code", [(0.7, 0), (-0.7, 2)])
+def test_cli_check_exit_codes(tmp_path, drift, code):
+    # two 4 x 4 clusters either side of omega: a drift toward omega carries
+    # both to it, one away from it strands the source cluster
+    rng = np.random.default_rng(3)
+    side = (np.arange(16) // 4, np.arange(16) % 4)
+    cell = 0.3 / 4
+
+    def cluster(x, y):
+        grid = np.column_stack(side) * cell + rng.random((16, 2)) * cell
+        return [[float(a), float(b), 1.0 / 16]
+                for a, b in grid + [x - 0.15, y - 0.15]]
+
+    scenario = {"dim": 2, "v": {"kind": "constant", "value": [drift, 0.0]},
+                "omega": {"kind": "box", "lo": [1.6, -0.6], "hi": [2.9, 1.6]},
+                "mu0": {"atoms": cluster(0.4, 0.6)},
+                "mu1": {"atoms": cluster(4.0, 0.6)},
+                "params": {"delta": 0.6, "seed": 0, "horizon": 24.0,
+                           "tol": 1e-6}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert cli.main(["check", "--scenario", str(path), "--out", str(out)]) \
+        == code
+    report = json.loads((out / "check.json").read_text())
+    if code == 0:
+        assert report["status"] == "ok"
+        # omega shrunk by a fifth of its inradius 0.65 spans x in
+        # [1.73, 2.77]: the last source atom enters it at (1.73 - x) / 0.7,
+        # the last target atom backward at (x - 2.77) / 0.7
+        x0 = min(atom[0] for atom in scenario["mu0"]["atoms"])
+        x1 = max(atom[0] for atom in scenario["mu1"]["atoms"])
+        assert abs(report["T0star"] - (1.73 - x0) / 0.7) < 1e-9
+        assert abs(report["T1star"] - (x1 - 2.77) / 0.7) < 1e-9
+    else:
+        assert report["status"] == "condition-failed"
+        assert report["side"] == "source"
