@@ -14,8 +14,9 @@ Two steppers integrate a batch of particles, all sharing one step:
   the exact funnel's grad(eta) ascent and the moving-cell grid field, which
   is C2 through its quintic falloff. ``dopri_batch`` runs it to a fixed end
   time (the grid margins); ``stopped_flow_batch`` parks each point at its
-  first entry into a region (the crossing check and the exact lane), located
-  on DOPRI5's continuous extension. Both run one loop, ``_dopri``. Its first
+  first entry into a region (the crossing check and the exact lane), found
+  and located on DOPRI5's continuous extension, which it probes at least as
+  finely as fixed RK4 steps would. Both run one loop, ``_dopri``. Its first
   step is ``choose_step``'s, as for RK4; the error estimate sets every later
   one.
 
@@ -255,9 +256,11 @@ def _dense_coefficients(y, new, h, stages):
 
 
 def _dense_at(coef, theta):
-    """Positions at step fraction ``theta`` (a scalar, or one per row) on
-    the continuous extension with coefficients ``coef``."""
-    th = np.reshape(theta, (-1, 1))
+    """Positions at step fraction ``theta`` on the continuous extension
+    with coefficients ``coef``: ``theta`` is a scalar, one fraction per row
+    (shape ``(n,)``) or a stack of either (``(m, 1)`` or ``(m, n)``, giving
+    ``(m, n, d)`` positions)."""
+    th = np.expand_dims(theta, -1)
     y, ydiff, bspl, c3, c4 = coef
     return y + th * (ydiff + (1 - th) * (bspl + th * (c3 + (1 - th) * c4)))
 
@@ -268,9 +271,10 @@ def _dopri(field: TimeField, pts, t0, t1, tol, stop_region=None,
     ``stopped_flow_batch``; see their docstrings for the step control.
 
     Without ``stop_region`` every point runs to t1. With it, a point inside
-    at t0 never moves, and a point that ends an accepted step inside is
-    parked at its entry and leaves the batch; every step also keeps each
-    active point's move within ``_step_cap``. ``record``, a
+    at t0 never moves, and a point whose continuous extension is inside at
+    one of an accepted step's probe fractions (``_probe_fractions``) is
+    parked at its first entry and leaves the batch; every step also keeps
+    each active point's move within ``_step_cap``. ``record``, a
     list, receives ``(start - t0, h, rows, coefficients)`` for each accepted
     step of a stopped flow: the rows active in it and their continuous
     extension. Returns ``(endpoints, hit_times, stats)``; a hit time is
@@ -319,14 +323,16 @@ def _dopri(field: TimeField, pts, t0, t1, tol, stop_region=None,
             move = float(np.sqrt(np.max(np.sum((new - y) ** 2, axis=1))))
         if err_max <= bound and move <= cap:
             if stop_region is not None:
-                entered = stop_region.contains(new)
-                if record is not None or np.any(entered):
-                    coef = _dense_coefficients(y, new, h, stages)
+                coef = _dense_coefficients(y, new, h, stages)
                 if record is not None:
                     record.append((t - t0, h, rows, coef))
+                lo, hi = _entry_bracket(stop_region, coef, new,
+                                        _probe_fractions(h, stats["h_first"]))
+                entered = hi > 0
                 if np.any(entered):
                     theta, pts[rows[entered]] = _locate_entry(
-                        stop_region, coef[:, entered])
+                        stop_region, coef[:, entered], lo[entered],
+                        hi[entered])
                     hits[rows[entered]] = (t - t0) + theta * h
                     keep = ~entered
                     rows, new, stages[-1] = (rows[keep], new[keep],
@@ -413,24 +419,29 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     steps over [t0, t0 + horizon]: each accepted step's local error
     estimate is at most tol * h / horizon, so the estimates along any path
     sum to at most tol (a bound on local estimates, not on the global
-    error). Two rules serve the stop event:
+    error). The horizon thus sets the error bound per unit time and, with
+    ``choose_step``, the first step: a longer horizon tightens both and
+    changes the steps taken before the last entry. Two rules serve the stop
+    event:
 
     - No active point moves more than half the region's inradius in one
       step (for a union, its thinnest part's); a step that would is rejected
       and the next one shrunk. However far the error estimate would let
-      a step grow, it cannot carry a point over the region, only past a
-      corner or an edge that the path grazes within the step.
-    - A point that ends a step inside the region is parked at its entry,
-      found by bisecting the step on DOPRI5's fourth-order continuous
-      extension, which costs no field evaluations. A graze, a path that
-      enters and leaves within one step, is not seen.
+      a step grow, it cannot carry a point over the region.
+    - Each accepted step is probed on DOPRI5's fourth-order continuous
+      extension at times at most ``choose_step``'s fixed RK4 step apart,
+      its endpoint included. A point inside at a probe is parked at its
+      first entry, found between that probe and the one before it to
+      2^-52 of their distance. Neither costs a field evaluation. A path
+      that clips a corner or an edge between two probes is not seen, as
+      it was not between two fixed RK4 steps.
 
-    Stepping stops once every point is parked, so a generous horizon costs
-    nothing past the last entry. Returns ``(endpoints, hit_times)``; a hit
-    time, relative to t0, is nan when the point never entered within the
-    horizon. With ``record=True`` also returns a ``StoppedPaths``, which
-    keeps the accepted steps' continuous extensions of the points active in
-    them and the step statistics.
+    Stepping stops once every point is parked: no step is taken past the
+    last entry. Returns ``(endpoints, hit_times)``; a hit time, relative to
+    t0, is nan when the point never entered within the horizon. With
+    ``record=True`` returns a ``StoppedPaths`` instead, which holds the
+    endpoints and hit times, the accepted steps' continuous extensions of
+    the points active in them and the step statistics.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -441,7 +452,7 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     end, hits, stats = _dopri(field, pts, t0, t0 + horizon, tol, stop_region,
                               steps)
     if record:
-        return end, hits, StoppedPaths(end, hits, steps, stats)
+        return StoppedPaths(end, hits, steps, stats)
     return end, hits
 
 
@@ -453,28 +464,68 @@ def _step_cap(region):
     return 0.5 * region.inradius()
 
 
-# bisections of a step that locate an entry: to 2^-50 of the step
-_EVENT_BISECTIONS = 50
+def _probe_fractions(h, h_probe):
+    """Step fractions, ending at 1, at which a stopped flow looks for
+    entries in a step of length h: spaced at most ``h_probe`` apart in
+    time, ``choose_step``'s fixed RK4 step."""
+    m = max(1, math.ceil(h / h_probe - 1e-9))
+    return np.arange(1, m + 1) / m
 
 
-def _locate_entry(stop_region, coef):
-    """Step fractions and positions at which continuous extensions that
-    start outside ``stop_region`` and end the step inside it enter it, by
-    bisection; each position returned is inside."""
-    lo = np.zeros(coef.shape[1])
-    hi = np.ones(coef.shape[1])
-    for _ in range(_EVENT_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        inside = stop_region.contains(_dense_at(coef, mid))
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
+def _first_inside(stop_region, theta, pos):
+    """Per column of the step fractions ``theta`` (``(m, n)``), with
+    positions ``pos`` (``(m, n, d)``): the row of the first fraction whose
+    position is inside ``stop_region``, and whether there is one."""
+    inside = stop_region.contains(
+        pos.reshape(-1, pos.shape[-1])).reshape(theta.shape)
+    return np.argmax(inside, axis=0), inside.any(axis=0)
+
+
+def _entry_bracket(stop_region, coef, new, fractions):
+    """For each row of a step's continuous extension, the fractions
+    ``(lo, hi)`` around its first probe inside ``stop_region``: hi is that
+    probe's fraction and lo the one before it (0 for the first); hi is 0
+    for a row inside at no probe. The probe at fraction 1 is the step's
+    endpoint ``new``."""
+    theta = np.broadcast_to(fractions[:, None], (len(fractions), len(new)))
+    pos = np.concatenate([_dense_at(coef, theta[:-1]), new[None]])
+    first, found = _first_inside(stop_region, theta, pos)
+    cols = np.arange(len(new))
+    lo = np.where(first > 0, theta[first - 1, cols], 0.0)
+    hi = np.where(found, theta[first, cols], 0.0)
+    return lo, hi
+
+
+# an entry is located in passes that each cut its bracket into 16 parts and
+# keep the first part whose right end is inside: 13 passes narrow the
+# bracket to 16^-13 = 2^-52 of its width
+_EVENT_PARTS, _EVENT_PASSES = 16, 13
+
+
+def _locate_entry(stop_region, coef, lo, hi):
+    """Step fractions and positions at which continuous extensions enter
+    ``stop_region``, given brackets whose ``lo`` fraction is outside and
+    ``hi`` fraction inside; each position returned is inside."""
+    cols = np.arange(len(lo))
+    parts = np.arange(1, _EVENT_PARTS)[:, None] / _EVENT_PARTS
+    for _ in range(_EVENT_PASSES):
+        theta = lo + parts * (hi - lo)
+        first, found = _first_inside(stop_region, theta,
+                                     _dense_at(coef, theta))
+        # the bracket's right end, the last row, is inside
+        theta = np.vstack([theta, hi])
+        first = np.where(found, first, len(parts))
+        lo = np.where(first > 0, theta[first - 1, cols], lo)
+        hi = theta[first, cols]
     return hi, _dense_at(coef, hi)
 
 
 class StoppedPaths:
-    """A recorded stopped flow: for each accepted step its start (relative
-    to t0), its length, the rows active in it and their continuous
-    extension; ``stats`` are the steps' statistics (``dopri_batch``'s)."""
+    """A recorded stopped flow: its endpoints and hit times (as
+    ``stopped_flow_batch`` returns them), for each accepted step its start
+    (relative to t0), its length, the rows active in it and their
+    continuous extension, and ``stats``, the steps' statistics
+    (``dopri_batch``'s)."""
 
     def __init__(self, end, hits, steps, stats):
         self.end = end
@@ -497,10 +548,20 @@ class StoppedPaths:
             out[rows[moving], m] = _dense_at(coef[:, moving], (s - start) / h)
         return out
 
-    def nodes(self):
-        """Every accepted step's start points, and the endpoints."""
-        return np.concatenate([coef[0] for *_, coef in self.steps]
-                              + [self.end])
+    def bounds(self):
+        """Corners ``(lo, hi)`` of the bounding box of the endpoints and of
+        every path sampled on each step at its start and its probe
+        fractions (``_probe_fractions``), up to the point's hit."""
+        lo, hi = self.end.min(axis=0), self.end.max(axis=0)
+        for start, h, rows, coef in self.steps:
+            theta = np.concatenate(
+                [[0.0], _probe_fractions(h, self.stats["h_first"])])
+            # fmin keeps theta for a point never parked (nan hit)
+            theta = np.fmin(theta[:, None], (self.hits[rows] - start) / h)
+            pos = _dense_at(coef, theta).reshape(-1, coef.shape[-1])
+            lo = np.minimum(lo, pos.min(axis=0))
+            hi = np.maximum(hi, pos.max(axis=0))
+        return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -1084,14 +1084,14 @@ def _uniform_paths(path, horizon, speed=1.0, n_knots=33):
 def _stopped_paths(field, stop_region, pts, horizon, tol):
     """Stopped-flow paths on a uniform knot grid, read off the continuous
     extension, so a knot past a point's hit time is its endpoint."""
-    end, hits, path = stopped_flow_batch(field, stop_region, pts, 0.0,
-                                         horizon, tol, record=True)
-    if np.any(np.isnan(hits)):
-        bad = int(np.flatnonzero(np.isnan(hits))[0])
+    path = stopped_flow_batch(field, stop_region, pts, 0.0, horizon, tol,
+                              record=True)
+    if np.any(np.isnan(path.hits)):
+        bad = int(np.flatnonzero(np.isnan(path.hits))[0])
         raise RuntimeError(f"point {pts[bad].tolist()} failed to reach the "
                            "stop region; escalate first")
     knots, paths = _uniform_paths(path, horizon)
-    return end, hits, knots, paths
+    return path.end, path.hits, knots, paths
 
 
 def _escalate_exact_funnel(omega1, s0, lanes, tol):
@@ -1108,13 +1108,15 @@ def _escalate_exact_funnel(omega1, s0, lanes, tol):
     outside it. Ascent lines of eta started in omega1 stay there, so no
     path sees the blend: the run integrates grad(eta) alone, a smooth field,
     by ``flow.stopped_flow_batch`` (error-controlled steps, entries into s0
-    located on the continuous extension), and raises if a step starts
-    outside omega1. All lanes share eta and hence the run. The gain-k flow
-    is the k = 1 flow with time divided by k, so each lane takes
-    k = 2^ceil(log2(tau / 0.9 delta)) from its own largest hitting time tau
-    and reads its knots off the recorded run at k times their time. The
-    name dates from the gain-doubling search this replaced; tooling still
-    looks it up by that name.
+    located on the continuous extension), and raises if a path, sampled on
+    every step at least as finely as a fixed RK4 step would be, leaves
+    omega1. Its horizon, 512 times the largest delta, also sets the error
+    bound per unit time, tol / horizon. All lanes share eta and hence the
+    run. The gain-k flow is the k = 1 flow with time divided by k, so each
+    lane takes k = 2^ceil(log2(tau / 0.9 delta)) from its own largest
+    hitting time tau and reads its knots off the recorded run at k times
+    their time. The name dates from the gain-doubling search this
+    replaced; tooling still looks it up by that name.
     """
     eta, _, kappa1 = weight_eta(omega1, s0)
     lip = _eta_grad_lipschitz(eta, omega1)
@@ -1126,12 +1128,13 @@ def _escalate_exact_funnel(omega1, s0, lanes, tol):
     names = list(lanes)
     pts = np.concatenate([lanes[name][1] for name in names])
     horizon = 512.0 * max(lanes[name][0] for name in names)
-    end, hits, path = stopped_flow_batch(ascent, s0, pts, 0.0, horizon, tol,
-                                         record=True)
-    # omega1 is a box, so the step start points lie in it iff their
-    # bounding box does
-    nodes = path.nodes()
-    if not _boxes_inside(omega1, nodes.min(axis=0), nodes.max(axis=0))[0]:
+    path = stopped_flow_batch(ascent, s0, pts, 0.0, horizon, tol,
+                              record=True)
+    end, hits = path.end, path.hits
+    # omega1 is a box, so the paths, sampled on every step at least as
+    # finely as fixed RK4 steps would be, lie in it iff their bounding box
+    # does
+    if not _boxes_inside(omega1, *path.bounds())[0]:
         raise RuntimeError("a funnel ascent path left omega1, where the "
                            "funnel field is no longer grad(eta)")
     if np.any(np.isnan(hits)):

@@ -309,11 +309,11 @@ class TestStoppedFlow:
             region = Region.union(Region.box([0.0, 10.0], [4.0, 14.0]), thin)
         fld = TimeField.constant([1.0, 0.0])
         pts = np.array([[0.0, 0.0], [0.0, 0.5]])
-        ends, hits, path = stopped_flow_batch(fld, region, pts, 0.0, 100.0,
-                                              1e-6, record=True)
+        path = stopped_flow_batch(fld, region, pts, 0.0, 100.0, 1e-6,
+                                  record=True)
         # the hit time sums some 6 700 steps
-        assert np.max(np.abs(hits - 30.0)) < 1e-10
-        assert np.allclose(ends, [[30.0, 0.0], [30.0, 0.5]], atol=1e-10)
+        assert np.max(np.abs(path.hits - 30.0)) < 1e-10
+        assert np.allclose(path.end, [[30.0, 0.0], [30.0, 0.5]], atol=1e-10)
         moves = [h for _, h, _, _ in path.steps]
         assert max(moves) <= 0.5 * thin.inradius()
 
@@ -342,8 +342,13 @@ class TestStoppedFlow:
         fld = TimeField.constant(v)
         pts = np.array([[0.0, 0.0], [-0.5, 0.2]])
         tol = 1e-6
-        ends, hits, path = stopped_flow_batch(fld, region, pts, 0.0, 3.0, tol,
-                                              record=True)
+        path = stopped_flow_batch(fld, region, pts, 0.0, 3.0, tol,
+                                  record=True)
+        ends, hits = path.end, path.hits
+        plain_ends, plain_hits = stopped_flow_batch(fld, region, pts, 0.0,
+                                                    3.0, tol)
+        assert np.array_equal(ends, plain_ends)
+        assert np.array_equal(hits, plain_hits)
         times = np.linspace(0.0, 3.0, 41)
         paths = path.at(times)
         assert paths.shape == (2, len(times), 2)
@@ -356,11 +361,46 @@ class TestStoppedFlow:
         start, h, rows, _ = path.steps[-1]
         assert start < np.max(hits) <= start + h
         assert np.array_equal(rows, [1])
-        # so a longer horizon changes nothing
-        ends_long, hits_long = stopped_flow_batch(fld, region, pts, 0.0, 30.0,
-                                                  tol)
-        assert np.max(np.abs(ends_long - ends)) < 1e-12
-        assert np.max(np.abs(hits_long - hits)) < 1e-12
+        # a ten times longer horizon tightens the error bound per unit time
+        # and changes the first step, hence the steps; a constant field is
+        # integrated exactly by any step, so the results agree to rounding
+        long = stopped_flow_batch(fld, region, pts, 0.0, 30.0, tol,
+                                  record=True)
+        assert long.stats["h_first"] != path.stats["h_first"]
+        assert np.max(np.abs(long.end - ends)) < 1e-12
+        assert np.max(np.abs(long.hits - hits)) < 1e-12
+
+    def test_clipped_corner_is_seen(self):
+        # drift (1, 1) along x - y = 7.5 crosses the corner of [1, 9]^2 on
+        # a 0.71-long chord, from (8.5, 1) at time 1 - y0 to (9, 1.5). The
+        # cap (half the inradius, 2) lets a step move 2, so step ends alone
+        # miss the chord in most phases; the probes on the continuous
+        # extension see it in every one
+        region = Region.box([1.0, 1.0], [9.0, 9.0])
+        y0 = -np.linspace(0.5, 8.0, 16)
+        pts = np.column_stack([y0 + 7.5, y0])
+        ends, hits = stopped_flow_batch(TimeField.constant([1.0, 1.0]),
+                                        region, pts, 0.0, 40.0, 1e-6)
+        assert np.max(np.abs(hits - (1.0 - y0))) < 1e-10
+        assert np.allclose(ends, [8.5, 1.0], atol=1e-10)
+
+    def test_bounds_sample_within_steps(self):
+        # a quarter turn of x' = (-y, x) from angle -pi/4 to pi/4, with no
+        # entry: the largest x, 1 at angle 0, lies inside a step. The
+        # bounding box reaches it to within the probe spacing, while the
+        # step starts and the endpoint alone fall short
+        rotation = TimeField.affine([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
+        region = Region.ball([5.0, 5.0], 1.0)
+        x0 = np.sqrt(0.5) * np.array([[1.0, -1.0]])
+        path = stopped_flow_batch(rotation, region, x0, 0.0, 0.5 * np.pi,
+                                  1e-6, record=True)
+        assert np.isnan(path.hits[0])
+        lo, hi = path.bounds()
+        near = np.cos(0.5 * path.stats["h_first"])
+        assert near - 1e-6 <= hi[0] <= 1.0 + 1e-6
+        starts = np.concatenate([coef[0] for *_, coef in path.steps]
+                                + [path.end])
+        assert np.max(starts[:, 0]) < near - 1e-6
 
 
 class TestWeakResidual:
