@@ -114,7 +114,10 @@ def grid_eval_2d(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
 
 
 def grid_eval_1d(px, cxm, cxp, ax, bx, gxm, gxp):
-    """Velocity of the 1D moving-cell field at particle positions."""
+    """Velocity of the 1D moving-cell field at particle positions.
+
+    The package no longer calls it (the moving-cell grid is planar only);
+    it stays while ``benchmarks/tracer.py`` patches it by name."""
     i, sx = _nearest_column(px, cxm, cxp, gxm, gxp)
     return (sx * (ax[i] * px + bx[i]))[:, None]
 

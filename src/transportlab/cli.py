@@ -54,6 +54,11 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 def cmd_run(args) -> int:
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
+        # both controllers place the storage set S beside omega0 inside a
+        # box omega; say so before the crossing check runs
+        if scenario.omega_region().kind != "box":
+            raise ValueError("run needs a box control region omega, got "
+                             f"{scenario.omega['kind']!r}")
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

@@ -39,14 +39,11 @@ from .measure import ParticleMeasure, push_forward
 __all__ = [
     "TimeField",
     "Trajectory",
-    "integrate_flow",
     "flow_push",
     "integrate_batch",
     "dopri_batch",
     "stopped_flow_batch",
     "StoppedPaths",
-    "weak_residual",
-    "GaussianBump",
 ]
 
 
@@ -62,15 +59,12 @@ class TimeField:
     """
 
     def __init__(self, fn, dim, lipschitz_bound=0.0, sup_bound=np.inf,
-                 support_region=None, time_domain=(0.0, math.inf), label="",
-                 control_fn=None, non_lipschitz=False, descriptor=None,
-                 smooth=False):
+                 label="", control_fn=None, non_lipschitz=False,
+                 descriptor=None, smooth=False):
         self._fn = fn
         self.dim = int(dim)
         self.lipschitz_bound = float(lipschitz_bound)
         self.sup_bound = float(sup_bound)
-        self.support_region = support_region
-        self.time_domain = (float(time_domain[0]), float(time_domain[1]))
         self.label = label
         self.control_fn = control_fn
         self.non_lipschitz = bool(non_lipschitz)
@@ -133,13 +127,12 @@ class TimeField:
 
     def negated(self):
         """-w, for reversing autonomous dynamics."""
-        fld = TimeField(lambda p, t: -self._fn(p, t), self.dim,
-                        self.lipschitz_bound, self.sup_bound,
-                        self.support_region, self.time_domain,
-                        label=f"-({self.label})", non_lipschitz=self.non_lipschitz,
-                        descriptor={"kind": "negated", "inner": self.descriptor},
-                        smooth=self.smooth)
-        return fld
+        return TimeField(lambda p, t: -self._fn(p, t), self.dim,
+                         self.lipschitz_bound, self.sup_bound,
+                         label=f"-({self.label})",
+                         non_lipschitz=self.non_lipschitz,
+                         descriptor={"kind": "negated", "inner": self.descriptor},
+                         smooth=self.smooth)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +386,6 @@ def integrate_batch(field: TimeField, pts, t0, t1, tol):
     return _integrate_batch(field, pts, t0, t1, tol), None
 
 
-def integrate_flow(field: TimeField, x0, t0: float, t1: float, tol: float):
-    """Endpoint of the characteristic through (x0, t0) at time t1."""
-    out = _integrate_batch(field, np.asarray(x0, dtype=float)[None, :], t0, t1, tol)
-    return out[0]
-
-
 def flow_push(field: TimeField, mu: ParticleMeasure, t0: float, t1: float,
               tol: float) -> ParticleMeasure:
     """Push a particle measure through the flow; weights and tags ride along."""
@@ -565,7 +552,7 @@ class StoppedPaths:
 
 
 # ---------------------------------------------------------------------------
-# trajectories and the weak-solution residual
+# trajectories
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -583,9 +570,6 @@ class Trajectory:
             raise ValueError("one state per time required")
         if np.any(np.diff(self.times) < 0):
             raise ValueError("times must be nondecreasing")
-
-    def mass_profile(self):
-        return np.array([s.total_mass() for s in self.states])
 
     def final(self) -> ParticleMeasure:
         return self.states[-1]
@@ -607,46 +591,3 @@ class Trajectory:
         }
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-class GaussianBump:
-    """Smooth compactly-supported-in-practice test function with analytic gradient."""
-
-    def __init__(self, center, width):
-        self.center = np.asarray(center, dtype=float).reshape(-1)
-        self.width = float(width)
-
-    def evaluate(self, pts):
-        z = (np.atleast_2d(pts) - self.center) / self.width
-        return np.exp(-0.5 * np.sum(z * z, axis=1))
-
-    def gradient(self, pts):
-        pts = np.atleast_2d(pts)
-        z = (pts - self.center) / self.width
-        return -self.evaluate(pts)[:, None] * z / self.width
-
-
-def weak_residual(traj: Trajectory, field: TimeField, test_functions):
-    """Continuity-equation defect per test function.
-
-    For each test function the residual is the maximum over interior
-    checkpoints of |d/dt ∫ψ dμ − ∫⟨∇ψ, w⟩ dμ| with a central time difference
-    and particle-sum integrals.
-    """
-    if len(traj.times) < 3:
-        raise ValueError("need at least 3 snapshots for central differences")
-    out = {}
-    for idx, psi in enumerate(test_functions):
-        ints = np.array([np.sum(s.weights * psi.evaluate(s.positions))
-                         for s in traj.states])
-        worst = 0.0
-        for k in range(1, len(traj.times) - 1):
-            dt = traj.times[k + 1] - traj.times[k - 1]
-            ddt = (ints[k + 1] - ints[k - 1]) / dt
-            state = traj.states[k]
-            vel = field.evaluate(state.positions, traj.times[k])
-            rhs = np.sum(state.weights *
-                         np.sum(psi.gradient(state.positions) * vel, axis=1))
-            worst = max(worst, abs(ddt - rhs))
-        out[idx] = worst
-    return out

@@ -86,17 +86,6 @@ class Region:
         """Distance to the complement: max(-sdf, 0)."""
         return np.maximum(-self.signed_distance(pts), 0.0)
 
-    def sdf_gradient(self, pts, eps=1e-7):
-        """Unit-ish gradient of the signed distance, by central differences."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        grad = np.zeros_like(pts)
-        for a in range(self.dim):
-            shift = np.zeros(self.dim)
-            shift[a] = eps
-            grad[:, a] = (self.signed_distance(pts + shift)
-                          - self.signed_distance(pts - shift)) / (2 * eps)
-        return grad
-
     def shrink(self, r):
         """A region contained in this one at depth >= r (conservative for unions)."""
         if r < 0:
@@ -112,13 +101,6 @@ class Region:
                 raise ValueError("shrink margin exceeds the radius")
             return Region.ball(self.center, self.radius - r)
         return Region.union(*[p.shrink(r) for p in self.parts])
-
-    def inflate(self, r):
-        if self.kind == "box":
-            return Region.box(self.lo - r, self.hi + r)
-        if self.kind == "ball":
-            return Region.ball(self.center, self.radius + r)
-        return Region.union(*[p.inflate(r) for p in self.parts])
 
     def inradius(self) -> float:
         if self.kind == "box":
@@ -145,14 +127,6 @@ class Region:
 
     def is_convex(self) -> bool:
         return self.kind in ("box", "ball")
-
-    def translated(self, offset):
-        offset = np.asarray(offset, dtype=float)
-        if self.kind == "box":
-            return Region.box(self.lo + offset, self.hi + offset)
-        if self.kind == "ball":
-            return Region.ball(self.center + offset, self.radius)
-        return Region.union(*[p.translated(offset) for p in self.parts])
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
@@ -184,15 +158,11 @@ class Region:
 
 @dataclass
 class ScalarField:
-    """Scalar function with an analytic gradient."""
+    """Scalar function, with its analytic gradient where a flow ascends it
+    (the weight eta)."""
 
     evaluate: object
-    gradient: object
-    label: str = ""
-    smoothness: str = "C2"
-
-    def __call__(self, pts):
-        return self.evaluate(np.atleast_2d(np.asarray(pts, dtype=float)))
+    gradient: object = None
 
 
 def _smootherstep(u):
@@ -222,16 +192,7 @@ def cutoff_theta(omega0: Region, k: int) -> ScalarField:
     def evaluate(pts):
         return 1.0 - _smootherstep(k * omega0.depth(pts))
 
-    def gradient(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        depth = omega0.depth(pts)
-        ramp = _smootherstep_d(k * depth) * k
-        # depth gradient = -sdf gradient where inside
-        g = -omega0.sdf_gradient(pts)
-        g[depth <= 0.0] = 0.0
-        return -ramp[:, None] * g
-
-    return ScalarField(evaluate, gradient, label=f"theta_k{k}", smoothness="C2")
+    return ScalarField(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +210,7 @@ def _ball_eta(omega1: Region):
     def gradient(pts):
         return -2.0 * (np.atleast_2d(pts) - c)
 
-    return ScalarField(evaluate, gradient, label="eta_ball")
+    return ScalarField(evaluate, gradient)
 
 
 def _box_eta(omega1: Region, peak, floor_slope: float = 0.0):
@@ -289,7 +250,7 @@ def _box_eta(omega1: Region, peak, floor_slope: float = 0.0):
         b, gb = _bump(pts)
         return (floor_slope + 2.0 * b)[:, None] * gb
 
-    return ScalarField(evaluate, gradient, label="eta_box")
+    return ScalarField(evaluate, gradient)
 
 
 def _sample_region_difference(outer: Region, inner: Region, per_axis: int = 96):
@@ -353,8 +314,6 @@ class GeometricCondition:
     omega0: Region
     margin: float
     resolution: int
-    forward_hits: np.ndarray
-    backward_hits: np.ndarray
 
 
 class ConditionFailure(Exception):
@@ -427,5 +386,4 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
             "control region; use a box-shaped control region")
     return GeometricCondition(
         T0star=float(np.max(fwd_hits)), T1star=float(np.max(back_hits)),
-        omega0=omega0, margin=float(margin), resolution=len(mu0) + len(mu1),
-        forward_hits=fwd_hits, backward_hits=back_hits)
+        omega0=omega0, margin=float(margin), resolution=len(mu0) + len(mu1))

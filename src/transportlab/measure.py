@@ -21,11 +21,7 @@ __all__ = [
     "GridPartition",
     "sample",
     "push_forward",
-    "restrict",
-    "combine",
     "quantile_partition",
-    "LinePartition",
-    "line_quantile_partition",
 ]
 
 
@@ -70,17 +66,11 @@ class ParticleMeasure:
             raise ValueError("empty measure has no support")
         return self.positions.min(axis=0), self.positions.max(axis=0)
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
-
     # -- constructive helpers ---------------------------------------------
     def scaled(self, c: float) -> "ParticleMeasure":
         if c <= 0:
             raise ValueError("scale must be positive")
         return ParticleMeasure(self.positions, self.weights * c, self.tags)
-
-    def with_positions(self, positions) -> "ParticleMeasure":
-        return ParticleMeasure(positions, self.weights, self.tags)
 
     def with_tags(self, tags) -> "ParticleMeasure":
         return ParticleMeasure(self.positions, self.weights, tags)
@@ -147,22 +137,6 @@ class ParticleMeasure:
                 json.dump(self.json_envelope(), fh, indent=2, sort_keys=True)
 
 
-def combine(*measures: ParticleMeasure) -> ParticleMeasure:
-    """Concatenate particle clouds (the measure sum)."""
-    dims = {m.dim for m in measures}
-    if len(dims) != 1:
-        raise ValueError("dimension mismatch")
-    pos = np.concatenate([m.positions for m in measures])
-    wts = np.concatenate([m.weights for m in measures])
-    if any(m.tags is not None for m in measures):
-        tags = np.concatenate([
-            m.tags if m.tags is not None else np.array([""] * len(m), dtype=object)
-            for m in measures])
-    else:
-        tags = None
-    return ParticleMeasure(pos, wts, tags)
-
-
 # ---------------------------------------------------------------------------
 # density specifications
 # ---------------------------------------------------------------------------
@@ -214,15 +188,6 @@ class DensitySpec:
         lo = np.broadcast_to(np.asarray(self.params["lo"], float), (self.dim,))
         hi = np.broadcast_to(np.asarray(self.params["hi"], float), (self.dim,))
         return lo, hi
-
-    @property
-    def support_box(self):
-        if self.kind == "mixture":
-            boxes = [c.support_box for c in self.params["components"]]
-            lo = np.min([b[0] for b in boxes], axis=0)
-            hi = np.max([b[1] for b in boxes], axis=0)
-            return lo, hi
-        return self._box()
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "uniform_box":
@@ -296,7 +261,7 @@ def sample(spec: DensitySpec, count: int, seed: int) -> ParticleMeasure:
 
 
 # ---------------------------------------------------------------------------
-# push-forward and restriction
+# push-forward
 # ---------------------------------------------------------------------------
 
 def push_forward(mu: ParticleMeasure, mapping) -> ParticleMeasure:
@@ -314,12 +279,6 @@ def push_forward(mu: ParticleMeasure, mapping) -> ParticleMeasure:
             f"mapping produced a non-finite image for particle {bad} "
             f"at {mu.positions[bad].tolist()}")
     return ParticleMeasure(new_pos, mu.weights, mu.tags)
-
-
-def restrict(mu: ParticleMeasure, region) -> tuple[ParticleMeasure, ParticleMeasure]:
-    """Split by region membership; together the parts carry every particle."""
-    inside = region.contains(mu.positions)
-    return mu.subset(inside), mu.subset(~inside)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +303,6 @@ class GridPartition:
     inner_x: np.ndarray          # (n, 2)
     inner_y: np.ndarray          # (n, n, 2)
     cell_mass: np.ndarray        # (n, n) empirical mass of each inner cell
-    dim: int = 2
 
     def validate(self) -> None:
         n = self.n
@@ -358,61 +316,6 @@ class GridPartition:
             lo, hi = self.inner_x[i]
             if not (self.outer_x[i] < lo < hi < self.outer_x[i + 1] + 1e-12):
                 raise ValueError(f"inner x bounds out of order in column {i}")
-
-    def inner_cell(self, i: int, j: int):
-        """((xlo, ylo), (xhi, yhi)) corners of the retained cell (i, j)."""
-        xlo, xhi = self.inner_x[i]
-        ylo, yhi = self.inner_y[i, j]
-        return np.array([xlo, ylo]), np.array([xhi, yhi])
-
-
-@dataclass
-class LinePartition:
-    """Quantile mesh on the line: strips of mass 1/n, margins of mass 1/n²."""
-
-    n: int
-    outer: np.ndarray   # (n+1,)
-    inner: np.ndarray   # (n, 2)
-    dim: int = 1
-
-    def validate(self) -> None:
-        if not np.all(np.diff(self.outer) >= 0):
-            raise ValueError("outer breakpoints not nondecreasing")
-        for i in range(self.n):
-            lo, hi = self.inner[i]
-            if not (self.outer[i] < lo < hi < self.outer[i + 1] + 1e-12):
-                raise ValueError(f"inner bounds out of order in strip {i}")
-
-
-def line_quantile_partition(mu: ParticleMeasure, n: int) -> LinePartition:
-    """One-dimensional analogue of the planar quantile mesh."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if mu.dim != 1:
-        raise ValueError("measure must be one-dimensional")
-    lo, hi = mu.support_bbox()
-    if lo[0] < -1e-9 or hi[0] > 1.0 + 1e-9:
-        raise ValueError("support must sit inside the unit interval")
-    pos, wts = mu.positions, mu.weights
-    total = mu.total_mass()
-    order = _axis_order(pos, 0)
-    cum = np.cumsum(wts[order])
-    outer = np.zeros(n + 1)
-    inner = np.zeros((n, 2))
-    start = 0
-    for i in range(1, n + 1):
-        idx = _first_crossing(cum, total * i / n)
-        outer[i] = pos[order[idx], 0]
-        strip = order[start:idx + 1]
-        scum = np.cumsum(wts[strip])
-        smass = scum[-1]
-        lo_idx = _first_crossing(scum, smass / n)
-        hi_idx = _first_crossing(scum, smass * (n - 1) / n)
-        inner[i - 1] = (pos[strip[lo_idx], 0], pos[strip[hi_idx], 0])
-        start = idx + 1
-    part = LinePartition(n=n, outer=outer, inner=inner)
-    part.validate()
-    return part
 
 
 def _first_crossing(cum: np.ndarray, target: float) -> int:

@@ -1,4 +1,4 @@
-"""Exact Wasserstein distances, optimal plans and displacement interpolation.
+"""Exact Wasserstein distances and optimal plans.
 
 Equal-count equal-weight instances solve as a linear assignment problem;
 general weighted instances solve as a transportation linear program. Both
@@ -25,8 +25,6 @@ __all__ = [
     "TransportPlan",
     "w1_1d",
     "wp_discrete",
-    "displacement_interpolate",
-    "wasserstein_inequality_suite",
     "subsampled_w1",
     "EXACT_SOLVER_CAP",
 ]
@@ -196,58 +194,6 @@ def wp_discrete(mu: ParticleMeasure, nu: ParticleMeasure, p: int = 1,
     plan = TransportPlan(plan_n.src_idx, plan_n.tgt_idx, plan_n.mass * mass,
                          mu, nu, p, plan_n.method, plan_n.dual_gap, plan_n.meta)
     return distance, plan
-
-
-def displacement_interpolate(plan: TransportPlan, t: float, delta: float,
-                             merge: bool = False) -> ParticleMeasure:
-    """Measure at time t on the constant-speed path the plan induces.
-
-    One particle per plan entry at ((delta - t) x_i + t y_j)/delta; the
-    endpoints reproduce source and target as weighted point sets (coincident
-    atoms merged on request only).
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not 0.0 <= t <= delta:
-        raise ValueError(f"t = {t} outside [0, {delta}]")
-    lam = t / delta
-    pos = ((1.0 - lam) * plan.source.positions[plan.src_idx]
-           + lam * plan.target.positions[plan.tgt_idx])
-    out = ParticleMeasure(pos, plan.mass)
-    return out.merged_coincident() if merge else out
-
-
-def wasserstein_inequality_suite(mu, nu, rho, eta) -> dict:
-    """Numerical check of the standard Wasserstein comparison inequalities.
-
-    Evaluates p-th power subadditivity under measure sums, monotonicity in
-    p, and the diameter interpolation bound; purely diagnostic.
-    """
-    from .measure import combine
-
-    report = {}
-    for p in (1, 2):
-        lhs, _ = wp_discrete(combine(mu, rho), combine(nu, eta), p)
-        a, _ = wp_discrete(mu, nu, p)
-        b, _ = wp_discrete(rho, eta, p)
-        report[f"subadditivity_p{p}"] = {
-            "lhs": lhs ** p, "rhs": a ** p + b ** p,
-            "slack": a ** p + b ** p - lhs ** p,
-            "holds": lhs ** p <= a ** p + b ** p + 1e-9,
-        }
-    w1v, _ = wp_discrete(mu, nu, 1)
-    w2v, _ = wp_discrete(mu, nu, 2)
-    report["monotone_in_p"] = {"w1": w1v, "w2": w2v, "slack": w2v - w1v,
-                               "holds": w1v <= w2v + 1e-9}
-    pts = np.concatenate([mu.positions, nu.positions])
-    diam = float(np.max(cdist(pts, pts))) if len(pts) else 0.0
-    bound = diam ** 0.5 * w1v ** 0.5
-    report["diameter_interpolation"] = {
-        "w2": w2v, "bound": bound, "diam": diam, "slack": bound - w2v,
-        "holds": w2v <= bound + 1e-9}
-    report["all_hold"] = all(v["holds"] for v in report.values()
-                             if isinstance(v, dict))
-    return report
 
 
 def subsampled_w1(mu: ParticleMeasure, nu: ParticleMeasure, cap: int = 2000,

@@ -21,7 +21,7 @@ from . import _kernels
 from .flow import (TimeField, Trajectory, flow_push, stopped_flow_batch,
                    integrate_batch as _integrate_batch_local)
 from .geometry import Region, cutoff_theta, weight_eta, check_geometric_condition
-from .measure import ParticleMeasure, GridPartition, quantile_partition
+from .measure import ParticleMeasure, quantile_partition
 from .ot import wp_discrete, subsampled_w1
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "ControlSchedule",
     "GridControlField",
     "grid_control",
-    "storage_control",
     "storage_total",
     "approx_controller",
     "exact_controller",
@@ -88,19 +87,6 @@ class ControlSchedule:
     @property
     def horizon(self):
         return self.segments[-1].t_end
-
-    def segment_at(self, t: float) -> ControlSegment:
-        # right-continuous: boundary times belong to the later segment
-        for seg in self.segments:
-            if seg.t_start <= t < seg.t_end:
-                return seg
-        return self.segments[-1]
-
-    def evaluate(self, pts, t):
-        return self.segment_at(t).field.evaluate(pts, t)
-
-    def control_part(self, pts, t):
-        return self.segment_at(t).field.control_part(pts, t)
 
     def max_control_outside(self, omega: Region, n_samples: int, seed: int,
                             bbox=None) -> float:
@@ -167,27 +153,22 @@ class GridControlField(TimeField):
         self.tgt = part_tgt
         self.n = part_src.n
         self.T = float(T)
-        self.planar = isinstance(part_src, GridPartition)
-        if self.planar != isinstance(part_tgt, GridPartition):
-            raise ValueError("partition dimension mismatch")
-        self.axm = part_src.inner_x[:, 0].copy() if self.planar else part_src.inner[:, 0].copy()
-        self.axp = part_src.inner_x[:, 1].copy() if self.planar else part_src.inner[:, 1].copy()
-        self.bxm = part_tgt.inner_x[:, 0].copy() if self.planar else part_tgt.inner[:, 0].copy()
-        self.bxp = part_tgt.inner_x[:, 1].copy() if self.planar else part_tgt.inner[:, 1].copy()
-        if self.planar:
-            self.aym = part_src.inner_y[:, :, 0].copy()
-            self.ayp = part_src.inner_y[:, :, 1].copy()
-            self.bym = part_tgt.inner_y[:, :, 0].copy()
-            self.byp = part_tgt.inner_y[:, :, 1].copy()
+        self.axm = part_src.inner_x[:, 0].copy()
+        self.axp = part_src.inner_x[:, 1].copy()
+        self.bxm = part_tgt.inner_x[:, 0].copy()
+        self.bxp = part_tgt.inner_x[:, 1].copy()
+        self.aym = part_src.inner_y[:, :, 0].copy()
+        self.ayp = part_src.inner_y[:, :, 1].copy()
+        self.bym = part_tgt.inner_y[:, :, 0].copy()
+        self.byp = part_tgt.inner_y[:, :, 1].copy()
         # the last two (t, tables) pairs: RK4's middle stages share a time,
         # and a step's last stage usually shares it with the next step's first
         self._recent_tables = []
         self._assert_disjoint()
-        dim = 2 if self.planar else 1
         sup, lip = self._bounds()
-        super().__init__(self._eval, dim, lipschitz_bound=lip, sup_bound=sup,
-                         time_domain=(0.0, self.T), label=f"grid_n{self.n}",
-                         control_fn=self._eval, smooth=True,
+        super().__init__(self._eval, 2, lipschitz_bound=lip, sup_bound=sup,
+                         label=f"grid_n{self.n}", control_fn=self._eval,
+                         smooth=True,
                          descriptor={"kind": "grid", "n": self.n, "T": self.T})
 
     # boundary interpolants and their coefficient functions -----------------
@@ -221,65 +202,47 @@ class GridControlField(TimeField):
             if t_key == t:
                 return tabs
         cxm, cxp, ax, bx = self._coeffs(self.axm, self.axp, self.bxm, self.bxp, t)
-        gxm, gxp = self._margins(cxm, cxp)
-        tabs = (cxm, cxp, ax, bx, gxm, gxp)
-        if self.planar:
-            cym, cyp, ay, by = self._coeffs(self.aym, self.ayp, self.bym, self.byp, t)
-            gym, gyp = self._margins(cym, cyp)
-            tabs += (cym, cyp, ay, by, gym, gyp)
+        cym, cyp, ay, by = self._coeffs(self.aym, self.ayp, self.bym, self.byp, t)
+        tabs = (cxm, cxp, ax, bx, cym, cyp, ay, by,
+                *self._margins(cxm, cxp), *self._margins(cym, cyp))
         self._recent_tables = [(t, tabs)] + self._recent_tables[:1]
         return tabs
 
     def _eval(self, pts, t):
-        t = min(max(t, 0.0), self.T)
-        if self.planar:
-            (cxm, cxp, ax, bx, gxm, gxp,
-             cym, cyp, ay, by, gym, gyp) = self._tables(t)
-            return _kernels.grid_eval_2d(pts[:, 0], pts[:, 1], cxm, cxp, ax, bx,
-                                         cym, cyp, ay, by, gxm, gxp, gym, gyp)
-        cxm, cxp, ax, bx, gxm, gxp = self._tables(t)
-        return _kernels.grid_eval_1d(pts[:, 0], cxm, cxp, ax, bx, gxm, gxp)
+        # the tables are in grid_eval_2d's argument order after the
+        # coordinates
+        return _kernels.grid_eval_2d(pts[:, 0], pts[:, 1],
+                                     *self._tables(min(max(t, 0.0), self.T)))
 
     def _walls(self, t):
-        """Cell walls at time t: x lower and upper per column, then (planar)
-        y lower and upper per cell."""
-        walls = [self._interp(self.axm, self.bxm, t),
-                 self._interp(self.axp, self.bxp, t)]
-        if self.planar:
-            walls += [self._interp(self.aym, self.bym, t),
-                      self._interp(self.ayp, self.byp, t)]
-        return walls
+        """Cell walls at time t: x lower and upper per column, then y lower
+        and upper per cell."""
+        return (self._interp(self.axm, self.bxm, t),
+                self._interp(self.axp, self.bxp, t),
+                self._interp(self.aym, self.bym, t),
+                self._interp(self.ayp, self.byp, t))
 
     def _assert_disjoint(self):
         for t in (0.0, self.T):
-            cxm, cxp, *y_walls = self._walls(t)
+            cxm, cxp, cym, cyp = self._walls(t)
             if np.any(cxp[:-1] >= cxm[1:]):
                 raise ValueError("moving cells overlap in x")
-            if self.planar:
-                cym, cyp = y_walls
-                if np.any(cyp[:, :-1] >= cym[:, 1:]):
-                    raise ValueError("moving cells overlap in y")
+            if np.any(cyp[:, :-1] >= cym[:, 1:]):
+                raise ValueError("moving cells overlap in y")
 
     def _bounds(self):
         sup = 0.0
         lip = 0.0
         for t in np.linspace(0.0, self.T, 5):
-            tabs = self._tables(t)
-            cxm, cxp, ax, bx, gxm, gxp = tabs[:6]
-            vel_edges = np.maximum(np.abs(ax * (cxm - gxm) + bx),
-                                   np.abs(ax * (cxp + gxp) + bx))
-            sup_t = float(np.max(vel_edges))
-            lip_t = float(np.max(np.abs(ax)
-                                 + vel_edges * 1.875 / np.minimum(gxm, gxp)))
-            if self.planar:
-                cym, cyp, ay, by, gym, gyp = tabs[6:]
-                vy = np.maximum(np.abs(ay * (cym - gym) + by),
-                                np.abs(ay * (cyp + gyp) + by))
-                sup_t = max(sup_t, float(np.max(vy)))
-                lip_t = max(lip_t, float(np.max(np.abs(ay)
-                                                + vy * 1.875 / np.minimum(gym, gyp))))
-            sup = max(sup, sup_t)
-            lip = max(lip, lip_t)
+            cxm, cxp, ax, bx, cym, cyp, ay, by, gxm, gxp, gym, gyp = \
+                self._tables(t)
+            for cm, cp, a, b, gm, gp in ((cxm, cxp, ax, bx, gxm, gxp),
+                                         (cym, cyp, ay, by, gym, gyp)):
+                vel_edges = np.maximum(np.abs(a * (cm - gm) + b),
+                                       np.abs(a * (cp + gp) + b))
+                sup = max(sup, float(np.max(vel_edges)))
+                lip = max(lip, float(np.max(
+                    np.abs(a) + vel_edges * 1.875 / np.minimum(gm, gp))))
         return sup, lip
 
     def cell_flow(self, pts, ta, tb):
@@ -292,21 +255,16 @@ class GridControlField(TimeField):
         to the caller.
         """
         pts = np.atleast_2d(pts)
-        xm_a, xp_a, *y_a = self._walls(min(max(ta, 0.0), self.T))
-        xm_b, xp_b, *y_b = self._walls(min(max(tb, 0.0), self.T))
-        px = pts[:, 0]
+        xm_a, xp_a, ym_a, yp_a = self._walls(min(max(ta, 0.0), self.T))
+        xm_b, xp_b, ym_b, yp_b = self._walls(min(max(tb, 0.0), self.T))
+        px, py = pts[:, 0], pts[:, 1]
         i = np.maximum(np.searchsorted(xm_a, px, side="right") - 1, 0)
         inside, x = _carry(px, xm_a[i], xp_a[i], xm_b[i], xp_b[i])
-        images = x[:, None]
-        if self.planar:
-            (ym_a, yp_a), (ym_b, yp_b) = y_a, y_b
-            py = pts[:, 1]
-            j = np.maximum(_kernels.row_search(ym_a, i, py, side="right") - 1, 0)
-            inside_y, y = _carry(py, ym_a[i, j], yp_a[i, j], ym_b[i, j],
-                                 yp_b[i, j])
-            inside &= inside_y
-            images = np.stack([x, y], axis=1)
-        return inside, images[inside]
+        j = np.maximum(_kernels.row_search(ym_a, i, py, side="right") - 1, 0)
+        inside_y, y = _carry(py, ym_a[i, j], yp_a[i, j], ym_b[i, j],
+                             yp_b[i, j])
+        inside &= inside_y
+        return inside, np.stack([x, y], axis=1)[inside]
 
     def flow(self, pts, ta, tb, tol):
         """Positions at tb of the points ``pts`` at ta.
@@ -331,35 +289,24 @@ class GridControlField(TimeField):
     def corner_pairs(self):
         """(start, end) positions of every inner-cell corner."""
         starts, ends = [], []
-        if self.planar:
-            for i in range(self.n):
-                for j in range(self.n):
-                    for xa, xb in ((self.axm[i], self.bxm[i]), (self.axp[i], self.bxp[i])):
-                        for ya, yb in ((self.aym[i, j], self.bym[i, j]),
-                                       (self.ayp[i, j], self.byp[i, j])):
-                            starts.append([xa, ya])
-                            ends.append([xb, yb])
-        else:
-            for i in range(self.n):
-                starts.extend([[self.axm[i]], [self.axp[i]]])
-                ends.extend([[self.bxm[i]], [self.bxp[i]]])
+        for i in range(self.n):
+            for j in range(self.n):
+                for xa, xb in ((self.axm[i], self.bxm[i]), (self.axp[i], self.bxp[i])):
+                    for ya, yb in ((self.aym[i, j], self.bym[i, j]),
+                                   (self.ayp[i, j], self.byp[i, j])):
+                        starts.append([xa, ya])
+                        ends.append([xb, yb])
         return np.array(starts), np.array(ends)
 
     def source_cells(self):
-        if self.planar:
-            return [(np.array([self.axm[i], self.aym[i, j]]),
-                     np.array([self.axp[i], self.ayp[i, j]]))
-                    for i in range(self.n) for j in range(self.n)]
-        return [(np.array([self.axm[i]]), np.array([self.axp[i]]))
-                for i in range(self.n)]
+        return [(np.array([self.axm[i], self.aym[i, j]]),
+                 np.array([self.axp[i], self.ayp[i, j]]))
+                for i in range(self.n) for j in range(self.n)]
 
     def target_cells(self):
-        if self.planar:
-            return [(np.array([self.bxm[i], self.bym[i, j]]),
-                     np.array([self.bxp[i], self.byp[i, j]]))
-                    for i in range(self.n) for j in range(self.n)]
-        return [(np.array([self.bxm[i]]), np.array([self.bxp[i]]))
-                for i in range(self.n)]
+        return [(np.array([self.bxm[i], self.bym[i, j]]),
+                 np.array([self.bxp[i], self.byp[i, j]]))
+                for i in range(self.n) for j in range(self.n)]
 
 
 def _carry(p, lo_a, hi_a, lo_b, hi_b):
@@ -381,39 +328,25 @@ def grid_control(partition_src, partition_tgt, T: float) -> GridControlField:
 # storage control
 # ---------------------------------------------------------------------------
 
-def storage_control(v: TimeField, omega0: Region, k: int) -> TimeField:
-    """Control (theta_k - 1) v: cancels the drift progressively inside omega0,
-    exactly zero outside it and total velocity exactly zero at depth 1/k."""
-    theta = cutoff_theta(omega0, k)
-
-    def ctrl(pts, t):
-        return (theta.evaluate(pts) - 1.0)[:, None] * v.evaluate(pts, t)
-
-    u = TimeField(ctrl, v.dim,
-                  lipschitz_bound=v.sup_bound * 1.875 * k + 2 * v.lipschitz_bound,
-                  sup_bound=v.sup_bound, support_region=omega0,
-                  label=f"storage_k{k}", control_fn=ctrl,
-                  descriptor={"kind": "storage", "k": k,
-                              "omega0": omega0.to_dict()})
-    u.theta = theta
-    return u
-
-
 def storage_total(v: TimeField, omega0: Region, k: int) -> TimeField:
-    """Total velocity theta_k * v of the storage phase."""
-    u = storage_control(v, omega0, k)
-    theta = u.theta
+    """Total velocity theta_k * v of the storage phase. Its control part
+    (theta_k - 1) v cancels the drift progressively inside omega0: it is
+    exactly zero outside omega0, and the total velocity is exactly zero at
+    depth 1/k."""
+    theta = cutoff_theta(omega0, k)
 
     def total(pts, t):
         return theta.evaluate(pts)[:, None] * v.evaluate(pts, t)
 
-    fld = TimeField(total, v.dim,
-                    lipschitz_bound=v.sup_bound * 1.875 * k + v.lipschitz_bound,
-                    sup_bound=v.sup_bound, label=f"storage_total_k{k}",
-                    control_fn=u.control_fn, descriptor=u.descriptor)
-    fld.theta = theta
-    fld.k = k
-    return fld
+    def ctrl(pts, t):
+        return (theta.evaluate(pts) - 1.0)[:, None] * v.evaluate(pts, t)
+
+    return TimeField(total, v.dim,
+                     lipschitz_bound=v.sup_bound * 1.875 * k + v.lipschitz_bound,
+                     sup_bound=v.sup_bound, label=f"storage_total_k{k}",
+                     control_fn=ctrl,
+                     descriptor={"kind": "storage", "k": k,
+                                 "omega0": omega0.to_dict()})
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +457,7 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     lip = (wd_max * float(np.max(np.abs(log_lam)))
            + (sup + v.sup_bound) * 1.875 / blend_band + v.lipschitz_bound)
     fld = TimeField(total, v.dim, lipschitz_bound=lip, sup_bound=sup,
-                    support_region=omega1.inflate(blend_band),
-                    time_domain=(0.0, span), label="funnel_affine",
-                    control_fn=ctrl,
+                    label="funnel_affine", control_fn=ctrl,
                     descriptor={"kind": "funnel_affine",
                                 "ratios": lam.tolist(),
                                 "from": cloud_box.to_dict(),
@@ -725,8 +656,7 @@ class MovingFrameGridField(TimeField):
         lip = inner.lipschitz_bound * ratio + drift_lip + \
             (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
         super().__init__(self._eval, inner.dim, lipschitz_bound=lip,
-                         sup_bound=sup, support_region=gate_core.inflate(band),
-                         time_domain=(t0, t1), label="grid_frame",
+                         sup_bound=sup, label="grid_frame",
                          control_fn=self._ctrl,
                          descriptor={"kind": "grid_frame",
                                      "inner": inner.descriptor,
@@ -795,12 +725,11 @@ class MovingFrameGridField(TimeField):
 def _shift_time(field: TimeField, offset: float) -> TimeField:
     """The same field with its clock started at ``offset`` (segment-local
     fields in a schedule)."""
-    fld = TimeField(lambda pts, t: field.evaluate(pts, t - offset),
-                    field.dim, field.lipschitz_bound, field.sup_bound,
-                    support_region=field.support_region, label=field.label,
-                    control_fn=lambda pts, t: field.control_part(pts, t - offset),
-                    descriptor=field.descriptor)
-    return fld
+    return TimeField(lambda pts, t: field.evaluate(pts, t - offset),
+                     field.dim, field.lipschitz_bound, field.sup_bound,
+                     label=field.label,
+                     control_fn=lambda pts, t: field.control_part(pts, t - offset),
+                     descriptor=field.descriptor)
 
 
 def _sample_sup_v(v: TimeField, bbox_lo, bbox_hi, seed=0, n=4096) -> float:
@@ -848,19 +777,12 @@ def _select_untouched(state: ParticleMeasure, must_tag: np.ndarray,
     return tagged
 
 
-def _choose_n(epsilon: float, lip_back: float, back_span: float,
-              count: int, n_override=None):
-    """Smallest n meeting the contraction-compensated grid target, capped by
-    the resolution the particle count supports."""
-    n_cap = max(3, min(64, int(math.isqrt(max(count, 9) // 25))))
+def _choose_n(count: int, n_override=None) -> int:
+    """Cells per axis of the grid phase: the override if given, else the
+    finest mesh the particle count resolves, max(3, min(64, isqrt(N // 25)))."""
     if n_override is not None:
-        return int(n_override), None, True
-    exponent = min(2.0 * lip_back * back_span, 700.0)
-    target = epsilon / (2.0 * math.exp(exponent))
-    for n in range(3, n_cap + 1):
-        if grid_error_bound(n) <= target:
-            return n, target, True
-    return n_cap, target, False
+        return int(n_override)
+    return max(3, min(64, int(math.isqrt(max(count, 9) // 25))))
 
 
 def approx_controller(scenario, epsilon: float | None = None) -> ControllerResult:
@@ -954,10 +876,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 
     # phase 3: grid control between the two parked clouds, in normalized
     # coordinates of a box inside S
-    n, n_target, n_met = _choose_n(
-        epsilon,
-        max(fun_back.lipschitz_bound, store_back.lipschitz_bound),
-        t5 - t3, len(grid_source_cloud), scenario.params.get("n"))
+    n = _choose_n(len(grid_source_cloud), scenario.params.get("n"))
 
     def cloud_frame(cloud):
         lo, hi = cloud.support_bbox()
@@ -1000,7 +919,6 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             return -fld.evaluate(pts, duration - (t - offset))
 
         return TimeField(rev_fn, fld.dim, fld.lipschitz_bound, fld.sup_bound,
-                         support_region=fld.support_region,
                          label=f"rev({fld.label})",
                          control_fn=lambda pts, t: rev_fn(pts, t) - v.evaluate(pts, t),
                          descriptor=descriptor)
@@ -1045,8 +963,6 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
                    "backward_expansion": fun_back.expansion},
         "grid_n": n,
         "grid_bound": grid_error_bound(n),
-        "grid_bound_target": n_target,
-        "grid_bound_met": n_met,
         "untouched": {
             "target_mass": eps_mass,
             "rbar": rbar,

@@ -1,0 +1,91 @@
+"""Command-line contracts: input errors exit 1 before any flow runs,
+scenario files round-trip, and the counterexample tables show their
+trends."""
+import json
+import math
+
+import pytest
+
+from transportlab import cli
+from transportlab.scenarios import (Scenario, load_scenario,
+                                    random_exact_scenario)
+
+
+def figure1_with(tmp_path, **changes):
+    data = load_scenario("figure1").to_dict()
+    data.update(changes)
+    data["params"]["particles"] = 300
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("mode", ["approx", "exact"])
+def test_run_rejects_a_non_box_omega_up_front(tmp_path, capsys, monkeypatch,
+                                              mode):
+    # both controllers need a box omega to place the storage set in; a ball
+    # is an input error, reported before the crossing check runs
+    def never(*args, **kwargs):
+        raise AssertionError("a controller ran on a non-box omega")
+
+    monkeypatch.setattr(cli, "approx_controller", never)
+    monkeypatch.setattr(cli, "exact_controller", never)
+    path = figure1_with(tmp_path, omega={"kind": "ball",
+                                         "center": [2.7, 0.1], "radius": 1.2})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--mode", mode,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "box" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_truncated_scenario_is_an_input_error(tmp_path, capsys, command):
+    text = figure1_with(tmp_path).read_text()
+    path = tmp_path / "truncated.json"
+    path.write_text(text[:len(text) // 2])
+    assert cli.main([command, "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("scenario error:")
+
+
+@pytest.mark.parametrize("scenario", [load_scenario("figure1"),
+                                      load_scenario("two-bump-merge"),
+                                      random_exact_scenario(4, "merge")])
+def test_scenario_hash_survives_save_and_load(tmp_path, scenario):
+    path = tmp_path / "scenario.json"
+    scenario.save(path)
+    back = load_scenario(path)
+    assert isinstance(back, Scenario)
+    assert back.scenario_hash() == scenario.scenario_hash()
+
+
+def counterexample(tmp_path, name):
+    assert cli.main(["counterexample", "--name", name,
+                     "--out", str(tmp_path)]) == 0
+    stem = name.replace("-", "_")
+    return json.loads((tmp_path / f"{stem}.json").read_text())["diagnostic"]
+
+
+def test_bv_merge_integral_grows_by_ln2_per_halving(tmp_path):
+    # along two merging paths the integral is the variation of log|y - z|,
+    # ln 2 per halving of the gap: 0.71, 1.39, 2.10, 2.77, ...
+    table = counterexample(tmp_path, "bv-merge")
+    rows = table["rows"]
+    assert table["merged"] and len(rows) >= 10
+    for row in rows:
+        assert abs(row["integral"] - row["halvings"] * math.log(2)) < 0.05
+    assert (tmp_path / "bv_merge.csv").read_text().count("\n") == len(rows) + 1
+
+
+def test_shear_jump_and_lipschitz_blowup(tmp_path):
+    # the naive full-cell map jumps by 0.75 across the interior column line,
+    # so its difference quotient grows tenfold per decade of epsilon
+    table = counterexample(tmp_path, "shear")
+    assert table["max_jump"] == pytest.approx(0.75, rel=1e-12)
+    lips = table["lipschitz_table"]
+    assert [row["epsilon"] for row in lips] == [1e-1, 1e-2, 1e-3, 1e-4]
+    for coarse, fine in zip(lips, lips[1:]):
+        assert fine["lipschitz_estimate"] == pytest.approx(
+            10.0 * coarse["lipschitz_estimate"], rel=1e-9)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from transportlab.flow import (GaussianBump, TimeField, Trajectory,
-                               _integrate_batch, choose_step, dopri_batch,
-                               flow_push, integrate_batch,
-                               integrate_flow, stopped_flow_batch,
-                               weak_residual)
+from transportlab.flow import (TimeField, Trajectory, _integrate_batch,
+                               choose_step, dopri_batch, flow_push,
+                               integrate_batch, stopped_flow_batch)
 from transportlab.geometry import Region
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.ot import wp_discrete
@@ -20,14 +18,16 @@ def sqrt_drift():
 
 
 class TestIntegrateFlow:
+    """Fixed-step RK4 (``_integrate_batch``), here on one-row batches."""
+
     def test_zero_field(self):
-        out = integrate_flow(TimeField.zero(2), [0.3, 0.7], 0.0, 5.0, 1e-6)
-        assert np.allclose(out, [0.3, 0.7])
+        out = _integrate_batch(TimeField.zero(2), [[0.3, 0.7]], 0.0, 5.0, 1e-6)
+        assert np.allclose(out, [[0.3, 0.7]])
 
     def test_constant_field(self):
-        out = integrate_flow(TimeField.constant([2.0, -1.0]), [0.0, 0.0],
-                             0.0, 1.0, 1e-9)
-        assert np.allclose(out, [2.0, -1.0], atol=1e-12)
+        out = _integrate_batch(TimeField.constant([2.0, -1.0]), [[0.0, 0.0]],
+                               0.0, 1.0, 1e-9)
+        assert np.allclose(out, [[2.0, -1.0]], atol=1e-12)
 
     @pytest.mark.parametrize("span,tol", [(1.0, 1e-6), (2.5, 1e-8),
                                           (0.3, 1e-2)])
@@ -63,28 +63,28 @@ class TestIntegrateFlow:
     def test_sqrt_drift_closed_form(self):
         # separable dynamics: x(t) = (sqrt(x0) + t/2)^2, so 1 -> 2.25 at t = 1
         with pytest.warns(UserWarning):
-            out = integrate_flow(sqrt_drift(), [1.0], 0.0, 1.0, 1e-10)
-        assert abs(out[0] - 2.25) < 1e-8
+            out = _integrate_batch(sqrt_drift(), [[1.0]], 0.0, 1.0, 1e-10)
+        assert abs(out[0, 0] - 2.25) < 1e-8
 
     def test_semigroup(self):
         fld = TimeField.affine([[0.0, -1.0], [1.0, 0.0]], [0.1, 0.0])
         tol = 1e-8
-        direct = integrate_flow(fld, [1.0, 0.0], 0.0, 2.0, tol)
-        half = integrate_flow(fld, [1.0, 0.0], 0.0, 1.0, tol)
-        two = integrate_flow(fld, half, 1.0, 2.0, tol)
+        direct = _integrate_batch(fld, [[1.0, 0.0]], 0.0, 2.0, tol)
+        half = _integrate_batch(fld, [[1.0, 0.0]], 0.0, 1.0, tol)
+        two = _integrate_batch(fld, half, 1.0, 2.0, tol)
         assert np.linalg.norm(direct - two) < 10 * tol
 
     def test_reversibility(self):
         fld = TimeField.affine([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.2])
         tol = 1e-8
-        fwd = integrate_flow(fld, [0.5, -0.25], 0.0, 1.5, tol)
-        back = integrate_flow(fld.negated(), fwd, 0.0, 1.5, tol)
-        assert np.linalg.norm(back - np.array([0.5, -0.25])) < 100 * tol
+        fwd = _integrate_batch(fld, [[0.5, -0.25]], 0.0, 1.5, tol)
+        back = _integrate_batch(fld.negated(), fwd, 0.0, 1.5, tol)
+        assert np.linalg.norm(back - np.array([[0.5, -0.25]])) < 100 * tol
 
     def test_nonfinite_field_reports_location(self):
         fld = TimeField(lambda p, t: np.sqrt(p), 1, sup_bound=np.inf)
         with pytest.raises(FloatingPointError, match="particle 0"):
-            integrate_flow(fld, [-1.0], 0.0, 1.0, 1e-6)
+            _integrate_batch(fld, [[-1.0]], 0.0, 1.0, 1e-6)
 
 
 class TestDopri:
@@ -403,7 +403,7 @@ class TestStoppedFlow:
         assert np.max(starts[:, 0]) < near - 1e-6
 
 
-class TestWeakResidual:
+class TestTrajectory:
     @staticmethod
     def make_traj(field, mu, times, tol=1e-8):
         states = [mu]
@@ -411,41 +411,16 @@ class TestWeakResidual:
             states.append(flow_push(field, states[-1], a, b, tol))
         return Trajectory(np.asarray(times), states, field_ref=field)
 
-    def test_zero_field_zero_residual(self):
-        mu = sample(DensitySpec("uniform_box", 2,
-                                {"lo": [0, 0], "hi": [1, 1]}), 100, seed=2)
-        fld = TimeField.zero(2)
-        traj = self.make_traj(fld, mu, np.linspace(0, 1, 9))
-        res = weak_residual(traj, fld, [GaussianBump([0.5, 0.5], 0.3)])
-        assert max(res.values()) < 1e-12
-
-    def test_constant_field_second_order(self):
-        mu = sample(DensitySpec("uniform_box", 2,
-                                {"lo": [0, 0], "hi": [1, 1]}), 200, seed=3)
-        fld = TimeField.constant([0.7, -0.3])
-        bump = GaussianBump([0.6, 0.4], 0.5)
-        res_coarse = weak_residual(
-            self.make_traj(fld, mu, np.linspace(0, 0.8, 9)), fld, [bump])
-        res_fine = weak_residual(
-            self.make_traj(fld, mu, np.linspace(0, 0.8, 17)), fld, [bump])
-        assert res_fine[0] < res_coarse[0] / 3.0  # ~ second order
-
-    def test_too_few_snapshots(self):
-        mu = sample(DensitySpec("uniform_box", 1,
-                                {"lo": [0.0], "hi": [1.0]}), 10, seed=4)
-        traj = Trajectory(np.array([0.0, 1.0]), [mu, mu])
-        with pytest.raises(ValueError):
-            weak_residual(traj, TimeField.zero(1), [GaussianBump([0.5], 0.2)])
-
-
-class TestTrajectory:
     def test_mass_constant(self):
         mu = sample(DensitySpec("uniform_box", 2,
                                 {"lo": [0, 0], "hi": [1, 1]}), 64, seed=5)
         fld = TimeField.affine([[0.0, 0.5], [-0.5, 0.0]], [0.0, 0.0])
         times = np.linspace(0, 1, 6)
-        traj = TestWeakResidual.make_traj(fld, mu, times)
-        assert np.allclose(traj.mass_profile(), mu.total_mass())
+        traj = self.make_traj(fld, mu, times)
+        assert len(traj.states) == len(times)
+        for state in traj.states:
+            assert state.total_mass() == pytest.approx(mu.total_mass(),
+                                                       rel=1e-12)
 
     def test_save_layout(self, tmp_path):
         mu = sample(DensitySpec("uniform_box", 2,

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportlab.geometry import Region
-from transportlab.measure import (DensitySpec, ParticleMeasure, combine,
-                                  line_quantile_partition, push_forward,
-                                  quantile_partition, restrict, sample)
+from transportlab.measure import (DensitySpec, ParticleMeasure, push_forward,
+                                  quantile_partition, sample)
 
 
 def unit_square_spec():
@@ -104,31 +103,6 @@ class TestPushForward:
             push_forward(mu, lambda p: np.where(p == 0.0, np.inf, p))
 
 
-class TestRestrict:
-    def test_region_covering_support(self):
-        mu = sample(unit_square_spec(), 30, seed=3)
-        inside, outside = restrict(mu, Region.box([-1, -1], [2, 2]))
-        assert len(inside) == 30 and len(outside) == 0
-
-    def test_disjoint_region(self):
-        mu = sample(unit_square_spec(), 30, seed=3)
-        inside, outside = restrict(mu, Region.box([5, 5], [6, 6]))
-        assert len(inside) == 0 and len(outside) == 30
-
-    def test_half_mass(self):
-        spec = DensitySpec("uniform_box", 1, {"lo": [0.0], "hi": [1.0]})
-        mu = sample(spec, 10_000, seed=6)
-        inside, _ = restrict(mu, Region.box([0.0], [0.5]))
-        assert abs(inside.total_mass() - 0.5) < 0.02
-
-    def test_exact_conservation(self):
-        mu = sample(unit_square_spec(), 501, seed=10)
-        inside, outside = restrict(mu, Region.ball([0.5, 0.5], 0.3))
-        merged = np.sort(np.concatenate([inside.weights, outside.weights]))
-        assert np.array_equal(merged, np.sort(mu.weights))
-        assert len(inside) + len(outside) == len(mu)
-
-
 class TestMeasureBasics:
     def test_scaling_mass_not_bbox(self):
         mu = sample(unit_square_spec(), 40, seed=12)
@@ -155,15 +129,6 @@ class TestMeasureBasics:
         assert back.checksum() == mu.checksum()
         env = mu.json_envelope()
         assert env["count"] == 25 and env["dim"] == 2
-
-    def test_combine(self):
-        a = sample(unit_square_spec(), 10, seed=1)
-        b = sample(unit_square_spec(), 15, seed=2)
-        both = combine(a, b)
-        assert len(both) == 25
-        assert np.isclose(both.total_mass(),
-                          a.total_mass() + b.total_mass())
-
 
 def uniform_quantiles_oracle(lo, hi, n):
     """Closed-form column breakpoints of the uniform density on a box."""
@@ -234,29 +199,6 @@ class TestQuantilePartition:
         mu = ParticleMeasure(pos, wts)
         with pytest.warns(UserWarning):
             quantile_partition(mu, mu, 3)
-
-    def test_line_partition_uniform(self):
-        spec = DensitySpec("uniform_box", 1, {"lo": [0.0], "hi": [1.0]})
-        mu = sample(spec, 30_000, seed=31)
-        part = line_quantile_partition(mu, 4)
-        assert np.allclose(part.outer[1:], [0.25, 0.5, 0.75, 1.0], atol=0.02)
-        assert abs(part.inner[0, 0] - 1 / 16) < 0.02
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=200), st.integers(0, 2 ** 31))
-def test_restrict_is_partition(count, seed):
-    rng = np.random.default_rng(seed)
-    mu = ParticleMeasure(rng.standard_normal((count, 2)),
-                         rng.random(count) + 0.01)
-    inside, outside = restrict(mu, Region.ball([0.0, 0.0], 1.0))
-    assert len(inside) + len(outside) == count
-    # each weight survives bit-exactly; totals agree up to summation order
-    merged = np.sort(np.concatenate([inside.weights, outside.weights]))
-    assert np.array_equal(merged, np.sort(mu.weights))
-    assert np.isclose(inside.total_mass() + outside.total_mass(),
-                      mu.total_mass(), rtol=1e-13, atol=0.0)
-
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31))

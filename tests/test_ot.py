@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.oracle import brute_force_wp, two_bump_quantile_w1
-from transportlab.ot import (displacement_interpolate, subsampled_w1, w1_1d,
-                             wasserstein_inequality_suite, wp_discrete)
+from transportlab.ot import subsampled_w1, w1_1d, wp_discrete
 
 
 def atoms(positions, weights=None):
@@ -132,54 +131,8 @@ class TestWpDiscrete:
         assert np.isclose(rep["distance"], dist)
 
 
-class TestDisplacementInterpolation:
-    def setup_method(self):
-        rng = np.random.default_rng(8)
-        self.mu = random_cloud(rng, 12)
-        self.nu = random_cloud(rng, 12)
-        _, self.plan = wp_discrete(self.mu, self.nu, p=2)
-
-    def test_endpoints(self):
-        start = displacement_interpolate(self.plan, 0.0, 2.0, merge=True)
-        end = displacement_interpolate(self.plan, 2.0, 2.0, merge=True)
-        assert np.allclose(np.sort(start.positions, axis=0),
-                           np.sort(self.mu.positions, axis=0))
-        assert np.allclose(np.sort(end.positions, axis=0),
-                           np.sort(self.nu.positions, axis=0))
-
-    def test_constant_speed(self):
-        delta = 2.0
-        base, _ = wp_discrete(self.mu, self.nu, 2)
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            s, t = np.sort(rng.random(2) * delta)
-            ms = displacement_interpolate(self.plan, s, delta)
-            mt = displacement_interpolate(self.plan, t, delta)
-            dist, _ = wp_discrete(ms, mt, 2)
-            assert abs(dist - (t - s) / delta * base) < 1e-8
-
-    def test_time_bounds(self):
-        with pytest.raises(ValueError):
-            displacement_interpolate(self.plan, -0.1, 2.0)
-        with pytest.raises(ValueError):
-            displacement_interpolate(self.plan, 2.1, 2.0)
-
-
 class TestInequalitySuite:
-    def test_degenerate_all_zero(self):
-        mu = atoms([[0.0, 0.0], [1.0, 0.0]])
-        rho = atoms([[0.5, 0.5]])
-        rep = wasserstein_inequality_suite(mu, mu, rho, rho)
-        assert rep["all_hold"]
-        assert rep["subadditivity_p1"]["lhs"] == 0.0
-
-    def test_random_instances_hold(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            mu, nu = random_cloud(rng, 5), random_cloud(rng, 5)
-            rho, eta = random_cloud(rng, 4), random_cloud(rng, 4)
-            rep = wasserstein_inequality_suite(mu, nu, rho, eta)
-            assert rep["all_hold"], rep
+    """Standard Wasserstein comparison inequalities on exact values."""
 
     def test_unit_box_diameter_bound(self):
         rng = np.random.default_rng(11)

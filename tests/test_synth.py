@@ -203,6 +203,20 @@ def test_report_counts_closed_form_moves(tmp_path):
     assert 0.0 < grid_flow["h_min"] <= grid_flow["h_max"]
     assert grid_flow["h_first"] == pytest.approx(
         0.1 / grid_flow["lipschitz"], rel=1e-2)
+    # mass is conserved and each side's untouched set is its target mass
+    # up to one particle weight
+    assert report["mass_total"] == pytest.approx(1.0, abs=1e-12)
+    untouched = report["untouched"]
+    for side in ("source", "target"):
+        assert abs(untouched[f"tagged_mass_{side}"]
+                   - untouched["target_mass"]) <= 1.0 / 400
+    # n comes from the count of untagged particles the grid phase moves:
+    # isqrt(394 // 25) = 3
+    grid_count = 400 - untouched["count_source"]
+    assert report["grid_n"] == max(3, min(64, math.isqrt(grid_count // 25))) \
+        == 3
+    assert report["grid_bound"] == synth.grid_error_bound(3)
+    assert not {"grid_bound_target", "grid_bound_met"} & set(report)
 
 
 class TestStudyCli:
@@ -386,6 +400,24 @@ def test_storage_knots_follow_a_constant_drift():
     assert np.max(np.abs(paths - exact)) < 1e-12
 
 
+def on_path_control_outside(schedule, omega):
+    """Largest |control| of the witness segments at their own atoms outside
+    omega, at every knot time and knot midpoint. Sampled points never come
+    within ``match_tol`` of an atom, so ``max_control_outside`` cannot see
+    the control where the witness acts."""
+    worst = 0.0
+    for seg in schedule.segments:
+        wf = seg.field
+        mids = 0.5 * (wf.knots[:-1] + wf.knots[1:])
+        for t in np.concatenate([wf.knots, mids]):
+            pos, _ = wf.positions_at(t)
+            pos = pos[~omega.contains(pos)]
+            if len(pos):
+                ctrl = wf.control_part(pos, t)
+                worst = max(worst, float(np.max(np.linalg.norm(ctrl, axis=1))))
+    return worst
+
+
 class TestExactControllerContract:
     """Exact lane on a hand-made 3 + 2 atom scenario with unequal weights,
     so the plan splits an atom."""
@@ -421,6 +453,7 @@ class TestExactControllerContract:
 
         omega = self.scenario.omega_region()
         assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
+        assert on_path_control_outside(result.schedule, omega) <= 1e-12
 
     def test_report_carries_funnel_ascent(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -461,3 +494,4 @@ def test_random_exact_scenario_contract(kind):
         assert abs(state.total_mass() - mu0.total_mass()) < 1e-12
     omega = scenario.omega_region()
     assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
+    assert on_path_control_outside(result.schedule, omega) <= 1e-12
