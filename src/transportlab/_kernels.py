@@ -1,5 +1,12 @@
-"""Hot numeric kernels: the weighted 1D W1 merge and the moving-cell grid
-field, both vectorized numpy over whole particle batches."""
+"""Hot numeric kernels: the weighted 1D W1 merge, the row-wise sorted
+search and the moving-cell velocity along one axis, all vectorized numpy
+over whole particle batches.
+
+``grid_eval_2d`` and its helpers ``_falloff`` and ``_nearest_column``
+evaluate the earlier design's inner-cell field with a quintic falloff; the
+package no longer calls them. They stay because the benchmark harness
+looks them up by name: its probe times ``grid_eval_2d``.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -32,24 +39,25 @@ def w1_pair_sorted(xa, wa, xb, wb):
 
 
 # ---------------------------------------------------------------------------
-# moving-cell affine field evaluation (the grid-control hot path)
+# the earlier inner-cell field, kept for the benchmark probe
 # ---------------------------------------------------------------------------
 #
 # Columns i carry intervals (cxm[i], cxp[i]) with per-column affine velocity
 # ax[i]*x + bx[i]; cells (i, j) carry (cym[i,j], cyp[i,j]) with ay[i,j]*y +
 # by[i,j]. Outside a cell the velocity is damped by a quintic falloff over
 # the half-gap to the neighbouring cell (gxm/gxp per column, gym/gyp per
-# cell), so fields of distinct cells never overlap and the global field
-# stays smooth.
+# cell).
 
 def _falloff(dist, margin):
+    """Quintic falloff of ``grid_eval_2d``; kept with it for the probe."""
     u = np.clip(np.divide(dist, margin, out=np.full_like(dist, np.inf),
                           where=margin > 0.0), 0.0, 1.0)
     return 1.0 - u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
 def _nearest_column(px, cxm, cxp, gxm, gxp):
-    """Index of the nearest interval and the falloff factor there."""
+    """Index of the nearest interval and the falloff factor there; kept
+    with ``grid_eval_2d`` for the probe."""
     n = cxm.shape[0]
     i = np.minimum(np.searchsorted(cxp, px), n - 1)
     has_prev = i > 0
@@ -84,9 +92,20 @@ def row_search(table, rows, values, side="left"):
     return found - table.shape[1] * rows
 
 
+def row_cell(walls, rows, values):
+    """Cell c of row ``rows[k]`` with walls[r, c] <= values[k] < walls[r,
+    c + 1] for every k; a value beyond the outer walls gets the outermost
+    cell, one on an interior wall the cell above it."""
+    found = row_search(walls, rows, values, side="right")
+    return np.clip(found - 1, 0, walls.shape[1] - 2)
+
+
 def grid_eval_2d(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
                  gxm, gxp, gym, gyp):
-    """Velocity of the 2D moving-cell field at particle positions."""
+    """Velocity of the earlier 2D inner-cell field at particle positions.
+
+    No package code calls it; ``benchmarks/probe.py`` times it by name and
+    ``benchmarks/tracer.py`` patches it."""
     n = cxm.shape[0]
     i, sx = _nearest_column(px, cxm, cxp, gxm, gxp)
 
@@ -113,13 +132,18 @@ def grid_eval_2d(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
     return out
 
 
-def grid_eval_1d(px, cxm, cxp, ax, bx, gxm, gxp):
-    """Velocity of the 1D moving-cell field at particle positions.
+def grid_eval_1d(px, rows, walls, alpha, beta):
+    """Velocity along one axis of the moving-cell field.
 
-    The package no longer calls it (the moving-cell grid is planar only);
-    it stays while ``benchmarks/tracer.py`` patches it by name."""
-    i, sx = _nearest_column(px, cxm, cxp, gxm, gxp)
-    return (sx * (ax[i] * px + bx[i]))[:, None]
+    Point k lies in the row ``rows[k]`` of cells, whose walls are
+    ``walls[rows[k]]`` (sorted, shape ``(rows, n + 1)``); inside cell c its
+    velocity is ``alpha[r, c] * px + beta[r, c]``, and it is zero outside
+    the row's outer walls. ``benchmarks/tracer.py`` patches it by name to
+    count grid-field evaluations.
+    """
+    c = row_cell(walls, rows, px)
+    inside = (walls[rows, 0] <= px) & (px <= walls[rows, -1])
+    return np.where(inside, alpha[rows, c] * px + beta[rows, c], 0.0)
 
 
 def active_lane() -> str:

@@ -4,25 +4,19 @@ Two steppers integrate a batch of particles, all sharing one step:
 
 - Fixed-step RK4 (``_integrate_batch``, ``flow_push``), with the step tied
   to the field's Lipschitz bound (stability step 0.1/max(L, 1)) and to the
-  requested tolerance. It serves every field that is only Lipschitz: the
-  storage and funnel blends take signed distances to boxes, whose kinks
-  defeat an error estimate. Fields declared non-Lipschitz (the square-root
-  splitting example) fall back to the tolerance step and emit a warning once
-  per field.
-- Embedded Dormand-Prince 5(4) with error control, for fields built
-  ``smooth=True``: the scenario drifts (zero, constant, affine, radial),
-  the exact funnel's grad(eta) ascent and the moving-cell grid field, which
-  is C2 through its quintic falloff. ``dopri_batch`` runs it to a fixed end
-  time (the grid margins); ``stopped_flow_batch`` parks each point at its
-  first entry into a region (the crossing check and the exact lane), found
-  and located on DOPRI5's continuous extension, which it probes at least as
-  finely as fixed RK4 steps would. Both run one loop, ``_dopri``. Its first
-  step is ``choose_step``'s, as for RK4; the error estimate sets every later
-  one.
-
-``integrate_batch`` picks between the fixed-end steppers by the field's
-construction: a field built with ``smooth=True`` gets Dormand-Prince, any
-other fixed-step RK4.
+  requested tolerance. It serves every field that is only Lipschitz,
+  whose kinks defeat an error estimate: the storage and funnel blends
+  (signed distances to boxes) and the piecewise-affine moving-cell grid
+  field. Fields declared non-Lipschitz (the square-root splitting example)
+  fall back to the tolerance step and emit a warning once per field.
+- Embedded Dormand-Prince 5(4) with error control (``_dopri``), for fields
+  built ``smooth=True``: the scenario drifts (zero, constant, affine,
+  radial) and the exact funnel's grad(eta) ascent. ``stopped_flow_batch``
+  parks each point at its first entry into a region (the crossing check
+  and the exact lane), found and located on DOPRI5's continuous extension,
+  which it probes at least as finely as fixed RK4 steps would. Its first
+  step is ``choose_step``'s, as for RK4; the error estimate sets every
+  later one.
 """
 from __future__ import annotations
 
@@ -40,8 +34,6 @@ __all__ = [
     "TimeField",
     "Trajectory",
     "flow_push",
-    "integrate_batch",
-    "dopri_batch",
     "stopped_flow_batch",
     "StoppedPaths",
 ]
@@ -54,8 +46,8 @@ class TimeField:
     velocities. ``control_fn``, when present, evaluates the localized control
     part of the field (total minus ambient); schedule support checks sample
     it. ``smooth`` declares the field C2 in x and t, so an embedded error
-    estimate follows the error: ``integrate_batch`` then steps it with
-    Dormand-Prince 5(4) instead of fixed-step RK4.
+    estimate follows the error: stopped flows need it, since they step by
+    Dormand-Prince 5(4).
     """
 
     def __init__(self, fn, dim, lipschitz_bound=0.0, sup_bound=np.inf,
@@ -260,18 +252,22 @@ def _dense_at(coef, theta):
 
 def _dopri(field: TimeField, pts, t0, t1, tol, stop_region=None,
            record=None):
-    """The Dormand-Prince 5(4) loop behind ``dopri_batch`` and
-    ``stopped_flow_batch``; see their docstrings for the step control.
+    """Embedded Dormand-Prince 5(4) with one step size for the batch, the
+    loop behind ``stopped_flow_batch``. The first step is ``choose_step``'s;
+    a step is accepted when every particle's max-norm error estimate is at
+    most tol * h / (t1 - t0), so the accepted estimates sum to at most tol
+    (local estimates, not the global error). The field must be C2.
 
     Without ``stop_region`` every point runs to t1. With it, a point inside
     at t0 never moves, and a point whose continuous extension is inside at
     one of an accepted step's probe fractions (``_probe_fractions``) is
     parked at its first entry and leaves the batch; every step also keeps
-    each active point's move within ``_step_cap``. ``record``, a
-    list, receives ``(start - t0, h, rows, coefficients)`` for each accepted
-    step of a stopped flow: the rows active in it and their continuous
-    extension. Returns ``(endpoints, hit_times, stats)``; a hit time is
-    relative to t0, nan for a point never parked.
+    each active point's move within ``_step_cap``. ``record``, a list,
+    receives ``(start - t0, h, rows, coefficients)`` for each accepted step
+    of a stopped flow. Returns ``(endpoints, hit_times, stats)``: a hit
+    time is relative to t0, nan for a point never parked; ``stats`` counts
+    accepted and rejected steps and gives the first, smallest and largest
+    accepted step and the Lipschitz bound that chose the first.
     """
     pts, span = _batch_span(pts, t0, t1, tol)
     stats = {"accepted": 0, "rejected": 0, "h_first": None, "h_min": None,
@@ -351,41 +347,6 @@ def _dopri(field: TimeField, pts, t0, t1, tol, stop_region=None,
     return pts, hits, stats
 
 
-def dopri_batch(field: TimeField, pts, t0, t1, tol):
-    """Endpoints at t1 of the characteristics through ``pts`` at t0, by
-    embedded Dormand-Prince 5(4) with one step size for the whole batch.
-
-    The first step is ``choose_step``'s. A step is accepted when every
-    particle's max-norm error estimate (fifth- minus fourth-order solution)
-    is at most tol * h / (t1 - t0), so the accepted steps' local error
-    estimates sum to at most tol; the fifth-order solution is kept. That
-    bounds the local estimates, not the global error: local errors can grow
-    along the flow, by up to exp(L (t1 - t0)) for a Lipschitz bound L. The
-    field must be smooth (C2 at least) for the estimate to follow the error;
-    a field with kinks belongs to the fixed-step ``_integrate_batch``.
-
-    Returns ``(endpoints, stats)``: ``stats`` counts accepted and rejected
-    steps and gives the first, smallest and largest accepted step (None
-    when no step was taken; the last step is cut to land on t1) and the
-    Lipschitz bound that chose the first step.
-    """
-    end, _, stats = _dopri(field, pts, t0, t1, tol)
-    return end, stats
-
-
-def integrate_batch(field: TimeField, pts, t0, t1, tol):
-    """Endpoints at t1 of the characteristics through ``pts`` at t0, by the
-    stepper the field's construction calls for: ``dopri_batch`` for a field
-    built smooth, fixed-step RK4 (``_integrate_batch``) for any other.
-
-    Returns ``(endpoints, stats)``; ``stats`` is ``dopri_batch``'s, or None
-    for fixed steps.
-    """
-    if field.smooth:
-        return dopri_batch(field, pts, t0, t1, tol)
-    return _integrate_batch(field, pts, t0, t1, tol), None
-
-
 def flow_push(field: TimeField, mu: ParticleMeasure, t0: float, t1: float,
               tol: float) -> ParticleMeasure:
     """Push a particle measure through the flow; weights and tags ride along."""
@@ -402,8 +363,8 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     """Advance a batch along a field built smooth, parking each point at its
     first entry into ``stop_region``.
 
-    The points still active share ``dopri_batch``'s Dormand-Prince 5(4)
-    steps over [t0, t0 + horizon]: each accepted step's local error
+    The points still active share ``_dopri``'s Dormand-Prince 5(4) steps
+    over [t0, t0 + horizon]: each accepted step's local error
     estimate is at most tol * h / horizon, so the estimates along any path
     sum to at most tol (a bound on local estimates, not on the global
     error). The horizon thus sets the error bound per unit time and, with
@@ -512,7 +473,7 @@ class StoppedPaths:
     ``stopped_flow_batch`` returns them), for each accepted step its start
     (relative to t0), its length, the rows active in it and their
     continuous extension, and ``stats``, the steps' statistics
-    (``dopri_batch``'s)."""
+    (``_dopri``'s)."""
 
     def __init__(self, end, hits, steps, stats):
         self.end = end

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import _kernels
 
 __all__ = [
     "ParticleMeasure",
@@ -287,130 +288,94 @@ def push_forward(mu: ParticleMeasure, mapping) -> ParticleMeasure:
 
 @dataclass
 class GridPartition:
-    """Nested quantile mesh of a planar measure.
+    """Nested quantile mesh of a measure in the unit box, n cells per axis.
 
-    ``outer_x[i]`` are the column breakpoints (mass 1/n per strip),
-    ``outer_y[i, j]`` the cell breakpoints within column i (mass 1/n² per
-    cell), ``inner_x[i] = (lo, hi)`` trims column margins carrying
-    column-mass/n each, and ``inner_y[i, j] = (lo, hi)`` trims the matching
-    top/bottom strips of the band-restricted cell. The retained inner cells
-    carry mass (n-2)²/n⁴ of a unit-mass measure, up to particle resolution.
+    ``walls[0]``, of shape ``(n+1,)``, cuts axis 0 into n slabs of equal
+    mass. ``walls[a]``, of shape ``(n,)*a + (n+1,)``, cuts axis a within
+    each slab of the earlier axes (a choice of cell on each of them) into n
+    cells of equal mass. The outer walls are 0 and 1; an interior wall sits
+    halfway between the two particles on either side of its mass split. A
+    point on an interior wall belongs to the cell above it.
     """
 
     n: int
-    outer_x: np.ndarray          # (n+1,)
-    outer_y: np.ndarray          # (n, n+1)
-    inner_x: np.ndarray          # (n, 2)
-    inner_y: np.ndarray          # (n, n, 2)
-    cell_mass: np.ndarray        # (n, n) empirical mass of each inner cell
+    walls: list
 
-    def validate(self) -> None:
-        n = self.n
-        if not np.all(np.diff(self.outer_x) >= 0):
-            raise ValueError("outer_x not nondecreasing")
-        if self.outer_x[0] != 0.0 or self.outer_x[-1] > 1.0 + 1e-12:
-            raise ValueError("outer_x must start at 0 and stay within the unit box")
-        for i in range(n):
-            if not np.all(np.diff(self.outer_y[i]) >= 0):
-                raise ValueError(f"outer_y[{i}] not nondecreasing")
-            lo, hi = self.inner_x[i]
-            if not (self.outer_x[i] < lo < hi < self.outer_x[i + 1] + 1e-12):
-                raise ValueError(f"inner x bounds out of order in column {i}")
+    @property
+    def dim(self) -> int:
+        return len(self.walls)
+
+    def cell_of(self, axis, rows, x):
+        """Cell of coordinate ``x`` on ``axis`` within the slab ``rows``
+        (flat index over the earlier axes), as ``_kernels.row_cell``."""
+        return _kernels.row_cell(self.walls[axis].reshape(-1, self.n + 1),
+                                 rows, x)
+
+    def locate(self, pts) -> np.ndarray:
+        """Flat index of the cell holding each point, axis 0 slowest."""
+        rows = np.zeros(len(pts), dtype=np.intp)
+        for a in range(self.dim):
+            rows = rows * self.n + self.cell_of(a, rows, pts[:, a])
+        return rows
+
+    def cells(self):
+        """Lower and upper corners ``(n**d, d)`` of every cell, in the
+        order of ``locate``."""
+        n, d = self.n, self.dim
+        lo, hi = np.empty((n ** d, d)), np.empty((n ** d, d))
+        for a, w in enumerate(self.walls):
+            shape = (n,) * (a + 1) + (1,) * (d - a - 1)
+            lo[:, a] = np.broadcast_to(w[..., :-1].reshape(shape), (n,) * d).ravel()
+            hi[:, a] = np.broadcast_to(w[..., 1:].reshape(shape), (n,) * d).ravel()
+        return lo, hi
 
 
-def _first_crossing(cum: np.ndarray, target: float) -> int:
-    idx = int(np.searchsorted(cum, target - 1e-12 * max(cum[-1], 1.0), side="left"))
-    return min(idx, len(cum) - 1)
-
-
-def _axis_order(pos: np.ndarray, axis: int) -> np.ndarray:
-    # ties broken by (coordinate, insertion index)
-    return np.lexsort((np.arange(pos.shape[0]), pos[:, axis]))
+def _split(x, w, n):
+    """n + 1 walls cutting the weighted coordinates x in [0, 1] into n
+    intervals of equal mass; raises if one has zero width."""
+    if len(x) < n:
+        raise ValueError(f"a slab holds {len(x)} particles, fewer than its "
+                         f"{n} cells")
+    order = np.lexsort((np.arange(len(x)), x))
+    xs, cum = x[order], np.cumsum(w[order])
+    # the last particle below each split, and the first one above it
+    idx = np.searchsorted(cum, cum[-1] * (np.arange(1, n) / n - 1e-12))
+    idx = np.minimum(idx, len(xs) - 2)
+    walls = np.concatenate([[0.0], 0.5 * (xs[idx] + xs[idx + 1]), [1.0]])
+    flat = np.diff(walls) <= 0.0
+    if np.any(flat):
+        raise ValueError(f"zero-width cell at {walls[1:][flat][0]:.6g}: "
+                         "coincident particles hold more than a cell's mass")
+    return walls
 
 
 def _partition_one(mu: ParticleMeasure, n: int) -> GridPartition:
     pos, wts = mu.positions, mu.weights
-    total = mu.total_mass()
-    order = _axis_order(pos, 0)
-    cum = np.cumsum(wts[order])
-
-    outer_x = np.zeros(n + 1)
-    col_slices = []
-    start = 0
-    for i in range(1, n + 1):
-        idx = _first_crossing(cum, total * i / n)
-        outer_x[i] = pos[order[idx], 0]
-        col_slices.append(order[start:idx + 1])
-        start = idx + 1
-
-    outer_y = np.zeros((n, n + 1))
-    inner_x = np.zeros((n, 2))
-    inner_y = np.zeros((n, n, 2))
-    cell_mass = np.zeros((n, n))
-
-    for i, col in enumerate(col_slices):
-        cpos, cwts = pos[col], wts[col]
-        cmass = cwts.sum()
-
-        # cells: y-quantiles within the column
-        yord = np.lexsort((np.arange(len(col)), cpos[:, 1]))
-        ycum = np.cumsum(cwts[yord])
-        cell_rows = []
-        start = 0
-        for j in range(1, n + 1):
-            idx = _first_crossing(ycum, cmass * j / n)
-            outer_y[i, j] = cpos[yord[idx], 1]
-            cell_rows.append(col[yord[start:idx + 1]])
-            start = idx + 1
-
-        # inner band: trim column margins of mass cmass/n on each side
-        xord = np.lexsort((np.arange(len(col)), cpos[:, 0]))
-        xcum = np.cumsum(cwts[xord])
-        lo_idx = _first_crossing(xcum, cmass / n)
-        hi_idx = _first_crossing(xcum, cmass * (n - 1) / n)
-        inner_x[i] = (cpos[xord[lo_idx], 0], cpos[xord[hi_idx], 0])
-        band_members = np.zeros(pos.shape[0], dtype=bool)
-        band_members[col[xord[lo_idx + 1:hi_idx + 1]]] = True
-
-        for j, cell in enumerate(cell_rows):
-            in_band = cell[band_members[cell]]
-            if len(in_band) < 4:
-                raise ValueError(
-                    f"cell ({i}, {j}) holds {len(in_band)} band particles; "
-                    f"not enough resolution for n={n}")
-            bpos, bwts = pos[in_band], wts[in_band]
-            bord = np.lexsort((np.arange(len(in_band)), bpos[:, 1]))
-            bcum = np.cumsum(bwts[bord])
-            bmass = bcum[-1]
-            lo_j = _first_crossing(bcum, bmass / n)
-            hi_j = _first_crossing(bcum, bmass * (n - 1) / n)
-            inner_y[i, j] = (bpos[bord[lo_j], 1], bpos[bord[hi_j], 1])
-            cell_mass[i, j] = bwts[bord[lo_j + 1:hi_j + 1]].sum()
-
-    part = GridPartition(n=n, outer_x=outer_x, outer_y=outer_y,
-                         inner_x=inner_x, inner_y=inner_y, cell_mass=cell_mass)
-    part.validate()
+    part = GridPartition(n=n, walls=[])
+    rows = np.zeros(len(mu), dtype=np.intp)     # each particle's slab
+    for a in range(mu.dim):
+        table = [_split(pos[rows == r, a], wts[rows == r], n)
+                 for r in range(n ** a)]
+        part.walls.append(np.reshape(table, (n,) * a + (n + 1,)))
+        rows = rows * n + part.cell_of(a, rows, pos[:, a])
     return part
 
 
 def quantile_partition(mu_src: ParticleMeasure, mu_tgt: ParticleMeasure,
                        n: int) -> tuple[GridPartition, GridPartition]:
-    """Nested quantile meshes of source and target over the unit box.
+    """Nested quantile meshes of source and target, n >= 1 cells per axis.
 
-    Both measures must live in the closed unit square (callers rescale
-    first). ``n >= 3`` because at n = 2 the retained inner cells have zero
-    mass: 1/n² - 2/n³ vanishes.
+    Both measures must live in the closed unit box of one dimension
+    (callers rescale first). Raises ``ValueError`` when a slab cannot be
+    cut into n cells of positive width: too few particles, or coincident
+    ones heavier than a cell.
     """
-    if n < 3:
-        raise ValueError("n must be >= 3 (inner cells degenerate below that)")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if mu_src.dim != mu_tgt.dim:
+        raise ValueError("source and target differ in dimension")
     for name, mu in (("source", mu_src), ("target", mu_tgt)):
-        if mu.dim != 2:
-            raise ValueError(f"{name} must be planar")
         lo, hi = mu.support_bbox()
         if np.any(lo < -1e-9) or np.any(hi > 1.0 + 1e-9):
             raise ValueError(f"{name} support must sit inside the unit box")
-        if np.max(mu.weights) > mu.total_mass() / n ** 3:
-            warnings.warn(
-                f"{name} has an atom heavier than one margin mass (1/n^3); "
-                "quantile ties are broken by position order", stacklevel=2)
     return _partition_one(mu_src, n), _partition_one(mu_tgt, n)

@@ -14,9 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import coo_matrix
-from scipy.spatial.distance import cdist
 
 from . import _kernels
 from .measure import ParticleMeasure
@@ -119,6 +116,10 @@ def w1_1d(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
 
 
 def _assignment_plan(mu, nu, p):
+    # scipy is most of the package's import time; only solves pay it
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     cost = cdist(mu.positions, nu.positions)
     if p == 2:
         cost = cost ** 2
@@ -130,6 +131,10 @@ def _assignment_plan(mu, nu, p):
 
 
 def _transportation_plan(mu, nu, p):
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+    from scipy.spatial.distance import cdist
+
     n, m = len(mu), len(nu)
     cost = cdist(mu.positions, nu.positions)
     if p == 2:

@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .flow import (TimeField, Trajectory, flow_push, stopped_flow_batch,
-                   integrate_batch as _integrate_batch_local)
-from .geometry import Region, cutoff_theta, weight_eta, check_geometric_condition
+from .flow import (TimeField, Trajectory, choose_step, flow_push,
+                   stopped_flow_batch, _integrate_batch as _integrate_batch_local)
+from .geometry import (Region, cutoff_theta, weight_eta,
+                       check_geometric_condition, _smootherstep,
+                       _smootherstep_d)
 from .measure import ParticleMeasure, quantile_partition
 from .ot import wp_discrete, subsampled_w1
 
@@ -41,12 +43,6 @@ __all__ = [
 
 # largest cutoff index the storage escalation tries
 STORAGE_K_CAP = 2 ** 20
-
-
-def grid_error_bound(n: int) -> float:
-    """Finite-n transport error of the moving-cell construction:
-    2(n-2)²/n³ + 8(n-1)/n²."""
-    return 2.0 * (n - 2) ** 2 / n ** 3 + 8.0 * (n - 1) / n ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -119,194 +115,165 @@ class ControlSchedule:
 
 
 # ---------------------------------------------------------------------------
-# grid control (moving quantile cells)
+# grid control (moving quantile cells, one axis at a time)
 # ---------------------------------------------------------------------------
 
+# half-width of the blend strip at a slab wall, as a share of the narrower
+# of the two slabs beside it
+STRIP_GAMMA = 1.0 / 200.0
+
+
 class GridControlField(TimeField):
-    """Piecewise-affine field carrying inner quantile cells onto their targets.
+    """Moving quantile cells carrying the source mesh onto the target mesh,
+    one axis per sub-phase of length T/d.
 
-    Inside the moving cell (i, j) the velocity is (ax_i(t) x + bx_i(t),
-    ay_ij(t) y + by_ij(t)); the cell boundaries are themselves
-    characteristics, so the flow maps source cells onto target cells exactly.
-    Outside, each cell's formula is damped by a quintic falloff over half the
-    gap to its neighbour, which keeps the field smooth, bounded and supported
-    near the unit box.
-
-    Because the field is Lipschitz and the cell walls are characteristics,
-    no characteristic crosses a wall: each closed moving cell is invariant,
-    and inside it the affine velocity keeps a point's relative coordinate s
-    on every axis. ``cell_flow`` moves such points in closed form,
-    x(tb) = c-(tb) + s (c+(tb) - c-(tb)) per axis.
-
-    ``flow`` is the whole flow map: ``cell_flow`` inside the cells, and
-    error-controlled Dormand-Prince 5(4) (``flow.dopri_batch``) for the
-    margin points. The Lipschitz bound is set by the narrowest falloff gap,
-    which few margin points cross, and the quintic falloff makes the field
-    C2, so it is built ``smooth`` and the error estimate, not that bound,
-    sets the steps.
+    In sub-phase a only x_a moves. A slab is a cell on every earlier axis
+    of the target mesh, whose walls stay put now. In each slab the walls of
+    axis a move linearly in time from source to target, exactly at both
+    ends, and the velocity is affine in x_a inside a cell: continuous
+    across walls, zero outside [0, 1] on axis a. The walls are
+    characteristics and a point keeps its relative coordinate in its cell,
+    so the flow is in closed form (``_carry``). Across a slab wall the two
+    slabs' velocities blend by a smootherstep over a strip of half-width
+    ``STRIP_GAMMA`` times the narrower slab, which keeps the field
+    Lipschitz. Only strip points need numerics: a 1D ODE in x_a, whose
+    Lipschitz constant is the axis-a slope bound. The field has kinks at
+    the walls, so it is not built ``smooth``.
     """
 
     def __init__(self, part_src, part_tgt, T):
-        if part_src.n != part_tgt.n:
-            raise ValueError("partitions must share n")
+        if part_src.n != part_tgt.n or part_src.dim != part_tgt.dim:
+            raise ValueError("partitions must share n and the dimension")
         self.src = part_src
         self.tgt = part_tgt
         self.n = part_src.n
         self.T = float(T)
-        self.axm = part_src.inner_x[:, 0].copy()
-        self.axp = part_src.inner_x[:, 1].copy()
-        self.bxm = part_tgt.inner_x[:, 0].copy()
-        self.bxp = part_tgt.inner_x[:, 1].copy()
-        self.aym = part_src.inner_y[:, :, 0].copy()
-        self.ayp = part_src.inner_y[:, :, 1].copy()
-        self.bym = part_tgt.inner_y[:, :, 0].copy()
-        self.byp = part_tgt.inner_y[:, :, 1].copy()
-        # the last two (t, tables) pairs: RK4's middle stages share a time,
-        # and a step's last stage usually shares it with the next step's first
-        self._recent_tables = []
-        self._assert_disjoint()
-        sup, lip = self._bounds()
-        super().__init__(self._eval, 2, lipschitz_bound=lip, sup_bound=sup,
-                         label=f"grid_n{self.n}", control_fn=self._eval,
-                         smooth=True,
+        d = part_src.dim
+        # sub-phase a runs over [ends[a], ends[a + 1]]
+        self.ends = np.append(np.arange(d) * (self.T / d), self.T)
+        # per axis, flat over slabs: walls, wall speeds and strip half-widths
+        self._src = [w.reshape(-1, self.n + 1) for w in part_src.walls]
+        self._tgt = [w.reshape(-1, self.n + 1) for w in part_tgt.walls]
+        self._speed = [(b - a) / (t1 - t0) for a, b, t0, t1 in zip(
+            self._src, self._tgt, self.ends[:-1], self.ends[1:])]
+        self._gamma = [np.pad(STRIP_GAMMA * np.minimum(w[:, :-1], w[:, 1:]),
+                              ((0, 0), (1, 1))) for w in map(np.diff, self._tgt)]
+        # a cell's velocity lies between its wall speeds, and its slope is
+        # at most their difference over the narrower end width
+        tops = [float(np.max(np.abs(v))) for v in self._speed]
+        self.slopes = [float(np.max(np.abs(np.diff(v)) / np.minimum(
+            np.diff(a), np.diff(b)))) for v, a, b in zip(
+                self._speed, self._src, self._tgt)]
+        # each earlier axis blends two velocities (difference <= 2 top) over
+        # 2 gamma, where the smootherstep's slope is at most 1.875
+        gmin = [float(np.min(g[:, 1:-1])) if self.n > 1 else np.inf
+                for g in self._gamma]
+        lip = max(slope + sum(1.875 * top / g for g in gmin[:a])
+                  for a, (slope, top) in enumerate(zip(self.slopes, tops)))
+        super().__init__(self._eval, d, lipschitz_bound=lip,
+                         sup_bound=max(tops), label=f"grid_n{self.n}",
+                         control_fn=self._eval,
                          descriptor={"kind": "grid", "n": self.n, "T": self.T})
 
-    # boundary interpolants and their coefficient functions -----------------
-    def _interp(self, a, b, t):
-        # exact at both ends, so corners land on their targets bit for bit
-        u = t / self.T
-        return (1.0 - u) * a + u * b
+    def _walls(self, a, t):
+        """Axis-a walls of every slab at time t; exact at both ends, so
+        mesh vertices land on their targets bit for bit."""
+        t0, t1 = self.ends[a], self.ends[a + 1]
+        u = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
+        return (1.0 - u) * self._src[a] + u * self._tgt[a]
 
-    def _coeffs(self, am, ap, bm, bp, t):
-        cm = self._interp(am, bm, t)
-        cp = self._interp(ap, bp, t)
-        width = cp - cm
-        alpha = ((bp - ap) - (bm - am)) / (self.T * width)
-        beta = (cp * (bm - am) - cm * (bp - ap)) / (self.T * width)
-        return cm, cp, alpha, beta
+    def _slabs(self, a, pts):
+        """Rows of the slabs whose axis-a velocities each point blends, and
+        their weights, both ``(points, 2**a)``: within the strip of a wall
+        of an earlier axis, the slab across it weighs in."""
+        rows = np.zeros((len(pts), 1), dtype=np.intp)
+        weights = np.ones((len(pts), 1))
+        for b in range(a):
+            x = np.broadcast_to(pts[:, b:b + 1], rows.shape)
+            c = self.tgt.cell_of(b, rows.ravel(), x.ravel()).reshape(x.shape)
+            walls, gamma = self._tgt[b], self._gamma[b]
+            below = _across(x - walls[rows, c], gamma[rows, c])
+            above = _across(walls[rows, c + 1] - x, gamma[rows, c + 1])
+            other = np.where(below > 0, c - 1, np.where(above > 0, c + 1, c))
+            share = below + above
+            rows = np.concatenate([rows * self.n + c, rows * self.n + other],
+                                  axis=1)
+            weights = np.concatenate([weights * (1.0 - share),
+                                      weights * share], axis=1)
+        return rows, weights
 
-    @staticmethod
-    def _margins(cm, cp):
-        # half gaps to the neighbouring moving cells along the last axis;
-        # walls of the unit box bound the outermost falloffs
-        left = np.empty_like(cm)
-        right = np.empty_like(cp)
-        left[..., 0] = np.maximum(cm[..., 0], 1e-12)
-        left[..., 1:] = 0.5 * (cm[..., 1:] - cp[..., :-1])
-        right[..., :-1] = 0.5 * (cm[..., 1:] - cp[..., :-1])
-        right[..., -1] = np.maximum(1.0 - cp[..., -1], 1e-12)
-        return np.maximum(left, 1e-12), np.maximum(right, 1e-12)
-
-    def _tables(self, t):
-        for t_key, tabs in self._recent_tables:
-            if t_key == t:
-                return tabs
-        cxm, cxp, ax, bx = self._coeffs(self.axm, self.axp, self.bxm, self.bxp, t)
-        cym, cyp, ay, by = self._coeffs(self.aym, self.ayp, self.bym, self.byp, t)
-        tabs = (cxm, cxp, ax, bx, cym, cyp, ay, by,
-                *self._margins(cxm, cxp), *self._margins(cym, cyp))
-        self._recent_tables = [(t, tabs)] + self._recent_tables[:1]
-        return tabs
+    def _velocity(self, a, pts, t):
+        """The field of sub-phase a: only coordinate a moves."""
+        rows, weights = self._slabs(a, pts)
+        walls = self._walls(a, t)
+        speed = self._speed[a]
+        alpha = np.diff(speed) / np.diff(walls)
+        beta = speed[:, :-1] - alpha * walls[:, :-1]
+        v = _kernels.grid_eval_1d(np.repeat(pts[:, a], rows.shape[1]),
+                                  rows.ravel(), walls, alpha, beta)
+        out = np.zeros_like(pts)
+        out[:, a] = np.sum(weights * v.reshape(rows.shape), axis=1)
+        return out
 
     def _eval(self, pts, t):
-        # the tables are in grid_eval_2d's argument order after the
-        # coordinates
-        return _kernels.grid_eval_2d(pts[:, 0], pts[:, 1],
-                                     *self._tables(min(max(t, 0.0), self.T)))
+        a = int(np.clip(np.searchsorted(self.ends, t, side="right") - 1, 0,
+                        self.dim - 1))
+        return self._velocity(a, pts, t)
 
-    def _walls(self, t):
-        """Cell walls at time t: x lower and upper per column, then y lower
-        and upper per cell."""
-        return (self._interp(self.axm, self.bxm, t),
-                self._interp(self.axp, self.bxp, t),
-                self._interp(self.aym, self.bym, t),
-                self._interp(self.ayp, self.byp, t))
-
-    def _assert_disjoint(self):
-        for t in (0.0, self.T):
-            cxm, cxp, cym, cyp = self._walls(t)
-            if np.any(cxp[:-1] >= cxm[1:]):
-                raise ValueError("moving cells overlap in x")
-            if np.any(cyp[:, :-1] >= cym[:, 1:]):
-                raise ValueError("moving cells overlap in y")
-
-    def _bounds(self):
-        sup = 0.0
-        lip = 0.0
-        for t in np.linspace(0.0, self.T, 5):
-            cxm, cxp, ax, bx, cym, cyp, ay, by, gxm, gxp, gym, gyp = \
-                self._tables(t)
-            for cm, cp, a, b, gm, gp in ((cxm, cxp, ax, bx, gxm, gxp),
-                                         (cym, cyp, ay, by, gym, gyp)):
-                vel_edges = np.maximum(np.abs(a * (cm - gm) + b),
-                                       np.abs(a * (cp + gp) + b))
-                sup = max(sup, float(np.max(vel_edges)))
-                lip = max(lip, float(np.max(
-                    np.abs(a) + vel_edges * 1.875 / np.minimum(gm, gp))))
-        return sup, lip
-
-    def cell_flow(self, pts, ta, tb):
-        """Closed-form flow from ta to tb of the points inside a moving cell.
-
-        Returns ``(inside, images)``: the mask of the rows of ``pts`` that
-        lie in a closed moving cell at time ta, and those rows' positions at
-        tb. Cells are invariant under the flow (see the class docstring), so
-        these points never need numerical integration; the others are left
-        to the caller.
-        """
-        pts = np.atleast_2d(pts)
-        xm_a, xp_a, ym_a, yp_a = self._walls(min(max(ta, 0.0), self.T))
-        xm_b, xp_b, ym_b, yp_b = self._walls(min(max(tb, 0.0), self.T))
-        px, py = pts[:, 0], pts[:, 1]
-        i = np.maximum(np.searchsorted(xm_a, px, side="right") - 1, 0)
-        inside, x = _carry(px, xm_a[i], xp_a[i], xm_b[i], xp_b[i])
-        j = np.maximum(_kernels.row_search(ym_a, i, py, side="right") - 1, 0)
-        inside_y, y = _carry(py, ym_a[i, j], yp_a[i, j], ym_b[i, j],
-                             yp_b[i, j])
-        inside &= inside_y
-        return inside, np.stack([x, y], axis=1)[inside]
+    def subphase_field(self, a):
+        """The field of sub-phase a alone, with the axis-a slope bound: the
+        Lipschitz constant of the ODE of a point whose earlier coordinates
+        stay frozen."""
+        return TimeField(lambda pts, t: self._velocity(a, pts, t), self.dim,
+                         lipschitz_bound=self.slopes[a],
+                         sup_bound=self.sup_bound, label="grid_norm")
 
     def flow(self, pts, ta, tb, tol):
-        """Positions at tb of the points ``pts`` at ta.
+        """Positions at tb of the points ``pts`` at ta (0 <= ta <= tb <= T).
 
-        Returns ``(images, in_cell, stats)``: the images of every row, the
-        mask of the rows moved in closed form by ``cell_flow``, and the
-        Dormand-Prince statistics of the margin rows (see
-        ``flow.dopri_batch``: each accepted step's local error estimate is
-        at most tol * h / (tb - ta), so the estimates sum to at most tol).
+        Returns ``(images, closed, stats)``: the images of every row, the
+        mask of the rows moved in closed form in every sub-phase (never
+        inside a blend strip), and the strip points' fixed-step RK4: its
+        number of steps, its step and the Lipschitz bound that chose the
+        step (None when no strip point moved).
         """
         images = np.array(np.atleast_2d(pts), dtype=np.float64)
-        in_cell, cell_images = self.cell_flow(images, ta, tb)
-        margin = TimeField(self.evaluate, self.dim, self.lipschitz_bound,
-                           self.sup_bound, label="grid_norm",
-                           smooth=self.smooth)
-        images[~in_cell], stats = _integrate_batch_local(
-            margin, images[~in_cell], ta, tb, tol)
-        images[in_cell] = cell_images
-        return images, in_cell, stats
+        closed = np.ones(len(images), dtype=bool)
+        stats = {"steps": 0, "h": None, "lipschitz": None}
+        for a in range(self.dim):
+            lo, hi = max(ta, self.ends[a]), min(tb, self.ends[a + 1])
+            if hi <= lo:
+                continue
+            rows, weights = self._slabs(a, images)
+            whole = np.any(weights == 1.0, axis=1)
+            row = rows[whole, np.argmax(weights[whole], axis=1)]
+            x = images[whole, a]
+            w_lo, w_hi = self._walls(a, lo), self._walls(a, hi)
+            c = _kernels.row_cell(w_lo, row, x)
+            inside, moved = _carry(x, w_lo[row, c], w_lo[row, c + 1],
+                                   w_hi[row, c], w_hi[row, c + 1])
+            images[whole, a] = np.where(inside, moved, x)
+            closed &= whole
+            if np.all(whole):
+                continue
+            field = self.subphase_field(a)
+            images[~whole] = _integrate_batch_local(field, images[~whole],
+                                                    lo, hi, tol)
+            h = float(choose_step(field, tol, hi - lo))
+            stats = {"steps": stats["steps"] + round((hi - lo) / h),
+                     "h": min(h, stats["h"] or h),
+                     "lipschitz": max(field.lipschitz_bound,
+                                      stats["lipschitz"] or 0.0)}
+        return images, closed, stats
 
-    # test hooks -------------------------------------------------------------
-    def corner_pairs(self):
-        """(start, end) positions of every inner-cell corner."""
-        starts, ends = [], []
-        for i in range(self.n):
-            for j in range(self.n):
-                for xa, xb in ((self.axm[i], self.bxm[i]), (self.axp[i], self.bxp[i])):
-                    for ya, yb in ((self.aym[i, j], self.bym[i, j]),
-                                   (self.ayp[i, j], self.byp[i, j])):
-                        starts.append([xa, ya])
-                        ends.append([xb, yb])
-        return np.array(starts), np.array(ends)
 
-    def source_cells(self):
-        return [(np.array([self.axm[i], self.aym[i, j]]),
-                 np.array([self.axp[i], self.ayp[i, j]]))
-                for i in range(self.n) for j in range(self.n)]
-
-    def target_cells(self):
-        return [(np.array([self.bxm[i], self.bym[i, j]]),
-                 np.array([self.bxp[i], self.byp[i, j]]))
-                for i in range(self.n) for j in range(self.n)]
+def _across(dist, gamma):
+    """Weight of the slab across a wall, for points at ``dist`` from it on
+    their own side: 1/2 on the wall, falling by a smootherstep to 0 at the
+    strip half-width ``gamma`` (0 everywhere where gamma is 0)."""
+    u = np.divide(gamma - dist, 2.0 * gamma, out=np.zeros_like(dist),
+                  where=gamma > 0.0)
+    return _smootherstep(u)
 
 
 def _carry(p, lo_a, hi_a, lo_b, hi_b):
@@ -318,10 +285,33 @@ def _carry(p, lo_a, hi_a, lo_b, hi_b):
 
 
 def grid_control(partition_src, partition_tgt, T: float) -> GridControlField:
-    """Field whose time-T flow carries each inner source cell onto its target."""
+    """Field whose time-T flow carries each source cell onto its target."""
     if T <= 0:
         raise ValueError("T must be positive")
     return GridControlField(partition_src, partition_tgt, T)
+
+
+def grid_error_bound(mesh, moved: ParticleMeasure, closed,
+                     target: ParticleMeasure) -> float:
+    """Certified W1 bound between the grid phase's image ``moved`` and
+    ``target``, both in the unit box of the target ``mesh`` and taken with
+    unit mass.
+
+    p_c is the mass of the rows moved in closed form (mask ``closed``) that
+    land in target cell c, q_c the target mass in c. Coupling min(p_c, q_c)
+    inside each cell, and the rest anywhere in the unit box (which the flow
+    keeps every point in), costs at most
+    sum_c min(p_c, q_c) diam(c) + (1 - sum_c min(p_c, q_c)) sqrt(d).
+    """
+    size = mesh.n ** mesh.dim
+    p = np.bincount(mesh.locate(moved.positions[closed]),
+                    moved.weights[closed], size) / moved.total_mass()
+    q = np.bincount(mesh.locate(target.positions), target.weights,
+                    size) / target.total_mass()
+    lo, hi = mesh.cells()
+    matched = np.minimum(p, q)
+    return float(matched @ np.linalg.norm(hi - lo, axis=1)
+                 + (1.0 - matched.sum()) * math.sqrt(mesh.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +345,6 @@ def storage_total(v: TimeField, omega0: Region, k: int) -> TimeField:
 
 def _blend_factor(region: Region, band: float):
     """1 inside region, quintic decay to 0 at distance band outside it."""
-    from .geometry import _smootherstep
-
     def factor(pts):
         d = np.maximum(region.signed_distance(pts), 0.0)
         return 1.0 - _smootherstep(d / band)
@@ -428,8 +416,6 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
                          np.maximum(cloud_box.hi, c1 + lam * half0 + 1e-12))[0]:
         raise ValueError("funnel endpoints do not fit inside omega1")
     blend = _blend_factor(omega1, blend_band)
-
-    from .geometry import _smootherstep, _smootherstep_d
 
     def ramp(t):
         u = min(max(t / span, 0.0), 1.0)
@@ -619,13 +605,13 @@ class MovingFrameGridField(TimeField):
     order-one geometry. The world control is gated to a static region inside
     the storage hypercube.
 
-    The world field's literal Lipschitz constant is dominated by the cell
-    falloff bands, whose world width shrinks with the frame; stepping by it
-    would be hopeless. Inside the gate core the conjugation is exact
+    The world field's literal Lipschitz constant is dominated by the
+    slab blend strips, whose world width shrinks with the frame; stepping by
+    it would be hopeless. Inside the gate core the conjugation is exact
     (pulled back, the field IS the normalized one), so ``advect`` moves core
     particles in normalized coordinates with ``GridControlField.flow``:
-    closed form inside the moving cells, error-controlled Dormand-Prince
-    5(4) in the cell margins. Only the particles outside the core are
+    closed form off the blend strips, fixed-step RK4 at the moving axis's
+    slope bound inside them. Only the particles outside the core are
     integrated in world coordinates, by fixed-step RK4 at the mild outer
     bound (the gate blend has kinks).
     """
@@ -649,10 +635,8 @@ class MovingFrameGridField(TimeField):
         sup = (inner.sup_bound * float(np.max(np.maximum(self.s0, self.s1)))
                + float(np.linalg.norm((self.o1 - self.o0) / span))
                + v.sup_bound)
-        ratio = float(max(np.max(self.s0) / np.min(self.s0),
-                          np.max(self.s1) / np.min(self.s1),
-                          np.max(self.s1) / np.min(self.s0),
-                          np.max(self.s0) / np.min(self.s1)))
+        scales = np.concatenate([self.s0, self.s1])
+        ratio = float(np.max(scales) / np.min(scales))
         lip = inner.lipschitz_bound * ratio + drift_lip + \
             (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
         super().__init__(self._eval, inner.dim, lipschitz_bound=lip,
@@ -692,34 +676,34 @@ class MovingFrameGridField(TimeField):
         return g * (self.world_grid_velocity(pts, t) - self.v.evaluate(pts, t))
 
     def advect(self, mu: ParticleMeasure, ta: float, tb: float,
-               tol: float) -> tuple[ParticleMeasure, int, dict]:
+               tol: float) -> tuple[ParticleMeasure, np.ndarray, dict]:
         """Flow of this field, via the exact conjugation for core particles.
 
-        Returns the pushed measure, the number of particles moved in closed
-        form (core particles inside a moving cell at ta) and the
-        Dormand-Prince statistics of the cell-margin particles.
+        Returns the pushed measure, the mask of the particles moved in
+        closed form (core particles off every blend strip) and the strip
+        RK4's statistics (see ``GridControlField.flow``).
         """
         core = self.gate_core.contains(mu.positions)
         pos = mu.positions.copy()
         o_a, s_a, _, _ = self.frame(ta)
         o_b, s_b, _, _ = self.frame(tb)
-        y, in_cell, stats = self.inner.flow((pos[core] - o_a) / s_a,
-                                            ta - self.t0, tb - self.t0, tol)
+        closed = np.zeros(len(mu), dtype=bool)
+        y, closed[core], stats = self.inner.flow(
+            (pos[core] - o_a) / s_a, ta - self.t0, tb - self.t0, tol)
         pos[core] = o_b + s_b * y
         if np.any(~core):
             outer_field = TimeField(self._eval, self.dim,
                                     lipschitz_bound=self.outer_lipschitz,
                                     sup_bound=self.sup_bound,
                                     label="grid_frame_outer")
-            pos[~core], _ = _integrate_batch_local(outer_field, pos[~core],
-                                                   ta, tb, tol)
+            pos[~core] = _integrate_batch_local(outer_field, pos[~core],
+                                                ta, tb, tol)
             inside_after = self.gate_core.contains(pos[~core])
             if np.any(inside_after):
                 warnings.warn("a particle outside the gate core drifted into "
                               "it during the grid phase; its step control "
                               "used the mild outer bound", stacklevel=2)
-        return (ParticleMeasure(pos, mu.weights, mu.tags),
-                int(np.sum(in_cell)), stats)
+        return ParticleMeasure(pos, mu.weights, mu.tags), closed, stats
 
 
 def _shift_time(field: TimeField, offset: float) -> TimeField:
@@ -777,12 +761,19 @@ def _select_untouched(state: ParticleMeasure, must_tag: np.ndarray,
     return tagged
 
 
-def _choose_n(count: int, n_override=None) -> int:
+def _choose_n(count: int, dim: int, n_override=None) -> int:
     """Cells per axis of the grid phase: the override if given, else the
-    finest mesh the particle count resolves, max(3, min(64, isqrt(N // 25)))."""
+    finest mesh the particle count resolves, the integer dim-th root of
+    N // 25 (isqrt in 2D), kept within [3, 64]."""
     if n_override is not None:
         return int(n_override)
-    return max(3, min(64, int(math.isqrt(max(count, 9) // 25))))
+    m = count // 25
+    root = int(round(m ** (1.0 / dim)))
+    while root ** dim > m:
+        root -= 1
+    while (root + 1) ** dim <= m:
+        root += 1
+    return max(3, min(64, root))
 
 
 def approx_controller(scenario, epsilon: float | None = None) -> ControllerResult:
@@ -793,8 +784,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     pushes the particles through the phases one at a time (the backward
     storage and funnel on the target side, the forward ones, the grid, then
     the reversals) and reports the measured transport error against the
-    target. Particles inside a funnel's core or a moving grid cell move
-    along their closed-form characteristics; the rest are integrated.
+    target. Particles inside a funnel's core or off the grid's blend strips
+    move along their closed-form characteristics; the rest are integrated.
     """
     from .scenarios import Scenario
 
@@ -876,7 +867,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 
     # phase 3: grid control between the two parked clouds, in normalized
     # coordinates of a box inside S
-    n = _choose_n(len(grid_source_cloud), scenario.params.get("n"))
+    n = _choose_n(len(grid_source_cloud), mu0.dim, scenario.params.get("n"))
 
     def cloud_frame(cloud):
         lo, hi = cloud.support_bbox()
@@ -896,7 +887,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             break
         except ValueError:
             # empirical resolution insufficient for this mesh; coarsen
-            if scenario.params.get("n") is not None or n <= 3:
+            if scenario.params.get("n") is not None or n <= 1:
                 raise
             n -= 1
     grid_norm = grid_control(part_src, part_tgt, t3 - t2)
@@ -909,8 +900,14 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     gate_region = Region.box(hull_lo - room / 3, hull_hi + room / 3)
     grid_total = MovingFrameGridField(grid_norm, v, o0, s0n, o1, s1n,
                                       t2, t3, gate_region, band=room / 3)
-    state3_all, cf_grid, grid_flow = grid_total.advect(state2_all, t2, t3,
-                                                       tol)
+    state3_all, grid_closed, grid_flow = grid_total.advect(state2_all, t2,
+                                                           t3, tol)
+    # the certificate, in the target cloud's normalized frame
+    landed = state3_all.subset(~tag_fwd)
+    grid_bound = grid_error_bound(
+        part_tgt, ParticleMeasure((landed.positions - o1) / s1n,
+                                  landed.weights),
+        grid_closed[~tag_fwd], norm_tgt)
 
     # phases 4 and 5: time reversals of the backward synthesis. Reversing a
     # time-dependent segment of length D maps the field w to -w(x, D - t).
@@ -962,7 +959,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
                    "backward_ratios": fun_back.ratios.tolist(),
                    "backward_expansion": fun_back.expansion},
         "grid_n": n,
-        "grid_bound": grid_error_bound(n),
+        "grid_bound": grid_bound,
         "untouched": {
             "target_mass": eps_mass,
             "rbar": rbar,
@@ -976,7 +973,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             name: {"count": count, "total": len(mu)}
             for name, count, mu in (("funnel_forward", cf_fwd, state1),
                                     ("funnel_backward", cf_back, back1),
-                                    ("grid", cf_grid, state2_all),
+                                    ("grid", int(np.sum(grid_closed)),
+                                     state2_all),
                                     ("funnel_reversed", cf_rev, state3_all))},
         "grid_flow": grid_flow,
         "regions": {"omega0": cond.omega0.to_dict(), "S": s_box.to_dict(),
@@ -1017,7 +1015,7 @@ def _escalate_exact_funnel(omega1, s0, lanes, tol):
     ``lanes`` maps a lane name to ``(delta, pts)``. Returns ``(funnels,
     ascent)``: ``funnels`` maps each name to ``(k, endpoints, hit_times,
     knots, paths)`` with every hit time at most 0.9 delta; ``ascent`` holds
-    the ascent's Dormand-Prince statistics (``flow.dopri_batch``'s keys)
+    the ascent's Dormand-Prince statistics (``flow._dopri``'s keys)
     and each lane's k = 1 ``tau_max``.
 
     The funnel field is k grad(eta) inside omega1, blended into the drift

@@ -89,3 +89,40 @@ def test_shear_jump_and_lipschitz_blowup(tmp_path):
     for coarse, fine in zip(lips, lips[1:]):
         assert fine["lipschitz_estimate"] == pytest.approx(
             10.0 * coarse["lipschitz_estimate"], rel=1e-9)
+
+
+def test_check_on_a_non_box_omega_is_an_input_error(tmp_path, capsys):
+    # no box compactly inside this ball covers figure1's entry points; the
+    # crossing check's ValueError is an input error, not a traceback
+    path = figure1_with(tmp_path, omega={"kind": "ball",
+                                         "center": [2.7, 0.1], "radius": 1.2})
+    assert cli.main(["check", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("scenario error:")
+
+
+def test_exact_run_above_the_solver_cap_fails_up_front(tmp_path, capsys,
+                                                       monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the exact controller ran above the cap")
+
+    monkeypatch.setattr(cli, "exact_controller", never)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "figure1", "--mode", "exact",
+                     "--particles", "2100", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "2048" in err
+    assert not (out / "report.json").exists()
+
+
+def test_two_bump_merge_runs_in_approx_mode(tmp_path):
+    # the moving-cell mesh is dimension-generic, so the 1D preset runs the
+    # approximate lane too, every grid point in closed form
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "two-bump-merge", "--mode",
+                     "approx", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "ok"
+    assert report["mass_total"] == pytest.approx(1.0, abs=1e-12)
+    assert report["closed_form"]["grid"] == {"count": 32, "total": 32}
+    assert report["final_w1"]["method"] == "exact"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from transportlab.flow import (TimeField, Trajectory, _integrate_batch,
-                               choose_step, dopri_batch, flow_push,
-                               integrate_batch, stopped_flow_batch)
+from transportlab.flow import (TimeField, Trajectory, _dopri,
+                               _integrate_batch, choose_step, flow_push,
+                               stopped_flow_batch)
 from transportlab.geometry import Region
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.ot import wp_discrete
@@ -87,8 +87,15 @@ class TestIntegrateFlow:
             _integrate_batch(fld, [[-1.0]], 0.0, 1.0, 1e-6)
 
 
+def dopri_to_end(field, pts, t0, t1, tol):
+    """``_dopri`` run to t1 with no stop region: endpoints and statistics."""
+    end, _, stats = _dopri(field, pts, t0, t1, tol)
+    return end, stats
+
+
 class TestDopri:
-    """Embedded Dormand-Prince 5(4) with one step for the batch."""
+    """Embedded Dormand-Prince 5(4) with one step for the batch (``_dopri``,
+    the loop stopped flows run on), here run to a fixed end time."""
 
     @staticmethod
     def counted(field):
@@ -111,7 +118,7 @@ class TestDopri:
         aug[:2, :2], aug[:2, 2] = mat, off
         pts = np.random.default_rng(0).standard_normal((12, 2))
         t0, t1, tol = 0.5, 3.0, 1e-8
-        out, stats = dopri_batch(TimeField.affine(mat, off), pts, t0, t1, tol)
+        out, stats = dopri_to_end(TimeField.affine(mat, off), pts, t0, t1, tol)
         flow_map = expm(aug * (t1 - t0))
         exact = pts @ flow_map[:2, :2].T + flow_map[:2, 2]
         assert np.max(np.abs(out - exact)) <= tol
@@ -134,7 +141,7 @@ class TestDopri:
         def log_cosh(z):
             return np.logaddexp(z, -z) - math.log(2.0)
 
-        out, stats = dopri_batch(fld, pts, t0, t1, tol)
+        out, stats = dopri_to_end(fld, pts, t0, t1, tol)
         exact = pts * np.exp(w * (log_cosh((t1 - 1.0) / w)
                                   - log_cosh((t0 - 1.0) / w)))
         assert np.max(np.abs(out - exact)) <= tol
@@ -146,7 +153,7 @@ class TestDopri:
         # of seven stages
         fld, calls = self.counted(TimeField.constant([1.0, -0.5]))
         pts = np.array([[0.0, 0.0], [1.0, 2.0]])
-        out, stats = dopri_batch(fld, pts, 1.0, 1.05, 1e-4)
+        out, stats = dopri_to_end(fld, pts, 1.0, 1.05, 1e-4)
         assert stats["accepted"] == 1 and stats["rejected"] == 0
         assert len(calls) == 7
         assert np.allclose(out, pts + [0.05, -0.025], atol=1e-15)
@@ -157,14 +164,14 @@ class TestDopri:
         # FSAL: one evaluation to start, then six per attempted step
         fld, calls = self.counted(TimeField.radial([0.3, 0.1], -2.0))
         pts = np.random.default_rng(1).random((5, 2))
-        _, stats = dopri_batch(fld, pts, 0.0, 2.0, 1e-6)
+        _, stats = dopri_to_end(fld, pts, 0.0, 2.0, 1e-6)
         steps = stats["accepted"] + stats["rejected"]
         assert steps > 1
         assert len(calls) == 1 + 6 * steps
 
     def test_empty_batch_evaluates_nothing(self):
         fld, calls = self.counted(TimeField.constant([1.0, 0.0]))
-        out, stats = dopri_batch(fld, np.zeros((0, 2)), 0.0, 5.0, 1e-8)
+        out, stats = dopri_to_end(fld, np.zeros((0, 2)), 0.0, 5.0, 1e-8)
         assert out.shape == (0, 2)
         assert calls == []
         assert stats["accepted"] == stats["rejected"] == 0
@@ -173,37 +180,28 @@ class TestDopri:
         fld = TimeField(lambda p, t: np.sqrt(p), 1, sup_bound=np.inf)
         with np.errstate(invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="particle 1 "):
-            dopri_batch(fld, [[1.0], [-1.0], [2.0]], 0.0, 1.0, 1e-6)
+            dopri_to_end(fld, [[1.0], [-1.0], [2.0]], 0.0, 1.0, 1e-6)
 
     def test_input_checks(self):
         fld = TimeField.constant([1.0])
         with pytest.raises(ValueError, match="tol"):
-            dopri_batch(fld, [[0.0]], 0.0, 1.0, 0.0)
+            dopri_to_end(fld, [[0.0]], 0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="t1 must be >= t0"):
-            dopri_batch(fld, [[0.0]], 1.0, 0.0, 1e-6)
+            dopri_to_end(fld, [[0.0]], 1.0, 0.0, 1e-6)
 
     def test_construction_picks_the_stepper(self):
-        # smooth=True gets Dormand-Prince and its statistics; any other
-        # field gets fixed-step RK4, bit for bit, and no statistics
-        pts = np.random.default_rng(2).random((4, 2))
+        # stopped flows step by Dormand-Prince and accept only fields built
+        # smooth: the scenario drifts are, and negation keeps the flag
         rate, centre = -2.0, [0.3, 0.1]
         smooth = TimeField(lambda p, t: rate * (p - centre), 2, abs(rate),
                            smooth=True)
-        out, stats = integrate_batch(smooth, pts, 0.0, 1.0, 1e-6)
-        ref, ref_stats = dopri_batch(smooth, pts, 0.0, 1.0, 1e-6)
-        assert np.array_equal(out, ref) and stats == ref_stats
         assert smooth.negated().smooth
         for built in (TimeField.zero(2), TimeField.constant([1.0, 0.0]),
                       TimeField.affine(np.eye(2), [0.0, 1.0]),
                       TimeField.radial(centre, rate)):
             assert built.smooth and built.negated().smooth
-
         plain = TimeField(lambda p, t: rate * (p - centre), 2, abs(rate))
-        assert not plain.smooth
-        out, stats = integrate_batch(plain, pts, 0.0, 1.0, 1e-6)
-        assert np.array_equal(out, _integrate_batch(plain, pts, 0.0, 1.0,
-                                                    1e-6))
-        assert stats is None
+        assert not plain.smooth and not plain.negated().smooth
 
 
 class TestFlowPush:

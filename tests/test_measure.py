@@ -141,37 +141,34 @@ class TestQuantilePartition:
         nu = sample(unit_square_spec(), 60_000, seed=22)
         src, _ = quantile_partition(mu, nu, 4)
         oracle = uniform_quantiles_oracle(0.0, 1.0, 4)
-        assert np.allclose(src.outer_x[1:], oracle[1:], atol=0.02)
-        # inner bounds of the uniform law: a_i^- = a_i + 1/n^2
+        assert src.walls[0].shape == (5,) and src.walls[1].shape == (4, 5)
+        # the outer walls are the unit box's; within every column the
+        # uniform law's y-quantiles are the column breakpoints too
+        assert np.array_equal(src.walls[0][[0, -1]], [0.0, 1.0])
+        assert np.allclose(src.walls[0], oracle, atol=0.02)
         for i in range(4):
-            assert abs(src.inner_x[i, 0] - (oracle[i] + 1 / 16)) < 0.02
-            assert abs(src.inner_x[i, 1] - (oracle[i + 1] - 1 / 16)) < 0.02
-            for j in range(4):
-                assert abs(src.inner_y[i, j, 0]
-                           - (src.outer_y[i, j] + 1 / 16)) < 0.03
+            assert np.array_equal(src.walls[1][i, [0, -1]], [0.0, 1.0])
+            assert np.allclose(src.walls[1][i], oracle, atol=0.03)
 
     def test_strip_and_cell_masses(self):
-        mu = sample(unit_square_spec(), 20_000, seed=23)
-        nu = sample(unit_square_spec(), 20_000, seed=24)
+        # in any dimension, columns carry 1/n and cells 1/n^d of the mass,
+        # each within a particle weight per nesting level
         n = 5
-        src, _ = quantile_partition(mu, nu, n)
-        w_max = mu.weights.max()
-        for i in range(n):
-            strip = ((mu.positions[:, 0] > src.outer_x[i])
-                     & (mu.positions[:, 0] <= src.outer_x[i + 1]))
-            assert abs(mu.weights[strip].sum() - 1 / n) <= 1 / n * 0.02 + 2 * w_max
-
-    def test_retained_cell_mass_formula(self):
-        # mass of each retained cell approaches (n-2)^2/n^4; at n = 8 that
-        # is 36/4096
-        n = 8
-        mu = sample(unit_square_spec(), 80_000, seed=25)
-        nu = sample(unit_square_spec(), 80_000, seed=26)
-        src, _ = quantile_partition(mu, nu, n)
-        expected = (n - 2) ** 2 / n ** 4
-        assert expected == 36 / 4096
-        assert np.allclose(src.cell_mass, expected, rtol=0.25)
-        assert abs(src.cell_mass.mean() - expected) < 0.1 * expected
+        for dim in (1, 2, 3):
+            spec = DensitySpec("uniform_box", dim, {"lo": [0.0] * dim,
+                                                    "hi": [1.0] * dim})
+            mu = sample(spec, 20_000, seed=23)
+            src, _ = quantile_partition(mu, mu, n)
+            w_max = mu.weights.max()
+            cells = src.locate(mu.positions)
+            columns = np.bincount(cells // n ** (dim - 1), mu.weights, n)
+            assert np.max(np.abs(columns - 1 / n)) <= w_max
+            masses = np.bincount(cells, mu.weights, n ** dim)
+            assert np.max(np.abs(masses - 1 / n ** dim)) <= dim * w_max
+            # every particle lies in the cell locate names
+            lo, hi = src.cells()
+            assert np.all((lo[cells] <= mu.positions)
+                          & (mu.positions <= hi[cells]))
 
     def test_symmetric_measure_symmetric_partition(self):
         mu = sample(unit_square_spec(), 40_000, seed=27)
@@ -179,12 +176,14 @@ class TestQuantilePartition:
             [1.0 - p[:, 0], p[:, 1]], axis=1))
         a, _ = quantile_partition(mu, mu, 4)
         b, _ = quantile_partition(mirrored, mirrored, 4)
-        assert np.allclose(a.outer_x, (1.0 - b.outer_x)[::-1], atol=0.02)
+        assert np.allclose(a.walls[0], (1.0 - b.walls[0])[::-1], atol=0.02)
 
     def test_small_n_rejected(self):
         mu = sample(unit_square_spec(), 1000, seed=1)
-        with pytest.raises(ValueError):
-            quantile_partition(mu, mu, 2)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            quantile_partition(mu, mu, 0)
+        one, _ = quantile_partition(mu, mu, 1)
+        assert np.array_equal(one.walls[1], [[0.0, 1.0]])
 
     def test_out_of_box_rejected(self):
         mu = sample(unit_square_spec(), 1000, seed=1)
@@ -192,13 +191,20 @@ class TestQuantilePartition:
         with pytest.raises(ValueError):
             quantile_partition(shifted, shifted, 4)
 
-    def test_heavy_atom_warns(self):
+    def test_zero_width_cell_raises(self):
+        # coincident atoms heavier than a cell put two splits between the
+        # same pair of particles, and too many cells leave one empty
         rng = np.random.default_rng(0)
-        pos = np.concatenate([rng.random((10_000, 2)), [[0.51, 0.52]]])
-        wts = np.concatenate([np.full(10_000, 0.95 / 10_000), [0.05]])
-        mu = ParticleMeasure(pos, wts)
-        with pytest.warns(UserWarning):
-            quantile_partition(mu, mu, 3)
+        pos = np.concatenate([rng.random((1_000, 2)),
+                              np.full((200, 2), [0.51, 0.52])])
+        mu = ParticleMeasure(pos, np.full(1_200, 1 / 1_200))
+        assert len(quantile_partition(mu, mu, 2)) == 2
+        with pytest.raises(ValueError, match="zero-width cell"):
+            quantile_partition(mu, mu, 4)
+        sparse = sample(unit_square_spec(), 300, seed=2)
+        with pytest.raises(ValueError, match="fewer than its 40 cells"):
+            quantile_partition(sparse, sparse, 40)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31))

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from transportlab import cli, synth
-from transportlab.flow import (TimeField, _integrate_batch, flow_push,
-                               stopped_flow_batch)
+from transportlab.flow import (TimeField, _integrate_batch, choose_step,
+                               flow_push, stopped_flow_batch)
 from transportlab.geometry import Region, ScalarField, weight_eta
 from transportlab.measure import (DensitySpec, ParticleMeasure,
-                                  quantile_partition, sample)
+                                  push_forward, quantile_partition, sample)
 from transportlab.ot import wp_discrete
 from transportlab.scenarios import Scenario, random_exact_scenario
 from transportlab.synth import (_escalate_exact_funnel, _eta_grad_lipschitz,
@@ -18,8 +18,9 @@ from transportlab.synth import (_escalate_exact_funnel, _eta_grad_lipschitz,
 
 
 class TestGridClosedForm:
-    """Moving cells are invariant, so ``cell_flow`` is the grid field's
-    exact flow on them."""
+    """Within a slab the moving cell walls are characteristics, so ``flow``
+    moves every point off the blend strips in closed form; strip points
+    take fixed-step RK4 at the moving axis's slope bound."""
 
     T = 0.5
 
@@ -33,89 +34,140 @@ class TestGridClosedForm:
         part_src, part_tgt = quantile_partition(src, tgt, 4)
         return grid_control(part_src, part_tgt, self.T)
 
+    @staticmethod
+    def rk4(grid, pts, ta, tb, tol, refine=1.0):
+        """Fixed-step RK4 through each sub-phase's field in turn, at refine
+        times its slope bound."""
+        for a in range(grid.dim):
+            lo, hi = max(ta, grid.ends[a]), min(tb, grid.ends[a + 1])
+            if hi > lo:
+                sub = grid.subphase_field(a)
+                pts = _integrate_batch(
+                    TimeField(sub.evaluate, grid.dim,
+                              refine * sub.lipschitz_bound, sub.sup_bound),
+                    pts, lo, hi, tol)
+        return pts
+
     def test_corners_reach_their_ends(self, grid):
-        starts, ends = grid.corner_pairs()
-        inside, images = grid.cell_flow(starts, 0.0, self.T)
-        assert np.all(inside)
-        assert np.array_equal(images, ends)
+        # sub-phase a carries every slab's walls on axis a, read at the
+        # middle of the slab on the earlier axes, from their source to
+        # their target positions bit for bit
+        n, d = grid.n, grid.dim
+        lo, hi = grid.tgt.cells()
+        for a in range(d):
+            slabs = np.arange(n ** a) * n ** (d - a)
+            middle = 0.5 * (lo[slabs] + hi[slabs])
+            src = grid.src.walls[a].reshape(-1, n + 1)
+            tgt = grid.tgt.walls[a].reshape(-1, n + 1)
+            pts = np.repeat(middle, n + 1, axis=0)
+            pts[:, a] = src.ravel()
+            images, closed, _ = grid.flow(pts, grid.ends[a], grid.ends[a + 1],
+                                          1e-8)
+            assert np.all(closed)
+            assert np.array_equal(images[:, a], tgt.ravel())
+            others = np.arange(d) != a
+            assert np.array_equal(images[:, others], pts[:, others])
 
     def in_cell_points(self, grid, per_cell=6):
+        """Points at relative coordinates in [0.02, 0.98] of every source
+        cell, which keeps them off every blend strip, and those
+        coordinates."""
         rng = np.random.default_rng(3)
-        pts, cells = [], []
-        for k, (lo, hi) in enumerate(grid.source_cells()):
-            pts.append(lo + (hi - lo) * rng.random((per_cell, 2)))
-            cells.extend([k] * per_cell)
-        return np.concatenate(pts), np.array(cells)
+        lo, hi = grid.src.cells()
+        rel = rng.uniform(0.02, 0.98, (len(lo), per_cell, grid.dim))
+        pts = lo[:, None] + rel * (hi - lo)[:, None]
+        return pts.reshape(-1, grid.dim), rel.reshape(-1, grid.dim)
 
     def test_source_cells_land_in_target_cells(self, grid):
-        pts, cells = self.in_cell_points(grid)
-        inside, images = grid.cell_flow(pts, 0.0, self.T)
-        assert np.all(inside)
-        targets = grid.target_cells()
-        lo = np.array([targets[k][0] for k in cells])
-        hi = np.array([targets[k][1] for k in cells])
-        assert np.all((lo <= images) & (images <= hi))
+        pts, rel = self.in_cell_points(grid)
+        images, closed, stats = grid.flow(pts, 0.0, self.T, 1e-8)
+        assert np.all(closed) and stats["steps"] == 0
+        lo, hi = grid.tgt.cells()
+        cells = np.repeat(np.arange(len(lo)), 6)
+        assert np.array_equal(grid.tgt.locate(images), cells)
+        # each point keeps its relative coordinate on every axis
+        expect = lo[cells] + rel * (hi - lo)[cells]
+        assert np.max(np.abs(images - expect)) < 1e-14
 
     def test_matches_rk4(self, grid):
         pts, _ = self.in_cell_points(grid, per_cell=2)
-        # a mid-phase start as well as the whole phase
-        mid = _integrate_batch(grid, pts, 0.0, 0.2, 1e-8)
-        for start, ta in ((pts, 0.0), (mid, 0.2)):
-            inside, images = grid.cell_flow(start, ta, self.T)
-            assert np.all(inside)
-            ref = _integrate_batch(grid, start, ta, self.T, 1e-8)
+        # the whole phase, within one sub-phase, across the sub-phase
+        # boundary, and from mid-phase starts
+        for ta, tb in ((0.0, self.T), (0.05, 0.2), (0.1, 0.4), (0.3, self.T)):
+            start = self.rk4(grid, pts, 0.0, ta, 1e-10)
+            images, closed, _ = grid.flow(start, ta, tb, 1e-10)
+            assert np.all(closed)
+            ref = self.rk4(grid, start, ta, tb, 1e-10)
             assert np.max(np.abs(images - ref)) < 1e-9
 
     @staticmethod
-    def gap_midpoint(grid, t):
-        """Midpoint of the gap between the first two columns at time t,
-        where a margin point's nearest column switches."""
-        xm, xp, *_ = grid._walls(t)
-        return 0.5 * (xp[0] + xm[1])
-
-    def margin_points(self, grid, count=40):
-        """Random points outside every cell, after one that sits where the
-        gap midpoint passes at mid-phase, so the midpoint crosses it."""
+    def strip_points(grid, count=40):
+        """Points at the start of sub-phase 1 inside the blend strips of
+        the interior slab walls on axis 0, the first on a wall."""
         rng = np.random.default_rng(4)
-        pts = rng.random((10 * count, 2))
-        inside, _ = grid.cell_flow(pts, 0.0, 0.0)
-        crosser = [self.gap_midpoint(grid, 0.5 * self.T), 0.5]
-        return np.vstack([crosser, pts[~inside][:count]])
+        walls = grid.tgt.walls[0]
+        widths = np.diff(walls)
+        k = rng.integers(1, grid.n, count)
+        gamma = synth.STRIP_GAMMA * np.minimum(widths[k - 1], widths[k])
+        x = walls[k] + gamma * rng.uniform(-0.95, 0.95, count)
+        x[0] = walls[1]
+        return np.stack([x, rng.uniform(0.02, 0.98, count)], axis=1)
 
-    def test_margin_points_match_finer_rk4(self, grid):
+    def test_strip_points_match_finer_rk4(self, grid):
         tol = 1e-7
-        finer = TimeField(grid.evaluate, 2, 4.0 * grid.lipschitz_bound,
-                          grid.sup_bound)
-        pts = self.margin_points(grid)
-        mid = _integrate_batch(finer, pts, 0.0, 0.2, tol)
-        for start, ta in ((pts, 0.0), (mid, 0.2)):
-            images, in_cell, stats = grid.flow(start, ta, self.T, tol)
-            assert not np.any(in_cell)
-            assert stats["accepted"] >= 1
-            ref = _integrate_batch(finer, start, ta, self.T, tol)
+        pts = self.strip_points(grid)
+        half = grid.ends[1]
+        mid = self.rk4(grid, pts, half, 0.4, tol, refine=4.0)
+        for start, ta in ((pts, half), (mid, 0.4)):
+            images, closed, stats = grid.flow(start, ta, self.T, tol)
+            assert not np.any(closed)
+            field = grid.subphase_field(1)
+            assert stats["lipschitz"] == field.lipschitz_bound == grid.slopes[1]
+            assert stats["h"] == choose_step(field, tol, self.T - ta)
+            assert stats["steps"] == round((self.T - ta) / stats["h"])
+            ref = self.rk4(grid, start, ta, self.T, tol, refine=4.0)
             assert np.max(np.abs(images - ref)) <= tol
-            # the first point changes sides of the gap midpoint
-            before = start[0, 0] - self.gap_midpoint(grid, ta)
-            after = ref[0, 0] - self.gap_midpoint(grid, self.T)
-            assert before * after < 0
+            # only the moving axis moved
+            assert np.array_equal(images[:, 0], start[:, 0])
 
     def test_flow_moves_cell_points_in_closed_form(self, grid):
-        pts = np.vstack([self.in_cell_points(grid, per_cell=1)[0],
-                         self.margin_points(grid, count=5)])
-        images, in_cell, _ = grid.flow(pts, 0.0, self.T, 1e-7)
-        inside, cell_images = grid.cell_flow(pts, 0.0, self.T)
-        assert np.array_equal(in_cell, inside)
-        assert np.array_equal(images[in_cell], cell_images)
-        assert in_cell.sum() == len(grid.source_cells())
+        cell_pts, _ = self.in_cell_points(grid, per_cell=1)
+        half = grid.ends[1]
+        start = np.vstack([grid.flow(cell_pts, 0.0, half, 1e-7)[0],
+                           self.strip_points(grid, count=5)])
+        images, closed, _ = grid.flow(start, half, self.T, 1e-7)
+        assert np.array_equal(closed, np.arange(len(start)) < len(cell_pts))
+        alone, _, _ = grid.flow(start[closed], half, self.T, 1e-7)
+        assert np.array_equal(images[closed], alone)
 
     def test_points_off_the_cells_are_left_out(self, grid):
-        (lo, hi), = grid.source_cells()[:1]
-        gap = np.array([[0.5 * lo[0], 0.5 * (lo[1] + hi[1])],
-                        [0.5 * (lo[0] + hi[0]), hi[1] + 1e-9],
-                        [1.5, 0.5]])
-        inside, images = grid.cell_flow(gap, 0.0, self.T)
-        assert not np.any(inside)
-        assert images.shape == (0, 2)
+        # outside the unit box on every axis the velocity is zero, so such
+        # points lie in no cell and stay put
+        out = np.array([[-0.2, 1.3], [1.5, -0.1], [2.0, 2.0], [-1e-9, -1e-9]])
+        images, closed, stats = grid.flow(out, 0.0, self.T, 1e-7)
+        assert np.all(closed) and stats["steps"] == 0
+        assert np.array_equal(images, out)
+        for t in (0.0, 0.1, 0.25, 0.4, self.T):
+            assert not np.any(grid.evaluate(out, t))
+
+    def test_three_dimensional_cells_land_in_target_cells(self):
+        cube = DensitySpec("uniform_box", 3, {"lo": [0] * 3, "hi": [1] * 3})
+        src, tgt = sample(cube, 2000, seed=5), sample(cube, 2000, seed=6)
+        grid = grid_control(*quantile_partition(
+            src, push_forward(tgt, lambda p: p ** 2), 3), 1.0)
+        pts, rel = self.in_cell_points(grid, per_cell=2)
+        images, closed, _ = grid.flow(pts, 0.0, 1.0, 1e-8)
+        assert np.all(closed)
+        lo, hi = grid.tgt.cells()
+        cells = np.repeat(np.arange(len(lo)), 2)
+        assert np.max(np.abs(images - lo[cells] - rel * (hi - lo)[cells])) \
+            < 1e-14
+        # the strips of both earlier axes: the last sub-phase blends up to
+        # four slabs; its RK4 is stepped by that axis's slope bound
+        moved, closed, stats = grid.flow(src.positions, 0.0, 1.0, 1e-7)
+        assert 0 < np.sum(~closed) < 0.05 * len(src)
+        assert stats["lipschitz"] == max(grid.slopes[1:])
+        assert np.all((moved >= 0.0) & (moved <= 1.0))
 
 
 class TestFunnelClosedForm:
@@ -196,13 +248,16 @@ def test_report_counts_closed_form_moves(tmp_path):
         assert set(entry) == {"count", "total"}
         assert 0 <= entry["count"] <= entry["total"] == 400
     assert closed["grid"]["count"] > 0
+    # the strip points' fixed-step RK4: its steps, its step and the
+    # axis-slope bound that chose it
     grid_flow = report["grid_flow"]
-    assert set(grid_flow) == {"accepted", "rejected", "h_first", "h_min",
-                              "h_max", "lipschitz"}
-    assert grid_flow["accepted"] >= 1
-    assert 0.0 < grid_flow["h_min"] <= grid_flow["h_max"]
-    assert grid_flow["h_first"] == pytest.approx(
-        0.1 / grid_flow["lipschitz"], rel=1e-2)
+    assert set(grid_flow) == {"steps", "h", "lipschitz"}
+    if grid_flow["steps"]:
+        # in 2D only the second of the two sub-phases has strips
+        span = 0.5 * (report["times"]["T3"] - report["times"]["T2"])
+        assert grid_flow["steps"] * grid_flow["h"] == pytest.approx(span)
+        assert grid_flow["h"] <= min(1e-6 ** 0.25, 0.1 / max(
+            grid_flow["lipschitz"], 1.0)) * (1 + 1e-9)
     # mass is conserved and each side's untouched set is its target mass
     # up to one particle weight
     assert report["mass_total"] == pytest.approx(1.0, abs=1e-12)
@@ -215,13 +270,14 @@ def test_report_counts_closed_form_moves(tmp_path):
     grid_count = 400 - untouched["count_source"]
     assert report["grid_n"] == max(3, min(64, math.isqrt(grid_count // 25))) \
         == 3
-    assert report["grid_bound"] == synth.grid_error_bound(3)
+    # the certificate lies between 0 and the unit square's diameter
+    assert 0.0 < report["grid_bound"] < math.sqrt(2.0)
     assert not {"grid_bound_target", "grid_bound_met"} & set(report)
 
 
 class TestStudyCli:
-    """``transportlab study``: artifacts, exit codes, and the margin
-    stepper against RK4 at a finer step."""
+    """``transportlab study``: artifacts, exit codes, and the grid flow
+    against RK4 at a finer step."""
 
     args = ["study", "--scenario", "figure1", "--particles", "300",
             "--n-list", "3,4"]
@@ -254,18 +310,13 @@ class TestStudyCli:
         assert coarse["sample_error"] == fine["sample_error"]
 
     def test_table_matches_finer_rk4(self, rows, monkeypatch, tmp_path):
-        # the reference moves in-cell points by cell_flow (pinned against
-        # RK4 in TestGridClosedForm) and RK4s the margin points at a quarter
-        # of the 0.1/L step; n = 3 only, ~10 000 steps on ~260 points
+        # the reference takes every point, strip or not, through each
+        # sub-phase's field by RK4 at a quarter of the 0.1/L step; n = 3
+        # only, a few hundred steps on 300 points
         def rk4_flow(grid, pts, ta, tb, tol):
-            images = np.array(pts, dtype=float)
-            in_cell, cell_images = grid.cell_flow(images, ta, tb)
-            images[in_cell] = cell_images
-            finer = TimeField(grid.evaluate, grid.dim,
-                              4.0 * grid.lipschitz_bound, grid.sup_bound)
-            images[~in_cell] = _integrate_batch(finer, images[~in_cell],
-                                                ta, tb, tol)
-            return images, in_cell, {}
+            images = TestGridClosedForm.rk4(grid, np.array(pts, dtype=float),
+                                            ta, tb, tol, refine=4.0)
+            return images, np.zeros(len(images), dtype=bool), {}
 
         monkeypatch.setattr(synth.GridControlField, "flow", rk4_flow)
         scenario = cli._apply_overrides(
@@ -276,11 +327,10 @@ class TestStudyCli:
                                      tol=float(scenario.params["tol"]))
         assert abs(rows[0]["measured_w1"] - ref["measured_w1"]) <= 1e-6
 
-    @pytest.mark.parametrize("n_list", ["2", "3,12"])
-    @pytest.mark.filterwarnings("ignore:.* has an atom heavier")
+    @pytest.mark.parametrize("n_list", ["0", "3,40"])
     def test_bad_n_is_an_input_error(self, tmp_path, capsys, n_list):
-        # n = 2 leaves the inner cells empty; n = 12 is too fine for 300
-        # particles, which quantile_partition finds before any flow runs
+        # n = 0 cells is no mesh; n = 40 asks 7 or 8 particles per column
+        # for 40 cells, which quantile_partition finds before any flow runs
         code = cli.main(["study", "--scenario", "figure1", "--particles",
                          "300", "--n-list", n_list, "--out", str(tmp_path)])
         assert code == 1
@@ -495,3 +545,106 @@ def test_random_exact_scenario_contract(kind):
     omega = scenario.omega_region()
     assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
     assert on_path_control_outside(result.schedule, omega) <= 1e-12
+
+
+def replay(schedule, start):
+    """Atoms stepped across every knot of every witness segment by
+    x += dt * velocity(x, t_k): the witness's own chords."""
+    x = np.array(start, dtype=float)
+    for seg in schedule.segments:
+        knots = seg.field.knots
+        for t0, t1 in zip(knots[:-1], knots[1:]):
+            x = x + (t1 - t0) * seg.field.evaluate(x, t0)
+    return x
+
+
+def test_witness_velocities_replay_the_paths():
+    # 16 + 16 equal-weight atoms, one per cell of a 4 x 4 grid on each
+    # side: the plan is a permutation, and the witness velocities carry
+    # every source atom onto its target
+    rng = np.random.default_rng(8)
+    cells = np.stack(np.meshgrid(np.arange(4), np.arange(4), indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+
+    def atoms(center):
+        pts = np.asarray(center) - 0.15 + 0.075 * (cells + rng.random((16, 2)))
+        return [[*p, 1.0 / 16] for p in pts.tolist()]
+
+    scenario = Scenario.from_dict({
+        "dim": 2, "v": {"kind": "constant", "value": [0.7, 0.0]},
+        "omega": {"kind": "box", "lo": [1.6, -0.6], "hi": [2.9, 1.6]},
+        "mu0": {"atoms": atoms([0.4, 0.6])},
+        "mu1": {"atoms": atoms([4.0, 0.6])},
+        "params": {"delta": 0.6, "seed": 8, "horizon": 24.0, "tol": 1e-6}})
+    result = exact_controller(scenario)
+    plan = result.trajectory.plan
+    assert sorted(plan.src_idx) == sorted(plan.tgt_idx) == list(range(16))
+    end = replay(result.schedule,
+                 scenario.measure("mu0").positions[plan.src_idx])
+    assert np.max(np.abs(end - scenario.measure("mu1").positions[
+        plan.tgt_idx])) < 1e-12
+
+
+def test_a_split_atom_cannot_be_replayed():
+    # the LP plan splits a source atom over several targets; the split
+    # entries share a position until the geodesic, where one velocity per
+    # position cannot send them apart: the witness is not a flow
+    scenario = random_exact_scenario(0, "plain")
+    result = exact_controller(scenario)
+    plan = result.trajectory.plan
+    src, counts = np.unique(plan.src_idx, return_counts=True)
+    split = np.isin(plan.src_idx, src[counts > 1])
+    assert np.any(split)
+    end = replay(result.schedule,
+                 scenario.measure("mu0").positions[plan.src_idx])
+    miss = np.linalg.norm(end - scenario.measure("mu1").positions[
+        plan.tgt_idx], axis=1)
+    assert np.max(miss[~split]) < 1e-12
+    assert np.max(miss[split]) > 0.1
+
+
+def test_three_dimensional_approx_run():
+    scenario = Scenario.from_dict({
+        "dim": 3, "v": {"kind": "zero"},
+        "omega": {"kind": "box", "lo": [-0.5] * 3, "hi": [1.5] * 3},
+        "mu0": {"kind": "uniform_box", "dim": 3, "lo": [0.05] * 3,
+                "hi": [0.55] * 3},
+        "mu1": {"kind": "uniform_box", "dim": 3, "lo": [0.45] * 3,
+                "hi": [0.95] * 3},
+        "params": {"delta": 1.0, "particles": 800, "seed": 11,
+                   "horizon": 4.0, "tol": 1e-6}})
+    result = synth.approx_controller(scenario)
+    report = result.report
+    # 793 particles are left untagged, and the cube root of 793 // 25 = 31
+    # rounds down to 3
+    assert report["grid_n"] == 3
+    assert report["closed_form"]["grid"]["count"] >= 0.95 * 800
+    for state in result.trajectory.states:
+        assert state.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert result.schedule.max_control_outside(
+        scenario.omega_region(), 1024, seed=0) == 0.0
+    assert report["final_w1"]["estimate"] < report["epsilon"]
+
+
+def test_grid_bound_certifies_the_grid_phase(monkeypatch):
+    # the certificate is at least the exact W1 between the grid phase's
+    # image and its target, both in the target's normalized frame
+    seen = []
+
+    def recording(mesh, moved, closed, target):
+        bound = grid_error_bound(mesh, moved, closed, target)
+        seen.append((bound, moved, closed, target))
+        return bound
+
+    grid_error_bound = synth.grid_error_bound
+    monkeypatch.setattr(synth, "grid_error_bound", recording)
+    scenario = Scenario.from_dict({
+        **cli.load_scenario("figure1").to_dict(),
+        "params": {**cli.load_scenario("figure1").params,
+                   "particles": 600, "seed": 6}})
+    report = synth.approx_controller(scenario).report
+    (bound, moved, closed, target), = seen
+    assert report["grid_bound"] == bound
+    assert np.mean(closed) >= 0.98
+    exact, _ = wp_discrete(moved.normalized(), target.normalized())
+    assert 0.0 < exact <= bound
