@@ -1,6 +1,6 @@
-"""Hot numeric kernels: the weighted 1D W1 merge, the row-wise sorted
-search and the moving-cell velocity along one axis, all vectorized numpy
-over whole particle batches.
+"""Hot numeric kernels: the weighted 1D W1 merge, exact square assignment,
+the row-wise sorted search and the moving-cell velocity along one axis, all
+vectorized numpy over whole particle batches.
 
 ``grid_eval_2d`` and its helpers ``_falloff`` and ``_nearest_column``
 evaluate the earlier design's inner-cell field with a quintic falloff; the
@@ -16,15 +16,14 @@ import numpy as np
 # weighted 1D Wasserstein-1: exact integral of |F_a^{-1} - F_b^{-1}| over mass
 # ---------------------------------------------------------------------------
 
-def w1_pair_sorted(xa, wa, xb, wb):
-    """W1 between weighted 1D atom lists already sorted by position.
+def quantile_coupling(wa, wb):
+    """North-west-corner coupling of two weighted atom lists in the given
+    order: pieces k of mass ``seg[k]`` join atom ``ia[k]`` to ``ib[k]``.
 
-    Both inputs must carry (numerically) equal total mass; the caller
-    validates that. Exact up to float rounding: the quantile functions are
-    piecewise constant and the merge visits every breakpoint once.
+    Both lists must carry (numerically) equal total mass; the caller
+    validates that. The merge visits every breakpoint of the two cumulative
+    masses once.
     """
-    xa = np.asarray(xa, dtype=np.float64)
-    xb = np.asarray(xb, dtype=np.float64)
     ca = np.cumsum(np.asarray(wa, dtype=np.float64))
     cb = np.cumsum(np.asarray(wb, dtype=np.float64))
     total = min(ca[-1], cb[-1])
@@ -33,9 +32,184 @@ def w1_pair_sorted(xa, wa, xb, wb):
     grid = np.concatenate([[0.0], np.sort(cuts), [total]])
     seg = np.diff(grid)
     mid = 0.5 * (grid[:-1] + grid[1:])
-    ia = np.minimum(np.searchsorted(ca, mid, side="left"), len(xa) - 1)
-    ib = np.minimum(np.searchsorted(cb, mid, side="left"), len(xb) - 1)
+    ia = np.minimum(np.searchsorted(ca, mid, side="left"), len(ca) - 1)
+    ib = np.minimum(np.searchsorted(cb, mid, side="left"), len(cb) - 1)
+    return ia, ib, seg
+
+
+def w1_pair_sorted(xa, wa, xb, wb):
+    """W1 between weighted 1D atom lists already sorted by position.
+
+    Exact up to float rounding: on sorted lists the north-west-corner
+    coupling is the monotone one, which is optimal on the line.
+    """
+    ia, ib, seg = quantile_coupling(wa, wb)
+    xa = np.asarray(xa, dtype=np.float64)
+    xb = np.asarray(xb, dtype=np.float64)
     return float(np.sum(seg * np.abs(xa[ia] - xb[ib])))
+
+
+# ---------------------------------------------------------------------------
+# exact square assignment: shortest augmenting paths with dual potentials
+# ---------------------------------------------------------------------------
+
+def assignment(cost):
+    """Column ``cols[i]`` for each row i of a square cost matrix, minimizing
+    the total ``cost[i, cols[i]]``; for a stack of matrices (shape ``(B, n,
+    n)``), one such row of columns per matrix.
+
+    Shortest augmenting paths (Jonker & Volgenant 1987, in the form of
+    Crouse 2016): a column reduction sets the duals v_j = min_i c_ij and u_i
+    = min_j (c_ij - v_j) and lets each column claim its cheapest free row;
+    every row still free then grows a Dijkstra tree over the columns on the
+    reduced costs c_ij - u_i - v_j until it reaches a free column, and the
+    path is flipped. One scan relaxes every column at once; scanned columns
+    are masked by a -inf in a copy of v. Among columns at the least
+    distance a free one is taken first, so ties end the search at once: an
+    all-zero matrix takes one scan per free row.
+
+    A stack runs its searches in lockstep, one scan of every matrix per
+    step, so many small matrices share each step's numpy calls; a single
+    matrix takes the lighter loop of :meth:`_ShortestPaths.solve_one`.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    stack = cost[None] if cost.ndim == 2 else cost
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"assignment needs square matrices, got {cost.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("assignment needs finite costs")
+    paths = _ShortestPaths(stack)
+    if cost.ndim == 2:
+        paths.solve_one()
+        return paths.col4row[0]
+    paths.solve_lockstep()
+    return paths.col4row
+
+
+class _ShortestPaths:
+    """Duals, matching and search state of ``assignment``, one row per
+    matrix of the stack."""
+
+    def __init__(self, cost):
+        nb, n, _ = cost.shape
+        self.cost = cost
+        self.v = cost.min(axis=1)
+        # each column claims its cheapest row unless a lower column has
+        keys = (np.arange(nb)[:, None] * n + cost.argmin(axis=1)).ravel()
+        claimed, first = np.unique(keys, return_index=True)
+        self.col4row = np.full((nb, n), -1, dtype=np.int64)
+        self.row4col = np.full((nb, n), -1, dtype=np.int64)
+        self.col4row[claimed // n, claimed % n] = first % n
+        self.row4col[first // n, first % n] = claimed % n
+        self.u = np.min(cost - self.v[:, None, :], axis=2)
+        self.path = np.zeros((nb, n), dtype=np.int64)
+        self.reached = np.zeros((nb, n))
+        self.dist = np.full((nb, n), np.inf)
+        self.masked_v = self.v.copy()
+
+    def augment(self, blocks, sink, start, low):
+        """Close the searches of ``blocks`` that reached the free column
+        ``sink`` at distance ``low``: move the duals of the tree by low
+        minus each column's distance, which keeps every reduced cost >= 0
+        and the new path's zero, then flip the path."""
+        k, col = np.nonzero(self.masked_v[blocks] == -np.inf)
+        blk = blocks[k]
+        gain = low[k] - self.reached[blk, col]
+        self.v[blk, col] -= gain
+        # the tree's rows: the start, and those matched to scanned columns
+        row = self.row4col[blk, col]
+        tree = row >= 0
+        self.u[blk[tree], row[tree]] += gain[tree]
+        self.u[blocks, start] += low
+        col = sink
+        while len(blocks):
+            row = self.path[blocks, col]
+            self.row4col[blocks, col] = row
+            prev = self.col4row[blocks, row]
+            self.col4row[blocks, row] = col
+            more = row != start
+            blocks, col, start = blocks[more], prev[more], start[more]
+
+    def solve_one(self):
+        cost, v, u = self.cost[0], self.v[0], self.u[0]
+        row4col, path = self.row4col[0], self.path[0]
+        dist, masked_v, reached = self.dist[0], self.masked_v[0], self.reached[0]
+        n = len(v)
+        reduced = np.empty(n)
+        shorter = np.empty(n, dtype=bool)
+        for start in np.flatnonzero(self.col4row[0] < 0):
+            dist.fill(np.inf)
+            masked_v[:] = v
+            free = row4col < 0
+            row, low = start, 0.0
+            while True:
+                np.subtract(cost[row], masked_v, out=reduced)
+                reduced += low - u[row]
+                np.less(reduced, dist, out=shorter)
+                np.putmask(path, shorter, row)
+                np.minimum(dist, reduced, out=dist)
+                col = dist.argmin()
+                low = dist[col]
+                if not free[col]:
+                    ties = dist == low
+                    if np.count_nonzero(ties) > 1:
+                        ties &= free
+                        if ties.any():
+                            col = ties.argmax()
+                reached[col] = low
+                masked_v[col] = -np.inf
+                dist[col] = np.inf
+                if free[col]:
+                    break
+                row = row4col[col]
+            self.augment(np.zeros(1, dtype=np.int64), np.array([col]),
+                         np.array([start]), np.array([low]))
+
+    def solve_lockstep(self):
+        nb, n = self.v.shape
+        blk = np.arange(nb)
+        cost, u, row4col, path = self.cost, self.u, self.row4col, self.path
+        dist, masked_v = self.dist, self.masked_v
+        reduced = np.empty((nb, n))
+        shorter = np.empty((nb, n), dtype=bool)
+        start = np.zeros(nb, dtype=np.int64)
+        row = np.zeros(nb, dtype=np.int64)
+        low = np.zeros(nb)
+        active = np.zeros(nb, dtype=bool)
+
+        def begin(blocks):
+            # each block's next free row starts a search; a block with none
+            # left is done, and its idle scans change nothing it returns
+            free = self.col4row[blocks] < 0
+            active[blocks] = free.any(axis=1)
+            start[blocks] = row[blocks] = free.argmax(axis=1)
+            low[blocks] = 0.0
+            dist[blocks] = np.inf
+            masked_v[blocks] = self.v[blocks]
+
+        begin(blk)
+        while active.any():
+            np.subtract(cost[blk, row], masked_v, out=reduced)
+            reduced += (low - u[blk, row])[:, None]
+            np.less(reduced, dist, out=shorter)
+            np.copyto(path, row[:, None], where=shorter)
+            np.minimum(dist, reduced, out=dist)
+            col = dist.argmin(axis=1)
+            low = dist[blk, col]
+            ties = (dist == low[:, None]) & (row4col < 0)
+            col = np.where(ties.any(axis=1), ties.argmax(axis=1), col)
+            self.reached[blk, col] = low
+            masked_v[blk, col] = -np.inf
+            dist[blk, col] = np.inf
+            nxt = row4col[blk, col]
+            done = active & (nxt < 0)
+            if done.any():
+                ended = np.flatnonzero(done)
+                self.augment(ended, col[ended], start[ended], low[ended])
+                begin(ended)
+            # a finished block's columns are all matched, so only a block
+            # that just ended reads -1 here, and it keeps its new start
+            row = np.where(done, row, nxt)
 
 
 # ---------------------------------------------------------------------------

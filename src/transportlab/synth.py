@@ -24,7 +24,7 @@ from .geometry import (Region, cutoff_theta, weight_eta,
                        check_geometric_condition, _smootherstep,
                        _smootherstep_d)
 from .measure import ParticleMeasure, quantile_partition
-from .ot import wp_discrete, subsampled_w1
+from .ot import wp_discrete, w1_bracket
 
 __all__ = [
     "ControlSegment",
@@ -945,8 +945,9 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         [mu0_tagged, state1, state2_all, state3_all, state4_all, state5_all],
         field_ref=schedule, meta={"mode": "approx"})
 
-    w1 = subsampled_w1(state5_all.with_tags(None), mu1.with_tags(None),
-                       seed=int(scenario.params.get("seed", 0)))
+    w1 = w1_bracket(state5_all.with_tags(None), mu1.with_tags(None))
+    if w1["method"] == "bracket":
+        w1["epsilon_certified"] = w1["upper"] <= epsilon
     report = {
         "mode": "approx",
         "epsilon": epsilon,

@@ -3,9 +3,15 @@ scenario files round-trip, and the counterexample tables show their
 trends."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import transportlab
 from transportlab import cli
 from transportlab.scenarios import (Scenario, load_scenario,
                                     random_exact_scenario)
@@ -125,4 +131,46 @@ def test_two_bump_merge_runs_in_approx_mode(tmp_path):
     assert report["status"] == "ok"
     assert report["mass_total"] == pytest.approx(1.0, abs=1e-12)
     assert report["closed_form"]["grid"] == {"count": 32, "total": 32}
+    assert report["final_w1"]["method"] == "exact"
+
+
+def cluster_scenario(seed):
+    """16 source atoms upstream of the control region and 16 target atoms
+    downstream, under a rightward drift."""
+    rng = np.random.default_rng(seed)
+    src = [0.25, 0.45] + 0.3 * rng.random((16, 2))
+    tgt = [3.85, 0.45] + 0.3 * rng.random((16, 2))
+    return {"dim": 2, "v": {"kind": "constant", "value": [0.7, 0.0]},
+            "omega": {"kind": "box", "lo": [1.6, -0.6], "hi": [2.9, 1.6]},
+            "mu0": {"atoms": [[x, y, 1 / 16] for x, y in src.tolist()]},
+            "mu1": {"atoms": [[x, y, 1 / 16] for x, y in tgt.tolist()]},
+            "params": {"delta": 0.6, "seed": seed, "horizon": 24.0,
+                       "tol": 1e-6}}
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_run_imports_no_scipy(tmp_path, mode):
+    # every solve on the run path is the package's own; a stray scipy
+    # import would cost about half a second of every run
+    if mode == "exact":
+        path = tmp_path / "cluster.json"
+        path.write_text(json.dumps(cluster_scenario(6)))
+        scenario = [str(path)]
+    else:
+        scenario = ["figure1", "--particles", "300"]
+    argv = (["run", "--scenario"] + scenario
+            + ["--mode", mode, "--out", str(tmp_path / "out")])
+    code = (
+        "import sys\n"
+        "from transportlab import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(transportlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["final_w1"]["method"] == "exact"

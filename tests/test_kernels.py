@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,63 @@ def test_grid_eval_1d_matches_per_point_reference():
             expect[k] = alpha[r, c] * x + beta[r, c]
     assert np.array_equal(_kernels.grid_eval_1d(px, rows, walls, alpha, beta),
                           expect)
+
+
+class TestAssignment:
+    """The shortest-augmenting-path solver against scipy's."""
+
+    @staticmethod
+    def clouds(rng, n, kind):
+        if kind == "uniform":
+            return rng.random((n, 2)), rng.random((n, 2))
+        # a few tight clusters: many near-equal costs between them
+        centers = rng.random((4, 2))
+        return tuple(centers[rng.integers(0, 4, n)]
+                     + 0.01 * rng.standard_normal((n, 2)) for _ in range(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 300, 1000])
+    @pytest.mark.parametrize("kind", ["uniform", "clustered"])
+    def test_optimal_cost_matches_scipy(self, n, kind):
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
+        a, b = self.clouds(np.random.default_rng(n), n, kind)
+        for cost in (cdist(a, b), cdist(a, b, "sqeuclidean")):
+            cols = _kernels.assignment(cost)
+            assert np.array_equal(np.sort(cols), np.arange(n))
+            rows, ref_cols = linear_sum_assignment(cost)
+            ref = cost[rows, ref_cols].sum()
+            assert abs(cost[np.arange(n), cols].sum() - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [1, 5, 41])
+    def test_stack_matches_scipy_per_matrix(self, n):
+        # the lockstep loop: matrices finish after different numbers of
+        # scans, and every third one is all ties (a cloud against itself)
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(n)
+        a, b = rng.random((2, 60, n, 2))
+        b[::3] = a[::3]
+        cost = np.stack([cdist(x, y) for x, y in zip(a, b)])
+        cols = _kernels.assignment(cost)
+        assert cols.shape == (60, n)
+        for c, got in zip(cost, cols):
+            assert np.array_equal(np.sort(got), np.arange(n))
+            rows, ref_cols = linear_sum_assignment(c)
+            ref = c[rows, ref_cols].sum()
+            assert abs(c[np.arange(n), got].sum() - ref) <= 1e-12 * ref
+
+    def test_ties_end_at_a_free_column(self):
+        # every column ties at every scan; taking a free one among them
+        # keeps this one scan per row
+        start = time.perf_counter()
+        cols = _kernels.assignment(np.zeros((1000, 1000)))
+        assert time.perf_counter() - start < 0.5
+        assert np.array_equal(np.sort(cols), np.arange(1000))
+
+    def test_rejects_non_square_and_non_finite(self):
+        with pytest.raises(ValueError, match="square"):
+            _kernels.assignment(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            _kernels.assignment(np.array([[0.0, np.inf], [1.0, 0.0]]))

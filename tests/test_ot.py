@@ -1,10 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.oracle import brute_force_wp, two_bump_quantile_w1
-from transportlab.ot import subsampled_w1, w1_1d, wp_discrete
+from transportlab import _kernels
+from transportlab.ot import w1_1d, w1_bracket, wp_discrete
 
 
 def atoms(positions, weights=None):
@@ -116,6 +119,18 @@ class TestWpDiscrete:
         with pytest.raises(ValueError, match="subsample"):
             wp_discrete(mu, nu, 1, cap=30)
 
+    def test_repeated_atoms_solve_fast(self):
+        # every position twice: each row ties at zero with two columns, and
+        # the solver must end each search at a free one
+        rng = np.random.default_rng(8)
+        pos = rng.random((1000, 2))
+        mu = atoms(np.concatenate([pos, pos]))
+        start = time.perf_counter()
+        dist, plan = wp_discrete(mu, mu, p=1)
+        assert time.perf_counter() - start < 0.5
+        assert dist == 0.0
+        assert np.array_equal(np.sort(plan.tgt_idx), np.arange(2000))
+
     def test_plan_csv_and_report(self, tmp_path):
         rng = np.random.default_rng(7)
         mu = random_cloud(rng, 5)
@@ -144,25 +159,65 @@ class TestInequalitySuite:
         assert w2v <= 2 ** 0.25 * np.sqrt(w1v) + 1e-9
 
 
-class TestSubsampledW1:
-    def test_exact_below_cap(self):
+class TestW1Bracket:
+    def test_exact_at_or_below_cap(self):
         rng = np.random.default_rng(12)
         mu, nu = random_cloud(rng, 30), random_cloud(rng, 30)
-        rep = subsampled_w1(mu, nu, cap=100, seed=0)
         exact, _ = wp_discrete(mu, nu, 1)
-        assert rep["method"] == "exact"
-        assert np.isclose(rep["estimate"], exact)
+        assert w1_bracket(mu, nu, cap=30) == {"estimate": exact,
+                                              "method": "exact"}
 
-    def test_subsample_above_cap(self):
+    def test_unit_shift_is_bracketed_exactly(self):
+        # both bounds of a translation are its length: the x projection
+        # gives it, and the blocks pair each point with its own image
         rng = np.random.default_rng(13)
         mu = random_cloud(rng, 900)
         nu = ParticleMeasure(mu.positions + np.array([1.0, 0.0]), mu.weights)
-        rep = subsampled_w1(mu, nu, cap=250, seed=0, batches=2)
-        assert rep["method"] == "subsample-250"
-        assert abs(rep["estimate"] - 1.0) < 0.15
-        # a standard-normal cloud at 250 atoms has a noise floor well below
-        # the unit displacement being measured
-        assert rep["noise_floor"] < 0.5 * rep["estimate"]
+        rep = w1_bracket(mu, nu, cap=250)
+        assert rep["method"] == "bracket"
+        assert rep["estimate"] == rep["upper"]
+        assert rep["lower"] == pytest.approx(1.0, rel=1e-12)
+        assert rep["upper"] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("count,dim,shift", [(300, 2, 0.1),
+                                                 (800, 2, 0.0),
+                                                 (1500, 2, 0.0),
+                                                 (600, 3, 0.1)])
+    def test_brackets_the_exact_value(self, count, dim, shift):
+        # two samples of one law, or of two shifted ones; mass 2
+        rng = np.random.default_rng(count + dim)
+        mu = ParticleMeasure(rng.random((count, dim)),
+                             np.full(count, 2.0 / count))
+        nu = ParticleMeasure(rng.random((count, dim)) + shift,
+                             np.full(count, 2.0 / count))
+        exact, _ = wp_discrete(mu, nu, 1)
+        rep = w1_bracket(mu, nu, cap=100)
+        assert rep["method"] == "bracket"
+        assert rep["lower"] <= exact * (1 + 1e-12)
+        assert exact <= rep["upper"] * (1 + 1e-12)
+
+    def test_one_dimension_is_exact(self):
+        rng = np.random.default_rng(14)
+        mu = random_cloud(rng, 400, dim=1)
+        nu = ParticleMeasure(rng.exponential(size=(400, 1)), mu.weights)
+        exact, _ = wp_discrete(mu, nu, 1)
+        rep = w1_bracket(mu, nu, cap=100)
+        assert rep["lower"] == pytest.approx(exact, rel=1e-12)
+        assert rep["upper"] == pytest.approx(exact, rel=1e-12)
+
+    def test_unequal_weights_take_the_corner_coupling(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        mu = random_cloud(rng, 120, weighted=True)
+        nu = random_cloud(rng, 150, weighted=True)
+        exact, _ = wp_discrete(mu, nu, 1)
+
+        def never(cost):
+            raise AssertionError("unequal weights reached the assignment")
+
+        monkeypatch.setattr(_kernels, "assignment", never)
+        rep = w1_bracket(mu, nu, cap=50)
+        assert rep["lower"] <= exact * (1 + 1e-12)
+        assert exact <= rep["upper"] * (1 + 1e-12)
 
 
 # metric axioms, cross-checked against the enumeration oracle
