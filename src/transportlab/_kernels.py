@@ -53,20 +53,27 @@ def w1_pair_sorted(xa, wa, xb, wb):
 # exact square assignment: shortest augmenting paths with dual potentials
 # ---------------------------------------------------------------------------
 
-def assignment(cost):
+def assignment(cost, chain=None):
     """Column ``cols[i]`` for each row i of a square cost matrix, minimizing
     the total ``cost[i, cols[i]]``; for a stack of matrices (shape ``(B, n,
     n)``), one such row of columns per matrix.
 
     Shortest augmenting paths (Jonker & Volgenant 1987, in the form of
-    Crouse 2016): a column reduction sets the duals v_j = min_i c_ij and u_i
-    = min_j (c_ij - v_j) and lets each column claim its cheapest free row;
-    every row still free then grows a Dijkstra tree over the columns on the
-    reduced costs c_ij - u_i - v_j until it reaches a free column, and the
-    path is flipped. One scan relaxes every column at once; scanned columns
-    are masked by a -inf in a copy of v. Among columns at the least
-    distance a free one is taken first, so ties end the search at once: an
-    all-zero matrix takes one scan per free row.
+    Crouse 2016) from dual potentials u, v and a partial matching whose
+    entries all have reduced cost c_ij - u_i - v_j = 0 and all others >= 0.
+    The column reduction starts it: v_j = min_i c_ij and u_i = min_j (c_ij -
+    v_j), and each column claims its cheapest row. Every row still free
+    then grows a Dijkstra tree over the columns on the reduced costs until
+    it reaches a free column, and the path is flipped. One scan relaxes
+    every column at once; scanned columns are masked by a -inf in a copy of
+    v. Among columns at the least distance a free one is taken first, so
+    ties end the search at once: an all-zero matrix takes one scan per free
+    row.
+
+    ``chain``, for a single matrix, guesses a matching: row ``chain[0][k]``
+    to column ``chain[1][k]``, in an order along which neighbouring pairs
+    lie close. If the duals ``_chain_duals`` builds along it leave fewer
+    rows free than the column reduction, the search starts from them.
 
     A stack runs its searches in lockstep, one scan of every matrix per
     step, so many small matrices share each step's numpy calls; a single
@@ -79,33 +86,75 @@ def assignment(cost):
     if not np.all(np.isfinite(stack)):
         raise ValueError("assignment needs finite costs")
     paths = _ShortestPaths(stack)
-    if cost.ndim == 2:
-        paths.solve_one()
-        return paths.col4row[0]
-    paths.solve_lockstep()
-    return paths.col4row
+    if cost.ndim == 3:
+        paths.solve_lockstep()
+        return paths.col4row
+    if chain is not None:
+        guess = _ShortestPaths(stack, _chain_duals(cost, *chain)[None])
+        if guess.free_rows() < paths.free_rows():
+            paths = guess
+    paths.solve_one()
+    return paths.col4row[0]
+
+
+def _chain_duals(cost, rows, cols):
+    """Column duals for the guessed pairs (rows[k], cols[k]): from one pair
+    to the next, v steps halfway between the exchange costs
+    c(r[k+1], c[k+1]) - c(r[k+1], c[k]) and c(r[k], c[k+1]) - c(r[k], c[k]).
+
+    For two clouds on a line, sorted, under a strictly convex cost of the
+    distance, the first exchange cost is below the second, and these are
+    optimal duals of the monotone matching: every row's pair is its
+    cheapest column, and no search is left to run.
+    """
+    rows = np.asarray(rows)
+    cols = np.asarray(cols)
+    lo = cost[rows[1:], cols[1:]] - cost[rows[1:], cols[:-1]]
+    hi = cost[rows[:-1], cols[1:]] - cost[rows[:-1], cols[:-1]]
+    v = np.empty(len(cost))
+    v[cols] = np.concatenate([[0.0], np.cumsum(0.5 * (lo + hi))])
+    return v
+
+
+def _first_claims(choice):
+    """Block, chooser and chosen index of every choice ``choice[b, i]`` made
+    by no lower i of its block."""
+    nb, n = choice.shape
+    keys, first = np.unique((np.arange(nb)[:, None] * n + choice).ravel(),
+                            return_index=True)
+    return keys // n, first % n, keys % n
 
 
 class _ShortestPaths:
     """Duals, matching and search state of ``assignment``, one row per
     matrix of the stack."""
 
-    def __init__(self, cost):
+    def __init__(self, cost, v=None):
+        """Start from the column reduction, or, given column duals ``v``
+        (one row per matrix), from u_i = min_j (c_ij - v_j), each row
+        claiming its cheapest column under v."""
         nb, n, _ = cost.shape
         self.cost = cost
-        self.v = cost.min(axis=1)
-        # each column claims its cheapest row unless a lower column has
-        keys = (np.arange(nb)[:, None] * n + cost.argmin(axis=1)).ravel()
-        claimed, first = np.unique(keys, return_index=True)
         self.col4row = np.full((nb, n), -1, dtype=np.int64)
         self.row4col = np.full((nb, n), -1, dtype=np.int64)
-        self.col4row[claimed // n, claimed % n] = first % n
-        self.row4col[first // n, first % n] = claimed % n
-        self.u = np.min(cost - self.v[:, None, :], axis=2)
+        if v is None:
+            self.v = cost.min(axis=1)
+            self.u = np.min(cost - self.v[:, None, :], axis=2)
+            blk, col, row = _first_claims(cost.argmin(axis=1))
+        else:
+            self.v = v
+            reduced = cost - v[:, None, :]
+            self.u = reduced.min(axis=2)
+            blk, row, col = _first_claims(reduced.argmin(axis=2))
+        self.col4row[blk, row] = col
+        self.row4col[blk, col] = row
         self.path = np.zeros((nb, n), dtype=np.int64)
         self.reached = np.zeros((nb, n))
         self.dist = np.full((nb, n), np.inf)
         self.masked_v = self.v.copy()
+
+    def free_rows(self):
+        return np.count_nonzero(self.col4row < 0)
 
     def augment(self, blocks, sink, start, low):
         """Close the searches of ``blocks`` that reached the free column

@@ -141,8 +141,22 @@ def _equal_weights(mu, nu):
             and np.allclose(nu.weights, nu.weights[0], rtol=0, atol=1e-12))
 
 
+def _principal_chain(a, b):
+    """Both clouds sorted along the principal axis of their union: the
+    monotone matching on that line, a guess for the assignment to start
+    from. The exact lane parks both clouds on one line, where the guess is
+    optimal."""
+    both = np.concatenate([a, b])
+    both = both - both.mean(axis=0)
+    axis = np.linalg.eigh(both.T @ both)[1][:, -1]
+    return (np.argsort(a @ axis, kind="stable"),
+            np.argsort(b @ axis, kind="stable"))
+
+
 def _assignment_plan(mu, nu, p):
-    cols = _kernels.assignment(_distances(mu.positions, nu.positions, p))
+    cols = _kernels.assignment(
+        _distances(mu.positions, nu.positions, p),
+        chain=_principal_chain(mu.positions, nu.positions))
     rows = np.arange(len(mu))
     return TransportPlan(rows, cols, mu.weights, mu, nu, p,
                          method="assignment", dual_gap=0.0,
@@ -228,7 +242,8 @@ def _sliced_lower(mu, nu):
         xa = mu.positions @ direction
         xb = nu.positions @ direction
         if equal:
-            # the monotone coupling pairs the k-th smallest of each side
+            # the monotone coupling pairs the k-th smallest of each side,
+            # without the weighted merge's sort of cuts and its searches
             w1 = (float(np.sum(np.abs(np.sort(xa) - np.sort(xb))))
                   * mu.total_mass() / len(mu))
         else:

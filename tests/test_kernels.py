@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -145,12 +143,58 @@ class TestAssignment:
             ref = c[rows, ref_cols].sum()
             assert abs(c[np.arange(n), got].sum() - ref) <= 1e-12 * ref
 
-    def test_ties_end_at_a_free_column(self):
-        # every column ties at every scan; taking a free one among them
-        # keeps this one scan per row
-        start = time.perf_counter()
+    @pytest.mark.parametrize("kind", ["uniform", "clustered"])
+    def test_search_from_chain_duals_matches_scipy(self, kind):
+        # the chain's duals off a line are poor; the search still ends at
+        # the optimum from them
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
+        a, b = self.clouds(np.random.default_rng(5), 300, kind)
+        cost = cdist(a, b, "sqeuclidean")
+        duals = _kernels._chain_duals(cost, np.argsort(a[:, 0]),
+                                      np.argsort(b[:, 0]))
+        paths = _kernels._ShortestPaths(cost[None], duals[None])
+        paths.solve_one()
+        cols = paths.col4row[0]
+        assert np.array_equal(np.sort(cols), np.arange(300))
+        rows, ref_cols = linear_sum_assignment(cost)
+        ref = cost[rows, ref_cols].sum()
+        assert abs(cost[np.arange(300), cols].sum() - ref) <= 1e-12 * ref
+
+    def test_chain_solves_clouds_on_a_line(self, scans):
+        # a cloud and a shifted, shuffled copy on one line, under the
+        # squared distance as the exact lane's plan: the sorted chain's
+        # duals are optimal and no search runs
+        rng = np.random.default_rng(6)
+        a = rng.random(500)
+        b = rng.permutation(a + 0.3 + 0.01 * rng.random(500))
+        cost = (a[:, None] - b[None, :]) ** 2
+        cols = _kernels.assignment(cost, chain=(np.argsort(a), np.argsort(b)))
+        assert scans.scans == 0
+        monotone = np.empty(500, dtype=np.int64)
+        monotone[np.argsort(a)] = np.argsort(b)
+        assert np.array_equal(cols, monotone)
+
+    def test_poor_chain_leaves_the_column_reduction(self, scans):
+        # off a line the chain's duals leave more rows free than the column
+        # reduction, so the solve ignores them and scans exactly as without
+        rng = np.random.default_rng(5)
+        a, b = rng.random((2, 300, 2))
+        cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        cols = _kernels.assignment(cost)
+        alone = scans.scans
+        chained = _kernels.assignment(
+            cost, chain=(np.argsort(a[:, 0]), np.argsort(b[:, 0])))
+        assert scans.scans == 2 * alone > 0
+        assert np.array_equal(chained, cols)
+
+    def test_ties_end_at_a_free_column(self, scans):
+        # every column ties at every scan: the column reduction matches one
+        # row, and taking a free column among the ties ends each of the
+        # other rows' searches after one scan
         cols = _kernels.assignment(np.zeros((1000, 1000)))
-        assert time.perf_counter() - start < 0.5
+        assert scans.scans == 999
         assert np.array_equal(np.sort(cols), np.arange(1000))
 
     def test_rejects_non_square_and_non_finite(self):

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,15 +117,14 @@ class TestWpDiscrete:
         with pytest.raises(ValueError, match="subsample"):
             wp_discrete(mu, nu, 1, cap=30)
 
-    def test_repeated_atoms_solve_fast(self):
+    def test_repeated_atoms_end_each_search_at_once(self, scans):
         # every position twice: each row ties at zero with two columns, and
-        # the solver must end each search at a free one
+        # the solver must end each search at the free one in one scan
         rng = np.random.default_rng(8)
         pos = rng.random((1000, 2))
         mu = atoms(np.concatenate([pos, pos]))
-        start = time.perf_counter()
         dist, plan = wp_discrete(mu, mu, p=1)
-        assert time.perf_counter() - start < 0.5
+        assert scans.scans <= 1000
         assert dist == 0.0
         assert np.array_equal(np.sort(plan.tgt_idx), np.arange(2000))
 
