@@ -11,12 +11,11 @@ Two steppers integrate a batch of particles, all sharing one step:
   fall back to the tolerance step and emit a warning once per field.
 - Embedded Dormand-Prince 5(4) with error control (``_dopri``), for fields
   built ``smooth=True``: the scenario drifts (zero, constant, affine,
-  radial) and the exact funnel's grad(eta) ascent. ``stopped_flow_batch``
-  parks each point at its first entry into a region (the crossing check
-  and the exact lane), found and located on DOPRI5's continuous extension,
-  which it probes at least as finely as fixed RK4 steps would. Its first
-  step is ``choose_step``'s, as for RK4; the error estimate sets every
-  later one.
+  radial). ``stopped_flow_batch`` parks each point at its first entry into
+  a region (the crossing check and the exact lane's parks), found and
+  located on DOPRI5's continuous extension, which it probes at least as
+  finely as fixed RK4 steps would. Its first step is ``choose_step``'s, as
+  for RK4; the error estimate sets every later one.
 """
 from __future__ import annotations
 
@@ -495,21 +494,6 @@ class StoppedPaths:
             moving = ~(self.hits[rows] <= s)
             out[rows[moving], m] = _dense_at(coef[:, moving], (s - start) / h)
         return out
-
-    def bounds(self):
-        """Corners ``(lo, hi)`` of the bounding box of the endpoints and of
-        every path sampled on each step at its start and its probe
-        fractions (``_probe_fractions``), up to the point's hit."""
-        lo, hi = self.end.min(axis=0), self.end.max(axis=0)
-        for start, h, rows, coef in self.steps:
-            theta = np.concatenate(
-                [[0.0], _probe_fractions(h, self.stats["h_first"])])
-            # fmin keeps theta for a point never parked (nan hit)
-            theta = np.fmin(theta[:, None], (self.hits[rows] - start) / h)
-            pos = _dense_at(coef, theta).reshape(-1, coef.shape[-1])
-            lo = np.minimum(lo, pos.min(axis=0))
-            hi = np.maximum(hi, pos.max(axis=0))
-        return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ five-phase schedules composing them.
 
 The approximate lane synthesizes genuinely Lipschitz fields and pushes the
 particles through their flows phase by phase, in closed form where the
-construction gives the flow map; the exact lane transports atoms with
-stopped flows and a quadratic-cost geodesic, storing the control as a
-per-plan-entry witness (the velocity field is Borel, not Lipschitz, and
-atoms may overlap).
+construction gives the flow map. The exact lane parks atoms with stopped
+flows, funnels them along the same straight-line funnels, read off in
+closed form, and joins the two sides by a quadratic-cost geodesic, storing
+the control as a per-plan-entry witness (the velocity field is Borel, not
+Lipschitz, and atoms may overlap).
 """
 from __future__ import annotations
 
@@ -20,9 +21,11 @@ import numpy as np
 from . import _kernels
 from .flow import (TimeField, Trajectory, choose_step, flow_push,
                    stopped_flow_batch, _integrate_batch as _integrate_batch_local)
-from .geometry import (Region, cutoff_theta, weight_eta,
-                       check_geometric_condition, _smootherstep,
-                       _smootherstep_d)
+from .geometry import (Region, cutoff_theta, check_geometric_condition,
+                       _smootherstep, _smootherstep_d)
+# no longer called here; kept because the benchmark tracer patches
+# synth.weight_eta by name
+from .geometry import weight_eta  # noqa: F401
 from .measure import ParticleMeasure, quantile_partition
 from .ot import wp_discrete, w1_bracket
 
@@ -352,28 +355,17 @@ def _blend_factor(region: Region, band: float):
     return factor
 
 
-def _eta_grad_lipschitz(eta, omega1: Region, per_axis: int = 48) -> float:
-    lo, hi = omega1.bounding_box()
-    axes = [np.linspace(lo[a], hi[a], per_axis) for a in range(omega1.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = omega1.contains(pts)
-    pts = pts[keep]
-    grad = eta.gradient(pts)
-    est = 0.0
-    for a in range(omega1.dim):
-        shift = np.zeros(omega1.dim)
-        shift[a] = 1e-5
-        diff = (eta.gradient(pts + shift) - grad) / 1e-5
-        est = max(est, float(np.max(np.abs(diff))))
-    return est
-
-
 def _boxes_inside(region: Region, lo, hi):
     """Per row, whether the box [lo, hi] lies in the convex region, i.e.
     whether all its corners do."""
     lo = np.atleast_2d(lo)
     hi = np.atleast_2d(hi)
+    if region.kind == "box":
+        # Region.contains's test, |x - c| - h <= 0 on every axis, holds at
+        # every corner iff it holds at lo and at hi
+        c, h = 0.5 * (region.lo + region.hi), 0.5 * (region.hi - region.lo)
+        return np.all((np.abs(lo - c) - h <= 0.0)
+                      & (np.abs(hi - c) - h <= 0.0), axis=1)
     d = lo.shape[1]
     bits = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1
     corners = np.where(bits[:, None, :] == 1, hi, lo)
@@ -381,25 +373,37 @@ def _boxes_inside(region: Region, lo, hi):
                   axis=0)
 
 
+def _cloud_box(pts):
+    """Bounding box of the points ``pts``, padded by 1% of its extent on
+    each axis: the box a straight-line funnel contracts."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pad = 0.01 * np.maximum(hi - lo, 1e-9)
+    return Region.box(lo - pad, hi + pad)
+
+
 def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
                         duration: float, blend_band: float) -> TimeField:
     """Straight-line funnel: a time-gated affine similarity carrying the
-    cloud box onto a copy inside the target box.
+    cloud box onto a copy inside the target box. Both lanes funnel with it:
+    the approximate lane pushes its particles through it, and the exact lane
+    reads its atoms' paths off it.
 
     Valid when omega1 is convex (the swept boxes stay inside the hull of the
-    two). Unlike the gradient funnel, translation and contraction decouple,
-    so the per-axis contraction is exactly the ratio the geometry requires
-    and early arrivals never keep compressing. The ramp has zero velocity at
-    both ends, which makes the segment handoff exact.
+    two). Translation and contraction decouple, so the per-axis contraction
+    is exactly the ratio the geometry requires and early arrivals never keep
+    compressing. The ramp has zero velocity at both ends, which makes the
+    segment handoff exact.
 
     Inside omega1 the blend factor is 1, so there the flow is the similarity
-    x(t) - c(t) = lam^w(t) (x0 - c0) with w the ramp. On each axis the box
-    c(t) +- lam^w(t) |x0 - c0| is a linear function of w plus or minus a
-    convex one, so it never leaves the hull of its two end boxes. A point
-    whose two end boxes lie in omega1 therefore stays in omega1, and its
-    whole-span image is c1 + lam (x0 - c0); ``fld.closed_form`` applies that
-    test and map (or, with ``reverse=True``, those of the time-reversed
-    funnel, whose image is c0 + (x - c1) / lam).
+    x(t) = c(t) + lam^w(t) (x0 - c0) with w the ramp and c(t) the centre
+    moving from c0 to c1; ``fld.positions`` evaluates it (or, with
+    ``reverse=True``, the time-reversed funnel's, which starts from the
+    images). On each axis the box c(t) +- lam^w(t) |x0 - c0| is a linear
+    function of w plus or minus a convex one, so it never leaves the hull of
+    its two end boxes. A point whose two end boxes lie in omega1 therefore
+    stays in omega1; ``fld.closed_form`` applies that test and returns the
+    certified points' positions at the end of the span: c1 + lam (x0 - c0),
+    or c0 + (x - c1) / lam reversed.
     """
     if not omega1.is_convex():
         raise ValueError("the straight-line funnel needs a convex omega1")
@@ -449,6 +453,17 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
                                 "from": cloud_box.to_dict(),
                                 "to": target_box.to_dict()})
 
+    def positions(pts, times, reverse=False):
+        """``(n, len(times), d)`` positions on the similarity at ``times``
+        in [0, duration] of the points ``pts`` at time 0; reversed, ``pts``
+        are images and the clock runs backwards. At the end of the span the
+        centre is c1 (c0 reversed) and the scale lam (1 / lam) exactly."""
+        s = np.asarray(times, dtype=float) / span
+        w = _smootherstep(1.0 - s if reverse else s)[:, None]
+        start, unit = (c1, lam) if reverse else (c0, 1.0)
+        return ((1.0 - w) * c0 + w * c1
+                + lam ** w / unit * (pts[:, None, :] - start))
+
     def closed_form(pts, reverse=False):
         """``(certified, images)``: the mask of the points whose whole-span
         path provably stays in omega1, and those points' images."""
@@ -457,10 +472,11 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
         certified = _boxes_inside(
             omega1, np.minimum(start - reach, end - scale * reach),
             np.maximum(start + reach, end + scale * reach))
-        return certified, end + scale * (pts[certified] - start)
+        return certified, positions(pts[certified], [span], reverse)[:, 0]
 
     fld.ratios = lam
     fld.expansion = float(np.max(1.0 / lam))
+    fld.positions = positions
     fld.closed_form = closed_form
     return fld
 
@@ -842,13 +858,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     # phase 2 on each lane: a straight-line funnel into s0 (omega1 is a box;
     # the affine similarity keeps the cloud shape, so the grid phase sees
     # well-conditioned quantiles)
-    def cloud_box_of(cloud):
-        lo, hi = cloud.support_bbox()
-        pad = 0.01 * np.maximum(hi - lo, 1e-9)
-        return Region.box(lo - pad, hi + pad)
-
     fun_back = affine_funnel_total(
-        v_back, omega1, cloud_box_of(back1.subset(~tag_back)), s0,
+        v_back, omega1, _cloud_box(back1.subset(~tag_back).positions), s0,
         t4 - t3, blend_band=0.45 * gap)
     back2_all, cf_back = _push_funnel(fun_back, fun_back, back1, 0.0,
                                       t4 - t3, tol)
@@ -857,7 +868,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         raise RuntimeError("backward funnel failed to reach the storage cube")
 
     fun_fwd = affine_funnel_total(
-        v, omega1, cloud_box_of(state1.subset(~tag_fwd)), s0,
+        v, omega1, _cloud_box(state1.subset(~tag_fwd).positions), s0,
         t2 - t1, blend_band=0.45 * gap)
     state2_all, cf_fwd = _push_funnel(fun_fwd, fun_fwd, state1, 0.0,
                                       t2 - t1, tol)
@@ -988,92 +999,64 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 # exact controller (stopped flows + geodesic, per-atom witness)
 # ---------------------------------------------------------------------------
 
-def _uniform_paths(path, horizon, speed=1.0, n_knots=33):
-    """A recorded stopped flow's paths on a uniform knot grid over
-    [0, horizon], for the same flow run ``speed`` times faster: knot t reads
-    the recorded flow at time speed * t. Returns ``(knots, paths)``."""
-    knots = np.linspace(0.0, horizon, n_knots)
-    return knots, path.at(speed * knots)
+# knots per recorded segment of the exact lane
+EXACT_KNOTS = 33
 
 
 def _stopped_paths(field, stop_region, pts, horizon, tol):
-    """Stopped-flow paths on a uniform knot grid, read off the continuous
-    extension, so a knot past a point's hit time is its endpoint."""
+    """Stopped-flow paths on a uniform knot grid over [0, horizon], read
+    off the continuous extension, so a knot past a point's hit time is its
+    endpoint."""
     path = stopped_flow_batch(field, stop_region, pts, 0.0, horizon, tol,
                               record=True)
     if np.any(np.isnan(path.hits)):
         bad = int(np.flatnonzero(np.isnan(path.hits))[0])
         raise RuntimeError(f"point {pts[bad].tolist()} failed to reach the "
                            "stop region; escalate first")
-    knots, paths = _uniform_paths(path, horizon)
-    return path.end, path.hits, knots, paths
+    knots = np.linspace(0.0, horizon, EXACT_KNOTS)
+    return path.end, path.hits, knots, path.at(knots)
 
 
-def _escalate_exact_funnel(omega1, s0, lanes, tol):
-    """Gains and parked paths of the exact funnels, from one recorded
-    ascent of grad(eta) that parks the points of every lane in s0.
+def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
+    """Closed-form funnel paths of the exact lane: each lane's parked
+    points ride a straight-line funnel (``affine_funnel_total``) from their
+    cloud box into s0, as the approximate lane's particles do.
 
-    ``lanes`` maps a lane name to ``(delta, pts)``. Returns ``(funnels,
-    ascent)``: ``funnels`` maps each name to ``(k, endpoints, hit_times,
-    knots, paths)`` with every hit time at most 0.9 delta; ``ascent`` holds
-    the ascent's Dormand-Prince statistics (``flow._dopri``'s keys)
-    and each lane's k = 1 ``tau_max``.
+    ``lanes`` maps a lane name to ``(v, duration, pts)``: the drift the
+    funnel field blends into outside omega1, the funnel's span and the
+    points at its start. Returns a dict mapping each name to ``(endpoints,
+    knots, paths, funnel)``: the points' images in s0, ``EXACT_KNOTS``
+    uniform knots over [0, duration], the ``(n, knots, d)`` paths on the
+    funnel's closed-form similarity (``funnel.positions``; the last knot is
+    the image) and the funnel field, whose ``ratios`` and ``descriptor`` the
+    report and the witness carry. Nothing is integrated. Raises unless
+    ``funnel.closed_form`` certifies every point, i.e. proves its path stays
+    in omega1, where the similarity is the funnel field's flow.
 
-    The funnel field is k grad(eta) inside omega1, blended into the drift
-    outside it. Ascent lines of eta started in omega1 stay there, so no
-    path sees the blend: the run integrates grad(eta) alone, a smooth field,
-    by ``flow.stopped_flow_batch`` (error-controlled steps, entries into s0
-    located on the continuous extension), and raises if a path, sampled on
-    every step at least as finely as a fixed RK4 step would be, leaves
-    omega1. Its horizon, 512 times the largest delta, also sets the error
-    bound per unit time, tol / horizon. All lanes share eta and hence the
-    run. The gain-k flow is the k = 1 flow with time divided by k, so each
-    lane takes k = 2^ceil(log2(tau / 0.9 delta)) from its own largest
-    hitting time tau and reads its knots off the recorded run at k times
-    their time. The name dates from the gain-doubling search this
-    replaced; tooling still looks it up by that name.
+    The name dates from a gain-doubling search long since replaced; the
+    benchmark tracer still looks it up by that name.
     """
-    eta, _, kappa1 = weight_eta(omega1, s0)
-    lip = _eta_grad_lipschitz(eta, omega1)
-    ascent = TimeField(lambda p, t: eta.gradient(p), omega1.dim,
-                       lipschitz_bound=lip, sup_bound=kappa1,
-                       label="exact_funnel_k1",
-                       descriptor={"kind": "funnel_exact", "k": 1},
-                       smooth=True)
-    names = list(lanes)
-    pts = np.concatenate([lanes[name][1] for name in names])
-    horizon = 512.0 * max(lanes[name][0] for name in names)
-    path = stopped_flow_batch(ascent, s0, pts, 0.0, horizon, tol,
-                              record=True)
-    end, hits = path.end, path.hits
-    # omega1 is a box, so the paths, sampled on every step at least as
-    # finely as fixed RK4 steps would be, lie in it iff their bounding box
-    # does
-    if not _boxes_inside(omega1, *path.bounds())[0]:
-        raise RuntimeError("a funnel ascent path left omega1, where the "
-                           "funnel field is no longer grad(eta)")
-    if np.any(np.isnan(hits)):
-        raise RuntimeError("funnel probe found stranded points; the geometry "
-                           "likely violates s0 strictly inside omega1")
-    funnels, tau = {}, {}
-    split = np.cumsum([len(lanes[name][1]) for name in names])[:-1]
-    for name, rows in zip(names, np.split(np.arange(len(pts)), split)):
-        delta = lanes[name][0]
-        tau[name] = float(np.max(hits[rows]))
-        k = max(1, 2 ** math.ceil(math.log2(max(tau[name], 1e-12)
-                                            / (0.9 * delta))))
-        knots, paths = _uniform_paths(path, delta, k)
-        funnels[name] = (k, end[rows], hits[rows] / k, knots, paths[rows])
-    return funnels, {**path.stats, "tau_max": tau}
+    funnels = {}
+    for name, (v, duration, pts) in lanes.items():
+        funnel = affine_funnel_total(v, omega1, _cloud_box(pts), s0, duration,
+                                     blend_band)
+        certified, end = funnel.closed_form(pts)
+        if not np.all(certified):
+            raise RuntimeError(f"the {name} funnel cannot keep every atom in "
+                               "omega1")
+        knots = np.linspace(0.0, duration, EXACT_KNOTS)
+        funnels[name] = (end, knots, funnel.positions(pts, knots), funnel)
+    return funnels
 
 
 def exact_controller(scenario) -> ControllerResult:
-    """Atom-exact steering: park along the drift, funnel-park into S0, ride
-    the quadratic-cost geodesic, then replay the target-side construction
+    """Atom-exact steering: park along the drift, funnel into S0, ride the
+    quadratic-cost geodesic, then replay the target-side construction
     backwards. The composite control is stored as a per-plan-entry witness.
 
-    Both funnels share one ascent of grad(eta) with no blend into the drift,
-    which its paths never reach (see ``_escalate_exact_funnel``).
+    The parks are stopped flows; both funnels are the approximate lane's
+    straight-line funnels, whose paths inside omega1 are in closed form
+    (see ``_escalate_exact_funnel``), so only the parks integrate.
     """
     from .scenarios import Scenario
 
@@ -1094,20 +1077,23 @@ def exact_controller(scenario) -> ControllerResult:
     t3 = t1 + 2.0 * delta / 3.0
     t4 = t1 + delta
     t5 = t4 + t_back
-    s_box, s0, omega1, _ = _place_sets(omega, cond.omega0)
+    s_box, s0, omega1, gap = _place_sets(omega, cond.omega0)
 
     # park in omega0: forward along the drift, backward along the reversed
     # drift (recorded for replay)
+    v_back = v.negated()
     _, _, knots1, paths1 = _stopped_paths(v, cond.omega0, mu0.positions, t1, tol)
-    _, _, knots5, paths5 = _stopped_paths(v.negated(), cond.omega0,
-                                          mu1.positions, t_back, tol)
+    _, _, knots5, paths5 = _stopped_paths(v_back, cond.omega0, mu1.positions,
+                                          t_back, tol)
 
-    # both lanes funnel-park into s0 along one ascent of grad(eta)
-    funnels, ascent = _escalate_exact_funnel(
-        omega1, s0, {"forward": (t2 - t1, paths1[:, -1, :]),
-                     "backward": (t4 - t3, paths5[:, -1, :])}, tol)
-    k_fun_fwd, fwd_in_s0, _, knots2, paths2 = funnels["forward"]
-    k_fun_back, back_in_s0, _, knots4, paths4 = funnels["backward"]
+    # both lanes funnel from their parks into s0; omega1 is a box around
+    # omega0 and S, so every atom's path is certified in closed form
+    funnels = _escalate_exact_funnel(
+        omega1, s0, {"forward": (v, t2 - t1, paths1[:, -1, :]),
+                     "backward": (v_back, t4 - t3, paths5[:, -1, :])},
+        blend_band=0.45 * gap)
+    fwd_in_s0, knots2, paths2, fun_fwd = funnels["forward"]
+    back_in_s0, knots4, paths4, fun_back = funnels["backward"]
 
     # geodesic plan between the parked clouds
     src_cloud = ParticleMeasure(fwd_in_s0, mu0.weights)
@@ -1138,9 +1124,9 @@ def exact_controller(scenario) -> ControllerResult:
     bounds = [0.0, t1, t2, t3, t4, t5]
     descriptors = [
         {"kind": "stopped_drift", "omega0": cond.omega0.to_dict()},
-        {"kind": "funnel_exact", "k": k_fun_fwd, "s0": s0.to_dict()},
+        fun_fwd.descriptor,
         {"kind": "geodesic", "entries": len(plan.mass)},
-        {"kind": "funnel_exact_reversed", "k": k_fun_back},
+        {"kind": "funnel_reversed", "inner": fun_back.descriptor},
         {"kind": "stopped_drift_reversed"},
     ]
     for label, lo, hi, desc in zip(labels, bounds[:-1], bounds[1:], descriptors):
@@ -1150,8 +1136,10 @@ def exact_controller(scenario) -> ControllerResult:
         witness_segments.append(ControlSegment(lo, hi, wf, label))
     schedule = ControlSchedule(witness_segments)
 
-    snap_times = np.unique(np.concatenate([
-        np.array(bounds), np.linspace(0.0, t5, 21)]))
+    # sorted without repeats; plain np.unique would import numpy.ma
+    snap_times = np.sort(np.concatenate([np.array(bounds),
+                                         np.linspace(0.0, t5, 21)]))
+    snap_times = snap_times[np.append(True, np.diff(snap_times) != 0.0)]
     entry_w = plan.mass
     states = []
     for t in snap_times:
@@ -1173,8 +1161,8 @@ def exact_controller(scenario) -> ControllerResult:
         "times": {"T0": 0.0, "T1": t1, "T2": t2, "T3": t3, "T4": t4, "T5": t5},
         "T0star": cond.T0star,
         "T1star": cond.T1star,
-        "funnel_k": {"forward": k_fun_fwd, "backward": k_fun_back},
-        "funnel_ascent": ascent,
+        "funnel": {"forward_ratios": fun_fwd.ratios.tolist(),
+                   "backward_ratios": fun_back.ratios.tolist()},
         "plan_entries": int(len(plan.mass)),
         "mass_total": states[-1].total_mass(),
         "regions": {"omega0": cond.omega0.to_dict(), "S": s_box.to_dict(),

@@ -134,6 +134,19 @@ def test_two_bump_merge_runs_in_approx_mode(tmp_path):
     assert report["final_w1"]["method"] == "exact"
 
 
+@pytest.mark.parametrize("preset", [["two-bump-merge"],
+                                    ["unit-shift", "--particles", "300"],
+                                    ["figure1", "--particles", "300"]])
+def test_every_preset_finishes_in_exact_mode(tmp_path, preset):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", *preset, "--mode", "exact",
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "ok"
+    assert report["final_w1"]["estimate"] <= 1e-9
+    assert report["mass_total"] == pytest.approx(1.0, abs=1e-12)
+
+
 def cluster_scenario(seed):
     """16 source atoms upstream of the control region and 16 target atoms
     downstream, under a rightward drift."""
@@ -151,7 +164,8 @@ def cluster_scenario(seed):
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_run_imports_no_scipy(tmp_path, mode):
     # every solve on the run path is the package's own; a stray scipy
-    # import would cost about half a second of every run
+    # import would cost about half a second of every run, and numpy.ma
+    # (which plain np.unique imports) about 15 ms
     if mode == "exact":
         path = tmp_path / "cluster.json"
         path.write_text(json.dumps(cluster_scenario(6)))
@@ -164,7 +178,8 @@ def test_run_imports_no_scipy(tmp_path, mode):
         "import sys\n"
         "from transportlab import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
     src = str(Path(transportlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

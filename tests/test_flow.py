@@ -382,24 +382,6 @@ class TestStoppedFlow:
         assert np.max(np.abs(hits - (1.0 - y0))) < 1e-10
         assert np.allclose(ends, [8.5, 1.0], atol=1e-10)
 
-    def test_bounds_sample_within_steps(self):
-        # a quarter turn of x' = (-y, x) from angle -pi/4 to pi/4, with no
-        # entry: the largest x, 1 at angle 0, lies inside a step. The
-        # bounding box reaches it to within the probe spacing, while the
-        # step starts and the endpoint alone fall short
-        rotation = TimeField.affine([[0.0, -1.0], [1.0, 0.0]], [0.0, 0.0])
-        region = Region.ball([5.0, 5.0], 1.0)
-        x0 = np.sqrt(0.5) * np.array([[1.0, -1.0]])
-        path = stopped_flow_batch(rotation, region, x0, 0.0, 0.5 * np.pi,
-                                  1e-6, record=True)
-        assert np.isnan(path.hits[0])
-        lo, hi = path.bounds()
-        near = np.cos(0.5 * path.stats["h_first"])
-        assert near - 1e-6 <= hi[0] <= 1.0 + 1e-6
-        starts = np.concatenate([coef[0] for *_, coef in path.steps]
-                                + [path.end])
-        assert np.max(starts[:, 0]) < near - 1e-6
-
 
 class TestTrajectory:
     @staticmethod

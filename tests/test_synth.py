@@ -4,17 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from transportlab import cli, synth
-from transportlab.flow import (TimeField, _integrate_batch, choose_step,
-                               flow_push, stopped_flow_batch)
-from transportlab.geometry import Region, ScalarField, weight_eta
+from transportlab import cli, geometry, synth
+from transportlab.flow import TimeField, _integrate_batch, choose_step, flow_push
+from transportlab.geometry import Region
 from transportlab.measure import (DensitySpec, ParticleMeasure,
                                   push_forward, quantile_partition, sample)
 from transportlab.ot import wp_discrete
 from transportlab.scenarios import Scenario, random_exact_scenario
-from transportlab.synth import (_escalate_exact_funnel, _eta_grad_lipschitz,
-                                _push_funnel, affine_funnel_total,
-                                exact_controller, grid_control)
+from transportlab.synth import (_escalate_exact_funnel, _push_funnel,
+                                affine_funnel_total, exact_controller,
+                                grid_control)
 
 
 class TestGridClosedForm:
@@ -338,101 +337,64 @@ class TestStudyCli:
         assert not (tmp_path / "study.csv").exists()
 
 
-class TestExactFunnelTimeChange:
-    """Ascent lines of eta stay in omega1, where the funnel field is
-    k grad(eta), so the gain-k flow is the k = 1 ascent run k times faster,
-    and every lane can share that one ascent."""
+class TestExactFunnelClosedForm:
+    """The exact lane's funnels are the approximate lane's straight-line
+    funnels: inside omega1 their flow is a similarity in closed form, so
+    each lane's knots are read off it and nothing is integrated."""
 
     omega1 = Region.box([0.0, 0.0], [1.0, 1.0])
     s0 = Region.box([0.55, 0.4], [0.75, 0.6])
     pts = np.array([[0.1, 0.1], [0.2, 0.85], [0.9, 0.15], [0.5, 0.5],
                     [0.3, 0.45]])
-    delta, tol = 0.2, 1e-6
+    v = TimeField.constant([0.6, 0.2])
+    delta = 0.2
 
-    def ascent(self, gain, refine=1.0):
-        """gain * grad(eta), stepped by gain * refine times grad(eta)'s
-        Lipschitz bound (refine > 1 gives a finer step)."""
-        eta, _, _ = weight_eta(self.omega1, self.s0)
-        lip = _eta_grad_lipschitz(eta, self.omega1)
-        return TimeField(lambda p, t: gain * eta.gradient(p), 2,
-                         lipschitz_bound=gain * refine * lip,
-                         label=f"gain_k{gain}", smooth=True)
+    def funnel(self, pts):
+        funnels = _escalate_exact_funnel(
+            self.omega1, self.s0, {"lane": (self.v, self.delta, pts)},
+            blend_band=0.2)
+        return funnels["lane"]
 
-    def funnel(self, lanes):
-        return _escalate_exact_funnel(self.omega1, self.s0, lanes, self.tol)
-
-    def test_matches_gain_k_run(self):
-        funnels, ascent = self.funnel({"lane": (self.delta, self.pts)})
-        k, end, hits, knots, paths = funnels["lane"]
-        _, probe_hits = stopped_flow_batch(self.ascent(1), self.s0, self.pts,
-                                           0.0, 512.0 * self.delta, self.tol)
-        tau = float(np.max(probe_hits))
-        assert ascent["tau_max"]["lane"] == tau
-        assert k == max(1, 2 ** math.ceil(math.log2(tau / (0.9 * self.delta))))
-        assert k > 1
-        assert np.all(hits < self.delta)
+    def test_knots_run_from_the_atoms_to_the_image(self):
+        end, knots, paths, fld = self.funnel(self.pts)
+        assert np.array_equal(knots, np.linspace(0.0, self.delta, 33))
+        assert paths.shape == (len(self.pts), 33, 2)
+        assert np.max(np.abs(paths[:, 0] - self.pts)) <= 1e-15
+        certified, images = fld.closed_form(self.pts)
+        assert np.all(certified)
+        assert np.array_equal(paths[:, -1], images)
+        assert np.array_equal(end, images)
+        # the end of the span is exact: centre c1, scale lam
+        c0 = synth._cloud_box(self.pts).center_point()
+        assert np.array_equal(
+            end, self.s0.center_point() + fld.ratios * (self.pts - c0))
         assert np.all(self.s0.contains(end))
-        assert np.allclose(knots, np.linspace(0.0, self.delta, 33))
-        assert np.array_equal(paths[:, 0], self.pts)
-        assert np.array_equal(paths[:, -1], end)
+        assert np.all(self.omega1.contains(paths.reshape(-1, 2)))
 
-        # each run's local error estimates sum to at most tol over its
-        # horizon; the gain-k run covers in delta what the k = 1 run covers
-        # in k delta of its 512 delta, so at the same tol its bound is
-        # 512 / k times looser: a tighter tol lets it match to 1e-9
-        ref_end, ref_hits = stopped_flow_batch(self.ascent(k), self.s0,
-                                               self.pts, 0.0, self.delta,
-                                               1e-3 * self.tol)
-        assert np.max(np.abs(end - ref_end)) < 1e-9
-        assert np.max(np.abs(hits - ref_hits)) < 1e-9
-
-    def test_matches_a_finer_step(self):
-        # an independent reference: fixed-step RK4 at a step 20 times finer
-        # than grad(eta)'s Lipschitz bound asks for, run to each hit time,
-        # lands on the recorded endpoint, on the boundary of s0
-        pts = self.pts[3:]
-        funnels, _ = self.funnel({"lane": (self.delta, pts)})
-        k, end, hits, _, _ = funnels["lane"]
-        fine = self.ascent(1, refine=20.0)
-        for x0, e, hit in zip(pts, end, hits):
-            ref = _integrate_batch(fine, x0[None], 0.0, k * hit, self.tol)[0]
-            assert np.max(np.abs(e - ref)) < 1e-9
-            assert abs(self.s0.signed_distance(ref)[0]) < 1e-9
-
-    def test_lane_alone_equals_lane_in_merged_run(self):
-        # the second lane parks later, so the merged run takes more steps;
-        # the steps it shares differ from the lone lane's, so the lane
-        # agrees to the error control, not bit for bit
-        alone, alone_run = self.funnel({"a": (self.delta, self.pts[3:])})
-        merged, merged_run = self.funnel({"a": (self.delta, self.pts[3:]),
-                                          "b": (self.delta, self.pts[:3])})
-        assert merged_run["accepted"] > alone_run["accepted"]
-        assert abs(merged_run["tau_max"]["a"]
-                   - alone_run["tau_max"]["a"]) < 1e-10
-        k, end, hits, knots, paths = merged["a"]
-        k_alone, end_alone, hits_alone, knots_alone, paths_alone = alone["a"]
-        assert k == k_alone and np.array_equal(knots, knots_alone)
-        assert np.max(np.abs(end - end_alone)) < 1e-10
-        assert np.max(np.abs(hits - hits_alone)) < 1e-10
-        assert np.max(np.abs(paths - paths_alone)) < 1e-8
-
-    def test_path_leaving_omega1_raises(self, monkeypatch):
-        # an eta whose ascent runs straight out of omega1 into an s0 beyond
-        # its right edge
-        tilt = ScalarField(lambda p: p[:, 0],
-                           lambda p: np.tile([1.0, 0.0], (len(p), 1)))
-        monkeypatch.setattr(synth, "weight_eta",
-                            lambda omega1, s0: (tilt, 1.0, 1.0))
-        s0 = Region.box([1.2, 0.3], [1.4, 0.7])
-        with pytest.raises(RuntimeError, match="left omega1"):
-            _escalate_exact_funnel(self.omega1, s0,
-                                   {"lane": (self.delta, self.pts[3:])},
-                                   self.tol)
+    def test_matches_flow_push(self):
+        # an independent reference: the funnel field's RK4 flow from knot
+        # to knot
+        end, knots, paths, fld = self.funnel(self.pts)
+        mu = ParticleMeasure(self.pts, np.full(len(self.pts), 0.2))
+        ref = [mu.positions]
+        for a, b in zip(knots[:-1], knots[1:]):
+            mu = flow_push(fld, mu, a, b, 1e-8)
+            ref.append(mu.positions)
+        assert np.max(np.abs(paths - np.stack(ref, axis=1))) < 1e-9
 
     def test_start_outside_omega1_raises(self):
         pts = np.vstack([self.pts[3:], [[1.05, 0.5]]])
-        with pytest.raises(RuntimeError, match="left omega1"):
-            self.funnel({"lane": (0.002, pts)})
+        with pytest.raises(ValueError, match="omega1"):
+            self.funnel(pts)
+
+    def test_uncertified_atom_raises(self, monkeypatch):
+        # a cloud box that leaves out the last atom, outside omega1: the
+        # funnel fits, but its closed form cannot certify that atom
+        inside = synth._cloud_box(self.pts[3:])
+        monkeypatch.setattr(synth, "_cloud_box", lambda pts: inside)
+        pts = np.vstack([self.pts[3:], [[1.05, 0.5]]])
+        with pytest.raises(RuntimeError, match="omega1"):
+            self.funnel(pts)
 
 
 def test_storage_knots_follow_a_constant_drift():
@@ -505,7 +467,25 @@ class TestExactControllerContract:
         assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
         assert on_path_control_outside(result.schedule, omega) <= 1e-12
 
-    def test_report_carries_funnel_ascent(self, tmp_path):
+    def test_makes_four_stopped_flows(self, monkeypatch):
+        # the crossing check's two flows and the two parks; the funnels
+        # integrate nothing
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0].label)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(synth, "stopped_flow_batch",
+                            counting(synth.stopped_flow_batch))
+        monkeypatch.setattr(geometry, "stopped_flow_batch",
+                            counting(geometry.stopped_flow_batch))
+        exact_controller(self.scenario)
+        assert len(calls) == 4, calls
+
+    def test_report_carries_funnel_ratios(self, tmp_path):
         path = tmp_path / "scenario.json"
         self.scenario.save(path)
         code = cli.main(["run", "--scenario", str(path), "--mode", "exact",
@@ -513,22 +493,11 @@ class TestExactControllerContract:
         assert code == 0
         with open(tmp_path / "out" / "report.json") as fh:
             report = json.load(fh)
-        ascent = report["funnel_ascent"]
-        assert set(ascent) == {"accepted", "rejected", "h_first", "h_min",
-                               "h_max", "lipschitz", "tau_max"}
-        assert set(ascent["tau_max"]) == {"forward", "backward"}
-        # the bound chose the first step and error control the rest, the
-        # run reached the last entry, and each lane's gain brings its
-        # largest hitting time under 0.9 delta / 3
-        bound_step = 0.1 / max(ascent["lipschitz"], 1.0)
-        assert 0.0 < ascent["h_first"] <= bound_step * (1 + 1e-9)
-        assert ascent["accepted"] >= 1
-        assert 0.0 < ascent["h_min"] <= ascent["h_max"]
-        assert (ascent["accepted"] * ascent["h_max"]
-                >= max(ascent["tau_max"].values()))
-        delta = self.scenario.params["delta"]
-        for lane, k in report["funnel_k"].items():
-            assert ascent["tau_max"][lane] / k <= 0.3 * delta * (1 + 1e-12)
+        assert set(report["funnel"]) == {"forward_ratios", "backward_ratios"}
+        for ratios in report["funnel"].values():
+            assert len(ratios) == 2
+            assert all(0.0 < r <= 1.0 for r in ratios)
+        assert not {"funnel_ascent", "funnel_k"} & set(report)
 
 
 @pytest.mark.parametrize("kind", ["plain", "merge", "split"])
