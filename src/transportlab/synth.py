@@ -360,12 +360,6 @@ def _boxes_inside(region: Region, lo, hi):
     whether all its corners do."""
     lo = np.atleast_2d(lo)
     hi = np.atleast_2d(hi)
-    if region.kind == "box":
-        # Region.contains's test, |x - c| - h <= 0 on every axis, holds at
-        # every corner iff it holds at lo and at hi
-        c, h = 0.5 * (region.lo + region.hi), 0.5 * (region.hi - region.lo)
-        return np.all((np.abs(lo - c) - h <= 0.0)
-                      & (np.abs(hi - c) - h <= 0.0), axis=1)
     d = lo.shape[1]
     bits = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1
     corners = np.where(bits[:, None, :] == 1, hi, lo)
@@ -373,12 +367,16 @@ def _boxes_inside(region: Region, lo, hi):
                   axis=0)
 
 
-def _cloud_box(pts):
+def _cloud_box(pts, omega1: Region):
     """Bounding box of the points ``pts``, padded by 1% of its extent on
-    each axis: the box a straight-line funnel contracts."""
+    each axis: the box a straight-line funnel contracts. On a long cloud
+    that pad can outgrow the room between the points and omega1's edge, so
+    on each side it is cut to 99% of that room (to none outside omega1)."""
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = 0.01 * np.maximum(hi - lo, 1e-9)
-    return Region.box(lo - pad, hi + pad)
+    box_lo, box_hi = omega1.bounding_box()
+    return Region.box(lo - np.clip(0.99 * (lo - box_lo), 0.0, pad),
+                      hi + np.clip(0.99 * (box_hi - hi), 0.0, pad))
 
 
 def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
@@ -859,8 +857,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     # the affine similarity keeps the cloud shape, so the grid phase sees
     # well-conditioned quantiles)
     fun_back = affine_funnel_total(
-        v_back, omega1, _cloud_box(back1.subset(~tag_back).positions), s0,
-        t4 - t3, blend_band=0.45 * gap)
+        v_back, omega1, _cloud_box(back1.subset(~tag_back).positions, omega1),
+        s0, t4 - t3, blend_band=0.45 * gap)
     back2_all, cf_back = _push_funnel(fun_back, fun_back, back1, 0.0,
                                       t4 - t3, tol)
     grid_target_cloud = back2_all.subset(~tag_back)
@@ -868,8 +866,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         raise RuntimeError("backward funnel failed to reach the storage cube")
 
     fun_fwd = affine_funnel_total(
-        v, omega1, _cloud_box(state1.subset(~tag_fwd).positions), s0,
-        t2 - t1, blend_band=0.45 * gap)
+        v, omega1, _cloud_box(state1.subset(~tag_fwd).positions, omega1),
+        s0, t2 - t1, blend_band=0.45 * gap)
     state2_all, cf_fwd = _push_funnel(fun_fwd, fun_fwd, state1, 0.0,
                                       t2 - t1, tol)
     grid_source_cloud = state2_all.subset(~tag_fwd)
@@ -1024,12 +1022,12 @@ def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
 
     ``lanes`` maps a lane name to ``(v, duration, pts)``: the drift the
     funnel field blends into outside omega1, the funnel's span and the
-    points at its start. Returns a dict mapping each name to ``(endpoints,
-    knots, paths, funnel)``: the points' images in s0, ``EXACT_KNOTS``
-    uniform knots over [0, duration], the ``(n, knots, d)`` paths on the
-    funnel's closed-form similarity (``funnel.positions``; the last knot is
-    the image) and the funnel field, whose ``ratios`` and ``descriptor`` the
-    report and the witness carry. Nothing is integrated. Raises unless
+    points at its start. Returns a dict mapping each name to ``(knots,
+    paths, funnel)``: ``EXACT_KNOTS`` uniform knots over [0, duration], the
+    ``(n, knots, d)`` paths on the funnel's closed-form similarity
+    (``funnel.positions``; the last knot is the points' image in s0) and the
+    funnel field, whose ``ratios`` and ``descriptor`` the report and the
+    witness carry. Nothing is integrated. Raises unless
     ``funnel.closed_form`` certifies every point, i.e. proves its path stays
     in omega1, where the similarity is the funnel field's flow.
 
@@ -1038,14 +1036,13 @@ def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
     """
     funnels = {}
     for name, (v, duration, pts) in lanes.items():
-        funnel = affine_funnel_total(v, omega1, _cloud_box(pts), s0, duration,
-                                     blend_band)
-        certified, end = funnel.closed_form(pts)
-        if not np.all(certified):
+        funnel = affine_funnel_total(v, omega1, _cloud_box(pts, omega1), s0,
+                                     duration, blend_band)
+        if not np.all(funnel.closed_form(pts)[0]):
             raise RuntimeError(f"the {name} funnel cannot keep every atom in "
                                "omega1")
         knots = np.linspace(0.0, duration, EXACT_KNOTS)
-        funnels[name] = (end, knots, funnel.positions(pts, knots), funnel)
+        funnels[name] = (knots, funnel.positions(pts, knots), funnel)
     return funnels
 
 
@@ -1092,8 +1089,10 @@ def exact_controller(scenario) -> ControllerResult:
         omega1, s0, {"forward": (v, t2 - t1, paths1[:, -1, :]),
                      "backward": (v_back, t4 - t3, paths5[:, -1, :])},
         blend_band=0.45 * gap)
-    fwd_in_s0, knots2, paths2, fun_fwd = funnels["forward"]
-    back_in_s0, knots4, paths4, fun_back = funnels["backward"]
+    knots2, paths2, fun_fwd = funnels["forward"]
+    knots4, paths4, fun_back = funnels["backward"]
+    fwd_in_s0 = paths2[:, -1]
+    back_in_s0 = paths4[:, -1]
 
     # geodesic plan between the parked clouds
     src_cloud = ParticleMeasure(fwd_in_s0, mu0.weights)

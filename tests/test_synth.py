@@ -356,16 +356,16 @@ class TestExactFunnelClosedForm:
         return funnels["lane"]
 
     def test_knots_run_from_the_atoms_to_the_image(self):
-        end, knots, paths, fld = self.funnel(self.pts)
+        knots, paths, fld = self.funnel(self.pts)
         assert np.array_equal(knots, np.linspace(0.0, self.delta, 33))
         assert paths.shape == (len(self.pts), 33, 2)
         assert np.max(np.abs(paths[:, 0] - self.pts)) <= 1e-15
         certified, images = fld.closed_form(self.pts)
         assert np.all(certified)
-        assert np.array_equal(paths[:, -1], images)
+        end = paths[:, -1]
         assert np.array_equal(end, images)
         # the end of the span is exact: centre c1, scale lam
-        c0 = synth._cloud_box(self.pts).center_point()
+        c0 = synth._cloud_box(self.pts, self.omega1).center_point()
         assert np.array_equal(
             end, self.s0.center_point() + fld.ratios * (self.pts - c0))
         assert np.all(self.s0.contains(end))
@@ -374,7 +374,7 @@ class TestExactFunnelClosedForm:
     def test_matches_flow_push(self):
         # an independent reference: the funnel field's RK4 flow from knot
         # to knot
-        end, knots, paths, fld = self.funnel(self.pts)
+        knots, paths, fld = self.funnel(self.pts)
         mu = ParticleMeasure(self.pts, np.full(len(self.pts), 0.2))
         ref = [mu.positions]
         for a, b in zip(knots[:-1], knots[1:]):
@@ -390,8 +390,8 @@ class TestExactFunnelClosedForm:
     def test_uncertified_atom_raises(self, monkeypatch):
         # a cloud box that leaves out the last atom, outside omega1: the
         # funnel fits, but its closed form cannot certify that atom
-        inside = synth._cloud_box(self.pts[3:])
-        monkeypatch.setattr(synth, "_cloud_box", lambda pts: inside)
+        inside = synth._cloud_box(self.pts[3:], self.omega1)
+        monkeypatch.setattr(synth, "_cloud_box", lambda pts, omega1: inside)
         pts = np.vstack([self.pts[3:], [[1.05, 0.5]]])
         with pytest.raises(RuntimeError, match="omega1"):
             self.funnel(pts)
@@ -498,6 +498,31 @@ class TestExactControllerContract:
             assert len(ratios) == 2
             assert all(0.0 < r <= 1.0 for r in ratios)
         assert not {"funnel_ascent", "funnel_k"} & set(report)
+
+
+def test_exact_lane_on_a_long_omega():
+    # omega is 4 times longer than wide and mu0 spans omega0 along it: 1% of
+    # the cloud's extent outgrows the room omega1 leaves past omega0, so the
+    # cloud box's pad must be cut to fit
+    scenario = Scenario.from_dict({
+        "dim": 2,
+        "v": {"kind": "constant", "value": [0.0, 0.3]},
+        "omega": {"kind": "box", "lo": [0.0, 0.0], "hi": [12.0, 3.0]},
+        "mu0": {"atoms": [[0.5, 0.5, 0.25], [4.0, 0.6, 0.25],
+                          [11.5, 0.5, 0.5]]},
+        "mu1": {"atoms": [[0.6, 2.2, 0.5], [11.0, 2.3, 0.5]]},
+        "params": {"delta": 1.0, "seed": 0, "horizon": 4.0, "tol": 1e-6},
+    })
+    mu0 = scenario.measure("mu0")
+    result = exact_controller(scenario)
+    omega1 = Region.from_dict(result.report["regions"]["omega1"])
+    assert 0.01 * (11.5 - 0.5) > mu0.positions[0, 0] - omega1.lo[0]
+    assert result.report["final_w1"]["estimate"] <= 1e-9
+    for state in result.trajectory.states:
+        assert abs(state.total_mass() - mu0.total_mass()) < 1e-12
+    omega = scenario.omega_region()
+    assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
+    assert on_path_control_outside(result.schedule, omega) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["plain", "merge", "split"])
