@@ -1,21 +1,20 @@
 """Characteristic flows of time-dependent velocity fields.
 
-Two steppers integrate a batch of particles, all sharing one step:
+One stepper integrates a batch of particles: fixed-step RK4
+(``_integrate_batch``, ``flow_push``), the batch sharing one step tied to
+the field's Lipschitz bound (stability step 0.1/max(L, 1)) and to the
+requested tolerance. It serves the fields the controllers build, which are
+only Lipschitz: the storage and funnel blends (signed distances to boxes)
+and the piecewise-affine moving-cell grid field. Fields declared
+non-Lipschitz (the square-root splitting example) fall back to the
+tolerance step and emit a warning once per field.
 
-- Fixed-step RK4 (``_integrate_batch``, ``flow_push``), with the step tied
-  to the field's Lipschitz bound (stability step 0.1/max(L, 1)) and to the
-  requested tolerance. It serves every field that is only Lipschitz,
-  whose kinks defeat an error estimate: the storage and funnel blends
-  (signed distances to boxes) and the piecewise-affine moving-cell grid
-  field. Fields declared non-Lipschitz (the square-root splitting example)
-  fall back to the tolerance step and emit a warning once per field.
-- Embedded Dormand-Prince 5(4) with error control (``_dopri``), for fields
-  built ``smooth=True``: the scenario drifts (zero, constant, affine,
-  radial). ``stopped_flow_batch`` parks each point at its first entry into
-  a region (the crossing check and the exact lane's parks), found and
-  located on DOPRI5's continuous extension, which it probes at least as
-  finely as fixed RK4 steps would. Its first step is ``choose_step``'s, as
-  for RK4; the error estimate sets every later one.
+The scenario drifts (zero, constant, affine, radial and their negations)
+are affine, x' = Ax + b, and carry their pair (A, b); their flow map is
+exp(t [[A, b], [0, 0]]) in closed form (``_affine_flow``).
+``stopped_flow_batch`` parks each point at its first entry into a region
+(the crossing check and the exact lane's parks): it probes that exact map
+and locates each entry on it, so it integrates nothing.
 """
 from __future__ import annotations
 
@@ -34,7 +33,6 @@ __all__ = [
     "Trajectory",
     "flow_push",
     "stopped_flow_batch",
-    "StoppedPaths",
 ]
 
 
@@ -44,14 +42,14 @@ class TimeField:
     ``fn(points, t)`` maps an ``(N, d)`` array and a scalar time to ``(N, d)``
     velocities. ``control_fn``, when present, evaluates the localized control
     part of the field (total minus ambient); schedule support checks sample
-    it. ``smooth`` declares the field C2 in x and t, so an embedded error
-    estimate follows the error: stopped flows need it, since they step by
-    Dormand-Prince 5(4).
+    it. ``affine_pair``, when given, holds the arrays ``(A, b)`` of an
+    autonomous affine field w(x) = Ax + b, which ``fn`` must compute:
+    stopped flows need it, since they run on its exact flow map.
     """
 
     def __init__(self, fn, dim, lipschitz_bound=0.0, sup_bound=np.inf,
                  label="", control_fn=None, non_lipschitz=False,
-                 descriptor=None, smooth=False):
+                 descriptor=None, affine_pair=None):
         self._fn = fn
         self.dim = int(dim)
         self.lipschitz_bound = float(lipschitz_bound)
@@ -59,7 +57,7 @@ class TimeField:
         self.label = label
         self.control_fn = control_fn
         self.non_lipschitz = bool(non_lipschitz)
-        self.smooth = bool(smooth)
+        self.affine_pair = affine_pair
         self.descriptor = descriptor or {"kind": "opaque", "label": label}
         self._warned = False
 
@@ -87,7 +85,8 @@ class TimeField:
     @classmethod
     def zero(cls, dim):
         return cls(lambda p, t: np.zeros_like(p), dim, 0.0, 0.0, label="zero",
-                   descriptor={"kind": "zero"}, smooth=True)
+                   descriptor={"kind": "zero"},
+                   affine_pair=(np.zeros((dim, dim)), np.zeros(dim)))
 
     @classmethod
     def constant(cls, vec):
@@ -95,7 +94,7 @@ class TimeField:
         return cls(lambda p, t: np.broadcast_to(vec, p.shape).copy(), len(vec),
                    0.0, float(np.linalg.norm(vec)), label="constant",
                    descriptor={"kind": "constant", "value": vec.tolist()},
-                   smooth=True)
+                   affine_pair=(np.zeros((len(vec), len(vec))), vec))
 
     @classmethod
     def affine(cls, matrix, offset):
@@ -106,7 +105,7 @@ class TimeField:
                    label="affine",
                    descriptor={"kind": "affine", "matrix": mat.tolist(),
                                "offset": off.tolist()},
-                   smooth=True)
+                   affine_pair=(mat, off))
 
     @classmethod
     def radial(cls, center, rate):
@@ -114,7 +113,7 @@ class TimeField:
         return cls(lambda p, t: rate * (p - c), len(c), abs(rate), np.inf,
                    label="radial",
                    descriptor={"kind": "radial", "center": c.tolist(), "rate": rate},
-                   smooth=True)
+                   affine_pair=(rate * np.eye(len(c)), -rate * c))
 
     def negated(self):
         """-w, for reversing autonomous dynamics."""
@@ -123,7 +122,8 @@ class TimeField:
                          label=f"-({self.label})",
                          non_lipschitz=self.non_lipschitz,
                          descriptor={"kind": "negated", "inner": self.descriptor},
-                         smooth=self.smooth)
+                         affine_pair=None if self.affine_pair is None else (
+                             -self.affine_pair[0], -self.affine_pair[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,8 @@ def _rk4_advance(field: TimeField, pts, t, h):
 
 
 def _batch_span(pts, t0, t1, tol):
-    """Input checks shared by the steppers: the batch as a float array and
-    the span t1 - t0."""
+    """Input checks shared by RK4 and the stopped flow: the batch as a
+    float array and the span t1 - t0."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     span = float(t1) - float(t0)
@@ -194,158 +194,6 @@ def _integrate_batch(field: TimeField, pts, t0, t1, tol, observer=None):
     return pts
 
 
-# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, Table
-# II.5.2): stage nodes, the stage rows, the fifth-order weights (the row of
-# the seventh stage, so that stage is the next step's first: FSAL) and the
-# embedded fourth-order weights
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = ((),
-         (1 / 5,),
-         (3 / 40, 9 / 40),
-         (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-# step-size controller: safety factor, and the largest and smallest factor
-# one step may change h by
-_DP_SAFETY, _DP_GROW, _DP_SHRINK = 0.9, 5.0, 0.2
-
-
-def _combine(pts, h, weights, stages):
-    out = pts.copy()
-    for w, k in zip(weights, stages):
-        if w:
-            out += (h * w) * k
-    return out
-
-
-# weights of the last coefficient of DOPRI5's fourth-order continuous
-# extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6; Shampine,
-# Math. Comp. 46, 1986)
-_DP_DENSE = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-             -10690763975 / 1880347072, 701980252875 / 199316789632,
-             -1453857185 / 822651844, 69997945 / 29380423)
-
-
-def _dense_coefficients(y, new, h, stages):
-    """``(5, n, d)`` coefficients of the continuous extension of one step
-    from ``y`` to ``new``; row 0 is ``y``."""
-    ydiff = new - y
-    bspl = h * stages[0] - ydiff
-    return np.stack([y, ydiff, bspl, ydiff - h * stages[-1] - bspl,
-                     _combine(np.zeros_like(y), h, _DP_DENSE, stages)])
-
-
-def _dense_at(coef, theta):
-    """Positions at step fraction ``theta`` on the continuous extension
-    with coefficients ``coef``: ``theta`` is a scalar, one fraction per row
-    (shape ``(n,)``) or a stack of either (``(m, 1)`` or ``(m, n)``, giving
-    ``(m, n, d)`` positions)."""
-    th = np.expand_dims(theta, -1)
-    y, ydiff, bspl, c3, c4 = coef
-    return y + th * (ydiff + (1 - th) * (bspl + th * (c3 + (1 - th) * c4)))
-
-
-def _dopri(field: TimeField, pts, t0, t1, tol, stop_region=None,
-           record=None):
-    """Embedded Dormand-Prince 5(4) with one step size for the batch, the
-    loop behind ``stopped_flow_batch``. The first step is ``choose_step``'s;
-    a step is accepted when every particle's max-norm error estimate is at
-    most tol * h / (t1 - t0), so the accepted estimates sum to at most tol
-    (local estimates, not the global error). The field must be C2.
-
-    Without ``stop_region`` every point runs to t1. With it, a point inside
-    at t0 never moves, and a point whose continuous extension is inside at
-    one of an accepted step's probe fractions (``_probe_fractions``) is
-    parked at its first entry and leaves the batch; every step also keeps
-    each active point's move within ``_step_cap``. ``record``, a list,
-    receives ``(start - t0, h, rows, coefficients)`` for each accepted step
-    of a stopped flow. Returns ``(endpoints, hit_times, stats)``: a hit
-    time is relative to t0, nan for a point never parked; ``stats`` counts
-    accepted and rejected steps and gives the first, smallest and largest
-    accepted step and the Lipschitz bound that chose the first.
-    """
-    pts, span = _batch_span(pts, t0, t1, tol)
-    stats = {"accepted": 0, "rejected": 0, "h_first": None, "h_min": None,
-             "h_max": None, "lipschitz": field.lipschitz_bound}
-    hits = np.full(pts.shape[0], np.nan)
-    rows = np.arange(pts.shape[0])
-    cap = math.inf
-    if stop_region is not None:
-        inside = stop_region.contains(pts)
-        hits[inside] = 0.0
-        rows = rows[~inside]
-        cap = _step_cap(stop_region)
-    if span == 0 or rows.size == 0:
-        return pts, hits, stats
-    h = choose_step(field, tol, span)
-    stats["h_first"] = h
-    err_per_time = tol / span
-    grow = _DP_GROW
-    t = float(t0)
-    y = pts[rows]
-    k1 = field.evaluate(y, t)
-    while t < t1 and rows.size:
-        last = t + 1.01 * h >= t1
-        if last:
-            h = t1 - t
-        if t + h == t:
-            raise RuntimeError(f"step size underflow at time {t:.6g}: the "
-                               f"field {field.label!r} is not smooth enough "
-                               "for error control")
-        stages = [k1]
-        for c, row in zip(_DP_C[1:], _DP_A[1:]):
-            stages.append(field.evaluate(_combine(y, h, row, stages),
-                                         t + c * h))
-        new = _combine(y, h, _DP_B5, stages)
-        stages.append(field.evaluate(new, t + h))
-        err = _combine(np.zeros_like(y), h, _DP_ERR, stages)
-        _check_finite(np.hstack([new, err]), y, t + h, rows)
-        err_max = float(np.max(np.abs(err)))
-        bound = err_per_time * h
-        move = 0.0
-        if stop_region is not None:
-            move = float(np.sqrt(np.max(np.sum((new - y) ** 2, axis=1))))
-        if err_max <= bound and move <= cap:
-            if stop_region is not None:
-                coef = _dense_coefficients(y, new, h, stages)
-                if record is not None:
-                    record.append((t - t0, h, rows, coef))
-                lo, hi = _entry_bracket(stop_region, coef, new,
-                                        _probe_fractions(h, stats["h_first"]))
-                entered = hi > 0
-                if np.any(entered):
-                    theta, pts[rows[entered]] = _locate_entry(
-                        stop_region, coef[:, entered], lo[entered],
-                        hi[entered])
-                    hits[rows[entered]] = (t - t0) + theta * h
-                    keep = ~entered
-                    rows, new, stages[-1] = (rows[keep], new[keep],
-                                             stages[-1][keep])
-            t = t1 if last else t + h
-            y = new
-            k1 = stages[-1]
-            stats["accepted"] += 1
-            stats["h_min"] = min(h, stats["h_min"] or h)
-            stats["h_max"] = max(h, stats["h_max"] or h)
-            grow = _DP_GROW
-        else:
-            stats["rejected"] += 1
-            # no growth right after a rejection (HNW II.4)
-            grow = 1.0
-        # err ~ h^5 against a bound ~ h: the 1/4 power aims at the bound
-        fac = (_DP_SAFETY * (bound / err_max) ** 0.25 if err_max > 0
-               else grow)
-        # and the largest move at the same share of the cap
-        fac_cap = _DP_SAFETY * cap / move if move > 0 else math.inf
-        h *= min(grow, max(_DP_SHRINK, fac), fac_cap)
-    pts[rows] = y
-    return pts, hits, stats
-
-
 def flow_push(field: TimeField, mu: ParticleMeasure, t0: float, t1: float,
               tol: float) -> ParticleMeasure:
     """Push a particle measure through the flow; weights and tags ride along."""
@@ -357,90 +205,145 @@ def flow_push(field: TimeField, mu: ParticleMeasure, t0: float, t1: float,
 # stopped flow: freeze each trajectory at its first entry into a region
 # ---------------------------------------------------------------------------
 
+def _affine_flow(pair, x0, times):
+    """Positions of the points ``x0`` (``(n, d)``) under the affine field
+    x' = Ax + b, ``pair`` = (A, b), at ``times``: one time per point
+    (shape ``(n,)``) or a stack of such rows or of shared times (``(m, n)``
+    or ``(m, 1)``, giving ``(m, n, d)`` positions).
+
+    The flow map applies the top rows of E = exp(t [[A, b], [0, 0]]) to
+    (x0, 1). When A = 0 the series for E stops after one term: x0 + t b.
+    Otherwise E is a Taylor series of the matrix over 2^s, squared s times,
+    with 2^s bringing every 1-norm to at most 1/2, where the terms after
+    the 14th sum to below 2^-53 of the result (Moler & Van Loan, SIAM
+    Review 45, 2003)."""
+    a, b = pair
+    t = np.asarray(times, dtype=np.float64)[..., None]
+    if not a.any():
+        return x0 + t * b
+    d = len(b)
+    aug = np.zeros((d + 1, d + 1))
+    aug[:d, :d], aug[:d, d] = a, b
+    m = t[..., None] * aug
+    norm = float(np.max(np.sum(np.abs(m), axis=-2), initial=0.0))
+    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0 else 0
+    m = m / 2.0 ** s
+    flow = np.eye(d + 1) + m
+    term = m
+    # an expanding drift may overflow; the caller checks what it uses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(2, 15):
+            term = term @ m / j
+            flow = flow + term
+        for _ in range(s):
+            flow = flow @ flow
+        return (flow[..., :d, :d] @ x0[..., None])[..., 0] + flow[..., :d, d]
+
+
+def _entries(stop_region, pos):
+    """Signed distances to ``stop_region`` of positions ``pos``
+    (``(m, n, d)``) and, per column, the row of the first one inside (m for
+    a column with none)."""
+    sd = stop_region.signed_distance(
+        pos.reshape(-1, pos.shape[-1])).reshape(pos.shape[:-1])
+    inside = sd <= 0
+    return sd, np.where(inside.any(axis=0), np.argmax(inside, axis=0),
+                        len(sd))
+
+
+# positions one block of probes evaluates at most: probe times times the
+# points still active
+_PROBE_BLOCK = 1 << 16
+
+
 def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
-                       horizon: float, tol: float, record: bool = False):
-    """Advance a batch along a field built smooth, parking each point at its
+                       horizon: float, tol: float):
+    """Advance a batch along an affine field, parking each point at its
     first entry into ``stop_region``.
 
-    The points still active share ``_dopri``'s Dormand-Prince 5(4) steps
-    over [t0, t0 + horizon]: each accepted step's local error
-    estimate is at most tol * h / horizon, so the estimates along any path
-    sum to at most tol (a bound on local estimates, not on the global
-    error). The horizon thus sets the error bound per unit time and, with
-    ``choose_step``, the first step: a longer horizon tightens both and
-    changes the steps taken before the last entry. Two rules serve the stop
-    event:
+    Nothing is integrated: positions are read off the field's exact flow
+    map (``_affine_flow``), a block of probe times in one map. Probes are
+    ``choose_step(field, tol, horizon)`` apart over [t0, t0 + horizon], the
+    last at the horizon. A point inside at a probe is parked at its first
+    entry, found between that probe and the one before to 2^-52 of their
+    distance. No active point moves more than half the region's inradius
+    (for a union, its thinnest part's) between two probes, so none steps
+    over the region: for A = 0 the spacing is at most that cap over |b|;
+    otherwise a block where a point moves more than the cap, and at least
+    its distance to the region, is probed again that many times finer, as
+    are the blocks after it. A point farther away than its move cannot
+    reach the region on that chord, so far points flung ever faster by an
+    expanding drift cost no finer probes. A path that clips a corner or an
+    edge between two probes is not seen.
 
-    - No active point moves more than half the region's inradius in one
-      step (for a union, its thinnest part's); a step that would is rejected
-      and the next one shrunk. However far the error estimate would let
-      a step grow, it cannot carry a point over the region.
-    - Each accepted step is probed on DOPRI5's fourth-order continuous
-      extension at times at most ``choose_step``'s fixed RK4 step apart,
-      its endpoint included. A point inside at a probe is parked at its
-      first entry, found between that probe and the one before it to
-      2^-52 of their distance. Neither costs a field evaluation. A path
-      that clips a corner or an edge between two probes is not seen, as
-      it was not between two fixed RK4 steps.
-
-    Stepping stops once every point is parked: no step is taken past the
-    last entry. Returns ``(endpoints, hit_times)``; a hit time, relative to
-    t0, is nan when the point never entered within the horizon. With
-    ``record=True`` returns a ``StoppedPaths`` instead, which holds the
-    endpoints and hit times, the accepted steps' continuous extensions of
-    the points active in them and the step statistics.
+    A non-finite position before a point's entry raises
+    ``FloatingPointError`` naming the point. Probing stops once every point
+    is parked. Returns ``(endpoints, hit_times)``; a hit time, relative to
+    t0, is nan when the point never entered within the horizon, and its
+    endpoint is then its position at t0 + horizon. The field is autonomous:
+    t0 only dates error messages.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if not field.smooth:
-        raise ValueError(f"field {field.label!r} is not built smooth; stopped "
-                         "flows step by Dormand-Prince error control")
-    steps = [] if record else None
-    end, hits, stats = _dopri(field, pts, t0, t0 + horizon, tol, stop_region,
-                              steps)
-    if record:
-        return StoppedPaths(end, hits, steps, stats)
+    pair = field.affine_pair
+    if pair is None:
+        raise ValueError(f"field {field.label!r} is not affine; stopped flows "
+                         "run on the exact affine flow map")
+    x0, _ = _batch_span(pts, t0, t0 + horizon, tol)
+    end = x0.copy()
+    hits = np.full(x0.shape[0], np.nan)
+    dist = stop_region.signed_distance(x0)
+    hits[dist <= 0] = 0.0
+    rows = np.flatnonzero(dist > 0)
+    dist = dist[rows]
+    a, b = pair
+    cap = _step_cap(stop_region)
+    h = choose_step(field, tol, horizon)
+    if not a.any() and b.any():
+        h = min(h, cap / float(np.linalg.norm(b)))
+    t, prev = 0.0, x0[rows]
+    while rows.size and t < horizon:
+        left = max(1, math.ceil((horizon - t) / h - 1e-9))
+        m = min(left, max(1, _PROBE_BLOCK // rows.size))
+        times = t + h * np.arange(1, m + 1)
+        if m == left:
+            times[-1] = horizon
+        pos = _affine_flow(pair, x0[rows], times[:, None])
+        sd, first = _entries(stop_region, pos)
+        probe = np.arange(m)[:, None]
+        broken = (probe < first) & ~np.isfinite(pos).all(axis=2)
+        if broken.any():
+            j = int(np.argmax(broken.any(axis=1)))
+            bad = rows[broken[j]]
+            _check_finite(pos[j][broken[j]], x0[bad], t0 + times[j], bad)
+        if a.any():
+            move = np.linalg.norm(np.diff(np.concatenate([prev[None], pos]),
+                                          axis=0), axis=2)
+            reach = np.concatenate([dist[None], sd[:-1]])
+            worst = np.max(move[(probe <= first) & (move >= reach)],
+                           initial=0.0)
+            if worst > cap:
+                h /= math.ceil(worst / cap)
+                continue
+        entered = first < m
+        if np.any(entered):
+            f, idx = first[entered], rows[entered]
+            lo = np.where(f > 0, times[f - 1], t)
+            hits[idx], end[idx] = _locate_entry(stop_region, pair, x0[idx],
+                                                lo, times[f])
+        keep = ~entered
+        t, rows = times[-1], rows[keep]
+        prev, dist = pos[-1][keep], sd[-1][keep]
+    end[rows] = prev
     return end, hits
 
 
 def _step_cap(region):
     """Half the inradius of the thinnest part of ``region``: the farthest
-    a stopped flow moves a point in one step."""
+    a stopped flow moves a point between two probes."""
     if region.kind == "union":
         return min(_step_cap(part) for part in region.parts)
     return 0.5 * region.inradius()
-
-
-def _probe_fractions(h, h_probe):
-    """Step fractions, ending at 1, at which a stopped flow looks for
-    entries in a step of length h: spaced at most ``h_probe`` apart in
-    time, ``choose_step``'s fixed RK4 step."""
-    m = max(1, math.ceil(h / h_probe - 1e-9))
-    return np.arange(1, m + 1) / m
-
-
-def _first_inside(stop_region, theta, pos):
-    """Per column of the step fractions ``theta`` (``(m, n)``), with
-    positions ``pos`` (``(m, n, d)``): the row of the first fraction whose
-    position is inside ``stop_region``, and whether there is one."""
-    inside = stop_region.contains(
-        pos.reshape(-1, pos.shape[-1])).reshape(theta.shape)
-    return np.argmax(inside, axis=0), inside.any(axis=0)
-
-
-def _entry_bracket(stop_region, coef, new, fractions):
-    """For each row of a step's continuous extension, the fractions
-    ``(lo, hi)`` around its first probe inside ``stop_region``: hi is that
-    probe's fraction and lo the one before it (0 for the first); hi is 0
-    for a row inside at no probe. The probe at fraction 1 is the step's
-    endpoint ``new``."""
-    theta = np.broadcast_to(fractions[:, None], (len(fractions), len(new)))
-    pos = np.concatenate([_dense_at(coef, theta[:-1]), new[None]])
-    first, found = _first_inside(stop_region, theta, pos)
-    cols = np.arange(len(new))
-    lo = np.where(first > 0, theta[first - 1, cols], 0.0)
-    hi = np.where(found, theta[first, cols], 0.0)
-    return lo, hi
 
 
 # an entry is located in passes that each cut its bracket into 16 parts and
@@ -449,51 +352,21 @@ def _entry_bracket(stop_region, coef, new, fractions):
 _EVENT_PARTS, _EVENT_PASSES = 16, 13
 
 
-def _locate_entry(stop_region, coef, lo, hi):
-    """Step fractions and positions at which continuous extensions enter
-    ``stop_region``, given brackets whose ``lo`` fraction is outside and
-    ``hi`` fraction inside; each position returned is inside."""
+def _locate_entry(stop_region, pair, x0, lo, hi):
+    """Times at which the paths from ``x0`` enter ``stop_region`` under the
+    affine field with ``pair`` = (A, b), and the positions there, given
+    brackets whose ``lo`` time is outside and ``hi`` time inside; each
+    position returned is inside."""
     cols = np.arange(len(lo))
     parts = np.arange(1, _EVENT_PARTS)[:, None] / _EVENT_PARTS
     for _ in range(_EVENT_PASSES):
-        theta = lo + parts * (hi - lo)
-        first, found = _first_inside(stop_region, theta,
-                                     _dense_at(coef, theta))
+        times = lo + parts * (hi - lo)
+        _, first = _entries(stop_region, _affine_flow(pair, x0, times))
         # the bracket's right end, the last row, is inside
-        theta = np.vstack([theta, hi])
-        first = np.where(found, first, len(parts))
-        lo = np.where(first > 0, theta[first - 1, cols], lo)
-        hi = theta[first, cols]
-    return hi, _dense_at(coef, hi)
-
-
-class StoppedPaths:
-    """A recorded stopped flow: its endpoints and hit times (as
-    ``stopped_flow_batch`` returns them), for each accepted step its start
-    (relative to t0), its length, the rows active in it and their
-    continuous extension, and ``stats``, the steps' statistics
-    (``_dopri``'s)."""
-
-    def __init__(self, end, hits, steps, stats):
-        self.end = end
-        self.hits = hits
-        self.steps = steps
-        self.stats = stats
-        self._starts = np.array([step[0] for step in steps])
-
-    def at(self, times):
-        """``(n, len(times), d)`` positions at ``times`` (relative to t0,
-        nonnegative): on the continuous extension while a point is active,
-        its endpoint from its hit time on."""
-        out = np.repeat(self.end[:, None, :], len(times), axis=1)
-        for m, s in enumerate(times):
-            j = np.searchsorted(self._starts, s, side="right") - 1
-            if j < 0:
-                continue
-            start, h, rows, coef = self.steps[j]
-            moving = ~(self.hits[rows] <= s)
-            out[rows[moving], m] = _dense_at(coef[:, moving], (s - start) / h)
-        return out
+        times = np.vstack([times, hi])
+        lo = np.where(first > 0, times[first - 1, cols], lo)
+        hi = times[first, cols]
+    return hi, _affine_flow(pair, x0, hi)
 
 
 # ---------------------------------------------------------------------------

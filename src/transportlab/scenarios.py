@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,13 @@ class Scenario:
         merged = dict(PARAM_DEFAULTS)
         merged.update(self.params)
         self.params = merged
+        # times and the tolerance the controllers divide by or step over
+        for key in ("horizon", "tol", "delta"):
+            value = self.params[key]
+            if not (isinstance(value, (int, float)) and math.isfinite(value)
+                    and value > 0):
+                raise ValueError(f"scenario parameter {key!r} must be a "
+                                 f"positive finite number, got {value!r}")
         # fail fast on malformed members
         self.velocity_field()
         self.omega_region()

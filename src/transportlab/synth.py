@@ -3,10 +3,11 @@ five-phase schedules composing them.
 
 The approximate lane synthesizes genuinely Lipschitz fields and pushes the
 particles through their flows phase by phase, in closed form where the
-construction gives the flow map. The exact lane parks atoms with stopped
-flows, funnels them along the same straight-line funnels, read off in
-closed form, and joins the two sides by a quadratic-cost geodesic, storing
-the control as a per-plan-entry witness (the velocity field is Borel, not
+construction gives the flow map. The exact lane integrates nothing: it
+parks atoms with stopped flows on the drift's exact affine flow map,
+funnels them along the same straight-line funnels, read off in closed
+form, and joins the two sides by a quadratic-cost geodesic, storing the
+control as a per-plan-entry witness (the velocity field is Borel, not
 Lipschitz, and atoms may overlap).
 """
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import _kernels
 from .flow import (TimeField, Trajectory, choose_step, flow_push,
-                   stopped_flow_batch, _integrate_batch as _integrate_batch_local)
+                   stopped_flow_batch, _affine_flow,
+                   _integrate_batch as _integrate_batch_local)
 from .geometry import (Region, cutoff_theta, check_geometric_condition,
                        _smootherstep, _smootherstep_d)
 # no longer called here; kept because the benchmark tracer patches
@@ -140,8 +142,7 @@ class GridControlField(TimeField):
     slabs' velocities blend by a smootherstep over a strip of half-width
     ``STRIP_GAMMA`` times the narrower slab, which keeps the field
     Lipschitz. Only strip points need numerics: a 1D ODE in x_a, whose
-    Lipschitz constant is the axis-a slope bound. The field has kinks at
-    the walls, so it is not built ``smooth``.
+    Lipschitz constant is the axis-a slope bound.
     """
 
     def __init__(self, part_src, part_tgt, T):
@@ -806,13 +807,13 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     if isinstance(scenario, dict):
         scenario = Scenario.from_dict(scenario)
     epsilon = float(epsilon if epsilon is not None else scenario.params["epsilon"])
-    tol = float(scenario.params.get("tol", 1e-6))
+    tol = float(scenario.params["tol"])
     delta = float(scenario.params["delta"])
     v = scenario.velocity_field()
     omega = scenario.omega_region()
     mu0 = scenario.measure("mu0")
     mu1 = scenario.measure("mu1")
-    horizon = float(scenario.params.get("horizon", 20.0))
+    horizon = float(scenario.params["horizon"])
 
     cond = check_geometric_condition(v, mu0, mu1, omega, horizon, tol)
     # token minimum lengths keep every segment well-posed when a support
@@ -876,7 +877,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 
     # phase 3: grid control between the two parked clouds, in normalized
     # coordinates of a box inside S
-    n = _choose_n(len(grid_source_cloud), mu0.dim, scenario.params.get("n"))
+    n = _choose_n(len(grid_source_cloud), mu0.dim, scenario.params["n"])
 
     def cloud_frame(cloud):
         lo, hi = cloud.support_bbox()
@@ -896,7 +897,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             break
         except ValueError:
             # empirical resolution insufficient for this mesh; coarsen
-            if scenario.params.get("n") is not None or n <= 1:
+            if scenario.params["n"] is not None or n <= 1:
                 raise
             n -= 1
     grid_norm = grid_control(part_src, part_tgt, t3 - t2)
@@ -1002,17 +1003,19 @@ EXACT_KNOTS = 33
 
 
 def _stopped_paths(field, stop_region, pts, horizon, tol):
-    """Stopped-flow paths on a uniform knot grid over [0, horizon], read
-    off the continuous extension, so a knot past a point's hit time is its
-    endpoint."""
-    path = stopped_flow_batch(field, stop_region, pts, 0.0, horizon, tol,
-                              record=True)
-    if np.any(np.isnan(path.hits)):
-        bad = int(np.flatnonzero(np.isnan(path.hits))[0])
+    """Stopped-flow endpoints, hit times, and ``(n, knots, d)`` paths on a
+    uniform knot grid over [0, horizon], read off the drift's exact flow
+    map at min(knot, hit time): a knot past a point's hit time holds its
+    position at the hit."""
+    end, hits = stopped_flow_batch(field, stop_region, pts, 0.0, horizon, tol)
+    if np.any(np.isnan(hits)):
+        bad = int(np.flatnonzero(np.isnan(hits))[0])
         raise RuntimeError(f"point {pts[bad].tolist()} failed to reach the "
                            "stop region; escalate first")
     knots = np.linspace(0.0, horizon, EXACT_KNOTS)
-    return path.end, path.hits, knots, path.at(knots)
+    paths = _affine_flow(field.affine_pair, pts,
+                         np.minimum(knots[:, None], hits))
+    return end, hits, knots, paths.swapaxes(0, 1)
 
 
 def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
@@ -1051,21 +1054,22 @@ def exact_controller(scenario) -> ControllerResult:
     quadratic-cost geodesic, then replay the target-side construction
     backwards. The composite control is stored as a per-plan-entry witness.
 
-    The parks are stopped flows; both funnels are the approximate lane's
-    straight-line funnels, whose paths inside omega1 are in closed form
-    (see ``_escalate_exact_funnel``), so only the parks integrate.
+    The parks are stopped flows on the drift's exact flow map; both funnels
+    are the approximate lane's straight-line funnels, whose paths inside
+    omega1 are in closed form (see ``_escalate_exact_funnel``), so nothing
+    is integrated.
     """
     from .scenarios import Scenario
 
     if isinstance(scenario, dict):
         scenario = Scenario.from_dict(scenario)
-    tol = float(scenario.params.get("tol", 1e-6))
+    tol = float(scenario.params["tol"])
     delta = float(scenario.params["delta"])
     v = scenario.velocity_field()
     omega = scenario.omega_region()
     mu0 = scenario.measure("mu0")
     mu1 = scenario.measure("mu1")
-    horizon = float(scenario.params.get("horizon", 20.0))
+    horizon = float(scenario.params["horizon"])
 
     cond = check_geometric_condition(v, mu0, mu1, omega, horizon, tol)
     t1 = max(cond.T0star, 1e-3)

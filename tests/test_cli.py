@@ -56,6 +56,24 @@ def test_truncated_scenario_is_an_input_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("scenario error:")
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("key", ["horizon", "tol", "delta"])
+@pytest.mark.parametrize("value", [0.0, -0.5, math.inf])
+def test_nonpositive_or_infinite_parameter_is_an_input_error(
+        tmp_path, capsys, command, key, value):
+    # caught when the scenario loads: no traceback from the flows, no
+    # output directory, and check no longer passes a negative delta
+    data = load_scenario("figure1").to_dict()
+    data["params"][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and repr(key) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", [load_scenario("figure1"),
                                       load_scenario("two-bump-merge"),
                                       random_exact_scenario(4, "merge")])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from transportlab.flow import (TimeField, Trajectory, _dopri,
-                               _integrate_batch, choose_step, flow_push,
-                               stopped_flow_batch)
+from transportlab import flow, synth
+from transportlab.flow import (TimeField, Trajectory, _integrate_batch,
+                               choose_step, flow_push, stopped_flow_batch)
 from transportlab.geometry import Region
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.ot import wp_discrete
@@ -85,123 +85,6 @@ class TestIntegrateFlow:
         fld = TimeField(lambda p, t: np.sqrt(p), 1, sup_bound=np.inf)
         with pytest.raises(FloatingPointError, match="particle 0"):
             _integrate_batch(fld, [[-1.0]], 0.0, 1.0, 1e-6)
-
-
-def dopri_to_end(field, pts, t0, t1, tol):
-    """``_dopri`` run to t1 with no stop region: endpoints and statistics."""
-    end, _, stats = _dopri(field, pts, t0, t1, tol)
-    return end, stats
-
-
-class TestDopri:
-    """Embedded Dormand-Prince 5(4) with one step for the batch (``_dopri``,
-    the loop stopped flows run on), here run to a fixed end time."""
-
-    @staticmethod
-    def counted(field):
-        calls = []
-        evaluate = field.evaluate
-
-        def fn(p, t):
-            calls.append(t)
-            return evaluate(p, t)
-
-        return TimeField(fn, field.dim, field.lipschitz_bound,
-                         field.sup_bound), calls
-
-    def test_affine_matches_expm(self):
-        # an expanding spiral with an offset: x(t) = e^{At} x0 + (e^{At} - I)
-        # A^{-1} b, read off the exponential of the augmented matrix
-        mat = np.array([[0.3, -1.0], [1.0, 0.3]])
-        off = np.array([0.2, -0.1])
-        aug = np.zeros((3, 3))
-        aug[:2, :2], aug[:2, 2] = mat, off
-        pts = np.random.default_rng(0).standard_normal((12, 2))
-        t0, t1, tol = 0.5, 3.0, 1e-8
-        out, stats = dopri_to_end(TimeField.affine(mat, off), pts, t0, t1, tol)
-        flow_map = expm(aug * (t1 - t0))
-        exact = pts @ flow_map[:2, :2].T + flow_map[:2, 2]
-        assert np.max(np.abs(out - exact)) <= tol
-        assert stats["accepted"] >= 2
-        assert stats["h_first"] == choose_step(TimeField.affine(mat, off),
-                                               tol, t1 - t0)
-        assert stats["h_min"] <= stats["h_max"]
-
-    def test_sharp_switch_is_resolved_by_rejections(self):
-        # x' = tanh((t - 1)/w) x turns from contraction to expansion within
-        # w = 0.01, far inside steps grown on the calm stretch before it:
-        # only rejected steps keep the error within tol. Exact flow:
-        # x0 exp(w [log cosh((t - 1)/w)] from t0 to t1)
-        w = 0.01
-        fld = TimeField(lambda p, t: np.tanh((t - 1.0) / w) * p, 1,
-                        lipschitz_bound=1.0)
-        pts = np.array([[1.0], [-0.5], [2.0]])
-        t0, t1, tol = 0.0, 2.5, 1e-6
-
-        def log_cosh(z):
-            return np.logaddexp(z, -z) - math.log(2.0)
-
-        out, stats = dopri_to_end(fld, pts, t0, t1, tol)
-        exact = pts * np.exp(w * (log_cosh((t1 - 1.0) / w)
-                                  - log_cosh((t0 - 1.0) / w)))
-        assert np.max(np.abs(out - exact)) <= tol
-        assert stats["rejected"] >= 1
-        assert stats["h_min"] < stats["h_first"] < stats["h_max"]
-
-    def test_constant_field_one_step(self):
-        # the whole span fits in choose_step's first step: one accepted step
-        # of seven stages
-        fld, calls = self.counted(TimeField.constant([1.0, -0.5]))
-        pts = np.array([[0.0, 0.0], [1.0, 2.0]])
-        out, stats = dopri_to_end(fld, pts, 1.0, 1.05, 1e-4)
-        assert stats["accepted"] == 1 and stats["rejected"] == 0
-        assert len(calls) == 7
-        assert np.allclose(out, pts + [0.05, -0.025], atol=1e-15)
-        assert stats["h_first"] == stats["h_min"] == stats["h_max"] \
-            == pytest.approx(0.05, rel=1e-12)
-
-    def test_last_stage_is_reused(self):
-        # FSAL: one evaluation to start, then six per attempted step
-        fld, calls = self.counted(TimeField.radial([0.3, 0.1], -2.0))
-        pts = np.random.default_rng(1).random((5, 2))
-        _, stats = dopri_to_end(fld, pts, 0.0, 2.0, 1e-6)
-        steps = stats["accepted"] + stats["rejected"]
-        assert steps > 1
-        assert len(calls) == 1 + 6 * steps
-
-    def test_empty_batch_evaluates_nothing(self):
-        fld, calls = self.counted(TimeField.constant([1.0, 0.0]))
-        out, stats = dopri_to_end(fld, np.zeros((0, 2)), 0.0, 5.0, 1e-8)
-        assert out.shape == (0, 2)
-        assert calls == []
-        assert stats["accepted"] == stats["rejected"] == 0
-
-    def test_nonfinite_field_reports_particle(self):
-        fld = TimeField(lambda p, t: np.sqrt(p), 1, sup_bound=np.inf)
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(FloatingPointError, match="particle 1 "):
-            dopri_to_end(fld, [[1.0], [-1.0], [2.0]], 0.0, 1.0, 1e-6)
-
-    def test_input_checks(self):
-        fld = TimeField.constant([1.0])
-        with pytest.raises(ValueError, match="tol"):
-            dopri_to_end(fld, [[0.0]], 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="t1 must be >= t0"):
-            dopri_to_end(fld, [[0.0]], 1.0, 0.0, 1e-6)
-
-    def test_construction_picks_the_stepper(self):
-        # stopped flows step by Dormand-Prince and accept only fields built
-        # smooth: the scenario drifts are, and negation keeps the flag
-        rate, centre = -2.0, [0.3, 0.1]
-        smooth = TimeField(lambda p, t: rate * (p - centre), 2, abs(rate),
-                           smooth=True)
-        assert smooth.negated().smooth
-        for built in (TimeField.zero(2), TimeField.constant([1.0, 0.0]),
-                      TimeField.affine(np.eye(2), [0.0, 1.0]),
-                      TimeField.radial(centre, rate)):
-            assert built.smooth and built.negated().smooth
-        plain = TimeField(lambda p, t: rate * (p - centre), 2, abs(rate))
-        assert not plain.smooth and not plain.negated().smooth
 
 
 class TestFlowPush:
@@ -283,8 +166,8 @@ class TestStoppedFlow:
         assert np.allclose(ends[2], [6.0, 5.0], atol=1e-12)
 
     def test_batch_matches_scalar(self):
-        # each point alone takes its own steps, which the batch shares, so
-        # they agree to the error control, not bit for bit
+        # each point alone is probed in other blocks than in the batch; the
+        # entries located on the exact map agree to rounding
         region = Region.ball([0.0, 0.0], 0.3)
         fld = TimeField.radial([0.1, -0.1], -0.8)
         pts = np.array([[1.0, 0.5], [-2.0, 0.2], [0.4, -1.5]])
@@ -293,27 +176,31 @@ class TestStoppedFlow:
         for i in range(3):
             end_i, hit_i = stopped_flow_batch(fld, region, pts[i:i + 1], 0.0,
                                               10.0, tol)
-            assert abs(hits[i] - hit_i[0]) < tol
-            assert np.max(np.abs(ends[i] - end_i[0])) < tol
+            assert abs(hits[i] - hit_i[0]) < 1e-12
+            assert np.max(np.abs(ends[i] - end_i[0])) < 1e-12
 
-    @pytest.mark.parametrize("union", [False, True])
-    def test_thin_box_is_not_stepped_over(self, union):
-        # error control lets a constant field's step grow by 5x per step;
-        # only the cap of half the inradius keeps the 0.02-thick box from
-        # being jumped, also when a union with a wide box off the path sets
-        # the region's inradius
-        region = thin = Region.box([30.0, -1.0], [30.02, 1.0])
+    # choose_step's probe spacing for tol 1e-6 over a horizon of 100
+    H = 100.0 / 3163
+
+    @pytest.mark.parametrize("union,lo,hi", [
+        (False, 30.0, 30.02), (True, 30.0, 30.02),
+        (True, 949.3 * H, 949.9 * H)],
+        ids=["False", "True", "between-probes"])
+    def test_thin_box_is_not_stepped_over(self, union, lo, hi):
+        # only the cap of half the inradius keeps a box thinner than the
+        # probe spacing from falling between two probes (the last case lies
+        # strictly between the probes at 949 H and 950 H), also when a union
+        # with a wide box off the path sets the region's inradius
+        assert choose_step(TimeField.constant([1.0, 0.0]), 1e-6, 100.0) \
+            == pytest.approx(self.H, rel=1e-12)
+        region = thin = Region.box([lo, -1.0], [hi, 1.0])
         if union:
             region = Region.union(Region.box([0.0, 10.0], [4.0, 14.0]), thin)
         fld = TimeField.constant([1.0, 0.0])
         pts = np.array([[0.0, 0.0], [0.0, 0.5]])
-        path = stopped_flow_batch(fld, region, pts, 0.0, 100.0, 1e-6,
-                                  record=True)
-        # the hit time sums some 6 700 steps
-        assert np.max(np.abs(path.hits - 30.0)) < 1e-10
-        assert np.allclose(path.end, [[30.0, 0.0], [30.0, 0.5]], atol=1e-10)
-        moves = [h for _, h, _, _ in path.steps]
-        assert max(moves) <= 0.5 * thin.inradius()
+        ends, hits = stopped_flow_batch(fld, region, pts, 0.0, 100.0, 1e-6)
+        assert np.max(np.abs(hits - lo)) < 1e-12
+        assert np.allclose(ends, [[lo, 0.0], [lo, 0.5]], atol=1e-12)
 
     def test_radial_hit_time(self):
         # x' = r (x - c) with r < 0 takes a point at distance d0 from c to
@@ -325,55 +212,179 @@ class TestStoppedFlow:
         ends, hits = stopped_flow_batch(TimeField.radial(centre, rate),
                                         Region.ball(centre, radius), pts, 0.0,
                                         20.0, 1e-6)
-        assert np.max(np.abs(hits - np.log(radius / d0) / rate)) < 1e-8
-        assert np.max(np.abs(ends - (centre + radius * dirs))) < 1e-8
-
-    def test_rejects_a_field_not_built_smooth(self):
-        region = Region.box([1.0, -1.0], [2.0, 1.0])
-        kinked = TimeField(lambda p, t: np.abs(p), 2, 1.0, label="kinked")
-        with pytest.raises(ValueError, match="kinked"):
-            stopped_flow_batch(kinked, region, [[0.0, 0.0]], 0.0, 1.0, 1e-6)
+        assert np.max(np.abs(hits - np.log(radius / d0) / rate)) < 1e-12
+        assert np.max(np.abs(ends - (centre + radius * dirs))) < 1e-12
 
     def test_recorded_paths_consistent(self):
+        # the exact lane's park paths: the stopped flow's endpoints and hit
+        # times, and knots read off x0 + v min(t, hit) under a constant field
         region = Region.box([1.0, -1.0], [3.0, 1.0])
         v = np.array([1.0, 0.0])
         fld = TimeField.constant(v)
         pts = np.array([[0.0, 0.0], [-0.5, 0.2]])
         tol = 1e-6
-        path = stopped_flow_batch(fld, region, pts, 0.0, 3.0, tol,
-                                  record=True)
-        ends, hits = path.end, path.hits
+        ends, hits, knots, paths = synth._stopped_paths(fld, region, pts, 3.0,
+                                                        tol)
         plain_ends, plain_hits = stopped_flow_batch(fld, region, pts, 0.0,
                                                     3.0, tol)
         assert np.array_equal(ends, plain_ends)
         assert np.array_equal(hits, plain_hits)
-        times = np.linspace(0.0, 3.0, 41)
-        paths = path.at(times)
-        assert paths.shape == (2, len(times), 2)
-        # x0 + v min(t, hit) under a constant field, frozen after the hit
-        exact = pts[:, None] + np.minimum(times, hits[:, None])[..., None] * v
+        assert np.array_equal(knots, np.linspace(0.0, 3.0, synth.EXACT_KNOTS))
+        assert paths.shape == (2, len(knots), 2)
+        exact = pts[:, None] + np.minimum(knots, hits[:, None])[..., None] * v
         assert np.max(np.abs(paths - exact)) < 1e-12
         assert np.array_equal(paths[:, 0], pts)
         assert np.array_equal(paths[:, -1], ends)
-        # stepping stops at the step of the last entry
-        start, h, rows, _ = path.steps[-1]
-        assert start < np.max(hits) <= start + h
-        assert np.array_equal(rows, [1])
-        # a ten times longer horizon tightens the error bound per unit time
-        # and changes the first step, hence the steps; a constant field is
-        # integrated exactly by any step, so the results agree to rounding
-        long = stopped_flow_batch(fld, region, pts, 0.0, 30.0, tol,
-                                  record=True)
-        assert long.stats["h_first"] != path.stats["h_first"]
-        assert np.max(np.abs(long.end - ends)) < 1e-12
-        assert np.max(np.abs(long.hits - hits)) < 1e-12
+        # a ten times longer horizon probes at other times; the entries
+        # found on the exact map agree to rounding
+        long_ends, long_hits = stopped_flow_batch(fld, region, pts, 0.0, 30.0,
+                                                  tol)
+        assert np.max(np.abs(long_ends - ends)) < 1e-12
+        assert np.max(np.abs(long_hits - hits)) < 1e-12
+
+    def test_rejects_a_field_without_an_affine_pair(self):
+        # a plain TimeField carries no (A, b), even when its fn is affine:
+        # the stopped flow has no exact map to read
+        region = Region.box([1.0, -1.0], [2.0, 1.0])
+        plain = TimeField(lambda p, t: p + 1.0, 2, 1.0, label="plain")
+        assert plain.affine_pair is None
+        assert plain.negated().affine_pair is None
+        for fld in (plain, plain.negated()):
+            with pytest.raises(ValueError, match="plain"):
+                stopped_flow_batch(fld, region, [[0.0, 0.0]], 0.0, 1.0, 1e-6)
+
+    def test_input_checks(self):
+        fld = TimeField.constant([1.0])
+        region = Region.box([1.0], [2.0])
+        with pytest.raises(ValueError, match="tol"):
+            stopped_flow_batch(fld, region, [[0.0]], 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="horizon"):
+            stopped_flow_batch(fld, region, [[0.0]], 0.0, 0.0, 1e-6)
+
+    def test_construction_records_the_affine_pair(self):
+        # each scenario drift records the (A, b) its fn computes, and
+        # negation negates both
+        rate, centre = -2.0, np.array([0.3, 0.1])
+        mat = np.array([[0.3, -1.0], [1.0, 0.3]])
+        off = np.array([0.2, -0.1])
+        cases = [(TimeField.zero(2), np.zeros((2, 2)), np.zeros(2)),
+                 (TimeField.constant([1.0, -0.5]), np.zeros((2, 2)),
+                  np.array([1.0, -0.5])),
+                 (TimeField.radial(centre, rate), rate * np.eye(2),
+                  -rate * centre),
+                 (TimeField.affine(mat, off), mat, off)]
+        pts = np.random.default_rng(2).standard_normal((7, 2))
+        for built, a, b in cases:
+            for fld, sign in ((built, 1.0), (built.negated(), -1.0)):
+                got_a, got_b = fld.affine_pair
+                assert np.array_equal(got_a, sign * a)
+                assert np.array_equal(got_b, sign * b)
+                assert np.allclose(fld.evaluate(pts, 0.0),
+                                   pts @ got_a.T + got_b, atol=1e-15)
+
+    def test_evaluates_no_field(self, monkeypatch):
+        # stopped flows read the exact map: no field evaluation, on any
+        # drift, in either direction, or on an empty batch
+        calls = []
+        evaluate = TimeField.evaluate
+
+        def counted(field, points, t):
+            calls.append(field.label)
+            return evaluate(field, points, t)
+
+        monkeypatch.setattr(TimeField, "evaluate", counted)
+        region = Region.ball([0.0, 0.0], 0.3)
+        pts = np.array([[1.0, 0.5], [-2.0, 0.2], [0.4, -1.5]])
+        for fld in (TimeField.constant([1.0, 0.0]),
+                    TimeField.radial([0.1, -0.1], -0.8),
+                    TimeField.affine([[-0.3, 1.0], [-1.0, -0.3]], [0.0, 0.1])):
+            for f in (fld, fld.negated()):
+                stopped_flow_batch(f, region, pts, 0.0, 10.0, 1e-6)
+        ends, hits = stopped_flow_batch(TimeField.constant([1.0, 0.0]),
+                                        region, np.zeros((0, 2)), 0.0, 5.0,
+                                        1e-8)
+        assert ends.shape == (0, 2) and hits.shape == (0,)
+        assert calls == []
+
+    def test_overflow_reports_particle(self):
+        # an expanding radial drift carries particle 1 past the largest
+        # float near t = 125, within the horizon and before any entry; the
+        # others stay finite
+        region = Region.ball([-5.0, 0.0], 1.0)
+        pts = np.array([[0.1, 0.0], [1e200, 0.0], [0.2, 0.0]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError, match="particle 1 "):
+            stopped_flow_batch(TimeField.radial([0.0, 0.0], 2.0), region,
+                               pts, 0.0, 200.0, 1e-6)
+
+    def test_expanding_drift_is_probed_finer(self):
+        # x' = x moves (1, 0) about 0.95 between probes choose_step apart
+        # by the time it reaches a box 0.02 thick at x = 30; re-probing the
+        # block finer, down to the cap, finds the entry at log 30
+        region = Region.box([30.0, -1.0], [30.02, 1.0])
+        ends, hits = stopped_flow_batch(TimeField.radial([0.0, 0.0], 1.0),
+                                        region, [[1.0, 0.0]], 0.0, 10.0, 1e-6)
+        assert abs(hits[0] - math.log(30.0)) < 1e-12
+        assert np.allclose(ends, [[30.0, 0.0]], rtol=0, atol=1e-12)
+
+    def test_far_points_cost_no_finer_probes(self, monkeypatch):
+        # x' = x carries (1, 0) into the ball about (3, 0) at t = log 2.5,
+        # while (0, 1) runs up the y axis to e^60: its moves outgrow the cap
+        # but never its distance to the ball, so the probes stay coarse
+        calls = []
+        affine_flow = flow._affine_flow
+
+        def counted(*args):
+            calls.append(1)
+            assert len(calls) < 100, "the probes kept getting finer"
+            return affine_flow(*args)
+
+        monkeypatch.setattr(flow, "_affine_flow", counted)
+        pts = np.array([[1.0, 0.0], [0.0, 1.0]])
+        ends, hits = stopped_flow_batch(TimeField.radial([0.0, 0.0], 1.0),
+                                        Region.ball([3.0, 0.0], 0.5), pts,
+                                        0.0, 60.0, 1e-6)
+        assert abs(hits[0] - math.log(2.5)) < 1e-12
+        assert np.isnan(hits[1])
+        assert np.allclose(ends[1], [0.0, math.exp(60.0)], rtol=1e-12, atol=0)
+
+    def test_spiral_matches_expm(self):
+        # an expanding spiral with an offset carries points from near its
+        # fixed point into a box: the hit points and the knot paths of the
+        # park are e^{At} x0 + (e^{At} - I) A^{-1} b, read off scipy's
+        # exponential of the augmented matrix
+        mat = np.array([[0.3, -1.0], [1.0, 0.3]])
+        off = np.array([0.2, -0.1])
+        aug = np.zeros((3, 3))
+        aug[:2, :2], aug[:2, 2] = mat, off
+        fixed = -np.linalg.solve(mat, off)
+        pts = fixed + 0.3 * np.random.default_rng(0).standard_normal((12, 2))
+        region = Region.box(fixed + [1.0, -6.0], fixed + [6.0, 6.0])
+
+        def exact(x0, t):
+            flow_map = expm(aug * t)
+            return flow_map[:2, :2] @ x0 + flow_map[:2, 2]
+
+        ends, hits, knots, paths = synth._stopped_paths(
+            TimeField.affine(mat, off), region, pts, 25.0, 1e-6)
+        assert np.all(hits > 0) and np.all(region.contains(ends))
+        for i, x0 in enumerate(pts):
+            assert np.max(np.abs(ends[i] - exact(x0, hits[i]))) <= 1e-12
+            # outside at every sampled time before the hit and just before it
+            times = np.append(np.linspace(0.0, hits[i], 400)[:-1],
+                              hits[i] - 1e-9)
+            before = np.array([exact(x0, t) for t in times])
+            assert np.all(region.signed_distance(before) > 0)
+            for k, t in enumerate(knots):
+                assert np.max(np.abs(paths[i, k]
+                                     - exact(x0, min(t, hits[i])))) <= 1e-12
 
     def test_clipped_corner_is_seen(self):
         # drift (1, 1) along x - y = 7.5 crosses the corner of [1, 9]^2 on
         # a 0.71-long chord, from (8.5, 1) at time 1 - y0 to (9, 1.5). The
-        # cap (half the inradius, 2) lets a step move 2, so step ends alone
-        # miss the chord in most phases; the probes on the continuous
-        # extension see it in every one
+        # cap (half the inradius, 2) would let probes move 2 apart and miss
+        # the chord in most phases; probes choose_step apart see it in
+        # every one
         region = Region.box([1.0, 1.0], [9.0, 9.0])
         y0 = -np.linspace(0.5, 8.0, 16)
         pts = np.column_stack([y0 + 7.5, y0])
