@@ -76,8 +76,12 @@ def assignment(cost, chain=None):
     rows free than the column reduction, the search starts from them.
 
     A stack runs its searches in lockstep, one scan of every matrix per
-    step, so many small matrices share each step's numpy calls; a single
-    matrix takes the lighter loop of :meth:`_ShortestPaths.solve_one`.
+    step, so many small matrices share each step's numpy calls, and tracks
+    each column's predecessor row at every scan. A single matrix takes the
+    lighter loop of :meth:`_ShortestPaths.solve_one`: a scan is three array
+    calls and an argmin, predecessors are not tracked, and at the free
+    column the search rebuilds its path from a log of the rows it scanned.
+    Both loops settle the same columns and return the same matching.
     """
     cost = np.asarray(cost, dtype=np.float64)
     stack = cost[None] if cost.ndim == 2 else cost
@@ -183,36 +187,65 @@ class _ShortestPaths:
         cost, v, u = self.cost[0], self.v[0], self.u[0]
         row4col, path = self.row4col[0], self.path[0]
         dist, masked_v, reached = self.dist[0], self.masked_v[0], self.reached[0]
-        n = len(v)
-        reduced = np.empty(n)
-        shorter = np.empty(n, dtype=bool)
-        for start in np.flatnonzero(self.col4row[0] < 0):
+        reduced = np.empty(len(v))
+        free_cols = np.flatnonzero(row4col < 0)
+        for start in np.flatnonzero(self.col4row[0] < 0).tolist():
             dist.fill(np.inf)
             masked_v[:] = v
-            free = row4col < 0
+            # the search logs, per scan, the row scanned, its label and the
+            # column it settled, and tracks no predecessors
+            rows, lows, settled = [], [], []
             row, low = start, 0.0
             while True:
                 np.subtract(cost[row], masked_v, out=reduced)
                 reduced += low - u[row]
-                np.less(reduced, dist, out=shorter)
-                np.putmask(path, shorter, row)
                 np.minimum(dist, reduced, out=dist)
-                col = dist.argmin()
-                low = dist[col]
-                if not free[col]:
-                    ties = dist == low
-                    if np.count_nonzero(ties) > 1:
-                        ties &= free
-                        if ties.any():
-                            col = ties.argmax()
+                rows.append(row)
+                lows.append(low)
+                col = int(dist.argmin())
+                low = float(dist[col])
+                row = int(row4col[col])
+                if row >= 0:
+                    # the lowest-index free column among the ties, if any
+                    ties = dist[free_cols]
+                    k = int(ties.argmin())
+                    if ties[k] == low:
+                        col, row = int(free_cols[k]), -1
+                settled.append(col)
                 reached[col] = low
                 masked_v[col] = -np.inf
                 dist[col] = np.inf
-                if free[col]:
+                if row < 0:
                     break
-                row = row4col[col]
+            self._rebuild_path(rows, lows, settled)
             self.augment(np.zeros(1, dtype=np.int64), np.array([col]),
                          np.array([start]), np.array([low]))
+            free_cols = free_cols[free_cols != col]
+
+    def _rebuild_path(self, rows, lows, settled):
+        """Write into ``path`` the predecessor row of each column on the
+        path to the sink ``settled[-1]``, from the log of one search.
+
+        Scan i scanned ``rows[i]`` at label ``lows[i]`` and settled
+        ``settled[i]``; row ``rows[i + 1]`` is the one matched to
+        ``settled[i]``. A column's predecessor is the first of the rows
+        scanned before it settled that gave it its least distance, as a
+        strict ``<`` at every scan would have kept. The candidates are
+        recomputed with the scan's own float operations, so they are
+        bitwise the distances the scans compared.
+        """
+        cost, v, u, path = self.cost[0], self.v[0], self.u[0], self.path[0]
+        rows = np.array(rows)
+        offset = np.array(lows) - u[rows]
+        i = len(rows) - 1
+        while True:
+            col = settled[i]
+            k = int(((cost[rows[:i + 1], col] - v[col]) + offset[:i + 1])
+                    .argmin())
+            path[col] = rows[k]
+            if k == 0:
+                return
+            i = k - 1
 
     def solve_lockstep(self):
         nb, n = self.v.shape

@@ -189,12 +189,16 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
 def cmd_study(args) -> int:
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
+    try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok]
         if not n_list:
             raise ValueError("empty n list")
         if min(n_list) < 1:
             raise ValueError("every n must be >= 1")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     try:

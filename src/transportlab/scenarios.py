@@ -68,13 +68,17 @@ class Scenario:
         merged = dict(PARAM_DEFAULTS)
         merged.update(self.params)
         self.params = merged
-        # times and the tolerance the controllers divide by or step over
-        for key in ("horizon", "tol", "delta"):
+        # times and tolerances the controllers divide by or step over
+        for key in ("horizon", "tol", "delta", "epsilon"):
             value = self.params[key]
             if not (isinstance(value, (int, float)) and math.isfinite(value)
                     and value > 0):
                 raise ValueError(f"scenario parameter {key!r} must be a "
                                  f"positive finite number, got {value!r}")
+        count = self.params["particles"]
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError("scenario parameter 'particles' must be an "
+                             f"integer >= 1, got {count!r}")
         # fail fast on malformed members
         self.velocity_field()
         self.omega_region()

@@ -56,22 +56,49 @@ def test_truncated_scenario_is_an_input_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("scenario error:")
 
 
-@pytest.mark.parametrize("command", ["run", "check"])
-@pytest.mark.parametrize("key", ["horizon", "tol", "delta"])
-@pytest.mark.parametrize("value", [0.0, -0.5, math.inf])
+def fails_as_scenario_error(capsys, command, scenario, out, *flags):
+    """``command`` on ``scenario`` exits 1 with ``scenario error:`` before
+    it creates ``out``; returns the message."""
+    argv = [command, "--scenario", str(scenario), "--out", str(out), *flags]
+    if command == "study":
+        argv += ["--n-list", "3"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:")
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("command", ["run", "check", "study"])
+@pytest.mark.parametrize("key", ["horizon", "tol", "delta", "epsilon",
+                                 "particles"])
+@pytest.mark.parametrize("value", [0.0, -0.5, math.inf, math.nan, 0])
 def test_nonpositive_or_infinite_parameter_is_an_input_error(
         tmp_path, capsys, command, key, value):
     # caught when the scenario loads: no traceback from the flows, no
-    # output directory, and check no longer passes a negative delta
+    # output directory, and check no longer passes a negative delta. A NaN
+    # epsilon used to run on without end, and particles = 0 ended in a
+    # traceback from the sampler
     data = load_scenario("figure1").to_dict()
     data["params"][key] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
-    out = tmp_path / "out"
-    assert cli.main([command, "--scenario", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("scenario error:") and repr(key) in err
-    assert not out.exists()
+    err = fails_as_scenario_error(capsys, command, path, tmp_path / "out")
+    assert repr(key) in err
+
+
+@pytest.mark.parametrize("command", ["run", "check", "study"])
+@pytest.mark.parametrize("particles,flags", [
+    (2.5, []), (True, []), ("300", []), (300, ["--particles", "0"])])
+def test_particles_not_an_integer_above_zero_is_an_input_error(
+        tmp_path, capsys, command, particles, flags):
+    data = load_scenario("figure1").to_dict()
+    data["params"]["particles"] = particles
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    err = fails_as_scenario_error(capsys, command, path, tmp_path / "out",
+                                  *flags)
+    assert "'particles'" in err
 
 
 @pytest.mark.parametrize("scenario", [load_scenario("figure1"),

@@ -23,6 +23,53 @@ class TestRegion:
             sd = region.signed_distance(pts)
             assert np.array_equal(region.contains(pts), sd <= 0)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_distances_bitwise_equal_the_reference(self, dim):
+        # the box takes its largest excess without a reduction over the
+        # coordinate axis and its depth without the outside norm; every
+        # value must still be the reference formula's, bit for bit
+        rng = np.random.default_rng(dim)
+        lo = rng.uniform(-1.0, 0.0, dim)
+        hi = lo + rng.uniform(0.3, 2.0, dim)
+        box = Region.box(lo, hi)
+        corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"),
+                           axis=-1).reshape(-1, dim)
+        faces = lo + (hi - lo) * rng.random((200, dim))
+        axis = rng.integers(0, dim, 200)
+        faces[np.arange(200), axis] = np.where(rng.random(200) < 0.5,
+                                               lo[axis], hi[axis])
+        pts = np.concatenate([
+            lo + (hi - lo) * rng.random((300, dim)),          # inside
+            lo - 1.0 + (hi - lo + 2.0) * rng.random((300, dim)),
+            corners, faces,
+            rng.choice([-1.0, 1.0], (50, dim)) * 1e6 * rng.random((50, dim)),
+            0.5 * (lo + hi)[None]])
+        ball = Region.ball(0.5 * (lo + hi), 0.4)
+        union = Region.union(box, ball, Region.box(lo - 0.5, lo + 0.1))
+
+        def bits(x):
+            return np.asarray(x, dtype=np.float64).tobytes()
+
+        def reference(region):
+            if region.kind == "box":
+                c = 0.5 * (region.lo + region.hi)
+                h = 0.5 * (region.hi - region.lo)
+                q = np.abs(pts - c) - h
+                return (np.linalg.norm(np.maximum(q, 0.0), axis=1)
+                        + np.minimum(np.max(q, axis=1), 0.0))
+            if region.kind == "ball":
+                return (np.linalg.norm(pts - region.center, axis=1)
+                        - region.radius)
+            return np.min([reference(p) for p in region.parts], axis=0)
+
+        for region in (box, ball, union):
+            sd = reference(region)
+            assert bits(region.signed_distance(pts)) == bits(sd)
+            assert np.array_equal(region.contains(pts), sd <= 0.0)
+            assert bits(region.depth(pts)) == bits(np.maximum(-sd, 0.0))
+            assert bits(region.depth(pts)) == bits(
+                np.maximum(-region.signed_distance(pts), 0.0))
+
     def test_box_distance_exact(self):
         box = Region.box([0, 0], [2, 1])
         assert np.isclose(box.signed_distance([[3.0, 0.5]])[0], 1.0)

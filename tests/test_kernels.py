@@ -189,6 +189,29 @@ class TestAssignment:
         assert scans.scans == 2 * alone > 0
         assert np.array_equal(chained, cols)
 
+    def test_single_loop_scans_as_the_lockstep_loop(self, scans):
+        # the single loop rebuilds each search's path from its scan log,
+        # where the lockstep loop tracks predecessors at every scan: both
+        # must settle the same columns, flip the same paths and so scan
+        # equally often, on random, tied and self-distance costs
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            n = int(rng.integers(2, 61))
+            if trial % 3 == 0:
+                cost = rng.random((n, n))
+            elif trial % 3 == 1:
+                cost = rng.integers(0, 4, (n, n)).astype(float)
+            else:
+                a = rng.random((n, 2))
+                cost = np.sqrt(((a[:, None, :] - a[None, :, :]) ** 2)
+                               .sum(axis=2))
+            before = scans.scans
+            single = _kernels.assignment(cost)
+            alone = scans.scans - before
+            stacked = _kernels.assignment(cost[None])[0]
+            assert np.array_equal(single, stacked)
+            assert scans.scans - before == 2 * alone
+
     def test_ties_end_at_a_free_column(self, scans):
         # every column ties at every scan: the column reduction matches one
         # row, and taking a free column among the ties ends each of the
