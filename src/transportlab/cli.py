@@ -51,24 +51,39 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return Scenario.from_dict(data)
 
 
-def cmd_run(args) -> int:
+def _load(args, check=None) -> Scenario | None:
+    """The scenario ``args.scenario`` with the command-line overrides
+    applied, once ``check`` (which may raise ValueError) passes on it; or
+    None after printing ``scenario error:``, for the caller to exit 1."""
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
-        # both controllers place the storage set S beside omega0 inside a
-        # box omega; say so before the crossing check runs
-        if scenario.omega_region().kind != "box":
-            raise ValueError("run needs a box control region omega, got "
-                             f"{scenario.omega['kind']!r}")
-        # the exact lane solves one transport problem between the atom sets
-        # after every flow has run; refuse a size it cannot solve up front
-        if args.mode == "exact":
-            sizes = [len(scenario.measure(w)) for w in ("mu0", "mu1")]
-            if max(sizes) > EXACT_SOLVER_CAP:
-                raise ValueError(f"exact mode needs at most {EXACT_SOLVER_CAP}"
-                                 f" atoms per side, got {sizes[0]} and "
-                                 f"{sizes[1]}")
+        if check is not None:
+            check(scenario)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return None
+    return scenario
+
+
+def _check_runnable(scenario: Scenario, mode: str) -> None:
+    # both controllers place the storage set S beside omega0 inside a box
+    # omega; say so before the crossing check runs
+    if scenario.omega_region().kind != "box":
+        raise ValueError("run needs a box control region omega, got "
+                         f"{scenario.omega['kind']!r}")
+    # the exact lane solves one transport problem between the atom sets
+    # after every flow has run; refuse a size it cannot solve up front
+    if mode == "exact":
+        sizes = [len(scenario.measure(w)) for w in ("mu0", "mu1")]
+        if max(sizes) > EXACT_SOLVER_CAP:
+            raise ValueError(f"exact mode needs at most {EXACT_SOLVER_CAP}"
+                             f" atoms per side, got {sizes[0]} and "
+                             f"{sizes[1]}")
+
+
+def cmd_run(args) -> int:
+    scenario = _load(args, lambda s: _check_runnable(s, args.mode))
+    if scenario is None:
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -93,10 +108,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        scenario = _apply_overrides(load_scenario(args.scenario), args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    scenario = _load(args)
+    if scenario is None:
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,10 +200,8 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
 
 
 def cmd_study(args) -> int:
-    try:
-        scenario = _apply_overrides(load_scenario(args.scenario), args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    scenario = _load(args)
+    if scenario is None:
         return 1
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok]

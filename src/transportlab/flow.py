@@ -40,22 +40,23 @@ class TimeField:
     """Velocity field w(x, t) with Lipschitz and sup-norm metadata.
 
     ``fn(points, t)`` maps an ``(N, d)`` array and a scalar time to ``(N, d)``
-    velocities. ``control_fn``, when present, evaluates the localized control
-    part of the field (total minus ambient); schedule support checks sample
-    it. ``affine_pair``, when given, holds the arrays ``(A, b)`` of an
+    velocities. ``ambient``, when given, is the drift this field perturbs:
+    ``control_part`` is the total minus the ambient velocity, the localized
+    control that schedule support checks sample (zero without an ambient).
+    ``affine_pair``, when given, holds the arrays ``(A, b)`` of an
     autonomous affine field w(x) = Ax + b, which ``fn`` must compute:
     stopped flows need it, since they run on its exact flow map.
     """
 
     def __init__(self, fn, dim, lipschitz_bound=0.0, sup_bound=np.inf,
-                 label="", control_fn=None, non_lipschitz=False,
+                 label="", ambient=None, non_lipschitz=False,
                  descriptor=None, affine_pair=None):
         self._fn = fn
         self.dim = int(dim)
         self.lipschitz_bound = float(lipschitz_bound)
         self.sup_bound = float(sup_bound)
         self.label = label
-        self.control_fn = control_fn
+        self.ambient = ambient
         self.non_lipschitz = bool(non_lipschitz)
         self.affine_pair = affine_pair
         self.descriptor = descriptor or {"kind": "opaque", "label": label}
@@ -70,10 +71,10 @@ class TimeField:
         return out
 
     def control_part(self, points, t):
-        if self.control_fn is None:
-            return np.zeros_like(np.atleast_2d(np.asarray(points, dtype=float)))
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return np.asarray(self.control_fn(pts, float(t)), dtype=np.float64)
+        if self.ambient is None:
+            return np.zeros_like(pts)
+        return self.evaluate(pts, t) - self.ambient.evaluate(pts, t)
 
     def warn_if_non_lipschitz(self):
         if self.non_lipschitz and not self._warned:

@@ -376,20 +376,17 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
         margin = 0.2 * omega.inradius()
     target = omega.shrink(margin)
 
-    fwd_pts, fwd_hits = stopped_flow_batch(v, target, mu0.positions, 0.0,
-                                           horizon, tol)
-    if np.any(np.isnan(fwd_hits)):
-        bad = int(np.flatnonzero(np.isnan(fwd_hits))[0])
-        raise ConditionFailure(mu0.positions[bad], "source", horizon)
-    back_pts, back_hits = stopped_flow_batch(v.negated(), target, mu1.positions,
-                                             0.0, horizon, tol)
-    if np.any(np.isnan(back_hits)):
-        bad = int(np.flatnonzero(np.isnan(back_hits))[0])
-        raise ConditionFailure(mu1.positions[bad], "target", horizon)
+    entries, times = [], []
+    for mu, drift, side in ((mu0, v, "source"), (mu1, v.negated(), "target")):
+        pts, hits = stopped_flow_batch(drift, target, mu.positions, 0.0,
+                                       horizon, tol)
+        if np.any(np.isnan(hits)):
+            bad = int(np.flatnonzero(np.isnan(hits))[0])
+            raise ConditionFailure(mu.positions[bad], side, horizon)
+        entries.append(np.where((hits > 0)[:, None], pts, mu.positions))
+        times.append(float(np.max(hits)))
 
-    hits = np.concatenate([fwd_pts[fwd_hits > 0], back_pts[back_hits > 0],
-                           mu0.positions[fwd_hits == 0],
-                           mu1.positions[back_hits == 0]])
+    hits = np.concatenate(entries)
     lo = hits.min(axis=0)
     hi = hits.max(axis=0)
     # inflate so entry points sit at positive depth, then clip inside omega
@@ -409,5 +406,5 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
             "entry points cannot be covered by a box compactly inside the "
             "control region; use a box-shaped control region")
     return GeometricCondition(
-        T0star=float(np.max(fwd_hits)), T1star=float(np.max(back_hits)),
+        T0star=times[0], T1star=times[1],
         omega0=omega0, margin=float(margin), resolution=len(mu0) + len(mu1))

@@ -229,17 +229,6 @@ class DensitySpec:
             return out
         raise AssertionError(self.kind)
 
-    def to_dict(self) -> dict:
-        if self.kind == "mixture":
-            return {"kind": self.kind, "dim": self.dim,
-                    "components": [c.to_dict() for c in self.params["components"]],
-                    "mix_weights": list(map(float, self.params["mix_weights"]))}
-        out = {"kind": self.kind, "dim": self.dim}
-        for key, val in self.params.items():
-            out[key] = np.asarray(val, float).tolist() if key != "profiles" else [
-                list(map(float, c)) for c in val]
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "DensitySpec":
         data = dict(data)

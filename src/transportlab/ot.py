@@ -11,9 +11,7 @@ from both sides instead.
 """
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +48,6 @@ class TransportPlan:
     p: int
     method: str
     dual_gap: float = float("nan")
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.src_idx = np.asarray(self.src_idx, dtype=np.int64)
@@ -84,24 +81,6 @@ class TransportPlan:
         r, c = self.marginal_residuals()
         if max(r, c) > tol:
             raise ValueError(f"plan marginals off by ({r:.2e}, {c:.2e})")
-
-    def to_csv(self, path) -> None:
-        costs = self.entry_costs()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "mass", "cost_contribution"])
-            for i, j, m, c in zip(self.src_idx, self.tgt_idx, self.mass, costs):
-                writer.writerow([i, j, f"{m:.17g}", f"{m * c:.17g}"])
-
-    def report(self) -> dict:
-        r, c = self.marginal_residuals()
-        return {"method": self.method, "p": self.p, "entries": len(self.mass),
-                "distance": self.distance(), "row_residual": r,
-                "col_residual": c, "dual_gap": self.dual_gap, **self.meta}
-
-    def report_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.report(), fh, indent=2, sort_keys=True)
 
 
 def _check_masses(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
@@ -159,8 +138,7 @@ def _assignment_plan(mu, nu, p):
         chain=_principal_chain(mu.positions, nu.positions))
     rows = np.arange(len(mu))
     return TransportPlan(rows, cols, mu.weights, mu, nu, p,
-                         method="assignment", dual_gap=0.0,
-                         meta={"atoms": len(mu)})
+                         method="assignment", dual_gap=0.0)
 
 
 def _transportation_plan(mu, nu, p):
@@ -193,8 +171,7 @@ def _transportation_plan(mu, nu, p):
     v = np.concatenate([duals[n:], [0.0]])
     gap = float(np.min(cost - u[:, None] - v[None, :]))
     plan = TransportPlan(src, tgt, flow[keep], mu, nu, p,
-                         method="transportation-lp", dual_gap=gap,
-                         meta={"atoms": (n, m), "lp_iterations": int(res.nit)})
+                         method="transportation-lp", dual_gap=gap)
     return plan
 
 
@@ -222,7 +199,7 @@ def wp_discrete(mu: ParticleMeasure, nu: ParticleMeasure, p: int = 1,
         plan_n = _transportation_plan(mun, nun, p)
     distance = mass ** (1.0 / p) * plan_n.distance()
     plan = TransportPlan(plan_n.src_idx, plan_n.tgt_idx, plan_n.mass * mass,
-                         mu, nu, p, plan_n.method, plan_n.dual_gap, plan_n.meta)
+                         mu, nu, p, plan_n.method, plan_n.dual_gap)
     return distance, plan
 
 

@@ -1,6 +1,11 @@
 """Control-field synthesis: grid, storage and funnel controls, and the
 five-phase schedules composing them.
 
+Every field records the drift v it perturbs as its ambient; its control
+is the total minus the drift, exactly zero outside omega, where each
+blend factor is exactly 0 or 1. Both lanes share one plan (``_plan``):
+the crossing check, the phase times T0..T5 and the sets S, S0, omega1.
+
 The approximate lane synthesizes genuinely Lipschitz fields and pushes the
 particles through their flows phase by phase, in closed form where the
 construction gives the flow map. The exact lane integrates nothing: it
@@ -23,8 +28,9 @@ from . import _kernels
 from .flow import (TimeField, Trajectory, choose_step, flow_push,
                    stopped_flow_batch, _affine_flow,
                    _integrate_batch as _integrate_batch_local)
-from .geometry import (Region, cutoff_theta, check_geometric_condition,
-                       _smootherstep, _smootherstep_d)
+from .geometry import (GeometricCondition, Region, cutoff_theta,
+                       check_geometric_condition, _smootherstep,
+                       _smootherstep_d)
 # no longer called here; kept because the benchmark tracer patches
 # synth.weight_eta by name
 from .geometry import weight_eta  # noqa: F401
@@ -82,23 +88,17 @@ class ControlSchedule:
         self.segments = list(segments)
 
     @property
-    def t_start(self):
-        return self.segments[0].t_start
-
-    @property
     def horizon(self):
         return self.segments[-1].t_end
 
-    def max_control_outside(self, omega: Region, n_samples: int, seed: int,
-                            bbox=None) -> float:
-        """Largest sampled |control| outside omega over all segments."""
+    def max_control_outside(self, omega: Region, n_samples: int,
+                            seed: int) -> float:
+        """Largest sampled |control| outside omega over all segments, at
+        points drawn in omega's bounding box grown by its extent."""
         rng = np.random.default_rng(seed)
-        if bbox is None:
-            lo, hi = omega.bounding_box()
-            span = hi - lo
-            lo, hi = lo - span, hi + span
-        else:
-            lo, hi = bbox
+        lo, hi = omega.bounding_box()
+        span = hi - lo
+        lo, hi = lo - span, hi + span
         pts = lo + (hi - lo) * rng.random((n_samples, omega.dim))
         pts = pts[~omega.contains(pts)]
         worst = 0.0
@@ -176,7 +176,6 @@ class GridControlField(TimeField):
                   for a, (slope, top) in enumerate(zip(self.slopes, tops)))
         super().__init__(self._eval, d, lipschitz_bound=lip,
                          sup_bound=max(tops), label=f"grid_n{self.n}",
-                         control_fn=self._eval,
                          descriptor={"kind": "grid", "n": self.n, "T": self.T})
 
     def _walls(self, a, t):
@@ -332,13 +331,10 @@ def storage_total(v: TimeField, omega0: Region, k: int) -> TimeField:
     def total(pts, t):
         return theta.evaluate(pts)[:, None] * v.evaluate(pts, t)
 
-    def ctrl(pts, t):
-        return (theta.evaluate(pts) - 1.0)[:, None] * v.evaluate(pts, t)
-
     return TimeField(total, v.dim,
                      lipschitz_bound=v.sup_bound * 1.875 * k + v.lipschitz_bound,
                      sup_bound=v.sup_bound, label=f"storage_total_k{k}",
-                     control_fn=ctrl,
+                     ambient=v,
                      descriptor={"kind": "storage", "k": k,
                                  "omega0": omega0.to_dict()})
 
@@ -432,12 +428,6 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
         b = blend(pts)[:, None]
         return b * drift + (1.0 - b) * v.evaluate(pts, t)
 
-    def ctrl(pts, t):
-        w, wd = ramp(t)
-        c_t = c0 + w * (c1 - c0)
-        drift = wd * ((c1 - c0) + log_lam * (np.atleast_2d(pts) - c_t))
-        return blend(pts)[:, None] * (drift - v.evaluate(pts, t))
-
     wd_max = 1.875 / span
     reach = float(np.linalg.norm(c1 - c0)
                   + np.max(np.abs(log_lam)) * np.linalg.norm(
@@ -446,7 +436,7 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     lip = (wd_max * float(np.max(np.abs(log_lam)))
            + (sup + v.sup_bound) * 1.875 / blend_band + v.lipschitz_bound)
     fld = TimeField(total, v.dim, lipschitz_bound=lip, sup_bound=sup,
-                    label="funnel_affine", control_fn=ctrl,
+                    label="funnel_affine", ambient=v,
                     descriptor={"kind": "funnel_affine",
                                 "ratios": lam.tolist(),
                                 "from": cloud_box.to_dict(),
@@ -502,6 +492,16 @@ def _push_funnel(field: TimeField, funnel: TimeField, mu: ParticleMeasure,
 # per-atom witness of the exact lane
 # ---------------------------------------------------------------------------
 
+def _on_knots(knots, paths, t):
+    """Positions at time t on the ``(E, K, d)`` paths, linear between the
+    increasing ``knots`` (clamped to their range), and the index j of the
+    knot interval [knots[j], knots[j + 1]] holding t."""
+    t = np.clip(t, knots[0], knots[-1])
+    j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    lam = (t - knots[j]) / (knots[j + 1] - knots[j])
+    return (1 - lam) * paths[:, j, :] + lam * paths[:, j + 1, :], j
+
+
 class ParticleWitnessField(TimeField):
     """Borel control witness: velocities defined along recorded atom paths.
 
@@ -510,26 +510,22 @@ class ParticleWitnessField(TimeField):
     particular outside the control region).
     """
 
-    def __init__(self, knots, paths, base: TimeField, label, descriptor,
+    def __init__(self, knots, paths, ambient: TimeField, label, descriptor,
                  match_tol=1e-9):
         self.knots = np.asarray(knots, dtype=float)
         self.paths = np.asarray(paths, dtype=float)   # (E, K, d)
-        self.base = base
         self.match_tol = float(match_tol)
         seg = np.diff(self.paths, axis=1)
         dt = np.diff(self.knots)
         self._vels = seg / dt[None, :, None]
         speed = float(np.max(np.linalg.norm(self._vels, axis=2))) if seg.size else 0.0
         super().__init__(self._eval, self.paths.shape[2],
-                         lipschitz_bound=math.inf, sup_bound=speed + base.sup_bound,
-                         label=label, control_fn=self._ctrl, descriptor=descriptor)
+                         lipschitz_bound=math.inf,
+                         sup_bound=speed + ambient.sup_bound, label=label,
+                         ambient=ambient, descriptor=descriptor)
 
     def positions_at(self, t):
-        t = np.clip(t, self.knots[0], self.knots[-1])
-        j = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0,
-                    len(self.knots) - 2)
-        lam = (t - self.knots[j]) / (self.knots[j + 1] - self.knots[j])
-        return (1 - lam) * self.paths[:, j, :] + lam * self.paths[:, j + 1, :], j
+        return _on_knots(self.knots, self.paths, t)
 
     def _witness(self, pts, t):
         pos, j = self.positions_at(t)
@@ -545,14 +541,7 @@ class ParticleWitnessField(TimeField):
         w = self._witness(pts, t)
         miss = np.isnan(w[:, 0])
         if np.any(miss):
-            w[miss] = self.base.evaluate(pts[miss], t)
-        return w
-
-    def _ctrl(self, pts, t):
-        w = self._witness(pts, t)
-        miss = np.isnan(w[:, 0])
-        w[~miss] -= self.base.evaluate(pts[~miss], t)
-        w[miss] = 0.0
+            w[miss] = self.ambient.evaluate(pts[miss], t)
         return w
 
 
@@ -610,6 +599,67 @@ def _place_sets(omega: Region, omega0: Region):
     return s_box, s0, omega1, gap
 
 
+@dataclass
+class _Plan:
+    """The skeleton both controllers share: the scenario's drift and
+    measures, the crossing check, the phase times T0..T5 read off its
+    hitting times, and the sets S, S0 and omega1 (see ``_place_sets``).
+    ``t_back`` is the backward park's horizon, T5 - T4 before rounding."""
+    params: dict
+    v: TimeField
+    mu0: ParticleMeasure
+    mu1: ParticleMeasure
+    cond: GeometricCondition
+    t_back: float
+    times: dict
+    s_box: Region
+    s0: Region
+    omega1: Region
+    gap: float
+
+    def report(self, mode, fun_fwd, fun_back, mass_total) -> dict:
+        """The report keys both lanes carry."""
+        return {
+            "mode": mode,
+            "times": self.times,
+            "T0star": self.cond.T0star,
+            "T1star": self.cond.T1star,
+            "funnel": {"forward_ratios": fun_fwd.ratios.tolist(),
+                       "backward_ratios": fun_back.ratios.tolist()},
+            "mass_total": mass_total,
+            "regions": {"omega0": self.cond.omega0.to_dict(),
+                        "S": self.s_box.to_dict(), "S0": self.s0.to_dict(),
+                        "omega1": self.omega1.to_dict()},
+        }
+
+
+def _plan(scenario) -> _Plan:
+    """Load a scenario (or its dict), run the crossing check and lay out
+    the five phases."""
+    from .scenarios import Scenario
+
+    if isinstance(scenario, dict):
+        scenario = Scenario.from_dict(scenario)
+    params = scenario.params
+    v = scenario.velocity_field()
+    mu0 = scenario.measure("mu0")
+    mu1 = scenario.measure("mu1")
+    omega = scenario.omega_region()
+    cond = check_geometric_condition(v, mu0, mu1, omega,
+                                     float(params["horizon"]),
+                                     float(params["tol"]))
+    # token minimum lengths keep every segment well-posed when a support
+    # already sits inside the control region
+    t1 = max(cond.T0star, 1e-3)
+    t_back = max(cond.T1star, 1e-3)
+    delta = float(params["delta"])
+    t4 = t1 + delta
+    times = {"T0": 0.0, "T1": t1, "T2": t1 + delta / 3.0,
+             "T3": t1 + 2.0 * delta / 3.0, "T4": t4, "T5": t4 + t_back}
+    return _Plan(params, v, mu0, mu1, cond, t_back, times,
+                 *_place_sets(omega, cond.omega0))
+
+
 class MovingFrameGridField(TimeField):
     """Grid control conjugated into a frame that tracks the two clouds.
 
@@ -634,7 +684,6 @@ class MovingFrameGridField(TimeField):
     def __init__(self, inner: GridControlField, v: TimeField, o0, s0, o1, s1,
                  t0, t1, gate_core: Region, band: float):
         self.inner = inner
-        self.v = v
         self.o0 = np.asarray(o0, dtype=float)
         self.o1 = np.asarray(o1, dtype=float)
         self.s0 = np.asarray(s0, dtype=float)
@@ -655,8 +704,7 @@ class MovingFrameGridField(TimeField):
         lip = inner.lipschitz_bound * ratio + drift_lip + \
             (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
         super().__init__(self._eval, inner.dim, lipschitz_bound=lip,
-                         sup_bound=sup, label="grid_frame",
-                         control_fn=self._ctrl,
+                         sup_bound=sup, label="grid_frame", ambient=v,
                          descriptor={"kind": "grid_frame",
                                      "inner": inner.descriptor,
                                      "o0": self.o0.tolist(), "s0": self.s0.tolist(),
@@ -684,11 +732,7 @@ class MovingFrameGridField(TimeField):
     def _eval(self, pts, t):
         g = self._gate(pts)[:, None]
         return (g * self.world_grid_velocity(pts, t)
-                + (1.0 - g) * self.v.evaluate(pts, t))
-
-    def _ctrl(self, pts, t):
-        g = self._gate(pts)[:, None]
-        return g * (self.world_grid_velocity(pts, t) - self.v.evaluate(pts, t))
+                + (1.0 - g) * self.ambient.evaluate(pts, t))
 
     def advect(self, mu: ParticleMeasure, ta: float, tb: float,
                tol: float) -> tuple[ParticleMeasure, np.ndarray, dict]:
@@ -723,11 +767,11 @@ class MovingFrameGridField(TimeField):
 
 def _shift_time(field: TimeField, offset: float) -> TimeField:
     """The same field with its clock started at ``offset`` (segment-local
-    fields in a schedule)."""
+    fields in a schedule). The ambient drift is autonomous, so it keeps its
+    clock."""
     return TimeField(lambda pts, t: field.evaluate(pts, t - offset),
                      field.dim, field.lipschitz_bound, field.sup_bound,
-                     label=field.label,
-                     control_fn=lambda pts, t: field.control_part(pts, t - offset),
+                     label=field.label, ambient=field.ambient,
                      descriptor=field.descriptor)
 
 
@@ -802,29 +846,12 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     target. Particles inside a funnel's core or off the grid's blend strips
     move along their closed-form characteristics; the rest are integrated.
     """
-    from .scenarios import Scenario
-
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
-    epsilon = float(epsilon if epsilon is not None else scenario.params["epsilon"])
-    tol = float(scenario.params["tol"])
-    delta = float(scenario.params["delta"])
-    v = scenario.velocity_field()
-    omega = scenario.omega_region()
-    mu0 = scenario.measure("mu0")
-    mu1 = scenario.measure("mu1")
-    horizon = float(scenario.params["horizon"])
-
-    cond = check_geometric_condition(v, mu0, mu1, omega, horizon, tol)
-    # token minimum lengths keep every segment well-posed when a support
-    # already sits inside the control region
-    t1 = max(cond.T0star, 1e-3)
-    t_back_store = max(cond.T1star, 1e-3)
-    t2 = t1 + delta / 3.0
-    t3 = t1 + 2.0 * delta / 3.0
-    t4 = t1 + delta
-    t5 = t4 + t_back_store
-    times = {"T0": 0.0, "T1": t1, "T2": t2, "T3": t3, "T4": t4, "T5": t5}
+    plan = _plan(scenario)
+    v, mu0, mu1, cond = plan.v, plan.mu0, plan.mu1, plan.cond
+    s_box, s0, omega1 = plan.s_box, plan.s0, plan.omega1
+    _, t1, t2, t3, t4, t5 = plan.times.values()
+    epsilon = float(epsilon if epsilon is not None else plan.params["epsilon"])
+    tol = float(plan.params["tol"])
 
     lo0, hi0 = mu0.support_bbox()
     lo1, hi1 = mu1.support_bbox()
@@ -832,8 +859,6 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     sup_v = _sample_sup_v(v, np.minimum(lo0, lo1) - 1.0, np.maximum(hi0, hi1) + 1.0)
     rbar = edge + t5 * sup_v
     eps_mass = epsilon / (2.0 * mu0.dim * rbar)
-
-    s_box, s0, omega1, gap = _place_sets(omega, cond.omega0)
 
     # phase 1 forward: storage along v
     store_fwd, k_fwd, state1_all, stray_fwd = _escalate_storage(
@@ -847,7 +872,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     # backward lane on the reversed drift
     v_back = v.negated()
     store_back, k_back, back1_all, stray_back = _escalate_storage(
-        v_back, cond.omega0, mu1, t_back_store, eps_mass, tol)
+        v_back, cond.omega0, mu1, plan.t_back, eps_mass, tol)
     depth_back = cond.omega0.depth(back1_all.positions)
     tag_back = _select_untouched(back1_all, stray_back, depth_back, eps_mass)
     tags1 = np.where(tag_back, "untouched", "").astype(object)
@@ -859,7 +884,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     # well-conditioned quantiles)
     fun_back = affine_funnel_total(
         v_back, omega1, _cloud_box(back1.subset(~tag_back).positions, omega1),
-        s0, t4 - t3, blend_band=0.45 * gap)
+        s0, t4 - t3, blend_band=0.45 * plan.gap)
     back2_all, cf_back = _push_funnel(fun_back, fun_back, back1, 0.0,
                                       t4 - t3, tol)
     grid_target_cloud = back2_all.subset(~tag_back)
@@ -868,7 +893,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 
     fun_fwd = affine_funnel_total(
         v, omega1, _cloud_box(state1.subset(~tag_fwd).positions, omega1),
-        s0, t2 - t1, blend_band=0.45 * gap)
+        s0, t2 - t1, blend_band=0.45 * plan.gap)
     state2_all, cf_fwd = _push_funnel(fun_fwd, fun_fwd, state1, 0.0,
                                       t2 - t1, tol)
     grid_source_cloud = state2_all.subset(~tag_fwd)
@@ -877,7 +902,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 
     # phase 3: grid control between the two parked clouds, in normalized
     # coordinates of a box inside S
-    n = _choose_n(len(grid_source_cloud), mu0.dim, scenario.params["n"])
+    n = _choose_n(len(grid_source_cloud), mu0.dim, plan.params["n"])
 
     def cloud_frame(cloud):
         lo, hi = cloud.support_bbox()
@@ -897,7 +922,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             break
         except ValueError:
             # empirical resolution insufficient for this mesh; coarsen
-            if scenario.params["n"] is not None or n <= 1:
+            if plan.params["n"] is not None or n <= 1:
                 raise
             n -= 1
     grid_norm = grid_control(part_src, part_tgt, t3 - t2)
@@ -921,22 +946,16 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 
     # phases 4 and 5: time reversals of the backward synthesis. Reversing a
     # time-dependent segment of length D maps the field w to -w(x, D - t).
-    def rev_shifted(fld, duration, offset, descriptor):
-        def rev_fn(pts, t):
-            return -fld.evaluate(pts, duration - (t - offset))
+    def reverse(fld, duration, offset, kind, label):
+        return TimeField(
+            lambda pts, t: -fld.evaluate(pts, duration - (t - offset)),
+            fld.dim, fld.lipschitz_bound, fld.sup_bound, label=label,
+            ambient=v, descriptor={"kind": kind, "inner": fld.descriptor})
 
-        return TimeField(rev_fn, fld.dim, fld.lipschitz_bound, fld.sup_bound,
-                         label=f"rev({fld.label})",
-                         control_fn=lambda pts, t: rev_fn(pts, t) - v.evaluate(pts, t),
-                         descriptor=descriptor)
-
-    fun_rev = rev_shifted(fun_back, t4 - t3, t3,
-                          {"kind": "funnel_reversed",
-                           "inner": fun_back.descriptor})
-    store_rev = store_back.negated()
-    store_rev.control_fn = lambda pts, t: store_rev.evaluate(pts, t) - v.evaluate(pts, t)
-    store_rev.descriptor = {"kind": "storage_reversed",
-                            "inner": store_back.descriptor}
+    fun_rev = reverse(fun_back, t4 - t3, t3, "funnel_reversed",
+                      f"rev({fun_back.label})")
+    store_rev = reverse(store_back, plan.t_back, t4, "storage_reversed",
+                        f"-({store_back.label})")
     state4_all, cf_rev = _push_funnel(fun_rev, fun_back, state3_all, t3, t4,
                                       tol, reverse=True)
     state5_all = flow_push(store_rev, state4_all, t4, t5, tol)
@@ -958,17 +977,13 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     w1 = w1_bracket(state5_all.with_tags(None), mu1.with_tags(None))
     if w1["method"] == "bracket":
         w1["epsilon_certified"] = w1["upper"] <= epsilon
-    report = {
-        "mode": "approx",
+    report = plan.report("approx", fun_fwd, fun_back,
+                         state5_all.total_mass())
+    report["funnel"]["backward_expansion"] = fun_back.expansion
+    report.update({
         "epsilon": epsilon,
         "final_w1": w1,
-        "times": times,
-        "T0star": cond.T0star,
-        "T1star": cond.T1star,
         "storage_k": {"forward": k_fwd, "backward": k_back},
-        "funnel": {"forward_ratios": fun_fwd.ratios.tolist(),
-                   "backward_ratios": fun_back.ratios.tolist(),
-                   "backward_expansion": fun_back.expansion},
         "grid_n": n,
         "grid_bound": grid_bound,
         "untouched": {
@@ -979,7 +994,6 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             "count_source": int(np.sum(tag_fwd)),
             "count_target": int(np.sum(tag_back)),
         },
-        "mass_total": state5_all.total_mass(),
         "closed_form": {
             name: {"count": count, "total": len(mu)}
             for name, count, mu in (("funnel_forward", cf_fwd, state1),
@@ -988,9 +1002,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
                                      state2_all),
                                     ("funnel_reversed", cf_rev, state3_all))},
         "grid_flow": grid_flow,
-        "regions": {"omega0": cond.omega0.to_dict(), "S": s_box.to_dict(),
-                    "S0": s0.to_dict(), "omega1": omega1.to_dict()},
-    }
+    })
     return ControllerResult(schedule, traj, report)
 
 
@@ -1059,82 +1071,59 @@ def exact_controller(scenario) -> ControllerResult:
     omega1 are in closed form (see ``_escalate_exact_funnel``), so nothing
     is integrated.
     """
-    from .scenarios import Scenario
-
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
-    tol = float(scenario.params["tol"])
-    delta = float(scenario.params["delta"])
-    v = scenario.velocity_field()
-    omega = scenario.omega_region()
-    mu0 = scenario.measure("mu0")
-    mu1 = scenario.measure("mu1")
-    horizon = float(scenario.params["horizon"])
-
-    cond = check_geometric_condition(v, mu0, mu1, omega, horizon, tol)
-    t1 = max(cond.T0star, 1e-3)
-    t_back = max(cond.T1star, 1e-3)
-    t2 = t1 + delta / 3.0
-    t3 = t1 + 2.0 * delta / 3.0
-    t4 = t1 + delta
-    t5 = t4 + t_back
-    s_box, s0, omega1, gap = _place_sets(omega, cond.omega0)
+    plan = _plan(scenario)
+    v, mu0, mu1, cond = plan.v, plan.mu0, plan.mu1, plan.cond
+    bounds = list(plan.times.values())
+    _, t1, t2, t3, t4, t5 = bounds
+    tol = float(plan.params["tol"])
 
     # park in omega0: forward along the drift, backward along the reversed
     # drift (recorded for replay)
     v_back = v.negated()
     _, _, knots1, paths1 = _stopped_paths(v, cond.omega0, mu0.positions, t1, tol)
     _, _, knots5, paths5 = _stopped_paths(v_back, cond.omega0, mu1.positions,
-                                          t_back, tol)
+                                          plan.t_back, tol)
 
     # both lanes funnel from their parks into s0; omega1 is a box around
     # omega0 and S, so every atom's path is certified in closed form
     funnels = _escalate_exact_funnel(
-        omega1, s0, {"forward": (v, t2 - t1, paths1[:, -1, :]),
-                     "backward": (v_back, t4 - t3, paths5[:, -1, :])},
-        blend_band=0.45 * gap)
+        plan.omega1, plan.s0, {"forward": (v, t2 - t1, paths1[:, -1, :]),
+                               "backward": (v_back, t4 - t3, paths5[:, -1, :])},
+        blend_band=0.45 * plan.gap)
     knots2, paths2, fun_fwd = funnels["forward"]
     knots4, paths4, fun_back = funnels["backward"]
     fwd_in_s0 = paths2[:, -1]
     back_in_s0 = paths4[:, -1]
 
-    # geodesic plan between the parked clouds
+    # geodesic coupling between the parked clouds
     src_cloud = ParticleMeasure(fwd_in_s0, mu0.weights)
     tgt_cloud = ParticleMeasure(back_in_s0, mu1.weights)
-    _, plan = wp_discrete(src_cloud, tgt_cloud, p=2)
-    e_src = plan.src_idx
-    e_tgt = plan.tgt_idx
+    _, coupling = wp_discrete(src_cloud, tgt_cloud, p=2)
+    e_src = coupling.src_idx
+    e_tgt = coupling.tgt_idx
 
-    # per-entry composite paths over [0, T5]
-    seg_knots = [knots1 + 0.0, t1 + knots2, np.array([t2, t3]),
-                 t3 + (knots4[-1] - knots4[::-1]), t4 + (knots5[-1] - knots5[::-1])]
-    seg_paths = [paths1[e_src], paths2[e_src],
-                 np.stack([fwd_in_s0[e_src], back_in_s0[e_tgt]], axis=1),
-                 paths4[e_tgt][:, ::-1, :], paths5[e_tgt][:, ::-1, :]]
-    knit_times = []
-    knit_paths = []
-    for kt, kp in zip(seg_knots, seg_paths):
-        if knit_times:
-            kt = kt[1:]
-            kp = kp[:, 1:, :]
-        knit_times.append(kt)
-        knit_paths.append(kp)
-    all_knots = np.concatenate(knit_times)
-    all_paths = np.concatenate(knit_paths, axis=1)
+    # per-entry composite paths over [0, T5]: each segment after the first
+    # starts at the knot where the one before it ends
+    all_knots = np.concatenate([
+        knots1, t1 + knots2[1:], [t3], t3 + (knots4[-1] - knots4[-2::-1]),
+        t4 + (knots5[-1] - knots5[-2::-1])])
+    all_paths = np.concatenate([
+        paths1[e_src], paths2[e_src, 1:], back_in_s0[e_tgt, None],
+        paths4[e_tgt, -2::-1], paths5[e_tgt, -2::-1]], axis=1)
 
     witness_segments = []
     labels = ["storage", "funnel", "geodesic", "funnel", "storage"]
-    bounds = [0.0, t1, t2, t3, t4, t5]
     descriptors = [
         {"kind": "stopped_drift", "omega0": cond.omega0.to_dict()},
         fun_fwd.descriptor,
-        {"kind": "geodesic", "entries": len(plan.mass)},
+        {"kind": "geodesic", "entries": len(coupling.mass)},
         {"kind": "funnel_reversed", "inner": fun_back.descriptor},
         {"kind": "stopped_drift_reversed"},
     ]
     for label, lo, hi, desc in zip(labels, bounds[:-1], bounds[1:], descriptors):
-        keep = (all_knots >= lo - 1e-12) & (all_knots <= hi + 1e-12)
-        wf = ParticleWitnessField(all_knots[keep], all_paths[:, keep, :], v,
+        keep = slice(np.searchsorted(all_knots, lo - 1e-12),
+                     np.searchsorted(all_knots, hi + 1e-12, side="right"))
+        wf = ParticleWitnessField(all_knots[keep], all_paths[:, keep], v,
                                   label=f"witness_{label}", descriptor=desc)
         witness_segments.append(ControlSegment(lo, hi, wf, label))
     schedule = ControlSchedule(witness_segments)
@@ -1143,34 +1132,18 @@ def exact_controller(scenario) -> ControllerResult:
     snap_times = np.sort(np.concatenate([np.array(bounds),
                                          np.linspace(0.0, t5, 21)]))
     snap_times = snap_times[np.append(True, np.diff(snap_times) != 0.0)]
-    entry_w = plan.mass
-    states = []
-    for t in snap_times:
-        j = np.clip(np.searchsorted(all_knots, t, side="right") - 1, 0,
-                    len(all_knots) - 2)
-        lam = 0.0 if all_knots[j + 1] == all_knots[j] else (
-            (t - all_knots[j]) / (all_knots[j + 1] - all_knots[j]))
-        pos = (1 - lam) * all_paths[:, j, :] + lam * all_paths[:, j + 1, :]
-        states.append(ParticleMeasure(pos, entry_w))
+    states = [ParticleMeasure(_on_knots(all_knots, all_paths, t)[0],
+                              coupling.mass) for t in snap_times]
     traj = Trajectory(snap_times, states, field_ref=schedule,
-                      meta={"mode": "exact", "plan_entries": len(plan.mass)})
-    traj.plan = plan
+                      meta={"mode": "exact",
+                            "plan_entries": len(coupling.mass)})
+    traj.plan = coupling
 
     final = states[-1].merged_coincident()
     final_w1, _ = wp_discrete(final, mu1, p=1)
-    report = {
-        "mode": "exact",
-        "final_w1": {"estimate": final_w1, "method": "exact"},
-        "times": {"T0": 0.0, "T1": t1, "T2": t2, "T3": t3, "T4": t4, "T5": t5},
-        "T0star": cond.T0star,
-        "T1star": cond.T1star,
-        "funnel": {"forward_ratios": fun_fwd.ratios.tolist(),
-                   "backward_ratios": fun_back.ratios.tolist()},
-        "plan_entries": int(len(plan.mass)),
-        "mass_total": states[-1].total_mass(),
-        "regions": {"omega0": cond.omega0.to_dict(), "S": s_box.to_dict(),
-                    "S0": s0.to_dict(), "omega1": omega1.to_dict()},
-    }
+    report = plan.report("exact", fun_fwd, fun_back, states[-1].total_mass())
+    report["final_w1"] = {"estimate": final_w1, "method": "exact"}
+    report["plan_entries"] = int(len(coupling.mass))
     return ControllerResult(schedule, traj, report)
 
 

@@ -63,6 +63,8 @@ class TestWpDiscrete:
         nu = atoms([[2.0], [3.0]])
         dist, plan = wp_discrete(mu, nu, p=1)
         assert np.isclose(dist, 2.0)
+        assert plan.method == "assignment"
+        assert np.isclose(plan.distance(), dist)
         assert np.array_equal(np.sort(plan.tgt_idx[np.argsort(plan.src_idx)]),
                               [0, 1])
 
@@ -127,20 +129,6 @@ class TestWpDiscrete:
         assert scans.scans <= 1000
         assert dist == 0.0
         assert np.array_equal(np.sort(plan.tgt_idx), np.arange(2000))
-
-    def test_plan_csv_and_report(self, tmp_path):
-        rng = np.random.default_rng(7)
-        mu = random_cloud(rng, 5)
-        nu = random_cloud(rng, 5)
-        dist, plan = wp_discrete(mu, nu, 1)
-        plan.to_csv(tmp_path / "plan.csv")
-        plan.report_json(tmp_path / "plan.json")
-        rows = (tmp_path / "plan.csv").read_text().strip().splitlines()
-        assert rows[0] == "i,j,mass,cost_contribution"
-        assert len(rows) == 6
-        rep = plan.report()
-        assert rep["method"] == "assignment"
-        assert np.isclose(rep["distance"], dist)
 
 
 class TestInequalitySuite:

@@ -233,6 +233,39 @@ class TestFunnelClosedForm:
         rev_ref = flow_push(rev, pushed, 0.0, self.duration, self.tol).positions
         assert np.array_equal(pulled.positions[:2], rev_ref[:2])
 
+    def test_control_is_the_blended_similarity_minus_the_drift(self):
+        # b (drift - v): the similarity's velocity minus v, weighted by the
+        # blend factor b, which falls from 1 on omega1 to 0 a band outside
+        fld = self.funnel()
+        pts = np.random.default_rng(9).uniform([-0.3, -0.3], [2.3, 1.8],
+                                               (400, 2))
+        c0 = np.array([0.55, 0.7])
+        c1 = np.array([1.55, 0.65])
+        b = 1.0 - geometry._smootherstep(
+            np.maximum(self.omega1.signed_distance(pts), 0.0) / 0.2)
+        assert np.any(b == 0.0) and np.any(b == 1.0)
+        for t in np.linspace(0.0, self.duration, 7):
+            s = np.array([t / self.duration])
+            w = geometry._smootherstep(s)[0]
+            wd = geometry._smootherstep_d(s)[0] / self.duration
+            drift = wd * ((c1 - c0) + np.log(fld.ratios)
+                          * (pts - c0 - w * (c1 - c0)))
+            expected = b[:, None] * (drift - self.v.evaluate(pts, t))
+            assert np.max(np.abs(fld.control_part(pts, t) - expected)) < 1e-12
+
+
+def test_storage_control_cancels_the_drift_progressively():
+    # (theta_k - 1) v: zero outside omega0, -v at depth 1/k and beyond
+    v = TimeField.constant([0.6, 0.2])
+    omega0 = Region.box([0.5, 0.5], [1.5, 1.0])
+    pts = np.random.default_rng(10).uniform([0.3, 0.3], [1.7, 1.2], (400, 2))
+    fld = synth.storage_total(v, omega0, 8)
+    theta = geometry.cutoff_theta(omega0, 8).evaluate(pts)
+    assert np.any(theta == 0.0) and np.any(theta == 1.0)
+    expected = (theta - 1.0)[:, None] * v.evaluate(pts, 0.0)
+    assert np.max(np.abs(fld.control_part(pts, 0.0) - expected)) < 1e-12
+    assert np.all(fld.control_part(pts[~omega0.contains(pts)], 0.0) == 0.0)
+
 
 def test_report_counts_closed_form_moves(tmp_path):
     code = cli.main(["run", "--scenario", "unit-shift", "--mode", "approx",
@@ -642,3 +675,54 @@ def test_grid_bound_certifies_the_grid_phase(monkeypatch):
     assert np.mean(closed) >= 0.98
     exact, _ = wp_discrete(moved.normalized(), target.normalized())
     assert 0.0 < exact <= bound
+
+
+def test_every_approx_control_is_total_minus_drift():
+    # each segment's control is its total velocity minus the scenario's
+    # drift, which vanishes exactly outside omega
+    preset = cli.load_scenario("figure1")
+    scenario = Scenario.from_dict({**preset.to_dict(),
+                                   "params": {**preset.params,
+                                              "particles": 300}})
+    v = scenario.velocity_field()
+    omega = scenario.omega_region()
+    schedule = synth.approx_controller(scenario).schedule
+    lo, hi = omega.bounding_box()
+    pts = np.random.default_rng(0).uniform(2 * lo - hi, 2 * hi - lo,
+                                           (512, omega.dim))
+    for seg in schedule.segments:
+        for t in np.linspace(seg.t_start, seg.t_end, 5):
+            assert np.array_equal(seg.field.control_part(pts, t),
+                                  seg.field.evaluate(pts, t)
+                                  - v.evaluate(pts, t))
+    assert schedule.max_control_outside(omega, 1024, seed=0) == 0.0
+
+
+def test_both_lanes_share_one_plan():
+    scenario = random_exact_scenario(0, "plain")
+    plan = synth._plan(scenario)
+    approx = synth.approx_controller(scenario).report
+    exact = exact_controller(scenario).report
+    for key in ("times", "T0star", "T1star", "regions"):
+        assert approx[key] == exact[key]
+    assert approx["times"] == plan.times
+    assert plan.t_back == max(exact["T1star"], 1e-3)
+
+
+def test_exact_witnesses_are_views_of_one_path_array():
+    result = exact_controller(random_exact_scenario(0, "plain"))
+    segments = result.schedule.segments
+    paths = segments[0].field.paths.base
+    for seg in segments:
+        assert seg.field.paths.base is paths
+        assert np.shares_memory(seg.field.paths, paths)
+    traj = result.trajectory
+    checked = 0
+    for t, state in zip(traj.times, traj.states):
+        for seg in segments:
+            knots = seg.field.knots
+            if knots[0] <= t <= knots[-1]:
+                pos, _ = seg.field.positions_at(t)
+                assert np.array_equal(state.positions, pos)
+                checked += 1
+    assert checked >= len(traj.times)
