@@ -185,11 +185,11 @@ class _ShortestPaths:
 
     def solve_one(self):
         cost, v, u = self.cost[0], self.v[0], self.u[0]
-        row4col, path = self.row4col[0], self.path[0]
+        row4col, col4row, path = self.row4col[0], self.col4row[0], self.path[0]
         dist, masked_v, reached = self.dist[0], self.masked_v[0], self.reached[0]
         reduced = np.empty(len(v))
         free_cols = np.flatnonzero(row4col < 0)
-        for start in np.flatnonzero(self.col4row[0] < 0).tolist():
+        for start in np.flatnonzero(col4row < 0).tolist():
             dist.fill(np.inf)
             masked_v[:] = v
             # the search logs, per scan, the row scanned, its label and the
@@ -218,9 +218,23 @@ class _ShortestPaths:
                 if row < 0:
                     break
             self._rebuild_path(rows, lows, settled)
-            self.augment(np.zeros(1, dtype=np.int64), np.array([col]),
-                         np.array([start]), np.array([low]))
+            # ``augment`` for one matrix, on the settled columns the log
+            # holds: the free sink is the last, and the others' rows are the
+            # tree's rows besides the start
+            tree = np.array(settled)
+            gain = low - reached[tree]
+            v[tree] -= gain
+            u[row4col[tree[:-1]]] += gain[:-1]
+            u[start] += low
             free_cols = free_cols[free_cols != col]
+            while True:
+                row = int(path[col])
+                row4col[col] = row
+                prev = int(col4row[row])
+                col4row[row] = col
+                if row == start:
+                    break
+                col = prev
 
     def _rebuild_path(self, rows, lows, settled):
         """Write into ``path`` the predecessor row of each column on the

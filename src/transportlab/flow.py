@@ -4,17 +4,20 @@ One stepper integrates a batch of particles: fixed-step RK4
 (``_integrate_batch``, ``flow_push``), the batch sharing one step tied to
 the field's Lipschitz bound (stability step 0.1/max(L, 1)) and to the
 requested tolerance. It serves the fields the controllers build, which are
-only Lipschitz: the storage and funnel blends (signed distances to boxes)
-and the piecewise-affine moving-cell grid field. Fields declared
-non-Lipschitz (the square-root splitting example) fall back to the
-tolerance step and emit a warning once per field.
+only Lipschitz: the funnel blends (signed distances to boxes), the storage
+blend under a curved drift, and the piecewise-affine moving-cell grid
+field. A field that carries its exact flow map (``TimeField.flow_map``:
+the storage blend under a translation drift) is pushed along that map
+instead. Fields declared non-Lipschitz (the square-root splitting example)
+fall back to the tolerance step and emit a warning once per field.
 
 The scenario drifts (zero, constant, affine, radial and their negations)
 are affine, x' = Ax + b, and carry their pair (A, b); their flow map is
 exp(t [[A, b], [0, 0]]) in closed form (``_affine_flow``).
 ``stopped_flow_batch`` parks each point at its first entry into a region
-(the crossing check and the exact lane's parks): it probes that exact map
-and locates each entry on it, so it integrates nothing.
+(the crossing check and the exact lane's parks), so it integrates nothing:
+a straight path (A = 0) enters a box at a slab time, and otherwise it
+probes that exact map and locates each entry on it.
 """
 from __future__ import annotations
 
@@ -46,11 +49,14 @@ class TimeField:
     ``affine_pair``, when given, holds the arrays ``(A, b)`` of an
     autonomous affine field w(x) = Ax + b, which ``fn`` must compute:
     stopped flows need it, since they run on its exact flow map.
+    ``flow_map``, when given, is the exact flow map of an autonomous field,
+    ``flow_map(points, duration)`` giving the ``(N, d)`` positions after
+    ``duration``: ``flow_push`` reads positions off it and steps nothing.
     """
 
     def __init__(self, fn, dim, lipschitz_bound=0.0, sup_bound=np.inf,
                  label="", ambient=None, non_lipschitz=False,
-                 descriptor=None, affine_pair=None):
+                 descriptor=None, affine_pair=None, flow_map=None):
         self._fn = fn
         self.dim = int(dim)
         self.lipschitz_bound = float(lipschitz_bound)
@@ -59,6 +65,7 @@ class TimeField:
         self.ambient = ambient
         self.non_lipschitz = bool(non_lipschitz)
         self.affine_pair = affine_pair
+        self.flow_map = flow_map
         self.descriptor = descriptor or {"kind": "opaque", "label": label}
         self._warned = False
 
@@ -197,8 +204,14 @@ def _integrate_batch(field: TimeField, pts, t0, t1, tol, observer=None):
 
 def flow_push(field: TimeField, mu: ParticleMeasure, t0: float, t1: float,
               tol: float) -> ParticleMeasure:
-    """Push a particle measure through the flow; weights and tags ride along."""
-    new_pos = _integrate_batch(field, mu.positions, t0, t1, tol)
+    """Push a particle measure through the flow from t0 to t1: along the
+    field's exact flow map when it has one, else by fixed-step RK4 at
+    ``tol``. Weights and tags ride along."""
+    if field.flow_map is None:
+        new_pos = _integrate_batch(field, mu.positions, t0, t1, tol)
+    else:
+        pts, span = _batch_span(mu.positions, t0, t1, tol)
+        new_pos = field.flow_map(pts, span)
     return push_forward(mu, lambda p: new_pos)
 
 
@@ -263,7 +276,10 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     first entry into ``stop_region``.
 
     Nothing is integrated: positions are read off the field's exact flow
-    map (``_affine_flow``), a block of probe times in one map. Probes are
+    map (``_affine_flow``). Under a translation (A = 0) into a box, a path
+    is straight and enters at a slab time (``_slab_entries``); the few
+    paths the slab times cannot settle, and every other case, are probed,
+    a block of probe times in one map. Probes are
     ``choose_step(field, tol, horizon)`` apart over [t0, t0 + horizon], the
     last at the horizon. A point inside at a probe is parked at its first
     entry, found between that probe and the one before to 2^-52 of their
@@ -298,6 +314,16 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     rows = np.flatnonzero(dist > 0)
     dist = dist[rows]
     a, b = pair
+    if not a.any() and stop_region.kind == "box":
+        slab, never = _slab_entries(stop_region, b, x0[rows], horizon)
+        found = ~np.isnan(slab)
+        idx, gone = rows[found], rows[never]
+        hits[idx] = slab[found]
+        end[idx] = x0[idx] + slab[found][:, None] * b
+        end[gone] = x0[gone] + horizon * b
+        _check_finite(end[gone], x0[gone], t0 + horizon, gone)
+        keep = ~found & ~never
+        rows, dist = rows[keep], dist[keep]
     cap = _step_cap(stop_region)
     h = choose_step(field, tol, horizon)
     if not a.any() and b.any():
@@ -337,6 +363,41 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
         prev, dist = pos[-1][keep], sd[-1][keep]
     end[rows] = prev
     return end, hits
+
+
+def _slab_entries(box, b, x0, horizon):
+    """Entry times into ``box`` of the straight paths x0 + t b from points
+    outside it, nan where the slab times settle none, and a mask of the
+    paths that enter nowhere in (0, horizon].
+
+    A path is within the box's slab along axis a between the times its
+    coordinate passes lo_a and hi_a (always or never when b_a = 0). It
+    enters the box at the largest of those entry times if that is no later
+    than the smallest exit time. The time is stepped up, by its spacing
+    and then by twice the last step, until ``box.contains`` the position
+    there, so the point returned is inside. A path that starts on a face to
+    rounding, or grazes an edge, is left unsettled and not in the mask."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo, t_hi = (box.lo - x0) / b, (box.hi - x0) / b
+    still = b == 0
+    within = (box.lo <= x0) & (x0 <= box.hi)
+    enter = np.where(still, np.where(within, -np.inf, np.inf),
+                     np.minimum(t_lo, t_hi)).max(axis=1)
+    leave = np.where(still, np.inf, np.maximum(t_lo, t_hi)).min(axis=1)
+    last = np.minimum(leave, horizon)
+    never = (enter > last) | (leave <= 0)
+    hit = np.full(len(x0), np.nan)
+    todo = np.flatnonzero(~never & (enter > 0))
+    t = enter[todo]
+    step = np.spacing(t)
+    while todo.size:
+        inside = box.contains(x0[todo] + t[:, None] * b)
+        hit[todo[inside]] = t[inside]
+        out = ~inside
+        t, step, todo = t[out] + step[out], 2.0 * step[out], todo[out]
+        fits = t <= last[todo]
+        t, step, todo = t[fits], step[fits], todo[fits]
+    return hit, never
 
 
 def _step_cap(region):

@@ -7,6 +7,7 @@ true value inside overlaps).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "Region",
     "ScalarField",
     "cutoff_theta",
+    "cutoff_flow",
     "weight_eta",
     "check_geometric_condition",
     "GeometricCondition",
@@ -217,6 +219,103 @@ def cutoff_theta(omega0: Region, k: int) -> ScalarField:
         return 1.0 - _smootherstep(k * omega0.depth(pts))
 
     return ScalarField(evaluate)
+
+
+# 1 - S(z) = (1 - z)^3 (6 z^2 + 3 z + 1) for the quintic ramp S, so the
+# time 1 / (1 - S) integrates in closed form; _RAMP_ATAN is 27 / (40 sqrt 15)
+_SQRT15 = math.sqrt(15.0)
+_RAMP_ATAN = 27.0 / (40.0 * _SQRT15)
+
+# bisection passes that invert the time spent on a sloped piece: they
+# narrow its bracket to 2^-60 of the piece
+_INVERT_PASSES = 60
+
+
+def _ramp_time(w):
+    """G(w), the integral of dz / (1 - S(z)) over [0, w], for w in [0, 1]:
+    infinite at 1, and written without cancellation near 0, where G ~ w."""
+    with np.errstate(divide="ignore"):
+        r = 1.0 / (1.0 - w)
+        return (w * (2.0 - w) * r * r / 20.0 + 0.15 * w * r
+                - 0.165 * np.log1p(-w) + 0.0825 * np.log1p(w * (3.0 + 6.0 * w))
+                + _RAMP_ATAN * np.arctan(_SQRT15 * w / (2.0 + 3.0 * w)))
+
+
+def cutoff_flow(omega0: Region, k: int, drift):
+    """Exact flow map of x' = theta_k(x) b, ``cutoff_theta``'s cutoff times
+    a constant drift b, for a box omega0: ``flow_map(points, duration)``.
+
+    A path keeps to its streamline x0 + s b; the cutoff only slows its
+    clock, ds/dt = 1 - S(k depth). Along the line the depth in omega0 is
+    max(0, min_f (alpha_f + beta_f s)) over the box's 2d faces, linear
+    between the crossings of each pair of those lines and of the zero line
+    (lines of equal slope, such as the faces of an axis with b_a = 0, do
+    not cross). A piece takes the time ds outside omega0, ds / (1 - S(k
+    depth)) where it is flat, and [G(k depth_end) - G(k depth_start)] /
+    (k beta) where its slope is beta (G is ``_ramp_time``), infinite once
+    k depth reaches 1. The map walks the pieces until the duration is used
+    up and solves for s on the last one: in closed form, or by bisection
+    on a sloped piece. A zero drift returns the points unchanged, and so
+    does a point at k depth >= 1."""
+    b = np.asarray(drift, dtype=float).reshape(-1)
+    lo, hi = omega0.lo, omega0.hi
+    slope = np.concatenate([b, -b, [0.0]])
+    i, j = np.triu_indices(len(slope), 1)
+    crossing = slope[i] != slope[j]
+    i, j = i[crossing], j[crossing]
+
+    def flow_map(x0, duration):
+        x0 = np.array(x0, dtype=np.float64)
+        n = len(x0)
+        if not b.any() or duration == 0 or n == 0:
+            return x0
+        alpha = np.concatenate([x0 - lo, hi - x0, np.zeros((n, 1))], axis=1)
+        with np.errstate(all="ignore"):
+            cut = (alpha[:, j] - alpha[:, i]) / (slope[i] - slope[j])
+            cut = np.sort(np.where(cut > 0, cut, np.inf), axis=1)
+            start = np.concatenate([np.zeros((n, 1)), cut], axis=1)
+            stop = np.concatenate([cut, np.full((n, 1), np.inf)], axis=1)
+            # the face under the depth on each piece, read at its midpoint
+            mid = np.where(np.isfinite(stop), 0.5 * (start + stop),
+                           start + 1.0)
+            faces = alpha[:, None, :-1] + slope[:-1] * mid[..., None]
+            face = np.argmin(faces, axis=2)
+            inside = np.min(faces, axis=2) > 0
+            base = np.take_along_axis(alpha, face, axis=1)
+            beta = np.where(inside, slope[face], 0.0)
+            w0 = np.clip(k * np.where(inside, base + beta * start, 0.0),
+                         0.0, 1.0)
+            w1 = np.clip(k * (base + beta * stop), 0.0, 1.0)
+            span = stop - start
+            cost = np.where(~inside, span, np.where(
+                beta == 0, span / (1.0 - _smootherstep(w0)),
+                (_ramp_time(w1) - _ramp_time(w0)) / (k * beta)))
+            cost[np.isnan(cost)] = np.inf
+            spent = np.cumsum(cost, axis=1)
+        piece = np.argmax(spent >= duration, axis=1)
+        at = (np.arange(n), piece)
+        left = duration - np.where(piece > 0, spent[at[0], piece - 1], 0.0)
+        s0, a, bt, w = start[at], base[at], beta[at], w0[at]
+        s = s0 + np.where(inside[at], left * (1.0 - _smootherstep(w)), left)
+        sloped = np.flatnonzero(inside[at] & (bt != 0) & (w < 1.0))
+        if sloped.size:
+            s_lo, a, bt, left = s0[sloped], a[sloped], bt[sloped], left[sloped]
+            g0 = _ramp_time(w[sloped])
+            s_hi = stop[at][sloped]
+            # an ascending piece ends, at the latest, at depth 1/k
+            s_hi = np.where(bt > 0, np.minimum(s_hi, (1.0 / k - a) / bt), s_hi)
+            for _ in range(_INVERT_PASSES):
+                s_mid = 0.5 * (s_lo + s_hi)
+                w_mid = np.clip(k * (a + bt * s_mid), 0.0, 1.0)
+                short = (_ramp_time(w_mid) - g0) / (k * bt) < left
+                s_lo = np.where(short, s_mid, s_lo)
+                s_hi = np.where(short, s_hi, s_mid)
+            s[sloped] = 0.5 * (s_lo + s_hi)
+        # a point at k depth >= 1 spends its whole duration on its first
+        # piece, at s = 0
+        return x0 + s[:, None] * b
+
+    return flow_map
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from . import _kernels
 from .flow import (TimeField, Trajectory, choose_step, flow_push,
                    stopped_flow_batch, _affine_flow,
                    _integrate_batch as _integrate_batch_local)
-from .geometry import (GeometricCondition, Region, cutoff_theta,
-                       check_geometric_condition, _smootherstep,
+from .geometry import (GeometricCondition, Region, cutoff_flow,
+                       cutoff_theta, check_geometric_condition, _smootherstep,
                        _smootherstep_d)
 # no longer called here; kept because the benchmark tracer patches
 # synth.weight_eta by name
@@ -325,18 +325,25 @@ def storage_total(v: TimeField, omega0: Region, k: int) -> TimeField:
     """Total velocity theta_k * v of the storage phase. Its control part
     (theta_k - 1) v cancels the drift progressively inside omega0: it is
     exactly zero outside omega0, and the total velocity is exactly zero at
-    depth 1/k."""
+    depth 1/k. Under a translation drift (A = 0) and a box omega0 the
+    field carries its exact flow map (``cutoff_flow``), so ``flow_push``
+    steps nothing; a curved drift is stepped by RK4."""
     theta = cutoff_theta(omega0, k)
 
     def total(pts, t):
         return theta.evaluate(pts)[:, None] * v.evaluate(pts, t)
 
+    pair = v.affine_pair
+    straight = (pair is not None and not pair[0].any()
+                and omega0.kind == "box")
     return TimeField(total, v.dim,
                      lipschitz_bound=v.sup_bound * 1.875 * k + v.lipschitz_bound,
                      sup_bound=v.sup_bound, label=f"storage_total_k{k}",
                      ambient=v,
                      descriptor={"kind": "storage", "k": k,
-                                 "omega0": omega0.to_dict()})
+                                 "omega0": omega0.to_dict()},
+                     flow_map=cutoff_flow(omega0, k, pair[1]) if straight
+                     else None)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +509,10 @@ def _on_knots(knots, paths, t):
     return (1 - lam) * paths[:, j, :] + lam * paths[:, j + 1, :], j
 
 
+# query-atom distances the witness computes in one block at most
+_WITNESS_BLOCK = 1 << 16
+
+
 class ParticleWitnessField(TimeField):
     """Borel control witness: velocities defined along recorded atom paths.
 
@@ -528,13 +539,30 @@ class ParticleWitnessField(TimeField):
         return _on_knots(self.knots, self.paths, t)
 
     def _witness(self, pts, t):
+        """Velocity of the atom nearest each query (the first among ties)
+        where it lies within ``match_tol``, nan elsewhere. Squared gaps to
+        every atom, by blocks of queries, keep the atoms within twice the
+        tolerance; their distances are then taken as the norm takes them,
+        and any atom left out is farther than the tolerance."""
         pos, j = self.positions_at(t)
+        vel = self._vels[:, min(j, self._vels.shape[1] - 1)]
         out = np.full_like(pts, np.nan)
-        for q in range(pts.shape[0]):
-            d = np.linalg.norm(pos - pts[q], axis=1)
-            e = int(np.argmin(d))
-            if d[e] <= self.match_tol:
-                out[q] = self._vels[e, min(j, self._vels.shape[1] - 1)]
+        reach = (2.0 * self.match_tol) ** 2
+        block = max(1, _WITNESS_BLOCK // max(len(pos), 1))
+        for q in range(0, pts.shape[0], block):
+            near = pts[q:q + block]
+            sq = 0.0
+            for a in range(pts.shape[1]):
+                gap = pos[:, a] - near[:, a, None]
+                sq = sq + gap * gap
+            qi, ei = np.nonzero(sq <= reach)
+            if not qi.size:
+                continue
+            d = np.linalg.norm(pos[ei] - near[qi], axis=1)
+            order = np.lexsort((ei, d, qi))
+            lead = order[np.r_[True, np.diff(qi[order]) != 0]]
+            lead = lead[d[lead] <= self.match_tol]
+            out[q + qi[lead]] = vel[ei[lead]]
         return out
 
     def _eval(self, pts, t):
@@ -946,16 +974,20 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 
     # phases 4 and 5: time reversals of the backward synthesis. Reversing a
     # time-dependent segment of length D maps the field w to -w(x, D - t).
-    def reverse(fld, duration, offset, kind, label):
+    # The reversed storage is -(theta (-v)) = theta v: the forward storage
+    # field of the backward lane's k, whose flow map it takes.
+    def reverse(fld, duration, offset, kind, label, flow_map=None):
         return TimeField(
             lambda pts, t: -fld.evaluate(pts, duration - (t - offset)),
             fld.dim, fld.lipschitz_bound, fld.sup_bound, label=label,
-            ambient=v, descriptor={"kind": kind, "inner": fld.descriptor})
+            ambient=v, descriptor={"kind": kind, "inner": fld.descriptor},
+            flow_map=flow_map)
 
     fun_rev = reverse(fun_back, t4 - t3, t3, "funnel_reversed",
                       f"rev({fun_back.label})")
     store_rev = reverse(store_back, plan.t_back, t4, "storage_reversed",
-                        f"-({store_back.label})")
+                        f"-({store_back.label})",
+                        storage_total(v, cond.omega0, k_back).flow_map)
     state4_all, cf_rev = _push_funnel(fun_rev, fun_back, state3_all, t3, t4,
                                       tol, reverse=True)
     state5_all = flow_push(store_rev, state4_all, t4, t5, tol)
@@ -973,6 +1005,10 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         np.array([0.0, t1, t2, t3, t4, t5]),
         [mu0_tagged, state1, state2_all, state3_all, state4_all, state5_all],
         field_ref=schedule, meta={"mode": "approx"})
+
+    def mapped(fld, mu):
+        # a storage field with a flow map moves every point in closed form
+        return len(mu) if fld.flow_map is not None else 0
 
     w1 = w1_bracket(state5_all.with_tags(None), mu1.with_tags(None))
     if w1["method"] == "bracket":
@@ -996,7 +1032,14 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         },
         "closed_form": {
             name: {"count": count, "total": len(mu)}
-            for name, count, mu in (("funnel_forward", cf_fwd, state1),
+            for name, count, mu in (("storage_forward", mapped(store_fwd, mu0),
+                                     mu0),
+                                    ("storage_backward",
+                                     mapped(store_back, mu1), mu1),
+                                    ("storage_reversed",
+                                     mapped(store_rev, state4_all),
+                                     state4_all),
+                                    ("funnel_forward", cf_fwd, state1),
                                     ("funnel_backward", cf_back, back1),
                                     ("grid", int(np.sum(grid_closed)),
                                      state2_all),

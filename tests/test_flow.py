@@ -394,6 +394,37 @@ class TestStoppedFlow:
         assert np.allclose(ends, [8.5, 1.0], atol=1e-10)
 
 
+    @pytest.mark.parametrize("drift", [[1.0, 0.7], [-0.3, 0.9], [1.0, 0.0],
+                                       [0.0, -1.0], [0.0, 0.0],
+                                       [0.4, -0.2, 0.3], [0.0, 0.5, 0.0]])
+    def test_slab_entries_match_the_probes(self, drift, monkeypatch):
+        # a box under a translation takes its entries at slab times, with
+        # no probe; the union of that one box takes the probes and the
+        # bisection. On oblique, axis-aligned and zero drifts the hits agree
+        # to rounding, and every point parked is inside
+        dim = len(drift)
+        box = Region.box(np.full(dim, 1.0), np.full(dim, 2.5))
+        fld = TimeField.constant(drift)
+        pts = np.random.default_rng(dim).uniform(-3.0, 6.0, (300, dim))
+        probes = []
+        affine_flow = flow._affine_flow
+        monkeypatch.setattr(flow, "_affine_flow",
+                            lambda *a: probes.append(1) or affine_flow(*a))
+        ends, hits = stopped_flow_batch(fld, box, pts, 0.0, 10.0, 1e-6)
+        assert probes == []
+        ref_ends, ref_hits = stopped_flow_batch(fld, Region.union(box), pts,
+                                                0.0, 10.0, 1e-6)
+        found = ~np.isnan(hits)
+        assert np.array_equal(found, ~np.isnan(ref_hits))
+        assert np.any(hits[found] == 0.0) and np.any(~found)
+        if any(drift):
+            assert np.any(hits[found] > 0.0)
+        assert np.max(np.abs(hits[found] - ref_hits[found]),
+                      initial=0.0) <= 1e-12
+        assert np.max(np.abs(ends - ref_ends)) <= 1e-12
+        assert np.all(box.contains(ends[found]))
+
+
 class TestTrajectory:
     @staticmethod
     def make_traj(field, mu, times, tol=1e-8):

@@ -211,6 +211,14 @@ class TestAssignment:
             stacked = _kernels.assignment(cost[None])[0]
             assert np.array_equal(single, stacked)
             assert scans.scans - before == 2 * alone
+            # the single loop moves the duals from its log, the lockstep
+            # loop from the masked columns: bitwise the same duals
+            one = _kernels._ShortestPaths(cost[None])
+            one.solve_one()
+            both = _kernels._ShortestPaths(cost[None])
+            both.solve_lockstep()
+            assert np.array_equal(one.u, both.u)
+            assert np.array_equal(one.v, both.v)
 
     def test_ties_end_at_a_free_column(self, scans):
         # every column ties at every scan: the column reduction matches one

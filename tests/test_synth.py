@@ -274,12 +274,16 @@ def test_report_counts_closed_form_moves(tmp_path):
     with open(tmp_path / "report.json") as fh:
         report = json.load(fh)
     closed = report["closed_form"]
-    assert set(closed) == {"funnel_forward", "funnel_backward", "grid",
-                           "funnel_reversed"}
+    assert set(closed) == {"storage_forward", "storage_backward",
+                           "storage_reversed", "funnel_forward",
+                           "funnel_backward", "grid", "funnel_reversed"}
     for entry in closed.values():
         assert set(entry) == {"count", "total"}
         assert 0 <= entry["count"] <= entry["total"] == 400
     assert closed["grid"]["count"] > 0
+    # the zero drift is a translation: every storage push is a flow map
+    for phase in ("forward", "backward", "reversed"):
+        assert closed[f"storage_{phase}"]["count"] == 400
     # the strip points' fixed-step RK4: its steps, its step and the
     # axis-slope bound that chose it
     grid_flow = report["grid_flow"]
@@ -726,3 +730,141 @@ def test_exact_witnesses_are_views_of_one_path_array():
                 assert np.array_equal(state.positions, pos)
                 checked += 1
     assert checked >= len(traj.times)
+
+
+class TestStorageFlowMap:
+    """Under a translation drift the storage field theta_k v carries its
+    exact flow map (``geometry.cutoff_flow``): a time change along straight
+    streamlines, against which RK4 only approximates the kinks of the box
+    depth."""
+
+    K, T = 8, 4.0
+
+    @staticmethod
+    def setup(dim, drift, k=K):
+        omega0 = Region.box(-0.5 * np.ones(dim), 0.8 * np.ones(dim))
+        v = TimeField.constant(drift)
+        return omega0, v, synth.storage_total(v, omega0, k)
+
+    @staticmethod
+    def starts(omega0, drift, k, rng):
+        """Points upstream, on the boundary, inside near the faces, about
+        to exit, and parked at k depth >= 1 (the last four rows)."""
+        dim = len(drift)
+        b = np.asarray(drift, dtype=float)
+        lo, hi = omega0.lo, omega0.hi
+        up = rng.uniform(lo, hi, (30, dim)) - 2.0 * b
+        face = rng.uniform(lo, hi, (10, dim))
+        face[:, 0] = lo[0]
+        shallow = rng.uniform(lo + 0.02, lo + 0.06, (10, dim))
+        centre = 0.5 * (lo + hi)
+        exiting = (centre + rng.uniform(0.85, 0.95, (10, 1))
+                   * 0.5 * (hi - lo) * np.sign(b))
+        parked = centre + rng.uniform(-0.1, 0.1, (4, dim))
+        pts = np.concatenate([up, face, shallow, exiting, parked])
+        assert np.all(k * omega0.depth(parked) >= 1.0)
+        return pts
+
+    @pytest.mark.parametrize("drift", [[0.7], [-0.7], [0.5, 0.0],
+                                       [0.4, -0.3], [0.3, 0.2, -0.25],
+                                       [0.0, 0.0, 0.6]],
+                             ids=["1d", "1d-back", "2d-axis", "2d-oblique",
+                                  "3d-oblique", "3d-axis"])
+    def test_matches_fine_rk4(self, drift):
+        rng = np.random.default_rng(len(drift))
+        omega0, v, fld = self.setup(len(drift), drift)
+        assert fld.flow_map is not None
+        pts = self.starts(omega0, drift, self.K, rng)
+        mu = ParticleMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
+        got = flow_push(fld, mu, 0.0, self.T, 1e-6).positions
+        plain = TimeField(fld.evaluate, fld.dim, fld.lipschitz_bound,
+                          fld.sup_bound)
+        ref = _integrate_batch(plain, pts, 0.0, self.T, 1e-12)
+        assert np.max(np.abs(got - ref)) <= 1e-6
+        # the parked points do not move at all
+        assert np.array_equal(got[-4:], pts[-4:])
+        # nobody leaves its streamline
+        b = np.asarray(drift)
+        off = (got - pts) - ((got - pts) @ b / (b @ b))[:, None] * b
+        assert np.max(np.abs(off)) < 1e-12
+
+    @pytest.mark.parametrize("drift", [[0.4, -0.3], [0.5, 0.0],
+                                       [0.3, 0.2, -0.25]])
+    def test_reversal_and_semigroup(self, drift):
+        # the backward lane's storage on -v followed by its reversal, the
+        # storage on v for as long, returns every point; and the map
+        # composes over split durations
+        rng = np.random.default_rng(7)
+        omega0, v, fld = self.setup(len(drift), drift)
+        back = synth.storage_total(v.negated(), omega0, self.K)
+        pts = self.starts(omega0, drift, self.K, rng)
+        there = back.flow_map(pts, self.T)
+        assert np.max(np.abs(fld.flow_map(there, self.T) - pts)) <= 1e-12
+        whole = fld.flow_map(pts, self.T)
+        split = fld.flow_map(fld.flow_map(pts, 1.3), self.T - 1.3)
+        assert np.max(np.abs(split - whole)) <= 1e-12
+
+    def test_zero_drift_is_the_identity(self):
+        rng = np.random.default_rng(3)
+        omega0 = Region.box([-0.5, -0.5], [1.5, 1.5])
+        pts = rng.uniform(-1.0, 2.0, (200, 2))
+        mu = ParticleMeasure(pts, np.full(200, 1.0 / 200))
+        for v in (TimeField.zero(2), TimeField.constant([0.0, 0.0])):
+            fld = synth.storage_total(v, omega0, 4)
+            assert fld.flow_map is not None
+            assert np.array_equal(flow_push(fld, mu, 0.0, 5.0, 1e-6).positions,
+                                  pts)
+
+    def test_curved_drift_keeps_rk4(self):
+        # A != 0 has curved streamlines: no flow map, and the push is the
+        # fixed-step RK4 of the field, bit for bit
+        mat, off = np.array([[0.0, 0.2], [-0.2, 0.0]]), np.array([0.5, 0.0])
+        v = TimeField(lambda p, t: p @ mat.T + off, 2, 0.2, sup_bound=1.0,
+                      affine_pair=(mat, off))
+        omega0 = Region.box([0.0, -0.5], [1.0, 0.5])
+        fld = synth.storage_total(v, omega0, 8)
+        assert fld.flow_map is None
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, (50, 2))
+        mu = ParticleMeasure(pts, np.full(50, 0.02))
+        assert np.array_equal(flow_push(fld, mu, 0.0, 2.0, 1e-6).positions,
+                              _integrate_batch(fld, pts, 0.0, 2.0, 1e-6))
+
+    def test_unit_shift_at_preset_size(self):
+        # zero drift at 50 000 particles: the storage phases return the
+        # particles unchanged, and the run finishes certified
+        scenario = cli.load_scenario("unit-shift")
+        result = synth.approx_controller(scenario)
+        states = result.trajectory.states
+        assert np.array_equal(states[1].positions, states[0].positions)
+        assert result.report["final_w1"]["epsilon_certified"]
+        closed = result.report["closed_form"]
+        assert closed["storage_forward"]["count"] == 50_000
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_witness_matches_the_per_query_loop(dim):
+    # the blocked witness against the per-query loop: the nearest atom,
+    # the first among ties, where it lies within match_tol; queries at the
+    # atoms, just inside and just outside the tolerance, and far away
+    rng = np.random.default_rng(dim)
+    paths = rng.random((300, 3, dim))
+    paths[7, 1] = paths[3, 1]          # atoms 3 and 7 meet at t = 0.5
+    fld = synth.ParticleWitnessField([0.0, 0.5, 1.0], paths,
+                                     TimeField.constant(np.ones(dim)), "w",
+                                     {"kind": "w"})
+    step = np.zeros(dim)
+    step[0] = 1.0
+    for t in (0.0, 0.3, 0.5, 1.0):
+        pos, j = fld.positions_at(t)
+        queries = np.concatenate([pos, pos + 0.9e-9 * step,
+                                  pos - 1.2e-9 * step, rng.random((200, dim))])
+        ref = np.full_like(queries, np.nan)
+        for q in range(len(queries)):
+            d = np.linalg.norm(pos - queries[q], axis=1)
+            e = int(np.argmin(d))
+            if d[e] <= fld.match_tol:
+                ref[q] = fld._vels[e, min(j, fld._vels.shape[1] - 1)]
+        got = fld._witness(queries, t)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.isnan(got[-200:]).all()
+        assert not np.isnan(got[:600]).any()
