@@ -407,13 +407,14 @@ def grid_eval_1d(px, rows, walls, alpha, beta):
 
     Point k lies in the row ``rows[k]`` of cells, whose walls are
     ``walls[rows[k]]`` (sorted, shape ``(rows, n + 1)``); inside cell c its
-    velocity is ``alpha[r, c] * px + beta[r, c]``, and it is zero outside
-    the row's outer walls. ``benchmarks/tracer.py`` patches it by name to
-    count grid-field evaluations.
+    velocity is ``alpha[r, c] * px + beta[r, c]``, and beyond the row's
+    outer walls that of the wall (px clamped to it), continuous when the
+    walls move. ``benchmarks/tracer.py`` patches it by name to count
+    grid-field evaluations.
     """
     c = row_cell(walls, rows, px)
-    inside = (walls[rows, 0] <= px) & (px <= walls[rows, -1])
-    return np.where(inside, alpha[rows, c] * px + beta[rows, c], 0.0)
+    x = np.clip(px, walls[rows, 0], walls[rows, -1])
+    return alpha[rows, c] * x + beta[rows, c]
 
 
 def active_lane() -> str:

@@ -34,7 +34,7 @@ from .geometry import (GeometricCondition, Region, cutoff_flow,
 # no longer called here; kept because the benchmark tracer patches
 # synth.weight_eta by name
 from .geometry import weight_eta  # noqa: F401
-from .measure import ParticleMeasure, quantile_partition
+from .measure import GridPartition, ParticleMeasure, quantile_partition
 from .ot import wp_discrete, w1_bracket
 
 __all__ = [
@@ -132,17 +132,19 @@ class GridControlField(TimeField):
     """Moving quantile cells carrying the source mesh onto the target mesh,
     one axis per sub-phase of length T/d.
 
-    In sub-phase a only x_a moves. A slab is a cell on every earlier axis
-    of the target mesh, whose walls stay put now. In each slab the walls of
+    In sub-phase a only x_a moves. A slab is a cell on every earlier axis of
+    the target mesh, whose walls stay put now. In each slab the walls of
     axis a move linearly in time from source to target, exactly at both
-    ends, and the velocity is affine in x_a inside a cell: continuous
-    across walls, zero outside [0, 1] on axis a. The walls are
-    characteristics and a point keeps its relative coordinate in its cell,
-    so the flow is in closed form (``_carry``). Across a slab wall the two
-    slabs' velocities blend by a smootherstep over a strip of half-width
-    ``STRIP_GAMMA`` times the narrower slab, which keeps the field
-    Lipschitz. Only strip points need numerics: a 1D ODE in x_a, whose
-    Lipschitz constant is the axis-a slope bound.
+    ends, and the velocity is affine in x_a inside a cell, continuous across
+    walls. Beyond a slab's outer walls it continues at the outer wall's
+    speed (zero where they are static, as on a unit-box mesh), so it stays
+    continuous when the outer walls move. The walls are characteristics: a
+    point keeps its relative coordinate in its cell, or its distance to the
+    outer wall it lies beyond, so the flow is in closed form (``_carry``).
+    Across a slab wall the two slabs' velocities blend by a smootherstep
+    over a strip of half-width ``STRIP_GAMMA`` times the narrower slab,
+    which keeps the field Lipschitz. Only strip points need numerics: a 1D
+    ODE in x_a, whose Lipschitz constant is the axis-a slope bound.
     """
 
     def __init__(self, part_src, part_tgt, T):
@@ -253,9 +255,8 @@ class GridControlField(TimeField):
             x = images[whole, a]
             w_lo, w_hi = self._walls(a, lo), self._walls(a, hi)
             c = _kernels.row_cell(w_lo, row, x)
-            inside, moved = _carry(x, w_lo[row, c], w_lo[row, c + 1],
-                                   w_hi[row, c], w_hi[row, c + 1])
-            images[whole, a] = np.where(inside, moved, x)
+            images[whole, a] = _carry(x, w_lo[row, c], w_lo[row, c + 1],
+                                      w_hi[row, c], w_hi[row, c + 1])
             closed &= whole
             if np.all(whole):
                 continue
@@ -280,11 +281,13 @@ def _across(dist, gamma):
 
 
 def _carry(p, lo_a, hi_a, lo_b, hi_b):
-    """Whether each p lies in [lo_a, hi_a], and the point with the same
-    relative coordinate in [lo_b, hi_b] (exact when that coordinate is 0
-    or 1)."""
+    """The point with p's relative coordinate in [lo_a, hi_a] placed in
+    [lo_b, hi_b] (exact when that coordinate is 0 or 1); a p beyond an
+    outer wall moves with it, at its constant speed."""
     s = (p - lo_a) / (hi_a - lo_a)
-    return (lo_a <= p) & (p <= hi_a), (1.0 - s) * lo_b + s * hi_b
+    return np.where(p < lo_a, p + (lo_b - lo_a),
+                    np.where(p > hi_a, p + (hi_b - hi_a),
+                             (1.0 - s) * lo_b + s * hi_b))
 
 
 def grid_control(partition_src, partition_tgt, T: float) -> GridControlField:
@@ -676,6 +679,15 @@ def _plan(scenario) -> _Plan:
     cond = check_geometric_condition(v, mu0, mu1, omega,
                                      float(params["horizon"]),
                                      float(params["tol"]))
+    if not math.isfinite(v.sup_bound):
+        # the drift's speed on the box holding omega and both supports grown
+        # by 1, at its corners (|Ax + b| is convex); every bound reads it
+        lo, hi = zip(omega.bounding_box(), mu0.support_bbox(),
+                     mu1.support_bbox())
+        corners = np.meshgrid(*zip(np.min(lo, axis=0) - 1.0,
+                                   np.max(hi, axis=0) + 1.0), indexing="ij")
+        v.sup_bound = float(np.max(np.linalg.norm(v.evaluate(
+            np.stack(corners, axis=-1).reshape(-1, v.dim), 0.0), axis=1)))
     # token minimum lengths keep every segment well-posed when a support
     # already sits inside the control region
     t1 = max(cond.T0star, 1e-3)
@@ -689,82 +701,46 @@ def _plan(scenario) -> _Plan:
 
 
 class MovingFrameGridField(TimeField):
-    """Grid control conjugated into a frame that tracks the two clouds.
+    """World-coordinate grid control gated to a static region inside the
+    storage hypercube: g grid(x, t - t0) + (1 - g) v(x), g the gate's blend
+    factor. The name dates from a frame that once carried a normalized grid
+    along with the two clouds; the benchmark tracer looks ``advect`` up by it.
 
-    The moving-cell field lives in normalized coordinates where each cloud
-    fills the unit box; the frame origin interpolates linearly and the frame
-    scale geometrically between the two cloud boxes, so strongly squeezed
-    clouds (the funnel output) still present the cell construction with
-    order-one geometry. The world control is gated to a static region inside
-    the storage hypercube.
-
-    The world field's literal Lipschitz constant is dominated by the
-    slab blend strips, whose world width shrinks with the frame; stepping by
-    it would be hopeless. Inside the gate core the conjugation is exact
-    (pulled back, the field IS the normalized one), so ``advect`` moves core
-    particles in normalized coordinates with ``GridControlField.flow``:
-    closed form off the blend strips, fixed-step RK4 at the moving axis's
-    slope bound inside them. Only the particles outside the core are
-    integrated in world coordinates, by fixed-step RK4 at the mild outer
-    bound (the gate blend has kinks).
+    Inside the gate core the field IS the grid field, so ``advect`` moves
+    core particles with ``GridControlField.flow``: closed form off the
+    blend strips, fixed-step RK4 at the moving axis's slope bound inside
+    them. Only the particles outside the core are integrated, by
+    fixed-step RK4 at the mild outer bound (the gate blend has kinks).
     """
 
-    def __init__(self, inner: GridControlField, v: TimeField, o0, s0, o1, s1,
-                 t0, t1, gate_core: Region, band: float):
+    def __init__(self, inner: GridControlField, v: TimeField, t0,
+                 gate_core: Region, band: float):
         self.inner = inner
-        self.o0 = np.asarray(o0, dtype=float)
-        self.o1 = np.asarray(o1, dtype=float)
-        self.s0 = np.asarray(s0, dtype=float)
-        self.s1 = np.asarray(s1, dtype=float)
         self.t0 = float(t0)
-        self.t1 = float(t1)
         self.gate_core = gate_core
-        self.band = float(band)
         self._gate = _blend_factor(gate_core, band)
-        self._log_ratio = np.log(self.s1 / self.s0)
-        span = self.t1 - self.t0
-        drift_lip = float(np.max(np.abs(self._log_ratio))) / span
-        sup = (inner.sup_bound * float(np.max(np.maximum(self.s0, self.s1)))
-               + float(np.linalg.norm((self.o1 - self.o0) / span))
-               + v.sup_bound)
-        scales = np.concatenate([self.s0, self.s1])
-        ratio = float(np.max(scales) / np.min(scales))
-        lip = inner.lipschitz_bound * ratio + drift_lip + \
-            (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
-        super().__init__(self._eval, inner.dim, lipschitz_bound=lip,
+        sup = inner.sup_bound + v.sup_bound
+        # the gate blends two velocities, at most sup + |v| apart, over band
+        outer = (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
+        super().__init__(self._eval, inner.dim,
+                         lipschitz_bound=inner.lipschitz_bound + outer,
                          sup_bound=sup, label="grid_frame", ambient=v,
                          descriptor={"kind": "grid_frame",
                                      "inner": inner.descriptor,
-                                     "o0": self.o0.tolist(), "s0": self.s0.tolist(),
-                                     "o1": self.o1.tolist(), "s1": self.s1.tolist(),
                                      "gate": gate_core.to_dict(), "band": band})
-        # the mild bound away from the cell margins, used for the world-side
-        # integration of particles that never enter the gate core
-        self.outer_lipschitz = drift_lip + \
-            (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
-
-    def frame(self, t):
-        span = self.t1 - self.t0
-        tau = min(max((t - self.t0) / span, 0.0), 1.0)
-        s = self.s0 * np.exp(tau * self._log_ratio)
-        o = self.o0 + tau * (self.o1 - self.o0)
-        odot = (self.o1 - self.o0) / span
-        sdot = s * self._log_ratio / span
-        return o, s, odot, sdot
-
-    def world_grid_velocity(self, pts, t):
-        o, s, odot, sdot = self.frame(t)
-        y = (np.atleast_2d(pts) - o) / s
-        return odot + sdot * y + s * self.inner.evaluate(y, t - self.t0)
+        # the field at the mild bound away from the cell margins, for the
+        # particles outside the gate core
+        self._outer = TimeField(self._eval, self.dim, lipschitz_bound=outer,
+                                sup_bound=sup, label="grid_frame_outer")
 
     def _eval(self, pts, t):
         g = self._gate(pts)[:, None]
-        return (g * self.world_grid_velocity(pts, t)
+        return (g * self.inner.evaluate(pts, t - self.t0)
                 + (1.0 - g) * self.ambient.evaluate(pts, t))
 
     def advect(self, mu: ParticleMeasure, ta: float, tb: float,
                tol: float) -> tuple[ParticleMeasure, np.ndarray, dict]:
-        """Flow of this field, via the exact conjugation for core particles.
+        """Flow of this field: the grid's own flow for core particles.
 
         Returns the pushed measure, the mask of the particles moved in
         closed form (core particles off every blend strip) and the strip
@@ -772,21 +748,13 @@ class MovingFrameGridField(TimeField):
         """
         core = self.gate_core.contains(mu.positions)
         pos = mu.positions.copy()
-        o_a, s_a, _, _ = self.frame(ta)
-        o_b, s_b, _, _ = self.frame(tb)
         closed = np.zeros(len(mu), dtype=bool)
-        y, closed[core], stats = self.inner.flow(
-            (pos[core] - o_a) / s_a, ta - self.t0, tb - self.t0, tol)
-        pos[core] = o_b + s_b * y
+        pos[core], closed[core], stats = self.inner.flow(
+            pos[core], ta - self.t0, tb - self.t0, tol)
         if np.any(~core):
-            outer_field = TimeField(self._eval, self.dim,
-                                    lipschitz_bound=self.outer_lipschitz,
-                                    sup_bound=self.sup_bound,
-                                    label="grid_frame_outer")
-            pos[~core] = _integrate_batch_local(outer_field, pos[~core],
+            pos[~core] = _integrate_batch_local(self._outer, pos[~core],
                                                 ta, tb, tol)
-            inside_after = self.gate_core.contains(pos[~core])
-            if np.any(inside_after):
+            if np.any(self.gate_core.contains(pos[~core])):
                 warnings.warn("a particle outside the gate core drifted into "
                               "it during the grid phase; its step control "
                               "used the mild outer bound", stacklevel=2)
@@ -801,14 +769,6 @@ def _shift_time(field: TimeField, offset: float) -> TimeField:
                      field.dim, field.lipschitz_bound, field.sup_bound,
                      label=field.label, ambient=field.ambient,
                      descriptor=field.descriptor)
-
-
-def _sample_sup_v(v: TimeField, bbox_lo, bbox_hi, seed=0, n=4096) -> float:
-    if np.isfinite(v.sup_bound):
-        return v.sup_bound
-    rng = np.random.default_rng(seed)
-    pts = bbox_lo + (bbox_hi - bbox_lo) * rng.random((n, len(bbox_lo)))
-    return float(np.max(np.linalg.norm(v.evaluate(pts, 0.0), axis=1)))
 
 
 def _escalate_storage(v: TimeField, omega0: Region, mu: ParticleMeasure,
@@ -884,8 +844,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     lo0, hi0 = mu0.support_bbox()
     lo1, hi1 = mu1.support_bbox()
     edge = float(np.max(np.maximum(hi0, hi1) - np.minimum(lo0, lo1)))
-    sup_v = _sample_sup_v(v, np.minimum(lo0, lo1) - 1.0, np.maximum(hi0, hi1) + 1.0)
-    rbar = edge + t5 * sup_v
+    rbar = edge + t5 * v.sup_bound
     eps_mass = epsilon / (2.0 * mu0.dim * rbar)
 
     # phase 1 forward: storage along v
@@ -928,21 +887,25 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     if not np.all(s0.contains(grid_source_cloud.positions)):
         raise RuntimeError("forward funnel failed to reach the storage cube")
 
-    # phase 3: grid control between the two parked clouds, in normalized
-    # coordinates of a box inside S
+    # phase 3: grid control between the two parked clouds. Each cloud's
+    # quantile mesh is cut in the normalized frame where it fills the unit
+    # box, and its walls are mapped back to world coordinates
     n = _choose_n(len(grid_source_cloud), mu0.dim, plan.params["n"])
 
     def cloud_frame(cloud):
+        """Origin and scale of a box around the cloud, and the cloud in the
+        box's unit coordinates."""
         lo, hi = cloud.support_bbox()
         span = np.maximum(hi - lo, 1e-13)
-        return lo - 0.02 * span, 1.04 * span
+        o, s = lo - 0.02 * span, 1.04 * span
+        return o, s, ParticleMeasure((cloud.positions - o) / s, cloud.weights)
 
-    o0, s0n = cloud_frame(grid_source_cloud)
-    o1, s1n = cloud_frame(grid_target_cloud)
-    norm_src = ParticleMeasure((grid_source_cloud.positions - o0) / s0n,
-                               grid_source_cloud.weights)
-    norm_tgt = ParticleMeasure((grid_target_cloud.positions - o1) / s1n,
-                               grid_target_cloud.weights)
+    def to_world(part, origin, scale):
+        return GridPartition(part.n, [origin[a] + scale[a] * w
+                                      for a, w in enumerate(part.walls)])
+
+    o0, s0n, norm_src = cloud_frame(grid_source_cloud)
+    o1, s1n, norm_tgt = cloud_frame(grid_target_cloud)
     while True:
         try:
             part_src, part_tgt = quantile_partition(norm_src.normalized(),
@@ -953,7 +916,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             if plan.params["n"] is not None or n <= 1:
                 raise
             n -= 1
-    grid_norm = grid_control(part_src, part_tgt, t3 - t2)
+    grid = grid_control(to_world(part_src, o0, s0n),
+                        to_world(part_tgt, o1, s1n), t3 - t2)
     pad = 0.25
     hull_lo = np.minimum(o0 - pad * s0n, o1 - pad * s1n)
     hull_hi = np.maximum(o0 + (1 + pad) * s0n, o1 + (1 + pad) * s1n)
@@ -961,8 +925,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     if room <= 0:
         raise RuntimeError("parked clouds leave no gating room inside S")
     gate_region = Region.box(hull_lo - room / 3, hull_hi + room / 3)
-    grid_total = MovingFrameGridField(grid_norm, v, o0, s0n, o1, s1n,
-                                      t2, t3, gate_region, band=room / 3)
+    grid_total = MovingFrameGridField(grid, v, t2, gate_region, band=room / 3)
     state3_all, grid_closed, grid_flow = grid_total.advect(state2_all, t2,
                                                            t3, tol)
     # the certificate, in the target cloud's normalized frame

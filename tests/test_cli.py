@@ -142,6 +142,22 @@ def test_shear_jump_and_lipschitz_blowup(tmp_path):
             10.0 * coarse["lipschitz_estimate"], rel=1e-9)
 
 
+def test_sqrt_split_error_stays_at_the_rk4_floor(tmp_path):
+    # the command's own counts, 10 000 and 100 000 particles: the drift is
+    # declared non-Lipschitz, and both errors sit at the RK4 floor
+    with pytest.warns(UserWarning, match="not Lipschitz"):
+        assert cli.main(["counterexample", "--name", "sqrt-split",
+                         "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "sqrt_split.json").read_text())["rows"]
+    assert [row["count"] for row in rows] == [10_000, 100_000]
+    for row in rows:
+        assert 0.0 <= row["w1_error"] <= 1e-8
+    lines = (tmp_path / "sqrt_split.csv").read_text().splitlines()
+    assert lines[0] == "count,w1_error"
+    assert [float(line.split(",")[1]) for line in lines[1:]] == \
+        [row["w1_error"] for row in rows]
+
+
 def test_check_on_a_non_box_omega_is_an_input_error(tmp_path, capsys):
     # no box compactly inside this ball covers figure1's entry points; the
     # crossing check's ValueError is an input error, not a traceback

@@ -80,8 +80,9 @@ def reference_grid_eval_2d(px, py, cxm, cxp, ax, bx, cym, cyp, ay, by,
 
 
 def test_grid_eval_1d_matches_per_point_reference():
-    # each point's cell in its own row, affine there, zero beyond the
-    # row's outer walls; points on walls go to the cell above
+    # each point's cell in its own row, affine there, and beyond the row's
+    # outer walls the outer cell's value at the wall; points on walls go to
+    # the cell above
     rng = np.random.default_rng(9)
     rows_n, n = 7, 5
     walls = np.sort(rng.random((rows_n, n + 1)), axis=1)
@@ -89,11 +90,12 @@ def test_grid_eval_1d_matches_per_point_reference():
     rows = rng.integers(0, rows_n, 500)
     px = rng.uniform(-0.1, 1.1, 500)
     px[:100] = walls[rows[:100], rng.integers(0, n + 1, 100)]
+    assert np.any(px < walls[rows, 0]) and np.any(px > walls[rows, -1])
     expect = np.zeros(500)
     for k, (r, x) in enumerate(zip(rows, px)):
-        if walls[r, 0] <= x <= walls[r, -1]:
-            c = min(int(np.sum(walls[r] <= x)) - 1, n - 1)
-            expect[k] = alpha[r, c] * x + beta[r, c]
+        c = min(max(int(np.sum(walls[r] <= x)) - 1, 0), n - 1)
+        x = min(max(x, walls[r, 0]), walls[r, -1])
+        expect[k] = alpha[r, c] * x + beta[r, c]
     assert np.array_equal(_kernels.grid_eval_1d(px, rows, walls, alpha, beta),
                           expect)
 

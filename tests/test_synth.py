@@ -7,13 +7,24 @@ import pytest
 from transportlab import cli, geometry, synth
 from transportlab.flow import TimeField, _integrate_batch, choose_step, flow_push
 from transportlab.geometry import Region
-from transportlab.measure import (DensitySpec, ParticleMeasure,
+from transportlab.measure import (DensitySpec, GridPartition, ParticleMeasure,
                                   push_forward, quantile_partition, sample)
 from transportlab.ot import wp_discrete
 from transportlab.scenarios import Scenario, random_exact_scenario
 from transportlab.synth import (_escalate_exact_funnel, _push_funnel,
                                 affine_funnel_total, exact_controller,
                                 grid_control)
+
+
+def square_meshes():
+    """Quantile meshes, 4 cells per axis, of a uniform unit square and of a
+    uniform smaller square inside it."""
+    src = sample(DensitySpec("uniform_box", 2, {"lo": [0, 0], "hi": [1, 1]}),
+                 1500, seed=1)
+    tgt = sample(DensitySpec("uniform_box", 2,
+                             {"lo": [0.1, 0.3], "hi": [0.7, 0.9]}),
+                 1500, seed=2)
+    return quantile_partition(src, tgt, 4)
 
 
 class TestGridClosedForm:
@@ -25,13 +36,7 @@ class TestGridClosedForm:
 
     @pytest.fixture(scope="class")
     def grid(self):
-        src = sample(DensitySpec("uniform_box", 2, {"lo": [0, 0], "hi": [1, 1]}),
-                     1500, seed=1)
-        tgt = sample(DensitySpec("uniform_box", 2,
-                                 {"lo": [0.1, 0.3], "hi": [0.7, 0.9]}),
-                     1500, seed=2)
-        part_src, part_tgt = quantile_partition(src, tgt, 4)
-        return grid_control(part_src, part_tgt, self.T)
+        return grid_control(*square_meshes(), self.T)
 
     @staticmethod
     def rk4(grid, pts, ta, tb, tol, refine=1.0):
@@ -140,8 +145,9 @@ class TestGridClosedForm:
         assert np.array_equal(images[closed], alone)
 
     def test_points_off_the_cells_are_left_out(self, grid):
-        # outside the unit box on every axis the velocity is zero, so such
-        # points lie in no cell and stay put
+        # beyond the outer walls the velocity is the wall's own speed, and
+        # the unit box's outer walls are static, so such points lie in no
+        # cell and stay put
         out = np.array([[-0.2, 1.3], [1.5, -0.1], [2.0, 2.0], [-1e-9, -1e-9]])
         images, closed, stats = grid.flow(out, 0.0, self.T, 1e-7)
         assert np.all(closed) and stats["steps"] == 0
@@ -167,6 +173,61 @@ class TestGridClosedForm:
         assert 0 < np.sum(~closed) < 0.05 * len(src)
         assert stats["lipschitz"] == max(grid.slopes[1:])
         assert np.all((moved >= 0.0) & (moved <= 1.0))
+
+
+class TestGridMovingOuterWalls:
+    """On world-coordinate meshes the outer walls of a row move. Beyond
+    them the field continues at the outer wall's speed, so it stays
+    continuous across the wall, and points there move with the wall."""
+
+    T = 0.5
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        part_src, part_tgt = square_meshes()
+        # the target mesh shifted and rescaled, as a cloud frame does
+        origin, scale = np.array([0.05, -0.03]), np.array([1.1, 0.95])
+        world = GridPartition(4, [origin[a] + scale[a] * w
+                                  for a, w in enumerate(part_tgt.walls)])
+        return grid_control(part_src, world, self.T)
+
+    def test_field_is_continuous_across_a_moving_outer_wall(self, grid):
+        eps = 1e-7
+        for a in range(grid.dim):
+            t = 0.5 * (grid.ends[a] + grid.ends[a + 1])
+            # one point per slab, in the middle of its cell on earlier axes
+            rows = np.arange(grid.n ** a)
+            pts = np.zeros((len(rows), grid.dim))
+            if a:
+                walls = grid.tgt.walls[0]
+                pts[:, 0] = 0.5 * (walls[:-1] + walls[1:])
+            speed = grid._speed[a]
+            for side in (0, -1):
+                assert np.all(speed[rows, side] != 0.0)
+                wall = grid._walls(a, t)[rows, side]
+                sign = -1.0 if side == 0 else 1.0
+                inside, beyond = pts.copy(), pts.copy()
+                inside[:, a] = wall - sign * eps
+                beyond[:, a] = wall + sign * eps
+                v_in = grid.evaluate(inside, t)[:, a]
+                v_out = grid.evaluate(beyond, t)[:, a]
+                assert np.max(np.abs(v_out - speed[rows, side])) <= 1e-12
+                # a difference quotient within the axis's slope bound
+                assert np.max(np.abs(v_out - v_in)) / (2 * eps) \
+                    <= grid.slopes[a]
+
+    def test_points_beyond_the_outer_walls_match_fine_rk4(self, grid):
+        out = np.array([[-0.2, 0.5], [1.5, 0.4], [0.5, -0.1], [0.4, 1.2],
+                        [-0.3, 1.4], [1.6, -0.2]])
+        images, closed, stats = grid.flow(out, 0.0, self.T, 1e-8)
+        assert np.all(closed) and stats["steps"] == 0
+        assert np.all(images != out)
+        ref = TestGridClosedForm.rk4(grid, out, 0.0, self.T, 1e-10,
+                                     refine=4.0)
+        assert np.max(np.abs(images - ref)) <= 1e-12
+        # each point keeps its distance to the outer wall it lies beyond
+        assert images[0, 0] - out[0, 0] == pytest.approx(
+            grid.tgt.walls[0][0] - grid.src.walls[0][0], abs=1e-15)
 
 
 class TestFunnelClosedForm:
@@ -700,6 +761,40 @@ def test_every_approx_control_is_total_minus_drift():
                                   seg.field.evaluate(pts, t)
                                   - v.evaluate(pts, t))
     assert schedule.max_control_outside(omega, 1024, seed=0) == 0.0
+
+
+def test_approx_run_under_a_rotating_drift():
+    # an affine drift has no finite sup_bound of its own; the plan bounds
+    # its speed at the corners of the box holding omega and both supports
+    # grown by 1, where |Ax + b| is largest, so every Lipschitz bound and
+    # step stays finite
+    preset = cli.load_scenario("figure1")
+    scenario = Scenario.from_dict({
+        **preset.to_dict(),
+        "v": {"kind": "affine", "matrix": [[0.0, 0.03], [-0.03, 0.0]],
+              "offset": [0.5, 0.0]},
+        "params": {**preset.params, "particles": 300}})
+    plan = synth._plan(scenario)
+    assert not math.isfinite(scenario.velocity_field().sup_bound)
+    lo = np.min([b[0] for b in (plan.mu0.support_bbox(),
+                                plan.mu1.support_bbox(),
+                                scenario.omega_region().bounding_box())],
+                axis=0) - 1.0
+    hi = np.max([b[1] for b in (plan.mu0.support_bbox(),
+                                plan.mu1.support_bbox(),
+                                scenario.omega_region().bounding_box())],
+                axis=0) + 1.0
+    pts = np.random.default_rng(0).uniform(lo, hi, (2000, 2))
+    speeds = np.linalg.norm(plan.v.evaluate(pts, 0.0), axis=1)
+    assert np.max(speeds) <= plan.v.sup_bound < math.inf
+    result = synth.approx_controller(scenario)
+    for seg in result.schedule.segments:
+        assert math.isfinite(seg.field.lipschitz_bound)
+    for state in result.trajectory.states:
+        assert state.total_mass() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(state.positions))
+    assert result.schedule.max_control_outside(
+        scenario.omega_region(), 1024, seed=0) == 0.0
 
 
 def test_both_lanes_share_one_plan():
