@@ -242,7 +242,7 @@ def sqrt_split_errors(counts=(10_000, 100_000), t_end=1.0, tol=1e-8) -> list[dic
         fld = TimeField(lambda p, t: np.sqrt(np.maximum(p, 0.0)), 1,
                         sup_bound=2.0, non_lipschitz=True, label="sqrt-drift",
                         descriptor={"kind": "sqrt"})
-        moved = flow_push(fld, mu, 0.0, t_end, tol)
+        moved, _ = flow_push(fld, mu, 0.0, t_end, tol)
         exact = np.array([sqrt_field_solution(t_end, q) for q in levels])[:, None]
         reference = ParticleMeasure(exact, np.full(count, 2.0 / count))
         rows.append({"count": count, "w1_error": w1_1d(moved, reference)})

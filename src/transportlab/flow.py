@@ -1,23 +1,22 @@
 """Characteristic flows of time-dependent velocity fields.
 
-One stepper integrates a batch of particles: fixed-step RK4
-(``_integrate_batch``, ``flow_push``), the batch sharing one step tied to
-the field's Lipschitz bound (stability step 0.1/max(L, 1)) and to the
-requested tolerance. It serves the fields the controllers build, which are
-only Lipschitz: the funnel blends (signed distances to boxes), the storage
-blend under a curved drift, and the piecewise-affine moving-cell grid
-field. A field that carries its exact flow map (``TimeField.flow_map``:
-the storage blend under a translation drift) is pushed along that map
-instead. Fields declared non-Lipschitz (the square-root splitting example)
-fall back to the tolerance step and emit a warning once per field.
+``flow_push`` pushes a particle measure through a field. Rows the
+field's flow map certifies (``TimeField.flow_map``: the storage blend under
+a translation drift, the straight-line funnel and their time reversals)
+move in closed form; the others are stepped by fixed-step RK4
+(``_integrate_batch``), the batch sharing one step tied to the field's
+Lipschitz bound (stability step 0.1/max(L, 1)) and to the requested
+tolerance. Fields declared non-Lipschitz (the square-root splitting
+example) fall back to the tolerance step and emit a warning once per field.
 
 The scenario drifts (zero, constant, affine, radial and their negations)
-are affine, x' = Ax + b, and carry their pair (A, b); their flow map is
-exp(t [[A, b], [0, 0]]) in closed form (``_affine_flow``).
-``stopped_flow_batch`` parks each point at its first entry into a region
-(the crossing check and the exact lane's parks), so it integrates nothing:
-a straight path (A = 0) enters a box at a slab time, and otherwise it
-probes that exact map and locates each entry on it.
+are affine, x' = Ax + b, and carry their pair (A, b); their exact flow
+map exp(t [[A, b], [0, 0]]) is ``_affine_flow``, not a ``flow_map``, so
+``flow_push`` steps them. ``stopped_flow_batch`` parks each point at its
+first entry into a region (the crossing check and the exact lane's
+parks), so it integrates nothing: a straight path (A = 0) enters a box at
+a slab time, and otherwise it probes that exact map and locates each
+entry on it.
 """
 from __future__ import annotations
 
@@ -49,9 +48,10 @@ class TimeField:
     ``affine_pair``, when given, holds the arrays ``(A, b)`` of an
     autonomous affine field w(x) = Ax + b, which ``fn`` must compute:
     stopped flows need it, since they run on its exact flow map.
-    ``flow_map``, when given, is the exact flow map of an autonomous field,
-    ``flow_map(points, duration)`` giving the ``(N, d)`` positions after
-    ``duration``: ``flow_push`` reads positions off it and steps nothing.
+    ``flow_map``, when given, is the field's flow map in its own clock:
+    ``flow_map(points, t0, t1)`` returns the ``(N, d)`` images at t1 of the
+    points at t0 (backwards when t1 < t0) and the ``(N,)`` mask of the rows
+    whose images are exact. The scenario drifts carry none.
     """
 
     def __init__(self, fn, dim, lipschitz_bound=0.0, sup_bound=np.inf,
@@ -133,6 +133,23 @@ class TimeField:
                          affine_pair=None if self.affine_pair is None else (
                              -self.affine_pair[0], -self.affine_pair[1]))
 
+    def reversed(self, duration, offset, kind, label):
+        """The time reversal of this field's segment [0, duration], run over
+        [offset, offset + duration]: -w(x, duration - (t - offset)) with the
+        negated ambient, and this field's flow map run backwards."""
+        def clock(t):
+            return duration - (t - offset)
+
+        inner = self.flow_map
+        return TimeField(
+            lambda pts, t: -self.evaluate(pts, clock(t)), self.dim,
+            self.lipschitz_bound, self.sup_bound, label=label,
+            non_lipschitz=self.non_lipschitz,
+            ambient=None if self.ambient is None else self.ambient.negated(),
+            descriptor={"kind": kind, "inner": self.descriptor},
+            flow_map=None if inner is None else
+            lambda pts, t0, t1: inner(pts, clock(t0), clock(t1)))
+
 
 # ---------------------------------------------------------------------------
 # RK4 stepping
@@ -203,16 +220,20 @@ def _integrate_batch(field: TimeField, pts, t0, t1, tol, observer=None):
 
 
 def flow_push(field: TimeField, mu: ParticleMeasure, t0: float, t1: float,
-              tol: float) -> ParticleMeasure:
-    """Push a particle measure through the flow from t0 to t1: along the
-    field's exact flow map when it has one, else by fixed-step RK4 at
-    ``tol``. Weights and tags ride along."""
+              tol: float):
+    """Push a particle measure through the flow from t0 to t1: rows the
+    field's flow map certifies move along it, the others by fixed-step RK4
+    at ``tol``. Weights and tags ride along. Returns the pushed measure and
+    ``{"count": closed, "total": N}``, the rows moved in closed form."""
+    pts, _ = _batch_span(mu.positions, t0, t1, tol)
     if field.flow_map is None:
-        new_pos = _integrate_batch(field, mu.positions, t0, t1, tol)
+        images, certified = pts, np.zeros(len(pts), dtype=bool)
     else:
-        pts, span = _batch_span(mu.positions, t0, t1, tol)
-        new_pos = field.flow_map(pts, span)
-    return push_forward(mu, lambda p: new_pos)
+        images, certified = field.flow_map(pts, t0, t1)
+    stepped = ~certified
+    images[stepped] = _integrate_batch(field, pts[stepped], t0, t1, tol)
+    return (push_forward(mu, lambda p: images),
+            {"count": int(np.sum(certified)), "total": len(mu)})
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,9 @@ def _ramp_time(w):
 
 def cutoff_flow(omega0: Region, k: int, drift):
     """Exact flow map of x' = theta_k(x) b, ``cutoff_theta``'s cutoff times
-    a constant drift b, for a box omega0: ``flow_map(points, duration)``.
+    a constant drift b, for a box omega0: ``flow_map(points, t0, t1)``
+    (see ``TimeField``), certifying every row. Run backwards, it is the
+    same map for -b.
 
     A path keeps to its streamline x0 + s b; the cutoff only slows its
     clock, ds/dt = 1 - S(k depth). Along the line the depth in omega0 is
@@ -257,18 +259,20 @@ def cutoff_flow(omega0: Region, k: int, drift):
     up and solves for s on the last one: in closed form, or by bisection
     on a sloped piece. A zero drift returns the points unchanged, and so
     does a point at k depth >= 1."""
-    b = np.asarray(drift, dtype=float).reshape(-1)
+    drift = np.asarray(drift, dtype=float).reshape(-1)
     lo, hi = omega0.lo, omega0.hi
-    slope = np.concatenate([b, -b, [0.0]])
-    i, j = np.triu_indices(len(slope), 1)
-    crossing = slope[i] != slope[j]
-    i, j = i[crossing], j[crossing]
 
-    def flow_map(x0, duration):
+    def flow_map(x0, t0, t1):
         x0 = np.array(x0, dtype=np.float64)
         n = len(x0)
+        certified = np.ones(n, dtype=bool)
+        b, duration = (drift, t1 - t0) if t1 >= t0 else (-drift, t0 - t1)
         if not b.any() or duration == 0 or n == 0:
-            return x0
+            return x0, certified
+        slope = np.concatenate([b, -b, [0.0]])
+        i, j = np.triu_indices(len(slope), 1)
+        crossing = slope[i] != slope[j]
+        i, j = i[crossing], j[crossing]
         alpha = np.concatenate([x0 - lo, hi - x0, np.zeros((n, 1))], axis=1)
         with np.errstate(all="ignore"):
             cut = (alpha[:, j] - alpha[:, i]) / (slope[i] - slope[j])
@@ -313,7 +317,7 @@ def cutoff_flow(omega0: Region, k: int, drift):
             s[sloped] = 0.5 * (s_lo + s_hi)
         # a point at k depth >= 1 spends its whole duration on its first
         # piece, at s = 0
-        return x0 + s[:, None] * b
+        return x0 + s[:, None] * b, certified
 
     return flow_map
 

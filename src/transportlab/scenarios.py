@@ -17,6 +17,7 @@ import numpy as np
 from .flow import TimeField
 from .geometry import Region
 from .measure import DensitySpec, ParticleMeasure, sample
+from .ot import MASS_TOL
 
 __all__ = ["Scenario", "PRESETS", "load_scenario", "random_exact_scenario"]
 
@@ -75,17 +76,54 @@ class Scenario:
                     and value > 0):
                 raise ValueError(f"scenario parameter {key!r} must be a "
                                  f"positive finite number, got {value!r}")
-        count = self.params["particles"]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ValueError("scenario parameter 'particles' must be an "
-                             f"integer >= 1, got {count!r}")
-        # fail fast on malformed members
-        self.velocity_field()
-        self.omega_region()
+        # counts and seeds the controllers take as they are ("n" may be
+        # null: the controller picks it)
+        for key, least in (("particles", 1), ("seed", 0), ("n", 1)):
+            value = self.params[key]
+            if key == "n" and value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < least):
+                raise ValueError(f"scenario parameter {key!r} must be an "
+                                 f"integer >= {least}, got {value!r}")
+        self._check_members()
+
+    def _check_members(self):
+        """Fail fast on malformed members, before any flow runs: every
+        member in the scenario's dimension, finite drift coefficients, atom
+        rows of coordinates and a positive weight, and equal total masses
+        (a density has mass 1). Densities are checked unsampled."""
+        a, b = self.velocity_field().affine_pair
+        if a.shape != (self.dim, self.dim) or b.shape != (self.dim,):
+            raise ValueError(f"v ({self.v['kind']}) does not act on "
+                             f"{self.dim} coordinates")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError(f"v ({self.v['kind']}) has non-finite "
+                             "coefficients")
+        dims = {"omega": self.omega_region().dim}
+        masses = []
         for which in ("mu0", "mu1"):
             spec = getattr(self, which)
             if "atoms" not in spec:
-                DensitySpec.from_dict(spec)
+                dims[which] = DensitySpec.from_dict(spec).dim
+                masses.append(1.0)
+                continue
+            atoms = np.asarray(spec["atoms"], dtype=float)
+            if atoms.ndim != 2 or atoms.shape[1] != self.dim + 1 \
+                    or not len(atoms):
+                raise ValueError(f"{which} atoms must be rows of {self.dim} "
+                                 "coordinates and a weight")
+            try:
+                masses.append(self.measure(which).total_mass())
+            except ValueError as exc:
+                raise ValueError(f"{which} atoms: {exc}") from exc
+        for name, dim in dims.items():
+            if dim != self.dim:
+                raise ValueError(f"{name} has dimension {dim}, the scenario "
+                                 f"{self.dim}")
+        if abs(masses[0] - masses[1]) > MASS_TOL * max(*masses, 1.0):
+            raise ValueError(f"mu0 and mu1 total masses differ: {masses[0]!r}"
+                             f" vs {masses[1]!r}")
 
     # -- members -------------------------------------------------------------
     def velocity_field(self) -> TimeField:

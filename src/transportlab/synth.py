@@ -401,14 +401,13 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
 
     Inside omega1 the blend factor is 1, so there the flow is the similarity
     x(t) = c(t) + lam^w(t) (x0 - c0) with w the ramp and c(t) the centre
-    moving from c0 to c1; ``fld.positions`` evaluates it (or, with
-    ``reverse=True``, the time-reversed funnel's, which starts from the
-    images). On each axis the box c(t) +- lam^w(t) |x0 - c0| is a linear
-    function of w plus or minus a convex one, so it never leaves the hull of
-    its two end boxes. A point whose two end boxes lie in omega1 therefore
-    stays in omega1; ``fld.closed_form`` applies that test and returns the
-    certified points' positions at the end of the span: c1 + lam (x0 - c0),
-    or c0 + (x - c1) / lam reversed.
+    moving from c0 to c1. The field's flow map (see ``TimeField``) takes
+    points from t0 to t1 on it: c(t1) + lam^(w(t1) - w(t0)) (x - c(t0)). On
+    each axis the box c(t) +- lam^w(t) |x0 - c0| is a linear function of w
+    plus or minus a convex one, and w is monotone, so between any two times
+    it never leaves the hull of its boxes at those times. The map certifies
+    a row when both of those boxes lie in omega1: its path between them
+    stays where the similarity is the field's flow.
     """
     if not omega1.is_convex():
         raise ValueError("the straight-line funnel needs a convex omega1")
@@ -425,6 +424,16 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
                          np.maximum(cloud_box.hi, c1 + lam * half0 + 1e-12))[0]:
         raise ValueError("funnel endpoints do not fit inside omega1")
     blend = _blend_factor(omega1, blend_band)
+
+    def flow_map(pts, t0, t1):
+        w0, w1 = _smootherstep(np.array([t0, t1]) / span)
+        c_t0, c_t1 = (1.0 - w0) * c0 + w0 * c1, (1.0 - w1) * c0 + w1 * c1
+        scale = lam ** w1 / lam ** w0
+        reach = np.abs(pts - c_t0)
+        certified = _boxes_inside(
+            omega1, np.minimum(c_t0 - reach, c_t1 - scale * reach),
+            np.maximum(c_t0 + reach, c_t1 + scale * reach))
+        return c_t1 + scale * (pts - c_t0), certified
 
     def ramp(t):
         u = min(max(t / span, 0.0), 1.0)
@@ -450,52 +459,11 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
                     descriptor={"kind": "funnel_affine",
                                 "ratios": lam.tolist(),
                                 "from": cloud_box.to_dict(),
-                                "to": target_box.to_dict()})
-
-    def positions(pts, times, reverse=False):
-        """``(n, len(times), d)`` positions on the similarity at ``times``
-        in [0, duration] of the points ``pts`` at time 0; reversed, ``pts``
-        are images and the clock runs backwards. At the end of the span the
-        centre is c1 (c0 reversed) and the scale lam (1 / lam) exactly."""
-        s = np.asarray(times, dtype=float) / span
-        w = _smootherstep(1.0 - s if reverse else s)[:, None]
-        start, unit = (c1, lam) if reverse else (c0, 1.0)
-        return ((1.0 - w) * c0 + w * c1
-                + lam ** w / unit * (pts[:, None, :] - start))
-
-    def closed_form(pts, reverse=False):
-        """``(certified, images)``: the mask of the points whose whole-span
-        path provably stays in omega1, and those points' images."""
-        start, end, scale = (c1, c0, 1.0 / lam) if reverse else (c0, c1, lam)
-        reach = np.abs(pts - start)
-        certified = _boxes_inside(
-            omega1, np.minimum(start - reach, end - scale * reach),
-            np.maximum(start + reach, end + scale * reach))
-        return certified, positions(pts[certified], [span], reverse)[:, 0]
-
+                                "to": target_box.to_dict()},
+                    flow_map=flow_map)
     fld.ratios = lam
     fld.expansion = float(np.max(1.0 / lam))
-    fld.positions = positions
-    fld.closed_form = closed_form
     return fld
-
-
-def _push_funnel(field: TimeField, funnel: TimeField, mu: ParticleMeasure,
-                 t0: float, t1: float, tol: float, reverse=False):
-    """Flow of a straight-line funnel phase over its whole span.
-
-    ``field`` is the phase's total field and ``funnel`` the
-    ``affine_funnel_total`` it runs (forward, or time-reversed when
-    ``reverse``). Points ``funnel.closed_form`` certifies move in closed
-    form; the rest go through ``flow_push`` on ``field``. Returns the pushed
-    measure and the number of points moved in closed form.
-    """
-    certified, images = funnel.closed_form(mu.positions, reverse)
-    pos = mu.positions.copy()
-    pos[certified] = images
-    pos[~certified] = flow_push(field, mu.subset(~certified), t0, t1,
-                                tol).positions
-    return ParticleMeasure(pos, mu.weights, mu.tags), int(np.sum(certified))
 
 
 # ---------------------------------------------------------------------------
@@ -775,17 +743,18 @@ def _escalate_storage(v: TimeField, omega0: Region, mu: ParticleMeasure,
                       horizon: float, mass_target: float, tol: float,
                       k_cap: int = STORAGE_K_CAP):
     """Double the cutoff index until the mass left outside omega0 at the end
-    of the storage phase is at most mass_target."""
+    of the storage phase is at most mass_target; the push's record (see
+    ``flow_push``) comes last."""
     k = 2
     while 1.0 / k >= omega0.inradius():
         k *= 2
     while k <= k_cap:
         total = storage_total(v, omega0, k)
-        state = flow_push(total, mu, 0.0, horizon, tol)
+        state, closed = flow_push(total, mu, 0.0, horizon, tol)
         outside = ~omega0.contains(state.positions)
         stray = float(np.sum(state.weights[outside]))
         if stray <= mass_target + 1e-15:
-            return total, k, state, outside
+            return total, k, state, outside, closed
         k *= 2
     raise RuntimeError(
         f"storage cutoff escalation exceeded {k_cap} with stray mass {stray:.3g} "
@@ -848,8 +817,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     eps_mass = epsilon / (2.0 * mu0.dim * rbar)
 
     # phase 1 forward: storage along v
-    store_fwd, k_fwd, state1_all, stray_fwd = _escalate_storage(
-        v, cond.omega0, mu0, t1, eps_mass, tol)
+    (store_fwd, k_fwd, state1_all, stray_fwd,
+     cf_store_fwd) = _escalate_storage(v, cond.omega0, mu0, t1, eps_mass, tol)
     depth_fwd = cond.omega0.depth(state1_all.positions)
     tag_fwd = _select_untouched(state1_all, stray_fwd, depth_fwd, eps_mass)
     tags0 = np.where(tag_fwd, "untouched", "").astype(object)
@@ -858,8 +827,9 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
 
     # backward lane on the reversed drift
     v_back = v.negated()
-    store_back, k_back, back1_all, stray_back = _escalate_storage(
-        v_back, cond.omega0, mu1, plan.t_back, eps_mass, tol)
+    (store_back, k_back, back1_all, stray_back,
+     cf_store_back) = _escalate_storage(v_back, cond.omega0, mu1,
+                                        plan.t_back, eps_mass, tol)
     depth_back = cond.omega0.depth(back1_all.positions)
     tag_back = _select_untouched(back1_all, stray_back, depth_back, eps_mass)
     tags1 = np.where(tag_back, "untouched", "").astype(object)
@@ -872,8 +842,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     fun_back = affine_funnel_total(
         v_back, omega1, _cloud_box(back1.subset(~tag_back).positions, omega1),
         s0, t4 - t3, blend_band=0.45 * plan.gap)
-    back2_all, cf_back = _push_funnel(fun_back, fun_back, back1, 0.0,
-                                      t4 - t3, tol)
+    back2_all, cf_back = flow_push(fun_back, back1, 0.0, t4 - t3, tol)
     grid_target_cloud = back2_all.subset(~tag_back)
     if not np.all(s0.contains(grid_target_cloud.positions)):
         raise RuntimeError("backward funnel failed to reach the storage cube")
@@ -881,8 +850,7 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     fun_fwd = affine_funnel_total(
         v, omega1, _cloud_box(state1.subset(~tag_fwd).positions, omega1),
         s0, t2 - t1, blend_band=0.45 * plan.gap)
-    state2_all, cf_fwd = _push_funnel(fun_fwd, fun_fwd, state1, 0.0,
-                                      t2 - t1, tol)
+    state2_all, cf_fwd = flow_push(fun_fwd, state1, 0.0, t2 - t1, tol)
     grid_source_cloud = state2_all.subset(~tag_fwd)
     if not np.all(s0.contains(grid_source_cloud.positions)):
         raise RuntimeError("forward funnel failed to reach the storage cube")
@@ -935,25 +903,13 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
                                   landed.weights),
         grid_closed[~tag_fwd], norm_tgt)
 
-    # phases 4 and 5: time reversals of the backward synthesis. Reversing a
-    # time-dependent segment of length D maps the field w to -w(x, D - t).
-    # The reversed storage is -(theta (-v)) = theta v: the forward storage
-    # field of the backward lane's k, whose flow map it takes.
-    def reverse(fld, duration, offset, kind, label, flow_map=None):
-        return TimeField(
-            lambda pts, t: -fld.evaluate(pts, duration - (t - offset)),
-            fld.dim, fld.lipschitz_bound, fld.sup_bound, label=label,
-            ambient=v, descriptor={"kind": kind, "inner": fld.descriptor},
-            flow_map=flow_map)
-
-    fun_rev = reverse(fun_back, t4 - t3, t3, "funnel_reversed",
-                      f"rev({fun_back.label})")
-    store_rev = reverse(store_back, plan.t_back, t4, "storage_reversed",
-                        f"-({store_back.label})",
-                        storage_total(v, cond.omega0, k_back).flow_map)
-    state4_all, cf_rev = _push_funnel(fun_rev, fun_back, state3_all, t3, t4,
-                                      tol, reverse=True)
-    state5_all = flow_push(store_rev, state4_all, t4, t5, tol)
+    # phases 4 and 5: time reversals of the backward synthesis
+    fun_rev = fun_back.reversed(t4 - t3, t3, "funnel_reversed",
+                                f"rev({fun_back.label})")
+    store_rev = store_back.reversed(plan.t_back, t4, "storage_reversed",
+                                    f"-({store_back.label})")
+    state4_all, cf_rev = flow_push(fun_rev, state3_all, t3, t4, tol)
+    state5_all, cf_store_rev = flow_push(store_rev, state4_all, t4, t5, tol)
 
     fun_fwd_seg = _shift_time(fun_fwd, t1)
     segments = [
@@ -968,10 +924,6 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         np.array([0.0, t1, t2, t3, t4, t5]),
         [mu0_tagged, state1, state2_all, state3_all, state4_all, state5_all],
         field_ref=schedule, meta={"mode": "approx"})
-
-    def mapped(fld, mu):
-        # a storage field with a flow map moves every point in closed form
-        return len(mu) if fld.flow_map is not None else 0
 
     w1 = w1_bracket(state5_all.with_tags(None), mu1.with_tags(None))
     if w1["method"] == "bracket":
@@ -994,19 +946,14 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             "count_target": int(np.sum(tag_back)),
         },
         "closed_form": {
-            name: {"count": count, "total": len(mu)}
-            for name, count, mu in (("storage_forward", mapped(store_fwd, mu0),
-                                     mu0),
-                                    ("storage_backward",
-                                     mapped(store_back, mu1), mu1),
-                                    ("storage_reversed",
-                                     mapped(store_rev, state4_all),
-                                     state4_all),
-                                    ("funnel_forward", cf_fwd, state1),
-                                    ("funnel_backward", cf_back, back1),
-                                    ("grid", int(np.sum(grid_closed)),
-                                     state2_all),
-                                    ("funnel_reversed", cf_rev, state3_all))},
+            "storage_forward": cf_store_fwd,
+            "storage_backward": cf_store_back,
+            "storage_reversed": cf_store_rev,
+            "funnel_forward": cf_fwd,
+            "funnel_backward": cf_back,
+            "grid": {"count": int(np.sum(grid_closed)),
+                     "total": len(state2_all)},
+            "funnel_reversed": cf_rev},
         "grid_flow": grid_flow,
     })
     return ControllerResult(schedule, traj, report)
@@ -1029,7 +976,7 @@ def _stopped_paths(field, stop_region, pts, horizon, tol):
     if np.any(np.isnan(hits)):
         bad = int(np.flatnonzero(np.isnan(hits))[0])
         raise RuntimeError(f"point {pts[bad].tolist()} failed to reach the "
-                           "stop region; escalate first")
+                           "stop region")
     knots = np.linspace(0.0, horizon, EXACT_KNOTS)
     paths = _affine_flow(field.affine_pair, pts,
                          np.minimum(knots[:, None], hits))
@@ -1045,12 +992,12 @@ def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
     funnel field blends into outside omega1, the funnel's span and the
     points at its start. Returns a dict mapping each name to ``(knots,
     paths, funnel)``: ``EXACT_KNOTS`` uniform knots over [0, duration], the
-    ``(n, knots, d)`` paths on the funnel's closed-form similarity
-    (``funnel.positions``; the last knot is the points' image in s0) and the
-    funnel field, whose ``ratios`` and ``descriptor`` the report and the
-    witness carry. Nothing is integrated. Raises unless
-    ``funnel.closed_form`` certifies every point, i.e. proves its path stays
-    in omega1, where the similarity is the funnel field's flow.
+    ``(n, knots, d)`` paths read off the funnel's flow map from time 0 to
+    each knot (the last knot is the points' image in s0) and the funnel
+    field, whose ``ratios`` and ``descriptor`` the report and the witness
+    carry. Nothing is integrated. Raises unless the map certifies every
+    point at every knot, which for the last knot already proves its whole
+    path stays in omega1, where the similarity is the funnel field's flow.
 
     The name dates from a gain-doubling search long since replaced; the
     benchmark tracer still looks it up by that name.
@@ -1059,11 +1006,12 @@ def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
     for name, (v, duration, pts) in lanes.items():
         funnel = affine_funnel_total(v, omega1, _cloud_box(pts, omega1), s0,
                                      duration, blend_band)
-        if not np.all(funnel.closed_form(pts)[0]):
+        knots = np.linspace(0.0, duration, EXACT_KNOTS)
+        images, certified = zip(*(funnel.flow_map(pts, 0.0, t) for t in knots))
+        if not np.all(certified):
             raise RuntimeError(f"the {name} funnel cannot keep every atom in "
                                "omega1")
-        knots = np.linspace(0.0, duration, EXACT_KNOTS)
-        funnels[name] = (knots, funnel.positions(pts, knots), funnel)
+        funnels[name] = (knots, np.stack(images, axis=1), funnel)
     return funnels
 
 

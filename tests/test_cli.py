@@ -101,6 +101,67 @@ def test_particles_not_an_integer_above_zero_is_an_input_error(
     assert "'particles'" in err
 
 
+@pytest.mark.parametrize("command", ["run", "check", "study"])
+@pytest.mark.parametrize("key,value", [
+    ("n", 0), ("n", -3), ("n", "abc"), ("n", 2.7), ("n", True),
+    ("seed", "abc"), ("seed", 1.5), ("seed", -1), ("seed", False)])
+def test_n_or_seed_not_a_valid_integer_is_an_input_error(
+        tmp_path, capsys, command, key, value):
+    # n = 0, -3 or "abc" used to raise after storage had run, a string seed
+    # raised from the sampler, and n = 2.7 or seed = 1.5 were truncated
+    path = figure1_with(tmp_path)
+    data = json.loads(path.read_text())
+    data["params"][key] = value
+    path.write_text(json.dumps(data))
+    err = fails_as_scenario_error(capsys, command, path, tmp_path / "out")
+    assert repr(key) in err
+
+
+ATOMS0 = [[0.4, 0.5, 0.5], [0.6, 0.6, 0.5]]
+ATOMS1 = [[4.0, 0.5, 0.5], [4.2, 0.6, 0.5]]
+
+MALFORMED_MEMBERS = {
+    "drift-3d": {"v": {"kind": "constant", "value": [0.5, 0.0, 0.0]}},
+    "drift-nan": {"v": {"kind": "constant", "value": [math.nan, 0.0]}},
+    "omega-3d": {"omega": {"kind": "box", "lo": [2.0, -1.2, 0.0],
+                           "hi": [3.4, 1.4, 1.0]}},
+    "density-3d": {"mu0": {"kind": "uniform_box", "dim": 3,
+                           "lo": [0.1, 0.25, 0.0], "hi": [0.9, 0.85, 1.0]}},
+    "dim-3": {"dim": 3},
+    "atom-rows-short": {"mu0": {"atoms": [a[:2] for a in ATOMS0]},
+                        "mu1": {"atoms": ATOMS1}},
+    "atom-weight-negative": {"mu0": {"atoms": [[0.4, 0.5, 1.5],
+                                               [0.6, 0.6, -0.5]]},
+                             "mu1": {"atoms": ATOMS1}},
+    "atom-masses-differ": {"mu0": {"atoms": [[0.4, 0.5, 0.45],
+                                             [0.6, 0.6, 0.45]]},
+                           "mu1": {"atoms": ATOMS1}},
+}
+
+
+@pytest.mark.parametrize("flags", [["run", "--mode", "approx"],
+                                   ["run", "--mode", "exact"], ["check"],
+                                   ["study"]],
+                         ids=["run-approx", "run-exact", "check", "study"])
+@pytest.mark.parametrize("case", list(MALFORMED_MEMBERS))
+def test_malformed_member_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                            flags, case):
+    # every member in the scenario's dimension, a finite drift, atom rows
+    # of coordinates and a positive weight, equal masses: checked when the
+    # scenario loads, before the crossing check runs. Each used to end in
+    # a traceback, or ran a 3D scenario as 2D
+    def never(*args, **kwargs):
+        raise AssertionError("the crossing check ran on a malformed scenario")
+
+    for module in (cli, transportlab.synth):
+        monkeypatch.setattr(module, "check_geometric_condition", never)
+    err = fails_as_scenario_error(capsys, flags[0],
+                                  figure1_with(tmp_path,
+                                               **MALFORMED_MEMBERS[case]),
+                                  tmp_path / "out", *flags[1:])
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("scenario", [load_scenario("figure1"),
                                       load_scenario("two-bump-merge"),
                                       random_exact_scenario(4, "merge")])

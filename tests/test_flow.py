@@ -92,7 +92,7 @@ class TestFlowPush:
     def test_no_time_elapsed(self):
         mu = sample(DensitySpec("uniform_box", 2,
                                 {"lo": [0, 0], "hi": [1, 1]}), 50, seed=0)
-        out = flow_push(TimeField.constant([1.0, 0.0]), mu, 1.0, 1.0, 1e-6)
+        out, _ = flow_push(TimeField.constant([1.0, 0.0]), mu, 1.0, 1.0, 1e-6)
         assert np.array_equal(out.positions, mu.positions)
 
     def test_empty_measure_takes_no_steps(self):
@@ -102,18 +102,41 @@ class TestFlowPush:
             calls.append(t)
             return np.ones_like(p)
 
-        out = flow_push(TimeField(fn, 2, 1.0, 1.0), ParticleMeasure(
+        out, closed = flow_push(TimeField(fn, 2, 1.0, 1.0), ParticleMeasure(
             np.zeros((0, 2)), np.zeros(0)), 0.0, 5.0, 1e-8)
         assert out.positions.shape == (0, 2)
         assert calls == []
+        assert closed == {"count": 0, "total": 0}
 
     def test_mass_and_tags_ride_along(self):
         mu = sample(DensitySpec("uniform_box", 2,
                                 {"lo": [0, 0], "hi": [1, 1]}), 60, seed=1)
         mu = mu.with_tags(np.array(["a"] * 60, dtype=object))
-        out = flow_push(TimeField.constant([0.5, 0.5]), mu, 0.0, 2.0, 1e-6)
+        out, _ = flow_push(TimeField.constant([0.5, 0.5]), mu, 0.0, 2.0, 1e-6)
         assert out.total_mass() == mu.total_mass()
         assert list(out.tags) == list(mu.tags)
+
+    def test_certified_rows_keep_their_images(self):
+        # the flow map's certified rows are kept as it gives them; only the
+        # others are stepped, exactly as RK4 steps them on their own
+        drift = TimeField.constant([0.5, -0.25])
+        seen = []
+
+        def flow_map(pts, t0, t1):
+            seen.append((t0, t1))
+            return np.full_like(pts, 7.0), pts[:, 0] > 0.5
+
+        fld = TimeField(drift.evaluate, 2, 0.0, drift.sup_bound,
+                        flow_map=flow_map)
+        mu = sample(DensitySpec("uniform_box", 2,
+                                {"lo": [0, 0], "hi": [1, 1]}), 40, seed=2)
+        out, closed = flow_push(fld, mu, 0.5, 2.0, 1e-6)
+        assert seen == [(0.5, 2.0)]
+        mapped = mu.positions[:, 0] > 0.5
+        assert closed == {"count": int(np.sum(mapped)), "total": 40}
+        assert np.all(out.positions[mapped] == 7.0)
+        assert np.array_equal(out.positions[~mapped], _integrate_batch(
+            fld, mu.positions[~mapped], 0.5, 2.0, 1e-6))
 
     def test_contraction_estimate_random_fields(self):
         # flows of a Lipschitz field expand W1 at most like e^(2 L t)
@@ -127,8 +150,8 @@ class TestFlowPush:
                                  np.full(20, 1 / 20))
             t = 0.4
             before, _ = wp_discrete(mu, nu, 1)
-            after, _ = wp_discrete(flow_push(fld, mu, 0, t, 1e-8),
-                                   flow_push(fld, nu, 0, t, 1e-8), 1)
+            after, _ = wp_discrete(flow_push(fld, mu, 0, t, 1e-8)[0],
+                                   flow_push(fld, nu, 0, t, 1e-8)[0], 1)
             assert after <= np.exp(2 * fld.lipschitz_bound * t) * before * (1 + 1e-3)
 
     def test_sqrt_split_law(self):
@@ -432,7 +455,7 @@ class TestTrajectory:
     def make_traj(field, mu, times, tol=1e-8):
         states = [mu]
         for a, b in zip(times[:-1], times[1:]):
-            states.append(flow_push(field, states[-1], a, b, tol))
+            states.append(flow_push(field, states[-1], a, b, tol)[0])
         return Trajectory(np.asarray(times), states, field_ref=field)
 
     def test_mass_constant(self):

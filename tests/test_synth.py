@@ -11,9 +11,8 @@ from transportlab.measure import (DensitySpec, GridPartition, ParticleMeasure,
                                   push_forward, quantile_partition, sample)
 from transportlab.ot import wp_discrete
 from transportlab.scenarios import Scenario, random_exact_scenario
-from transportlab.synth import (_escalate_exact_funnel, _push_funnel,
-                                affine_funnel_total, exact_controller,
-                                grid_control)
+from transportlab.synth import (_escalate_exact_funnel, affine_funnel_total,
+                                exact_controller, grid_control)
 
 
 def square_meshes():
@@ -250,24 +249,38 @@ class TestFunnelClosedForm:
                                np.full(n, 1.0 / n))
 
     def reversed_field(self, fld):
-        return TimeField(lambda p, t: -fld.evaluate(p, self.duration - t), 2,
-                         fld.lipschitz_bound, fld.sup_bound,
-                         label="rev(funnel_affine)")
+        return fld.reversed(self.duration, 0.0, "funnel_reversed",
+                            "rev(funnel_affine)")
 
     def test_forward_and_reversed_match_rk4(self):
         fld = self.funnel()
         mu = self.cloud()
-        certified, images = fld.closed_form(mu.positions)
+        images, certified = fld.flow_map(mu.positions, 0.0, self.duration)
         assert np.all(certified)
-        ref = flow_push(fld, mu, 0.0, self.duration, self.tol).positions
+        ref = _integrate_batch(fld, mu.positions, 0.0, self.duration,
+                               self.tol)
         assert np.max(np.abs(images - ref)) < 1e-9
 
-        back, back_images = fld.closed_form(images, reverse=True)
+        rev = self.reversed_field(fld)
+        back_images, back = rev.flow_map(images, 0.0, self.duration)
         assert np.all(back)
         assert np.max(np.abs(back_images - mu.positions)) < 1e-12
-        rev_ref = _integrate_batch(self.reversed_field(fld), images, 0.0,
-                                   self.duration, self.tol)
+        rev_ref = _integrate_batch(rev, images, 0.0, self.duration, self.tol)
         assert np.max(np.abs(back_images - rev_ref)) < 1e-9
+
+    def test_flow_map_composes_and_inverts(self):
+        # 0 -> a -> D is 0 -> D, and D -> 0 takes the images back
+        fld = self.funnel()
+        pts = self.cloud().positions
+        whole, certified = fld.flow_map(pts, 0.0, self.duration)
+        assert np.all(certified)
+        for a in (0.1, 0.2, 0.33):
+            half, _ = fld.flow_map(pts, 0.0, a)
+            split, _ = fld.flow_map(half, a, self.duration)
+            assert np.max(np.abs(split - whole)) <= 1e-12
+        back, certified = fld.flow_map(whole, self.duration, 0.0)
+        assert np.all(certified)
+        assert np.max(np.abs(back - pts)) <= 1e-12
 
     def test_uncertified_points_take_rk4(self):
         fld = self.funnel()
@@ -278,20 +291,22 @@ class TestFunnelClosedForm:
         pos[0] = [-0.1, 0.7]
         pos[1] = [0.3, 1.45]
         mu = ParticleMeasure(pos, mu.weights)
-        certified, _ = fld.closed_form(mu.positions)
+        _, certified = fld.flow_map(mu.positions, 0.0, self.duration)
         assert not certified[0] and not certified[1]
         assert np.all(certified[2:])
-        pushed, count = _push_funnel(fld, fld, mu, 0.0, self.duration, self.tol)
-        assert count == len(mu) - 2
-        ref = flow_push(fld, mu, 0.0, self.duration, self.tol).positions
+        pushed, closed = flow_push(fld, mu, 0.0, self.duration, self.tol)
+        assert closed == {"count": len(mu) - 2, "total": len(mu)}
+        ref = _integrate_batch(fld, mu.positions, 0.0, self.duration,
+                               self.tol)
         assert np.array_equal(pushed.positions[:2], ref[:2])
         assert np.max(np.abs(pushed.positions - ref)) < 1e-9
 
         rev = self.reversed_field(fld)
-        pulled, rev_count = _push_funnel(rev, fld, pushed, 0.0, self.duration,
-                                         self.tol, reverse=True)
-        assert rev_count == len(mu) - 2
-        rev_ref = flow_push(rev, pushed, 0.0, self.duration, self.tol).positions
+        pulled, rev_closed = flow_push(rev, pushed, 0.0, self.duration,
+                                       self.tol)
+        assert rev_closed["count"] == len(mu) - 2
+        rev_ref = _integrate_batch(rev, pushed.positions, 0.0, self.duration,
+                                   self.tol)
         assert np.array_equal(pulled.positions[:2], rev_ref[:2])
 
     def test_control_is_the_blended_similarity_minus_the_drift(self):
@@ -458,7 +473,7 @@ class TestExactFunnelClosedForm:
         assert np.array_equal(knots, np.linspace(0.0, self.delta, 33))
         assert paths.shape == (len(self.pts), 33, 2)
         assert np.max(np.abs(paths[:, 0] - self.pts)) <= 1e-15
-        certified, images = fld.closed_form(self.pts)
+        images, certified = fld.flow_map(self.pts, 0.0, self.delta)
         assert np.all(certified)
         end = paths[:, -1]
         assert np.array_equal(end, images)
@@ -469,15 +484,13 @@ class TestExactFunnelClosedForm:
         assert np.all(self.s0.contains(end))
         assert np.all(self.omega1.contains(paths.reshape(-1, 2)))
 
-    def test_matches_flow_push(self):
+    def test_matches_rk4(self):
         # an independent reference: the funnel field's RK4 flow from knot
         # to knot
         knots, paths, fld = self.funnel(self.pts)
-        mu = ParticleMeasure(self.pts, np.full(len(self.pts), 0.2))
-        ref = [mu.positions]
+        ref = [self.pts]
         for a, b in zip(knots[:-1], knots[1:]):
-            mu = flow_push(fld, mu, a, b, 1e-8)
-            ref.append(mu.positions)
+            ref.append(_integrate_batch(fld, ref[-1], a, b, 1e-8))
         assert np.max(np.abs(paths - np.stack(ref, axis=1))) < 1e-9
 
     def test_start_outside_omega1_raises(self):
@@ -871,7 +884,7 @@ class TestStorageFlowMap:
         assert fld.flow_map is not None
         pts = self.starts(omega0, drift, self.K, rng)
         mu = ParticleMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
-        got = flow_push(fld, mu, 0.0, self.T, 1e-6).positions
+        got = flow_push(fld, mu, 0.0, self.T, 1e-6)[0].positions
         plain = TimeField(fld.evaluate, fld.dim, fld.lipschitz_bound,
                           fld.sup_bound)
         ref = _integrate_batch(plain, pts, 0.0, self.T, 1e-12)
@@ -893,11 +906,33 @@ class TestStorageFlowMap:
         omega0, v, fld = self.setup(len(drift), drift)
         back = synth.storage_total(v.negated(), omega0, self.K)
         pts = self.starts(omega0, drift, self.K, rng)
-        there = back.flow_map(pts, self.T)
-        assert np.max(np.abs(fld.flow_map(there, self.T) - pts)) <= 1e-12
-        whole = fld.flow_map(pts, self.T)
-        split = fld.flow_map(fld.flow_map(pts, 1.3), self.T - 1.3)
+        there, _ = back.flow_map(pts, 0.0, self.T)
+        assert np.max(np.abs(fld.flow_map(there, 0.0, self.T)[0] - pts)) \
+            <= 1e-12
+        whole, _ = fld.flow_map(pts, 0.0, self.T)
+        split, _ = fld.flow_map(fld.flow_map(pts, 0.0, 1.3)[0], 1.3, self.T)
         assert np.max(np.abs(split - whole)) <= 1e-12
+        # run backwards, the map undoes itself
+        undone, _ = fld.flow_map(whole, self.T, 0.0)
+        assert np.max(np.abs(undone - pts)) <= 1e-12
+
+    @pytest.mark.parametrize("offset, duration", [(2.7, 4.0), (0.1, 0.3),
+                                                  (13.25, 1.0 / 3.0)])
+    def test_reversed_storage_is_the_forward_map(self, offset, duration):
+        # the reversal of the backward lane's storage on -v is theta_k v:
+        # its map is the forward storage field's, bit for bit
+        rng = np.random.default_rng(8)
+        drift = [0.4, -0.3]
+        omega0, v, fld = self.setup(2, drift)
+        back = synth.storage_total(v.negated(), omega0, self.K)
+        rev = back.reversed(duration, offset, "storage_reversed",
+                            f"-({back.label})")
+        pts = self.starts(omega0, drift, self.K, rng)
+        t0, t1 = offset, offset + duration
+        got, certified = rev.flow_map(pts, t0, t1)
+        want, _ = fld.flow_map(pts, t0, t1)
+        assert np.all(certified)
+        assert np.array_equal(got, want)
 
     def test_zero_drift_is_the_identity(self):
         rng = np.random.default_rng(3)
@@ -907,8 +942,8 @@ class TestStorageFlowMap:
         for v in (TimeField.zero(2), TimeField.constant([0.0, 0.0])):
             fld = synth.storage_total(v, omega0, 4)
             assert fld.flow_map is not None
-            assert np.array_equal(flow_push(fld, mu, 0.0, 5.0, 1e-6).positions,
-                                  pts)
+            assert np.array_equal(
+                flow_push(fld, mu, 0.0, 5.0, 1e-6)[0].positions, pts)
 
     def test_curved_drift_keeps_rk4(self):
         # A != 0 has curved streamlines: no flow map, and the push is the
@@ -921,7 +956,9 @@ class TestStorageFlowMap:
         assert fld.flow_map is None
         pts = np.random.default_rng(4).uniform(-1.0, 1.0, (50, 2))
         mu = ParticleMeasure(pts, np.full(50, 0.02))
-        assert np.array_equal(flow_push(fld, mu, 0.0, 2.0, 1e-6).positions,
+        pushed, closed = flow_push(fld, mu, 0.0, 2.0, 1e-6)
+        assert closed == {"count": 0, "total": 50}
+        assert np.array_equal(pushed.positions,
                               _integrate_batch(fld, pts, 0.0, 2.0, 1e-6))
 
     def test_unit_shift_at_preset_size(self):
@@ -934,6 +971,20 @@ class TestStorageFlowMap:
         assert result.report["final_w1"]["epsilon_certified"]
         closed = result.report["closed_form"]
         assert closed["storage_forward"]["count"] == 50_000
+        self.assert_storage_and_funnels_closed(closed)
+
+    @pytest.mark.parametrize("preset", ["figure1", "two-bump-merge"])
+    def test_presets_move_storage_and_funnels_in_closed_form(self, preset):
+        # with unit-shift above, every preset at its own size
+        result = synth.approx_controller(cli.load_scenario(preset))
+        self.assert_storage_and_funnels_closed(result.report["closed_form"])
+
+    @staticmethod
+    def assert_storage_and_funnels_closed(closed):
+        for kind in ("storage", "funnel"):
+            for lane in ("forward", "backward", "reversed"):
+                entry = closed[f"{kind}_{lane}"]
+                assert entry["count"] == entry["total"] > 0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
