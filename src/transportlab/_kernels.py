@@ -53,10 +53,10 @@ def w1_pair_sorted(xa, wa, xb, wb):
 # exact square assignment: shortest augmenting paths with dual potentials
 # ---------------------------------------------------------------------------
 
-def assignment(cost, chain=None):
+def assignment(cost, starts=()):
     """Column ``cols[i]`` for each row i of a square cost matrix, minimizing
-    the total ``cost[i, cols[i]]``; for a stack of matrices (shape ``(B, n,
-    n)``), one such row of columns per matrix.
+    the total ``cost[i, cols[i]]``, and optimal row duals u; for a stack of
+    matrices (shape ``(B, n, n)``), one such row of columns per matrix.
 
     Shortest augmenting paths (Jonker & Volgenant 1987, in the form of
     Crouse 2016) from dual potentials u, v and a partial matching whose
@@ -70,10 +70,11 @@ def assignment(cost, chain=None):
     ties end the search at once: an all-zero matrix takes one scan per free
     row.
 
-    ``chain``, for a single matrix, guesses a matching: row ``chain[0][k]``
-    to column ``chain[1][k]``, in an order along which neighbouring pairs
-    lie close. If the duals ``_chain_duals`` builds along it leave fewer
-    rows free than the column reduction, the search starts from them.
+    ``starts``, for a single matrix, lists functions returning column
+    duals v (then u_i = min_j (c_ij - v_j)); the first whose dual objective
+    sum(u) + sum(v) is above the column reduction's replaces it. None is
+    tried when each free row has a free column among its cheapest (repeated
+    atoms), for then each search ends at its first scan.
 
     A stack runs its searches in lockstep, one scan of every matrix per
     step, so many small matrices share each step's numpy calls, and tracks
@@ -93,12 +94,13 @@ def assignment(cost, chain=None):
     if cost.ndim == 3:
         paths.solve_lockstep()
         return paths.col4row
-    if chain is not None:
-        guess = _ShortestPaths(stack, _chain_duals(cost, *chain)[None])
-        if guess.free_rows() < paths.free_rows():
+    for start in () if paths.ends_at_once() else starts:
+        guess = _ShortestPaths(stack, start()[None])
+        if guess.u.sum() + guess.v.sum() > paths.u.sum() + paths.v.sum():
             paths = guess
+            break
     paths.solve_one()
-    return paths.col4row[0]
+    return paths.col4row[0], paths.u[0]
 
 
 def _chain_duals(cost, rows, cols):
@@ -157,8 +159,12 @@ class _ShortestPaths:
         self.dist = np.full((nb, n), np.inf)
         self.masked_v = self.v.copy()
 
-    def free_rows(self):
-        return np.count_nonzero(self.col4row < 0)
+    def ends_at_once(self):
+        """Whether each free row has a free column among its cheapest."""
+        rows = np.flatnonzero(self.col4row[0] < 0)
+        cols = np.flatnonzero(self.row4col[0] < 0)
+        reduced = self.cost[0][np.ix_(rows, cols)] - self.v[0][cols]
+        return bool(np.all(np.any(reduced == self.u[0][rows, None], axis=1)))
 
     def augment(self, blocks, sink, start, low):
         """Close the searches of ``blocks`` that reached the free column

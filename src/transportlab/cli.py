@@ -101,8 +101,9 @@ def cmd_run(args) -> int:
     report = _stamp(scenario, {"status": "ok", **result.report})
     _write_json(out / "report.json", report)
     result.schedule.to_json(out / "schedule.json")
-    result.trajectory.save(out / "trajectory")
-    result.trajectory.final().save(out / "final.csv", out / "final.json")
+    snapshots = result.trajectory.save(out / "trajectory")
+    result.trajectory.final().save(out / "final.csv", out / "final.json",
+                                   copy_of=snapshots[-1])
     print(f"final W1 estimate: {result.report['final_w1']['estimate']:.6g}")
     return 0
 

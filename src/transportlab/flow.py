@@ -475,7 +475,7 @@ class Trajectory:
     def final(self) -> ParticleMeasure:
         return self.states[-1]
 
-    def save(self, out_dir) -> None:
+    def save(self, out_dir) -> list:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         names = []
@@ -492,3 +492,4 @@ class Trajectory:
         }
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
+        return [out / name for name in names]

@@ -2,12 +2,12 @@
 bracket for clouds above the exact solver's cap.
 
 Equal-count equal-weight instances solve as a linear assignment problem, by
-the package's own shortest-augmenting-path kernel; general weighted
-instances solve as a transportation linear program (scipy's HiGHS, imported
-at the first such solve). Both routes are exact (vertex solutions); there is
-no entropic smoothing anywhere in these code paths. Instances above the
-configured cap are refused; :func:`w1_bracket` bounds W1 for large clouds
-from both sides instead.
+the package's own shortest-augmenting-path kernel (:func:`_assignment`);
+general weighted instances solve as a transportation linear program
+(scipy's HiGHS, imported at the first such solve). Both routes are exact
+(vertex solutions); there is no entropic smoothing anywhere in these code
+paths. Instances above the configured cap are refused; :func:`w1_bracket`
+bounds W1 for large clouds from both sides instead.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ SLICES = 128
 BLOCK_POINTS = 40
 # blocks per stacked assignment: 2 048 blocks of 40 hold 26 MB of costs
 BLOCK_STACK = 2048
+COARSE_POINTS = 128  # clouds above this may start from a coarse level
 
 
 @dataclass
@@ -110,7 +111,7 @@ def _distances(a, b, p=1):
         diff = a[..., :, None, axis] - b[..., None, :, axis]
         diff *= diff
         sq += diff
-    return sq if p == 2 else np.sqrt(sq)
+    return sq if p == 2 else np.sqrt(sq, out=sq)
 
 
 def _equal_weights(mu, nu):
@@ -132,10 +133,33 @@ def _principal_chain(a, b):
             np.argsort(b @ axis, kind="stable"))
 
 
+def _assignment(a, b, p):
+    """Optimal column for each point of ``a`` among those of ``b`` under
+    the cost |a_i - b_j|^p, and optimal row duals. The candidate starts of
+    :func:`_kernels.assignment`: the duals along ``_principal_chain``
+    (optimal on a line under p = 2), then, above ``COARSE_POINTS`` points,
+    ``_coarse_duals`` (Merigot 2011; Schmitzer 2016)."""
+    cost = _distances(a, b, p)
+    starts = [lambda: _kernels._chain_duals(cost, *_principal_chain(a, b))]
+    if len(a) > COARSE_POINTS:
+        starts.append(lambda: _coarse_duals(cost, a, b, p))
+    return _kernels.assignment(cost, starts)
+
+
+def _coarse_duals(cost, a, b, p):
+    """Column duals: the row duals u of the assignment between every third
+    point of each cloud in ``_block_order``'s nested order, extended to
+    every column by the c-transform v_j = min_i (c_ij - u_i)."""
+    def thinned(points):
+        per_axis = max(1, round((len(points) / 3) ** (1 / points.shape[1])))
+        return _block_order(points, per_axis)[0][1::3]
+    rows = thinned(a)
+    _, u = _assignment(a[rows], b[thinned(b)], p)
+    return np.min(cost[rows] - u[:, None], axis=0)
+
+
 def _assignment_plan(mu, nu, p):
-    cols = _kernels.assignment(
-        _distances(mu.positions, nu.positions, p),
-        chain=_principal_chain(mu.positions, nu.positions))
+    cols, _ = _assignment(mu.positions, nu.positions, p)
     rows = np.arange(len(mu))
     return TransportPlan(rows, cols, mu.weights, mu, nu, p,
                          method="assignment", dual_gap=0.0)
@@ -246,9 +270,9 @@ def _block_order(positions, per_axis):
         sizes = np.diff(bounds)
         group = np.repeat(np.arange(len(sizes)), sizes)
         order = order[np.lexsort((positions[order, axis], group))]
-        cuts = (bounds[:-1, None]
-                + np.arange(per_axis + 1) * sizes[:, None] // per_axis)
-        bounds = np.unique(cuts)
+        cuts = (bounds[:-1, None] + np.arange(per_axis + 1)
+                * sizes[:, None] // per_axis).ravel()
+        bounds = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
     return order, bounds
 
 
@@ -269,7 +293,7 @@ def _block_upper(mu, nu):
         # blocks of one size solve as one stack, a bounded number at a time
         starts, sizes = bounds[:-1], np.diff(bounds)
         total = 0.0
-        for size in np.unique(sizes):
+        for size in sorted(set(sizes.tolist())):
             first = starts[sizes == size]
             for lo in range(0, len(first), BLOCK_STACK):
                 idx = first[lo:lo + BLOCK_STACK, None] + np.arange(size)

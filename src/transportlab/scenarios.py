@@ -148,6 +148,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        for name in ("v", "omega", "mu0", "mu1", "params"):
+            if not isinstance(data.get(name, {}), dict):
+                raise ValueError(f"scenario member {name!r} must be an object, got {data[name]!r}")
         return cls(dim=int(data["dim"]), v=data["v"], omega=data["omega"],
                    mu0=data["mu0"], mu1=data["mu1"],
                    params=dict(data.get("params", {})))

@@ -19,8 +19,8 @@ from transportlab.scenarios import (Scenario, load_scenario,
 
 def figure1_with(tmp_path, **changes):
     data = load_scenario("figure1").to_dict()
-    data.update(changes)
     data["params"]["particles"] = 300
+    data.update(changes)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     return path
@@ -128,6 +128,13 @@ MALFORMED_MEMBERS = {
     "density-3d": {"mu0": {"kind": "uniform_box", "dim": 3,
                            "lo": [0.1, 0.25, 0.0], "hi": [0.9, 0.85, 1.0]}},
     "dim-3": {"dim": 3},
+    # members that are not JSON objects
+    "mu0-list": {"mu0": [1, 2]},
+    "params-list": {"params": [1]},
+    "omega-number": {"omega": 3},
+    "drift-string": {"v": "x"},
+    "component-number": {"mu0": {"kind": "mixture", "dim": 2,
+                                 "components": [1], "mix_weights": [1.0]}},
     "atom-rows-short": {"mu0": {"atoms": [a[:2] for a in ATOMS0]},
                         "mu1": {"atoms": ATOMS1}},
     "atom-weight-negative": {"mu0": {"atoms": [[0.4, 0.5, 1.5],

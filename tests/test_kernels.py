@@ -120,7 +120,7 @@ class TestAssignment:
 
         a, b = self.clouds(np.random.default_rng(n), n, kind)
         for cost in (cdist(a, b), cdist(a, b, "sqeuclidean")):
-            cols = _kernels.assignment(cost)
+            cols, _ = _kernels.assignment(cost)
             assert np.array_equal(np.sort(cols), np.arange(n))
             rows, ref_cols = linear_sum_assignment(cost)
             ref = cost[rows, ref_cols].sum()
@@ -172,22 +172,26 @@ class TestAssignment:
         a = rng.random(500)
         b = rng.permutation(a + 0.3 + 0.01 * rng.random(500))
         cost = (a[:, None] - b[None, :]) ** 2
-        cols = _kernels.assignment(cost, chain=(np.argsort(a), np.argsort(b)))
+        cols, _ = _kernels.assignment(
+            cost, [lambda: _kernels._chain_duals(cost, np.argsort(a),
+                                                 np.argsort(b))])
         assert scans.scans == 0
         monotone = np.empty(500, dtype=np.int64)
         monotone[np.argsort(a)] = np.argsort(b)
         assert np.array_equal(cols, monotone)
 
     def test_poor_chain_leaves_the_column_reduction(self, scans):
-        # off a line the chain's duals leave more rows free than the column
-        # reduction, so the solve ignores them and scans exactly as without
+        # off a line the chain's duals have a lower dual objective than the
+        # column reduction's, so the solve ignores them and scans exactly as
+        # without
         rng = np.random.default_rng(5)
         a, b = rng.random((2, 300, 2))
         cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        cols = _kernels.assignment(cost)
+        cols, _ = _kernels.assignment(cost)
         alone = scans.scans
-        chained = _kernels.assignment(
-            cost, chain=(np.argsort(a[:, 0]), np.argsort(b[:, 0])))
+        chained, _ = _kernels.assignment(
+            cost, [lambda: _kernels._chain_duals(cost, np.argsort(a[:, 0]),
+                                                 np.argsort(b[:, 0]))])
         assert scans.scans == 2 * alone > 0
         assert np.array_equal(chained, cols)
 
@@ -208,7 +212,7 @@ class TestAssignment:
                 cost = np.sqrt(((a[:, None, :] - a[None, :, :]) ** 2)
                                .sum(axis=2))
             before = scans.scans
-            single = _kernels.assignment(cost)
+            single, _ = _kernels.assignment(cost)
             alone = scans.scans - before
             stacked = _kernels.assignment(cost[None])[0]
             assert np.array_equal(single, stacked)
@@ -226,7 +230,7 @@ class TestAssignment:
         # every column ties at every scan: the column reduction matches one
         # row, and taking a free column among the ties ends each of the
         # other rows' searches after one scan
-        cols = _kernels.assignment(np.zeros((1000, 1000)))
+        cols, _ = _kernels.assignment(np.zeros((1000, 1000)))
         assert scans.scans == 999
         assert np.array_equal(np.sort(cols), np.arange(1000))
 

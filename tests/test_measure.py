@@ -130,6 +130,33 @@ class TestMeasureBasics:
         env = mu.json_envelope()
         assert env["count"] == 25 and env["dim"] == 2
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_csv_bytes_match_the_csv_module(self, tmp_path, dim):
+        # the one-format-per-row writer against csv.writer with a cell per
+        # value, on extreme magnitudes, -0.0, a subnormal and tags that
+        # csv must quote
+        import csv
+
+        rng = np.random.default_rng(dim)
+        pos = rng.standard_normal((200, dim)) * 10.0 ** rng.integers(
+            -300, 300, (200, dim))
+        pos[0, 0], pos[1, 0] = -0.0, 1e-320
+        tags = rng.choice(["", "untouched", "a,b", 'q"x', "l\nm", None], 200)
+        for mu in (ParticleMeasure(pos, rng.random(200) + 0.1),
+                   ParticleMeasure(pos, rng.random(200) + 0.1, tags)):
+            with open(tmp_path / "ref.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([f"x_{a + 1}" for a in range(dim)]
+                                + ["weight", "tag"])
+                for row, w, tag in zip(mu.positions, mu.weights,
+                                       mu.tags if mu.tags is not None
+                                       else [""] * 200):
+                    writer.writerow([f"{v:.17g}" for v in row]
+                                    + [f"{w:.17g}", tag or ""])
+            mu.to_csv(tmp_path / "got.csv")
+            assert ((tmp_path / "got.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes())
+
 def uniform_quantiles_oracle(lo, hi, n):
     """Closed-form column breakpoints of the uniform density on a box."""
     return lo + (hi - lo) * np.arange(n + 1) / n
