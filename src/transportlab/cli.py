@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .measure import ParticleMeasure, quantile_partition
 from .oracle import sqrt_field_solution
 from .ot import EXACT_SOLVER_CAP, w1_1d, w1_bracket
 from .scenarios import Scenario, load_scenario
-from .synth import (approx_controller, exact_controller, grid_control,
+from .synth import (GridControlField, approx_controller, exact_controller,
                     grid_error_bound, bv_blowup_diagnostic, linear_merge_toy,
                     shear_diagnostic)
 
@@ -98,13 +99,21 @@ def cmd_run(args) -> int:
                                       **exc.to_dict()}))
         print(f"crossing condition failed: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # e.g. an omega0 too thin for the storage cutoff's cap
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
     report = _stamp(scenario, {"status": "ok", **result.report})
     _write_json(out / "report.json", report)
     result.schedule.to_json(out / "schedule.json")
     snapshots = result.trajectory.save(out / "trajectory")
     result.trajectory.final().save(out / "final.csv", out / "final.json",
                                    copy_of=snapshots[-1])
-    print(f"final W1 estimate: {result.report['final_w1']['estimate']:.6g}")
+    w1 = result.report["final_w1"]
+    print(f"final W1 estimate: {w1['estimate']:.6g}")
+    if not w1.get("epsilon_certified", True):
+        print(f"W1 {w1['estimate']:.6g} does not meet epsilon "
+              f"{result.report['epsilon']:.6g}", file=sys.stderr)
     return 0
 
 
@@ -179,7 +188,7 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
         raise MeshError(str(exc)) from exc
     rows = []
     for n, (part_src, part_tgt) in zip(n_list, meshes):
-        fld = grid_control(part_src, part_tgt, T=1.0)
+        fld = GridControlField(part_src, part_tgt, T=1.0)
         images, closed, _ = fld.flow(mu0n.positions, 0.0, 1.0, tol)
         moved = ParticleMeasure(images, mu0n.weights)
         rows.append({"n": int(n),
@@ -241,8 +250,8 @@ def sqrt_split_errors(counts=(10_000, 100_000), t_end=1.0, tol=1e-8) -> list[dic
         pos = (-1.0 + 2.0 * levels)[:, None]
         mu = ParticleMeasure(pos, np.full(count, 2.0 / count))
         fld = TimeField(lambda p, t: np.sqrt(np.maximum(p, 0.0)), 1,
-                        sup_bound=2.0, non_lipschitz=True, label="sqrt-drift",
-                        descriptor={"kind": "sqrt"})
+                        lipschitz_bound=math.inf, sup_bound=2.0,
+                        label="sqrt-drift", descriptor={"kind": "sqrt"})
         moved, _ = flow_push(fld, mu, 0.0, t_end, tol)
         exact = np.array([sqrt_field_solution(t_end, q) for q in levels])[:, None]
         reference = ParticleMeasure(exact, np.full(count, 2.0 / count))

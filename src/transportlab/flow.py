@@ -6,8 +6,9 @@ a translation drift, the straight-line funnel and their time reversals)
 move in closed form; the others are stepped by fixed-step RK4
 (``_integrate_batch``), the batch sharing one step tied to the field's
 Lipschitz bound (stability step 0.1/max(L, 1)) and to the requested
-tolerance. Fields declared non-Lipschitz (the square-root splitting
-example) fall back to the tolerance step and emit a warning once per field.
+tolerance. A field with an infinite Lipschitz bound (the square-root
+splitting example) falls back to the tolerance step and emits a warning
+once per field.
 
 The scenario drifts (zero, constant, affine, radial and their negations)
 are affine, x' = Ax + b, and carry their pair (A, b); their exact flow
@@ -51,19 +52,19 @@ class TimeField:
     ``flow_map``, when given, is the field's flow map in its own clock:
     ``flow_map(points, t0, t1)`` returns the ``(N, d)`` images at t1 of the
     points at t0 (backwards when t1 < t0) and the ``(N,)`` mask of the rows
-    whose images are exact. The scenario drifts carry none.
+    whose images are exact. The scenario drifts carry none. An infinite
+    ``lipschitz_bound`` declares the field not Lipschitz.
     """
 
     def __init__(self, fn, dim, lipschitz_bound=0.0, sup_bound=np.inf,
-                 label="", ambient=None, non_lipschitz=False,
-                 descriptor=None, affine_pair=None, flow_map=None):
+                 label="", ambient=None, descriptor=None, affine_pair=None,
+                 flow_map=None):
         self._fn = fn
         self.dim = int(dim)
         self.lipschitz_bound = float(lipschitz_bound)
         self.sup_bound = float(sup_bound)
         self.label = label
         self.ambient = ambient
-        self.non_lipschitz = bool(non_lipschitz)
         self.affine_pair = affine_pair
         self.flow_map = flow_map
         self.descriptor = descriptor or {"kind": "opaque", "label": label}
@@ -84,7 +85,7 @@ class TimeField:
         return self.evaluate(pts, t) - self.ambient.evaluate(pts, t)
 
     def warn_if_non_lipschitz(self):
-        if self.non_lipschitz and not self._warned:
+        if math.isinf(self.lipschitz_bound) and not self._warned:
             warnings.warn(f"field {self.label!r} is not Lipschitz; uniqueness of "
                           "characteristics is not guaranteed", stacklevel=3)
             self._warned = True
@@ -128,7 +129,6 @@ class TimeField:
         return TimeField(lambda p, t: -self._fn(p, t), self.dim,
                          self.lipschitz_bound, self.sup_bound,
                          label=f"-({self.label})",
-                         non_lipschitz=self.non_lipschitz,
                          descriptor={"kind": "negated", "inner": self.descriptor},
                          affine_pair=None if self.affine_pair is None else (
                              -self.affine_pair[0], -self.affine_pair[1]))
@@ -144,7 +144,6 @@ class TimeField:
         return TimeField(
             lambda pts, t: -self.evaluate(pts, clock(t)), self.dim,
             self.lipschitz_bound, self.sup_bound, label=label,
-            non_lipschitz=self.non_lipschitz,
             ambient=None if self.ambient is None else self.ambient.negated(),
             descriptor={"kind": kind, "inner": self.descriptor},
             flow_map=None if inner is None else
@@ -159,7 +158,7 @@ def choose_step(field: TimeField, tol: float, span: float) -> float:
     if span <= 0:
         return 1.0
     h_tol = max(min(tol, 1.0), 1e-12) ** 0.25
-    if field.non_lipschitz:
+    if math.isinf(field.lipschitz_bound):
         h = min(h_tol, 0.05)
     else:
         h = min(h_tol, 0.1 / max(field.lipschitz_bound, 1.0))
@@ -201,20 +200,16 @@ def _check_finite(new, pts, t, ids=None):
             f"(position {pts[bad].tolist()}) at time {t:.6g}")
 
 
-def _integrate_batch(field: TimeField, pts, t0, t1, tol, observer=None):
+def _integrate_batch(field: TimeField, pts, t0, t1, tol):
     pts, span = _batch_span(pts, t0, t1, tol)
     if span == 0 or pts.shape[0] == 0:
         return pts
     field.warn_if_non_lipschitz()
     h = choose_step(field, tol, span)
-    steps = int(round(span / h))
-    t = float(t0)
-    for k in range(steps):
+    for k in range(int(round(span / h))):
+        t = t0 + k * h
         new = _rk4_advance(field, pts, t, h)
         _check_finite(new, pts, t + h)
-        t = t0 + (k + 1) * h
-        if observer is not None:
-            observer(pts, new, t - h, t)
         pts = new
     return pts
 

@@ -1,4 +1,5 @@
-"""Regions, cutoff functions and the geometric-condition checker.
+"""Regions, the storage cutoff and its closed-form flow, and the
+geometric-condition checker.
 
 Regions are axis-aligned boxes, balls and finite unions: enough for every
 control set used by the laboratory while keeping signed distances exact for
@@ -16,10 +17,8 @@ from .flow import TimeField, stopped_flow_batch
 
 __all__ = [
     "Region",
-    "ScalarField",
     "cutoff_theta",
     "cutoff_flow",
-    "weight_eta",
     "check_geometric_condition",
     "GeometricCondition",
     "ConditionFailure",
@@ -178,19 +177,6 @@ class Region:
         return f"Region({self.to_dict()})"
 
 
-# ---------------------------------------------------------------------------
-# scalar fields
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ScalarField:
-    """Scalar function, with its analytic gradient where a flow ascends it
-    (the weight eta)."""
-
-    evaluate: object
-    gradient: object = None
-
-
 def _smootherstep(u):
     u = np.clip(u, 0.0, 1.0)
     return u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
@@ -202,8 +188,9 @@ def _smootherstep_d(u):
     return np.where(inside, 30.0 * u ** 2 * (1.0 - u) ** 2, 0.0)
 
 
-def cutoff_theta(omega0: Region, k: int) -> ScalarField:
-    """Smooth cutoff: 1 outside omega0, 0 at depth >= 1/k inside it.
+def cutoff_theta(omega0: Region, k: int):
+    """Smooth cutoff theta(points): 1 outside omega0, 0 at depth >= 1/k
+    inside it.
 
     Built from a quintic ramp of the depth d(x, omega0^c) scaled by k, so
     both defining plateaus hold exactly.
@@ -215,10 +202,10 @@ def cutoff_theta(omega0: Region, k: int) -> ScalarField:
             f"1/k = {1.0 / k:.4g} is not below the inradius "
             f"{omega0.inradius():.4g}; the parked zone would be empty")
 
-    def evaluate(pts):
+    def theta(pts):
         return 1.0 - _smootherstep(k * omega0.depth(pts))
 
-    return ScalarField(evaluate)
+    return theta
 
 
 # 1 - S(z) = (1 - z)^3 (6 z^2 + 3 z + 1) for the quintic ramp S, so the
@@ -323,114 +310,6 @@ def cutoff_flow(omega0: Region, k: int, drift):
 
 
 # ---------------------------------------------------------------------------
-# the gradient-ascent weight on omega1
-# ---------------------------------------------------------------------------
-
-def _ball_eta(omega1: Region):
-    c = omega1.center
-    R = omega1.radius
-
-    def evaluate(pts):
-        d = np.atleast_2d(pts) - c
-        return R ** 2 - np.sum(d * d, axis=1)
-
-    def gradient(pts):
-        return -2.0 * (np.atleast_2d(pts) - c)
-
-    return ScalarField(evaluate, gradient)
-
-
-def _box_eta(omega1: Region, peak, floor_slope: float = 0.0):
-    lo, hi = omega1.lo, omega1.hi
-    ext = hi - lo
-    u_c = np.clip((np.asarray(peak, dtype=float) - lo) / ext, 1e-3, 1 - 1e-3)
-    lam = u_c / (1.0 - u_c)
-
-    # per-axis factor g = 4 s (1 - s) with the rational warp
-    # s = u / (u + lam(1-u)); the warp is a diffeomorphism of [0, 1] placing
-    # the single peak at u_c. The bump is the product of the factors, and
-    # its partial derivative along an axis is that axis's dg times the
-    # product of the other factors: ``before`` and ``after`` hold, per axis,
-    # the products of the factors before and after it.
-    def _bump(pts):
-        u = np.minimum(np.maximum((np.atleast_2d(pts) - lo) / ext, 0.0), 1.0)
-        denom = u + lam * (1.0 - u)
-        s = u / denom
-        g = 4.0 * s * (1.0 - s)
-        dg = 4.0 * (1.0 - 2.0 * s) * (lam / denom ** 2) / ext
-        before = np.ones_like(g)
-        after = np.ones_like(g)
-        np.multiply.accumulate(g[:, :-1], axis=1, out=before[:, 1:])
-        np.multiply.accumulate(g[:, :0:-1], axis=1, out=after[:, -2::-1])
-        return before[:, -1] * g[:, -1], dg * before * after
-
-    # eta = b (floor + b): same ascent lines as the bump b itself. With the
-    # default floor 0 this is the squared bump, whose speed profile scales
-    # like the distance still to travel, so crossing a distance ratio costs
-    # the same log-contraction (matching the concentric-ball profile) and the
-    # gradient fades toward the boundary band where the ambient blend acts.
-    def evaluate(pts):
-        b, _ = _bump(pts)
-        return b * (floor_slope + b)
-
-    def gradient(pts):
-        b, gb = _bump(pts)
-        return (floor_slope + 2.0 * b)[:, None] * gb
-
-    return ScalarField(evaluate, gradient)
-
-
-def _sample_region_difference(outer: Region, inner: Region, per_axis: int = 96):
-    lo, hi = outer.bounding_box()
-    axes = [np.linspace(lo[a], hi[a], per_axis, endpoint=False)
-            + 0.5 * (hi[a] - lo[a]) / per_axis for a in range(outer.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = outer.contains(pts) & ~inner.contains(pts)
-    return pts[keep]
-
-
-def weight_eta(omega1: Region, s0: Region, per_axis: int = 96):
-    """Confining weight: positive inside omega1, zero on its boundary, with a
-    sampled no-critical-point certificate on omega1 minus s0.
-
-    Ball domains use the concentric quadratic profile; box domains use a
-    warped tensor bump whose single interior peak sits at the center of s0.
-    Returns (eta, kappa0, kappa1) with the gradient-norm bounds certified on
-    the sampling grid ("verified at resolution per_axis").
-    """
-    if omega1.kind == "union" or s0.kind == "union":
-        raise ValueError("weight construction needs primitive regions")
-    inner_pts = np.atleast_2d(s0.center_point())
-    if not omega1.contains(inner_pts)[0]:
-        raise ValueError("s0 must sit inside omega1")
-
-    if omega1.kind == "ball":
-        eta = _ball_eta(omega1)
-        peak = omega1.center
-    else:
-        eta = _box_eta(omega1, s0.center_point())
-        peak = s0.center_point()
-    if not s0.contains(np.atleast_2d(peak))[0]:
-        raise ValueError(
-            f"critical point detected: the weight peaks at {peak.tolist()}, "
-            "outside s0")
-
-    pts = _sample_region_difference(omega1, s0, per_axis)
-    if len(pts) == 0:
-        raise ValueError("no sample points between s0 and omega1")
-    gnorm = np.linalg.norm(eta.gradient(pts), axis=1)
-    kappa0 = float(np.min(gnorm))
-    kappa1 = float(np.max(gnorm))
-    if kappa0 < 1e-6:
-        worst = pts[int(np.argmin(gnorm))]
-        raise ValueError(
-            f"critical point detected: |grad eta| = {kappa0:.3g} at "
-            f"{worst.tolist()} outside s0")
-    return eta, kappa0, kappa1
-
-
-# ---------------------------------------------------------------------------
 # geometric condition
 # ---------------------------------------------------------------------------
 
@@ -460,10 +339,10 @@ class ConditionFailure(Exception):
 
 
 def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
-                              horizon: float, tol: float,
-                              margin: float | None = None) -> GeometricCondition:
-    """Sampled crossing check: every source particle must reach a shrunken
-    copy of omega forward in time, every target particle backward in time.
+                              horizon: float, tol: float) -> GeometricCondition:
+    """Sampled crossing check: every source particle must reach omega shrunk
+    by a margin of a fifth of its inradius forward in time, every target
+    particle backward in time.
 
     Returns the worst hitting times and a compactly included storage box
     around the entry points. Raises ConditionFailure with the first stranded
@@ -475,8 +354,7 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
         raise ValueError("horizon must be positive")
     if len(mu0) == 0 or len(mu1) == 0:
         raise ValueError("empty measures cannot satisfy the crossing condition")
-    if margin is None:
-        margin = 0.2 * omega.inradius()
+    margin = 0.2 * omega.inradius()
     target = omega.shrink(margin)
 
     entries, times = [], []

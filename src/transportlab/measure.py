@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import shutil
 from dataclasses import dataclass, field
 
@@ -86,9 +87,10 @@ class ParticleMeasure:
     def normalized(self) -> "ParticleMeasure":
         return self.scaled(1.0 / self.total_mass())
 
-    def merged_coincident(self, decimals: int = 12) -> "ParticleMeasure":
-        """Sum weights of particles sharing a position (rounded comparison)."""
-        key = np.round(self.positions, decimals)
+    def merged_coincident(self) -> "ParticleMeasure":
+        """Sum weights of particles sharing a position (compared rounded to
+        12 decimals)."""
+        key = np.round(self.positions, 12)
         uniq, inv = np.unique(key, axis=0, return_inverse=True)
         w = np.zeros(len(uniq))
         np.add.at(w, inv, self.weights)
@@ -157,6 +159,11 @@ class ParticleMeasure:
 # density specifications
 # ---------------------------------------------------------------------------
 
+# least share of a truncated Gaussian's mass its box may hold: rejection
+# sampling draws about one candidate per point over this share
+GAUSSIAN_MASS_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """Bounded-support density we can sample from.
@@ -173,23 +180,30 @@ class DensitySpec:
 
     def __post_init__(self):
         if self.kind == "uniform_box":
-            lo, hi = self._box()
+            lo, hi = self._axes("lo", "hi")
             if not np.all(hi > lo):
                 raise ValueError("degenerate box")
         elif self.kind == "truncated_gaussian":
-            lo, hi = self._box()
-            sigma = np.broadcast_to(np.asarray(self.params["sigma"], float), (self.dim,))
+            lo, hi, mean, sigma = self._axes("lo", "hi", "mean", "sigma")
             if not (np.all(hi > lo) and np.all(sigma > 0)):
                 raise ValueError("need a non-degenerate box and positive sigma")
+            scale = sigma * math.sqrt(2.0)
+            mass = math.prod(0.5 * (math.erf(b) - math.erf(a)) for a, b in
+                             zip((lo - mean) / scale, (hi - mean) / scale))
+            if not mass >= GAUSSIAN_MASS_FLOOR:
+                raise ValueError(f"the box holds {mass:.3g} of the Gaussian's "
+                                 f"mass, below {GAUSSIAN_MASS_FLOOR:g}")
         elif self.kind == "mixture":
             comps = self.params["components"]
             mw = np.asarray(self.params["mix_weights"], float)
-            if len(comps) != len(mw) or np.any(mw <= 0):
-                raise ValueError("mixture weights must be positive, one per component")
+            if (not comps or len(comps) != len(mw)
+                    or not np.all(np.isfinite(mw) & (mw > 0))):
+                raise ValueError("a mixture needs at least one component and "
+                                 "finite positive weights, one per component")
             if any(c.dim != self.dim for c in comps):
                 raise ValueError("mixture component dimension mismatch")
         elif self.kind == "profile_box":
-            lo, hi = self._box()
+            lo, hi = self._axes("lo", "hi")
             if not np.all(hi > lo):
                 raise ValueError("degenerate box")
             for coeffs in self.params["profiles"]:
@@ -200,19 +214,18 @@ class DensitySpec:
         else:
             raise ValueError(f"unknown density kind {self.kind!r}")
 
-    def _box(self):
-        lo = np.broadcast_to(np.asarray(self.params["lo"], float), (self.dim,))
-        hi = np.broadcast_to(np.asarray(self.params["hi"], float), (self.dim,))
-        return lo, hi
+    def _axes(self, *keys):
+        """The per-axis parameters ``keys``, a scalar broadcast to every
+        axis."""
+        return [np.broadcast_to(np.asarray(self.params[k], float), (self.dim,))
+                for k in keys]
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "uniform_box":
-            lo, hi = self._box()
+            lo, hi = self._axes("lo", "hi")
             return lo + (hi - lo) * rng.random((count, self.dim))
         if self.kind == "truncated_gaussian":
-            lo, hi = self._box()
-            mean = np.broadcast_to(np.asarray(self.params["mean"], float), (self.dim,))
-            sigma = np.broadcast_to(np.asarray(self.params["sigma"], float), (self.dim,))
+            lo, hi, mean, sigma = self._axes("lo", "hi", "mean", "sigma")
             out = np.empty((0, self.dim))
             while out.shape[0] < count:
                 block = mean + sigma * rng.standard_normal((2 * count + 64, self.dim))
@@ -231,7 +244,7 @@ class DensitySpec:
                     out[take] = comp.draw(int(take.sum()), rng)
             return out
         if self.kind == "profile_box":
-            lo, hi = self._box()
+            lo, hi = self._axes("lo", "hi")
             out = np.empty((count, self.dim))
             for a in range(self.dim):
                 coeffs = np.asarray(self.params["profiles"][a], float)

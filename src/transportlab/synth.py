@@ -31,9 +31,6 @@ from .flow import (TimeField, Trajectory, choose_step, flow_push,
 from .geometry import (GeometricCondition, Region, cutoff_flow,
                        cutoff_theta, check_geometric_condition, _smootherstep,
                        _smootherstep_d)
-# no longer called here; kept because the benchmark tracer patches
-# synth.weight_eta by name
-from .geometry import weight_eta  # noqa: F401
 from .measure import GridPartition, ParticleMeasure, quantile_partition
 from .ot import wp_discrete, w1_bracket
 
@@ -41,7 +38,6 @@ __all__ = [
     "ControlSegment",
     "ControlSchedule",
     "GridControlField",
-    "grid_control",
     "storage_total",
     "approx_controller",
     "exact_controller",
@@ -54,6 +50,12 @@ __all__ = [
 
 # largest cutoff index the storage escalation tries
 STORAGE_K_CAP = 2 ** 20
+
+
+def weight_eta(*args, **kwargs):
+    """Retired gradient-ascent weight; the benchmark tracer still patches
+    this name, which goes with the tracer rework (ROADMAP item 1)."""
+    raise NotImplementedError("the gradient-ascent weight eta is retired")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,8 @@ class GridControlField(TimeField):
     """
 
     def __init__(self, part_src, part_tgt, T):
+        if T <= 0:
+            raise ValueError("T must be positive")
         if part_src.n != part_tgt.n or part_src.dim != part_tgt.dim:
             raise ValueError("partitions must share n and the dimension")
         self.src = part_src
@@ -290,13 +294,6 @@ def _carry(p, lo_a, hi_a, lo_b, hi_b):
                              (1.0 - s) * lo_b + s * hi_b))
 
 
-def grid_control(partition_src, partition_tgt, T: float) -> GridControlField:
-    """Field whose time-T flow carries each source cell onto its target."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    return GridControlField(partition_src, partition_tgt, T)
-
-
 def grid_error_bound(mesh, moved: ParticleMeasure, closed,
                      target: ParticleMeasure) -> float:
     """Certified W1 bound between the grid phase's image ``moved`` and
@@ -334,7 +331,7 @@ def storage_total(v: TimeField, omega0: Region, k: int) -> TimeField:
     theta = cutoff_theta(omega0, k)
 
     def total(pts, t):
-        return theta.evaluate(pts)[:, None] * v.evaluate(pts, t)
+        return theta(pts)[:, None] * v.evaluate(pts, t)
 
     pair = v.affine_pair
     straight = (pair is not None and not pair[0].any()
@@ -492,11 +489,12 @@ class ParticleWitnessField(TimeField):
     particular outside the control region).
     """
 
-    def __init__(self, knots, paths, ambient: TimeField, label, descriptor,
-                 match_tol=1e-9):
+    # a query takes an atom's velocity within this distance of it
+    match_tol = 1e-9
+
+    def __init__(self, knots, paths, ambient: TimeField, label, descriptor):
         self.knots = np.asarray(knots, dtype=float)
         self.paths = np.asarray(paths, dtype=float)   # (E, K, d)
-        self.match_tol = float(match_tol)
         seg = np.diff(self.paths, axis=1)
         dt = np.diff(self.knots)
         self._vels = seg / dt[None, :, None]
@@ -555,8 +553,9 @@ class ControllerResult:
     report: dict
 
 
-def _largest_free_box(omega: Region, omega0: Region, shrink_frac=0.15) -> Region:
-    """Largest axis-aligned slab of a box omega avoiding the box omega0."""
+def _largest_free_box(omega: Region, omega0: Region) -> Region:
+    """Largest axis-aligned slab of a box omega avoiding the box omega0,
+    shrunk by 15% about its centre."""
     if omega.kind != "box" or omega0.kind != "box":
         raise ValueError("storage-set placement needs box regions")
     best = None
@@ -577,7 +576,7 @@ def _largest_free_box(omega: Region, omega0: Region, shrink_frac=0.15) -> Region
         raise ValueError("no room for a storage hypercube beside omega0")
     lo, hi = best
     c = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * (1.0 - shrink_frac)
+    half = 0.5 * (hi - lo) * 0.85
     if np.any(half <= 0):
         raise ValueError("free slab degenerate after shrinking")
     return Region.box(c - half, c + half)
@@ -740,15 +739,15 @@ def _shift_time(field: TimeField, offset: float) -> TimeField:
 
 
 def _escalate_storage(v: TimeField, omega0: Region, mu: ParticleMeasure,
-                      horizon: float, mass_target: float, tol: float,
-                      k_cap: int = STORAGE_K_CAP):
+                      horizon: float, mass_target: float, tol: float):
     """Double the cutoff index until the mass left outside omega0 at the end
     of the storage phase is at most mass_target; the push's record (see
-    ``flow_push``) comes last."""
+    ``flow_push``) comes last. Raises ``ValueError`` when no index up to
+    ``STORAGE_K_CAP`` does, as on an omega0 too thin for the cap."""
     k = 2
     while 1.0 / k >= omega0.inradius():
         k *= 2
-    while k <= k_cap:
+    while k <= STORAGE_K_CAP:
         total = storage_total(v, omega0, k)
         state, closed = flow_push(total, mu, 0.0, horizon, tol)
         outside = ~omega0.contains(state.positions)
@@ -756,9 +755,10 @@ def _escalate_storage(v: TimeField, omega0: Region, mu: ParticleMeasure,
         if stray <= mass_target + 1e-15:
             return total, k, state, outside, closed
         k *= 2
-    raise RuntimeError(
-        f"storage cutoff escalation exceeded {k_cap} with stray mass {stray:.3g} "
-        f"> target {mass_target:.3g}")
+    raise ValueError(
+        f"no storage cutoff index up to the cap {STORAGE_K_CAP} leaves at "
+        f"most {mass_target:.3g} of the mass outside omega0, whose inradius "
+        f"is {omega0.inradius():.3g}")
 
 
 def _select_untouched(state: ParticleMeasure, must_tag: np.ndarray,
@@ -884,8 +884,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
             if plan.params["n"] is not None or n <= 1:
                 raise
             n -= 1
-    grid = grid_control(to_world(part_src, o0, s0n),
-                        to_world(part_tgt, o1, s1n), t3 - t2)
+    grid = GridControlField(to_world(part_src, o0, s0n),
+                            to_world(part_tgt, o1, s1n), t3 - t2)
     pad = 0.25
     hull_lo = np.minimum(o0 - pad * s0n, o1 - pad * s1n)
     hull_hi = np.maximum(o0 + (1 + pad) * s0n, o1 + (1 + pad) * s1n)
@@ -925,9 +925,10 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         [mu0_tagged, state1, state2_all, state3_all, state4_all, state5_all],
         field_ref=schedule, meta={"mode": "approx"})
 
+    # the estimate is exact at or below the solver's cap and the certified
+    # upper bound above it
     w1 = w1_bracket(state5_all.with_tags(None), mu1.with_tags(None))
-    if w1["method"] == "bracket":
-        w1["epsilon_certified"] = w1["upper"] <= epsilon
+    w1["epsilon_certified"] = w1["estimate"] <= epsilon
     report = plan.report("approx", fun_fwd, fun_back,
                          state5_all.total_mass())
     report["funnel"]["backward_expansion"] = fun_back.expansion

@@ -120,6 +120,9 @@ def test_n_or_seed_not_a_valid_integer_is_an_input_error(
 ATOMS0 = [[0.4, 0.5, 0.5], [0.6, 0.6, 0.5]]
 ATOMS1 = [[4.0, 0.5, 0.5], [4.2, 0.6, 0.5]]
 
+UNIT_BOX = {"kind": "uniform_box", "dim": 2, "lo": [0.1, 0.25],
+            "hi": [0.9, 0.85]}
+
 MALFORMED_MEMBERS = {
     "drift-3d": {"v": {"kind": "constant", "value": [0.5, 0.0, 0.0]}},
     "drift-nan": {"v": {"kind": "constant", "value": [math.nan, 0.0]}},
@@ -143,6 +146,17 @@ MALFORMED_MEMBERS = {
     "atom-masses-differ": {"mu0": {"atoms": [[0.4, 0.5, 0.45],
                                              [0.6, 0.6, 0.45]]},
                            "mu1": {"atoms": ATOMS1}},
+    # a box holding below 1e-300 of the Gaussian's mass: rejection sampling
+    # used to run forever
+    "gaussian-far-tail": {"mu0": {"kind": "truncated_gaussian", "dim": 2,
+                                  "mean": [0.5, 0.55], "sigma": [0.01, 0.01],
+                                  "lo": [0.9, 0.25], "hi": [1.0, 0.85]}},
+    # mixtures numpy's sampler used to refuse with a traceback
+    "mixture-empty": {"mu0": {"kind": "mixture", "dim": 2,
+                              "components": [], "mix_weights": []}},
+    "mixture-weight-nan": {"mu0": {"kind": "mixture", "dim": 2,
+                                   "components": [UNIT_BOX],
+                                   "mix_weights": [math.nan]}},
 }
 
 
@@ -236,6 +250,31 @@ def test_check_on_a_non_box_omega_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("scenario error:")
 
 
+@pytest.mark.parametrize("width", [1e-6, 1e-5])
+def test_thin_omega_is_an_input_error_in_approx_mode(tmp_path, capsys,
+                                                     width):
+    # omega0 inside a strip this thin needs a storage cutoff index above
+    # the cap: at 1e-6 the first index already exceeds it, at 1e-5 none up
+    # to it parks enough mass. Both used to end in a traceback. The exact
+    # lane parks with stopped flows and needs no cutoff
+    path = figure1_with(
+        tmp_path, omega={"kind": "box", "lo": [2.0, 0.0],
+                         "hi": [2.0 + width, 1.0]},
+        mu0={"kind": "uniform_box", "dim": 2, "lo": [0.1, 0.4],
+             "hi": [0.2, 0.6]},
+        mu1={"kind": "uniform_box", "dim": 2, "lo": [4.0, 0.4],
+             "hi": [4.1, 0.6]})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--mode", "approx",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:")
+    assert "inradius" in err and str(transportlab.synth.STORAGE_K_CAP) in err
+    assert not (out / "report.json").exists()
+    assert cli.main(["run", "--scenario", str(path), "--mode", "exact",
+                     "--out", str(out)]) == 0
+
+
 def test_exact_run_above_the_solver_cap_fails_up_front(tmp_path, capsys,
                                                        monkeypatch):
     def never(*args, **kwargs):
@@ -261,6 +300,25 @@ def test_two_bump_merge_runs_in_approx_mode(tmp_path):
     assert report["mass_total"] == pytest.approx(1.0, abs=1e-12)
     assert report["closed_form"]["grid"] == {"count": 32, "total": 32}
     assert report["final_w1"]["method"] == "exact"
+
+
+@pytest.mark.parametrize("preset,meets", [(["two-bump-merge"], True),
+                                          (["figure1", "--particles", "300"],
+                                           False)])
+def test_approx_report_says_whether_w1_meets_epsilon(tmp_path, capsys,
+                                                     preset, meets):
+    # at or below the exact solver's cap the estimate is the exact W1, and
+    # every approximate report says whether it meets epsilon; a miss is
+    # one stderr line, and the run still exits 0
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", *preset, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    w1 = report["final_w1"]
+    assert w1["method"] == "exact"
+    assert w1["epsilon_certified"] is meets
+    assert (w1["estimate"] <= report["epsilon"]) is meets
+    err = capsys.readouterr().err
+    assert ("does not meet epsilon" in err) is not meets
 
 
 @pytest.mark.parametrize("preset", [["two-bump-merge"],

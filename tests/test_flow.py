@@ -14,7 +14,7 @@ from transportlab.ot import wp_discrete
 
 def sqrt_drift():
     return TimeField(lambda p, t: np.sqrt(np.maximum(p, 0.0)), 1,
-                     sup_bound=2.0, non_lipschitz=True, label="sqrt")
+                     lipschitz_bound=math.inf, sup_bound=2.0, label="sqrt")
 
 
 class TestIntegrateFlow:
@@ -44,12 +44,20 @@ class TestIntegrateFlow:
 
     @staticmethod
     def step_ends(t0, t1, tol):
+        """The end time of each RK4 step: a step's fourth evaluation of the
+        field is at its end."""
+        drift = TimeField.constant([1.0, 0.5])
         times = []
-        out = _integrate_batch(TimeField.constant([1.0, 0.5]), [[0.0, 0.0]],
-                               t0, t1, tol,
-                               observer=lambda a, b, ta, tb: times.append(tb))
+
+        def fn(pts, t):
+            times.append(t)
+            return drift.evaluate(pts, t)
+
+        out = _integrate_batch(TimeField(fn, 2, 0.0, drift.sup_bound),
+                               [[0.0, 0.0]], t0, t1, tol)
         assert np.allclose(out, [[t1 - t0, 0.5 * (t1 - t0)]], atol=1e-12)
-        return times
+        assert len(times) % 4 == 0
+        return times[3::4]
 
     def test_rounded_whole_span_takes_no_extra_step(self):
         # 1.3 - 1.0 is 0.30000000000000004, three steps of 0.1 up to rounding
@@ -65,6 +73,14 @@ class TestIntegrateFlow:
         with pytest.warns(UserWarning):
             out = _integrate_batch(sqrt_drift(), [[1.0]], 0.0, 1.0, 1e-10)
         assert abs(out[0, 0] - 2.25) < 1e-8
+
+    def test_infinite_lipschitz_bound_takes_the_tolerance_step(self):
+        # h = min(tol^(1/4), 0.05), and the bound carries over to the
+        # negated and reversed fields
+        for fld in (sqrt_drift(), sqrt_drift().negated(),
+                    sqrt_drift().reversed(1.0, 0.0, "rev", "rev")):
+            assert choose_step(fld, 1e-8, 1.0) == pytest.approx(0.01)
+            assert choose_step(fld, 1e-2, 1.0) == pytest.approx(0.05)
 
     def test_semigroup(self):
         fld = TimeField.affine([[0.0, -1.0], [1.0, 0.0]], [0.1, 0.0])

@@ -6,9 +6,8 @@ import pytest
 from transportlab import cli
 
 from transportlab.flow import TimeField
-from transportlab.geometry import (ConditionFailure, Region, _box_eta,
-                                   check_geometric_condition, cutoff_theta,
-                                   weight_eta)
+from transportlab.geometry import (ConditionFailure, Region,
+                                   check_geometric_condition, cutoff_theta)
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 
 
@@ -107,9 +106,9 @@ class TestCutoff:
         omega0 = Region.box([0, 0], [1, 1])
         theta = cutoff_theta(omega0, k=4)
         outside = np.array([[1.5, 0.5], [-0.2, 0.3], [0.0, 0.0]])
-        assert np.allclose(theta.evaluate(outside), 1.0)
+        assert np.allclose(theta(outside), 1.0)
         deep = np.array([[0.5, 0.5], [0.3, 0.5]])
-        assert np.allclose(theta.evaluate(deep), 0.0)
+        assert np.allclose(theta(deep), 0.0)
 
     def test_monotone_and_smooth_along_ray(self):
         omega0 = Region.box([0, 0], [1, 1])
@@ -118,7 +117,7 @@ class TestCutoff:
         xs = np.linspace(0.0, 1.0 / k, 300)
         # ray entering through the middle of the left face
         pts = np.stack([xs, np.full_like(xs, 0.5)], axis=1)
-        vals = theta.evaluate(pts)
+        vals = theta(pts)
         assert np.all(np.diff(vals) <= 1e-12)
         # C1: finite-difference derivative has no jumps
         dv = np.diff(vals) / np.diff(xs)
@@ -130,7 +129,7 @@ class TestCutoff:
         theta = cutoff_theta(omega0, k)
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1.5, 1.5, size=(4000, 2))
-        vals = theta.evaluate(pts)
+        vals = theta(pts)
         depth = omega0.depth(pts)
         outside_band = (depth <= 0) | (depth >= 1.0 / k)
         assert np.allclose((vals * (1 - vals))[outside_band], 0.0)
@@ -138,118 +137,6 @@ class TestCutoff:
     def test_band_must_fit(self):
         with pytest.raises(ValueError):
             cutoff_theta(Region.ball([0, 0], 0.1), k=5)
-
-
-def box_bump_per_axis(omega1, peak, pts):
-    """Reference for ``_box_eta``'s bump and its gradient: one axis at a
-    time, with the product of the other factors taken directly."""
-    lo, hi = omega1.lo, omega1.hi
-    ext = hi - lo
-    u_c = np.clip((np.asarray(peak, dtype=float) - lo) / ext, 1e-3, 1 - 1e-3)
-    lam = u_c / (1.0 - u_c)
-    vals, ders = [], []
-    for a in range(len(lo)):
-        u = np.clip((pts[:, a] - lo[a]) / ext[a], 0.0, 1.0)
-        denom = u + lam[a] * (1.0 - u)
-        s = u / denom
-        vals.append(4.0 * s * (1.0 - s))
-        ders.append(4.0 * (1.0 - 2.0 * s) * (lam[a] / denom ** 2) / ext[a])
-    vals = np.array(vals)
-    grad = np.stack([ders[a] * np.prod(np.delete(vals, a, axis=0), axis=0)
-                     for a in range(len(lo))], axis=1)
-    return np.prod(vals, axis=0), grad
-
-
-class TestWeightEta:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_box_eta_matches_per_axis_bump(self, dim):
-        omega1 = Region.box(-0.5 * np.arange(1, dim + 1), np.full(dim, 1.5))
-        peak = np.full(dim, 0.4)
-        eta = _box_eta(omega1, peak)
-        rng = np.random.default_rng(dim)
-        # some points outside omega1, where a factor clips to 0
-        pts = rng.uniform(-0.7, 1.7, size=(300, dim))
-        b, gb = box_bump_per_axis(omega1, peak, pts)
-        value, grad = b * b, (2.0 * b)[:, None] * gb
-        if dim < 3:
-            # in 1D and 2D both forms do the same operations in the same order
-            assert np.array_equal(eta.evaluate(pts), value)
-            assert np.array_equal(eta.gradient(pts), grad)
-        else:
-            assert np.allclose(eta.evaluate(pts), value, rtol=1e-14, atol=0)
-            assert np.allclose(eta.gradient(pts), grad, rtol=1e-14, atol=0)
-
-    def test_concentric_ball_oracle(self):
-        omega1 = Region.ball([0.5, 0.5], 1.0)
-        s0 = Region.ball([0.5, 0.5], 0.25)
-        eta, k0, k1 = weight_eta(omega1, s0, per_axis=256)
-        # |grad| = 2 |x - c| ranges over [2 r, 2 R] on the annulus
-        assert abs(k0 - 0.5) < 0.05
-        assert abs(k1 - 2.0) < 0.05
-        boundary = np.array([[1.5, 0.5], [0.5, -0.5]])
-        assert np.allclose(eta.evaluate(boundary), 0.0, atol=1e-9)
-
-    def test_box_boundary_zero_and_positive_inside(self):
-        omega1 = Region.box([0, 0], [2, 1])
-        s0 = Region.box([0.8, 0.3], [1.2, 0.7])
-        eta, k0, k1 = weight_eta(omega1, s0)
-        assert k0 > 1e-6 and k1 > k0
-        edge = np.array([[0.0, 0.5], [2.0, 0.3], [1.0, 0.0], [1.7, 1.0]])
-        assert np.allclose(eta.evaluate(edge), 0.0, atol=1e-12)
-        rng = np.random.default_rng(3)
-        interior = np.stack([rng.uniform(0.05, 1.95, 500),
-                             rng.uniform(0.05, 0.95, 500)], axis=1)
-        assert np.all(eta.evaluate(interior) > 0)
-
-    def test_gradient_matches_fd_relative(self):
-        omega1 = Region.box([0, 0], [2, 1])
-        s0 = Region.box([0.7, 0.35], [1.3, 0.65])
-        eta, _, _ = weight_eta(omega1, s0)
-        rng = np.random.default_rng(4)
-        pts = np.stack([rng.uniform(0.2, 1.8, 200),
-                        rng.uniform(0.1, 0.9, 200)], axis=1)
-        grad = eta.gradient(pts)
-        eps = 1e-6
-        for a in range(2):
-            shift = np.zeros(2)
-            shift[a] = eps
-            fd = (eta.evaluate(pts + shift) - eta.evaluate(pts - shift)) / (2 * eps)
-            denom = np.maximum(np.abs(grad[:, a]), 1e-3)
-            assert np.max(np.abs(grad[:, a] - fd) / denom) < 1e-5
-
-    def test_ascent_reaches_inner_region(self):
-        omega1 = Region.box([0, 0], [2, 1])
-        s0 = Region.box([1.2, 0.2], [1.7, 0.6])
-        eta, _, _ = weight_eta(omega1, s0)
-        rng = np.random.default_rng(5)
-        seeds = np.stack([rng.uniform(0.1, 1.9, 200),
-                          rng.uniform(0.05, 0.95, 200)], axis=1)
-        pts = seeds.copy()
-        for _ in range(4000):
-            grad = eta.gradient(pts)
-            norm = np.linalg.norm(grad, axis=1, keepdims=True)
-            done = s0.contains(pts)
-            step = 0.004 * grad / np.maximum(norm, 1e-12)
-            pts = np.where(done[:, None], pts, pts + step)
-        assert np.all(s0.contains(pts))
-
-    def test_translation_covariance(self):
-        omega1 = Region.box([0, 0], [2, 1])
-        s0 = Region.box([0.8, 0.3], [1.2, 0.7])
-        eta, _, _ = weight_eta(omega1, s0)
-        shift = np.array([3.0, -2.0])
-        eta2, _, _ = weight_eta(Region.box(omega1.lo + shift, omega1.hi + shift),
-                                Region.box(s0.lo + shift, s0.hi + shift))
-        pts = np.array([[0.4, 0.5], [1.5, 0.15], [1.0, 0.5]])
-        assert np.allclose(eta.evaluate(pts), eta2.evaluate(pts + shift))
-
-    def test_critical_point_detected(self):
-        # quadratic ball weight peaks at the ball center; an inner region
-        # placed elsewhere leaves the critical point exposed
-        omega1 = Region.ball([0.0, 0.0], 1.0)
-        s0 = Region.ball([0.6, 0.0], 0.15)
-        with pytest.raises(ValueError, match="critical point"):
-            weight_eta(omega1, s0)
 
 
 def cloud(points):

@@ -11,8 +11,8 @@ from transportlab.measure import (DensitySpec, GridPartition, ParticleMeasure,
                                   push_forward, quantile_partition, sample)
 from transportlab.ot import wp_discrete
 from transportlab.scenarios import Scenario, random_exact_scenario
-from transportlab.synth import (_escalate_exact_funnel, affine_funnel_total,
-                                exact_controller, grid_control)
+from transportlab.synth import (GridControlField, _escalate_exact_funnel,
+                                affine_funnel_total, exact_controller)
 
 
 def square_meshes():
@@ -35,7 +35,7 @@ class TestGridClosedForm:
 
     @pytest.fixture(scope="class")
     def grid(self):
-        return grid_control(*square_meshes(), self.T)
+        return GridControlField(*square_meshes(), self.T)
 
     @staticmethod
     def rk4(grid, pts, ta, tb, tol, refine=1.0):
@@ -50,6 +50,11 @@ class TestGridClosedForm:
                               refine * sub.lipschitz_bound, sub.sup_bound),
                     pts, lo, hi, tol)
         return pts
+
+    def test_duration_must_be_positive(self):
+        for T in (0.0, -1.0):
+            with pytest.raises(ValueError, match="T must be positive"):
+                GridControlField(*square_meshes(), T)
 
     def test_corners_reach_their_ends(self, grid):
         # sub-phase a carries every slab's walls on axis a, read at the
@@ -157,7 +162,7 @@ class TestGridClosedForm:
     def test_three_dimensional_cells_land_in_target_cells(self):
         cube = DensitySpec("uniform_box", 3, {"lo": [0] * 3, "hi": [1] * 3})
         src, tgt = sample(cube, 2000, seed=5), sample(cube, 2000, seed=6)
-        grid = grid_control(*quantile_partition(
+        grid = GridControlField(*quantile_partition(
             src, push_forward(tgt, lambda p: p ** 2), 3), 1.0)
         pts, rel = self.in_cell_points(grid, per_cell=2)
         images, closed, _ = grid.flow(pts, 0.0, 1.0, 1e-8)
@@ -188,7 +193,7 @@ class TestGridMovingOuterWalls:
         origin, scale = np.array([0.05, -0.03]), np.array([1.1, 0.95])
         world = GridPartition(4, [origin[a] + scale[a] * w
                                   for a, w in enumerate(part_tgt.walls)])
-        return grid_control(part_src, world, self.T)
+        return GridControlField(part_src, world, self.T)
 
     def test_field_is_continuous_across_a_moving_outer_wall(self, grid):
         eps = 1e-7
@@ -336,7 +341,7 @@ def test_storage_control_cancels_the_drift_progressively():
     omega0 = Region.box([0.5, 0.5], [1.5, 1.0])
     pts = np.random.default_rng(10).uniform([0.3, 0.3], [1.7, 1.2], (400, 2))
     fld = synth.storage_total(v, omega0, 8)
-    theta = geometry.cutoff_theta(omega0, 8).evaluate(pts)
+    theta = geometry.cutoff_theta(omega0, 8)(pts)
     assert np.any(theta == 0.0) and np.any(theta == 1.0)
     expected = (theta - 1.0)[:, None] * v.evaluate(pts, 0.0)
     assert np.max(np.abs(fld.control_part(pts, 0.0) - expected)) < 1e-12
