@@ -10,14 +10,14 @@ tolerance. A field with an infinite Lipschitz bound (the square-root
 splitting example) falls back to the tolerance step and emits a warning
 once per field.
 
-The scenario drifts (zero, constant, affine, radial and their negations)
-are affine, x' = Ax + b, and carry their pair (A, b); their exact flow
+The scenario drifts (zero, constant, affine and their negations) are
+affine, x' = Ax + b, and carry their pair (A, b); their exact flow
 map exp(t [[A, b], [0, 0]]) is ``_affine_flow``, not a ``flow_map``, so
 ``flow_push`` steps them. ``stopped_flow_batch`` parks each point at its
-first entry into a region (the crossing check and the exact lane's
-parks), so it integrates nothing: a straight path (A = 0) enters a box at
-a slab time, and otherwise it probes that exact map and locates each
-entry on it.
+first entry into a box (the crossing check and the exact lane's
+parks), so it integrates nothing: a straight path (A = 0) enters at a
+slab time, and otherwise it probes that exact map and locates each entry
+on it.
 """
 from __future__ import annotations
 
@@ -115,14 +115,6 @@ class TimeField:
                    descriptor={"kind": "affine", "matrix": mat.tolist(),
                                "offset": off.tolist()},
                    affine_pair=(mat, off))
-
-    @classmethod
-    def radial(cls, center, rate):
-        c = np.asarray(center, dtype=float).reshape(-1)
-        return cls(lambda p, t: rate * (p - c), len(c), abs(rate), np.inf,
-                   label="radial",
-                   descriptor={"kind": "radial", "center": c.tolist(), "rate": rate},
-                   affine_pair=(rate * np.eye(len(c)), -rate * c))
 
     def negated(self):
         """-w, for reversing autonomous dynamics."""
@@ -289,25 +281,24 @@ _PROBE_BLOCK = 1 << 16
 def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
                        horizon: float, tol: float):
     """Advance a batch along an affine field, parking each point at its
-    first entry into ``stop_region``.
+    first entry into the box ``stop_region``.
 
     Nothing is integrated: positions are read off the field's exact flow
-    map (``_affine_flow``). Under a translation (A = 0) into a box, a path
-    is straight and enters at a slab time (``_slab_entries``); the few
-    paths the slab times cannot settle, and every other case, are probed,
-    a block of probe times in one map. Probes are
+    map (``_affine_flow``). Under a translation (A = 0), a path is straight
+    and enters at a slab time (``_slab_entries``); the few paths the slab
+    times cannot settle, and every path of a curved drift, are probed, a
+    block of probe times in one map. Probes are
     ``choose_step(field, tol, horizon)`` apart over [t0, t0 + horizon], the
     last at the horizon. A point inside at a probe is parked at its first
     entry, found between that probe and the one before to 2^-52 of their
-    distance. No active point moves more than half the region's inradius
-    (for a union, its thinnest part's) between two probes, so none steps
-    over the region: for A = 0 the spacing is at most that cap over |b|;
-    otherwise a block where a point moves more than the cap, and at least
-    its distance to the region, is probed again that many times finer, as
-    are the blocks after it. A point farther away than its move cannot
-    reach the region on that chord, so far points flung ever faster by an
-    expanding drift cost no finer probes. A path that clips a corner or an
-    edge between two probes is not seen.
+    distance. No active point moves more than half the box's inradius
+    between two probes, so none steps over the box: for A = 0 the spacing
+    is at most that cap over |b|; otherwise a block where a point moves
+    more than the cap, and at least its distance to the box, is probed
+    again that many times finer, as are the blocks after it. A point
+    farther away than its move cannot reach the box on that chord, so far
+    points flung ever faster by an expanding drift cost no finer probes. A
+    path that clips a corner or an edge between two probes is not seen.
 
     A non-finite position before a point's entry raises
     ``FloatingPointError`` naming the point. Probing stops once every point
@@ -330,7 +321,7 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     rows = np.flatnonzero(dist > 0)
     dist = dist[rows]
     a, b = pair
-    if not a.any() and stop_region.kind == "box":
+    if not a.any():
         slab, never = _slab_entries(stop_region, b, x0[rows], horizon)
         found = ~np.isnan(slab)
         idx, gone = rows[found], rows[never]
@@ -340,7 +331,7 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
         _check_finite(end[gone], x0[gone], t0 + horizon, gone)
         keep = ~found & ~never
         rows, dist = rows[keep], dist[keep]
-    cap = _step_cap(stop_region)
+    cap = 0.5 * stop_region.inradius()
     h = choose_step(field, tol, horizon)
     if not a.any() and b.any():
         h = min(h, cap / float(np.linalg.norm(b)))
@@ -414,14 +405,6 @@ def _slab_entries(box, b, x0, horizon):
         fits = t <= last[todo]
         t, step, todo = t[fits], step[fits], todo[fits]
     return hit, never
-
-
-def _step_cap(region):
-    """Half the inradius of the thinnest part of ``region``: the farthest
-    a stopped flow moves a point between two probes."""
-    if region.kind == "union":
-        return min(_step_cap(part) for part in region.parts)
-    return 0.5 * region.inradius()
 
 
 # an entry is located in passes that each cut its bracket into 16 parts and

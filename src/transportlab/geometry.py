@@ -1,10 +1,9 @@
 """Regions, the storage cutoff and its closed-form flow, and the
 geometric-condition checker.
 
-Regions are axis-aligned boxes, balls and finite unions: enough for every
-control set used by the laboratory while keeping signed distances exact for
-single primitives (unions use the min, exact outside and within 1e-9 of the
-true value inside overlaps).
+A region is an axis-aligned box: the control region omega and every set
+the controllers place inside it (omega0, S, S0, omega1) are boxes, and a
+box's signed distance, depth and containment are exact.
 """
 from __future__ import annotations
 
@@ -26,46 +25,20 @@ __all__ = [
 
 
 class Region:
-    """Axis-aligned box, ball, or finite union of such."""
+    """Axis-aligned box [lo, hi]."""
 
-    def __init__(self, kind, **params):
-        self.kind = kind
-        if kind == "box":
-            self.lo = np.asarray(params["lo"], dtype=float).reshape(-1)
-            self.hi = np.asarray(params["hi"], dtype=float).reshape(-1)
-            if not np.all(self.hi > self.lo):
-                raise ValueError("box must have positive extent")
-            self.dim = len(self.lo)
-            self._center = 0.5 * (self.lo + self.hi)
-            self._half = 0.5 * (self.hi - self.lo)
-        elif kind == "ball":
-            self.center = np.asarray(params["center"], dtype=float).reshape(-1)
-            self.radius = float(params["radius"])
-            if self.radius <= 0:
-                raise ValueError("ball needs positive radius")
-            self.dim = len(self.center)
-        elif kind == "union":
-            self.parts = list(params["parts"])
-            if not self.parts:
-                raise ValueError("union of nothing")
-            dims = {p.dim for p in self.parts}
-            if len(dims) != 1:
-                raise ValueError("union members must share a dimension")
-            self.dim = dims.pop()
-        else:
-            raise ValueError(f"unknown region kind {kind!r}")
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=float).reshape(-1)
+        self.hi = np.asarray(hi, dtype=float).reshape(-1)
+        if not np.all(self.hi > self.lo):
+            raise ValueError("box must have positive extent")
+        self.dim = len(self.lo)
+        self._center = 0.5 * (self.lo + self.hi)
+        self._half = 0.5 * (self.hi - self.lo)
 
     @classmethod
     def box(cls, lo, hi):
-        return cls("box", lo=lo, hi=hi)
-
-    @classmethod
-    def ball(cls, center, radius):
-        return cls("ball", center=center, radius=radius)
-
-    @classmethod
-    def union(cls, *parts):
-        return cls("union", parts=list(parts))
+        return cls(lo, hi)
 
     # -- geometry -----------------------------------------------------------
     #
@@ -90,88 +63,42 @@ class Region:
 
     def signed_distance(self, pts):
         """Negative inside, positive outside, zero on the boundary."""
-        if self.kind == "box":
-            q, most = self._box_excess(pts)
-            outside = np.maximum(q, 0.0)
-            return (np.sqrt(np.add.reduce(outside * outside, axis=1))
-                    + np.minimum(most, 0.0))
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "ball":
-            return np.linalg.norm(pts - self.center, axis=1) - self.radius
-        return np.min([p.signed_distance(pts) for p in self.parts], axis=0)
+        q, most = self._box_excess(pts)
+        outside = np.maximum(q, 0.0)
+        return (np.sqrt(np.add.reduce(outside * outside, axis=1))
+                + np.minimum(most, 0.0))
 
     def contains(self, pts):
-        if self.kind == "box":
-            return self._box_excess(pts)[1] <= 0.0
-        return self.signed_distance(pts) <= 0.0
+        return self._box_excess(pts)[1] <= 0.0
 
     def depth(self, pts):
         """Distance to the complement: max(-sdf, 0)."""
-        if self.kind == "box":
-            return np.maximum(-self._box_excess(pts)[1], 0.0)
-        return np.maximum(-self.signed_distance(pts), 0.0)
+        return np.maximum(-self._box_excess(pts)[1], 0.0)
 
     def shrink(self, r):
-        """A region contained in this one at depth >= r (conservative for unions)."""
+        """The box of the points at depth >= r."""
         if r < 0:
             raise ValueError("shrink margin must be nonnegative")
         if r == 0:
             return self
-        if self.kind == "box":
-            if np.any(self.hi - self.lo <= 2 * r):
-                raise ValueError("shrink margin exceeds the box half-extent")
-            return Region.box(self.lo + r, self.hi - r)
-        if self.kind == "ball":
-            if self.radius <= r:
-                raise ValueError("shrink margin exceeds the radius")
-            return Region.ball(self.center, self.radius - r)
-        return Region.union(*[p.shrink(r) for p in self.parts])
+        if np.any(self.hi - self.lo <= 2 * r):
+            raise ValueError("shrink margin exceeds the box half-extent")
+        return Region.box(self.lo + r, self.hi - r)
 
     def inradius(self) -> float:
-        if self.kind == "box":
-            return float(np.min(self.hi - self.lo) / 2)
-        if self.kind == "ball":
-            return self.radius
-        return max(p.inradius() for p in self.parts)
-
-    def bounding_box(self):
-        if self.kind == "box":
-            return self.lo.copy(), self.hi.copy()
-        if self.kind == "ball":
-            return self.center - self.radius, self.center + self.radius
-        los, his = zip(*[p.bounding_box() for p in self.parts])
-        return np.min(los, axis=0), np.max(his, axis=0)
-
-    def center_point(self):
-        if self.kind == "box":
-            return 0.5 * (self.lo + self.hi)
-        if self.kind == "ball":
-            return self.center.copy()
-        lo, hi = self.bounding_box()
-        return 0.5 * (lo + hi)
-
-    def is_convex(self) -> bool:
-        return self.kind in ("box", "ball")
+        return float(np.min(self.hi - self.lo) / 2)
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
-        if self.kind == "box":
-            return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-        if self.kind == "ball":
-            return {"kind": "ball", "center": self.center.tolist(),
-                    "radius": self.radius}
-        return {"kind": "union", "parts": [p.to_dict() for p in self.parts]}
+        return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
     @classmethod
     def from_dict(cls, data) -> "Region":
         kind = data["kind"]
-        if kind == "box":
-            return cls.box(data["lo"], data["hi"])
-        if kind == "ball":
-            return cls.ball(data["center"], data["radius"])
-        if kind == "union":
-            return cls.union(*[cls.from_dict(p) for p in data["parts"]])
-        raise ValueError(f"unknown region kind {kind!r}")
+        if kind != "box":
+            raise ValueError(f"unknown region kind {kind!r}: the control "
+                             "region is a box")
+        return cls.box(data["lo"], data["hi"])
 
     def __repr__(self):
         return f"Region({self.to_dict()})"
@@ -372,20 +299,18 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
     hi = hits.max(axis=0)
     # inflate so entry points sit at positive depth, then clip inside omega
     shrunk = omega.shrink(margin / 2)
-    slo, shi = shrunk.bounding_box()
     pad = margin / 4
-    lo = np.maximum(lo - pad, slo)
-    hi = np.minimum(hi + pad, shi)
+    lo = np.maximum(lo - pad, shrunk.lo)
+    hi = np.minimum(hi + pad, shrunk.hi)
     span = hi - lo
     fix = span <= 1e-9
     lo[fix] -= 1e-6
     hi[fix] += 1e-6
     omega0 = Region.box(lo, hi)
-    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, omega.dim)
-    if not np.all(shrunk.contains(corners)):
+    if not np.all(shrunk.contains(np.stack([lo, hi]))):
         raise ValueError(
             "entry points cannot be covered by a box compactly inside the "
-            "control region; use a box-shaped control region")
+            "control region; it is too thin for its margins")
     return GeometricCondition(
         T0star=times[0], T1star=times[1],
         omega0=omega0, margin=float(margin), resolution=len(mu0) + len(mu1))

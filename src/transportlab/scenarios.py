@@ -4,6 +4,21 @@ A scenario bundles the ambient drift, the control region, the two measures
 and the numeric parameters. Parsing round-trips: parse -> serialize ->
 parse gives an identical value, and resolved defaults are recorded in the
 output manifest rather than applied silently.
+
+The accepted format, one JSON object:
+
+- ``dim``: the dimension d;
+- ``v``: the drift, ``{"kind": "zero"}``, ``{"kind": "constant", "value":
+  b}`` or ``{"kind": "affine", "matrix": A, "offset": b}`` for
+  x' = Ax + b;
+- ``omega``: the control region, a box ``{"kind": "box", "lo": lo, "hi":
+  hi}``;
+- ``mu0``, ``mu1``: each a density (see ``measure.DensitySpec``) or
+  ``{"atoms": rows}``, each row d coordinates and a weight;
+- ``params``: ``delta`` (required), and ``particles``, ``seed``,
+  ``horizon``, ``tol``, ``epsilon`` and ``n`` (defaults below).
+
+Any other drift or region kind is an input error.
 """
 from __future__ import annotations
 
@@ -31,25 +46,15 @@ PARAM_DEFAULTS = {
 }
 REQUIRED_PARAMS = ("delta",)
 
-NAMED_FIELDS = {
-    "unit-right": {"kind": "constant", "value": [1.0, 0.0]},
-    "unit-left": {"kind": "constant", "value": [-1.0, 0.0]},
-    "half-right": {"kind": "constant", "value": [0.5, 0.0]},
-}
-
 
 def _field_from_dict(desc: dict, dim: int) -> TimeField:
     kind = desc["kind"]
-    if kind == "named":
-        return _field_from_dict(NAMED_FIELDS[desc["name"]], dim)
     if kind == "zero":
         return TimeField.zero(dim)
     if kind == "constant":
         return TimeField.constant(desc["value"])
     if kind == "affine":
         return TimeField.affine(desc["matrix"], desc["offset"])
-    if kind == "radial":
-        return TimeField.radial(desc["center"], desc["rate"])
     raise ValueError(f"unknown velocity kind {kind!r}")
 
 

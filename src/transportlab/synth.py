@@ -96,9 +96,9 @@ class ControlSchedule:
     def max_control_outside(self, omega: Region, n_samples: int,
                             seed: int) -> float:
         """Largest sampled |control| outside omega over all segments, at
-        points drawn in omega's bounding box grown by its extent."""
+        points drawn in the box omega grown by its extent."""
         rng = np.random.default_rng(seed)
-        lo, hi = omega.bounding_box()
+        lo, hi = omega.lo, omega.hi
         span = hi - lo
         lo, hi = lo - span, hi + span
         pts = lo + (hi - lo) * rng.random((n_samples, omega.dim))
@@ -325,17 +325,16 @@ def storage_total(v: TimeField, omega0: Region, k: int) -> TimeField:
     """Total velocity theta_k * v of the storage phase. Its control part
     (theta_k - 1) v cancels the drift progressively inside omega0: it is
     exactly zero outside omega0, and the total velocity is exactly zero at
-    depth 1/k. Under a translation drift (A = 0) and a box omega0 the
-    field carries its exact flow map (``cutoff_flow``), so ``flow_push``
-    steps nothing; a curved drift is stepped by RK4."""
+    depth 1/k. Under a translation drift (A = 0) the field carries its
+    exact flow map (``cutoff_flow``), so ``flow_push`` steps nothing; a
+    curved drift is stepped by RK4."""
     theta = cutoff_theta(omega0, k)
 
     def total(pts, t):
         return theta(pts)[:, None] * v.evaluate(pts, t)
 
     pair = v.affine_pair
-    straight = (pair is not None and not pair[0].any()
-                and omega0.kind == "box")
+    straight = pair is not None and not pair[0].any()
     return TimeField(total, v.dim,
                      lipschitz_bound=v.sup_bound * 1.875 * k + v.lipschitz_bound,
                      sup_bound=v.sup_bound, label=f"storage_total_k{k}",
@@ -359,18 +358,6 @@ def _blend_factor(region: Region, band: float):
     return factor
 
 
-def _boxes_inside(region: Region, lo, hi):
-    """Per row, whether the box [lo, hi] lies in the convex region, i.e.
-    whether all its corners do."""
-    lo = np.atleast_2d(lo)
-    hi = np.atleast_2d(hi)
-    d = lo.shape[1]
-    bits = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1
-    corners = np.where(bits[:, None, :] == 1, hi, lo)
-    return np.all(region.contains(corners.reshape(-1, d)).reshape(2 ** d, -1),
-                  axis=0)
-
-
 def _cloud_box(pts, omega1: Region):
     """Bounding box of the points ``pts``, padded by 1% of its extent on
     each axis: the box a straight-line funnel contracts. On a long cloud
@@ -378,7 +365,7 @@ def _cloud_box(pts, omega1: Region):
     on each side it is cut to 99% of that room (to none outside omega1)."""
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     pad = 0.01 * np.maximum(hi - lo, 1e-9)
-    box_lo, box_hi = omega1.bounding_box()
+    box_lo, box_hi = omega1.lo, omega1.hi
     return Region.box(lo - np.clip(0.99 * (lo - box_lo), 0.0, pad),
                       hi + np.clip(0.99 * (box_hi - hi), 0.0, pad))
 
@@ -390,35 +377,35 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     the approximate lane pushes its particles through it, and the exact lane
     reads its atoms' paths off it.
 
-    Valid when omega1 is convex (the swept boxes stay inside the hull of the
-    two). Translation and contraction decouple, so the per-axis contraction
-    is exactly the ratio the geometry requires and early arrivals never keep
-    compressing. The ramp has zero velocity at both ends, which makes the
-    segment handoff exact.
+    The boxes it sweeps stay inside the hull of the first and the last,
+    which the box omega1 holds. Translation and contraction decouple, so
+    the per-axis contraction is exactly the ratio the geometry requires and
+    early arrivals never keep compressing. The ramp has zero velocity at
+    both ends, which makes the segment handoff exact.
 
     Inside omega1 the blend factor is 1, so there the flow is the similarity
     x(t) = c(t) + lam^w(t) (x0 - c0) with w the ramp and c(t) the centre
     moving from c0 to c1. The field's flow map (see ``TimeField``) takes
-    points from t0 to t1 on it: c(t1) + lam^(w(t1) - w(t0)) (x - c(t0)). On
-    each axis the box c(t) +- lam^w(t) |x0 - c0| is a linear function of w
-    plus or minus a convex one, and w is monotone, so between any two times
-    it never leaves the hull of its boxes at those times. The map certifies
-    a row when both of those boxes lie in omega1: its path between them
-    stays where the similarity is the field's flow.
+    points from t0 to t1 on it: c(t1) + lam^(w(t1) - w(t0)) r with
+    r = x - c(t0). On each axis that coordinate is c(w), linear in w, plus
+    a term of r's sign, convex in w for r >= 0 and concave for r < 0, and
+    w is monotone between t0 and t1. So for r >= 0 it keeps between the
+    least of c's ends and the largest of its own, for r < 0 mirrored:
+    within the box spanned by the row's two ends and c's. The map
+    certifies a row when that box lies in omega1: its path stays where the
+    similarity is the field's flow.
     """
-    if not omega1.is_convex():
-        raise ValueError("the straight-line funnel needs a convex omega1")
-    c0 = cloud_box.center_point()
-    c1 = target_box.center_point()
+    c0 = 0.5 * (cloud_box.lo + cloud_box.hi)
+    c1 = 0.5 * (target_box.lo + target_box.hi)
     half0 = 0.5 * (cloud_box.hi - cloud_box.lo)
     half1 = 0.5 * (target_box.hi - target_box.lo)
     lam = np.minimum(1.0, 0.9 * half1 / np.maximum(half0, 1e-300))
     log_lam = np.log(lam)
     span = float(duration)
 
-    if not _boxes_inside(omega1,
-                         np.minimum(cloud_box.lo, c1 - lam * half0 - 1e-12),
-                         np.maximum(cloud_box.hi, c1 + lam * half0 + 1e-12))[0]:
+    if not np.all(omega1.contains(np.stack([
+            np.minimum(cloud_box.lo, c1 - lam * half0 - 1e-12),
+            np.maximum(cloud_box.hi, c1 + lam * half0 + 1e-12)]))):
         raise ValueError("funnel endpoints do not fit inside omega1")
     blend = _blend_factor(omega1, blend_band)
 
@@ -426,11 +413,10 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
         w0, w1 = _smootherstep(np.array([t0, t1]) / span)
         c_t0, c_t1 = (1.0 - w0) * c0 + w0 * c1, (1.0 - w1) * c0 + w1 * c1
         scale = lam ** w1 / lam ** w0
-        reach = np.abs(pts - c_t0)
-        certified = _boxes_inside(
-            omega1, np.minimum(c_t0 - reach, c_t1 - scale * reach),
-            np.maximum(c_t0 + reach, c_t1 + scale * reach))
-        return c_t1 + scale * (pts - c_t0), certified
+        image = c_t1 + scale * (pts - c_t0)
+        lo = np.minimum(np.minimum(pts, image), np.minimum(c_t0, c_t1))
+        hi = np.maximum(np.maximum(pts, image), np.maximum(c_t0, c_t1))
+        return image, omega1.contains(lo) & omega1.contains(hi)
 
     def ramp(t):
         u = min(max(t / span, 0.0), 1.0)
@@ -446,8 +432,8 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
 
     wd_max = 1.875 / span
     reach = float(np.linalg.norm(c1 - c0)
-                  + np.max(np.abs(log_lam)) * np.linalg.norm(
-                      omega1.bounding_box()[1] - omega1.bounding_box()[0]))
+                  + np.max(np.abs(log_lam))
+                  * np.linalg.norm(omega1.hi - omega1.lo))
     sup = wd_max * reach + v.sup_bound
     lip = (wd_max * float(np.max(np.abs(log_lam)))
            + (sup + v.sup_bound) * 1.875 / blend_band + v.lipschitz_bound)
@@ -556,8 +542,6 @@ class ControllerResult:
 def _largest_free_box(omega: Region, omega0: Region) -> Region:
     """Largest axis-aligned slab of a box omega avoiding the box omega0,
     shrunk by 15% about its centre."""
-    if omega.kind != "box" or omega0.kind != "box":
-        raise ValueError("storage-set placement needs box regions")
     best = None
     best_vol = -1.0
     for axis in range(omega.dim):
@@ -585,7 +569,7 @@ def _largest_free_box(omega: Region, omega0: Region) -> Region:
 def _place_sets(omega: Region, omega0: Region):
     """S inside omega \\ omega0, S0 well inside S, omega1 around both."""
     s_box = _largest_free_box(omega, omega0)
-    c = s_box.center_point()
+    c = 0.5 * (s_box.lo + s_box.hi)
     half = 0.5 * (s_box.hi - s_box.lo)
     s0 = Region.box(c - 0.5 * half, c + 0.5 * half)
     hull_lo = np.minimum(omega0.lo, s_box.lo)
@@ -649,7 +633,7 @@ def _plan(scenario) -> _Plan:
     if not math.isfinite(v.sup_bound):
         # the drift's speed on the box holding omega and both supports grown
         # by 1, at its corners (|Ax + b| is convex); every bound reads it
-        lo, hi = zip(omega.bounding_box(), mu0.support_bbox(),
+        lo, hi = zip((omega.lo, omega.hi), mu0.support_bbox(),
                      mu1.support_bbox())
         corners = np.meshgrid(*zip(np.min(lo, axis=0) - 1.0,
                                    np.max(hi, axis=0) + 1.0), indexing="ij")

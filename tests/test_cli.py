@@ -26,26 +26,6 @@ def figure1_with(tmp_path, **changes):
     return path
 
 
-@pytest.mark.parametrize("mode", ["approx", "exact"])
-def test_run_rejects_a_non_box_omega_up_front(tmp_path, capsys, monkeypatch,
-                                              mode):
-    # both controllers need a box omega to place the storage set in; a ball
-    # is an input error, reported before the crossing check runs
-    def never(*args, **kwargs):
-        raise AssertionError("a controller ran on a non-box omega")
-
-    monkeypatch.setattr(cli, "approx_controller", never)
-    monkeypatch.setattr(cli, "exact_controller", never)
-    path = figure1_with(tmp_path, omega={"kind": "ball",
-                                         "center": [2.7, 0.1], "radius": 1.2})
-    out = tmp_path / "out"
-    assert cli.main(["run", "--scenario", str(path), "--mode", mode,
-                     "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("scenario error:") and "box" in err
-    assert not (out / "report.json").exists()
-
-
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_truncated_scenario_is_an_input_error(tmp_path, capsys, command):
     text = figure1_with(tmp_path).read_text()
@@ -157,7 +137,20 @@ MALFORMED_MEMBERS = {
     "mixture-weight-nan": {"mu0": {"kind": "mixture", "dim": 2,
                                    "components": [UNIT_BOX],
                                    "mix_weights": [math.nan]}},
+    # omega is a box and v is zero, constant or affine; other kinds are
+    # refused by name (check used to accept a ball omega)
+    "omega-ball": {"omega": {"kind": "ball", "center": [2.7, 0.1],
+                             "radius": 1.2}},
+    "omega-union": {"omega": {"kind": "union", "parts": [
+        {"kind": "box", "lo": [2.0, -1.2], "hi": [3.4, 1.4]}]}},
+    "drift-radial": {"v": {"kind": "radial", "center": [0.0, 0.0],
+                           "rate": 0.5}},
+    "drift-named": {"v": {"kind": "named", "name": "half-right"}},
 }
+
+# the kind each refused member's message names
+REFUSED_KINDS = {"omega-ball": "'ball'", "omega-union": "'union'",
+                 "drift-radial": "'radial'", "drift-named": "'named'"}
 
 
 @pytest.mark.parametrize("flags", [["run", "--mode", "approx"],
@@ -181,6 +174,7 @@ def test_malformed_member_is_an_input_error(tmp_path, capsys, monkeypatch,
                                                **MALFORMED_MEMBERS[case]),
                                   tmp_path / "out", *flags[1:])
     assert "Traceback" not in err
+    assert REFUSED_KINDS.get(case, "") in err
 
 
 @pytest.mark.parametrize("scenario", [load_scenario("figure1"),
@@ -240,16 +234,6 @@ def test_sqrt_split_error_stays_at_the_rk4_floor(tmp_path):
         [row["w1_error"] for row in rows]
 
 
-def test_check_on_a_non_box_omega_is_an_input_error(tmp_path, capsys):
-    # no box compactly inside this ball covers figure1's entry points; the
-    # crossing check's ValueError is an input error, not a traceback
-    path = figure1_with(tmp_path, omega={"kind": "ball",
-                                         "center": [2.7, 0.1], "radius": 1.2})
-    assert cli.main(["check", "--scenario", str(path),
-                     "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("scenario error:")
-
-
 @pytest.mark.parametrize("width", [1e-6, 1e-5])
 def test_thin_omega_is_an_input_error_in_approx_mode(tmp_path, capsys,
                                                      width):
@@ -270,9 +254,27 @@ def test_thin_omega_is_an_input_error_in_approx_mode(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("scenario error:")
     assert "inradius" in err and str(transportlab.synth.STORAGE_K_CAP) in err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
     assert cli.main(["run", "--scenario", str(path), "--mode", "exact",
                      "--out", str(out)]) == 0
+
+
+def test_check_on_an_omega_too_thin_for_its_margins(tmp_path, capsys):
+    # a margin of a fifth of a 1e-9 inradius leaves no box compactly inside
+    # omega around the entry points: an input error, and no output
+    path = figure1_with(
+        tmp_path, omega={"kind": "box", "lo": [2.0, 0.0],
+                         "hi": [2.0 + 1e-9, 1.0]},
+        mu0={"kind": "uniform_box", "dim": 2, "lo": [0.1, 0.4],
+             "hi": [0.2, 0.6]},
+        mu1={"kind": "uniform_box", "dim": 2, "lo": [4.0, 0.4],
+             "hi": [4.1, 0.6]})
+    out = tmp_path / "out"
+    assert cli.main(["check", "--scenario", str(path),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "too thin" in err
+    assert not out.exists()
 
 
 def test_exact_run_above_the_solver_cap_fails_up_front(tmp_path, capsys,
@@ -376,3 +378,32 @@ def test_run_imports_no_scipy(tmp_path, mode):
     assert res.stdout.strip().splitlines()[-1] == "[]"
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["final_w1"]["method"] == "exact"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "two-bump-merge", "--mode", "exact"],
+    ["--scenario", "figure1", "--particles", "300", "--mode", "approx"]],
+    ids=["two-bump-merge-exact", "figure1-approx"])
+def test_reruns_write_the_same_bytes(tmp_path, argv):
+    # a run is a function of its scenario: once in this process and once
+    # in a fresh one under another hash seed, every file it writes has the
+    # same bytes
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["run", *argv, "--out", str(first)]) == 0
+    src = str(Path(transportlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    res = subprocess.run([sys.executable, "-m", "transportlab.cli", "run",
+                          *argv, "--out", str(second)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*")
+                      if p.is_file())
+
+    assert files(first) == files(second)
+    assert len(files(first)) > 4
+    for name in files(first):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), \
+            name

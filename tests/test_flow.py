@@ -12,6 +12,19 @@ from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.ot import wp_discrete
 
 
+def isotropic(centre, rate):
+    """x' = rate (x - centre), an isotropic affine drift about centre."""
+    centre = np.asarray(centre, dtype=float)
+    return TimeField.affine(rate * np.eye(len(centre)), -rate * centre)
+
+
+def settle_nothing(monkeypatch):
+    """Make the stopped flow's slab times settle no path, so that every
+    entry is found by the probes and the bisection."""
+    monkeypatch.setattr(flow, "_slab_entries", lambda box, b, x0, horizon: (
+        np.full(len(x0), np.nan), np.zeros(len(x0), dtype=bool)))
+
+
 def sqrt_drift():
     return TimeField(lambda p, t: np.sqrt(np.maximum(p, 0.0)), 1,
                      lipschitz_bound=math.inf, sup_bound=2.0, label="sqrt")
@@ -193,13 +206,13 @@ class TestStoppedFlow:
         assert np.isnan(hit[0]) and np.array_equal(end, [[0.0, 0.0]])
 
     def test_linear_hit_time(self):
-        # x' = (1, 0) into the ball of radius 1/2 about (2, 0): a point at
-        # height y enters at x = 2 - sqrt(1/4 - y^2); one point misses it
-        region = Region.ball([2.0, 0.0], 0.5)
+        # x' = (1, 0) into the box [2, 3] x [-1/2, 1/2]: a point at height
+        # |y| <= 1/2 enters at x = 2; one point misses it
+        region = Region.box([2.0, -0.5], [3.0, 0.5])
         fld = TimeField.constant([1.0, 0.0])
         pts = np.array([[0.0, 0.0], [0.5, 0.1], [0.0, 5.0]])
         ends, hits = stopped_flow_batch(fld, region, pts, 1.0, 6.0, 1e-6)
-        entry = 2.0 - np.sqrt(0.25 - pts[:2, 1] ** 2)
+        entry = np.full(2, 2.0)
         assert np.max(np.abs(hits[:2] - (entry - pts[:2, 0]))) < 1e-12
         assert np.max(np.abs(ends[:2, 0] - entry)) < 1e-12
         assert np.array_equal(ends[:2, 1], pts[:2, 1])
@@ -209,8 +222,8 @@ class TestStoppedFlow:
     def test_batch_matches_scalar(self):
         # each point alone is probed in other blocks than in the batch; the
         # entries located on the exact map agree to rounding
-        region = Region.ball([0.0, 0.0], 0.3)
-        fld = TimeField.radial([0.1, -0.1], -0.8)
+        region = Region.box([-0.3, -0.3], [0.3, 0.3])
+        fld = isotropic([0.1, -0.1], -0.8)
         pts = np.array([[1.0, 0.5], [-2.0, 0.2], [0.4, -1.5]])
         tol = 1e-9
         ends, hits = stopped_flow_batch(fld, region, pts, 0.0, 10.0, tol)
@@ -223,20 +236,20 @@ class TestStoppedFlow:
     # choose_step's probe spacing for tol 1e-6 over a horizon of 100
     H = 100.0 / 3163
 
-    @pytest.mark.parametrize("union,lo,hi", [
+    @pytest.mark.parametrize("probed,lo,hi", [
         (False, 30.0, 30.02), (True, 30.0, 30.02),
         (True, 949.3 * H, 949.9 * H)],
         ids=["False", "True", "between-probes"])
-    def test_thin_box_is_not_stepped_over(self, union, lo, hi):
-        # only the cap of half the inradius keeps a box thinner than the
-        # probe spacing from falling between two probes (the last case lies
-        # strictly between the probes at 949 H and 950 H), also when a union
-        # with a wide box off the path sets the region's inradius
+    def test_thin_box_is_not_stepped_over(self, probed, lo, hi, monkeypatch):
+        # the slab times find the entry into a box thinner than the probe
+        # spacing; when they settle nothing, only the cap of half the
+        # inradius keeps the box from falling between two probes (the last
+        # case lies strictly between the probes at 949 H and 950 H)
         assert choose_step(TimeField.constant([1.0, 0.0]), 1e-6, 100.0) \
             == pytest.approx(self.H, rel=1e-12)
-        region = thin = Region.box([lo, -1.0], [hi, 1.0])
-        if union:
-            region = Region.union(Region.box([0.0, 10.0], [4.0, 14.0]), thin)
+        if probed:
+            settle_nothing(monkeypatch)
+        region = Region.box([lo, -1.0], [hi, 1.0])
         fld = TimeField.constant([1.0, 0.0])
         pts = np.array([[0.0, 0.0], [0.0, 0.5]])
         ends, hits = stopped_flow_batch(fld, region, pts, 0.0, 100.0, 1e-6)
@@ -244,17 +257,20 @@ class TestStoppedFlow:
         assert np.allclose(ends, [[lo, 0.0], [lo, 0.5]], atol=1e-12)
 
     def test_radial_hit_time(self):
-        # x' = r (x - c) with r < 0 takes a point at distance d0 from c to
-        # the ball of radius R < d0 about c at time log(R / d0) / r
-        centre, rate, radius = np.array([0.3, -0.2]), -0.7, 0.25
-        dirs = np.array([[1.0, 0.0], [0.6, 0.8], [-0.28, 0.96]])
-        d0 = np.array([0.4, 1.5, 3.0])
-        pts = centre + d0[:, None] * dirs
-        ends, hits = stopped_flow_batch(TimeField.radial(centre, rate),
-                                        Region.ball(centre, radius), pts, 0.0,
-                                        20.0, 1e-6)
-        assert np.max(np.abs(hits - np.log(radius / d0) / rate)) < 1e-12
-        assert np.max(np.abs(ends - (centre + radius * dirs))) < 1e-12
+        # x' = r (x - c) with r < 0 scales x0 - c by e^{rt}: it takes a point
+        # outside the box of half-widths h about c into it at time
+        # log(min_a h_a / |x0_a - c_a|) / r
+        centre, rate = np.array([0.3, -0.2]), -0.7
+        half = np.array([0.25, 0.15])
+        offsets = np.array([[0.4, 0.1], [0.9, 1.2], [-0.84, 2.88]])
+        pts = centre + offsets
+        ends, hits = stopped_flow_batch(
+            isotropic(centre, rate),
+            Region.box(centre - half, centre + half), pts, 0.0, 20.0, 1e-6)
+        scale = np.min(half / np.abs(offsets), axis=1)
+        assert np.max(np.abs(hits - np.log(scale) / rate)) < 1e-12
+        assert np.max(np.abs(ends - (centre + scale[:, None] * offsets))) \
+            < 1e-12
 
     def test_recorded_paths_consistent(self):
         # the exact lane's park paths: the stopped flow's endpoints and hit
@@ -305,14 +321,11 @@ class TestStoppedFlow:
     def test_construction_records_the_affine_pair(self):
         # each scenario drift records the (A, b) its fn computes, and
         # negation negates both
-        rate, centre = -2.0, np.array([0.3, 0.1])
         mat = np.array([[0.3, -1.0], [1.0, 0.3]])
         off = np.array([0.2, -0.1])
         cases = [(TimeField.zero(2), np.zeros((2, 2)), np.zeros(2)),
                  (TimeField.constant([1.0, -0.5]), np.zeros((2, 2)),
                   np.array([1.0, -0.5])),
-                 (TimeField.radial(centre, rate), rate * np.eye(2),
-                  -rate * centre),
                  (TimeField.affine(mat, off), mat, off)]
         pts = np.random.default_rng(2).standard_normal((7, 2))
         for built, a, b in cases:
@@ -334,10 +347,10 @@ class TestStoppedFlow:
             return evaluate(field, points, t)
 
         monkeypatch.setattr(TimeField, "evaluate", counted)
-        region = Region.ball([0.0, 0.0], 0.3)
+        region = Region.box([-0.3, -0.3], [0.3, 0.3])
         pts = np.array([[1.0, 0.5], [-2.0, 0.2], [0.4, -1.5]])
         for fld in (TimeField.constant([1.0, 0.0]),
-                    TimeField.radial([0.1, -0.1], -0.8),
+                    isotropic([0.1, -0.1], -0.8),
                     TimeField.affine([[-0.3, 1.0], [-1.0, -0.3]], [0.0, 0.1])):
             for f in (fld, fld.negated()):
                 stopped_flow_batch(f, region, pts, 0.0, 10.0, 1e-6)
@@ -348,14 +361,14 @@ class TestStoppedFlow:
         assert calls == []
 
     def test_overflow_reports_particle(self):
-        # an expanding radial drift carries particle 1 past the largest
+        # an expanding drift x' = 2x carries particle 1 past the largest
         # float near t = 125, within the horizon and before any entry; the
         # others stay finite
-        region = Region.ball([-5.0, 0.0], 1.0)
+        region = Region.box([-6.0, -1.0], [-4.0, 1.0])
         pts = np.array([[0.1, 0.0], [1e200, 0.0], [0.2, 0.0]])
         with np.errstate(over="ignore"), \
                 pytest.raises(FloatingPointError, match="particle 1 "):
-            stopped_flow_batch(TimeField.radial([0.0, 0.0], 2.0), region,
+            stopped_flow_batch(isotropic([0.0, 0.0], 2.0), region,
                                pts, 0.0, 200.0, 1e-6)
 
     def test_expanding_drift_is_probed_finer(self):
@@ -363,15 +376,16 @@ class TestStoppedFlow:
         # by the time it reaches a box 0.02 thick at x = 30; re-probing the
         # block finer, down to the cap, finds the entry at log 30
         region = Region.box([30.0, -1.0], [30.02, 1.0])
-        ends, hits = stopped_flow_batch(TimeField.radial([0.0, 0.0], 1.0),
+        ends, hits = stopped_flow_batch(isotropic([0.0, 0.0], 1.0),
                                         region, [[1.0, 0.0]], 0.0, 10.0, 1e-6)
         assert abs(hits[0] - math.log(30.0)) < 1e-12
         assert np.allclose(ends, [[30.0, 0.0]], rtol=0, atol=1e-12)
 
     def test_far_points_cost_no_finer_probes(self, monkeypatch):
-        # x' = x carries (1, 0) into the ball about (3, 0) at t = log 2.5,
-        # while (0, 1) runs up the y axis to e^60: its moves outgrow the cap
-        # but never its distance to the ball, so the probes stay coarse
+        # x' = x carries (1, 0) into the box [2.5, 3.5] x [-0.5, 0.5] at
+        # t = log 2.5, while (0, 1) runs up the y axis to e^60: its moves
+        # outgrow the cap but never its distance to the box, so the probes
+        # stay coarse
         calls = []
         affine_flow = flow._affine_flow
 
@@ -382,9 +396,9 @@ class TestStoppedFlow:
 
         monkeypatch.setattr(flow, "_affine_flow", counted)
         pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-        ends, hits = stopped_flow_batch(TimeField.radial([0.0, 0.0], 1.0),
-                                        Region.ball([3.0, 0.0], 0.5), pts,
-                                        0.0, 60.0, 1e-6)
+        ends, hits = stopped_flow_batch(isotropic([0.0, 0.0], 1.0),
+                                        Region.box([2.5, -0.5], [3.5, 0.5]),
+                                        pts, 0.0, 60.0, 1e-6)
         assert abs(hits[0] - math.log(2.5)) < 1e-12
         assert np.isnan(hits[1])
         assert np.allclose(ends[1], [0.0, math.exp(60.0)], rtol=1e-12, atol=0)
@@ -440,9 +454,10 @@ class TestStoppedFlow:
                                        [0.4, -0.2, 0.3], [0.0, 0.5, 0.0]])
     def test_slab_entries_match_the_probes(self, drift, monkeypatch):
         # a box under a translation takes its entries at slab times, with
-        # no probe; the union of that one box takes the probes and the
-        # bisection. On oblique, axis-aligned and zero drifts the hits agree
-        # to rounding, and every point parked is inside
+        # no probe; with the slab times settling nothing, the same box takes
+        # the probes and the bisection. On oblique, axis-aligned and zero
+        # drifts the hits agree to rounding, and every point parked is
+        # inside
         dim = len(drift)
         box = Region.box(np.full(dim, 1.0), np.full(dim, 2.5))
         fld = TimeField.constant(drift)
@@ -453,8 +468,10 @@ class TestStoppedFlow:
                             lambda *a: probes.append(1) or affine_flow(*a))
         ends, hits = stopped_flow_batch(fld, box, pts, 0.0, 10.0, 1e-6)
         assert probes == []
-        ref_ends, ref_hits = stopped_flow_batch(fld, Region.union(box), pts,
-                                                0.0, 10.0, 1e-6)
+        settle_nothing(monkeypatch)
+        ref_ends, ref_hits = stopped_flow_batch(fld, box, pts, 0.0, 10.0,
+                                                1e-6)
+        assert probes
         found = ~np.isnan(hits)
         assert np.array_equal(found, ~np.isnan(ref_hits))
         assert np.any(hits[found] == 0.0) and np.any(~found)

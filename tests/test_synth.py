@@ -290,11 +290,11 @@ class TestFunnelClosedForm:
     def test_uncertified_points_take_rk4(self):
         fld = self.funnel()
         mu = self.cloud(20)
-        # one point outside omega1, and one inside it whose start box, the
-        # box around c0 with a corner at the point, pokes out of omega1
+        # one point outside omega1, and one inside it whose image under
+        # the similarity, 1.55 + 0.386 (1.9 - 0.55) = 2.07, is not
         pos = mu.positions.copy()
         pos[0] = [-0.1, 0.7]
-        pos[1] = [0.3, 1.45]
+        pos[1] = [1.9, 0.7]
         mu = ParticleMeasure(pos, mu.weights)
         _, certified = fld.flow_map(mu.positions, 0.0, self.duration)
         assert not certified[0] and not certified[1]
@@ -313,6 +313,54 @@ class TestFunnelClosedForm:
         rev_ref = _integrate_batch(rev, pushed.positions, 0.0, self.duration,
                                    self.tol)
         assert np.array_equal(pulled.positions[:2], rev_ref[:2])
+
+    def test_a_path_inside_omega1_is_certified_per_axis(self):
+        # (0.3, 1.45) lies 0.75 above c0 = (0.55, 0.7): the box c(t) +-
+        # |x - c(t)| reaches y = -0.05, below omega1, though the point's own
+        # path stays inside it. On each axis the path keeps between the
+        # centre and its own ends, so the map certifies it, and its image
+        # is the field's flow, forward and reversed
+        fld = self.funnel()
+        pts = np.array([[0.3, 1.45]])
+        c0 = np.array([0.55, 0.7])
+        reach = np.abs(pts - c0)
+        assert not self.omega1.contains(c0 - reach)[0]
+        images, certified = fld.flow_map(pts, 0.0, self.duration)
+        assert certified[0]
+        ref = _integrate_batch(fld, pts, 0.0, self.duration, self.tol)
+        assert np.max(np.abs(images - ref)) < self.tol
+        rev = self.reversed_field(fld)
+        back, certified = rev.flow_map(images, 0.0, self.duration)
+        assert certified[0]
+        rev_ref = _integrate_batch(rev, images, 0.0, self.duration, self.tol)
+        assert np.max(np.abs(back - rev_ref)) < self.tol
+
+    def test_certified_paths_stay_in_omega1(self):
+        # the certificate is sound: a certified row's path, read off the
+        # similarity at intermediate times, stays in omega1, forward and
+        # backward; and it keeps every row the symmetric box c(t) +-
+        # |x - c(t)| certified
+        fld = self.funnel()
+        rng = np.random.default_rng(3)
+        pts = rng.uniform([-0.2, -0.2], [2.2, 1.7], (400, 2))
+        c0, c1 = np.array([0.55, 0.7]), np.array([1.55, 0.65])
+        for t0, t1 in rng.uniform(0.0, self.duration, (12, 2)):
+            images, certified = fld.flow_map(pts, t0, t1)
+            assert np.any(certified) and not np.all(certified)
+            for t in np.linspace(t0, t1, 41):
+                mid, _ = fld.flow_map(pts[certified], t0, t)
+                assert np.all(self.omega1.contains(mid))
+            w0, w1 = geometry._smootherstep(np.array([t0, t1])
+                                            / self.duration)
+            c_t0, c_t1 = c0 + w0 * (c1 - c0), c0 + w1 * (c1 - c0)
+            scale = fld.ratios ** w1 / fld.ratios ** w0
+            reach = np.abs(pts - c_t0)
+            symmetric = (
+                self.omega1.contains(np.minimum(c_t0 - reach,
+                                                c_t1 - scale * reach))
+                & self.omega1.contains(np.maximum(c_t0 + reach,
+                                                  c_t1 + scale * reach)))
+            assert np.all(certified[symmetric])
 
     def test_control_is_the_blended_similarity_minus_the_drift(self):
         # b (drift - v): the similarity's velocity minus v, weighted by the
@@ -483,9 +531,11 @@ class TestExactFunnelClosedForm:
         end = paths[:, -1]
         assert np.array_equal(end, images)
         # the end of the span is exact: centre c1, scale lam
-        c0 = synth._cloud_box(self.pts, self.omega1).center_point()
+        cloud = synth._cloud_box(self.pts, self.omega1)
+        c0 = 0.5 * (cloud.lo + cloud.hi)
         assert np.array_equal(
-            end, self.s0.center_point() + fld.ratios * (self.pts - c0))
+            end, 0.5 * (self.s0.lo + self.s0.hi)
+            + fld.ratios * (self.pts - c0))
         assert np.all(self.s0.contains(end))
         assert np.all(self.omega1.contains(paths.reshape(-1, 2)))
 
@@ -770,7 +820,7 @@ def test_every_approx_control_is_total_minus_drift():
     v = scenario.velocity_field()
     omega = scenario.omega_region()
     schedule = synth.approx_controller(scenario).schedule
-    lo, hi = omega.bounding_box()
+    lo, hi = omega.lo, omega.hi
     pts = np.random.default_rng(0).uniform(2 * lo - hi, 2 * hi - lo,
                                            (512, omega.dim))
     for seg in schedule.segments:
@@ -794,14 +844,11 @@ def test_approx_run_under_a_rotating_drift():
         "params": {**preset.params, "particles": 300}})
     plan = synth._plan(scenario)
     assert not math.isfinite(scenario.velocity_field().sup_bound)
-    lo = np.min([b[0] for b in (plan.mu0.support_bbox(),
-                                plan.mu1.support_bbox(),
-                                scenario.omega_region().bounding_box())],
-                axis=0) - 1.0
-    hi = np.max([b[1] for b in (plan.mu0.support_bbox(),
-                                plan.mu1.support_bbox(),
-                                scenario.omega_region().bounding_box())],
-                axis=0) + 1.0
+    omega = scenario.omega_region()
+    boxes = (plan.mu0.support_bbox(), plan.mu1.support_bbox(),
+             (omega.lo, omega.hi))
+    lo = np.min([b[0] for b in boxes], axis=0) - 1.0
+    hi = np.max([b[1] for b in boxes], axis=0) + 1.0
     pts = np.random.default_rng(0).uniform(lo, hi, (2000, 2))
     speeds = np.linalg.norm(plan.v.evaluate(pts, 0.0), axis=1)
     assert np.max(speeds) <= plan.v.sup_bound < math.inf
