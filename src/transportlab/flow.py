@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 import warnings
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -454,13 +455,22 @@ class Trajectory:
         return self.states[-1]
 
     def save(self, out_dir) -> list:
+        """Write one CSV per snapshot and the manifest; return the CSV
+        paths. A snapshot repeating the one before it copies its bytes."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        names = []
-        for k, (t, state) in enumerate(zip(self.times, self.states)):
+        names, last = [], None
+        for k, state in enumerate(self.states):
             name = f"snapshot_{k:04d}.csv"
-            state.to_csv(out / name)
+            # bit-equal, as -0.0 and 0.0 print differently
+            key = (state.positions.tobytes(), state.weights.tobytes(),
+                   None if state.tags is None else state.tags.tolist())
+            if key == last:
+                shutil.copyfile(out / names[-1], out / name)
+            else:
+                state.to_csv(out / name)
             names.append(name)
+            last = key
         manifest = {
             "times": self.times.tolist(),
             "snapshots": names,

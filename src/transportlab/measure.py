@@ -169,9 +169,8 @@ class DensitySpec:
     """Bounded-support density we can sample from.
 
     kinds: ``uniform_box`` (lo, hi), ``truncated_gaussian`` (mean, sigma, lo,
-    hi), ``mixture`` (components, mix_weights), ``profile_box`` (lo, hi,
-    per-axis polynomial density coefficients, low order first). Every kind is
-    normalized over its bounded support by construction.
+    hi) and ``mixture`` (components, mix_weights). Every kind is normalized
+    over its bounded support by construction.
     """
 
     kind: str
@@ -202,15 +201,6 @@ class DensitySpec:
                                  "finite positive weights, one per component")
             if any(c.dim != self.dim for c in comps):
                 raise ValueError("mixture component dimension mismatch")
-        elif self.kind == "profile_box":
-            lo, hi = self._axes("lo", "hi")
-            if not np.all(hi > lo):
-                raise ValueError("degenerate box")
-            for coeffs in self.params["profiles"]:
-                grid = np.linspace(0.0, 1.0, 257)
-                vals = np.polynomial.polynomial.polyval(grid, np.asarray(coeffs, float))
-                if np.any(vals < -1e-12) or np.all(vals <= 0):
-                    raise ValueError("profile must be nonnegative with positive mass")
         else:
             raise ValueError(f"unknown density kind {self.kind!r}")
 
@@ -242,18 +232,6 @@ class DensitySpec:
                 take = idx == ci
                 if np.any(take):
                     out[take] = comp.draw(int(take.sum()), rng)
-            return out
-        if self.kind == "profile_box":
-            lo, hi = self._axes("lo", "hi")
-            out = np.empty((count, self.dim))
-            for a in range(self.dim):
-                coeffs = np.asarray(self.params["profiles"][a], float)
-                grid = np.linspace(0.0, 1.0, 4097)
-                pdf = np.maximum(np.polynomial.polynomial.polyval(grid, coeffs), 0.0)
-                cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5)])
-                cdf /= cdf[-1]
-                u = rng.random(count)
-                out[:, a] = lo[a] + (hi[a] - lo[a]) * np.interp(u, cdf, grid)
             return out
         raise AssertionError(self.kind)
 

@@ -8,12 +8,13 @@ the crossing check, the phase times T0..T5 and the sets S, S0, omega1.
 
 The approximate lane synthesizes genuinely Lipschitz fields and pushes the
 particles through their flows phase by phase, in closed form where the
-construction gives the flow map. The exact lane integrates nothing: it
-parks atoms with stopped flows on the drift's exact affine flow map,
-funnels them along the same straight-line funnels, read off in closed
-form, and joins the two sides by a quadratic-cost geodesic, storing the
-control as a per-plan-entry witness (the velocity field is Borel, not
-Lipschitz, and atoms may overlap).
+construction gives the flow map; its target side is its source side run
+backward, on the reversed drift (``_approx_side``). The exact lane
+integrates nothing: it parks atoms with stopped flows on the drift's exact
+affine flow map, funnels them along the same straight-line funnels, read
+off in closed form, and joins the two sides by a quadratic-cost geodesic,
+storing the control as a per-plan-entry witness (the velocity field is
+Borel, not Lipschitz, and atoms may overlap).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .geometry import (GeometricCondition, Region, cutoff_flow,
                        cutoff_theta, check_geometric_condition, _smootherstep,
                        _smootherstep_d)
 from .measure import GridPartition, ParticleMeasure, quantile_partition
-from .ot import wp_discrete, w1_bracket
+from .ot import wp_discrete, w1_bracket, _distances
 
 __all__ = [
     "ControlSegment",
@@ -371,11 +372,12 @@ def _cloud_box(pts, omega1: Region):
 
 
 def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
-                        duration: float, blend_band: float) -> TimeField:
+                        clock, blend_band: float) -> TimeField:
     """Straight-line funnel: a time-gated affine similarity carrying the
-    cloud box onto a copy inside the target box. Both lanes funnel with it:
-    the approximate lane pushes its particles through it, and the exact lane
-    reads its atoms' paths off it.
+    cloud box onto a copy inside the target box over the interval ``clock``
+    = (t_a, t_b), whose ramp reads (t - t_a)/(t_b - t_a). Both lanes funnel
+    with it: the approximate lane pushes its particles through it, and the
+    exact lane reads its atoms' paths off it.
 
     The boxes it sweeps stay inside the hull of the first and the last,
     which the box omega1 holds. Translation and contraction decouple, so
@@ -401,7 +403,8 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     half1 = 0.5 * (target_box.hi - target_box.lo)
     lam = np.minimum(1.0, 0.9 * half1 / np.maximum(half0, 1e-300))
     log_lam = np.log(lam)
-    span = float(duration)
+    t_a = float(clock[0])
+    span = float(clock[1]) - t_a
 
     if not np.all(omega1.contains(np.stack([
             np.minimum(cloud_box.lo, c1 - lam * half0 - 1e-12),
@@ -410,7 +413,7 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     blend = _blend_factor(omega1, blend_band)
 
     def flow_map(pts, t0, t1):
-        w0, w1 = _smootherstep(np.array([t0, t1]) / span)
+        w0, w1 = _smootherstep((np.array([t0, t1]) - t_a) / span)
         c_t0, c_t1 = (1.0 - w0) * c0 + w0 * c1, (1.0 - w1) * c0 + w1 * c1
         scale = lam ** w1 / lam ** w0
         image = c_t1 + scale * (pts - c_t0)
@@ -419,7 +422,7 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
         return image, omega1.contains(lo) & omega1.contains(hi)
 
     def ramp(t):
-        u = min(max(t / span, 0.0), 1.0)
+        u = min(max((t - t_a) / span, 0.0), 1.0)
         return _smootherstep(np.array([u]))[0], \
             _smootherstep_d(np.array([u]))[0] / span
 
@@ -506,11 +509,7 @@ class ParticleWitnessField(TimeField):
         block = max(1, _WITNESS_BLOCK // max(len(pos), 1))
         for q in range(0, pts.shape[0], block):
             near = pts[q:q + block]
-            sq = 0.0
-            for a in range(pts.shape[1]):
-                gap = pos[:, a] - near[:, a, None]
-                sq = sq + gap * gap
-            qi, ei = np.nonzero(sq <= reach)
+            qi, ei = np.nonzero(_distances(near, pos, 2) <= reach)
             if not qi.size:
                 continue
             d = np.linalg.norm(pos[ei] - near[qi], axis=1)
@@ -586,9 +585,11 @@ class _Plan:
     """The skeleton both controllers share: the scenario's drift and
     measures, the crossing check, the phase times T0..T5 read off its
     hitting times, and the sets S, S0 and omega1 (see ``_place_sets``).
-    ``t_back`` is the backward park's horizon, T5 - T4 before rounding."""
+    ``v_back`` is the reversed drift, ``t_back`` the backward park's horizon,
+    T5 - T4 before rounding, and ``blend_band`` the funnels' blend width."""
     params: dict
     v: TimeField
+    v_back: TimeField
     mu0: ParticleMeasure
     mu1: ParticleMeasure
     cond: GeometricCondition
@@ -597,7 +598,7 @@ class _Plan:
     s_box: Region
     s0: Region
     omega1: Region
-    gap: float
+    blend_band: float
 
     def report(self, mode, fun_fwd, fun_back, mass_total) -> dict:
         """The report keys both lanes carry."""
@@ -647,8 +648,9 @@ def _plan(scenario) -> _Plan:
     t4 = t1 + delta
     times = {"T0": 0.0, "T1": t1, "T2": t1 + delta / 3.0,
              "T3": t1 + 2.0 * delta / 3.0, "T4": t4, "T5": t4 + t_back}
-    return _Plan(params, v, mu0, mu1, cond, t_back, times,
-                 *_place_sets(omega, cond.omega0))
+    s_box, s0, omega1, gap = _place_sets(omega, cond.omega0)
+    return _Plan(params, v, v.negated(), mu0, mu1, cond, t_back, times,
+                 s_box, s0, omega1, 0.45 * gap)
 
 
 class MovingFrameGridField(TimeField):
@@ -712,16 +714,6 @@ class MovingFrameGridField(TimeField):
         return ParticleMeasure(pos, mu.weights, mu.tags), closed, stats
 
 
-def _shift_time(field: TimeField, offset: float) -> TimeField:
-    """The same field with its clock started at ``offset`` (segment-local
-    fields in a schedule). The ambient drift is autonomous, so it keeps its
-    clock."""
-    return TimeField(lambda pts, t: field.evaluate(pts, t - offset),
-                     field.dim, field.lipschitz_bound, field.sup_bound,
-                     label=field.label, ambient=field.ambient,
-                     descriptor=field.descriptor)
-
-
 def _escalate_storage(v: TimeField, omega0: Region, mu: ParticleMeasure,
                       horizon: float, mass_target: float, tol: float):
     """Double the cutoff index until the mass left outside omega0 at the end
@@ -776,22 +768,47 @@ def _choose_n(count: int, dim: int, n_override=None) -> int:
     return max(3, min(64, root))
 
 
-def approx_controller(scenario, epsilon: float | None = None) -> ControllerResult:
+def _approx_side(plan: _Plan, v: TimeField, mu: ParticleMeasure,
+                 horizon: float, clock, eps_mass: float, tol: float,
+                 name: str):
+    """One side of the approximate lane: store ``mu`` in omega0 along ``v``
+    over [0, horizon], tag an untouched set of mass ``eps_mass``, and funnel
+    the rest into S0 over the interval ``clock`` by a straight-line funnel,
+    whose similarity keeps the cloud's shape for the grid's quantiles.
+    Returns the storage field, its index k, the tagged parked cloud, the tag
+    mask, the funnel, the funnelled cloud and the two pushes' closed-form
+    records."""
+    omega0 = plan.cond.omega0
+    store, k, parked, stray, cf_store = _escalate_storage(
+        v, omega0, mu, horizon, eps_mass, tol)
+    tag = _select_untouched(parked, stray, omega0.depth(parked.positions),
+                            eps_mass)
+    parked = parked.with_tags(np.where(tag, "untouched", "").astype(object))
+    funnel = affine_funnel_total(
+        v, plan.omega1, _cloud_box(parked.subset(~tag).positions, plan.omega1),
+        plan.s0, clock, plan.blend_band)
+    funnelled, cf_funnel = flow_push(funnel, parked, *clock, tol)
+    if not np.all(plan.s0.contains(funnelled.subset(~tag).positions)):
+        raise RuntimeError(f"{name} funnel failed to reach the storage cube")
+    return store, k, parked, tag, funnel, funnelled, cf_store, cf_funnel
+
+
+def approx_controller(scenario) -> ControllerResult:
     """Five-phase Lipschitz control: storage, funnel, grid, and the time
     reversals of a funnel and a storage synthesized on the reversed drift.
 
-    Tags an untouched particle set of mass eps/(2 d Rbar) on each side,
-    pushes the particles through the phases one at a time (the backward
-    storage and funnel on the target side, the forward ones, the grid, then
-    the reversals) and reports the measured transport error against the
-    target. Particles inside a funnel's core or off the grid's blend strips
-    move along their closed-form characteristics; the rest are integrated.
+    ``_approx_side`` builds the source side from mu0 along v, and the target
+    side from mu1 along -v, each with an untouched set of mass
+    eps/(2 d Rbar). The grid joins their funnelled clouds, the target side
+    is replayed reversed, and the report carries the measured transport
+    error against the target. Particles inside a funnel's core or off the
+    grid's blend strips move along their closed-form characteristics; the
+    rest are integrated.
     """
     plan = _plan(scenario)
-    v, mu0, mu1, cond = plan.v, plan.mu0, plan.mu1, plan.cond
-    s_box, s0, omega1 = plan.s_box, plan.s0, plan.omega1
+    v, mu0, mu1 = plan.v, plan.mu0, plan.mu1
     _, t1, t2, t3, t4, t5 = plan.times.values()
-    epsilon = float(epsilon if epsilon is not None else plan.params["epsilon"])
+    epsilon = float(plan.params["epsilon"])
     tol = float(plan.params["tol"])
 
     lo0, hi0 = mu0.support_bbox()
@@ -800,50 +817,17 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     rbar = edge + t5 * v.sup_bound
     eps_mass = epsilon / (2.0 * mu0.dim * rbar)
 
-    # phase 1 forward: storage along v
-    (store_fwd, k_fwd, state1_all, stray_fwd,
-     cf_store_fwd) = _escalate_storage(v, cond.omega0, mu0, t1, eps_mass, tol)
-    depth_fwd = cond.omega0.depth(state1_all.positions)
-    tag_fwd = _select_untouched(state1_all, stray_fwd, depth_fwd, eps_mass)
-    tags0 = np.where(tag_fwd, "untouched", "").astype(object)
-    mu0_tagged = mu0.with_tags(tags0)
-    state1 = state1_all.with_tags(tags0)
-
-    # backward lane on the reversed drift
-    v_back = v.negated()
-    (store_back, k_back, back1_all, stray_back,
-     cf_store_back) = _escalate_storage(v_back, cond.omega0, mu1,
-                                        plan.t_back, eps_mass, tol)
-    depth_back = cond.omega0.depth(back1_all.positions)
-    tag_back = _select_untouched(back1_all, stray_back, depth_back, eps_mass)
-    tags1 = np.where(tag_back, "untouched", "").astype(object)
-    mu1_tagged = mu1.with_tags(tags1)
-    back1 = back1_all.with_tags(tags1)
-
-    # phase 2 on each lane: a straight-line funnel into s0 (omega1 is a box;
-    # the affine similarity keeps the cloud shape, so the grid phase sees
-    # well-conditioned quantiles)
-    fun_back = affine_funnel_total(
-        v_back, omega1, _cloud_box(back1.subset(~tag_back).positions, omega1),
-        s0, t4 - t3, blend_band=0.45 * plan.gap)
-    back2_all, cf_back = flow_push(fun_back, back1, 0.0, t4 - t3, tol)
-    grid_target_cloud = back2_all.subset(~tag_back)
-    if not np.all(s0.contains(grid_target_cloud.positions)):
-        raise RuntimeError("backward funnel failed to reach the storage cube")
-
-    fun_fwd = affine_funnel_total(
-        v, omega1, _cloud_box(state1.subset(~tag_fwd).positions, omega1),
-        s0, t2 - t1, blend_band=0.45 * plan.gap)
-    state2_all, cf_fwd = flow_push(fun_fwd, state1, 0.0, t2 - t1, tol)
-    grid_source_cloud = state2_all.subset(~tag_fwd)
-    if not np.all(s0.contains(grid_source_cloud.positions)):
-        raise RuntimeError("forward funnel failed to reach the storage cube")
+    # phases 1 and 2, and the target side's for replay after the grid
+    (store_fwd, k_fwd, state1, tag_fwd, fun_fwd, state2_all, cf_store_fwd,
+     cf_fwd) = _approx_side(plan, v, mu0, t1, (t1, t2), eps_mass, tol,
+                            "forward")
+    (store_back, k_back, back1, tag_back, fun_back, back2_all, cf_store_back,
+     cf_back) = _approx_side(plan, plan.v_back, mu1, plan.t_back,
+                             (0.0, t4 - t3), eps_mass, tol, "backward")
 
     # phase 3: grid control between the two parked clouds. Each cloud's
     # quantile mesh is cut in the normalized frame where it fills the unit
     # box, and its walls are mapped back to world coordinates
-    n = _choose_n(len(grid_source_cloud), mu0.dim, plan.params["n"])
-
     def cloud_frame(cloud):
         """Origin and scale of a box around the cloud, and the cloud in the
         box's unit coordinates."""
@@ -856,8 +840,9 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         return GridPartition(part.n, [origin[a] + scale[a] * w
                                       for a, w in enumerate(part.walls)])
 
-    o0, s0n, norm_src = cloud_frame(grid_source_cloud)
-    o1, s1n, norm_tgt = cloud_frame(grid_target_cloud)
+    o0, s0n, norm_src = cloud_frame(state2_all.subset(~tag_fwd))
+    o1, s1n, norm_tgt = cloud_frame(back2_all.subset(~tag_back))
+    n = _choose_n(len(norm_src), mu0.dim, plan.params["n"])
     while True:
         try:
             part_src, part_tgt = quantile_partition(norm_src.normalized(),
@@ -873,7 +858,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     pad = 0.25
     hull_lo = np.minimum(o0 - pad * s0n, o1 - pad * s1n)
     hull_hi = np.maximum(o0 + (1 + pad) * s0n, o1 + (1 + pad) * s1n)
-    room = float(np.min(np.minimum(hull_lo - s_box.lo, s_box.hi - hull_hi)))
+    room = float(np.min(np.minimum(hull_lo - plan.s_box.lo,
+                                   plan.s_box.hi - hull_hi)))
     if room <= 0:
         raise RuntimeError("parked clouds leave no gating room inside S")
     gate_region = Region.box(hull_lo - room / 3, hull_hi + room / 3)
@@ -895,10 +881,9 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     state4_all, cf_rev = flow_push(fun_rev, state3_all, t3, t4, tol)
     state5_all, cf_store_rev = flow_push(store_rev, state4_all, t4, t5, tol)
 
-    fun_fwd_seg = _shift_time(fun_fwd, t1)
     segments = [
         ControlSegment(0.0, t1, store_fwd, "storage"),
-        ControlSegment(t1, t2, fun_fwd_seg, "funnel"),
+        ControlSegment(t1, t2, fun_fwd, "funnel"),
         ControlSegment(t2, t3, grid_total, "grid"),
         ControlSegment(t3, t4, fun_rev, "funnel"),
         ControlSegment(t4, t5, store_rev, "storage"),
@@ -906,7 +891,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
     schedule = ControlSchedule(segments)
     traj = Trajectory(
         np.array([0.0, t1, t2, t3, t4, t5]),
-        [mu0_tagged, state1, state2_all, state3_all, state4_all, state5_all],
+        [mu0.with_tags(state1.tags), state1, state2_all, state3_all,
+         state4_all, state5_all],
         field_ref=schedule, meta={"mode": "approx"})
 
     # the estimate is exact at or below the solver's cap and the certified
@@ -925,8 +911,8 @@ def approx_controller(scenario, epsilon: float | None = None) -> ControllerResul
         "untouched": {
             "target_mass": eps_mass,
             "rbar": rbar,
-            "tagged_mass_source": float(np.sum(state1_all.weights[tag_fwd])),
-            "tagged_mass_target": float(np.sum(back1_all.weights[tag_back])),
+            "tagged_mass_source": float(np.sum(state1.weights[tag_fwd])),
+            "tagged_mass_target": float(np.sum(back1.weights[tag_back])),
             "count_source": int(np.sum(tag_fwd)),
             "count_target": int(np.sum(tag_back)),
         },
@@ -990,7 +976,7 @@ def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
     funnels = {}
     for name, (v, duration, pts) in lanes.items():
         funnel = affine_funnel_total(v, omega1, _cloud_box(pts, omega1), s0,
-                                     duration, blend_band)
+                                     (0.0, duration), blend_band)
         knots = np.linspace(0.0, duration, EXACT_KNOTS)
         images, certified = zip(*(funnel.flow_map(pts, 0.0, t) for t in knots))
         if not np.all(certified):
@@ -1018,17 +1004,15 @@ def exact_controller(scenario) -> ControllerResult:
 
     # park in omega0: forward along the drift, backward along the reversed
     # drift (recorded for replay)
-    v_back = v.negated()
     _, _, knots1, paths1 = _stopped_paths(v, cond.omega0, mu0.positions, t1, tol)
-    _, _, knots5, paths5 = _stopped_paths(v_back, cond.omega0, mu1.positions,
-                                          plan.t_back, tol)
+    _, _, knots5, paths5 = _stopped_paths(plan.v_back, cond.omega0,
+                                          mu1.positions, plan.t_back, tol)
 
     # both lanes funnel from their parks into s0; omega1 is a box around
     # omega0 and S, so every atom's path is certified in closed form
-    funnels = _escalate_exact_funnel(
-        plan.omega1, plan.s0, {"forward": (v, t2 - t1, paths1[:, -1, :]),
-                               "backward": (v_back, t4 - t3, paths5[:, -1, :])},
-        blend_band=0.45 * plan.gap)
+    funnels = _escalate_exact_funnel(plan.omega1, plan.s0, {
+        "forward": (v, t2 - t1, paths1[:, -1, :]),
+        "backward": (plan.v_back, t4 - t3, paths5[:, -1, :])}, plan.blend_band)
     knots2, paths2, fun_fwd = funnels["forward"]
     knots4, paths4, fun_back = funnels["backward"]
     fwd_in_s0 = paths2[:, -1]

@@ -146,11 +146,16 @@ MALFORMED_MEMBERS = {
     "drift-radial": {"v": {"kind": "radial", "center": [0.0, 0.0],
                            "rate": 0.5}},
     "drift-named": {"v": {"kind": "named", "name": "half-right"}},
+    # a density is a uniform box, a truncated Gaussian or a mixture
+    "density-profile-box": {"mu0": {"kind": "profile_box", "dim": 2,
+                                    "lo": [0.1, 0.25], "hi": [0.9, 0.85],
+                                    "profiles": [[1.0], [0.0, 2.0]]}},
 }
 
 # the kind each refused member's message names
 REFUSED_KINDS = {"omega-ball": "'ball'", "omega-union": "'union'",
-                 "drift-radial": "'radial'", "drift-named": "'named'"}
+                 "drift-radial": "'radial'", "drift-named": "'named'",
+                 "density-profile-box": "unknown density kind 'profile_box'"}
 
 
 @pytest.mark.parametrize("flags", [["run", "--mode", "approx"],

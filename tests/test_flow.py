@@ -511,3 +511,39 @@ class TestTrajectory:
         assert (tmp_path / "traj" / "snapshot_0000.csv").exists()
         back = ParticleMeasure.from_csv(tmp_path / "traj" / "snapshot_0001.csv")
         assert np.allclose(back.positions, mu.positions)
+
+    @pytest.mark.parametrize("case", ["repeat", "signed-zero"])
+    def test_save_formats_each_distinct_state_once(self, tmp_path,
+                                                   monkeypatch, case):
+        # a snapshot with the position and weight bits and the tags of the
+        # one before it is a copy of that file; -0.0 prints unlike 0.0, so
+        # a state whose only change is a signed zero is formatted
+        pos = np.array([[0.0, 0.25], [0.5, 1.0 / 3.0], [0.75, 0.125]])
+        a = ParticleMeasure(pos, np.full(3, 1.0 / 3.0))
+        if case == "repeat":
+            b = ParticleMeasure(pos + 0.5, a.weights, ["", "untouched", ""])
+            states = [a, ParticleMeasure(pos.copy(), a.weights.copy()), b, b,
+                      b.with_tags(None)]
+            distinct = [True, False, True, False, True]
+        else:
+            flipped = pos.copy()
+            flipped[0, 0] = -0.0
+            states = [a, ParticleMeasure(flipped, a.weights)]
+            distinct = [True, True]
+        for k, state in enumerate(states):
+            state.to_csv(tmp_path / f"ref_{k}.csv")
+        formatted = []
+        to_csv = ParticleMeasure.to_csv
+
+        def counting(state, path):
+            formatted.append(path.name)
+            to_csv(state, path)
+
+        monkeypatch.setattr(ParticleMeasure, "to_csv", counting)
+        paths = Trajectory(np.arange(len(states)), states).save(
+            tmp_path / "traj")
+        assert formatted == [p.name for p, new in zip(paths, distinct) if new]
+        for k, path in enumerate(paths):
+            assert path.read_bytes() == (tmp_path / f"ref_{k}.csv").read_bytes()
+        if case == "signed-zero":
+            assert paths[0].read_bytes() != paths[1].read_bytes()

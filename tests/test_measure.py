@@ -48,14 +48,6 @@ class TestSampling:
             DensitySpec("truncated_gaussian", 1,
                         {"mean": [0.0], "sigma": [-1.0], "lo": [0.0], "hi": [1.0]})
 
-    def test_profile_box_matches_polynomial_density(self):
-        spec = DensitySpec("profile_box", 1, {"lo": [0.0], "hi": [1.0],
-                                              "profiles": [[0.0, 2.0]]})
-        mu = sample(spec, 20_000, seed=5)
-        # density 2x on (0,1): CDF x^2, median at sqrt(1/2)
-        med = np.median(mu.positions[:, 0])
-        assert abs(med - np.sqrt(0.5)) < 0.02
-
     def test_mixture_component_masses(self):
         left = DensitySpec("uniform_box", 1, {"lo": [-1.0], "hi": [0.0]})
         right = DensitySpec("uniform_box", 1, {"lo": [1.0], "hi": [2.0]})

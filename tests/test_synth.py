@@ -245,7 +245,7 @@ class TestFunnelClosedForm:
     def funnel(self):
         return affine_funnel_total(
             self.v, self.omega1, Region.box([0.2, 0.2], [0.9, 1.2]),
-            Region.box([1.4, 0.5], [1.7, 0.8]), self.duration,
+            Region.box([1.4, 0.5], [1.7, 0.8]), (0.0, self.duration),
             blend_band=0.2)
 
     def cloud(self, n=60):
@@ -873,6 +873,67 @@ def test_both_lanes_share_one_plan():
     assert plan.t_back == max(exact["T1star"], 1e-3)
 
 
+def swapped(pair):
+    """``{"forward": b, "backward": a}`` for ``{"forward": a, "backward":
+    b}``."""
+    return {"forward": pair["backward"], "backward": pair["forward"]}
+
+
+@pytest.mark.parametrize("preset, particles", [("figure1", 600),
+                                               ("unit-shift", 2000)])
+def test_the_target_side_is_the_source_side_of_the_mirror(monkeypatch,
+                                                         preset, particles):
+    # the mirror steers mu1 to mu0 under -v: its source side is the
+    # original's target side bit for bit and the other way round, so every
+    # per-side report entry swaps. The measures go in as atoms, because
+    # each sampled density draws with its own seed
+    data = cli.load_scenario(preset).to_dict()
+    data["params"]["particles"] = particles
+    sampled = Scenario.from_dict(data)
+    for which in ("mu0", "mu1"):
+        mu = sampled.measure(which)
+        data[which] = {"atoms": np.column_stack([mu.positions,
+                                                 mu.weights]).tolist()}
+    v = data["v"]
+    mirror = {**data, "mu0": data["mu1"], "mu1": data["mu0"],
+              "v": v if v["kind"] == "zero" else
+              {"kind": "constant", "value": [-b for b in v["value"]]}}
+    sides = []
+    side = synth._approx_side
+
+    def recording(*args):
+        sides.append(side(*args))
+        return sides[-1]
+
+    monkeypatch.setattr(synth, "_approx_side", recording)
+    report = synth.approx_controller(Scenario.from_dict(data)).report
+    mirrored = synth.approx_controller(Scenario.from_dict(mirror)).report
+    source, target, mirror_source, mirror_target = sides
+    for ours, theirs in ((source, mirror_target), (target, mirror_source)):
+        (_, k, parked, tag, funnel, funnelled, cf_store, cf_funnel) = ours
+        assert theirs[1] == k and theirs[6:] == (cf_store, cf_funnel)
+        assert np.array_equal(theirs[2].positions, parked.positions)
+        assert np.array_equal(theirs[3], tag)
+        assert np.array_equal(theirs[4].ratios, funnel.ratios)
+        assert np.array_equal(theirs[5].positions, funnelled.positions)
+    assert (mirrored["T0star"], mirrored["T1star"]) == (report["T1star"],
+                                                        report["T0star"])
+    assert mirrored["storage_k"] == swapped(report["storage_k"])
+    assert mirrored["funnel"]["forward_ratios"] == \
+        report["funnel"]["backward_ratios"]
+    assert mirrored["funnel"]["backward_ratios"] == \
+        report["funnel"]["forward_ratios"]
+    counts, theirs = report["untouched"], mirrored["untouched"]
+    assert (theirs["count_source"], theirs["count_target"]) == (
+        counts["count_target"], counts["count_source"])
+    for kind in ("storage", "funnel"):
+        assert [mirrored["closed_form"][f"{kind}_{lane}"]
+                for lane in ("forward", "backward")] == [
+            report["closed_form"][f"{kind}_{lane}"]
+            for lane in ("backward", "forward")]
+    assert mirrored["regions"] == report["regions"]
+
+
 def test_exact_witnesses_are_views_of_one_path_array():
     result = exact_controller(random_exact_scenario(0, "plain"))
     segments = result.schedule.segments
@@ -1013,7 +1074,7 @@ class TestStorageFlowMap:
         assert np.array_equal(pushed.positions,
                               _integrate_batch(fld, pts, 0.0, 2.0, 1e-6))
 
-    def test_unit_shift_at_preset_size(self):
+    def test_unit_shift_at_preset_size(self, tmp_path, monkeypatch):
         # zero drift at 50 000 particles: the storage phases return the
         # particles unchanged, and the run finishes certified
         scenario = cli.load_scenario("unit-shift")
@@ -1024,6 +1085,20 @@ class TestStorageFlowMap:
         closed = result.report["closed_form"]
         assert closed["storage_forward"]["count"] == 50_000
         self.assert_storage_and_funnels_closed(closed)
+        # so snapshot 1 repeats snapshot 0, and snapshot 5 repeats
+        # snapshot 4: four of the six states are formatted
+        formatted = []
+        to_csv = ParticleMeasure.to_csv
+
+        def counting(state, path):
+            formatted.append(path.name)
+            to_csv(state, path)
+
+        monkeypatch.setattr(ParticleMeasure, "to_csv", counting)
+        paths = result.trajectory.save(tmp_path)
+        assert formatted == [paths[k].name for k in (0, 2, 3, 4)]
+        for k in (1, 5):
+            assert paths[k].read_bytes() == paths[k - 1].read_bytes()
 
     @pytest.mark.parametrize("preset", ["figure1", "two-bump-merge"])
     def test_presets_move_storage_and_funnels_in_closed_form(self, preset):
