@@ -10,11 +10,14 @@ The approximate lane synthesizes genuinely Lipschitz fields and pushes the
 particles through their flows phase by phase, in closed form where the
 construction gives the flow map; its target side is its source side run
 backward, on the reversed drift (``_approx_side``). The exact lane
-integrates nothing: it parks atoms with stopped flows on the drift's exact
-affine flow map, funnels them along the same straight-line funnels, read
-off in closed form, and joins the two sides by a quadratic-cost geodesic,
-storing the control as a per-plan-entry witness (the velocity field is
-Borel, not Lipschitz, and atoms may overlap).
+integrates nothing, and every atom path in it is in closed form: it parks
+atoms with stopped flows, each on the drift's exact affine flow map until
+its hit, funnels them with the same straight-line funnel fields, whose flow
+is a similarity, and joins the two sides by a quadratic-cost geodesic. The
+funnel segments are those fields; the parks and the geodesic are
+per-plan-entry witnesses that read each atom's position and velocity off
+its closed form (the velocity field is Borel, not Lipschitz, and atoms may
+overlap).
 """
 from __future__ import annotations
 
@@ -456,67 +459,63 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
 # per-atom witness of the exact lane
 # ---------------------------------------------------------------------------
 
-def _on_knots(knots, paths, t):
-    """Positions at time t on the ``(E, K, d)`` paths, linear between the
-    increasing ``knots`` (clamped to their range), and the index j of the
-    knot interval [knots[j], knots[j + 1]] holding t."""
-    t = np.clip(t, knots[0], knots[-1])
-    j = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
-    lam = (t - knots[j]) / (knots[j + 1] - knots[j])
-    return (1 - lam) * paths[:, j, :] + lam * paths[:, j + 1, :], j
-
-
-# query-atom distances the witness computes in one block at most
-_WITNESS_BLOCK = 1 << 16
+# queries the witness matches to atoms in one block at most
+_WITNESS_BLOCK = 256
 
 
 class ParticleWitnessField(TimeField):
-    """Borel control witness: velocities defined along recorded atom paths.
+    """Borel control witness: one velocity per plan entry, at its atom.
 
-    Off the atom set the field evaluates to the ambient velocity, so the
-    control part vanishes identically away from the transported atoms (in
-    particular outside the control region).
+    ``position(t)`` and ``velocity(t)`` give the ``(E, d)`` positions and
+    velocities of the E entries' atoms at time t, in closed form, and
+    ``speed`` bounds the velocities. A query within ``match_tol`` of an
+    atom takes its velocity. Off the atom set the field evaluates to the
+    ambient velocity, so the control part vanishes identically away from
+    the transported atoms (in particular outside the control region).
     """
 
     # a query takes an atom's velocity within this distance of it
     match_tol = 1e-9
 
-    def __init__(self, knots, paths, ambient: TimeField, label, descriptor):
-        self.knots = np.asarray(knots, dtype=float)
-        self.paths = np.asarray(paths, dtype=float)   # (E, K, d)
-        seg = np.diff(self.paths, axis=1)
-        dt = np.diff(self.knots)
-        self._vels = seg / dt[None, :, None]
-        speed = float(np.max(np.linalg.norm(self._vels, axis=2))) if seg.size else 0.0
-        super().__init__(self._eval, self.paths.shape[2],
-                         lipschitz_bound=math.inf,
+    def __init__(self, position, velocity, speed, ambient: TimeField, label,
+                 descriptor):
+        self.position = position
+        self.velocity = velocity
+        super().__init__(self._eval, ambient.dim, lipschitz_bound=math.inf,
                          sup_bound=speed + ambient.sup_bound, label=label,
                          ambient=ambient, descriptor=descriptor)
 
-    def positions_at(self, t):
-        return _on_knots(self.knots, self.paths, t)
-
     def _witness(self, pts, t):
         """Velocity of the atom nearest each query (the first among ties)
-        where it lies within ``match_tol``, nan elsewhere. Squared gaps to
-        every atom, by blocks of queries, keep the atoms within twice the
-        tolerance; their distances are then taken as the norm takes them,
-        and any atom left out is farther than the tolerance."""
-        pos, j = self.positions_at(t)
-        vel = self._vels[:, min(j, self._vels.shape[1] - 1)]
+        where it lies within ``match_tol``, nan elsewhere. An atom within
+        twice the tolerance of a query projects on the generic axis u =
+        (1, sqrt 2, ...) within twice the tolerance times |u| of it, so a
+        block of queries sorted by projection meets one slice of the sorted
+        atoms. Squared gaps keep those within twice the tolerance; their
+        distances are then taken as the norm takes them, and any atom left
+        out is farther than the tolerance."""
+        pos, vel = self.position(t), self.velocity(t)
         out = np.full_like(pts, np.nan)
-        reach = (2.0 * self.match_tol) ** 2
-        block = max(1, _WITNESS_BLOCK // max(len(pos), 1))
-        for q in range(0, pts.shape[0], block):
-            near = pts[q:q + block]
-            qi, ei = np.nonzero(_distances(near, pos, 2) <= reach)
+        axis = np.sqrt(np.arange(1.0, pts.shape[1] + 1.0))
+        key, proj = pos @ axis, pts @ axis
+        atoms, queries = np.argsort(key), np.argsort(proj)
+        key = key[atoms]
+        reach = 2.0 * self.match_tol * float(np.linalg.norm(axis))
+        for q in range(0, len(queries), _WITNESS_BLOCK):
+            rows = queries[q:q + _WITNESS_BLOCK]
+            near = pts[rows]
+            cand = atoms[np.searchsorted(key, proj[rows[0]] - reach):
+                         np.searchsorted(key, proj[rows[-1]] + reach, "right")]
+            qi, ci = np.nonzero(_distances(near, pos[cand], 2)
+                                <= (2.0 * self.match_tol) ** 2)
             if not qi.size:
                 continue
+            ei = cand[ci]
             d = np.linalg.norm(pos[ei] - near[qi], axis=1)
             order = np.lexsort((ei, d, qi))
             lead = order[np.r_[True, np.diff(qi[order]) != 0]]
             lead = lead[d[lead] <= self.match_tol]
-            out[q + qi[lead]] = vel[ei[lead]]
+            out[rows[qi[lead]]] = vel[ei[lead]]
         return out
 
     def _eval(self, pts, t):
@@ -525,6 +524,40 @@ class ParticleWitnessField(TimeField):
         if np.any(miss):
             w[miss] = self.ambient.evaluate(pts[miss], t)
         return w
+
+
+def _park_witness(v: TimeField, pair, x0, hits, clock, descriptor):
+    """Witness of atoms parked from ``x0`` by the affine field with ``pair``
+    at their ``hits``, read at park time ``clock(t)``: each sits on the
+    field's exact map at min(clock(t), hit). Before its hit an atom moves at
+    the drift v, after it at 0, so outside omega its control is 0."""
+    def position(t):
+        return _affine_flow(pair, x0, np.minimum(clock(t), hits))
+
+    def velocity(t):
+        return np.where((clock(t) < hits)[:, None],
+                        v.evaluate(position(t), t), 0.0)
+
+    return ParticleWitnessField(position, velocity, v.sup_bound, v,
+                                "witness_storage", descriptor)
+
+
+def witness_control_outside(schedule: ControlSchedule, omega: Region,
+                            times) -> float:
+    """Largest |control| of the witness segments at their own atoms outside
+    omega, at each of ``times`` a segment holds. Sampled points never come
+    within ``match_tol`` of an atom, so ``max_control_outside`` cannot see
+    the control where a witness acts."""
+    worst = 0.0
+    for seg in schedule.segments:
+        if not isinstance(seg.field, ParticleWitnessField):
+            continue
+        for t in times[(seg.t_start <= times) & (times <= seg.t_end)]:
+            pos = seg.field.position(t)
+            ctrl = seg.field.control_part(pos[~omega.contains(pos)], t)
+            worst = max(worst, float(np.max(np.linalg.norm(ctrl, axis=1),
+                                            initial=0.0)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +617,15 @@ def _place_sets(omega: Region, omega0: Region):
 class _Plan:
     """The skeleton both controllers share: the scenario's drift and
     measures, the crossing check, the phase times T0..T5 read off its
-    hitting times, and the sets S, S0 and omega1 (see ``_place_sets``).
-    ``v_back`` is the reversed drift, ``t_back`` the backward park's horizon,
+    hitting times, the control region omega and the sets S, S0 and omega1
+    (see ``_place_sets``). ``v_back`` is the reversed drift, ``t_back`` the backward park's horizon,
     T5 - T4 before rounding, and ``blend_band`` the funnels' blend width."""
     params: dict
     v: TimeField
     v_back: TimeField
     mu0: ParticleMeasure
     mu1: ParticleMeasure
+    omega: Region
     cond: GeometricCondition
     t_back: float
     times: dict
@@ -649,8 +683,8 @@ def _plan(scenario) -> _Plan:
     times = {"T0": 0.0, "T1": t1, "T2": t1 + delta / 3.0,
              "T3": t1 + 2.0 * delta / 3.0, "T4": t4, "T5": t4 + t_back}
     s_box, s0, omega1, gap = _place_sets(omega, cond.omega0)
-    return _Plan(params, v, v.negated(), mu0, mu1, cond, t_back, times,
-                 s_box, s0, omega1, 0.45 * gap)
+    return _Plan(params, v, v.negated(), mu0, mu1, omega, cond, t_back,
+                 times, s_box, s0, omega1, 0.45 * gap)
 
 
 class MovingFrameGridField(TimeField):
@@ -934,67 +968,53 @@ def approx_controller(scenario) -> ControllerResult:
 # exact controller (stopped flows + geodesic, per-atom witness)
 # ---------------------------------------------------------------------------
 
-# knots per recorded segment of the exact lane
-EXACT_KNOTS = 33
-
-
-def _stopped_paths(field, stop_region, pts, horizon, tol):
-    """Stopped-flow endpoints, hit times, and ``(n, knots, d)`` paths on a
-    uniform knot grid over [0, horizon], read off the drift's exact flow
-    map at min(knot, hit time): a knot past a point's hit time holds its
-    position at the hit."""
-    end, hits = stopped_flow_batch(field, stop_region, pts, 0.0, horizon, tol)
+def _park(field, stop_region, pts, horizon, tol):
+    """Hit times of the stopped flow of ``pts`` along the affine ``field``
+    into ``stop_region`` over [0, horizon], and the points parked there, on
+    the field's exact flow map at their hits."""
+    _, hits = stopped_flow_batch(field, stop_region, pts, 0.0, horizon, tol)
     if np.any(np.isnan(hits)):
         bad = int(np.flatnonzero(np.isnan(hits))[0])
         raise RuntimeError(f"point {pts[bad].tolist()} failed to reach the "
                            "stop region")
-    knots = np.linspace(0.0, horizon, EXACT_KNOTS)
-    paths = _affine_flow(field.affine_pair, pts,
-                         np.minimum(knots[:, None], hits))
-    return end, hits, knots, paths.swapaxes(0, 1)
+    return hits, _affine_flow(field.affine_pair, pts, hits)
 
 
 def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
-    """Closed-form funnel paths of the exact lane: each lane's parked
-    points ride a straight-line funnel (``affine_funnel_total``) from their
-    cloud box into s0, as the approximate lane's particles do.
+    """The exact lane's funnels: each lane's parked points ride a
+    straight-line funnel (``affine_funnel_total``) from their cloud box into
+    s0, as the approximate lane's particles do.
 
-    ``lanes`` maps a lane name to ``(v, duration, pts)``: the drift the
-    funnel field blends into outside omega1, the funnel's span and the
-    points at its start. Returns a dict mapping each name to ``(knots,
-    paths, funnel)``: ``EXACT_KNOTS`` uniform knots over [0, duration], the
-    ``(n, knots, d)`` paths read off the funnel's flow map from time 0 to
-    each knot (the last knot is the points' image in s0) and the funnel
-    field, whose ``ratios`` and ``descriptor`` the report and the witness
-    carry. Nothing is integrated. Raises unless the map certifies every
-    point at every knot, which for the last knot already proves its whole
-    path stays in omega1, where the similarity is the funnel field's flow.
+    ``lanes`` maps a lane name to ``(v, clock, pts)``: the drift outside
+    omega1, the funnel's interval and the points at its start. Returns a
+    dict mapping each name to ``(funnel, images)``, the field and the
+    points' images in s0 at the clock's end. Raises unless the flow map
+    certifies every point over the whole clock, which keeps each path in
+    omega1, where the map is the field's flow, at every time between.
 
     The name dates from a gain-doubling search long since replaced; the
     benchmark tracer still looks it up by that name.
     """
     funnels = {}
-    for name, (v, duration, pts) in lanes.items():
+    for name, (v, clock, pts) in lanes.items():
         funnel = affine_funnel_total(v, omega1, _cloud_box(pts, omega1), s0,
-                                     (0.0, duration), blend_band)
-        knots = np.linspace(0.0, duration, EXACT_KNOTS)
-        images, certified = zip(*(funnel.flow_map(pts, 0.0, t) for t in knots))
+                                     clock, blend_band)
+        images, certified = funnel.flow_map(pts, *clock)
         if not np.all(certified):
             raise RuntimeError(f"the {name} funnel cannot keep every atom in "
                                "omega1")
-        funnels[name] = (knots, np.stack(images, axis=1), funnel)
+        funnels[name] = (funnel, images)
     return funnels
 
 
 def exact_controller(scenario) -> ControllerResult:
     """Atom-exact steering: park along the drift, funnel into S0, ride the
     quadratic-cost geodesic, then replay the target-side construction
-    backwards. The composite control is stored as a per-plan-entry witness.
-
-    The parks are stopped flows on the drift's exact flow map; both funnels
-    are the approximate lane's straight-line funnels, whose paths inside
-    omega1 are in closed form (see ``_escalate_exact_funnel``), so nothing
-    is integrated.
+    backwards, with every atom path in closed form. The parks and the
+    geodesic are per-plan-entry witnesses; the funnel segments are the
+    approximate lane's funnel fields, the forward one on the schedule clock
+    and the backward one replayed by its time reversal. Each snapshot is
+    read off the segment that ends at or after its time.
     """
     plan = _plan(scenario)
     v, mu0, mu1, cond = plan.v, plan.mu0, plan.mu1, plan.cond
@@ -1003,59 +1023,61 @@ def exact_controller(scenario) -> ControllerResult:
     tol = float(plan.params["tol"])
 
     # park in omega0: forward along the drift, backward along the reversed
-    # drift (recorded for replay)
-    _, _, knots1, paths1 = _stopped_paths(v, cond.omega0, mu0.positions, t1, tol)
-    _, _, knots5, paths5 = _stopped_paths(plan.v_back, cond.omega0,
-                                          mu1.positions, plan.t_back, tol)
+    # drift (replayed reversed)
+    hits1, parked1 = _park(v, cond.omega0, mu0.positions, t1, tol)
+    hits5, parked5 = _park(plan.v_back, cond.omega0, mu1.positions,
+                           plan.t_back, tol)
 
     # both lanes funnel from their parks into s0; omega1 is a box around
     # omega0 and S, so every atom's path is certified in closed form
     funnels = _escalate_exact_funnel(plan.omega1, plan.s0, {
-        "forward": (v, t2 - t1, paths1[:, -1, :]),
-        "backward": (plan.v_back, t4 - t3, paths5[:, -1, :])}, plan.blend_band)
-    knots2, paths2, fun_fwd = funnels["forward"]
-    knots4, paths4, fun_back = funnels["backward"]
-    fwd_in_s0 = paths2[:, -1]
-    back_in_s0 = paths4[:, -1]
+        "forward": (v, (t1, t2), parked1),
+        "backward": (plan.v_back, (0.0, t4 - t3), parked5)}, plan.blend_band)
+    fun_fwd, fwd_in_s0 = funnels["forward"]
+    fun_back, back_in_s0 = funnels["backward"]
+    fun_rev = fun_back.reversed(t4 - t3, t3, "funnel_reversed",
+                                f"rev({fun_back.label})")
 
     # geodesic coupling between the parked clouds
-    src_cloud = ParticleMeasure(fwd_in_s0, mu0.weights)
-    tgt_cloud = ParticleMeasure(back_in_s0, mu1.weights)
-    _, coupling = wp_discrete(src_cloud, tgt_cloud, p=2)
-    e_src = coupling.src_idx
-    e_tgt = coupling.tgt_idx
+    _, coupling = wp_discrete(ParticleMeasure(fwd_in_s0, mu0.weights),
+                              ParticleMeasure(back_in_s0, mu1.weights), p=2)
+    e_src, e_tgt = coupling.src_idx, coupling.tgt_idx
+    start, end = fwd_in_s0[e_src], back_in_s0[e_tgt]
+    pace = (end - start) / (t3 - t2)
 
-    # per-entry composite paths over [0, T5]: each segment after the first
-    # starts at the knot where the one before it ends
-    all_knots = np.concatenate([
-        knots1, t1 + knots2[1:], [t3], t3 + (knots4[-1] - knots4[-2::-1]),
-        t4 + (knots5[-1] - knots5[-2::-1])])
-    all_paths = np.concatenate([
-        paths1[e_src], paths2[e_src, 1:], back_in_s0[e_tgt, None],
-        paths4[e_tgt, -2::-1], paths5[e_tgt, -2::-1]], axis=1)
+    def on_geodesic(t):
+        lam = (t - t2) / (t3 - t2)
+        return (1.0 - lam) * start + lam * end
 
-    witness_segments = []
-    labels = ["storage", "funnel", "geodesic", "funnel", "storage"]
-    descriptors = [
-        {"kind": "stopped_drift", "omega0": cond.omega0.to_dict()},
-        fun_fwd.descriptor,
-        {"kind": "geodesic", "entries": len(coupling.mass)},
-        {"kind": "funnel_reversed", "inner": fun_back.descriptor},
-        {"kind": "stopped_drift_reversed"},
+    segments = [
+        ControlSegment(0.0, t1, _park_witness(
+            v, v.affine_pair, mu0.positions[e_src], hits1[e_src],
+            lambda t: t, {"kind": "stopped_drift",
+                          "omega0": cond.omega0.to_dict()}), "storage"),
+        ControlSegment(t1, t2, fun_fwd, "funnel"),
+        ControlSegment(t2, t3, ParticleWitnessField(
+            on_geodesic, lambda t: pace,
+            float(np.max(np.linalg.norm(pace, axis=1), initial=0.0)), v,
+            "witness_geodesic",
+            {"kind": "geodesic", "entries": len(coupling.mass)}), "geodesic"),
+        ControlSegment(t3, t4, fun_rev, "funnel"),
+        ControlSegment(t4, t5, _park_witness(
+            v, plan.v_back.affine_pair, mu1.positions[e_tgt], hits5[e_tgt],
+            lambda t: t5 - t, {"kind": "stopped_drift_reversed"}), "storage"),
     ]
-    for label, lo, hi, desc in zip(labels, bounds[:-1], bounds[1:], descriptors):
-        keep = slice(np.searchsorted(all_knots, lo - 1e-12),
-                     np.searchsorted(all_knots, hi + 1e-12, side="right"))
-        wf = ParticleWitnessField(all_knots[keep], all_paths[:, keep], v,
-                                  label=f"witness_{label}", descriptor=desc)
-        witness_segments.append(ControlSegment(lo, hi, wf, label))
-    schedule = ControlSchedule(witness_segments)
+    schedule = ControlSchedule(segments)
+    # the entries' positions on each segment, from its start
+    read = [segments[0].field.position,
+            lambda t: fun_fwd.flow_map(parked1[e_src], t1, t)[0],
+            on_geodesic,
+            lambda t: fun_rev.flow_map(end, t3, t)[0],
+            segments[4].field.position]
 
     # sorted without repeats; plain np.unique would import numpy.ma
     snap_times = np.sort(np.concatenate([np.array(bounds),
                                          np.linspace(0.0, t5, 21)]))
     snap_times = snap_times[np.append(True, np.diff(snap_times) != 0.0)]
-    states = [ParticleMeasure(_on_knots(all_knots, all_paths, t)[0],
+    states = [ParticleMeasure(read[np.searchsorted(bounds[1:], t)](t),
                               coupling.mass) for t in snap_times]
     traj = Trajectory(snap_times, states, field_ref=schedule,
                       meta={"mode": "exact",
@@ -1067,6 +1089,8 @@ def exact_controller(scenario) -> ControllerResult:
     report = plan.report("exact", fun_fwd, fun_back, states[-1].total_mass())
     report["final_w1"] = {"estimate": final_w1, "method": "exact"}
     report["plan_entries"] = int(len(coupling.mass))
+    report["witness_control_outside"] = witness_control_outside(
+        schedule, plan.omega, snap_times)
     return ControllerResult(schedule, traj, report)
 
 

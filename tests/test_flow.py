@@ -273,25 +273,29 @@ class TestStoppedFlow:
             < 1e-12
 
     def test_recorded_paths_consistent(self):
-        # the exact lane's park paths: the stopped flow's endpoints and hit
-        # times, and knots read off x0 + v min(t, hit) under a constant field
+        # the exact lane's park: the stopped flow's hit times and endpoints,
+        # and a witness whose positions are x0 + v min(t, hit) under a
+        # constant field, moving at v before the hit and at 0 after it
         region = Region.box([1.0, -1.0], [3.0, 1.0])
         v = np.array([1.0, 0.0])
         fld = TimeField.constant(v)
         pts = np.array([[0.0, 0.0], [-0.5, 0.2]])
         tol = 1e-6
-        ends, hits, knots, paths = synth._stopped_paths(fld, region, pts, 3.0,
-                                                        tol)
+        hits, ends = synth._park(fld, region, pts, 3.0, tol)
         plain_ends, plain_hits = stopped_flow_batch(fld, region, pts, 0.0,
                                                     3.0, tol)
         assert np.array_equal(ends, plain_ends)
         assert np.array_equal(hits, plain_hits)
-        assert np.array_equal(knots, np.linspace(0.0, 3.0, synth.EXACT_KNOTS))
-        assert paths.shape == (2, len(knots), 2)
-        exact = pts[:, None] + np.minimum(knots, hits[:, None])[..., None] * v
-        assert np.max(np.abs(paths - exact)) < 1e-12
-        assert np.array_equal(paths[:, 0], pts)
-        assert np.array_equal(paths[:, -1], ends)
+        park = synth._park_witness(fld, fld.affine_pair, pts, hits,
+                                   lambda t: t, {"kind": "stopped_drift"})
+        times = np.append(np.linspace(0.0, 3.0, 33), hits)
+        for t in times:
+            exact = pts + np.minimum(t, hits)[:, None] * v
+            assert np.max(np.abs(park.position(t) - exact)) < 1e-12
+            assert np.array_equal(park.velocity(t),
+                                  np.where((t < hits)[:, None], v, 0.0))
+        assert np.array_equal(park.position(0.0), pts)
+        assert np.array_equal(park.position(3.0), ends)
         # a ten times longer horizon probes at other times; the entries
         # found on the exact map agree to rounding
         long_ends, long_hits = stopped_flow_batch(fld, region, pts, 0.0, 30.0,
@@ -405,8 +409,8 @@ class TestStoppedFlow:
 
     def test_spiral_matches_expm(self):
         # an expanding spiral with an offset carries points from near its
-        # fixed point into a box: the hit points and the knot paths of the
-        # park are e^{At} x0 + (e^{At} - I) A^{-1} b, read off scipy's
+        # fixed point into a box: the hit points and the park's positions
+        # are e^{At} x0 + (e^{At} - I) A^{-1} b, read off scipy's
         # exponential of the augmented matrix
         mat = np.array([[0.3, -1.0], [1.0, 0.3]])
         off = np.array([0.2, -0.1])
@@ -420,8 +424,12 @@ class TestStoppedFlow:
             flow_map = expm(aug * t)
             return flow_map[:2, :2] @ x0 + flow_map[:2, 2]
 
-        ends, hits, knots, paths = synth._stopped_paths(
-            TimeField.affine(mat, off), region, pts, 25.0, 1e-6)
+        fld = TimeField.affine(mat, off)
+        hits, ends = synth._park(fld, region, pts, 25.0, 1e-6)
+        park = synth._park_witness(fld, fld.affine_pair, pts, hits,
+                                   lambda t: t, {"kind": "stopped_drift"})
+        probes = np.linspace(0.0, 25.0, 33)
+        paths = np.stack([park.position(t) for t in probes], axis=1)
         assert np.all(hits > 0) and np.all(region.contains(ends))
         for i, x0 in enumerate(pts):
             assert np.max(np.abs(ends[i] - exact(x0, hits[i]))) <= 1e-12
@@ -430,7 +438,7 @@ class TestStoppedFlow:
                               hits[i] - 1e-9)
             before = np.array([exact(x0, t) for t in times])
             assert np.all(region.signed_distance(before) > 0)
-            for k, t in enumerate(knots):
+            for k, t in enumerate(probes):
                 assert np.max(np.abs(paths[i, k]
                                      - exact(x0, min(t, hits[i])))) <= 1e-12
 

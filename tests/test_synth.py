@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from transportlab import cli, geometry, synth
-from transportlab.flow import TimeField, _integrate_batch, choose_step, flow_push
+from transportlab.flow import (TimeField, _affine_flow, _integrate_batch,
+                               choose_step, flow_push)
 from transportlab.geometry import Region
 from transportlab.measure import (DensitySpec, GridPartition, ParticleMeasure,
                                   push_forward, quantile_partition, sample)
@@ -506,7 +507,7 @@ class TestStudyCli:
 class TestExactFunnelClosedForm:
     """The exact lane's funnels are the approximate lane's straight-line
     funnels: inside omega1 their flow is a similarity in closed form, so
-    each lane's knots are read off it and nothing is integrated."""
+    each lane's paths are read off it and nothing is integrated."""
 
     omega1 = Region.box([0.0, 0.0], [1.0, 1.0])
     s0 = Region.box([0.55, 0.4], [0.75, 0.6])
@@ -514,22 +515,29 @@ class TestExactFunnelClosedForm:
                     [0.3, 0.45]])
     v = TimeField.constant([0.6, 0.2])
     delta = 0.2
+    times = np.linspace(0.0, delta, 33)
 
-    def funnel(self, pts):
+    def funnel(self, pts, clock=(0.0, delta)):
         funnels = _escalate_exact_funnel(
-            self.omega1, self.s0, {"lane": (self.v, self.delta, pts)},
+            self.omega1, self.s0, {"lane": (self.v, clock, pts)},
             blend_band=0.2)
         return funnels["lane"]
 
+    def paths(self, fld):
+        """``(n, 33, d)`` positions of ``pts`` along the funnel's flow map."""
+        return np.stack([fld.flow_map(self.pts, 0.0, t)[0]
+                         for t in self.times], axis=1)
+
     def test_knots_run_from_the_atoms_to_the_image(self):
-        knots, paths, fld = self.funnel(self.pts)
-        assert np.array_equal(knots, np.linspace(0.0, self.delta, 33))
-        assert paths.shape == (len(self.pts), 33, 2)
+        # the flow map runs from the atoms at the clock's start to their
+        # image in s0 at its end, inside omega1 at every time between
+        fld, end = self.funnel(self.pts)
+        paths = self.paths(fld)
         assert np.max(np.abs(paths[:, 0] - self.pts)) <= 1e-15
         images, certified = fld.flow_map(self.pts, 0.0, self.delta)
         assert np.all(certified)
-        end = paths[:, -1]
         assert np.array_equal(end, images)
+        assert np.array_equal(paths[:, -1], images)
         # the end of the span is exact: centre c1, scale lam
         cloud = synth._cloud_box(self.pts, self.omega1)
         c0 = 0.5 * (cloud.lo + cloud.hi)
@@ -538,15 +546,19 @@ class TestExactFunnelClosedForm:
             + fld.ratios * (self.pts - c0))
         assert np.all(self.s0.contains(end))
         assert np.all(self.omega1.contains(paths.reshape(-1, 2)))
+        # on a shifted clock the funnel is the same field, later
+        later, shifted_end = self.funnel(self.pts, (0.3, 0.3 + self.delta))
+        assert np.array_equal(shifted_end, end)
+        assert later.descriptor == fld.descriptor
 
     def test_matches_rk4(self):
-        # an independent reference: the funnel field's RK4 flow from knot
-        # to knot
-        knots, paths, fld = self.funnel(self.pts)
+        # an independent reference: the funnel field's RK4 flow from one
+        # sampled time to the next
+        fld, _ = self.funnel(self.pts)
         ref = [self.pts]
-        for a, b in zip(knots[:-1], knots[1:]):
+        for a, b in zip(self.times[:-1], self.times[1:]):
             ref.append(_integrate_batch(fld, ref[-1], a, b, 1e-8))
-        assert np.max(np.abs(paths - np.stack(ref, axis=1))) < 1e-9
+        assert np.max(np.abs(self.paths(fld) - np.stack(ref, axis=1))) < 1e-9
 
     def test_start_outside_omega1_raises(self):
         pts = np.vstack([self.pts[3:], [[1.05, 0.5]]])
@@ -564,36 +576,33 @@ class TestExactFunnelClosedForm:
 
 
 def test_storage_knots_follow_a_constant_drift():
-    # the exact lane's storage-park knots are x0 + v min(t, tau): the knot
-    # that straddles a hit lies on the path, not on a chord to the parked
-    # point
+    # the exact lane's park positions are x0 + v min(t, tau): a time just
+    # past a hit lies on the path, not on a chord to the parked point
     v = np.array([0.7, 0.0])
     region = Region.box([1.6975, 0.4], [2.8025, 0.8])
     pts = np.random.default_rng(6).uniform([0.25, 0.45], [0.55, 0.75],
                                            (16, 2))
-    end, hits, knots, paths = synth._stopped_paths(
-        TimeField.constant(v), region, pts, 2.1, 1e-6)
+    fld = TimeField.constant(v)
+    hits, _ = synth._park(fld, region, pts, 2.1, 1e-6)
     assert np.max(np.abs(hits - (1.6975 - pts[:, 0]) / 0.7)) < 1e-12
-    exact = pts[:, None] + np.minimum(knots, hits[:, None])[..., None] * v
-    assert np.max(np.abs(paths - exact)) < 1e-12
+    park = synth._park_witness(fld, fld.affine_pair, pts, hits, lambda t: t,
+                               {"kind": "stopped_drift"})
+    for t in np.concatenate([np.linspace(0.0, 2.1, 33), hits + 1e-3]):
+        exact = pts + np.minimum(t, hits)[:, None] * v
+        assert np.max(np.abs(park.position(t) - exact)) < 1e-12
 
 
-def on_path_control_outside(schedule, omega):
-    """Largest |control| of the witness segments at their own atoms outside
-    omega, at every knot time and knot midpoint. Sampled points never come
-    within ``match_tol`` of an atom, so ``max_control_outside`` cannot see
-    the control where the witness acts."""
-    worst = 0.0
-    for seg in schedule.segments:
-        wf = seg.field
-        mids = 0.5 * (wf.knots[:-1] + wf.knots[1:])
-        for t in np.concatenate([wf.knots, mids]):
-            pos, _ = wf.positions_at(t)
-            pos = pos[~omega.contains(pos)]
-            if len(pos):
-                ctrl = wf.control_part(pos, t)
-                worst = max(worst, float(np.max(np.linalg.norm(ctrl, axis=1))))
-    return worst
+def assert_localized(result, omega):
+    """No control outside omega: at sampled points, and at the witnesses'
+    own atoms at every snapshot time and at 65 times across each segment.
+    Sampled points never come within ``match_tol`` of an atom, so
+    ``max_control_outside`` cannot see the control where a witness acts."""
+    schedule = result.schedule
+    assert schedule.max_control_outside(omega, 512, seed=0) == 0.0
+    assert result.report["witness_control_outside"] == 0.0
+    times = np.concatenate([np.linspace(seg.t_start, seg.t_end, 65)
+                            for seg in schedule.segments])
+    assert synth.witness_control_outside(schedule, omega, times) == 0.0
 
 
 class TestExactControllerContract:
@@ -624,14 +633,22 @@ class TestExactControllerContract:
             assert abs(state.total_mass() - mu0.total_mass()) < 1e-12
 
         plan = traj.plan
-        first = result.schedule.segments[0].field.paths
-        last = result.schedule.segments[-1].field.paths
-        assert np.allclose(first[:, 0], mu0.positions[plan.src_idx], atol=1e-12)
-        assert np.allclose(last[:, -1], mu1.positions[plan.tgt_idx], atol=1e-12)
-
-        omega = self.scenario.omega_region()
-        assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
-        assert on_path_control_outside(result.schedule, omega) <= 1e-12
+        segments = result.schedule.segments
+        first = segments[0].field.position(0.0)
+        last = segments[-1].field.position(segments[-1].t_end)
+        assert np.allclose(first, mu0.positions[plan.src_idx], atol=1e-12)
+        assert np.allclose(last, mu1.positions[plan.tgt_idx], atol=1e-12)
+        # the parks and the geodesic are witnesses; the funnels are the
+        # funnel fields, the backward one replayed by its time reversal
+        kinds = [seg.field.descriptor["kind"] for seg in segments]
+        assert kinds == ["stopped_drift", "funnel_affine", "geodesic",
+                         "funnel_reversed", "stopped_drift_reversed"]
+        witness = [isinstance(seg.field, synth.ParticleWitnessField)
+                   for seg in segments]
+        assert witness == [True, False, True, False, True]
+        assert segments[1].field.flow_map is not None
+        assert segments[3].field.flow_map is not None
+        assert_localized(result, self.scenario.omega_region())
 
     def test_makes_four_stopped_flows(self, monkeypatch):
         # the crossing check's two flows and the two parks; the funnels
@@ -686,9 +703,7 @@ def test_exact_lane_on_a_long_omega():
     assert result.report["final_w1"]["estimate"] <= 1e-9
     for state in result.trajectory.states:
         assert abs(state.total_mass() - mu0.total_mass()) < 1e-12
-    omega = scenario.omega_region()
-    assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
-    assert on_path_control_outside(result.schedule, omega) <= 1e-12
+    assert_localized(result, scenario.omega_region())
 
 
 @pytest.mark.parametrize("kind", ["plain", "merge", "split"])
@@ -702,27 +717,13 @@ def test_random_exact_scenario_contract(kind):
     assert wp_discrete(final, mu1, p=1)[0] <= 1e-9
     for state in result.trajectory.states:
         assert abs(state.total_mass() - mu0.total_mass()) < 1e-12
-    omega = scenario.omega_region()
-    assert result.schedule.max_control_outside(omega, 512, seed=0) == 0.0
-    assert on_path_control_outside(result.schedule, omega) <= 1e-12
+    assert_localized(result, scenario.omega_region())
 
 
-def replay(schedule, start):
-    """Atoms stepped across every knot of every witness segment by
-    x += dt * velocity(x, t_k): the witness's own chords."""
-    x = np.array(start, dtype=float)
-    for seg in schedule.segments:
-        knots = seg.field.knots
-        for t0, t1 in zip(knots[:-1], knots[1:]):
-            x = x + (t1 - t0) * seg.field.evaluate(x, t0)
-    return x
-
-
-def test_witness_velocities_replay_the_paths():
-    # 16 + 16 equal-weight atoms, one per cell of a 4 x 4 grid on each
-    # side: the plan is a permutation, and the witness velocities carry
-    # every source atom onto its target
-    rng = np.random.default_rng(8)
+def cluster_scenario(seed):
+    """16 + 16 equal-weight atoms, one per cell of a 4 x 4 grid on each
+    side, upstream and downstream of omega under a rightward drift."""
+    rng = np.random.default_rng(seed)
     cells = np.stack(np.meshgrid(np.arange(4), np.arange(4), indexing="ij"),
                      axis=-1).reshape(-1, 2)
 
@@ -730,37 +731,85 @@ def test_witness_velocities_replay_the_paths():
         pts = np.asarray(center) - 0.15 + 0.075 * (cells + rng.random((16, 2)))
         return [[*p, 1.0 / 16] for p in pts.tolist()]
 
-    scenario = Scenario.from_dict({
+    return Scenario.from_dict({
         "dim": 2, "v": {"kind": "constant", "value": [0.7, 0.0]},
         "omega": {"kind": "box", "lo": [1.6, -0.6], "hi": [2.9, 1.6]},
         "mu0": {"atoms": atoms([0.4, 0.6])},
         "mu1": {"atoms": atoms([4.0, 0.6])},
-        "params": {"delta": 0.6, "seed": 8, "horizon": 24.0, "tol": 1e-6}})
+        "params": {"delta": 0.6, "seed": seed, "horizon": 24.0,
+                   "tol": 1e-6}})
+
+
+def test_witness_velocities_replay_the_paths():
+    # the plan is a permutation. On every segment the velocity at the atoms
+    # is the central difference of their positions: the witnesses'
+    # velocity(t) against position(t), away from a park's hit, where an
+    # atom stops, and the funnel fields against their flow maps from the
+    # segment's first snapshot. The last snapshot is the target
+    scenario = cluster_scenario(8)
     result = exact_controller(scenario)
-    plan = result.trajectory.plan
+    traj = result.trajectory
+    plan = traj.plan
     assert sorted(plan.src_idx) == sorted(plan.tgt_idx) == list(range(16))
-    end = replay(result.schedule,
-                 scenario.measure("mu0").positions[plan.src_idx])
-    assert np.max(np.abs(end - scenario.measure("mu1").positions[
-        plan.tgt_idx])) < 1e-12
+    for seg in result.schedule.segments:
+        fld = seg.field
+        h = 1e-6 * (seg.t_end - seg.t_start)
+        witness = isinstance(fld, synth.ParticleWitnessField)
+        start = traj.states[list(traj.times).index(seg.t_start)].positions
+
+        def position(t):
+            if witness:
+                return fld.position(t)
+            images, certified = fld.flow_map(start, seg.t_start, t)
+            assert np.all(certified)
+            return images
+
+        checked = 0
+        for t in np.linspace(seg.t_start, seg.t_end, 17)[1:-1]:
+            diff = (position(t + h) - position(t - h)) / (2.0 * h)
+            if witness:
+                vel = fld.velocity(t)
+                # leave out an atom that stops between t - h and t + h
+                keep = (fld.velocity(t - h).any(axis=1)
+                        == fld.velocity(t + h).any(axis=1))
+            else:
+                vel = fld.evaluate(position(t), t)
+                keep = np.ones(len(vel), dtype=bool)
+            assert np.max(np.abs(diff - vel)[keep], initial=0.0) < 1e-6
+            checked += int(np.sum(keep))
+        assert checked >= 15 * 16 - 16
+    assert np.max(np.abs(traj.final().positions - scenario.measure(
+        "mu1").positions[plan.tgt_idx])) < 1e-12
 
 
 def test_a_split_atom_cannot_be_replayed():
     # the LP plan splits a source atom over several targets; the split
-    # entries share a position until the geodesic, where one velocity per
-    # position cannot send them apart: the witness is not a flow
+    # entries share a position until the geodesic, where the witness
+    # returns one velocity per position and cannot send them apart: the
+    # witness is not a flow
     scenario = random_exact_scenario(0, "plain")
     result = exact_controller(scenario)
     plan = result.trajectory.plan
     src, counts = np.unique(plan.src_idx, return_counts=True)
-    split = np.isin(plan.src_idx, src[counts > 1])
-    assert np.any(split)
-    end = replay(result.schedule,
-                 scenario.measure("mu0").positions[plan.src_idx])
-    miss = np.linalg.norm(end - scenario.measure("mu1").positions[
-        plan.tgt_idx], axis=1)
-    assert np.max(miss[~split]) < 1e-12
-    assert np.max(miss[split]) > 0.1
+    assert np.any(counts > 1)
+    geodesic = result.schedule.segments[2]
+    t2, t3 = geodesic.t_start, geodesic.t_end
+    pos, ends = geodesic.field.position(t2), geodesic.field.position(t3)
+    worst = 0.0
+    for atom in src[counts > 1]:
+        rows = np.flatnonzero(plan.src_idx == atom)
+        assert np.array_equal(pos[rows], np.repeat(pos[rows[:1]], len(rows),
+                                                   axis=0))
+        got = geodesic.field.evaluate(pos[rows], t2)
+        assert np.array_equal(got, np.repeat(got[:1], len(rows), axis=0))
+        # that one velocity is the first entry's: it carries every split
+        # entry to the first one's target, away from the others'
+        assert np.array_equal(got[0], geodesic.field.velocity(t2)[rows[0]])
+        miss = np.linalg.norm(pos[rows] + (t3 - t2) * got - ends[rows],
+                              axis=1)
+        assert miss[0] < 1e-12 and np.min(miss[1:]) > 1e-6
+        worst = max(worst, float(np.max(miss)))
+    assert worst > 0.05
 
 
 def test_three_dimensional_approx_run():
@@ -934,23 +983,69 @@ def test_the_target_side_is_the_source_side_of_the_mirror(monkeypatch,
     assert mirrored["regions"] == report["regions"]
 
 
-def test_exact_witnesses_are_views_of_one_path_array():
-    result = exact_controller(random_exact_scenario(0, "plain"))
+@pytest.mark.parametrize("case", ["figure1-500", "cluster-6"])
+def test_snapshots_lie_on_the_exact_paths(case):
+    # each snapshot is read off the segment that ends at or after its time:
+    # a park entry is the drift's exact map at min(t, hit) on the park's
+    # clock, a funnel entry the funnel's flow map from the segment's first
+    # snapshot, and a geodesic entry the chord between the geodesic's ends
+    if case == "figure1-500":
+        preset = cli.load_scenario("figure1")
+        scenario = Scenario.from_dict({
+            **preset.to_dict(), "params": {**preset.params, "particles": 500}})
+    else:
+        scenario = cluster_scenario(6)
+    result = exact_controller(scenario)
+    traj, coupling = result.trajectory, result.trajectory.plan
+    plan = synth._plan(scenario)
+    bounds = list(plan.times.values())
+    _, t1, t2, t3, t4, t5 = bounds
+    tol = float(plan.params["tol"])
+    src = plan.mu0.positions[coupling.src_idx]
+    tgt = plan.mu1.positions[coupling.tgt_idx]
+    hits1 = synth._park(plan.v, plan.cond.omega0, plan.mu0.positions, t1,
+                        tol)[0][coupling.src_idx]
+    hits5 = synth._park(plan.v_back, plan.cond.omega0, plan.mu1.positions,
+                        plan.t_back, tol)[0][coupling.tgt_idx]
     segments = result.schedule.segments
-    paths = segments[0].field.paths.base
-    for seg in segments:
-        assert seg.field.paths.base is paths
-        assert np.shares_memory(seg.field.paths, paths)
-    traj = result.trajectory
-    checked = 0
+    times = list(traj.times)
+
+    def snapshot(t):
+        return traj.states[times.index(t)].positions
+
     for t, state in zip(traj.times, traj.states):
-        for seg in segments:
-            knots = seg.field.knots
-            if knots[0] <= t <= knots[-1]:
-                pos, _ = seg.field.positions_at(t)
-                assert np.array_equal(state.positions, pos)
-                checked += 1
-    assert checked >= len(traj.times)
+        k = int(np.searchsorted(bounds[1:], t))
+        if k == 0:
+            expect = _affine_flow(plan.v.affine_pair, src,
+                                  np.minimum(t, hits1))
+        elif k == 4:
+            expect = _affine_flow(plan.v_back.affine_pair, tgt,
+                                  np.minimum(t5 - t, hits5))
+        elif k == 2:
+            lam = (t - t2) / (t3 - t2)
+            expect = (1.0 - lam) * snapshot(t2) + lam * snapshot(t3)
+        else:
+            seg = segments[k]
+            expect, certified = seg.field.flow_map(snapshot(seg.t_start),
+                                                   seg.t_start, t)
+            assert np.all(certified)
+        assert np.max(np.abs(state.positions - expect)) <= 1e-12, (k, t)
+    assert np.array_equal(traj.final().positions, tgt)
+
+
+def test_exact_witness_control_vanishes_under_a_rotating_drift():
+    # under a curved drift a park's atoms move on arcs. Each moves at the
+    # drift itself before its hit, so the witness's control at its atoms
+    # outside omega is exactly 0, and arrival stays exact
+    preset = cli.load_scenario("figure1")
+    scenario = Scenario.from_dict({
+        **preset.to_dict(),
+        "v": {"kind": "affine", "matrix": [[0.0, 0.03], [-0.03, 0.0]],
+              "offset": [0.5, 0.0]},
+        "params": {**preset.params, "particles": 200}})
+    result = exact_controller(scenario)
+    assert result.report["final_w1"]["estimate"] <= 1e-9
+    assert_localized(result, scenario.omega_region())
 
 
 class TestStorageFlowMap:
@@ -1118,17 +1213,32 @@ class TestStorageFlowMap:
 def test_witness_matches_the_per_query_loop(dim):
     # the blocked witness against the per-query loop: the nearest atom,
     # the first among ties, where it lies within match_tol; queries at the
-    # atoms, just inside and just outside the tolerance, and far away
+    # atoms, just inside and just outside the tolerance, and far away. The
+    # atoms run on straight lines through three random points each, and
+    # atoms 3, 7 and 100..149 meet at t = 0.5
     rng = np.random.default_rng(dim)
     paths = rng.random((300, 3, dim))
-    paths[7, 1] = paths[3, 1]          # atoms 3 and 7 meet at t = 0.5
-    fld = synth.ParticleWitnessField([0.0, 0.5, 1.0], paths,
+    paths[[7, *range(100, 150)], 1] = paths[3, 1]
+
+    def leg(t):
+        return int(t >= 0.5)
+
+    def position(t):
+        j = leg(t)
+        lam = (t - 0.5 * j) / 0.5
+        return (1 - lam) * paths[:, j] + lam * paths[:, j + 1]
+
+    def velocity(t):
+        j = leg(t)
+        return (paths[:, j + 1] - paths[:, j]) / 0.5
+
+    fld = synth.ParticleWitnessField(position, velocity, 1.0,
                                      TimeField.constant(np.ones(dim)), "w",
                                      {"kind": "w"})
     step = np.zeros(dim)
     step[0] = 1.0
-    for t in (0.0, 0.3, 0.5, 1.0):
-        pos, j = fld.positions_at(t)
+    for t in (0.0, 0.3, 0.5, 0.99):
+        pos, vel = position(t), velocity(t)
         queries = np.concatenate([pos, pos + 0.9e-9 * step,
                                   pos - 1.2e-9 * step, rng.random((200, dim))])
         ref = np.full_like(queries, np.nan)
@@ -1136,7 +1246,7 @@ def test_witness_matches_the_per_query_loop(dim):
             d = np.linalg.norm(pos - queries[q], axis=1)
             e = int(np.argmin(d))
             if d[e] <= fld.match_tol:
-                ref[q] = fld._vels[e, min(j, fld._vels.shape[1] - 1)]
+                ref[q] = vel[e]
         got = fld._witness(queries, t)
         assert np.array_equal(got, ref, equal_nan=True)
         assert np.isnan(got[-200:]).all()
