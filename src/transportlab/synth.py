@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +148,9 @@ class GridControlField(TimeField):
     outer wall it lies beyond, so the flow is in closed form (``_carry``).
     Across a slab wall the two slabs' velocities blend by a smootherstep
     over a strip of half-width ``STRIP_GAMMA`` times the narrower slab,
-    which keeps the field Lipschitz. Only strip points need numerics: a 1D
-    ODE in x_a, whose Lipschitz constant is the axis-a slope bound.
+    which keeps the field Lipschitz. Only strip points need numerics: their
+    earlier coordinates stay frozen, so ``flow`` steps x_a alone, a 1D ODE
+    whose Lipschitz constant is the axis-a slope bound.
     """
 
     def __init__(self, part_src, part_tgt, T):
@@ -215,17 +215,21 @@ class GridControlField(TimeField):
                                       weights * share], axis=1)
         return rows, weights
 
-    def _velocity(self, a, pts, t):
-        """The field of sub-phase a: only coordinate a moves."""
-        rows, weights = self._slabs(a, pts)
+    def _axis_velocity(self, a, rows, weights, x, t):
+        """Axis-a velocity at time t of points at axis-a coordinates ``x``
+        that blend the slabs ``rows`` with ``weights`` (see ``_slabs``)."""
         walls = self._walls(a, t)
         speed = self._speed[a]
         alpha = np.diff(speed) / np.diff(walls)
         beta = speed[:, :-1] - alpha * walls[:, :-1]
-        v = _kernels.grid_eval_1d(np.repeat(pts[:, a], rows.shape[1]),
-                                  rows.ravel(), walls, alpha, beta)
+        v = _kernels.grid_eval_1d(np.repeat(x, rows.shape[1]), rows.ravel(),
+                                  walls, alpha, beta)
+        return np.sum(weights * v.reshape(rows.shape), axis=1)
+
+    def _velocity(self, a, pts, t):
+        """The field of sub-phase a: only coordinate a moves."""
         out = np.zeros_like(pts)
-        out[:, a] = np.sum(weights * v.reshape(rows.shape), axis=1)
+        out[:, a] = self._axis_velocity(a, *self._slabs(a, pts), pts[:, a], t)
         return out
 
     def _eval(self, pts, t):
@@ -233,22 +237,15 @@ class GridControlField(TimeField):
                         self.dim - 1))
         return self._velocity(a, pts, t)
 
-    def subphase_field(self, a):
-        """The field of sub-phase a alone, with the axis-a slope bound: the
-        Lipschitz constant of the ODE of a point whose earlier coordinates
-        stay frozen."""
-        return TimeField(lambda pts, t: self._velocity(a, pts, t), self.dim,
-                         lipschitz_bound=self.slopes[a],
-                         sup_bound=self.sup_bound, label="grid_norm")
-
     def flow(self, pts, ta, tb, tol):
         """Positions at tb of the points ``pts`` at ta (0 <= ta <= tb <= T).
 
-        Returns ``(images, closed, stats)``: the images of every row, the
-        mask of the rows moved in closed form in every sub-phase (never
-        inside a blend strip), and the strip points' fixed-step RK4: its
-        number of steps, its step and the Lipschitz bound that chose the
-        step (None when no strip point moved).
+        Each sub-phase reads every row's slabs once. Strip rows step x_a
+        alone by fixed-step RK4 at the axis-a slope bound. Returns
+        ``(images, closed, stats)``: the images of every row, the mask of
+        the rows moved in closed form in every sub-phase (never inside a
+        blend strip), and the strip RK4's number of steps, its step and the
+        bound that chose the step (None when no strip row moved).
         """
         images = np.array(np.atleast_2d(pts), dtype=np.float64)
         closed = np.ones(len(images), dtype=bool)
@@ -268,9 +265,14 @@ class GridControlField(TimeField):
             closed &= whole
             if np.all(whole):
                 continue
-            field = self.subphase_field(a)
-            images[~whole] = _integrate_batch_local(field, images[~whole],
-                                                    lo, hi, tol)
+            strip = ~whole
+            field = TimeField(
+                lambda x, t, r=rows[strip], w=weights[strip], a=a:
+                self._axis_velocity(a, r, w, x[:, 0], t)[:, None], 1,
+                lipschitz_bound=self.slopes[a], sup_bound=self.sup_bound,
+                label="grid_norm")
+            images[strip, a] = _integrate_batch_local(
+                field, images[strip, a:a + 1], lo, hi, tol)[:, 0]
             h = float(choose_step(field, tol, hi - lo))
             stats = {"steps": stats["steps"] + round((hi - lo) / h),
                      "h": min(h, stats["h"] or h),
@@ -693,11 +695,9 @@ class MovingFrameGridField(TimeField):
     factor. The name dates from a frame that once carried a normalized grid
     along with the two clouds; the benchmark tracer looks ``advect`` up by it.
 
-    Inside the gate core the field IS the grid field, so ``advect`` moves
-    core particles with ``GridControlField.flow``: closed form off the
-    blend strips, fixed-step RK4 at the moving axis's slope bound inside
-    them. Only the particles outside the core are integrated, by
-    fixed-step RK4 at the mild outer bound (the gate blend has kinks).
+    Inside the gate core the field IS the grid field, and
+    ``approx_controller`` sizes the core to hold every row's whole
+    grid-phase path, so ``advect`` moves every row by the grid's own flow.
     """
 
     def __init__(self, inner: GridControlField, v: TimeField, t0,
@@ -708,17 +708,13 @@ class MovingFrameGridField(TimeField):
         self._gate = _blend_factor(gate_core, band)
         sup = inner.sup_bound + v.sup_bound
         # the gate blends two velocities, at most sup + |v| apart, over band
-        outer = (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
+        blend = (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
         super().__init__(self._eval, inner.dim,
-                         lipschitz_bound=inner.lipschitz_bound + outer,
+                         lipschitz_bound=inner.lipschitz_bound + blend,
                          sup_bound=sup, label="grid_frame", ambient=v,
                          descriptor={"kind": "grid_frame",
                                      "inner": inner.descriptor,
                                      "gate": gate_core.to_dict(), "band": band})
-        # the field at the mild bound away from the cell margins, for the
-        # particles outside the gate core
-        self._outer = TimeField(self._eval, self.dim, lipschitz_bound=outer,
-                                sup_bound=sup, label="grid_frame_outer")
 
     def _eval(self, pts, t):
         g = self._gate(pts)[:, None]
@@ -727,24 +723,13 @@ class MovingFrameGridField(TimeField):
 
     def advect(self, mu: ParticleMeasure, ta: float, tb: float,
                tol: float) -> tuple[ParticleMeasure, np.ndarray, dict]:
-        """Flow of this field: the grid's own flow for core particles.
-
-        Returns the pushed measure, the mask of the particles moved in
-        closed form (core particles off every blend strip) and the strip
-        RK4's statistics (see ``GridControlField.flow``).
+        """Flow of this field, for particles whose paths stay in the gate
+        core. Returns the pushed measure, the mask of the particles moved in
+        closed form (those off every blend strip) and the strip RK4's
+        statistics (see ``GridControlField.flow``).
         """
-        core = self.gate_core.contains(mu.positions)
-        pos = mu.positions.copy()
-        closed = np.zeros(len(mu), dtype=bool)
-        pos[core], closed[core], stats = self.inner.flow(
-            pos[core], ta - self.t0, tb - self.t0, tol)
-        if np.any(~core):
-            pos[~core] = _integrate_batch_local(self._outer, pos[~core],
-                                                ta, tb, tol)
-            if np.any(self.gate_core.contains(pos[~core])):
-                warnings.warn("a particle outside the gate core drifted into "
-                              "it during the grid phase; its step control "
-                              "used the mild outer bound", stacklevel=2)
+        pos, closed, stats = self.inner.flow(mu.positions, ta - self.t0,
+                                             tb - self.t0, tol)
         return ParticleMeasure(pos, mu.weights, mu.tags), closed, stats
 
 
@@ -835,9 +820,9 @@ def approx_controller(scenario) -> ControllerResult:
     side from mu1 along -v, each with an untouched set of mass
     eps/(2 d Rbar). The grid joins their funnelled clouds, the target side
     is replayed reversed, and the report carries the measured transport
-    error against the target. Particles inside a funnel's core or off the
-    grid's blend strips move along their closed-form characteristics; the
-    rest are integrated.
+    error against the target. Particles the funnels' flow maps certify or
+    off the grid's blend strips move along their closed-form
+    characteristics; the rest are integrated.
     """
     plan = _plan(scenario)
     v, mu0, mu1 = plan.v, plan.mu0, plan.mu1
@@ -849,7 +834,9 @@ def approx_controller(scenario) -> ControllerResult:
     lo1, hi1 = mu1.support_bbox()
     edge = float(np.max(np.maximum(hi0, hi1) - np.minimum(lo0, lo1)))
     rbar = edge + t5 * v.sup_bound
-    eps_mass = epsilon / (2.0 * mu0.dim * rbar)
+    # at most half the cloud's mass, so the grid has a cloud to carry; the
+    # untouched set's W1 charge only falls as it shrinks
+    eps_mass = min(epsilon / (2.0 * mu0.dim * rbar), 0.5 * mu0.total_mass())
 
     # phases 1 and 2, and the target side's for replay after the grid
     (store_fwd, k_fwd, state1, tag_fwd, fun_fwd, state2_all, cf_store_fwd,
@@ -889,9 +876,16 @@ def approx_controller(scenario) -> ControllerResult:
             n -= 1
     grid = GridControlField(to_world(part_src, o0, s0n),
                             to_world(part_tgt, o1, s1n), t3 - t2)
+    # every slab's outer walls are the frame faces o and o + s: a row
+    # beyond a face moves rigidly with it and one between them stays there,
+    # so the hull holds every row's whole grid-phase path
     pad = 0.25
-    hull_lo = np.minimum(o0 - pad * s0n, o1 - pad * s1n)
-    hull_hi = np.maximum(o0 + (1 + pad) * s0n, o1 + (1 + pad) * s1n)
+    pts = state2_all.positions
+    hull_lo = np.minimum.reduce([o0 - pad * s0n, o1 - pad * s1n,
+                                 pts.min(axis=0) + np.minimum(o1 - o0, 0.0)])
+    hull_hi = np.maximum.reduce([
+        o0 + (1 + pad) * s0n, o1 + (1 + pad) * s1n,
+        pts.max(axis=0) + np.maximum(o1 + s1n - o0 - s0n, 0.0)])
     room = float(np.min(np.minimum(hull_lo - plan.s_box.lo,
                                    plan.s_box.hi - hull_hi)))
     if room <= 0:
@@ -972,12 +966,12 @@ def _park(field, stop_region, pts, horizon, tol):
     """Hit times of the stopped flow of ``pts`` along the affine ``field``
     into ``stop_region`` over [0, horizon], and the points parked there, on
     the field's exact flow map at their hits."""
-    _, hits = stopped_flow_batch(field, stop_region, pts, 0.0, horizon, tol)
+    ends, hits = stopped_flow_batch(field, stop_region, pts, 0.0, horizon, tol)
     if np.any(np.isnan(hits)):
         bad = int(np.flatnonzero(np.isnan(hits))[0])
         raise RuntimeError(f"point {pts[bad].tolist()} failed to reach the "
                            "stop region")
-    return hits, _affine_flow(field.affine_pair, pts, hits)
+    return hits, ends
 
 
 def _escalate_exact_funnel(omega1, s0, lanes, blend_band):

@@ -328,6 +328,27 @@ def test_approx_report_says_whether_w1_meets_epsilon(tmp_path, capsys,
     assert ("does not meet epsilon" in err) is not meets
 
 
+def test_an_epsilon_above_the_cloud_mass_leaves_half_untouched(tmp_path,
+                                                               capsys):
+    # eps/(2 d Rbar) = 100/(2 * 2 * 18.25) exceeds the unit mass, which once
+    # tagged every row untouched and left the grid no cloud; the untouched
+    # mass is capped at half the cloud's
+    params = {**load_scenario("figure1").params, "epsilon": 100.0,
+              "particles": 400}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(figure1_with(
+        tmp_path, params=params)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "report.json").read_text())
+    untouched = report["untouched"]
+    assert untouched["target_mass"] == pytest.approx(0.5, abs=1e-12)
+    assert 100.0 / (4.0 * untouched["rbar"]) > 1.0
+    for side in ("source", "target"):
+        assert untouched[f"count_{side}"] == 200
+    assert report["final_w1"]["epsilon_certified"] is True
+    assert report["final_w1"]["estimate"] < 1.0
+
+
 @pytest.mark.parametrize("preset", [["two-bump-merge"],
                                     ["unit-shift", "--particles", "300"],
                                     ["figure1", "--particles", "300"]])

@@ -39,17 +39,21 @@ class TestGridClosedForm:
         return GridControlField(*square_meshes(), self.T)
 
     @staticmethod
-    def rk4(grid, pts, ta, tb, tol, refine=1.0):
-        """Fixed-step RK4 through each sub-phase's field in turn, at refine
-        times its slope bound."""
+    def subphase(grid, a, refine=1.0):
+        """The d-dimensional field of sub-phase a alone, at refine times
+        the axis-a slope bound."""
+        return TimeField(lambda pts, t: grid._velocity(a, pts, t), grid.dim,
+                         refine * grid.slopes[a])
+
+    @classmethod
+    def rk4(cls, grid, pts, ta, tb, tol, refine=1.0):
+        """Fixed-step RK4 through each sub-phase's d-dimensional field in
+        turn, at refine times its slope bound."""
         for a in range(grid.dim):
             lo, hi = max(ta, grid.ends[a]), min(tb, grid.ends[a + 1])
             if hi > lo:
-                sub = grid.subphase_field(a)
-                pts = _integrate_batch(
-                    TimeField(sub.evaluate, grid.dim,
-                              refine * sub.lipschitz_bound, sub.sup_bound),
-                    pts, lo, hi, tol)
+                pts = _integrate_batch(cls.subphase(grid, a, refine), pts,
+                                       lo, hi, tol)
         return pts
 
     def test_duration_must_be_positive(self):
@@ -130,14 +134,32 @@ class TestGridClosedForm:
         for start, ta in ((pts, half), (mid, 0.4)):
             images, closed, stats = grid.flow(start, ta, self.T, tol)
             assert not np.any(closed)
-            field = grid.subphase_field(1)
-            assert stats["lipschitz"] == field.lipschitz_bound == grid.slopes[1]
-            assert stats["h"] == choose_step(field, tol, self.T - ta)
+            assert stats["lipschitz"] == grid.slopes[1]
+            assert stats["h"] == choose_step(self.subphase(grid, 1), tol,
+                                             self.T - ta)
             assert stats["steps"] == round((self.T - ta) / stats["h"])
             ref = self.rk4(grid, start, ta, self.T, tol, refine=4.0)
             assert np.max(np.abs(images - ref)) <= tol
             # only the moving axis moved
             assert np.array_equal(images[:, 0], start[:, 0])
+
+    def test_strip_rows_equal_the_d_dimensional_rk4(self, grid):
+        # a strip row's earlier coordinates stay frozen, so stepping x_a
+        # alone through its own blend is the d-dimensional RK4 at the same
+        # step, bit for bit, in 2D and in the last sub-phase of a 3D mesh
+        cube = DensitySpec("uniform_box", 3, {"lo": [0] * 3, "hi": [1] * 3})
+        grid3 = GridControlField(*quantile_partition(
+            sample(cube, 2000, seed=5),
+            push_forward(sample(cube, 2000, seed=6), lambda p: p ** 2), 3),
+            1.0)
+        rng = np.random.default_rng(8)
+        for g, pts in ((grid, self.strip_points(grid)),
+                       (grid3, rng.random((3000, 3)))):
+            a = g.dim - 1
+            images, closed, _ = g.flow(pts, g.ends[a], g.ends[a + 1], 1e-7)
+            assert np.any(~closed)
+            ref = self.rk4(g, pts[~closed], g.ends[a], g.ends[a + 1], 1e-7)
+            assert np.array_equal(images[~closed], ref)
 
     def test_flow_moves_cell_points_in_closed_form(self, grid):
         cell_pts, _ = self.in_cell_points(grid, per_cell=1)
@@ -1031,6 +1053,45 @@ def test_snapshots_lie_on_the_exact_paths(case):
             assert np.all(certified)
         assert np.max(np.abs(state.positions - expect)) <= 1e-12, (k, t)
     assert np.array_equal(traj.final().positions, tgt)
+
+
+def test_the_gate_core_holds_every_grid_phase_path():
+    # figure1's drift and omega between two uniform boxes at epsilon = 20:
+    # half the mass stays untouched, and many rows lie beyond the faces of
+    # the source cloud's frame, where they move rigidly with the faces. The
+    # gate's hull, and so its core, holds every row at the phase's start
+    # and at every sub-phase end, so the grid's own flow is the gated
+    # field's
+    preset = cli.load_scenario("figure1")
+    scenario = Scenario.from_dict({
+        **preset.to_dict(),
+        "mu0": {"kind": "uniform_box", "dim": 2, "lo": [0.1, 0.25],
+                "hi": [0.9, 0.85]},
+        "mu1": {"kind": "uniform_box", "dim": 2, "lo": [3.75, 0.2],
+                "hi": [4.45, 0.8]},
+        "params": {**preset.params, "epsilon": 20.0, "particles": 400,
+                   "seed": 1}})
+    result = synth.approx_controller(scenario)
+    seg = result.schedule.segments[2]
+    gated, grid = seg.field, seg.field.inner
+    start = result.trajectory.states[2]
+    frame = Region.box([w.min() for w in grid.src.walls],
+                       [w.max() for w in grid.src.walls])
+    assert np.sum(~frame.contains(start.positions)) > 100
+    # the hull the gate core grows by its band, to rounding: its extreme
+    # rows lie on its faces
+    band = gated.descriptor["band"] - 1e-12
+    hull = Region.box(gated.gate_core.lo + band, gated.gate_core.hi - band)
+    tol = float(scenario.params["tol"])
+    for end in grid.ends:
+        moved, _, _ = gated.advect(start, seg.t_start, seg.t_start + end, tol)
+        assert np.all(hull.contains(moved.positions))
+        assert np.all(gated.gate_core.contains(moved.positions))
+    moved, _, _ = gated.advect(start, seg.t_start, seg.t_end, tol)
+    assert np.array_equal(moved.positions,
+                          result.trajectory.states[3].positions)
+    assert result.schedule.max_control_outside(scenario.omega_region(), 4096,
+                                               0) == 0.0
 
 
 def test_exact_witness_control_vanishes_under_a_rotating_drift():
