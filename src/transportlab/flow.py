@@ -1,7 +1,7 @@
 """Characteristic flows of time-dependent velocity fields.
 
 ``flow_push`` pushes a particle measure through a field. Rows the
-field's flow map certifies (``TimeField.flow_map``: the storage blend under
+field's flow map certifies (``TimeField.flow_map``: the storage field under
 a translation drift, the straight-line funnel and their time reversals)
 move in closed form; the others are stepped by fixed-step RK4
 (``_integrate_batch``), the batch sharing one step tied to the field's

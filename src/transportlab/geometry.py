@@ -1,9 +1,9 @@
-"""Regions, the storage cutoff and its closed-form flow, and the
+"""Regions, the closed-form flow of the storage cutoff, and the
 geometric-condition checker.
 
 A region is an axis-aligned box: the control region omega and every set
 the controllers place inside it (omega0, S, S0, omega1) are boxes, and a
-box's signed distance, depth and containment are exact.
+box's signed distance, excess, depth and containment are exact.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .flow import TimeField, stopped_flow_batch
 
 __all__ = [
     "Region",
-    "cutoff_theta",
     "cutoff_flow",
     "check_geometric_condition",
     "GeometricCondition",
@@ -68,12 +67,17 @@ class Region:
         return (np.sqrt(np.add.reduce(outside * outside, axis=1))
                 + np.minimum(most, 0.0))
 
+    def excess(self, pts):
+        """The box's L-infinity signed distance: a point's largest excess
+        over the box on any axis. The box grown by r is where it is <= r."""
+        return self._box_excess(pts)[1]
+
     def contains(self, pts):
-        return self._box_excess(pts)[1] <= 0.0
+        return self.excess(pts) <= 0.0
 
     def depth(self, pts):
         """Distance to the complement: max(-sdf, 0)."""
-        return np.maximum(-self._box_excess(pts)[1], 0.0)
+        return np.maximum(-self.excess(pts), 0.0)
 
     def shrink(self, r):
         """The box of the points at depth >= r."""
@@ -115,26 +119,6 @@ def _smootherstep_d(u):
     return np.where(inside, 30.0 * u ** 2 * (1.0 - u) ** 2, 0.0)
 
 
-def cutoff_theta(omega0: Region, k: int):
-    """Smooth cutoff theta(points): 1 outside omega0, 0 at depth >= 1/k
-    inside it.
-
-    Built from a quintic ramp of the depth d(x, omega0^c) scaled by k, so
-    both defining plateaus hold exactly.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if 1.0 / k >= omega0.inradius():
-        raise ValueError(
-            f"1/k = {1.0 / k:.4g} is not below the inradius "
-            f"{omega0.inradius():.4g}; the parked zone would be empty")
-
-    def theta(pts):
-        return 1.0 - _smootherstep(k * omega0.depth(pts))
-
-    return theta
-
-
 # 1 - S(z) = (1 - z)^3 (6 z^2 + 3 z + 1) for the quintic ramp S, so the
 # time 1 / (1 - S) integrates in closed form; _RAMP_ATAN is 27 / (40 sqrt 15)
 _SQRT15 = math.sqrt(15.0)
@@ -156,10 +140,11 @@ def _ramp_time(w):
 
 
 def cutoff_flow(omega0: Region, k: int, drift):
-    """Exact flow map of x' = theta_k(x) b, ``cutoff_theta``'s cutoff times
-    a constant drift b, for a box omega0: ``flow_map(points, t0, t1)``
-    (see ``TimeField``), certifying every row. Run backwards, it is the
-    same map for -b.
+    """Exact flow map of x' = (1 - S(k depth(x))) b, the storage field
+    (``synth.storage_total``) under a constant drift b, for a box omega0
+    and the quintic ramp S: ``flow_map(points, t0, t1)`` (see
+    ``TimeField``), certifying every row. Run backwards, it is the same map
+    for -b.
 
     A path keeps to its streamline x0 + s b; the cutoff only slows its
     clock, ds/dt = 1 - S(k depth). Along the line the depth in omega0 is

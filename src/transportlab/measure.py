@@ -241,12 +241,24 @@ class DensitySpec:
             raise ValueError(f"a density must be a JSON object, got {data!r}")
         data = dict(data)
         kind = data.pop("kind")
-        dim = int(data.pop("dim"))
+        dim = _integer(data.pop("dim"), 1, "a density's 'dim'")
         if kind == "mixture":
-            comps = [cls.from_dict(c) for c in data["components"]]
-            return cls("mixture", dim, {"components": comps,
-                                        "mix_weights": data["mix_weights"]})
+            comps, weights = data["components"], data["mix_weights"]
+            if not (isinstance(comps, list) and isinstance(weights, list)):
+                raise ValueError("a mixture's components and mix_weights "
+                                 "must be lists")
+            data = {"components": [cls.from_dict(c) for c in comps],
+                    "mix_weights": weights}
         return cls(kind, dim, data)
+
+
+def _integer(value, least: int, what: str) -> int:
+    """``value`` if it is an integer >= ``least`` and not a bool; else a
+    ValueError that names it ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got "
+                         f"{value!r}")
+    return value
 
 
 def sample(spec: DensitySpec, count: int, seed: int) -> ParticleMeasure:

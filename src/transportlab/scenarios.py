@@ -31,7 +31,7 @@ import numpy as np
 
 from .flow import TimeField
 from .geometry import Region
-from .measure import DensitySpec, ParticleMeasure, sample
+from .measure import DensitySpec, ParticleMeasure, sample, _integer
 from .ot import MASS_TOL
 
 __all__ = ["Scenario", "PRESETS", "load_scenario", "random_exact_scenario"]
@@ -68,6 +68,7 @@ class Scenario:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _integer(self.dim, 1, "scenario 'dim'")
         for key in REQUIRED_PARAMS:
             if key not in self.params:
                 raise ValueError(f"scenario is missing required parameter {key!r}")
@@ -84,13 +85,8 @@ class Scenario:
         # counts and seeds the controllers take as they are ("n" may be
         # null: the controller picks it)
         for key, least in (("particles", 1), ("seed", 0), ("n", 1)):
-            value = self.params[key]
-            if key == "n" and value is None:
-                continue
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or value < least):
-                raise ValueError(f"scenario parameter {key!r} must be an "
-                                 f"integer >= {least}, got {value!r}")
+            if key != "n" or self.params[key] is not None:
+                _integer(self.params[key], least, f"scenario parameter {key!r}")
         self._check_members()
 
     def _check_members(self):
@@ -153,10 +149,12 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ValueError(f"a scenario is an object, not {data!r:.40}")
         for name in ("v", "omega", "mu0", "mu1", "params"):
             if not isinstance(data.get(name, {}), dict):
                 raise ValueError(f"scenario member {name!r} must be an object, got {data[name]!r}")
-        return cls(dim=int(data["dim"]), v=data["v"], omega=data["omega"],
+        return cls(dim=data["dim"], v=data["v"], omega=data["omega"],
                    mu0=data["mu0"], mu1=data["mu1"],
                    params=dict(data.get("params", {})))
 

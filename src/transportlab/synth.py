@@ -2,9 +2,10 @@
 five-phase schedules composing them.
 
 Every field records the drift v it perturbs as its ambient; its control
-is the total minus the drift, exactly zero outside omega, where each
-blend factor is exactly 0 or 1. Both lanes share one plan (``_plan``):
-the crossing check, the phase times T0..T5 and the sets S, S0, omega1.
+is the total minus the drift. Each Lipschitz phase field is a
+``GatedField``, whose control is exactly zero off one box inside omega.
+Both lanes share one plan (``_plan``): the crossing check, the phase
+times T0..T5 and the sets S, S0, omega1.
 
 The approximate lane synthesizes genuinely Lipschitz fields and pushes the
 particles through their flows phase by phase, in closed form where the
@@ -32,7 +33,7 @@ from .flow import (TimeField, Trajectory, choose_step, flow_push,
                    stopped_flow_batch, _affine_flow,
                    _integrate_batch as _integrate_batch_local)
 from .geometry import (GeometricCondition, Region, cutoff_flow,
-                       cutoff_theta, check_geometric_condition, _smootherstep,
+                       check_geometric_condition, _smootherstep,
                        _smootherstep_d)
 from .measure import GridPartition, ParticleMeasure, quantile_partition
 from .ot import wp_discrete, w1_bracket, _distances
@@ -40,6 +41,7 @@ from .ot import wp_discrete, w1_bracket, _distances
 __all__ = [
     "ControlSegment",
     "ControlSchedule",
+    "GatedField",
     "GridControlField",
     "storage_total",
     "approx_controller",
@@ -125,6 +127,44 @@ class ControlSchedule:
 
 
 # ---------------------------------------------------------------------------
+# localized fields
+# ---------------------------------------------------------------------------
+
+def _ramp(d, reach, width):
+    """S((reach - d) / width) for the smootherstep S: 1 where d <= reach -
+    width, 0 where d >= reach, and 0 everywhere where width is 0."""
+    u = np.divide(reach - d, width, out=np.zeros_like(d), where=width > 0.0)
+    return _smootherstep(u)
+
+
+class GatedField(TimeField):
+    """(1 - g) v + g inner: the drift v with the velocity ``inner(points,
+    t)`` (zero when None) gated in on the box ``region``, g = ``_ramp`` of
+    its excess (``Region.excess``) over ``reach`` and ``width``. g is 1 on
+    the region grown by reach - width, and the control, the total minus v,
+    is exactly zero off the region grown by reach. The excess is
+    1-Lipschitz, so |grad g| <= 1.875 / width and the bounds follow from
+    the inner velocity's on the grown box, ``inner_lip`` and ``inner_sup``.
+    The other keywords go to ``TimeField``."""
+
+    def __init__(self, v: TimeField, region: Region, reach, width,
+                 inner=None, inner_lip=0.0, inner_sup=0.0, **kwargs):
+        self.region, self.reach, self.width = region, reach, width
+        self._inner_velocity = inner
+        super().__init__(
+            self._total, v.dim, sup_bound=inner_sup + v.sup_bound, ambient=v,
+            lipschitz_bound=inner_lip + v.lipschitz_bound
+            + 1.875 * (inner_sup + v.sup_bound) / width, **kwargs)
+
+    def _total(self, pts, t):
+        g = _ramp(self.region.excess(pts), self.reach, self.width)[:, None]
+        total = (1.0 - g) * self.ambient.evaluate(pts, t)
+        if self._inner_velocity is None:
+            return total
+        return total + g * self._inner_velocity(pts, t)
+
+
+# ---------------------------------------------------------------------------
 # grid control (moving quantile cells, one axis at a time)
 # ---------------------------------------------------------------------------
 
@@ -197,16 +237,17 @@ class GridControlField(TimeField):
 
     def _slabs(self, a, pts):
         """Rows of the slabs whose axis-a velocities each point blends, and
-        their weights, both ``(points, 2**a)``: within the strip of a wall
-        of an earlier axis, the slab across it weighs in."""
+        their weights, both ``(points, 2**a)``: the slab across a wall of an
+        earlier axis weighs 1/2 on it, falling to 0 at gamma from it."""
         rows = np.zeros((len(pts), 1), dtype=np.intp)
         weights = np.ones((len(pts), 1))
         for b in range(a):
             x = np.broadcast_to(pts[:, b:b + 1], rows.shape)
             c = self.tgt.cell_of(b, rows.ravel(), x.ravel()).reshape(x.shape)
             walls, gamma = self._tgt[b], self._gamma[b]
-            below = _across(x - walls[rows, c], gamma[rows, c])
-            above = _across(walls[rows, c + 1] - x, gamma[rows, c + 1])
+            low, high = gamma[rows, c], gamma[rows, c + 1]
+            below = _ramp(x - walls[rows, c], low, 2.0 * low)
+            above = _ramp(walls[rows, c + 1] - x, high, 2.0 * high)
             other = np.where(below > 0, c - 1, np.where(above > 0, c + 1, c))
             share = below + above
             rows = np.concatenate([rows * self.n + c, rows * self.n + other],
@@ -281,15 +322,6 @@ class GridControlField(TimeField):
         return images, closed, stats
 
 
-def _across(dist, gamma):
-    """Weight of the slab across a wall, for points at ``dist`` from it on
-    their own side: 1/2 on the wall, falling by a smootherstep to 0 at the
-    strip half-width ``gamma`` (0 everywhere where gamma is 0)."""
-    u = np.divide(gamma - dist, 2.0 * gamma, out=np.zeros_like(dist),
-                  where=gamma > 0.0)
-    return _smootherstep(u)
-
-
 def _carry(p, lo_a, hi_a, lo_b, hi_b):
     """The point with p's relative coordinate in [lo_a, hi_a] placed in
     [lo_b, hi_b] (exact when that coordinate is 0 or 1); a p beyond an
@@ -327,42 +359,31 @@ def grid_error_bound(mesh, moved: ParticleMeasure, closed,
 # storage control
 # ---------------------------------------------------------------------------
 
-def storage_total(v: TimeField, omega0: Region, k: int) -> TimeField:
-    """Total velocity theta_k * v of the storage phase. Its control part
-    (theta_k - 1) v cancels the drift progressively inside omega0: it is
-    exactly zero outside omega0, and the total velocity is exactly zero at
-    depth 1/k. Under a translation drift (A = 0) the field carries its
-    exact flow map (``cutoff_flow``), so ``flow_push`` steps nothing; a
-    curved drift is stepped by RK4."""
-    theta = cutoff_theta(omega0, k)
-
-    def total(pts, t):
-        return theta(pts)[:, None] * v.evaluate(pts, t)
-
+def storage_total(v: TimeField, omega0: Region, k: int) -> GatedField:
+    """Total velocity (1 - S(k depth)) v of the storage phase, a
+    ``GatedField`` on omega0 with reach 0 and width 1/k: its control is
+    exactly zero outside omega0, and the total is exactly zero at depth
+    1/k. Under a translation drift (A = 0) the field carries its exact
+    flow map (``cutoff_flow``), so ``flow_push`` steps nothing; a curved
+    drift is stepped by RK4."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if 1.0 / k >= omega0.inradius():
+        raise ValueError(
+            f"1/k = {1.0 / k:.4g} is not below the inradius "
+            f"{omega0.inradius():.4g}; the parked zone would be empty")
     pair = v.affine_pair
     straight = pair is not None and not pair[0].any()
-    return TimeField(total, v.dim,
-                     lipschitz_bound=v.sup_bound * 1.875 * k + v.lipschitz_bound,
-                     sup_bound=v.sup_bound, label=f"storage_total_k{k}",
-                     ambient=v,
-                     descriptor={"kind": "storage", "k": k,
-                                 "omega0": omega0.to_dict()},
-                     flow_map=cutoff_flow(omega0, k, pair[1]) if straight
-                     else None)
+    return GatedField(v, omega0, 0.0, 1.0 / k, label=f"storage_total_k{k}",
+                      descriptor={"kind": "storage", "k": k,
+                                  "omega0": omega0.to_dict()},
+                      flow_map=cutoff_flow(omega0, k, pair[1]) if straight
+                      else None)
 
 
 # ---------------------------------------------------------------------------
 # funnel control
 # ---------------------------------------------------------------------------
-
-def _blend_factor(region: Region, band: float):
-    """1 inside region, quintic decay to 0 at distance band outside it."""
-    def factor(pts):
-        d = np.maximum(region.signed_distance(pts), 0.0)
-        return 1.0 - _smootherstep(d / band)
-
-    return factor
-
 
 def _cloud_box(pts, omega1: Region):
     """Bounding box of the points ``pts``, padded by 1% of its extent on
@@ -377,12 +398,13 @@ def _cloud_box(pts, omega1: Region):
 
 
 def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
-                        clock, blend_band: float) -> TimeField:
+                        clock, blend_band: float) -> GatedField:
     """Straight-line funnel: a time-gated affine similarity carrying the
     cloud box onto a copy inside the target box over the interval ``clock``
-    = (t_a, t_b), whose ramp reads (t - t_a)/(t_b - t_a). Both lanes funnel
-    with it: the approximate lane pushes its particles through it, and the
-    exact lane reads its atoms' paths off it.
+    = (t_a, t_b), whose ramp reads (t - t_a)/(t_b - t_a), gated in on
+    omega1 with reach and width ``blend_band``. Both lanes funnel with it:
+    the approximate lane pushes its particles through it, and the exact
+    lane reads its atoms' paths off it.
 
     The boxes it sweeps stay inside the hull of the first and the last,
     which the box omega1 holds. Translation and contraction decouple, so
@@ -390,7 +412,7 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     early arrivals never keep compressing. The ramp has zero velocity at
     both ends, which makes the segment handoff exact.
 
-    Inside omega1 the blend factor is 1, so there the flow is the similarity
+    Inside omega1 the gate is 1, so there the flow is the similarity
     x(t) = c(t) + lam^w(t) (x0 - c0) with w the ramp and c(t) the centre
     moving from c0 to c1. The field's flow map (see ``TimeField``) takes
     points from t0 to t1 on it: c(t1) + lam^(w(t1) - w(t0)) r with
@@ -415,7 +437,6 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
             np.minimum(cloud_box.lo, c1 - lam * half0 - 1e-12),
             np.maximum(cloud_box.hi, c1 + lam * half0 + 1e-12)]))):
         raise ValueError("funnel endpoints do not fit inside omega1")
-    blend = _blend_factor(omega1, blend_band)
 
     def flow_map(pts, t0, t1):
         w0, w1 = _smootherstep((np.array([t0, t1]) - t_a) / span)
@@ -426,32 +447,22 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
         hi = np.maximum(np.maximum(pts, image), np.maximum(c_t0, c_t1))
         return image, omega1.contains(lo) & omega1.contains(hi)
 
-    def ramp(t):
-        u = min(max((t - t_a) / span, 0.0), 1.0)
-        return _smootherstep(np.array([u]))[0], \
-            _smootherstep_d(np.array([u]))[0] / span
+    def similarity(pts, t):
+        u = np.array([(t - t_a) / span])
+        w, wd = _smootherstep(u)[0], _smootherstep_d(u)[0] / span
+        return wd * ((c1 - c0) + log_lam * (pts - (c0 + w * (c1 - c0))))
 
-    def total(pts, t):
-        w, wd = ramp(t)
-        c_t = c0 + w * (c1 - c0)
-        drift = wd * ((c1 - c0) + log_lam * (np.atleast_2d(pts) - c_t))
-        b = blend(pts)[:, None]
-        return b * drift + (1.0 - b) * v.evaluate(pts, t)
-
-    wd_max = 1.875 / span
-    reach = float(np.linalg.norm(c1 - c0)
-                  + np.max(np.abs(log_lam))
-                  * np.linalg.norm(omega1.hi - omega1.lo))
-    sup = wd_max * reach + v.sup_bound
-    lip = (wd_max * float(np.max(np.abs(log_lam)))
-           + (sup + v.sup_bound) * 1.875 / blend_band + v.lipschitz_bound)
-    fld = TimeField(total, v.dim, lipschitz_bound=lip, sup_bound=sup,
-                    label="funnel_affine", ambient=v,
-                    descriptor={"kind": "funnel_affine",
-                                "ratios": lam.tolist(),
-                                "from": cloud_box.to_dict(),
-                                "to": target_box.to_dict()},
-                    flow_map=flow_map)
+    # the similarity's slope, and its speed on omega1 grown by the band
+    wd_max, rate = 1.875 / span, float(np.max(np.abs(log_lam)))
+    extent = (np.linalg.norm(c1 - c0) + rate * np.linalg.norm(
+        omega1.hi - omega1.lo + 2.0 * blend_band))
+    fld = GatedField(v, omega1, blend_band, blend_band, similarity,
+                     wd_max * rate, wd_max * extent, label="funnel_affine",
+                     descriptor={"kind": "funnel_affine",
+                                 "ratios": lam.tolist(),
+                                 "from": cloud_box.to_dict(),
+                                 "to": target_box.to_dict()},
+                     flow_map=flow_map)
     fld.ratios = lam
     fld.expansion = float(np.max(1.0 / lam))
     return fld
@@ -689,11 +700,11 @@ def _plan(scenario) -> _Plan:
                  times, s_box, s0, omega1, 0.45 * gap)
 
 
-class MovingFrameGridField(TimeField):
-    """World-coordinate grid control gated to a static region inside the
-    storage hypercube: g grid(x, t - t0) + (1 - g) v(x), g the gate's blend
-    factor. The name dates from a frame that once carried a normalized grid
-    along with the two clouds; the benchmark tracer looks ``advect`` up by it.
+class MovingFrameGridField(GatedField):
+    """Grid control gated in on the gate core, a static box inside S, with
+    reach and width ``band``: g grid(x, t - t0) + (1 - g) v(x). The name
+    dates from a frame that once carried a normalized grid along with the
+    two clouds; the benchmark tracer looks ``advect`` up by it.
 
     Inside the gate core the field IS the grid field, and
     ``approx_controller`` sizes the core to hold every row's whole
@@ -705,21 +716,13 @@ class MovingFrameGridField(TimeField):
         self.inner = inner
         self.t0 = float(t0)
         self.gate_core = gate_core
-        self._gate = _blend_factor(gate_core, band)
-        sup = inner.sup_bound + v.sup_bound
-        # the gate blends two velocities, at most sup + |v| apart, over band
-        blend = (sup + v.sup_bound) * 1.875 / band + v.lipschitz_bound
-        super().__init__(self._eval, inner.dim,
-                         lipschitz_bound=inner.lipschitz_bound + blend,
-                         sup_bound=sup, label="grid_frame", ambient=v,
+        super().__init__(v, gate_core, band, band,
+                         lambda pts, t: inner.evaluate(pts, t - self.t0),
+                         inner.lipschitz_bound, inner.sup_bound,
+                         label="grid_frame",
                          descriptor={"kind": "grid_frame",
                                      "inner": inner.descriptor,
                                      "gate": gate_core.to_dict(), "band": band})
-
-    def _eval(self, pts, t):
-        g = self._gate(pts)[:, None]
-        return (g * self.inner.evaluate(pts, t - self.t0)
-                + (1.0 - g) * self.ambient.evaluate(pts, t))
 
     def advect(self, mu: ParticleMeasure, ta: float, tb: float,
                tol: float) -> tuple[ParticleMeasure, np.ndarray, dict]:

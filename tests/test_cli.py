@@ -111,6 +111,20 @@ MALFORMED_MEMBERS = {
     "density-3d": {"mu0": {"kind": "uniform_box", "dim": 3,
                            "lo": [0.1, 0.25, 0.0], "hi": [0.9, 0.85, 1.0]}},
     "dim-3": {"dim": 3},
+    # a dimension is an integer >= 1, at both levels: null and a mixture's
+    # non-list members used to end in a traceback, and 2.7, "2" and a
+    # density's 2.5 ran as 2
+    "dim-null": {"dim": None},
+    "dim-float": {"dim": 2.7},
+    "dim-string": {"dim": "2"},
+    "density-dim-null": {"mu0": {**UNIT_BOX, "dim": None}},
+    "density-dim-float": {"mu0": {**UNIT_BOX, "dim": 2.5}},
+    "mixture-components-number": {"mu0": {"kind": "mixture", "dim": 2,
+                                          "components": 3,
+                                          "mix_weights": [1.0]}},
+    "mixture-weights-number": {"mu0": {"kind": "mixture", "dim": 2,
+                                       "components": [UNIT_BOX],
+                                       "mix_weights": 1.0}},
     # members that are not JSON objects
     "mu0-list": {"mu0": [1, 2]},
     "params-list": {"params": [1]},
@@ -180,6 +194,33 @@ def test_malformed_member_is_an_input_error(tmp_path, capsys, monkeypatch,
                                   tmp_path / "out", *flags[1:])
     assert "Traceback" not in err
     assert REFUSED_KINDS.get(case, "") in err
+
+
+@pytest.mark.parametrize("command", ["run", "check", "study"])
+def test_a_scenario_that_is_not_an_object_is_an_input_error(tmp_path, capsys,
+                                                            command):
+    # a top-level JSON list used to end in an AttributeError
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps([1, 2]))
+    err = fails_as_scenario_error(capsys, command, path, tmp_path / "out")
+    assert "object" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "figure1", "--mode", "bogus", "--out", "x"],
+    ["run", "--scenario", "figure1"],
+    ["counterexample", "--name", "bogus", "--out", "x"],
+    ["study", "--scenario", "figure1", "--out", "x"],
+    ["bogus"], []])
+def test_a_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # argparse exits 2 on misuse, which here means a crossing-condition
+    # failure; a usage error is malformed input. --help still exits 0
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert cli.main(["run", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("scenario", [load_scenario("figure1"),

@@ -7,8 +7,9 @@ from transportlab import cli
 
 from transportlab.flow import TimeField
 from transportlab.geometry import (ConditionFailure, Region,
-                                   check_geometric_condition, cutoff_theta)
+                                   check_geometric_condition)
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
+from transportlab.synth import storage_total
 
 
 class TestRegion:
@@ -81,6 +82,13 @@ class TestRegion:
 
     def test_inradius(self):
         assert Region.box([0, 0], [4, 2]).inradius() == 1.0
+
+
+def cutoff_theta(omega0, k):
+    """The storage cutoff theta_k, read off the storage field of a unit
+    drift: its total velocity is theta_k times the drift."""
+    field = storage_total(TimeField.constant([1.0, 0.0]), omega0, k)
+    return lambda pts: field.evaluate(pts, 0.0)[:, 0]
 
 
 class TestCutoff:

@@ -387,14 +387,15 @@ class TestFunnelClosedForm:
 
     def test_control_is_the_blended_similarity_minus_the_drift(self):
         # b (drift - v): the similarity's velocity minus v, weighted by the
-        # blend factor b, which falls from 1 on omega1 to 0 a band outside
+        # gate b, which falls from 1 on omega1 to 0 off omega1 grown by the
+        # band
         fld = self.funnel()
         pts = np.random.default_rng(9).uniform([-0.3, -0.3], [2.3, 1.8],
                                                (400, 2))
         c0 = np.array([0.55, 0.7])
         c1 = np.array([1.55, 0.65])
         b = 1.0 - geometry._smootherstep(
-            np.maximum(self.omega1.signed_distance(pts), 0.0) / 0.2)
+            np.maximum(self.omega1.excess(pts), 0.0) / 0.2)
         assert np.any(b == 0.0) and np.any(b == 1.0)
         for t in np.linspace(0.0, self.duration, 7):
             s = np.array([t / self.duration])
@@ -412,7 +413,7 @@ def test_storage_control_cancels_the_drift_progressively():
     omega0 = Region.box([0.5, 0.5], [1.5, 1.0])
     pts = np.random.default_rng(10).uniform([0.3, 0.3], [1.7, 1.2], (400, 2))
     fld = synth.storage_total(v, omega0, 8)
-    theta = geometry.cutoff_theta(omega0, 8)(pts)
+    theta = 1.0 - geometry._smootherstep(8 * omega0.depth(pts))
     assert np.any(theta == 0.0) and np.any(theta == 1.0)
     expected = (theta - 1.0)[:, None] * v.evaluate(pts, 0.0)
     assert np.max(np.abs(fld.control_part(pts, 0.0) - expected)) < 1e-12
@@ -1312,3 +1313,151 @@ def test_witness_matches_the_per_query_loop(dim):
         assert np.array_equal(got, ref, equal_nan=True)
         assert np.isnan(got[-200:]).all()
         assert not np.isnan(got[:600]).any()
+
+
+# ---------------------------------------------------------------------------
+# gated fields: one box ramp localizes every Lipschitz phase
+# ---------------------------------------------------------------------------
+
+ROTATING = {"kind": "affine", "matrix": [[0.0, 0.03], [-0.03, 0.0]],
+            "offset": [0.5, 0.0]}
+
+
+def gated_run(name, mode, particles=None, **changes):
+    """A run of the preset ``name`` with ``changes``, and every gated field
+    it built with the interval its own clock runs over: each storage field
+    (every cutoff index tried) and each funnel as synth builds them, and
+    the grid gate off the schedule."""
+    data = cli.load_scenario(name).to_dict()
+    if particles is not None:
+        data["params"]["particles"] = particles
+    scenario = Scenario.from_dict({**data, **changes})
+    built = []
+
+    def recording(build, clock):
+        def record(*args):
+            built.append((build(*args), clock(args)))
+            return built[-1][0]
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "storage_total", recording(
+            synth.storage_total, lambda args: (0.0, 1.0)))
+        mp.setattr(synth, "affine_funnel_total", recording(
+            synth.affine_funnel_total, lambda args: args[4]))
+        controller = (synth.approx_controller if mode == "approx"
+                      else exact_controller)
+        result = controller(scenario)
+    built += [(seg.field, (seg.t_start, seg.t_end))
+              for seg in result.schedule.segments
+              if isinstance(seg.field, synth.MovingFrameGridField)]
+    return scenario, result, built
+
+
+@pytest.fixture(scope="module")
+def approx_runs():
+    return {name: gated_run(name, "approx", particles)
+            for name, particles in (("figure1", 2000), ("unit-shift", 2000),
+                                    ("two-bump-merge", None))}
+
+
+def support(field):
+    """The box off which a gated field's control is zero: its region grown
+    by its reach."""
+    return field.region.lo - field.reach, field.region.hi + field.reach
+
+
+def largest_ratio(field, clock, seed):
+    """The largest finite-difference ratio |w(x) - w(y)| / |x - y| of the
+    field over 20 000 random pairs 1e-6 apart, around its support box
+    (grown by a tenth of its extent), at 7 times inside ``clock``."""
+    lo, hi = support(field)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                    (20000, field.dim))
+    step = rng.standard_normal(x.shape)
+    y = x + 1e-6 * step / np.linalg.norm(step, axis=1, keepdims=True)
+    gap = np.linalg.norm(y - x, axis=1)
+    return max(float(np.max(np.linalg.norm(
+        field.evaluate(x, t) - field.evaluate(y, t), axis=1) / gap))
+        for t in np.linspace(*clock, 9)[1:-1])
+
+
+@pytest.mark.parametrize("name", ["figure1", "unit-shift"])
+def test_funnels_and_the_grid_gate_hold_their_lipschitz_bounds(approx_runs,
+                                                               name):
+    _, _, built = approx_runs[name]
+    kinds = [f.descriptor["kind"] for f, _ in built]
+    assert kinds.count("funnel_affine") == 2 and kinds.count("grid_frame") == 1
+    for seed, (field, clock) in enumerate(built):
+        if field.descriptor["kind"] != "storage":
+            assert largest_ratio(field, clock, seed) <= field.lipschitz_bound
+
+
+def test_storage_holds_its_lipschitz_bound_under_a_rotating_drift():
+    # the tightest of the gated bounds: the finite-difference ratio comes
+    # within about a tenth of it
+    _, _, built = gated_run("figure1", "approx", 1000, v=ROTATING)
+    stores = [(f, clock) for f, clock in built
+              if f.descriptor["kind"] == "storage"]
+    assert len(stores) >= 2
+    for seed, (field, clock) in enumerate(stores):
+        ratio = largest_ratio(field, clock, seed)
+        assert 0.5 * field.lipschitz_bound < ratio <= field.lipschitz_bound
+
+
+@pytest.mark.parametrize("case", ["figure1", "unit-shift", "two-bump-merge",
+                                  "figure1-exact", "unit-shift-exact",
+                                  "two-bump-merge-exact"])
+def test_every_gated_field_lives_in_omega(approx_runs, case):
+    # localized by construction: omega0, omega1 grown by the blend band and
+    # the gate core grown by its band lie inside omega, box in box, on
+    # every preset in approximate mode and for both exact-lane funnels
+    name, _, mode = case.partition("-exact")
+    if mode:
+        scenario, _, built = gated_run(name, "exact", min(
+            500, cli.load_scenario(name).params["particles"]))
+    else:
+        scenario, _, built = approx_runs[name]
+    omega = scenario.omega_region()
+    kinds = {f.descriptor["kind"] for f, _ in built}
+    assert kinds == ({"funnel_affine"} if mode else
+                     {"storage", "funnel_affine", "grid_frame"})
+    assert sum(f.descriptor["kind"] == "funnel_affine"
+               for f, _ in built) == 2
+    for field, _ in built:
+        assert np.all(omega.contains(np.stack(support(field))))
+
+
+def test_gated_field_is_exact_on_both_plateaus():
+    # g = S((reach - excess) / width) on a box's L-infinity excess: exactly
+    # 0 at excess >= reach, the grown box's corners included, and exactly
+    # 1 at excess <= reach - width
+    region = Region.box([0.0, 0.0], [2.0, 1.0])
+    v = TimeField.constant([1.0, -0.5])
+    fld = synth.GatedField(
+        v, region, 0.25, 0.125,
+        lambda pts, t: np.broadcast_to([0.0, 2.0], pts.shape), 0.0, 2.0)
+    lo, hi = support(fld)
+    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([corners, rng.uniform(lo - 1.0, hi + 1.0,
+                                               (4000, 2))])
+    excess = region.excess(pts)
+    off = excess >= 0.25
+    assert np.all(off[:4]) and np.all(excess[:4] == 0.25)
+    assert np.array_equal(fld.evaluate(pts[off], 0.0),
+                          v.evaluate(pts[off], 0.0))
+    core = excess <= 0.125
+    assert np.any(core) and np.all(fld.evaluate(pts[core], 0.0)
+                                   == [0.0, 2.0])
+    band = ~off & ~core
+    assert np.any(fld.control_part(pts[band], 0.0) != 0.0)
+    # just outside the grown box, at its corners and faces
+    outward = corners + 1e-9 * np.sign(corners - 0.5 * (lo + hi))
+    faces = np.array([[1.0, hi[1] + 1e-12], [lo[0] - 1e-12, 0.5]])
+    for near in (outward, faces):
+        assert np.all(fld.control_part(near, 0.0) == 0.0)
+    assert fld.lipschitz_bound == 1.875 * (2.0 + v.sup_bound) / 0.125
+    assert fld.sup_bound == 2.0 + v.sup_bound
