@@ -70,10 +70,12 @@ def _load(args, check=None) -> Scenario | None:
 
 
 def _check_runnable(scenario: Scenario, mode: str) -> None:
-    # the exact lane solves one transport problem between the atom sets
-    # after every flow has run; refuse a size it cannot solve up front
+    # the exact lane solves one transport problem between the atom sets;
+    # count them unsampled and refuse a size it cannot solve up front
     if mode == "exact":
-        sizes = [len(scenario.measure(w)) for w in ("mu0", "mu1")]
+        sizes = [len(spec["atoms"]) if "atoms" in spec
+                 else int(scenario.params["particles"])
+                 for spec in (scenario.mu0, scenario.mu1)]
         if max(sizes) > EXACT_SOLVER_CAP:
             raise ValueError(f"exact mode needs at most {EXACT_SOLVER_CAP}"
                              f" atoms per side, got {sizes[0]} and "

@@ -14,10 +14,10 @@ The scenario drifts (zero, constant, affine and their negations) are
 affine, x' = Ax + b, and carry their pair (A, b); their exact flow
 map exp(t [[A, b], [0, 0]]) is ``_affine_flow``, not a ``flow_map``, so
 ``flow_push`` steps them. ``stopped_flow_batch`` parks each point at its
-first entry into a box (the crossing check and the exact lane's
-parks), so it integrates nothing: a straight path (A = 0) enters at a
-slab time, and otherwise it probes that exact map and locates each entry
-on it.
+first entry into a box. The crossing check runs it once per side, and the
+exact lane parks its atoms at those entries. It integrates nothing: a
+straight path (A = 0) enters at a slab time, and otherwise it probes that
+exact map and locates each entry on it.
 """
 from __future__ import annotations
 
@@ -305,8 +305,9 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     ``FloatingPointError`` naming the point. Probing stops once every point
     is parked. Returns ``(endpoints, hit_times)``; a hit time, relative to
     t0, is nan when the point never entered within the horizon, and its
-    endpoint is then its position at t0 + horizon. The field is autonomous:
-    t0 only dates error messages.
+    endpoint is then its position at t0 + horizon. A point that starts
+    inside hits at 0 and keeps its start bit for bit. The field is
+    autonomous: t0 only dates error messages.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

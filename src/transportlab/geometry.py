@@ -227,11 +227,15 @@ def cutoff_flow(omega0: Region, k: int, drift):
 
 @dataclass
 class GeometricCondition:
+    """The crossing check's result. ``parks`` holds, per side (source along
+    v, then target along -v), its stopped flow's ``(hits, entries)``: each
+    particle's hit time and entry point, which lies in omega0."""
     T0star: float
     T1star: float
     omega0: Region
     margin: float
     resolution: int
+    parks: tuple
 
 
 class ConditionFailure(Exception):
@@ -256,9 +260,10 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
     by a margin of a fifth of its inradius forward in time, every target
     particle backward in time.
 
-    Returns the worst hitting times and a compactly included storage box
-    around the entry points. Raises ConditionFailure with the first stranded
-    particle otherwise. The check certifies the condition at the particle
+    Returns the worst hitting times, a compactly included storage box
+    omega0 around the entry points and both flows' hits and entries
+    (``parks``). Raises ConditionFailure with the first stranded particle
+    otherwise. The check certifies the condition at the particle
     resolution only. ``v`` must be affine (carry its ``affine_pair``): both
     flows are ``stopped_flow_batch``'s stopped flows on its exact flow map.
     """
@@ -269,19 +274,17 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
     margin = 0.2 * omega.inradius()
     target = omega.shrink(margin)
 
-    entries, times = [], []
+    parks = []
     for mu, drift, side in ((mu0, v, "source"), (mu1, v.negated(), "target")):
         pts, hits = stopped_flow_batch(drift, target, mu.positions, 0.0,
                                        horizon, tol)
         if np.any(np.isnan(hits)):
             bad = int(np.flatnonzero(np.isnan(hits))[0])
             raise ConditionFailure(mu.positions[bad], side, horizon)
-        entries.append(np.where((hits > 0)[:, None], pts, mu.positions))
-        times.append(float(np.max(hits)))
+        parks.append((hits, pts))
 
-    hits = np.concatenate(entries)
-    lo = hits.min(axis=0)
-    hi = hits.max(axis=0)
+    entries = np.concatenate([pts for _, pts in parks])
+    lo, hi = entries.min(axis=0), entries.max(axis=0)
     # inflate so entry points sit at positive depth, then clip inside omega
     shrunk = omega.shrink(margin / 2)
     pad = margin / 4
@@ -297,5 +300,6 @@ def check_geometric_condition(v: TimeField, mu0, mu1, omega: Region,
             "entry points cannot be covered by a box compactly inside the "
             "control region; it is too thin for its margins")
     return GeometricCondition(
-        T0star=times[0], T1star=times[1],
-        omega0=omega0, margin=float(margin), resolution=len(mu0) + len(mu1))
+        T0star=float(np.max(parks[0][0])), T1star=float(np.max(parks[1][0])),
+        omega0=omega0, margin=float(margin), resolution=len(mu0) + len(mu1),
+        parks=tuple(parks))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import transportlab
-from transportlab import cli
+from transportlab import cli, scenarios
 from transportlab.scenarios import (Scenario, load_scenario,
                                     random_exact_scenario)
 
@@ -337,6 +337,32 @@ def test_exact_run_above_the_solver_cap_fails_up_front(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("particles,draws,code", [(["--particles", "300"],
+                                                    2, 0), ([], 0, 1)],
+                         ids=["300", "preset"])
+def test_the_exact_size_check_samples_nothing(tmp_path, capsys, monkeypatch,
+                                              particles, draws, code):
+    # the size check counts atoms off the scenario: a run samples each
+    # measure once, in the controller, and figure1 at its preset size,
+    # above the cap, samples nothing before it exits 1
+    sizes = []
+    sample = scenarios.sample
+
+    def counting(spec, count, seed):
+        sizes.append(count)
+        return sample(spec, count, seed)
+
+    monkeypatch.setattr(scenarios, "sample", counting)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "figure1", "--mode", "exact",
+                     *particles, "--out", str(out)]) == code
+    assert len(sizes) == draws, sizes
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "2048" in err
+        assert "10000 and 10000" in err
+
+
 def test_two_bump_merge_runs_in_approx_mode(tmp_path):
     # the moving-cell mesh is dimension-generic, so the 1D preset runs the
     # approximate lane too, every grid point in closed form
@@ -444,7 +470,9 @@ def test_run_imports_no_scipy(tmp_path, mode):
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip().splitlines()[-1] == "[]"
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["final_w1"]["method"] == "exact"
+    # the exact lane certifies arrival by its coupling's own cost
+    assert report["final_w1"]["method"] == (
+        "coupling" if mode == "exact" else "exact")
 
 
 @pytest.mark.parametrize("argv", [

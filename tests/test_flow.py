@@ -281,11 +281,7 @@ class TestStoppedFlow:
         fld = TimeField.constant(v)
         pts = np.array([[0.0, 0.0], [-0.5, 0.2]])
         tol = 1e-6
-        hits, ends = synth._park(fld, region, pts, 3.0, tol)
-        plain_ends, plain_hits = stopped_flow_batch(fld, region, pts, 0.0,
-                                                    3.0, tol)
-        assert np.array_equal(ends, plain_ends)
-        assert np.array_equal(hits, plain_hits)
+        ends, hits = stopped_flow_batch(fld, region, pts, 0.0, 3.0, tol)
         park = synth._park_witness(fld, fld.affine_pair, pts, hits,
                                    lambda t: t, {"kind": "stopped_drift"})
         times = np.append(np.linspace(0.0, 3.0, 33), hits)
@@ -425,7 +421,7 @@ class TestStoppedFlow:
             return flow_map[:2, :2] @ x0 + flow_map[:2, 2]
 
         fld = TimeField.affine(mat, off)
-        hits, ends = synth._park(fld, region, pts, 25.0, 1e-6)
+        ends, hits = stopped_flow_batch(fld, region, pts, 0.0, 25.0, 1e-6)
         park = synth._park_witness(fld, fld.affine_pair, pts, hits,
                                    lambda t: t, {"kind": "stopped_drift"})
         probes = np.linspace(0.0, 25.0, 33)

@@ -6,7 +6,7 @@ import pytest
 
 from transportlab import cli, geometry, synth
 from transportlab.flow import (TimeField, _affine_flow, _integrate_batch,
-                               choose_step, flow_push)
+                               choose_step, flow_push, stopped_flow_batch)
 from transportlab.geometry import Region
 from transportlab.measure import (DensitySpec, GridPartition, ParticleMeasure,
                                   push_forward, quantile_partition, sample)
@@ -606,7 +606,7 @@ def test_storage_knots_follow_a_constant_drift():
     pts = np.random.default_rng(6).uniform([0.25, 0.45], [0.55, 0.75],
                                            (16, 2))
     fld = TimeField.constant(v)
-    hits, _ = synth._park(fld, region, pts, 2.1, 1e-6)
+    _, hits = stopped_flow_batch(fld, region, pts, 0.0, 2.1, 1e-6)
     assert np.max(np.abs(hits - (1.6975 - pts[:, 0]) / 0.7)) < 1e-12
     park = synth._park_witness(fld, fld.affine_pair, pts, hits, lambda t: t,
                                {"kind": "stopped_drift"})
@@ -673,9 +673,10 @@ class TestExactControllerContract:
         assert segments[3].field.flow_map is not None
         assert_localized(result, self.scenario.omega_region())
 
-    def test_makes_four_stopped_flows(self, monkeypatch):
-        # the crossing check's two flows and the two parks; the funnels
-        # integrate nothing
+    def test_makes_only_the_crossing_checks_two_stopped_flows(
+            self, monkeypatch):
+        # the lane parks at the crossing check's entries, so its two flows
+        # are the only ones; the funnels integrate nothing
         calls = []
 
         def counting(original):
@@ -689,7 +690,7 @@ class TestExactControllerContract:
         monkeypatch.setattr(geometry, "stopped_flow_batch",
                             counting(geometry.stopped_flow_batch))
         exact_controller(self.scenario)
-        assert len(calls) == 4, calls
+        assert len(calls) == 2, calls
 
     def test_report_carries_funnel_ratios(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -1006,30 +1007,36 @@ def test_the_target_side_is_the_source_side_of_the_mirror(monkeypatch,
     assert mirrored["regions"] == report["regions"]
 
 
+def exact_case(case):
+    """figure1 at 500 particles, the cluster scenario of seed 6, or
+    figure1's measures and omega at 200 particles under the rotating
+    drift."""
+    if case == "cluster-6":
+        return cluster_scenario(6)
+    preset = cli.load_scenario("figure1")
+    particles, changes = {"figure1-500": (500, {}),
+                          "rotating-200": (200, {"v": ROTATING})}[case]
+    return Scenario.from_dict({
+        **preset.to_dict(), **changes,
+        "params": {**preset.params, "particles": particles}})
+
+
 @pytest.mark.parametrize("case", ["figure1-500", "cluster-6"])
 def test_snapshots_lie_on_the_exact_paths(case):
     # each snapshot is read off the segment that ends at or after its time:
     # a park entry is the drift's exact map at min(t, hit) on the park's
     # clock, a funnel entry the funnel's flow map from the segment's first
     # snapshot, and a geodesic entry the chord between the geodesic's ends
-    if case == "figure1-500":
-        preset = cli.load_scenario("figure1")
-        scenario = Scenario.from_dict({
-            **preset.to_dict(), "params": {**preset.params, "particles": 500}})
-    else:
-        scenario = cluster_scenario(6)
+    scenario = exact_case(case)
     result = exact_controller(scenario)
     traj, coupling = result.trajectory, result.trajectory.plan
     plan = synth._plan(scenario)
     bounds = list(plan.times.values())
     _, t1, t2, t3, t4, t5 = bounds
-    tol = float(plan.params["tol"])
     src = plan.mu0.positions[coupling.src_idx]
     tgt = plan.mu1.positions[coupling.tgt_idx]
-    hits1 = synth._park(plan.v, plan.cond.omega0, plan.mu0.positions, t1,
-                        tol)[0][coupling.src_idx]
-    hits5 = synth._park(plan.v_back, plan.cond.omega0, plan.mu1.positions,
-                        plan.t_back, tol)[0][coupling.tgt_idx]
+    hits1 = plan.cond.parks[0][0][coupling.src_idx]
+    hits5 = plan.cond.parks[1][0][coupling.tgt_idx]
     segments = result.schedule.segments
     times = list(traj.times)
 
@@ -1054,6 +1061,68 @@ def test_snapshots_lie_on_the_exact_paths(case):
             assert np.all(certified)
         assert np.max(np.abs(state.positions - expect)) <= 1e-12, (k, t)
     assert np.array_equal(traj.final().positions, tgt)
+
+
+@pytest.mark.parametrize("case", ["cluster-6", "figure1-500",
+                                  "rotating-200"])
+def test_the_exact_lane_parks_at_the_crossing_checks_entries(case,
+                                                             monkeypatch):
+    # the crossing check's parks are its two stopped flows' hits and
+    # entries, bit for bit; they lie in omega0 and end by T0* (T1*), and a
+    # particle that starts inside keeps its start. The funnels start from
+    # those entries, and the witnesses park at those hits
+    lanes = {}
+    escalate = synth._escalate_exact_funnel
+
+    def recording(omega1, s0, given, blend_band):
+        lanes.update(given)
+        return escalate(omega1, s0, given, blend_band)
+
+    monkeypatch.setattr(synth, "_escalate_exact_funnel", recording)
+    scenario = exact_case(case)
+    result = exact_controller(scenario)
+    plan, coupling = synth._plan(scenario), result.trajectory.plan
+    cond = plan.cond
+    target = plan.omega.shrink(cond.margin)
+    segments = result.schedule.segments
+    sides = ((plan.mu0, plan.v, cond.T0star, "forward", coupling.src_idx,
+              segments[0].field.position(plan.times["T1"])),
+             # before the segment every atom's park clock is past its hit
+             (plan.mu1, plan.v_back, cond.T1star, "backward",
+              coupling.tgt_idx, segments[4].field.position(plan.times["T3"])))
+    for (hits, entries), (mu, drift, star, lane, idx, parked) in zip(
+            cond.parks, sides):
+        ends, own = stopped_flow_batch(drift, target, mu.positions, 0.0,
+                                       float(plan.params["horizon"]),
+                                       float(plan.params["tol"]))
+        assert np.array_equal(entries, ends)
+        assert np.array_equal(hits, own)
+        assert np.all(cond.omega0.contains(entries))
+        assert np.max(hits) == star
+        start = hits == 0
+        assert np.array_equal(entries[start], mu.positions[start])
+        assert np.array_equal(lanes[lane][2], entries)
+        assert np.array_equal(parked, _affine_flow(
+            drift.affine_pair, mu.positions[idx], hits[idx]))
+
+
+@pytest.mark.parametrize("case", ["cluster-6", "figure1-500",
+                                  "rotating-200"])
+def test_final_w1_is_the_couplings_own_cost(case):
+    # the report's final W1 is the coupling's cost between the final atoms
+    # and their targets, an upper bound that reads 0 at exact arrival; an
+    # exact solve on the merged final cloud agrees
+    scenario = exact_case(case)
+    result = exact_controller(scenario)
+    coupling, final = result.trajectory.plan, result.trajectory.final()
+    mu1 = scenario.measure("mu1")
+    miss = np.linalg.norm(final.positions - mu1.positions[coupling.tgt_idx],
+                          axis=1)
+    w1 = result.report["final_w1"]
+    assert w1 == {"estimate": float(coupling.mass @ miss),
+                  "method": "coupling"}
+    assert w1["estimate"] <= 1e-12
+    assert wp_discrete(final.merged_coincident(), mu1, p=1)[0] <= 1e-9
 
 
 def test_the_gate_core_holds_every_grid_phase_path():
