@@ -154,45 +154,36 @@ class MeshError(ValueError):
 def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dict]:
     """Moving-cell convergence: advect the source under the synthesized grid
     field for each n and record the measured W1 against the target sampling,
-    the certified bound (``grid_error_bound``) and the sampling error floor.
-    Both W1 values are exact at or below the exact solver's cap and the
-    certified upper bound of ``w1_bracket`` above it.
+    the certified bound (``grid_error_bound``) and the sampling error floor,
+    all in world units. Each cloud is cut within its own frame, as
+    ``approx_controller`` cuts its parked clouds. Both W1 values are exact
+    at or below the exact solver's cap and the certified upper bound of
+    ``w1_bracket`` above it.
 
     Every mesh is built before any flow runs; an n the particles cannot
     partition (too fine for their count) raises ``MeshError``."""
     mu0 = scenario.measure("mu0")
     mu1 = scenario.measure("mu1")
     seed = int(scenario.params["seed"])
-    # joint rescale into the unit box
-    lo = np.minimum(mu0.support_bbox()[0], mu1.support_bbox()[0])
-    hi = np.maximum(mu0.support_bbox()[1], mu1.support_bbox()[1])
-    span = float(np.max(hi - lo)) * 1.02
-    origin = lo - 0.01 * np.max(hi - lo)
-
-    def norm(m):
-        return ParticleMeasure((m.positions - origin) / span, m.weights)
-
-    mu0n, mu1n = norm(mu0), norm(mu1)
     # an independent sampling of the target for the noise floor
     resampled = Scenario.from_dict({**scenario.to_dict(),
                                     "params": {**scenario.params,
                                                "seed": seed + 7919}})
-    mu1n_bis = norm(resampled.measure("mu1"))
-    floor = w1_bracket(mu1n, mu1n_bis)["estimate"]
+    floor = w1_bracket(mu1, resampled.measure("mu1"))["estimate"]
 
     try:
-        meshes = [quantile_partition(mu0n, mu1n, int(n)) for n in n_list]
+        meshes = [quantile_partition(mu0, mu1, int(n)) for n in n_list]
     except ValueError as exc:
         raise MeshError(str(exc)) from exc
     rows = []
     for n, (part_src, part_tgt) in zip(n_list, meshes):
         fld = GridControlField(part_src, part_tgt, T=1.0)
-        images, closed, _ = fld.flow(mu0n.positions, 0.0, 1.0, tol)
-        moved = ParticleMeasure(images, mu0n.weights)
+        images, closed, _ = fld.flow(mu0.positions, 0.0, 1.0, tol)
+        moved = ParticleMeasure(images, mu0.weights)
         rows.append({"n": int(n),
-                     "measured_w1": w1_bracket(moved, mu1n)["estimate"],
+                     "measured_w1": w1_bracket(moved, mu1)["estimate"],
                      "predicted_bound": grid_error_bound(part_tgt, moved,
-                                                         closed, mu1n),
+                                                         closed, mu1),
                      "sample_error": floor})
     if out_dir is not None:
         out = Path(out_dir)
@@ -290,29 +281,32 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+def _scenario_command(sub, name, summary, func):
+    """A subcommand taking the options every scenario command shares."""
+    cmd = sub.add_parser(name, help=summary)
+    cmd.add_argument("--scenario", required=True,
+                     help="scenario JSON path or preset name")
+    cmd.add_argument("--out", required=True)
+    cmd.add_argument("--seed-override", type=int, default=None)
+    cmd.add_argument("--particles", type=int, default=None)
+    cmd.set_defaults(func=func)
+    return cmd
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transportlab",
         description="Steer particle measures with localized velocity controls")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="synthesize and simulate a full schedule")
-    run.add_argument("--scenario", required=True,
-                     help="scenario JSON path or preset name")
+    run = _scenario_command(sub, "run", "synthesize and simulate a full "
+                            "schedule", cmd_run)
     run.add_argument("--mode", choices=("approx", "exact"), default="approx")
-    run.add_argument("--out", required=True)
-    run.add_argument("--seed-override", type=int, default=None)
-    run.add_argument("--particles", type=int, default=None)
-    run.set_defaults(func=cmd_run)
 
-    study = sub.add_parser("study", help="moving-cell convergence study")
-    study.add_argument("--scenario", required=True)
+    study = _scenario_command(sub, "study", "moving-cell convergence study",
+                              cmd_study)
     study.add_argument("--n-list", required=True,
                        help="comma-separated cell counts, e.g. 4,8,16")
-    study.add_argument("--out", required=True)
-    study.add_argument("--seed-override", type=int, default=None)
-    study.add_argument("--particles", type=int, default=None)
-    study.set_defaults(func=cmd_study)
 
     ce = sub.add_parser("counterexample",
                         help="negative-result demonstrations")
@@ -321,12 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--out", required=True)
     ce.set_defaults(func=cmd_counterexample)
 
-    check = sub.add_parser("check", help="crossing-condition check only")
-    check.add_argument("--scenario", required=True)
-    check.add_argument("--out", required=True)
-    check.add_argument("--seed-override", type=int, default=None)
-    check.add_argument("--particles", type=int, default=None)
-    check.set_defaults(func=cmd_check)
+    _scenario_command(sub, "check", "crossing-condition check only",
+                      cmd_check)
     return parser
 
 

@@ -297,12 +297,14 @@ def push_forward(mu: ParticleMeasure, mapping) -> ParticleMeasure:
 
 @dataclass
 class GridPartition:
-    """Nested quantile mesh of a measure in the unit box, n cells per axis.
+    """Nested quantile mesh of a measure in world coordinates, n cells per
+    axis.
 
     ``walls[0]``, of shape ``(n+1,)``, cuts axis 0 into n slabs of equal
     mass. ``walls[a]``, of shape ``(n,)*a + (n+1,)``, cuts axis a within
     each slab of the earlier axes (a choice of cell on each of them) into n
-    cells of equal mass. The outer walls are 0 and 1; an interior wall sits
+    cells of equal mass. Every slab's outer walls on axis a are the two
+    faces of the mesh's frame (see ``frame``); an interior wall sits
     halfway between the two particles on either side of its mass split. A
     point on an interior wall belongs to the cell above it.
     """
@@ -313,6 +315,12 @@ class GridPartition:
     @property
     def dim(self) -> int:
         return len(self.walls)
+
+    def frame(self):
+        """Lower and upper corners ``(d,)`` of the box every cell lies in,
+        read off the outer walls."""
+        return (np.array([w.flat[0] for w in self.walls]),
+                np.array([w.flat[-1] for w in self.walls]))
 
     def cell_of(self, axis, rows, x):
         """Cell of coordinate ``x`` on ``axis`` within the slab ``rows``
@@ -339,9 +347,10 @@ class GridPartition:
         return lo, hi
 
 
-def _split(x, w, n):
-    """n + 1 walls cutting the weighted coordinates x in [0, 1] into n
-    intervals of equal mass; raises if one has zero width."""
+def _split(x, w, n, lo, hi):
+    """n + 1 walls cutting the weighted coordinates x in [lo, hi] into n
+    intervals of equal mass, lo and hi the outer two; raises if one has
+    zero width."""
     if len(x) < n:
         raise ValueError(f"a slab holds {len(x)} particles, fewer than its "
                          f"{n} cells")
@@ -350,7 +359,7 @@ def _split(x, w, n):
     # the last particle below each split, and the first one above it
     idx = np.searchsorted(cum, cum[-1] * (np.arange(1, n) / n - 1e-12))
     idx = np.minimum(idx, len(xs) - 2)
-    walls = np.concatenate([[0.0], 0.5 * (xs[idx] + xs[idx + 1]), [1.0]])
+    walls = np.concatenate([[lo], 0.5 * (xs[idx] + xs[idx + 1]), [hi]])
     flat = np.diff(walls) <= 0.0
     if np.any(flat):
         raise ValueError(f"zero-width cell at {walls[1:][flat][0]:.6g}: "
@@ -358,12 +367,23 @@ def _split(x, w, n):
     return walls
 
 
-def _partition_one(mu: ParticleMeasure, n: int) -> GridPartition:
+def _frame(mu: ParticleMeasure):
+    """Corners of the cloud's bounding box padded by 2% of its extent on
+    each side, an extent floored at 1e-13: the frame of its mesh."""
+    lo, hi = mu.support_bbox()
+    span = np.maximum(hi - lo, 1e-13)
+    origin = lo - 0.02 * span
+    return origin, origin + 1.04 * span
+
+
+def _partition_one(mu: ParticleMeasure, n: int, frame) -> GridPartition:
+    """The mesh of ``mu`` whose outer walls are the faces of ``frame``, a
+    pair of corners that holds every particle."""
     pos, wts = mu.positions, mu.weights
     part = GridPartition(n=n, walls=[])
     rows = np.zeros(len(mu), dtype=np.intp)     # each particle's slab
-    for a in range(mu.dim):
-        table = [_split(pos[rows == r, a], wts[rows == r], n)
+    for a, (lo, hi) in enumerate(zip(*frame)):
+        table = [_split(pos[rows == r, a], wts[rows == r], n, lo, hi)
                  for r in range(n ** a)]
         part.walls.append(np.reshape(table, (n,) * a + (n + 1,)))
         rows = rows * n + part.cell_of(a, rows, pos[:, a])
@@ -372,19 +392,17 @@ def _partition_one(mu: ParticleMeasure, n: int) -> GridPartition:
 
 def quantile_partition(mu_src: ParticleMeasure, mu_tgt: ParticleMeasure,
                        n: int) -> tuple[GridPartition, GridPartition]:
-    """Nested quantile meshes of source and target, n >= 1 cells per axis.
+    """Nested quantile meshes of source and target in world coordinates,
+    n >= 1 cells per axis.
 
-    Both measures must live in the closed unit box of one dimension
-    (callers rescale first). Raises ``ValueError`` when a slab cannot be
-    cut into n cells of positive width: too few particles, or coincident
-    ones heavier than a cell.
+    Each mesh's outer walls are the faces of its cloud's frame, the
+    cloud's bounding box padded by 2% of its extent on each side
+    (``_frame``), so a mesh fits its cloud wherever it lies. Raises
+    ``ValueError`` when a slab cannot be cut into n cells of positive
+    width: too few particles, or coincident ones heavier than a cell.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mu_src.dim != mu_tgt.dim:
         raise ValueError("source and target differ in dimension")
-    for name, mu in (("source", mu_src), ("target", mu_tgt)):
-        lo, hi = mu.support_bbox()
-        if np.any(lo < -1e-9) or np.any(hi > 1.0 + 1e-9):
-            raise ValueError(f"{name} support must sit inside the unit box")
-    return _partition_one(mu_src, n), _partition_one(mu_tgt, n)
+    return tuple(_partition_one(mu, n, _frame(mu)) for mu in (mu_src, mu_tgt))

@@ -36,7 +36,7 @@ from .flow import (TimeField, Trajectory, choose_step, flow_push,
 from .geometry import (GeometricCondition, Region, cutoff_flow,
                        check_geometric_condition, _smootherstep,
                        _smootherstep_d)
-from .measure import GridPartition, ParticleMeasure, quantile_partition
+from .measure import ParticleMeasure, quantile_partition
 from .ot import wp_discrete, w1_bracket, _distances
 
 __all__ = [
@@ -60,7 +60,7 @@ STORAGE_K_CAP = 2 ** 20
 
 def weight_eta(*args, **kwargs):
     """Retired gradient-ascent weight; the benchmark tracer still patches
-    this name, which goes with the tracer rework (ROADMAP item 1)."""
+    this name, which goes with the tracer rework (ROADMAP item 2b)."""
     raise NotImplementedError("the gradient-ascent weight eta is retired")
 
 
@@ -183,7 +183,7 @@ class GridControlField(TimeField):
     axis a move linearly in time from source to target, exactly at both
     ends, and the velocity is affine in x_a inside a cell, continuous across
     walls. Beyond a slab's outer walls it continues at the outer wall's
-    speed (zero where they are static, as on a unit-box mesh), so it stays
+    speed (zero where source and target share a frame), so it stays
     continuous when the outer walls move. The walls are characteristics: a
     point keeps its relative coordinate in its cell, or its distance to the
     outer wall it lies beyond, so the flow is in closed form (``_carry``).
@@ -335,15 +335,16 @@ def _carry(p, lo_a, hi_a, lo_b, hi_b):
 
 def grid_error_bound(mesh, moved: ParticleMeasure, closed,
                      target: ParticleMeasure) -> float:
-    """Certified W1 bound between the grid phase's image ``moved`` and
-    ``target``, both in the unit box of the target ``mesh`` and taken with
-    unit mass.
+    """Certified W1 bound, in world units, between the grid phase's image
+    ``moved`` and ``target``, both taken with unit mass; ``mesh`` is the
+    target's mesh.
 
     p_c is the mass of the rows moved in closed form (mask ``closed``) that
     land in target cell c, q_c the target mass in c. Coupling min(p_c, q_c)
-    inside each cell, and the rest anywhere in the unit box (which the flow
-    keeps every point in), costs at most
-    sum_c min(p_c, q_c) diam(c) + (1 - sum_c min(p_c, q_c)) sqrt(d).
+    inside each cell, and the rest anywhere in the mesh's frame (which
+    holds the target, and into which the flow carries every row of the
+    source's frame), costs at most
+    sum_c min(p_c, q_c) diam(c) + (1 - sum_c min(p_c, q_c)) diam(frame).
     """
     size = mesh.n ** mesh.dim
     p = np.bincount(mesh.locate(moved.positions[closed]),
@@ -351,9 +352,10 @@ def grid_error_bound(mesh, moved: ParticleMeasure, closed,
     q = np.bincount(mesh.locate(target.positions), target.weights,
                     size) / target.total_mass()
     lo, hi = mesh.cells()
+    frame_lo, frame_hi = mesh.frame()
     matched = np.minimum(p, q)
     return float(matched @ np.linalg.norm(hi - lo, axis=1)
-                 + (1.0 - matched.sum()) * math.sqrt(mesh.dim))
+                 + (1.0 - matched.sum()) * np.linalg.norm(frame_hi - frame_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +673,8 @@ class _Plan:
 
 
 def _plan(scenario) -> _Plan:
-    """Load a scenario (or its dict), run the crossing check and lay out
-    the five phases."""
-    from .scenarios import Scenario
-
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
+    """Read a ``Scenario``'s drift, measures and region, run the crossing
+    check and lay out the five phases."""
     params = scenario.params
     v = scenario.velocity_field()
     mu0 = scenario.measure("mu0")
@@ -856,46 +854,33 @@ def approx_controller(scenario) -> ControllerResult:
      cf_back) = _approx_side(plan, plan.v_back, mu1, plan.t_back,
                              (0.0, t4 - t3), eps_mass, tol, "backward")
 
-    # phase 3: grid control between the two parked clouds. Each cloud's
-    # quantile mesh is cut in the normalized frame where it fills the unit
-    # box, and its walls are mapped back to world coordinates
-    def cloud_frame(cloud):
-        """Origin and scale of a box around the cloud, and the cloud in the
-        box's unit coordinates."""
-        lo, hi = cloud.support_bbox()
-        span = np.maximum(hi - lo, 1e-13)
-        o, s = lo - 0.02 * span, 1.04 * span
-        return o, s, ParticleMeasure((cloud.positions - o) / s, cloud.weights)
-
-    def to_world(part, origin, scale):
-        return GridPartition(part.n, [origin[a] + scale[a] * w
-                                      for a, w in enumerate(part.walls)])
-
-    o0, s0n, norm_src = cloud_frame(state2_all.subset(~tag_fwd))
-    o1, s1n, norm_tgt = cloud_frame(back2_all.subset(~tag_back))
-    n = _choose_n(len(norm_src), mu0.dim, plan.params["n"])
+    # phase 3: grid control between the two parked clouds, each cut into
+    # quantile cells within its own frame
+    cloud_src = state2_all.subset(~tag_fwd)
+    cloud_tgt = back2_all.subset(~tag_back)
+    n = _choose_n(len(cloud_src), mu0.dim, plan.params["n"])
     while True:
         try:
-            part_src, part_tgt = quantile_partition(norm_src.normalized(),
-                                                    norm_tgt.normalized(), n)
+            part_src, part_tgt = quantile_partition(cloud_src, cloud_tgt, n)
             break
         except ValueError:
             # empirical resolution insufficient for this mesh; coarsen
             if plan.params["n"] is not None or n <= 1:
                 raise
             n -= 1
-    grid = GridControlField(to_world(part_src, o0, s0n),
-                            to_world(part_tgt, o1, s1n), t3 - t2)
-    # every slab's outer walls are the frame faces o and o + s: a row
-    # beyond a face moves rigidly with it and one between them stays there,
-    # so the hull holds every row's whole grid-phase path
+    grid = GridControlField(part_src, part_tgt, t3 - t2)
+    # every slab's outer walls are the frame faces: a row beyond a face
+    # moves rigidly with it and one between them stays there, so the hull
+    # holds every row's whole grid-phase path
     pad = 0.25
+    (src_lo, src_hi), (tgt_lo, tgt_hi) = part_src.frame(), part_tgt.frame()
     pts = state2_all.positions
-    hull_lo = np.minimum.reduce([o0 - pad * s0n, o1 - pad * s1n,
-                                 pts.min(axis=0) + np.minimum(o1 - o0, 0.0)])
+    hull_lo = np.minimum.reduce([
+        src_lo - pad * (src_hi - src_lo), tgt_lo - pad * (tgt_hi - tgt_lo),
+        pts.min(axis=0) + np.minimum(tgt_lo - src_lo, 0.0)])
     hull_hi = np.maximum.reduce([
-        o0 + (1 + pad) * s0n, o1 + (1 + pad) * s1n,
-        pts.max(axis=0) + np.maximum(o1 + s1n - o0 - s0n, 0.0)])
+        src_hi + pad * (src_hi - src_lo), tgt_hi + pad * (tgt_hi - tgt_lo),
+        pts.max(axis=0) + np.maximum(tgt_hi - src_hi, 0.0)])
     room = float(np.min(np.minimum(hull_lo - plan.s_box.lo,
                                    plan.s_box.hi - hull_hi)))
     if room <= 0:
@@ -904,12 +889,8 @@ def approx_controller(scenario) -> ControllerResult:
     grid_total = MovingFrameGridField(grid, v, t2, gate_region, band=room / 3)
     state3_all, grid_closed, grid_flow = grid_total.advect(state2_all, t2,
                                                            t3, tol)
-    # the certificate, in the target cloud's normalized frame
-    landed = state3_all.subset(~tag_fwd)
-    grid_bound = grid_error_bound(
-        part_tgt, ParticleMeasure((landed.positions - o1) / s1n,
-                                  landed.weights),
-        grid_closed[~tag_fwd], norm_tgt)
+    grid_bound = grid_error_bound(part_tgt, state3_all.subset(~tag_fwd),
+                                  grid_closed[~tag_fwd], cloud_tgt)
 
     # phases 4 and 5: time reversals of the backward synthesis
     fun_rev = plan.replay(fun_back)

@@ -416,6 +416,65 @@ def test_an_epsilon_above_the_cloud_mass_leaves_half_untouched(tmp_path,
     assert report["final_w1"]["estimate"] < 1.0
 
 
+def test_a_pinned_n_is_the_grid_n(tmp_path):
+    # 297 untagged particles would give the default n = 3
+    params = {**load_scenario("figure1").params, "particles": 300, "n": 5}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(figure1_with(
+        tmp_path, params=params)), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["grid_n"] == 5
+
+
+def test_a_pinned_n_too_fine_to_cut_is_a_scenario_error(tmp_path, capsys):
+    # a pinned n is never coarsened: 40 cells per slab of about 7 particles
+    params = {**load_scenario("figure1").params, "particles": 300, "n": 40}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(figure1_with(
+        tmp_path, params=params)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:")
+    assert "fewer than its 40 cells" in err
+    assert not out.exists()
+
+
+def test_a_default_n_too_fine_for_coincident_atoms_is_coarsened(
+        tmp_path, monkeypatch):
+    # 40 of 100 atoms share one point, so the parked source cloud holds
+    # more than a slab's mass there: its default n = 3 puts two walls on
+    # that point, and the controller falls back to n = 2
+    tried = []
+    partition = transportlab.synth.quantile_partition
+
+    def recording(mu_src, mu_tgt, n):
+        tried.append(n)
+        return partition(mu_src, mu_tgt, n)
+
+    monkeypatch.setattr(transportlab.synth, "quantile_partition", recording)
+    rng = np.random.default_rng(3)
+
+    def atoms(lo, count):
+        """``count`` atoms of weight 0.01, uniform in [lo, lo + 0.5]^2."""
+        pts = lo + 0.5 * rng.random((count, 2))
+        return [[*p, 0.01] for p in pts.tolist()]
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "dim": 2, "v": {"kind": "zero"},
+        "omega": {"kind": "box", "lo": [-0.5] * 2, "hi": [1.5] * 2},
+        "mu0": {"atoms": atoms(0.05, 60) + [[0.3, 0.3, 0.01]] * 40},
+        "mu1": {"atoms": atoms(0.45, 100)},
+        "params": {"delta": 1.0, "seed": 11, "horizon": 4.0, "tol": 1e-6}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    assert tried == [3, 2]
+    report = json.loads((out / "report.json").read_text())
+    assert report["grid_n"] == 2
+    assert report["mass_total"] == pytest.approx(1.0, abs=1e-12)
+    # the coincident atoms sit on the axis-0 wall cut between two of
+    # them, inside its blend strip, so they alone take the strip RK4
+    assert report["closed_form"]["grid"] == {"count": 60, "total": 100}
+
+
 @pytest.mark.parametrize("preset", [["two-bump-merge"],
                                     ["unit-shift", "--particles", "300"],
                                     ["figure1", "--particles", "300"]])

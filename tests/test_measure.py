@@ -154,6 +154,13 @@ def uniform_quantiles_oracle(lo, hi, n):
     return lo + (hi - lo) * np.arange(n + 1) / n
 
 
+def padded_box(mu):
+    """The bounding box of ``mu`` padded by 2% of its extent on each side."""
+    lo, hi = mu.support_bbox()
+    origin = lo - 0.02 * (hi - lo)
+    return origin, origin + 1.04 * (hi - lo)
+
+
 class TestQuantilePartition:
     def test_uniform_closed_form(self):
         mu = sample(unit_square_spec(), 60_000, seed=21)
@@ -161,13 +168,18 @@ class TestQuantilePartition:
         src, _ = quantile_partition(mu, nu, 4)
         oracle = uniform_quantiles_oracle(0.0, 1.0, 4)
         assert src.walls[0].shape == (5,) and src.walls[1].shape == (4, 5)
-        # the outer walls are the unit box's; within every column the
-        # uniform law's y-quantiles are the column breakpoints too
-        assert np.array_equal(src.walls[0][[0, -1]], [0.0, 1.0])
-        assert np.allclose(src.walls[0], oracle, atol=0.02)
+        # the outer walls are the cloud's bounding box padded by 2% of its
+        # extent on each side; within every column the uniform law's
+        # y-quantiles are the column breakpoints too
+        lo, hi = padded_box(mu)
+        assert np.array_equal(src.frame()[0], lo)
+        assert np.array_equal(src.frame()[1], hi)
+        assert np.array_equal(src.walls[0][[0, -1]], [lo[0], hi[0]])
+        assert np.allclose(src.walls[0][1:-1], oracle[1:-1], atol=0.02)
         for i in range(4):
-            assert np.array_equal(src.walls[1][i, [0, -1]], [0.0, 1.0])
-            assert np.allclose(src.walls[1][i], oracle, atol=0.03)
+            assert np.array_equal(src.walls[1][i, [0, -1]], [lo[1], hi[1]])
+            assert np.allclose(src.walls[1][i, 1:-1], oracle[1:-1],
+                               atol=0.03)
 
     def test_strip_and_cell_masses(self):
         # in any dimension, columns carry 1/n and cells 1/n^d of the mass,
@@ -202,13 +214,21 @@ class TestQuantilePartition:
         with pytest.raises(ValueError, match="n must be >= 1"):
             quantile_partition(mu, mu, 0)
         one, _ = quantile_partition(mu, mu, 1)
-        assert np.array_equal(one.walls[1], [[0.0, 1.0]])
+        lo, hi = padded_box(mu)
+        assert np.array_equal(one.walls[1], [[lo[1], hi[1]]])
 
-    def test_out_of_box_rejected(self):
+    def test_a_shifted_cloud_is_cut_where_it_lies(self):
+        # each mesh is cut in world coordinates within its own cloud's
+        # frame, so shifting the cloud shifts every wall with it
         mu = sample(unit_square_spec(), 1000, seed=1)
-        shifted = push_forward(mu, lambda p: p + 2.0)
-        with pytest.raises(ValueError):
-            quantile_partition(shifted, shifted, 4)
+        shifted = push_forward(mu, lambda p: p + [2.0, -3.0])
+        a, _ = quantile_partition(mu, mu, 4)
+        b, _ = quantile_partition(shifted, shifted, 4)
+        for axis, offset in enumerate((2.0, -3.0)):
+            assert np.allclose(b.walls[axis], a.walls[axis] + offset,
+                               rtol=0.0, atol=1e-14)
+        assert np.array_equal(b.locate(shifted.positions),
+                              a.locate(mu.positions))
 
     def test_zero_width_cell_raises(self):
         # coincident atoms heavier than a cell put two splits between the

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from transportlab import cli, geometry, synth
+from transportlab import cli, geometry, measure, synth
 from transportlab.flow import (TimeField, _affine_flow, _integrate_batch,
                                choose_step, flow_push, stopped_flow_batch)
 from transportlab.geometry import Region
@@ -16,15 +16,22 @@ from transportlab.synth import (GridControlField, _escalate_exact_funnel,
                                 affine_funnel_total, exact_controller)
 
 
+def unit_box_meshes(src, tgt, n):
+    """Quantile meshes of ``src`` and ``tgt``, n cells per axis, both cut
+    within the unit box: their outer walls are static."""
+    box = (np.zeros(src.dim), np.ones(src.dim))
+    return tuple(measure._partition_one(mu, n, box) for mu in (src, tgt))
+
+
 def square_meshes():
-    """Quantile meshes, 4 cells per axis, of a uniform unit square and of a
-    uniform smaller square inside it."""
+    """Unit-box quantile meshes, 4 cells per axis, of a uniform unit square
+    and of a uniform smaller square inside it."""
     src = sample(DensitySpec("uniform_box", 2, {"lo": [0, 0], "hi": [1, 1]}),
                  1500, seed=1)
     tgt = sample(DensitySpec("uniform_box", 2,
                              {"lo": [0.1, 0.3], "hi": [0.7, 0.9]}),
                  1500, seed=2)
-    return quantile_partition(src, tgt, 4)
+    return unit_box_meshes(src, tgt, 4)
 
 
 class TestGridClosedForm:
@@ -185,7 +192,7 @@ class TestGridClosedForm:
     def test_three_dimensional_cells_land_in_target_cells(self):
         cube = DensitySpec("uniform_box", 3, {"lo": [0] * 3, "hi": [1] * 3})
         src, tgt = sample(cube, 2000, seed=5), sample(cube, 2000, seed=6)
-        grid = GridControlField(*quantile_partition(
+        grid = GridControlField(*unit_box_meshes(
             src, push_forward(tgt, lambda p: p ** 2), 3), 1.0)
         pts, rel = self.in_cell_points(grid, per_cell=2)
         images, closed, _ = grid.flow(pts, 0.0, 1.0, 1e-8)
@@ -459,7 +466,8 @@ def test_report_counts_closed_form_moves(tmp_path):
     grid_count = 400 - untouched["count_source"]
     assert report["grid_n"] == max(3, min(64, math.isqrt(grid_count // 25))) \
         == 3
-    # the certificate lies between 0 and the unit square's diameter
+    # the certificate, in world units, lies between 0 and the unit
+    # square's diameter
     assert 0.0 < report["grid_bound"] < math.sqrt(2.0)
     assert not {"grid_bound_target", "grid_bound_met"} & set(report)
 
@@ -860,8 +868,8 @@ def test_three_dimensional_approx_run():
 
 
 def test_grid_bound_certifies_the_grid_phase(monkeypatch):
-    # the certificate is at least the exact W1 between the grid phase's
-    # image and its target, both in the target's normalized frame
+    # the certificate is at least the exact W1, in world units, between
+    # the grid phase's image and its target
     seen = []
 
     def recording(mesh, moved, closed, target):
@@ -871,16 +879,18 @@ def test_grid_bound_certifies_the_grid_phase(monkeypatch):
 
     grid_error_bound = synth.grid_error_bound
     monkeypatch.setattr(synth, "grid_error_bound", recording)
-    scenario = Scenario.from_dict({
-        **cli.load_scenario("figure1").to_dict(),
-        "params": {**cli.load_scenario("figure1").params,
-                   "particles": 600, "seed": 6}})
-    report = synth.approx_controller(scenario).report
-    (bound, moved, closed, target), = seen
-    assert report["grid_bound"] == bound
-    assert np.mean(closed) >= 0.98
-    exact, _ = wp_discrete(moved.normalized(), target.normalized())
-    assert 0.0 < exact <= bound
+    preset = cli.load_scenario("figure1")
+    for particles in (600, 1000):
+        scenario = Scenario.from_dict({
+            **preset.to_dict(),
+            "params": {**preset.params, "particles": particles, "seed": 6}})
+        report = synth.approx_controller(scenario).report
+        (bound, moved, closed, target), = seen
+        seen.clear()
+        assert report["grid_bound"] == bound
+        assert np.mean(closed) >= 0.98
+        exact, _ = wp_discrete(moved.normalized(), target.normalized())
+        assert 0.0 < exact <= bound
 
 
 def test_every_approx_control_is_total_minus_drift():
