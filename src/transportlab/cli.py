@@ -1,8 +1,15 @@
 """Command-line surface: run controllers, convergence studies, negative-result
 demonstrations and the crossing-condition check.
 
-Exit codes: 0 success, 1 malformed input or usage, 2 crossing-condition
-failure (the report carries the counterexample point).
+Exit codes: 0 success; 1 malformed input, usage, or an ``--out`` the
+command cannot write (``output error:``); 2 crossing-condition failure (the
+report carries the counterexample point); 120 when standard output or error
+cannot be flushed at the end, as CPython reports it.
+
+``main`` returns its exit code, for in-process callers. The command line
+(``python -m transportlab.cli`` and the ``transportlab`` script) goes
+through ``entry``, which ends the process without the interpreter's
+teardown once every output is closed.
 """
 from __future__ import annotations
 
@@ -10,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -320,13 +328,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unusable_out(out: Path) -> str | None:
+    """Why no command can write into ``out``, or None: the nearest of
+    ``out`` and its ancestors that exists must be a writable directory.
+    Creates nothing: a command makes ``out`` only when it writes into it."""
+    base = next(p for p in (out, *out.parents) if p.exists())
+    if base.is_dir() and os.access(base, os.W_OK | os.X_OK):
+        return None
+    return f"{base} is not a writable directory"
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code (see the module docstring);
+    the process goes on. An ``--out`` no command could write into fails
+    before any work."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on misuse
         return 1 if exc.code else 0
-    return args.func(args)
+    try:
+        unusable = _unusable_out(Path(args.out))
+        if unusable is None:
+            return args.func(args)
+    except OSError as exc:
+        # _load reports an unreadable scenario itself: what is left is
+        # a write under --out
+        unusable = str(exc)
+    print(f"output error: {unusable}", file=sys.stderr)
+    return 1
+
+
+def entry(argv=None) -> int:
+    """The command line: ``main(argv)``, then the end of the process through
+    ``os._exit`` once standard output and error are flushed. Every file a
+    command writes is closed by then, so CPython's teardown, which frees
+    numpy's and this package's modules one object at a time, would give
+    the user nothing. An exception escaping ``main`` takes the normal path
+    (traceback, exit 1). If a flush fails (a reader closed its pipe), this
+    returns the code, and CPython's own finalization reports the lost
+    output and exits 120."""
+    code = main(argv)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the stream was closed at start
+                stream.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

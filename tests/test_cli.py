@@ -502,6 +502,13 @@ def cluster_scenario(seed):
                        "tol": 1e-6}}
 
 
+def child_env(**extra):
+    """This environment, with the package under test first on the path."""
+    src = str(Path(transportlab.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_run_imports_no_scipy(tmp_path, mode):
     # every solve on the run path is the package's own; a stray scipy
@@ -521,10 +528,7 @@ def test_run_imports_no_scipy(tmp_path, mode):
         f"assert cli.main({argv!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
-    src = str(Path(transportlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    res = subprocess.run([sys.executable, "-c", code], env=env,
+    res = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip().splitlines()[-1] == "[]"
@@ -534,30 +538,132 @@ def test_run_imports_no_scipy(tmp_path, mode):
         "coupling" if mode == "exact" else "exact")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--scenario", "two-bump-merge", "--mode", "exact"],
-    ["--scenario", "figure1", "--particles", "300", "--mode", "approx"]],
-    ids=["two-bump-merge-exact", "figure1-approx"])
-def test_reruns_write_the_same_bytes(tmp_path, argv):
-    # a run is a function of its scenario: once in this process and once
-    # in a fresh one under another hash seed, every file it writes has the
-    # same bytes
+def write_inputs(root):
+    """The scenario files and the plain file the fresh-process cases read."""
+    root.mkdir()
+    (root / "cluster.json").write_text(json.dumps(cluster_scenario(6)))
+    away = cluster_scenario(6)
+    away["v"]["value"] = [-0.7, 0.0]  # the sources drift away from omega
+    (root / "away.json").write_text(json.dumps(away))
+    text = json.dumps(cluster_scenario(6))
+    (root / "truncated.json").write_text(text[:len(text) // 2])
+    (root / "taken").write_text("")
+
+
+@pytest.mark.parametrize("argv,code,written", [
+    (["run", "--scenario", "two-bump-merge", "--mode", "exact"], 0,
+     "final.csv"),
+    (["run", "--scenario", "figure1", "--particles", "300", "--mode",
+      "approx"], 0, "final.csv"),
+    (["run", "--scenario", "{inputs}/cluster.json", "--mode", "exact"], 0,
+     "final.csv"),
+    (["run", "--scenario", "{inputs}/truncated.json"], 1, None),
+    (["check", "--scenario", "figure1", "--out", "{inputs}/taken"], 1, None),
+    (["run", "--scenario", "{inputs}/away.json", "--mode", "exact"], 2,
+     "report.json"),
+    (["counterexample", "--name", "shear"], 0, "shear.json"),
+    (["--help"], 0, None)],
+    ids=["two-bump-merge-exact", "figure1-approx", "cluster-exact",
+         "malformed", "unusable-out", "crossing-failure", "shear", "help"])
+def test_reruns_write_the_same_bytes(tmp_path, capsys, monkeypatch, argv,
+                                     code, written):
+    # a command is a function of its inputs: once in this process and once
+    # in a fresh one under another hash seed, it exits with the same code,
+    # prints the same text and writes the same bytes. Each writes to "out"
+    # under its own working directory, so the texts name the same paths
+    inputs = tmp_path / "inputs"
+    write_inputs(inputs)
+    argv = [arg.format(inputs=inputs) for arg in argv]
+    if argv[0] != "--help" and "--out" not in argv:
+        argv += ["--out", "out"]
     first, second = tmp_path / "first", tmp_path / "second"
-    assert cli.main(["run", *argv, "--out", str(first)]) == 0
-    src = str(Path(transportlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    res = subprocess.run([sys.executable, "-m", "transportlab.cli", "run",
-                          *argv, "--out", str(second)], env=env,
+    first.mkdir()
+    second.mkdir()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+    monkeypatch.chdir(first)
+    assert cli.main(argv) == code
+    said = capsys.readouterr()
+    res = subprocess.run([sys.executable, "-m", "transportlab.cli", *argv],
+                         cwd=second, env=child_env(PYTHONHASHSEED="1"),
                          capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
+    assert (res.returncode, res.stdout, res.stderr) == (code, said.out,
+                                                        said.err)
 
     def files(root):
         return sorted(p.relative_to(root) for p in root.rglob("*")
                       if p.is_file())
 
     assert files(first) == files(second)
-    assert len(files(first)) > 4
+    if written is None:
+        assert files(first) == []
+    else:
+        assert Path("out", written) in files(first)
     for name in files(first):
         assert (first / name).read_bytes() == (second / name).read_bytes(), \
             name
+    if code == 2:
+        report = json.loads((first / "out" / "report.json").read_text())
+        assert report["status"] == "condition-failed"
+        assert len(report["counterexample"]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "study", "check",
+                                     "counterexample"])
+@pytest.mark.parametrize("case", ["a-file", "under-a-file", "write-fails"])
+def test_an_unusable_out_is_an_output_error(tmp_path, capsys, monkeypatch,
+                                            command, case):
+    # an --out no command could write into fails before any work; a write
+    # that fails anyway exits 1 the same way
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = {"a-file": taken, "under-a-file": taken / "out",
+           "write-fails": tmp_path / "out"}[case]
+    if case == "write-fails":
+        # the first file each command writes is a directory already
+        first = {"run": "report.json", "study": "study.csv",
+                 "check": "check.json", "counterexample": "shear.json"}
+        (out / first[command]).mkdir(parents=True)
+    else:
+        def never(args):
+            raise AssertionError(f"{command} ran with an unusable --out")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", never)
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps(cluster_scenario(6)))
+    argv = {"run": ["--scenario", str(path), "--mode", "exact"],
+            "study": ["--scenario", str(path), "--n-list", "2"],
+            "check": ["--scenario", str(path)],
+            "counterexample": ["--name", "shear"]}[command]
+    assert cli.main([command, *argv, "--out", str(out)]) == 1
+    said = capsys.readouterr()
+    assert said.err.startswith("output error:")
+    if case != "write-fails":
+        assert said.out == ""
+        assert taken.read_text() == ""
+
+
+def test_a_lost_flush_still_exits_120(tmp_path):
+    # the command line ends its process without teardown, except when the
+    # last flush fails: standard output into a pipe whose reader is gone
+    # keeps CPython's own report and exit 120. A standard output closed
+    # from the start is no error
+    argv = [sys.executable, "-m", "transportlab.cli", "counterexample",
+            "--name", "shear"]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # else print itself raises, exit 1
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run(argv + ["--out", str(tmp_path / "lost")],
+                             stdout=write, stderr=subprocess.PIPE, env=env,
+                             text=True, timeout=300)
+    finally:
+        os.close(write)
+    assert res.returncode == 120
+    assert "BrokenPipeError" in res.stderr
+    res = subprocess.run(argv + ["--out", str(tmp_path / "closed")],
+                         preexec_fn=lambda: os.close(1),
+                         stderr=subprocess.PIPE, env=env, text=True,
+                         timeout=300)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert (tmp_path / "closed" / "shear.json").is_file()
