@@ -53,7 +53,7 @@ def w1_pair_sorted(xa, wa, xb, wb):
 # exact square assignment: shortest augmenting paths with dual potentials
 # ---------------------------------------------------------------------------
 
-def assignment(cost, starts=()):
+def assignment(cost, start=None, ties=True):
     """Column ``cols[i]`` for each row i of a square cost matrix, minimizing
     the total ``cost[i, cols[i]]``, and optimal row duals u; for a stack of
     matrices (shape ``(B, n, n)``), one such row of columns per matrix.
@@ -66,23 +66,28 @@ def assignment(cost, starts=()):
     then grows a Dijkstra tree over the columns on the reduced costs until
     it reaches a free column, and the path is flipped. One scan relaxes
     every column at once; scanned columns are masked by a -inf in a copy of
-    v. Among columns at the least distance a free one is taken first, so
-    ties end the search at once: an all-zero matrix takes one scan per free
-    row.
+    v.
 
-    ``starts``, for a single matrix, lists functions returning column
-    duals v (then u_i = min_j (c_ij - v_j)); the first whose dual objective
-    sum(u) + sum(v) is above the column reduction's replaces it. None is
-    tried when each free row has a free column among its cheapest (repeated
-    atoms), for then each search ends at its first scan.
+    ``start``, for a single matrix, gives column duals v to begin from in
+    place of the column reduction: then u_i = min_j (c_ij - v_j), and each
+    row claims its cheapest column under v. The caller picks it
+    (``ot._assignment``); it is built only if taken.
+
+    With ``ties``, a scan takes a free column among those at the least
+    distance first, so ties end the search at once: an all-zero matrix
+    takes one scan per free row. Without, it takes the lowest-index column
+    at the least distance. Ties change how long a search runs, never the
+    optimality of what it returns, and only repeated points make them
+    common, so ``ot._assignment`` asks for the test only then.
 
     A stack runs its searches in lockstep, one scan of every matrix per
     step, so many small matrices share each step's numpy calls, and tracks
-    each column's predecessor row at every scan. A single matrix takes the
-    lighter loop of :meth:`_ShortestPaths.solve_one`: a scan is three array
-    calls and an argmin, predecessors are not tracked, and at the free
-    column the search rebuilds its path from a log of the rows it scanned.
-    Both loops settle the same columns and return the same matching.
+    each column's predecessor row at every scan; it always tests ties. A
+    single matrix takes the lighter loop of :meth:`_ShortestPaths.solve_one`:
+    a scan is three array calls and an argmin, predecessors are not
+    tracked, and at the free column the search rebuilds its path from a log
+    of the rows it scanned. With ``ties``, both loops settle the same
+    columns and return the same matching.
     """
     cost = np.asarray(cost, dtype=np.float64)
     stack = cost[None] if cost.ndim == 2 else cost
@@ -90,16 +95,12 @@ def assignment(cost, starts=()):
         raise ValueError(f"assignment needs square matrices, got {cost.shape}")
     if not np.all(np.isfinite(stack)):
         raise ValueError("assignment needs finite costs")
-    paths = _ShortestPaths(stack)
     if cost.ndim == 3:
+        paths = _ShortestPaths(stack)
         paths.solve_lockstep()
         return paths.col4row
-    for start in () if paths.ends_at_once() else starts:
-        guess = _ShortestPaths(stack, start()[None])
-        if guess.u.sum() + guess.v.sum() > paths.u.sum() + paths.v.sum():
-            paths = guess
-            break
-    paths.solve_one()
+    paths = _ShortestPaths(stack, None if start is None else start[None])
+    paths.solve_one(ties)
     return paths.col4row[0], paths.u[0]
 
 
@@ -159,13 +160,6 @@ class _ShortestPaths:
         self.dist = np.full((nb, n), np.inf)
         self.masked_v = self.v.copy()
 
-    def ends_at_once(self):
-        """Whether each free row has a free column among its cheapest."""
-        rows = np.flatnonzero(self.col4row[0] < 0)
-        cols = np.flatnonzero(self.row4col[0] < 0)
-        reduced = self.cost[0][np.ix_(rows, cols)] - self.v[0][cols]
-        return bool(np.all(np.any(reduced == self.u[0][rows, None], axis=1)))
-
     def augment(self, blocks, sink, start, low):
         """Close the searches of ``blocks`` that reached the free column
         ``sink`` at distance ``low``: move the duals of the tree by low
@@ -189,7 +183,9 @@ class _ShortestPaths:
             more = row != start
             blocks, col, start = blocks[more], prev[more], start[more]
 
-    def solve_one(self):
+    def solve_one(self, ties=True):
+        """Run the search of every free row of the single matrix, testing
+        ties at a free column only if ``ties`` (see ``assignment``)."""
         cost, v, u = self.cost[0], self.v[0], self.u[0]
         row4col, col4row, path = self.row4col[0], self.col4row[0], self.path[0]
         dist, masked_v, reached = self.dist[0], self.masked_v[0], self.reached[0]
@@ -211,11 +207,11 @@ class _ShortestPaths:
                 col = int(dist.argmin())
                 low = float(dist[col])
                 row = int(row4col[col])
-                if row >= 0:
+                if row >= 0 and ties:
                     # the lowest-index free column among the ties, if any
-                    ties = dist[free_cols]
-                    k = int(ties.argmin())
-                    if ties[k] == low:
+                    tied = dist[free_cols]
+                    k = int(tied.argmin())
+                    if tied[k] == low:
                         col, row = int(free_cols[k]), -1
                 settled.append(col)
                 reached[col] = low

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,15 +359,23 @@ def main(argv=None) -> int:
     return 1
 
 
+def _plain_warning(message, category, filename, lineno, line=None):
+    """A warning as one line that names no source file and shows no code,
+    so a command's standard error reads the same from any checkout."""
+    return f"warning: {message}\n"
+
+
 def entry(argv=None) -> int:
     """The command line: ``main(argv)``, then the end of the process through
     ``os._exit`` once standard output and error are flushed. Every file a
     command writes is closed by then, so CPython's teardown, which frees
     numpy's and this package's modules one object at a time, would give
-    the user nothing. An exception escaping ``main`` takes the normal path
-    (traceback, exit 1). If a flush fails (a reader closed its pipe), this
-    returns the code, and CPython's own finalization reports the lost
-    output and exits 120."""
+    the user nothing. A warning prints as one line, ``warning: <message>``.
+    An exception escaping ``main`` takes the normal path (traceback, exit
+    1). If a flush fails (a reader closed its pipe), this returns the code,
+    and CPython's own finalization reports the lost output and exits
+    120."""
+    warnings.formatwarning = _plain_warning
     code = main(argv)
     try:
         for stream in (sys.stdout, sys.stderr):

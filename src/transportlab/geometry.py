@@ -124,9 +124,11 @@ def _smootherstep_d(u):
 _SQRT15 = math.sqrt(15.0)
 _RAMP_ATAN = 27.0 / (40.0 * _SQRT15)
 
-# bisection passes that invert the time spent on a sloped piece: they
-# narrow its bracket to 2^-60 of the piece
-_INVERT_PASSES = 60
+# the inversion of a sloped piece's clock stops a row once a pass moves
+# its depth by at most _CLOCK_TOL, and after _CLOCK_PASSES passes in any
+# case: that many bisections alone would pin the depth to 2^-60
+_CLOCK_TOL = 2.0 ** -50
+_CLOCK_PASSES = 60
 
 
 def _ramp_time(w):
@@ -137,6 +139,48 @@ def _ramp_time(w):
         return (w * (2.0 - w) * r * r / 20.0 + 0.15 * w * r
                 - 0.165 * np.log1p(-w) + 0.0825 * np.log1p(w * (3.0 + 6.0 * w))
                 + _RAMP_ATAN * np.arctan(_SQRT15 * w / (2.0 + 3.0 * w)))
+
+
+def _invert_clock(k, a, beta, g0, left, lo, hi):
+    """The s in [lo, hi] at which the clock of a sloped piece, of depth
+    (a + beta s) and at ramp depth w0 = k (a + beta lo) at its start, has
+    run ``left``: where G(w) = g0 + k beta left at w = k (a + beta s), for
+    g0 = G(w0) (G is ``_ramp_time``). The root lies in the bracket.
+
+    Bracketed Newton on the depth w, in the variable y = (1 - w)^-2, which
+    moves G's pole at w = 1 to y = infinity: there dG/dy = 1 / (2 (6 w^2 +
+    3 w + 1)), between 1/20 and 1/2, and G is concave. From the shallow end
+    of the bracket, below the root, each Newton step of a concave
+    increasing function stays below the root and climbs to it
+    monotonically. Each pass narrows the bracket; a step that leaves it,
+    which only rounding next to the root or the pole can cause, bisects it
+    instead. A row stops once a pass moves its depth by at most
+    ``_CLOCK_TOL``."""
+    ends = np.clip(k * (a + beta * np.stack([lo, hi])), 0.0, 1.0)
+    w_lo, w_hi = ends.min(axis=0), ends.max(axis=0)
+    target = g0 + k * beta * left
+    w, depth = w_lo, np.empty_like(w_lo)
+    todo = np.arange(len(w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_CLOCK_PASSES):
+            gap = target - _ramp_time(w)
+            below = gap > 0
+            w_lo = np.where(below, w, w_lo)
+            w_hi = np.where(below, w_hi, w)
+            # the Newton step in y, back in w without cancellation: the
+            # step gap (1 - S(w)) of Newton in w, damped by 2 / (r (1 + r))
+            rate = (1.0 - w) ** 3 * (w * (6.0 * w + 3.0) + 1.0)
+            r = np.sqrt(1.0 + 2.0 * gap * rate / (1.0 - w))
+            new = w + 2.0 * gap * rate / (r * (1.0 + r))
+            new = np.where((new >= w_lo) & (new <= w_hi), new,
+                           0.5 * (w_lo + w_hi))
+            depth[todo] = new
+            more = np.abs(new - w) > _CLOCK_TOL
+            if not more.any():
+                break
+            todo, w, w_lo, w_hi, target = (
+                v[more] for v in (todo, new, w_lo, w_hi, target))
+    return (depth / k - a) / beta
 
 
 def cutoff_flow(omega0: Region, k: int, drift):
@@ -155,9 +199,10 @@ def cutoff_flow(omega0: Region, k: int, drift):
     depth)) where it is flat, and [G(k depth_end) - G(k depth_start)] /
     (k beta) where its slope is beta (G is ``_ramp_time``), infinite once
     k depth reaches 1. The map walks the pieces until the duration is used
-    up and solves for s on the last one: in closed form, or by bisection
-    on a sloped piece. A zero drift returns the points unchanged, and so
-    does a point at k depth >= 1."""
+    up and solves for s on the last one: in closed form, or on a sloped
+    piece by the bracketed Newton iteration of ``_invert_clock``. A zero
+    drift returns the points unchanged, and so does a point at k depth >=
+    1."""
     drift = np.asarray(drift, dtype=float).reshape(-1)
     lo, hi = omega0.lo, omega0.hi
 
@@ -202,18 +247,12 @@ def cutoff_flow(omega0: Region, k: int, drift):
         s = s0 + np.where(inside[at], left * (1.0 - _smootherstep(w)), left)
         sloped = np.flatnonzero(inside[at] & (bt != 0) & (w < 1.0))
         if sloped.size:
-            s_lo, a, bt, left = s0[sloped], a[sloped], bt[sloped], left[sloped]
-            g0 = _ramp_time(w[sloped])
+            a, bt = a[sloped], bt[sloped]
             s_hi = stop[at][sloped]
             # an ascending piece ends, at the latest, at depth 1/k
             s_hi = np.where(bt > 0, np.minimum(s_hi, (1.0 / k - a) / bt), s_hi)
-            for _ in range(_INVERT_PASSES):
-                s_mid = 0.5 * (s_lo + s_hi)
-                w_mid = np.clip(k * (a + bt * s_mid), 0.0, 1.0)
-                short = (_ramp_time(w_mid) - g0) / (k * bt) < left
-                s_lo = np.where(short, s_mid, s_lo)
-                s_hi = np.where(short, s_hi, s_mid)
-            s[sloped] = 0.5 * (s_lo + s_hi)
+            s[sloped] = _invert_clock(k, a, bt, _ramp_time(w[sloped]),
+                                      left[sloped], s0[sloped], s_hi)
         # a point at k depth >= 1 spends its whole duration on its first
         # piece, at s = 0
         return x0 + s[:, None] * b, certified

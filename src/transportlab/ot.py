@@ -34,7 +34,10 @@ SLICES = 128
 BLOCK_POINTS = 40
 # blocks per stacked assignment: 2 048 blocks of 40 hold 26 MB of costs
 BLOCK_STACK = 2048
-COARSE_POINTS = 128  # clouds above this may start from a coarse level
+COARSE_POINTS = 128  # clouds off a line above this start from a coarse level
+# two clouds lie on one line when their spread off it is at most this
+# share of their spread along it
+LINE_TOL = 1e-12
 
 
 @dataclass
@@ -105,12 +108,15 @@ def w1_1d(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
 
 def _distances(a, b, p=1):
     """|a_i - b_j|^p for every pair of points ``a[..., i, :]`` and ``b[...,
-    j, :]``, summed axis by axis."""
-    sq = 0.0
+    j, :]``, summed axis by axis into one preallocated buffer."""
+    sq = np.empty(a.shape[:-1] + b.shape[-2:-1])
+    diff = np.empty_like(sq)
     for axis in range(a.shape[-1]):
-        diff = a[..., :, None, axis] - b[..., None, :, axis]
-        diff *= diff
-        sq += diff
+        step = diff if axis else sq
+        np.subtract(a[..., :, None, axis], b[..., None, :, axis], out=step)
+        step *= step
+        if axis:
+            sq += diff
     return sq if p == 2 else np.sqrt(sq, out=sq)
 
 
@@ -122,28 +128,51 @@ def _equal_weights(mu, nu):
 
 
 def _principal_chain(a, b):
-    """Both clouds sorted along the principal axis of their union: the
-    monotone matching on that line, a guess for the assignment to start
-    from. The exact lane parks both clouds on one line, where the guess is
-    optimal."""
+    """Both clouds sorted along the principal axis of their union, the
+    monotone matching on that line, if the union lies on one line (its
+    spread off the axis at most ``LINE_TOL`` of its spread along it); else
+    None. The exact lane parks both clouds on one line, where the chain is
+    optimal under p = 2."""
     both = np.concatenate([a, b])
     both = both - both.mean(axis=0)
-    axis = np.linalg.eigh(both.T @ both)[1][:, -1]
-    return (np.argsort(a @ axis, kind="stable"),
-            np.argsort(b @ axis, kind="stable"))
+    spread, axes = np.linalg.eigh(both.T @ both)
+    if len(spread) > 1 and spread[-2] > LINE_TOL * spread[-1]:
+        return None
+    return (np.argsort(a @ axes[:, -1], kind="stable"),
+            np.argsort(b @ axes[:, -1], kind="stable"))
+
+
+def _repeats(points):
+    """Whether two points of the cloud coincide: a lexicographic sort puts
+    them side by side."""
+    ordered = points[np.lexsort(points.T)]
+    return bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)))
 
 
 def _assignment(a, b, p):
     """Optimal column for each point of ``a`` among those of ``b`` under
-    the cost |a_i - b_j|^p, and optimal row duals. The candidate starts of
-    :func:`_kernels.assignment`: the duals along ``_principal_chain``
-    (optimal on a line under p = 2), then, above ``COARSE_POINTS`` points,
-    ``_coarse_duals`` (Merigot 2011; Schmitzer 2016)."""
+    the cost |a_i - b_j|^p, and optimal row duals.
+
+    :func:`_kernels.assignment` starts from one start, chosen from what the
+    clouds show and the only one built: the duals along
+    ``_principal_chain`` when both clouds lie on one line (optimal there
+    under p = 2, so no search runs); else the column reduction when a cloud
+    repeats a point or has at most ``COARSE_POINTS`` points; else
+    ``_coarse_duals`` (Merigot 2011; Schmitzer 2016). The search tests
+    ties at a free column only when a cloud repeats a point, for only then
+    are they common: each free row of the column reduction has a free
+    column at its least reduced cost, and the test ends its search at its
+    first scan."""
     cost = _distances(a, b, p)
-    starts = [lambda: _kernels._chain_duals(cost, *_principal_chain(a, b))]
-    if len(a) > COARSE_POINTS:
-        starts.append(lambda: _coarse_duals(cost, a, b, p))
-    return _kernels.assignment(cost, starts)
+    repeats = _repeats(a) or _repeats(b)
+    chain = _principal_chain(a, b)
+    if chain is not None:
+        start = _kernels._chain_duals(cost, *chain)
+    elif repeats or len(a) <= COARSE_POINTS:
+        start = None
+    else:
+        start = _coarse_duals(cost, a, b, p)
+    return _kernels.assignment(cost, start, ties=repeats)
 
 
 def _coarse_duals(cost, a, b, p):

@@ -280,6 +280,24 @@ def test_sqrt_split_error_stays_at_the_rk4_floor(tmp_path):
         [row["w1_error"] for row in rows]
 
 
+def test_sqrt_split_warns_in_one_plain_line(tmp_path):
+    # the command line prints the non-Lipschitz notice as one line that
+    # names no source file and echoes no code, so stderr is the same from
+    # any checkout; exit code and stdout are those of the command
+    res = subprocess.run(
+        [sys.executable, "-m", "transportlab.cli", "counterexample",
+         "--name", "sqrt-split", "--out", "out"], cwd=tmp_path,
+        env=child_env(), capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ("warning: field 'sqrt-drift' is not Lipschitz; "
+                          "uniqueness of characteristics is not guaranteed\n")
+    assert ".py" not in res.stderr and "_integrate_batch" not in res.stderr
+    assert [line.split()[0] for line in res.stdout.splitlines()] == \
+        ["N=", "N="]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        ["sqrt_split.csv", "sqrt_split.json"]
+
+
 @pytest.mark.parametrize("width", [1e-6, 1e-5])
 def test_thin_omega_is_an_input_error_in_approx_mode(tmp_path, capsys,
                                                      width):

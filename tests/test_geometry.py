@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from transportlab import cli
+from transportlab import cli, geometry
 
 from transportlab.flow import TimeField
 from transportlab.geometry import (ConditionFailure, Region,
-                                   check_geometric_condition)
+                                   check_geometric_condition, cutoff_flow)
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.synth import storage_total
 
@@ -127,6 +127,128 @@ class TestCutoff:
     def test_band_must_fit(self):
         with pytest.raises(ValueError):
             cutoff_theta(Region.box([-0.1, -0.1], [0.1, 0.1]), k=5)
+
+
+def bisect_clock(k, a, beta, g0, left, lo, hi):
+    """The 60-pass bisection in s that inverted a sloped piece's clock
+    before ``geometry._invert_clock``, with its signature: the reference
+    the Newton iteration must match."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        w = np.clip(k * (a + beta * mid), 0.0, 1.0)
+        short = (geometry._ramp_time(w) - g0) / (k * beta) < left
+        lo = np.where(short, mid, lo)
+        hi = np.where(short, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def there_and_back(flow_map, pts, duration):
+    """The images of ``pts`` after ``duration``, and theirs after the map
+    runs back as long."""
+    images, certified = flow_map(pts, 0.0, duration)
+    back, returned = flow_map(images, duration, 0.0)
+    assert certified.all() and returned.all()
+    return images, back
+
+
+def by_bisection(monkeypatch, run, *args):
+    """``run(*args)`` with the reference bisection inverting the clock."""
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_invert_clock", bisect_clock)
+        return run(*args)
+
+
+class TestCutoffFlow:
+    """The storage flow map's clock, inverted by bracketed Newton, against
+    the bisection it replaced."""
+
+    # a box like figure1's storage box, and figure1's drift among others
+    OMEGA0 = Region.box([2.2, 0.2], [2.45, 0.9])
+    DRIFTS = ([0.5, 0.0], [0.0, -0.7], [0.5, 0.2], [-0.3, 0.45])
+    DURATIONS = (1e-4, 0.05, 0.3, 1.0, 3.0, 10.0)
+
+    def rows(self, k, rng):
+        """Random rows in and around omega0, and rows near each face, at
+        most half the ramp's depth 1/k inside, which end on flat and
+        descending pieces at every k."""
+        lo, hi = self.OMEGA0.lo, self.OMEGA0.hi
+        spread = rng.uniform(lo - 0.7, hi + 0.4, (2000, 2))
+        along = rng.uniform(lo, hi, (50, 2))
+        inset = min(0.5 / k, 0.05)
+        near = [np.column_stack([np.full(50, edge[0]), along[:, 1]])
+                for edge in (lo + inset, hi - inset)]
+        near += [np.column_stack([along[:, 0], np.full(50, edge[1])])
+                 for edge in (lo + inset, hi - inset)]
+        return np.concatenate([spread, *near])
+
+    def piece_kinds(self, images, drift, k):
+        """Kinds of the pieces the moving rows end on, read off the depth
+        just downstream of each image."""
+        depth = self.OMEGA0.depth(images)
+        moving = (depth > 0) & (k * depth < 1)
+        ahead = self.OMEGA0.depth(images + 1e-9 * np.asarray(drift))
+        change = (ahead - depth)[moving]
+        return {name for name, seen in (("ascending", change > 0),
+                                        ("flat", change == 0),
+                                        ("descending", change < 0))
+                if seen.any()}
+
+    @pytest.mark.parametrize("k", [1, 4, 16, 256, 4096])
+    def test_matches_the_bisection_and_runs_back(self, k, monkeypatch):
+        # every coordinate agrees with the bisection to 1e-12 relative, and
+        # the map run backwards returns each start as closely as with the
+        # bisection, up to the rounding of its image magnified by 1 / (1 -
+        # S(k depth)) there, where the clock runs slowest. Rows whose path
+        # nears depth 1/k come back only to about 1e-8 either way: the time
+        # of such a piece is a difference of large values of G
+        pts = self.rows(k, np.random.default_rng(k))
+        deep = k * self.OMEGA0.depth(pts) >= 1
+        assert deep.any() == (k >= 16)
+        kinds = set()
+        for drift in self.DRIFTS:
+            flow_map = cutoff_flow(self.OMEGA0, k, drift)
+            for duration in self.DURATIONS:
+                images, back = there_and_back(flow_map, pts, duration)
+                reference, ref_back = by_bisection(
+                    monkeypatch, there_and_back, flow_map, pts, duration)
+                assert np.all(np.abs(images - reference)
+                              <= 1e-12 * np.abs(reference))
+                # rows at k depth >= 1 stay put
+                assert np.array_equal(images[deep], pts[deep])
+                assert np.array_equal(back[deep], pts[deep])
+                rate = 1.0 - geometry._smootherstep(
+                    k * self.OMEGA0.depth(images[~deep]))
+                slack = 16 * np.finfo(float).eps * np.abs(pts).max() / rate
+                missed = np.abs(back - pts).max(axis=1)[~deep]
+                ref_missed = np.abs(ref_back - pts).max(axis=1)[~deep]
+                assert np.all(missed <= ref_missed + slack)
+                kinds |= self.piece_kinds(images, drift, k)
+        assert kinds == {"ascending", "flat", "descending"}
+
+    @pytest.mark.parametrize("k, omega0", [
+        (4, Region.box([2.2, -0.5], [3.0, 1.6])), (16, OMEGA0),
+        (4096, OMEGA0)], ids=["4-wide", "16", "4096"])
+    def test_first_order_guess_past_the_pole(self, k, omega0, monkeypatch):
+        # rows that enter omega0 under figure1's drift and ascend from
+        # depth 0 towards depth 1/k, where G has its pole, for so long that
+        # the first-order guess of the ramp depth, k beta left, is at or
+        # past 1
+        rng = np.random.default_rng(k)
+        drift = np.array([0.5, 0.0])
+        lo = omega0.lo
+        pts = np.column_stack([lo[0] - rng.uniform(0.0, 0.1, 2000),
+                               rng.uniform(0.3, 0.8, 2000)])
+        flow_map = cutoff_flow(omega0, k, drift)
+        for duration in (1.0, 3.0):
+            left = duration - (lo[0] - pts[:, 0]) / drift[0]
+            assert np.all(k * drift[0] * left >= 1.0)
+            images, _ = flow_map(pts, 0.0, duration)
+            reference, _ = by_bisection(monkeypatch, flow_map, pts, 0.0,
+                                        duration)
+            assert np.all(np.abs(images - reference)
+                          <= 1e-12 * np.abs(reference))
+            depth = k * omega0.depth(images)
+            assert np.all((depth > 0) & (depth < 1))
 
 
 def cloud(points):

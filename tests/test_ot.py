@@ -150,10 +150,11 @@ def warm_start_clouds(kind, n, rng):
 
 class TestWarmStart:
     """The assignment's starts: the principal chain on a line, a coarse
-    level of a third of the points elsewhere."""
+    level of a third of the points elsewhere above ``COARSE_POINTS``, and
+    the column reduction at or below it or where a point repeats."""
 
     @pytest.mark.parametrize("p", [1, 2])
-    @pytest.mark.parametrize("n", [129, 300, 1000])
+    @pytest.mark.parametrize("n", [100, 129, 300, 1000])
     @pytest.mark.parametrize("kind", ["uniform", "clustered", "shifted",
                                       "squared", "collinear"])
     def test_cost_matches_scipy(self, kind, n, p):
@@ -179,18 +180,17 @@ class TestWarmStart:
         assert np.array_equal(warm, cold)
 
     def test_clustered_squared_cost_known_bound(self, scans):
-        # a known fault, not a target: on four tight clusters with unequal
-        # counts under p = 2 the coarse start has the higher dual objective
-        # and is taken, yet the solve takes 38 931 scans where the column
-        # reduction alone takes 27 536. The bound records today's count so
-        # that the case cannot grow unseen; a better start rule lowers it
+        # four tight clusters with unequal counts under p = 2: the coarse
+        # start once took 38 931 scans where the column reduction alone
+        # takes 27 536; built directly at every level, it takes 24 011. The
+        # bound records today's count so that the case cannot grow unseen
         a, b = warm_start_clouds("clustered", 1000,
                                  np.random.default_rng(1000))
         cold, _ = _kernels.assignment(ot._distances(a, b, 2))
         alone = scans.scans
         warm, _ = ot._assignment(a, b, 2)
         assert alone == 27_536
-        assert scans.scans - alone <= 38_931
+        assert scans.scans - alone <= 24_011
         cost = ot._distances(a, b, 2)
         assert cost[np.arange(1000), warm].sum() == pytest.approx(
             cost[np.arange(1000), cold].sum(), rel=1e-12)
@@ -205,6 +205,75 @@ class TestWarmStart:
         a, b = warm_start_clouds("collinear", 1000, np.random.default_rng(3))
         ot._assignment(a, b, 2)
         assert scans.scans == 0
+
+    def test_clouds_off_a_line_leave_the_chain(self, scans, monkeypatch):
+        # off a line the chain's duals are poor, so none are built: at or
+        # below COARSE_POINTS the solve starts from the column reduction
+        # and scans exactly as it does alone
+        def never(*args):
+            raise AssertionError("a chain was built")
+
+        a, b = warm_start_clouds("uniform", 100, np.random.default_rng(5))
+        cols, _ = _kernels.assignment(ot._distances(a, b, 2), ties=False)
+        alone = scans.scans
+        monkeypatch.setattr(_kernels, "_chain_duals", never)
+        warm, _ = ot._assignment(a, b, 2)
+        assert scans.scans == 2 * alone > 0
+        assert np.array_equal(warm, cols)
+
+    def test_one_start_state_per_level(self, monkeypatch):
+        # a 2D solve above COARSE_POINTS builds only the start it takes at
+        # each level: the column reduction at 111 points, then the coarse
+        # duals at 333 and at 1 000, and nothing beside them
+        built = []
+
+        class Counting(_kernels._ShortestPaths):
+            def __init__(self, cost, v=None):
+                built.append((cost.shape[1], v is None))
+                super().__init__(cost, v)
+
+        monkeypatch.setattr(_kernels, "_ShortestPaths", Counting)
+        a, b = warm_start_clouds("uniform", 1000, np.random.default_rng(4))
+        ot._assignment(a, b, 1)
+        assert built == [(111, True), (333, False), (1000, False)]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("side", [8, 12])
+    def test_exact_ties_between_distinct_points(self, side, p):
+        # an integer lattice against itself shifted by one cell: no point
+        # repeats, so no tie test runs, yet costs tie exactly everywhere.
+        # 64 points start from the column reduction, 144 from a coarse level
+        from scipy.optimize import linear_sum_assignment
+
+        axis = np.arange(side, dtype=float)
+        a = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        b = a + [1.0, 0.0]
+        assert not (ot._repeats(a) or ot._repeats(b))
+        cost = ot._distances(a, b, p)
+        cols, _ = ot._assignment(a, b, p)
+        assert np.array_equal(np.sort(cols), np.arange(side * side))
+        rows, ref_cols = linear_sum_assignment(cost)
+        ref = cost[rows, ref_cols].sum()
+        assert abs(cost[np.arange(side * side), cols].sum() - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("twice", ["source", "target"])
+    def test_repeated_points_match_scipy(self, twice, p):
+        # one cloud holds each of its points twice: the column reduction
+        # with the tie test, against a cloud of distinct points
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(9)
+        pos = rng.random((150, 2))
+        a, b = np.concatenate([pos, pos]), rng.random((300, 2))
+        if twice == "target":
+            a, b = b, a
+        cost = ot._distances(a, b, p)
+        cols, _ = ot._assignment(a, b, p)
+        assert np.array_equal(np.sort(cols), np.arange(300))
+        rows, ref_cols = linear_sum_assignment(cost)
+        ref = cost[rows, ref_cols].sum()
+        assert abs(cost[np.arange(300), cols].sum() - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("seed", [6, 7])
     def test_figure1_final_w1_matches_scipy(self, tmp_path, seed):
