@@ -1,6 +1,7 @@
-"""Hot numeric kernels: the weighted 1D W1 merge, exact square assignment,
-the row-wise sorted search and the moving-cell velocity along one axis, all
-vectorized numpy over whole particle batches.
+"""Hot numeric kernels: the north-west-corner coupling of two weighted
+atom lists, exact square assignment, the row-wise sorted search and the
+moving-cell velocity along one axis, all vectorized numpy over whole
+particle batches.
 
 ``grid_eval_2d`` and its helpers ``_falloff`` and ``_nearest_column``
 evaluate the earlier design's inner-cell field with a quintic falloff; the
@@ -13,12 +14,14 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# weighted 1D Wasserstein-1: exact integral of |F_a^{-1} - F_b^{-1}| over mass
+# the monotone coupling on a line: a merge of the two cumulative masses
 # ---------------------------------------------------------------------------
 
 def quantile_coupling(wa, wb):
     """North-west-corner coupling of two weighted atom lists in the given
     order: pieces k of mass ``seg[k]`` join atom ``ia[k]`` to ``ib[k]``.
+    On lists sorted along a line it is the monotone coupling, optimal there
+    for any convex cost of the distance.
 
     Both lists must carry (numerically) equal total mass; the caller
     validates that. The merge visits every breakpoint of the two cumulative
@@ -35,18 +38,6 @@ def quantile_coupling(wa, wb):
     ia = np.minimum(np.searchsorted(ca, mid, side="left"), len(ca) - 1)
     ib = np.minimum(np.searchsorted(cb, mid, side="left"), len(cb) - 1)
     return ia, ib, seg
-
-
-def w1_pair_sorted(xa, wa, xb, wb):
-    """W1 between weighted 1D atom lists already sorted by position.
-
-    Exact up to float rounding: on sorted lists the north-west-corner
-    coupling is the monotone one, which is optimal on the line.
-    """
-    ia, ib, seg = quantile_coupling(wa, wb)
-    xa = np.asarray(xa, dtype=np.float64)
-    xb = np.asarray(xb, dtype=np.float64)
-    return float(np.sum(seg * np.abs(xa[ia] - xb[ib])))
 
 
 # ---------------------------------------------------------------------------
@@ -102,25 +93,6 @@ def assignment(cost, start=None, ties=True):
     paths = _ShortestPaths(stack, None if start is None else start[None])
     paths.solve_one(ties)
     return paths.col4row[0], paths.u[0]
-
-
-def _chain_duals(cost, rows, cols):
-    """Column duals for the guessed pairs (rows[k], cols[k]): from one pair
-    to the next, v steps halfway between the exchange costs
-    c(r[k+1], c[k+1]) - c(r[k+1], c[k]) and c(r[k], c[k+1]) - c(r[k], c[k]).
-
-    For two clouds on a line, sorted, under a strictly convex cost of the
-    distance, the first exchange cost is below the second, and these are
-    optimal duals of the monotone matching: every row's pair is its
-    cheapest column, and no search is left to run.
-    """
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    lo = cost[rows[1:], cols[1:]] - cost[rows[1:], cols[:-1]]
-    hi = cost[rows[:-1], cols[1:]] - cost[rows[:-1], cols[:-1]]
-    v = np.empty(len(cost))
-    v[cols] = np.concatenate([[0.0], np.cumsum(0.5 * (lo + hi))])
-    return v
 
 
 def _first_claims(choice):

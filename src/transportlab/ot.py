@@ -1,13 +1,13 @@
 """Exact Wasserstein distances and optimal plans, and a certified W1
 bracket for clouds above the exact solver's cap.
 
-Equal-count equal-weight instances solve as a linear assignment problem, by
-the package's own shortest-augmenting-path kernel (:func:`_assignment`);
-general weighted instances solve as a transportation linear program
-(scipy's HiGHS, imported at the first such solve). Both routes are exact
-(vertex solutions); there is no entropic smoothing anywhere in these code
-paths. Instances above the configured cap are refused; :func:`w1_bracket`
-bounds W1 for large clouds from both sides instead.
+Clouds on parallel lines take the monotone coupling, a sort at any size
+(:func:`_line_plan`). Off a line, equal-count equal-weight instances solve
+as an assignment by the package's own kernel (:func:`_assignment`), the
+rest as a transportation LP (scipy's HiGHS, imported at the first such
+solve). All routes are exact vertex solutions, with no entropic smoothing.
+Instances off a line above the cap are refused; :func:`w1_bracket` bounds
+W1 for large clouds from both sides instead.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .measure import ParticleMeasure
 
 __all__ = [
     "TransportPlan",
-    "w1_1d",
     "wp_discrete",
     "w1_bracket",
     "EXACT_SOLVER_CAP",
@@ -35,14 +34,15 @@ BLOCK_POINTS = 40
 # blocks per stacked assignment: 2 048 blocks of 40 hold 26 MB of costs
 BLOCK_STACK = 2048
 COARSE_POINTS = 128  # clouds off a line above this start from a coarse level
-# two clouds lie on one line when their spread off it is at most this
-# share of their spread along it
+# a cloud is on a line when its spread off it is at most this share of
+# both clouds' extent along it
 LINE_TOL = 1e-12
 
 
 @dataclass
 class TransportPlan:
-    """Sparse coupling between two atom clouds."""
+    """Sparse coupling between two atom clouds; ``method`` is the route
+    that built it: ``"line"``, ``"assignment"`` or ``"transportation-lp"``."""
 
     src_idx: np.ndarray
     tgt_idx: np.ndarray
@@ -88,22 +88,14 @@ class TransportPlan:
 
 
 def _check_masses(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
+    if mu.dim != nu.dim:
+        raise ValueError(f"measures of different dimensions: {mu.dim} and "
+                         f"{nu.dim}")
     ma, mb = mu.total_mass(), nu.total_mass()
     if abs(ma - mb) > MASS_TOL * max(ma, mb, 1.0):
         raise ValueError(
             f"total masses differ: {ma!r} vs {mb!r}; rescale one side first")
     return ma
-
-
-def w1_1d(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
-    """Exact W1 on the line via the quantile-function integral."""
-    if mu.dim != 1 or nu.dim != 1:
-        raise ValueError("w1_1d handles one-dimensional measures only")
-    _check_masses(mu, nu)
-    ia = np.argsort(mu.positions[:, 0], kind="stable")
-    ib = np.argsort(nu.positions[:, 0], kind="stable")
-    return _kernels.w1_pair_sorted(mu.positions[ia, 0], mu.weights[ia],
-                                   nu.positions[ib, 0], nu.weights[ib])
 
 
 def _distances(a, b, p=1):
@@ -128,18 +120,37 @@ def _equal_weights(mu, nu):
 
 
 def _principal_chain(a, b):
-    """Both clouds sorted along the principal axis of their union, the
-    monotone matching on that line, if the union lies on one line (its
-    spread off the axis at most ``LINE_TOL`` of its spread along it); else
-    None. The exact lane parks both clouds on one line, where the chain is
-    optimal under p = 2."""
-    both = np.concatenate([a, b])
-    both = both - both.mean(axis=0)
-    spread, axes = np.linalg.eigh(both.T @ both)
-    if len(spread) > 1 and spread[-2] > LINE_TOL * spread[-1]:
+    """Both clouds' orders along their principal axis, if each lies on a
+    line parallel to it, to within ``LINE_TOL`` of the union's extent along
+    it; else None. The axis is that of the scatter of each cloud about its
+    own mean, so two clouds on parallel lines, however far apart, pass: the
+    exact lane parks a translation drift's clouds on two such lines. There
+    |a_i - b_j|^2 is the squared gap along the axis plus a constant, and
+    the monotone coupling is optimal for p = 1 and p = 2."""
+    centred = np.concatenate([a - a.mean(axis=0), b - b.mean(axis=0)])
+    axes = np.linalg.eigh(centred.T @ centred)[1]
+    along = np.concatenate([a, b]) @ axes[:, -1]
+    if (np.max(np.abs(centred @ axes[:, :-1]), initial=0.0)
+            > LINE_TOL * np.ptp(along)):
         return None
-    return (np.argsort(a @ axes[:, -1], kind="stable"),
-            np.argsort(b @ axes[:, -1], kind="stable"))
+    return (np.argsort(along[:len(a)], kind="stable"),
+            np.argsort(along[len(a):], kind="stable"))
+
+
+def _line_plan(mu, nu, p, ia, ib):
+    """The monotone coupling along the orders ``ia`` and ``ib``, sorted by
+    (source, target): equal counts of equal weights pair the k-th atoms;
+    else the corner coupling, less slivers as the LP drops them."""
+    if _equal_weights(mu, nu):
+        src, tgt, mass = ia, ib, mu.weights[ia]
+    else:
+        ka, kb, mass = _kernels.quantile_coupling(mu.weights[ia],
+                                                  nu.weights[ib])
+        keep = mass > 1e-14 * max(mu.weights.max(), nu.weights.max())
+        src, tgt, mass = ia[ka[keep]], ib[kb[keep]], mass[keep]
+    order = np.lexsort((tgt, src))
+    return TransportPlan(src[order], tgt[order], mass[order], mu, nu, p,
+                         method="line")
 
 
 def _repeats(points):
@@ -154,9 +165,7 @@ def _assignment(a, b, p):
     the cost |a_i - b_j|^p, and optimal row duals.
 
     :func:`_kernels.assignment` starts from one start, chosen from what the
-    clouds show and the only one built: the duals along
-    ``_principal_chain`` when both clouds lie on one line (optimal there
-    under p = 2, so no search runs); else the column reduction when a cloud
+    clouds show and the only one built: the column reduction when a cloud
     repeats a point or has at most ``COARSE_POINTS`` points; else
     ``_coarse_duals`` (Merigot 2011; Schmitzer 2016). The search tests
     ties at a free column only when a cloud repeats a point, for only then
@@ -165,10 +174,7 @@ def _assignment(a, b, p):
     first scan."""
     cost = _distances(a, b, p)
     repeats = _repeats(a) or _repeats(b)
-    chain = _principal_chain(a, b)
-    if chain is not None:
-        start = _kernels._chain_duals(cost, *chain)
-    elif repeats or len(a) <= COARSE_POINTS:
+    if repeats or len(a) <= COARSE_POINTS:
         start = None
     else:
         start = _coarse_duals(cost, a, b, p)
@@ -185,13 +191,6 @@ def _coarse_duals(cost, a, b, p):
     rows = thinned(a)
     _, u = _assignment(a[rows], b[thinned(b)], p)
     return np.min(cost[rows] - u[:, None], axis=0)
-
-
-def _assignment_plan(mu, nu, p):
-    cols, _ = _assignment(mu.positions, nu.positions, p)
-    rows = np.arange(len(mu))
-    return TransportPlan(rows, cols, mu.weights, mu, nu, p,
-                         method="assignment", dual_gap=0.0)
 
 
 def _transportation_plan(mu, nu, p):
@@ -232,6 +231,9 @@ def wp_discrete(mu: ParticleMeasure, nu: ParticleMeasure, p: int = 1,
                 cap: int = EXACT_SOLVER_CAP):
     """Exact W_p with plan, p in {1, 2}.
 
+    Clouds on parallel lines (``_principal_chain``) take ``_line_plan``
+    at any size; off a line, more than ``cap`` atoms a side are refused.
+
     Distances follow the mass-scaling convention W_p(cμ, cν) = c^{1/p}
     W_p(μ, ν): the solve runs on probability normalizations and the plan is
     rescaled back to the input masses.
@@ -239,15 +241,20 @@ def wp_discrete(mu: ParticleMeasure, nu: ParticleMeasure, p: int = 1,
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     mass = _check_masses(mu, nu)
-    if max(len(mu), len(nu)) > cap:
+    chain = _principal_chain(mu.positions, nu.positions)
+    if chain is None and max(len(mu), len(nu)) > cap:
         raise ValueError(
             f"instance size {len(mu)}x{len(nu)} exceeds the exact-solver cap "
             f"{cap}; bracket W1 with w1_bracket, or subsample both sides "
             "first")
     mun = mu.scaled(1.0 / mass)
     nun = nu.scaled(1.0 / mass)
-    if _equal_weights(mun, nun):
-        plan_n = _assignment_plan(mun, nun, p)
+    if chain is not None:
+        plan_n = _line_plan(mun, nun, p, *chain)
+    elif _equal_weights(mun, nun):
+        cols, _ = _assignment(mun.positions, nun.positions, p)
+        plan_n = TransportPlan(np.arange(len(mun)), cols, mun.weights, mun,
+                               nun, p, method="assignment", dual_gap=0.0)
     else:
         plan_n = _transportation_plan(mun, nun, p)
     distance = mass ** (1.0 / p) * plan_n.distance()
@@ -278,8 +285,9 @@ def _sliced_lower(mu, nu):
                   * mu.total_mass() / len(mu))
         else:
             ia, ib = np.argsort(xa), np.argsort(xb)
-            w1 = _kernels.w1_pair_sorted(xa[ia], mu.weights[ia],
-                                         xb[ib], nu.weights[ib])
+            ka, kb, seg = _kernels.quantile_coupling(mu.weights[ia],
+                                                     nu.weights[ib])
+            w1 = float(np.sum(seg * np.abs(xa[ia[ka]] - xb[ib[kb]])))
         best = max(best, w1)
     return best
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import transportlab
-from transportlab import cli, scenarios
+from transportlab import cli
 from transportlab.scenarios import (Scenario, load_scenario,
                                     random_exact_scenario)
 
@@ -341,44 +341,17 @@ def test_check_on_an_omega_too_thin_for_its_margins(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_exact_run_above_the_solver_cap_fails_up_front(tmp_path, capsys,
-                                                       monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("the exact controller ran above the cap")
-
-    monkeypatch.setattr(cli, "exact_controller", never)
+def test_exact_run_above_the_solver_cap_fails_up_front(tmp_path, capsys):
+    # unit-shift parks its clouds off a line, so the transport solver
+    # refuses 50 000 atoms a side before it builds any cost, and the run
+    # exits 1 having written nothing
     out = tmp_path / "out"
-    assert cli.main(["run", "--scenario", "figure1", "--mode", "exact",
-                     "--particles", "2100", "--out", str(out)]) == 1
+    assert cli.main(["run", "--scenario", "unit-shift", "--mode", "exact",
+                     "--particles", "50000", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("scenario error:") and "2048" in err
+    assert err.startswith("scenario error:")
+    assert "50000x50000 exceeds the exact-solver cap 2048" in err
     assert not (out / "report.json").exists()
-
-
-@pytest.mark.parametrize("particles,draws,code", [(["--particles", "300"],
-                                                    2, 0), ([], 0, 1)],
-                         ids=["300", "preset"])
-def test_the_exact_size_check_samples_nothing(tmp_path, capsys, monkeypatch,
-                                              particles, draws, code):
-    # the size check counts atoms off the scenario: a run samples each
-    # measure once, in the controller, and figure1 at its preset size,
-    # above the cap, samples nothing before it exits 1
-    sizes = []
-    sample = scenarios.sample
-
-    def counting(spec, count, seed):
-        sizes.append(count)
-        return sample(spec, count, seed)
-
-    monkeypatch.setattr(scenarios, "sample", counting)
-    out = tmp_path / "out"
-    assert cli.main(["run", "--scenario", "figure1", "--mode", "exact",
-                     *particles, "--out", str(out)]) == code
-    assert len(sizes) == draws, sizes
-    if code:
-        err = capsys.readouterr().err
-        assert err.startswith("scenario error:") and "2048" in err
-        assert "10000 and 10000" in err
 
 
 def test_two_bump_merge_runs_in_approx_mode(tmp_path):
@@ -495,8 +468,11 @@ def test_a_default_n_too_fine_for_coincident_atoms_is_coarsened(
 
 @pytest.mark.parametrize("preset", [["two-bump-merge"],
                                     ["unit-shift", "--particles", "300"],
-                                    ["figure1", "--particles", "300"]])
+                                    ["figure1", "--particles", "300"],
+                                    ["figure1"]])
 def test_every_preset_finishes_in_exact_mode(tmp_path, preset):
+    # figure1 at its preset size, 10 000 atoms a side, parks both clouds
+    # on lines parallel to one face: their transport is a sort
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", *preset, "--mode", "exact",
                      "--out", str(out)]) == 0
@@ -527,14 +503,20 @@ def child_env(**extra):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
-@pytest.mark.parametrize("mode", ["exact", "approx"])
-def test_run_imports_no_scipy(tmp_path, mode):
+@pytest.mark.parametrize("case", ["exact", "approx", "exact-weighted"])
+def test_run_imports_no_scipy(tmp_path, case):
     # every solve on the run path is the package's own; a stray scipy
     # import would cost about half a second of every run, and numpy.ma
-    # (which plain np.unique imports) about 15 ms
-    if mode == "exact":
-        path = tmp_path / "cluster.json"
+    # (which plain np.unique imports) about 15 ms. The weighted case's
+    # parked clouds lie on a line, where unequal weights need no LP
+    mode = case.split("-")[0]
+    path = tmp_path / "scenario.json"
+    if case == "exact":
         path.write_text(json.dumps(cluster_scenario(6)))
+        scenario = [str(path)]
+    elif case == "exact-weighted":
+        path.write_text(json.dumps(random_exact_scenario(4, "merge")
+                                   .to_dict()))
         scenario = [str(path)]
     else:
         scenario = ["figure1", "--particles", "300"]

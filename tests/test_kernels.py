@@ -145,40 +145,6 @@ class TestAssignment:
             ref = c[rows, ref_cols].sum()
             assert abs(c[np.arange(n), got].sum() - ref) <= 1e-12 * ref
 
-    @pytest.mark.parametrize("kind", ["uniform", "clustered"])
-    def test_search_from_chain_duals_matches_scipy(self, kind):
-        # the chain's duals off a line are poor; the search still ends at
-        # the optimum from them
-        from scipy.optimize import linear_sum_assignment
-        from scipy.spatial.distance import cdist
-
-        a, b = self.clouds(np.random.default_rng(5), 300, kind)
-        cost = cdist(a, b, "sqeuclidean")
-        duals = _kernels._chain_duals(cost, np.argsort(a[:, 0]),
-                                      np.argsort(b[:, 0]))
-        paths = _kernels._ShortestPaths(cost[None], duals[None])
-        paths.solve_one()
-        cols = paths.col4row[0]
-        assert np.array_equal(np.sort(cols), np.arange(300))
-        rows, ref_cols = linear_sum_assignment(cost)
-        ref = cost[rows, ref_cols].sum()
-        assert abs(cost[np.arange(300), cols].sum() - ref) <= 1e-12 * ref
-
-    def test_chain_solves_clouds_on_a_line(self, scans):
-        # a cloud and a shifted, shuffled copy on one line, under the
-        # squared distance as the exact lane's plan: the sorted chain's
-        # duals are optimal and no search runs
-        rng = np.random.default_rng(6)
-        a = rng.random(500)
-        b = rng.permutation(a + 0.3 + 0.01 * rng.random(500))
-        cost = (a[:, None] - b[None, :]) ** 2
-        cols, _ = _kernels.assignment(
-            cost, _kernels._chain_duals(cost, np.argsort(a), np.argsort(b)))
-        assert scans.scans == 0
-        monotone = np.empty(500, dtype=np.int64)
-        monotone[np.argsort(a)] = np.argsort(b)
-        assert np.array_equal(cols, monotone)
-
     def test_single_loop_scans_as_the_lockstep_loop(self, scans):
         # the single loop rebuilds each search's path from its scan log,
         # where the lockstep loop tracks predecessors at every scan: both

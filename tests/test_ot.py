@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.oracle import brute_force_wp, two_bump_quantile_w1
 from transportlab import _kernels, cli, ot, synth
-from transportlab.ot import w1_1d, w1_bracket, wp_discrete
+from transportlab.ot import w1_bracket, wp_discrete
 
 
 def atoms(positions, weights=None):
@@ -24,12 +24,15 @@ def random_cloud(rng, count, dim=2, weighted=False):
 
 
 class TestW11d:
+    """W1 between measures on the real line, by ``wp_discrete``'s line
+    route."""
+
     def test_identical(self):
         mu = atoms([[0.1], [0.5], [0.9]])
-        assert w1_1d(mu, mu) == 0.0
+        assert wp_discrete(mu, mu)[0] == 0.0
 
     def test_two_diracs(self):
-        assert np.isclose(w1_1d(atoms([[0.0]]), atoms([[1.0]])), 1.0)
+        assert np.isclose(wp_discrete(atoms([[0.0]]), atoms([[1.0]]))[0], 1.0)
 
     def test_two_bump_pair_converges(self):
         # sampled two-bump vs one-bump approaches the quantile-calculus value
@@ -38,17 +41,26 @@ class TestW11d:
         mu0_spec = DensitySpec("mixture", 1, {"components": [left, right],
                                               "mix_weights": [1, 1]})
         mu1_spec = DensitySpec("uniform_box", 1, {"lo": [-1.0], "hi": [1.0]})
+        # 40 000 atoms a side, far above the cap: a line needs no matrix
         mu0 = sample(mu0_spec, 40_000, seed=1)
         mu1 = sample(mu1_spec, 40_000, seed=2)
-        assert abs(w1_1d(mu0, mu1) - two_bump_quantile_w1()) < 0.02
+        dist, plan = wp_discrete(mu0, mu1)
+        assert plan.method == "line"
+        assert abs(dist - two_bump_quantile_w1()) < 0.02
 
     def test_mass_mismatch_reports_totals(self):
         with pytest.raises(ValueError, match="0.5"):
-            w1_1d(atoms([[0.0]], [1.0]), atoms([[1.0]], [0.5]))
+            wp_discrete(atoms([[0.0]], [1.0]), atoms([[1.0]], [0.5]))
 
     def test_needs_dim_one(self):
-        with pytest.raises(ValueError):
-            w1_1d(atoms([[0.0, 0.0]]), atoms([[1.0, 1.0]]))
+        # a measure on the line against one in the plane is refused with
+        # both dimensions named, in either order
+        line, plane = atoms([[0.0], [1.0]]), atoms([[0.0, 0.0], [1.0, 1.0]])
+        for solve in (wp_discrete, w1_bracket):
+            with pytest.raises(ValueError, match="dimensions: 1 and 2"):
+                solve(line, plane)
+            with pytest.raises(ValueError, match="dimensions: 2 and 1"):
+                solve(plane, line)
 
 
 class TestWpDiscrete:
@@ -63,7 +75,7 @@ class TestWpDiscrete:
         nu = atoms([[2.0], [3.0]])
         dist, plan = wp_discrete(mu, nu, p=1)
         assert np.isclose(dist, 2.0)
-        assert plan.method == "assignment"
+        assert plan.method == "line"
         assert np.isclose(plan.distance(), dist)
         assert np.array_equal(np.sort(plan.tgt_idx[np.argsort(plan.src_idx)]),
                               [0, 1])
@@ -103,14 +115,17 @@ class TestWpDiscrete:
             assert np.isclose(d2, np.sqrt(c) * base2, rtol=1e-9)
 
     def test_agrees_with_1d_quantile_route(self):
+        # the line route's corner coupling against the transportation LP
         rng = np.random.default_rng(5)
         for _ in range(20):
             mu = random_cloud(rng, int(rng.integers(2, 40)), dim=1)
             nu = random_cloud(rng, int(rng.integers(2, 40)), dim=1,
                               weighted=True)
             nu = nu.scaled(mu.total_mass() / nu.total_mass())
-            dist, _ = wp_discrete(mu, nu, 1)
-            assert abs(dist - w1_1d(mu, nu)) < 1e-9
+            dist, plan = wp_discrete(mu, nu, 1)
+            assert plan.method == "line"
+            assert abs(dist - ot._transportation_plan(mu, nu, 1).distance()
+                       ) < 1e-9
 
     def test_cap_enforced(self):
         rng = np.random.default_rng(6)
@@ -149,9 +164,10 @@ def warm_start_clouds(kind, n, rng):
 
 
 class TestWarmStart:
-    """The assignment's starts: the principal chain on a line, a coarse
-    level of a third of the points elsewhere above ``COARSE_POINTS``, and
-    the column reduction at or below it or where a point repeats."""
+    """The assignment's starts: a coarse level of a third of the points
+    above ``COARSE_POINTS``, and the column reduction at or below it or
+    where a point repeats. ``wp_discrete`` sends clouds on a line to the
+    monotone coupling instead."""
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("n", [100, 129, 300, 1000])
@@ -196,30 +212,40 @@ class TestWarmStart:
             cost[np.arange(1000), cold].sum(), rel=1e-12)
 
     def test_collinear_clouds_take_the_chain(self, scans, monkeypatch):
-        # the chain's duals are optimal on a line under p = 2: no search
-        # runs and no coarse level is built
+        # a cloud on a line and a shuffled, shifted copy under p = 2, as
+        # the exact lane parks them: the monotone coupling pairs the k-th
+        # of each side, with no cost matrix and no search
         def never(*args):
-            raise AssertionError("a coarse level was built")
+            raise AssertionError("a cost matrix was built")
 
-        monkeypatch.setattr(ot, "_coarse_duals", never)
-        a, b = warm_start_clouds("collinear", 1000, np.random.default_rng(3))
-        ot._assignment(a, b, 2)
-        assert scans.scans == 0
+        monkeypatch.setattr(ot, "_distances", never)
+        rng = np.random.default_rng(6)
+        y = rng.random(500)
+        shifted = rng.permutation(y + 0.3 + 0.01 * rng.random(500))
+        dist, plan = wp_discrete(atoms(np.column_stack([np.full(500, 0.5), y])),
+                                 atoms(np.column_stack([np.full(500, 0.5),
+                                                        shifted])), p=2)
+        assert plan.method == "line" and scans.scans == 0
+        monotone = np.empty(500, dtype=np.int64)
+        monotone[np.argsort(y)] = np.argsort(shifted)
+        assert np.array_equal(plan.src_idx, np.arange(500))
+        assert np.array_equal(plan.tgt_idx, monotone)
 
     def test_clouds_off_a_line_leave_the_chain(self, scans, monkeypatch):
-        # off a line the chain's duals are poor, so none are built: at or
-        # below COARSE_POINTS the solve starts from the column reduction
-        # and scans exactly as it does alone
+        # off a line no monotone coupling is built: at or below
+        # COARSE_POINTS the solve starts from the column reduction and
+        # scans exactly as the kernel does alone
         def never(*args):
-            raise AssertionError("a chain was built")
+            raise AssertionError("a line plan was built")
 
         a, b = warm_start_clouds("uniform", 100, np.random.default_rng(5))
         cols, _ = _kernels.assignment(ot._distances(a, b, 2), ties=False)
         alone = scans.scans
-        monkeypatch.setattr(_kernels, "_chain_duals", never)
-        warm, _ = ot._assignment(a, b, 2)
+        monkeypatch.setattr(ot, "_line_plan", never)
+        _, plan = wp_discrete(atoms(a), atoms(b), p=2)
+        assert plan.method == "assignment"
         assert scans.scans == 2 * alone > 0
-        assert np.array_equal(warm, cols)
+        assert np.array_equal(plan.tgt_idx, cols)
 
     def test_one_start_state_per_level(self, monkeypatch):
         # a 2D solve above COARSE_POINTS builds only the start it takes at
@@ -294,6 +320,105 @@ class TestWarmStart:
         got = result.report["final_w1"]
         assert got["method"] == "exact"
         assert abs(got["estimate"] - ref) <= 1e-12 * ref
+
+
+def on_a_line(rng, count, direction, offset=0.0):
+    """``count`` points on the line through ``offset`` along ``direction``,
+    in random order."""
+    return np.asarray(offset) + rng.random(count)[:, None] * direction
+
+
+class TestLineRoute:
+    """Clouds on parallel lines take the monotone coupling: its cost
+    against scipy's assignment or LP, in shuffled order."""
+
+    DIRECTIONS = {1: [1.0], 2: [np.cos(0.7), np.sin(0.7)],
+                  3: [0.48, -0.6, 0.64]}
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equal_weights_match_scipy(self, dim, p):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(10 * dim + p)
+        d = np.array(self.DIRECTIONS[dim])
+        a = on_a_line(rng, 300, d)
+        b = on_a_line(rng, 300, 2.0 * d, offset=0.4 * d)
+        dist, plan = wp_discrete(atoms(a), atoms(b), p)
+        assert plan.method == "line"
+        cost = ot._distances(a, b, p)
+        rows, cols = linear_sum_assignment(cost)
+        ref = (cost[rows, cols].sum() / 300) ** (1 / p)
+        assert abs(dist - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("counts", [(30, 45), (40, 40)])
+    def test_unequal_weights_match_the_lp(self, counts, dim, p):
+        rng = np.random.default_rng(100 * dim + 10 * p + counts[1])
+        d = np.array(self.DIRECTIONS[dim])
+        wa, wb = (rng.random(count) + 0.1 for count in counts)
+        mu = ParticleMeasure(on_a_line(rng, counts[0], d), wa / wa.sum())
+        nu = ParticleMeasure(on_a_line(rng, counts[1], d, offset=d),
+                             wb / wb.sum())
+        dist, plan = wp_discrete(mu, nu, p)
+        assert plan.method == "line"
+        plan.validate()
+        assert plan.mass.min() > 1e-14 * max(mu.weights.max(),
+                                             nu.weights.max())
+        order = np.lexsort((plan.tgt_idx, plan.src_idx))
+        assert np.array_equal(order, np.arange(len(order)))
+        ref = ot._transportation_plan(mu, nu, p).distance()
+        assert abs(dist - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_parallel_lines_apart_take_the_line_route(self, p):
+        # two vertical lines 1.6e-12 of the extent apart, the second
+        # shifted along them, as the exact lane parks figure1's clouds
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(18)
+        a = np.column_stack([np.full(400, 0.5), rng.random(400)])
+        b = np.column_stack([np.full(400, 0.5 + 1.6e-12),
+                             0.3 + rng.random(400)])
+        assert ot._principal_chain(a, b) is not None
+        dist, plan = wp_discrete(atoms(a), atoms(b), p)
+        assert plan.method == "line"
+        cost = ot._distances(a, b, p)
+        rows, cols = linear_sum_assignment(cost)
+        ref = (cost[rows, cols].sum() / 400) ** (1 / p)
+        assert abs(dist - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_a_point_off_the_line_takes_the_solver(self, p):
+        # one point 1e-6 of the extent off the line: the assignment
+        # solves it, and still agrees with scipy
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(19)
+        d = np.array(self.DIRECTIONS[2])
+        a = on_a_line(rng, 200, d)
+        b = on_a_line(rng, 200, d, offset=0.2 * d)
+        b[7] += 1e-6 * np.array([-d[1], d[0]])
+        assert ot._principal_chain(a, b) is None
+        dist, plan = wp_discrete(atoms(a), atoms(b), p)
+        assert plan.method == "assignment"
+        cost = ot._distances(a, b, p)
+        rows, cols = linear_sum_assignment(cost)
+        ref = (cost[rows, cols].sum() / 200) ** (1 / p)
+        assert abs(dist - ref) <= 1e-12 * ref
+
+    def test_no_cap_on_a_line(self):
+        # far above the cap, a line still solves; off it, the cap holds
+        rng = np.random.default_rng(20)
+        a = on_a_line(rng, 5000, np.array([0.0, 1.0]))
+        b = on_a_line(rng, 5000, np.array([0.0, 1.0]), offset=[1.0, 0.0])
+        dist, plan = wp_discrete(atoms(a), atoms(b), 2, cap=100)
+        assert plan.method == "line" and len(plan.mass) == 5000
+        b = b.copy()
+        b[0, 0] += 0.5
+        with pytest.raises(ValueError, match="cap 100"):
+            wp_discrete(atoms(a), atoms(b), 2, cap=100)
 
 
 class TestInequalitySuite:
