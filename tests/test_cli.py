@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import transportlab
-from transportlab import cli
+from transportlab import cli, scenarios
 from transportlab.scenarios import (Scenario, load_scenario,
                                     random_exact_scenario)
 
@@ -352,6 +352,28 @@ def test_exact_run_above_the_solver_cap_fails_up_front(tmp_path, capsys):
     assert err.startswith("scenario error:")
     assert "50000x50000 exceeds the exact-solver cap 2048" in err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("particles,count", [(["--particles", "300"], 300),
+                                             ([], 10000)],
+                         ids=["300", "preset"])
+def test_the_exact_size_check_samples_nothing(tmp_path, monkeypatch,
+                                              particles, count):
+    # the solver cap counts the atoms of the clouds it is given: a run
+    # samples each measure once, in the controller, and figure1 at its
+    # preset size, above the cap but on a line, samples no more
+    sizes = []
+    sample = scenarios.sample
+
+    def counting(spec, count, seed):
+        sizes.append(count)
+        return sample(spec, count, seed)
+
+    monkeypatch.setattr(scenarios, "sample", counting)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", "figure1", "--mode", "exact",
+                     *particles, "--out", str(out)]) == 0
+    assert sizes == [count, count]
 
 
 def test_two_bump_merge_runs_in_approx_mode(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from transportlab import _kernels
+from transportlab import _kernels, ot
+from transportlab.measure import ParticleMeasure
 
 
 def row_tables(rng, n):
@@ -144,6 +145,25 @@ class TestAssignment:
             rows, ref_cols = linear_sum_assignment(c)
             ref = c[rows, ref_cols].sum()
             assert abs(c[np.arange(n), got].sum() - ref) <= 1e-12 * ref
+
+    def test_chain_solves_clouds_on_a_line(self, scans):
+        # a cloud and a shifted, shuffled copy on one line, under the
+        # squared distance as the exact lane's plan: the solver's sorted
+        # chain pairs them with no search, and a search from scratch on
+        # their cost ends at the same monotone pairing
+        rng = np.random.default_rng(6)
+        a = rng.random(500)
+        b = rng.permutation(a + 0.3 + 0.01 * rng.random(500))
+        uniform = np.full(500, 1.0 / 500)
+        _, plan = ot.wp_discrete(ParticleMeasure(a[:, None], uniform),
+                                 ParticleMeasure(b[:, None], uniform), p=2)
+        assert plan.method == "line" and scans.scans == 0
+        monotone = np.empty(500, dtype=np.int64)
+        monotone[np.argsort(a)] = np.argsort(b)
+        assert np.array_equal(plan.src_idx, np.arange(500))
+        assert np.array_equal(plan.tgt_idx, monotone)
+        cols, _ = _kernels.assignment((a[:, None] - b[None, :]) ** 2)
+        assert np.array_equal(cols, monotone)
 
     def test_single_loop_scans_as_the_lockstep_loop(self, scans):
         # the single loop rebuilds each search's path from its scan log,
