@@ -93,8 +93,7 @@ def cmd_run(args) -> int:
         print(f"crossing condition failed: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # e.g. an omega0 too thin for the storage cutoff's cap, or parked
-        # clouds off a line above the exact solver's cap
+        # e.g. an omega0 too thin for the storage cutoff's cap
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
     report = _stamp(scenario, {"status": "ok", **result.report})
@@ -152,8 +151,8 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
     the certified bound (``grid_error_bound``) and the sampling error floor,
     all in world units. Each cloud is cut within its own frame, as
     ``approx_controller`` cuts its parked clouds. Both W1 values are exact
-    at or below the exact solver's cap and the certified upper bound of
-    ``w1_bracket`` above it.
+    where ``wp_discrete`` solves them, else the certified upper bound of
+    ``w1_bracket``.
 
     Every mesh is built before any flow runs; an n the particles cannot
     partition (too fine for their count) raises ``MeshError``."""

@@ -29,6 +29,9 @@ class Region:
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float).reshape(-1)
         self.hi = np.asarray(hi, dtype=float).reshape(-1)
+        if len(self.lo) != len(self.hi):
+            raise ValueError(f"box lo and hi have different lengths: "
+                             f"{len(self.lo)} and {len(self.hi)}")
         if not np.all(self.hi > self.lo):
             raise ValueError("box must have positive extent")
         self.dim = len(self.lo)

@@ -1,13 +1,16 @@
-"""Exact Wasserstein distances and optimal plans, and a certified W1
-bracket for clouds above the exact solver's cap.
+"""Exact Wasserstein distances and optimal plans, and a nested-block
+coupling for clouds off a line above the exact solver's cap.
 
 Clouds on parallel lines take the monotone coupling, a sort at any size
 (:func:`_line_plan`). Off a line, equal-count equal-weight instances solve
 as an assignment by the package's own kernel (:func:`_assignment`), the
 rest as a transportation LP (scipy's HiGHS, imported at the first such
 solve). All routes are exact vertex solutions, with no entropic smoothing.
-Instances off a line above the cap are refused; :func:`w1_bracket` bounds
-W1 for large clouds from both sides instead.
+:func:`wp_discrete` alone decides whether an exact plan is in reach: off a
+line above the cap it raises :class:`SolverCapError`. Its callers then
+take :func:`_block_plan`, a coupling with no optimality claim:
+:func:`w1_bracket` bounds W1 from both sides with it, and the exact lane
+steers along it.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ __all__ = [
     "TransportPlan",
     "wp_discrete",
     "w1_bracket",
+    "SolverCapError",
     "EXACT_SOLVER_CAP",
 ]
 
@@ -42,7 +46,8 @@ LINE_TOL = 1e-12
 @dataclass
 class TransportPlan:
     """Sparse coupling between two atom clouds; ``method`` is the route
-    that built it: ``"line"``, ``"assignment"`` or ``"transportation-lp"``."""
+    that built it: ``"line"``, ``"assignment"``, ``"transportation-lp"``
+    or, not optimal, ``"block"``."""
 
     src_idx: np.ndarray
     tgt_idx: np.ndarray
@@ -85,6 +90,10 @@ class TransportPlan:
         r, c = self.marginal_residuals()
         if max(r, c) > tol:
             raise ValueError(f"plan marginals off by ({r:.2e}, {c:.2e})")
+
+
+class SolverCapError(ValueError):
+    """Clouds off a line with more atoms a side than the solver's cap."""
 
 
 def _check_masses(mu: ParticleMeasure, nu: ParticleMeasure) -> float:
@@ -137,10 +146,10 @@ def _principal_chain(a, b):
             np.argsort(along[len(a):], kind="stable"))
 
 
-def _line_plan(mu, nu, p, ia, ib):
-    """The monotone coupling along the orders ``ia`` and ``ib``, sorted by
-    (source, target): equal counts of equal weights pair the k-th atoms;
-    else the corner coupling, less slivers as the LP drops them."""
+def _line_plan(mu, nu, p, ia, ib, method="line"):
+    """The coupling along the orders ``ia`` and ``ib``, monotone on a line,
+    sorted by (source, target): equal counts of equal weights pair the k-th
+    atoms; else the corner coupling, less slivers as the LP drops them."""
     if _equal_weights(mu, nu):
         src, tgt, mass = ia, ib, mu.weights[ia]
     else:
@@ -150,7 +159,7 @@ def _line_plan(mu, nu, p, ia, ib):
         src, tgt, mass = ia[ka[keep]], ib[kb[keep]], mass[keep]
     order = np.lexsort((tgt, src))
     return TransportPlan(src[order], tgt[order], mass[order], mu, nu, p,
-                         method="line")
+                         method)
 
 
 def _repeats(points):
@@ -232,7 +241,9 @@ def wp_discrete(mu: ParticleMeasure, nu: ParticleMeasure, p: int = 1,
     """Exact W_p with plan, p in {1, 2}.
 
     Clouds on parallel lines (``_principal_chain``) take ``_line_plan``
-    at any size; off a line, more than ``cap`` atoms a side are refused.
+    at any size; off a line, more than ``cap`` atoms a side raise
+    :class:`SolverCapError`. This is the one test of whether an exact plan
+    is in reach.
 
     Distances follow the mass-scaling convention W_p(cμ, cν) = c^{1/p}
     W_p(μ, ν): the solve runs on probability normalizations and the plan is
@@ -243,7 +254,7 @@ def wp_discrete(mu: ParticleMeasure, nu: ParticleMeasure, p: int = 1,
     mass = _check_masses(mu, nu)
     chain = _principal_chain(mu.positions, nu.positions)
     if chain is None and max(len(mu), len(nu)) > cap:
-        raise ValueError(
+        raise SolverCapError(
             f"instance size {len(mu)}x{len(nu)} exceeds the exact-solver cap "
             f"{cap}; bracket W1 with w1_bracket, or subsample both sides "
             "first")
@@ -267,12 +278,9 @@ def _sliced_lower(mu, nu):
     """Largest exact 1D W1 between the projections on a fixed set of
     directions: a lower bound on W1, since a projection is 1-Lipschitz."""
     dim = mu.dim
-    if dim == 1:
-        directions = np.ones((1, 1))
-    else:
-        gauss = np.random.default_rng(0).standard_normal((SLICES - dim, dim))
-        directions = np.concatenate(
-            [np.eye(dim), gauss / np.linalg.norm(gauss, axis=1)[:, None]])
+    gauss = np.random.default_rng(0).standard_normal((SLICES - dim, dim))
+    directions = np.concatenate(
+        [np.eye(dim), gauss / np.linalg.norm(gauss, axis=1)[:, None]])
     equal = _equal_weights(mu, nu)
     best = 0.0
     for direction in directions:
@@ -313,52 +321,45 @@ def _block_order(positions, per_axis):
     return order, bounds
 
 
-def _block_upper(mu, nu):
-    """Cost of an explicit coupling: an upper bound on W1.
-
-    Both clouds are cut into the same nested blocks. With N equal weights
-    on each side, blocks hold equal counts and each block pair is matched
-    by exact assignment; otherwise the north-west-corner coupling runs
-    along the block order.
-    """
+def _block_plan(mu, nu, p):
+    """A coupling at any size, not optimal: both clouds cut into the same
+    nested blocks of about ``BLOCK_POINTS`` points. Equal counts of equal
+    weights match each block pair by exact assignment at cost |x - y|^p,
+    whose straight paths do not cross at p = 2 (McCann 1997); else the
+    corner coupling runs along the block order, as in ``_line_plan``."""
     count = max(len(mu), len(nu))
     per_axis = max(1, round((count / BLOCK_POINTS) ** (1.0 / mu.dim)))
     oa, bounds = _block_order(mu.positions, per_axis)
     ob, _ = _block_order(nu.positions, per_axis)
-    pa, pb = mu.positions[oa], nu.positions[ob]
     if _equal_weights(mu, nu):
         # blocks of one size solve as one stack, a bounded number at a time
+        pa, pb = mu.positions[oa], nu.positions[ob]
         starts, sizes = bounds[:-1], np.diff(bounds)
-        total = 0.0
         for size in sorted(set(sizes.tolist())):
             first = starts[sizes == size]
             for lo in range(0, len(first), BLOCK_STACK):
                 idx = first[lo:lo + BLOCK_STACK, None] + np.arange(size)
-                cost = _distances(pa[idx], pb[idx])
-                cols = _kernels.assignment(cost)
-                total += float(np.sum(
-                    np.take_along_axis(cost, cols[..., None], axis=2)))
-        return total * mu.total_mass() / count
-    ia, ib, seg = _kernels.quantile_coupling(mu.weights[oa], nu.weights[ob])
-    return float(np.sum(seg * np.linalg.norm(pa[ia] - pb[ib], axis=1)))
+                cols = _kernels.assignment(_distances(pa[idx], pb[idx], p))
+                ob[idx] = ob[np.take_along_axis(idx, cols, axis=1)]
+    return _line_plan(mu, nu, p, oa, ob, "block")
 
 
 def w1_bracket(mu: ParticleMeasure, nu: ParticleMeasure,
                cap: int = EXACT_SOLVER_CAP) -> dict:
-    """W1 between two clouds of equal mass: exact at or below ``cap``
-    atoms a side, else a certified bracket.
+    """W1 between two clouds of equal mass: exact where ``wp_discrete``
+    solves it, else a certified bracket.
 
-    At or below the cap the report is ``{"estimate": W1, "method":
-    "exact"}``. Above it, ``lower`` is the largest exact W1 between 1D
-    projections on ``SLICES`` fixed directions, and ``upper``, which is
-    also the ``estimate``, is the cost of the block coupling of
-    ``_block_upper`` (blocks of about ``BLOCK_POINTS`` points). Both bounds
-    take O(N log N) work plus the small block assignments.
+    An exact value reads ``{"estimate": W1, "method": "exact"}``. Where
+    ``wp_discrete`` raises :class:`SolverCapError`, ``lower`` is the
+    largest exact W1 between 1D projections on ``SLICES`` fixed directions,
+    and ``upper``, which is also the ``estimate``, is the cost of
+    ``_block_plan`` at p = 1. Both bounds take O(N log N) work plus the
+    small block assignments.
     """
-    _check_masses(mu, nu)
-    if max(len(mu), len(nu)) <= cap:
+    try:
         dist, _ = wp_discrete(mu, nu, p=1, cap=cap)
-        return {"estimate": dist, "method": "exact"}
-    upper = _block_upper(mu, nu)
-    return {"estimate": upper, "method": "bracket",
-            "lower": _sliced_lower(mu, nu), "upper": upper}
+    except SolverCapError:
+        upper = _block_plan(mu, nu, 1).cost()
+        return {"estimate": upper, "method": "bracket",
+                "lower": _sliced_lower(mu, nu), "upper": upper}
+    return {"estimate": dist, "method": "exact"}

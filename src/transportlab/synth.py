@@ -37,7 +37,8 @@ from .geometry import (GeometricCondition, Region, cutoff_flow,
                        check_geometric_condition, _smootherstep,
                        _smootherstep_d)
 from .measure import ParticleMeasure, quantile_partition
-from .ot import wp_discrete, w1_bracket, _distances
+from .ot import (SolverCapError, wp_discrete, w1_bracket, _block_plan,
+                 _distances)
 
 __all__ = [
     "ControlSegment",
@@ -475,10 +476,6 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
 # per-atom witness of the exact lane
 # ---------------------------------------------------------------------------
 
-# queries the witness matches to atoms in one block at most
-_WITNESS_BLOCK = 256
-
-
 class ParticleWitnessField(TimeField):
     """Borel control witness: one velocity per plan entry, at its atom.
 
@@ -488,6 +485,8 @@ class ParticleWitnessField(TimeField):
     atom takes its velocity. Off the atom set the field evaluates to the
     ambient velocity, so the control part vanishes identically away from
     the transported atoms (in particular outside the control region).
+    ``witness_control_outside`` reads the atoms' closed forms directly;
+    the match serves evaluation at any other point.
     """
 
     # a query takes an atom's velocity within this distance of it
@@ -503,35 +502,16 @@ class ParticleWitnessField(TimeField):
 
     def _witness(self, pts, t):
         """Velocity of the atom nearest each query (the first among ties)
-        where it lies within ``match_tol``, nan elsewhere. An atom within
-        twice the tolerance of a query projects on the generic axis u =
-        (1, sqrt 2, ...) within twice the tolerance times |u| of it, so a
-        block of queries sorted by projection meets one slice of the sorted
-        atoms. Squared gaps keep those within twice the tolerance; their
-        distances are then taken as the norm takes them, and any atom left
-        out is farther than the tolerance."""
+        where it lies within ``match_tol``, nan elsewhere. Queries take
+        their distances to every atom in blocks of about 2^16 pairs."""
         pos, vel = self.position(t), self.velocity(t)
         out = np.full_like(pts, np.nan)
-        axis = np.sqrt(np.arange(1.0, pts.shape[1] + 1.0))
-        key, proj = pos @ axis, pts @ axis
-        atoms, queries = np.argsort(key), np.argsort(proj)
-        key = key[atoms]
-        reach = 2.0 * self.match_tol * float(np.linalg.norm(axis))
-        for q in range(0, len(queries), _WITNESS_BLOCK):
-            rows = queries[q:q + _WITNESS_BLOCK]
-            near = pts[rows]
-            cand = atoms[np.searchsorted(key, proj[rows[0]] - reach):
-                         np.searchsorted(key, proj[rows[-1]] + reach, "right")]
-            qi, ci = np.nonzero(_distances(near, pos[cand], 2)
-                                <= (2.0 * self.match_tol) ** 2)
-            if not qi.size:
-                continue
-            ei = cand[ci]
-            d = np.linalg.norm(pos[ei] - near[qi], axis=1)
-            order = np.lexsort((ei, d, qi))
-            lead = order[np.r_[True, np.diff(qi[order]) != 0]]
-            lead = lead[d[lead] <= self.match_tol]
-            out[rows[qi[lead]]] = vel[ei[lead]]
+        rows = max(1, 2 ** 16 // len(pos))
+        for q in range(0, len(pts), rows):
+            dist = _distances(pts[q:q + rows], pos)
+            near = np.argmin(dist, axis=1)
+            hit = dist[np.arange(len(near)), near] <= self.match_tol
+            out[q:q + rows][hit] = vel[near[hit]]
         return out
 
     def _eval(self, pts, t):
@@ -561,16 +541,19 @@ def _park_witness(v: TimeField, pair, x0, hits, clock, descriptor):
 def witness_control_outside(schedule: ControlSchedule, omega: Region,
                             times) -> float:
     """Largest |control| of the witness segments at their own atoms outside
-    omega, at each of ``times`` a segment holds. Sampled points never come
+    omega, at each of ``times`` a segment holds: each atom's closed-form
+    velocity less the drift at its position. Sampled points never come
     within ``match_tol`` of an atom, so ``max_control_outside`` cannot see
     the control where a witness acts."""
     worst = 0.0
     for seg in schedule.segments:
-        if not isinstance(seg.field, ParticleWitnessField):
+        fld = seg.field
+        if not isinstance(fld, ParticleWitnessField):
             continue
         for t in times[(seg.t_start <= times) & (times <= seg.t_end)]:
-            pos = seg.field.position(t)
-            ctrl = seg.field.control_part(pos[~omega.contains(pos)], t)
+            pos = fld.position(t)
+            out = ~omega.contains(pos)
+            ctrl = fld.velocity(t)[out] - fld.ambient.evaluate(pos[out], t)
             worst = max(worst, float(np.max(np.linalg.norm(ctrl, axis=1),
                                             initial=0.0)))
     return worst
@@ -913,8 +896,8 @@ def approx_controller(scenario) -> ControllerResult:
          state4_all, state5_all],
         field_ref=schedule, meta={"mode": "approx"})
 
-    # the estimate is exact at or below the solver's cap and the certified
-    # upper bound above it
+    # the estimate is exact where wp_discrete solves it, else the certified
+    # upper bound
     w1 = w1_bracket(state5_all.with_tags(None), mu1.with_tags(None))
     w1["epsilon_certified"] = w1["estimate"] <= epsilon
     report = plan.report("approx", fun_fwd, fun_back,
@@ -1008,9 +991,14 @@ def exact_controller(scenario) -> ControllerResult:
     fun_back, back_in_s0 = funnels["backward"]
     fun_rev = plan.replay(fun_back)
 
-    # geodesic coupling between the parked clouds
-    _, coupling = wp_discrete(ParticleMeasure(fwd_in_s0, mu0.weights),
-                              ParticleMeasure(back_in_s0, mu1.weights), p=2)
+    # geodesic coupling between the parked clouds: optimal where it is in
+    # reach, else the nested blocks, whose straight paths do not cross
+    parked = (ParticleMeasure(fwd_in_s0, mu0.weights),
+              ParticleMeasure(back_in_s0, mu1.weights))
+    try:
+        _, coupling = wp_discrete(*parked, p=2)
+    except SolverCapError:
+        coupling = _block_plan(*parked, 2)
     e_src, e_tgt = coupling.src_idx, coupling.tgt_idx
     start, end = fwd_in_s0[e_src], back_in_s0[e_tgt]
     pace = (end - start) / (t3 - t2)

@@ -341,17 +341,15 @@ def test_check_on_an_omega_too_thin_for_its_margins(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_exact_run_above_the_solver_cap_fails_up_front(tmp_path, capsys):
-    # unit-shift parks its clouds off a line, so the transport solver
-    # refuses 50 000 atoms a side before it builds any cost, and the run
-    # exits 1 having written nothing
-    out = tmp_path / "out"
-    assert cli.main(["run", "--scenario", "unit-shift", "--mode", "exact",
-                     "--particles", "50000", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("scenario error:")
-    assert "50000x50000 exceeds the exact-solver cap 2048" in err
-    assert not (out / "report.json").exists()
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_box_with_lo_and_hi_of_different_lengths_is_an_input_error(
+        tmp_path, capsys, command):
+    # the box used to broadcast them and take its dimension from lo: check
+    # passed and run ended in an IndexError traceback
+    path = figure1_with(tmp_path, omega={"kind": "box", "lo": [2.0, -1.2],
+                                         "hi": [3.4]})
+    err = fails_as_scenario_error(capsys, command, path, tmp_path / "out")
+    assert "lo and hi have different lengths: 2 and 1" in err
 
 
 @pytest.mark.parametrize("particles,count", [(["--particles", "300"], 300),
@@ -491,10 +489,12 @@ def test_a_default_n_too_fine_for_coincident_atoms_is_coarsened(
 @pytest.mark.parametrize("preset", [["two-bump-merge"],
                                     ["unit-shift", "--particles", "300"],
                                     ["figure1", "--particles", "300"],
-                                    ["figure1"]])
+                                    ["figure1"], ["unit-shift"]])
 def test_every_preset_finishes_in_exact_mode(tmp_path, preset):
     # figure1 at its preset size, 10 000 atoms a side, parks both clouds
-    # on lines parallel to one face: their transport is a sort
+    # on lines parallel to one face: their transport is a sort. unit-shift
+    # parks 50 000 a side off a line, above the solver's cap: the nested
+    # blocks couple them
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", *preset, "--mode", "exact",
                      "--out", str(out)]) == 0
@@ -525,12 +525,36 @@ def child_env(**extra):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
-@pytest.mark.parametrize("case", ["exact", "approx", "exact-weighted"])
+def weighted_3d_scenario(n0, n1):
+    """``n0`` source atoms of random weights upstream of a 3D control box
+    and ``n1`` target atoms downstream, under a rightward drift: the parks
+    lie on a face plane, off a line."""
+    rng = np.random.default_rng(n0)
+
+    def atoms(lo, count):
+        weights = rng.random(count) + 0.5
+        return [[*x, w] for x, w in zip(
+            (lo + 0.3 * rng.random((count, 3))).tolist(),
+            (weights / weights.sum()).tolist())]
+
+    return {"dim": 3, "v": {"kind": "constant", "value": [0.7, 0.0, 0.0]},
+            "omega": {"kind": "box", "lo": [1.6, -0.6, -0.6],
+                      "hi": [2.9, 1.6, 1.6]},
+            "mu0": {"atoms": atoms([0.25, 0.35, 0.35], n0)},
+            "mu1": {"atoms": atoms([3.85, 0.35, 0.35], n1)},
+            "params": {"delta": 0.6, "seed": 1, "horizon": 24.0,
+                       "tol": 1e-6}}
+
+
+@pytest.mark.parametrize("case", ["exact", "approx", "exact-weighted",
+                                  "exact-weighted-3d"])
 def test_run_imports_no_scipy(tmp_path, case):
     # every solve on the run path is the package's own; a stray scipy
     # import would cost about half a second of every run, and numpy.ma
     # (which plain np.unique imports) about 15 ms. The weighted case's
-    # parked clouds lie on a line, where unequal weights need no LP
+    # parked clouds lie on a line, where unequal weights need no LP; the
+    # 3D case's lie off a line, above the solver's cap, and take the
+    # nested blocks' corner coupling
     mode = case.split("-")[0]
     path = tmp_path / "scenario.json"
     if case == "exact":
@@ -539,6 +563,9 @@ def test_run_imports_no_scipy(tmp_path, case):
     elif case == "exact-weighted":
         path.write_text(json.dumps(random_exact_scenario(4, "merge")
                                    .to_dict()))
+        scenario = [str(path)]
+    elif case == "exact-weighted-3d":
+        path.write_text(json.dumps(weighted_3d_scenario(2100, 2600)))
         scenario = [str(path)]
     else:
         scenario = ["figure1", "--particles", "300"]
@@ -558,6 +585,8 @@ def test_run_imports_no_scipy(tmp_path, case):
     # the exact lane certifies arrival by its coupling's own cost
     assert report["final_w1"]["method"] == (
         "coupling" if mode == "exact" else "exact")
+    if case == "exact-weighted-3d":
+        assert report["final_w1"]["estimate"] <= 1e-9
 
 
 def write_inputs(root):

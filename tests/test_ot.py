@@ -134,6 +134,19 @@ class TestWpDiscrete:
         with pytest.raises(ValueError, match="subsample"):
             wp_discrete(mu, nu, 1, cap=30)
 
+    def test_refusal_off_a_line_keeps_its_message(self):
+        # 3D clouds of unequal counts and weights, off a line above the
+        # cap: the refusal is the one callers catch, and still a ValueError
+        rng = np.random.default_rng(7)
+        mu = random_cloud(rng, 2100, dim=3, weighted=True)
+        nu = random_cloud(rng, 2600, dim=3, weighted=True)
+        with pytest.raises(ot.SolverCapError) as info:
+            wp_discrete(mu, nu, 2)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == (
+            "instance size 2100x2600 exceeds the exact-solver cap 2048; "
+            "bracket W1 with w1_bracket, or subsample both sides first")
+
     def test_repeated_atoms_end_each_search_at_once(self, scans):
         # every position twice: each row ties at zero with two columns, and
         # the solver must end each search at the free one in one scan
@@ -472,13 +485,24 @@ class TestW1Bracket:
         assert exact <= rep["upper"] * (1 + 1e-12)
 
     def test_one_dimension_is_exact(self):
+        # 1D clouds always lie on a line, so they take wp_discrete's sort
+        # above the cap and never reach the bracket
         rng = np.random.default_rng(14)
-        mu = random_cloud(rng, 400, dim=1)
-        nu = ParticleMeasure(rng.exponential(size=(400, 1)), mu.weights)
+        mu = random_cloud(rng, 5000, dim=1)
+        nu = ParticleMeasure(rng.exponential(size=(5000, 1)), mu.weights)
         exact, _ = wp_discrete(mu, nu, 1)
-        rep = w1_bracket(mu, nu, cap=100)
-        assert rep["lower"] == pytest.approx(exact, rel=1e-12)
-        assert rep["upper"] == pytest.approx(exact, rel=1e-12)
+        assert w1_bracket(mu, nu) == {"estimate": exact, "method": "exact"}
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_collinear_clouds_are_exact_above_the_cap(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        d = np.array(TestLineRoute.DIRECTIONS[dim])
+        mu = atoms(on_a_line(rng, 600, d))
+        nu = atoms(on_a_line(rng, 600, d, offset=np.roll(d, 1)))
+        exact, plan = wp_discrete(mu, nu, 1, cap=100)
+        assert plan.method == "line"
+        assert w1_bracket(mu, nu, cap=100) == {"estimate": exact,
+                                               "method": "exact"}
 
     def test_unequal_weights_take_the_corner_coupling(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -493,6 +517,56 @@ class TestW1Bracket:
         rep = w1_bracket(mu, nu, cap=50)
         assert rep["lower"] <= exact * (1 + 1e-12)
         assert exact <= rep["upper"] * (1 + 1e-12)
+
+
+class TestBlockPlan:
+    """The nested-block coupling that stands in for an optimal plan off a
+    line above the cap."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_is_a_coupling(self, p, weighted):
+        rng = np.random.default_rng(30 + p)
+        mu = random_cloud(rng, 300, dim=3, weighted=weighted)
+        nu = random_cloud(rng, 360 if weighted else 300, dim=3,
+                          weighted=weighted)
+        plan = ot._block_plan(mu, nu, p)
+        plan.validate()
+        assert plan.method == "block" and plan.p == p
+        assert plan.cost() >= wp_discrete(mu, nu, p)[0] ** p * (1 - 1e-12)
+
+    @pytest.mark.parametrize("dim,p", [(2, 1), (2, 2), (3, 2)])
+    def test_equal_weights_match_each_block_optimally(self, dim, p):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(dim + 10 * p)
+        mu, nu = random_cloud(rng, 900, dim), random_cloud(rng, 900, dim)
+        plan = ot._block_plan(mu, nu, p)
+        assert np.array_equal(plan.src_idx, np.arange(900))
+        per_axis = max(1, round((900 / ot.BLOCK_POINTS) ** (1 / dim)))
+        oa, bounds = ot._block_order(mu.positions, per_axis)
+        ob, _ = ot._block_order(nu.positions, per_axis)
+        assert len(bounds) > 2
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            a, b = oa[lo:hi], ob[lo:hi]
+            rows, cols = linear_sum_assignment(
+                ot._distances(mu.positions[a], nu.positions[b], p))
+            assert np.array_equal(plan.tgt_idx[a[rows]], b[cols])
+
+    def test_unequal_weights_drop_slivers(self):
+        # one cloud twice, its weights nudged by an ulp up and down: the
+        # corner coupling along the shared block order then cuts slivers
+        # where the two cumulative sums all but meet, and keeps none
+        rng = np.random.default_rng(33)
+        mu = random_cloud(rng, 2100, dim=3, weighted=True)
+        w = mu.weights.copy()
+        w[::2], w[1::2] = np.nextafter(w[::2], 1), np.nextafter(w[1::2], 0)
+        nu = ParticleMeasure(mu.positions, w)
+        floor = 1e-14 * max(mu.weights.max(), w.max())
+        assert _kernels.quantile_coupling(mu.weights, w)[2].min() <= floor
+        plan = ot._block_plan(mu, nu, 2)
+        plan.validate()
+        assert plan.mass.min() > floor
 
 
 # metric axioms, cross-checked against the enumeration oracle

@@ -623,6 +623,33 @@ def test_storage_knots_follow_a_constant_drift():
         assert np.max(np.abs(park.position(t) - exact)) < 1e-12
 
 
+def test_witness_check_sees_control_before_a_hit():
+    # park atoms that declare twice the drift's velocity before their hits
+    # carry a control of |v| outside omega. The check reads it off the
+    # atoms' closed forms, as the field evaluated at the atoms gives it
+    v = np.array([0.7, 0.0])
+    omega = Region.box([1.6975, 0.4], [2.8025, 0.8])
+    pts = np.random.default_rng(7).uniform([0.25, 0.45], [0.55, 0.75],
+                                           (16, 2))
+    fld = TimeField.constant(v)
+    _, hits = stopped_flow_batch(fld, omega, pts, 0.0, 2.1, 1e-6)
+    park = synth._park_witness(fld, fld.affine_pair, pts, hits, lambda t: t,
+                               {"kind": "stopped_drift"})
+    velocity = park.velocity
+    park.velocity = lambda t: 2.0 * velocity(t)
+    schedule = synth.ControlSchedule([
+        synth.ControlSegment(0.0, 2.1, park, "storage")])
+    times = np.linspace(0.0, 2.1, 33)
+    evaluated = 0.0
+    for t in times:
+        pos = park.position(t)
+        ctrl = park.control_part(pos[~omega.contains(pos)], t)
+        evaluated = max(evaluated, float(np.max(np.linalg.norm(ctrl, axis=1),
+                                                initial=0.0)))
+    assert evaluated == pytest.approx(0.7, rel=1e-15)
+    assert synth.witness_control_outside(schedule, omega, times) == evaluated
+
+
 def assert_localized(result, omega):
     """No control outside omega: at sampled points, and at the witnesses'
     own atoms at every snapshot time and at 65 times across each segment.
@@ -1350,15 +1377,18 @@ class TestStorageFlowMap:
                 assert entry["count"] == entry["total"] > 0
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_witness_matches_the_per_query_loop(dim):
+@pytest.mark.parametrize("dim,count", [(1, 300), (2, 300), (3, 300),
+                                       (2, 1500)],
+                         ids=["1", "2", "3", "2-1500"])
+def test_witness_matches_the_per_query_loop(dim, count):
     # the blocked witness against the per-query loop: the nearest atom,
     # the first among ties, where it lies within match_tol; queries at the
     # atoms, just inside and just outside the tolerance, and far away. The
     # atoms run on straight lines through three random points each, and
-    # atoms 3, 7 and 100..149 meet at t = 0.5
+    # atoms 3, 7 and 100..149 meet at t = 0.5. At 1 500 atoms a block
+    # holds 43 queries, so the meeting atoms' queries straddle two blocks
     rng = np.random.default_rng(dim)
-    paths = rng.random((300, 3, dim))
+    paths = rng.random((count, 3, dim))
     paths[[7, *range(100, 150)], 1] = paths[3, 1]
 
     def leg(t):
@@ -1391,7 +1421,7 @@ def test_witness_matches_the_per_query_loop(dim):
         got = fld._witness(queries, t)
         assert np.array_equal(got, ref, equal_nan=True)
         assert np.isnan(got[-200:]).all()
-        assert not np.isnan(got[:600]).any()
+        assert not np.isnan(got[:2 * count]).any()
 
 
 # ---------------------------------------------------------------------------
