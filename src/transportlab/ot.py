@@ -135,27 +135,37 @@ def _principal_chain(a, b):
     own mean, so two clouds on parallel lines, however far apart, pass: the
     exact lane parks a translation drift's clouds on two such lines. There
     |a_i - b_j|^2 is the squared gap along the axis plus a constant, and
-    the monotone coupling is optimal for p = 1 and p = 2."""
+    the monotone coupling is optimal for p = 1 and p = 2. A cloud's spread
+    off the axis is the range of its own projections on the normals, so
+    equal coordinates read 0 whatever the rounding of its mean."""
     centred = np.concatenate([a - a.mean(axis=0), b - b.mean(axis=0)])
     axes = np.linalg.eigh(centred.T @ centred)[1]
     along = np.concatenate([a, b]) @ axes[:, -1]
-    if (np.max(np.abs(centred @ axes[:, :-1]), initial=0.0)
-            > LINE_TOL * np.ptp(along)):
+    spread = max(np.max(np.ptp(cloud @ axes[:, :-1], axis=0), initial=0.0)
+                 for cloud in (a, b))
+    if spread > LINE_TOL * np.ptp(along):
         return None
     return (np.argsort(along[:len(a)], kind="stable"),
             np.argsort(along[len(a):], kind="stable"))
 
 
+def _kept(mass, mu):
+    """Mask of the plan pieces above rounding: a sliver is cut where two
+    cumulative sums near the total mass all but meet, so the floor is
+    1e-14 of ``mu``'s total mass."""
+    return mass > 1e-14 * mu.total_mass()
+
+
 def _line_plan(mu, nu, p, ia, ib, method="line"):
     """The coupling along the orders ``ia`` and ``ib``, monotone on a line,
     sorted by (source, target): equal counts of equal weights pair the k-th
-    atoms; else the corner coupling, less slivers as the LP drops them."""
+    atoms; else the corner coupling, less slivers (``_kept``)."""
     if _equal_weights(mu, nu):
         src, tgt, mass = ia, ib, mu.weights[ia]
     else:
         ka, kb, mass = _kernels.quantile_coupling(mu.weights[ia],
                                                   nu.weights[ib])
-        keep = mass > 1e-14 * max(mu.weights.max(), nu.weights.max())
+        keep = _kept(mass, mu)
         src, tgt, mass = ia[ka[keep]], ib[kb[keep]], mass[keep]
     order = np.lexsort((tgt, src))
     return TransportPlan(src[order], tgt[order], mass[order], mu, nu, p,
@@ -224,7 +234,7 @@ def _transportation_plan(mu, nu, p):
     if res.status != 0:
         raise RuntimeError(f"transportation LP failed: {res.message}")
     flow = res.x.reshape(n, m)
-    keep = flow > 1e-14 * max(mu.weights.max(), nu.weights.max())
+    keep = _kept(flow, mu)
     src, tgt = np.nonzero(keep)
     # dual feasibility certificate: c_ij - u_i - v_j >= -tol everywhere
     duals = res.eqlin.marginals

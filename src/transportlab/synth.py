@@ -1,24 +1,25 @@
-"""Control-field synthesis: grid, storage and funnel controls, and the
-five-phase schedules composing them.
+"""Control-field synthesis: grid, storage and funnel controls, the
+approximate lane's five-phase schedule and the exact lane's three-segment
+witness schedule.
 
 Every field records the drift v it perturbs as its ambient; its control
 is the total minus the drift. Each Lipschitz phase field is a
 ``GatedField``, whose control is exactly zero off one box inside omega.
-Both lanes share one plan (``_plan``): the crossing check, the phase
-times T0..T5 and the sets S, S0, omega1.
+Both lanes share one plan (``_plan``): the crossing check and the phase
+times T0..T5.
 
 The approximate lane synthesizes genuinely Lipschitz fields and pushes the
 particles through their flows phase by phase, in closed form where the
-construction gives the flow map; its target side is its source side run
-backward, on the reversed drift (``_approx_side``). The exact lane
-integrates nothing, and every atom path in it is in closed form: it parks
-each atom where the crossing check's stopped flow entered the control set,
-on the drift's exact affine flow map until its hit, funnels them with the
-same straight-line funnel fields, whose flow is a similarity, and joins
-the two sides by a quadratic-cost geodesic. The funnel segments are those
-fields; the parks and the geodesic are per-plan-entry witnesses that read
-each atom's position and velocity off its closed form (the velocity field
-is Borel, not Lipschitz, and atoms may overlap).
+construction gives the flow map; it places the sets S, S0 and omega1 its
+funnels and grid need (``_place_sets``), and its target side is its source
+side run backward, on the reversed drift (``_approx_side``). The exact
+lane integrates nothing, and every atom path in it is in closed form: it
+parks each atom where the crossing check's stopped flow entered the
+control set, on the drift's exact affine flow map until its hit, and joins
+the two sides' parks, all in the box omega0, by a quadratic-cost geodesic.
+Its three segments are per-plan-entry witnesses that read each atom's
+position and velocity off its closed form (the velocity field is Borel,
+not Lipschitz, and atoms may overlap).
 """
 from __future__ import annotations
 
@@ -63,6 +64,12 @@ def weight_eta(*args, **kwargs):
     """Retired gradient-ascent weight; the benchmark tracer still patches
     this name, which goes with the tracer rework (ROADMAP item 2b)."""
     raise NotImplementedError("the gradient-ascent weight eta is retired")
+
+
+def _escalate_exact_funnel(*args, **kwargs):
+    """Retired exact-lane funnel; the benchmark tracer still patches this
+    name, which goes with the tracer rework (ROADMAP item 2b)."""
+    raise NotImplementedError("the exact lane no longer funnels")
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +413,8 @@ def affine_funnel_total(v: TimeField, omega1: Region, cloud_box, target_box,
     """Straight-line funnel: a time-gated affine similarity carrying the
     cloud box onto a copy inside the target box over the interval ``clock``
     = (t_a, t_b), whose ramp reads (t - t_a)/(t_b - t_a), gated in on
-    omega1 with reach and width ``blend_band``. Both lanes funnel with it:
-    the approximate lane pushes its particles through it, and the exact
-    lane reads its atoms' paths off it.
+    omega1 with reach and width ``blend_band``. The approximate lane
+    funnels with it, pushing its particles through its flow map.
 
     The boxes it sweeps stay inside the hull of the first and the last,
     which the box omega1 holds. Translation and contraction decouple, so
@@ -598,7 +604,8 @@ def _largest_free_box(omega: Region, omega0: Region) -> Region:
 
 
 def _place_sets(omega: Region, omega0: Region):
-    """S inside omega \\ omega0, S0 well inside S, omega1 around both."""
+    """The approximate lane's sets: S inside omega \\ omega0, S0 well inside
+    S, omega1 around both, and the funnels' blend band."""
     s_box = _largest_free_box(omega, omega0)
     c = 0.5 * (s_box.lo + s_box.hi)
     half = 0.5 * (s_box.hi - s_box.lo)
@@ -609,16 +616,15 @@ def _place_sets(omega: Region, omega0: Region):
     if gap <= 0:
         raise ValueError("omega0 and S leave no room for omega1 inside omega")
     omega1 = Region.box(hull_lo - gap / 2, hull_hi + gap / 2)
-    return s_box, s0, omega1, gap
+    return s_box, s0, omega1, 0.45 * gap
 
 
 @dataclass
 class _Plan:
     """The skeleton both controllers share: the scenario's drift and
-    measures, the crossing check, the phase times T0..T5 read off its
-    hitting times, the control region omega and the sets S, S0 and omega1
-    (see ``_place_sets``). ``v_back`` is the reversed drift, ``t_back``
-    T5 - T4 before rounding, and ``blend_band`` the funnels' blend width."""
+    measures, the control region omega, the crossing check and the phase
+    times T0..T5 read off its hitting times. ``v_back`` is the reversed
+    drift and ``t_back`` T5 - T4 before rounding."""
     params: dict
     v: TimeField
     v_back: TimeField
@@ -628,31 +634,17 @@ class _Plan:
     cond: GeometricCondition
     t_back: float
     times: dict
-    s_box: Region
-    s0: Region
-    omega1: Region
-    blend_band: float
 
-    def report(self, mode, fun_fwd, fun_back, mass_total) -> dict:
+    def report(self, mode, mass_total) -> dict:
         """The report keys both lanes carry."""
         return {
             "mode": mode,
             "times": self.times,
             "T0star": self.cond.T0star,
             "T1star": self.cond.T1star,
-            "funnel": {"forward_ratios": fun_fwd.ratios.tolist(),
-                       "backward_ratios": fun_back.ratios.tolist()},
             "mass_total": mass_total,
-            "regions": {"omega0": self.cond.omega0.to_dict(),
-                        "S": self.s_box.to_dict(), "S0": self.s0.to_dict(),
-                        "omega1": self.omega1.to_dict()},
+            "regions": {"omega0": self.cond.omega0.to_dict()},
         }
-
-    def replay(self, fun_back):
-        """The backward funnel replayed over [T3, T4] by its time reversal."""
-        t3, t4 = self.times["T3"], self.times["T4"]
-        return fun_back.reversed(t4 - t3, t3, "funnel_reversed",
-                                 f"rev({fun_back.label})")
 
 
 def _plan(scenario) -> _Plan:
@@ -683,9 +675,8 @@ def _plan(scenario) -> _Plan:
     t4 = t1 + delta
     times = {"T0": 0.0, "T1": t1, "T2": t1 + delta / 3.0,
              "T3": t1 + 2.0 * delta / 3.0, "T4": t4, "T5": t4 + t_back}
-    s_box, s0, omega1, gap = _place_sets(omega, cond.omega0)
     return _Plan(params, v, v.negated(), mu0, mu1, omega, cond, t_back,
-                 times, s_box, s0, omega1, 0.45 * gap)
+                 times)
 
 
 class MovingFrameGridField(GatedField):
@@ -778,27 +769,28 @@ def _choose_n(count: int, dim: int, n_override=None) -> int:
     return max(3, min(64, root))
 
 
-def _approx_side(plan: _Plan, v: TimeField, mu: ParticleMeasure,
+def _approx_side(plan: _Plan, sets, v: TimeField, mu: ParticleMeasure,
                  horizon: float, clock, eps_mass: float, tol: float,
                  name: str):
     """One side of the approximate lane: store ``mu`` in omega0 along ``v``
     over [0, horizon], tag an untouched set of mass ``eps_mass``, and funnel
     the rest into S0 over the interval ``clock`` by a straight-line funnel,
     whose similarity keeps the cloud's shape for the grid's quantiles.
-    Returns the storage field, its index k, the tagged parked cloud, the tag
-    mask, the funnel, the funnelled cloud and the two pushes' closed-form
-    records."""
+    ``sets`` is ``_place_sets``' tuple. Returns the storage field, its index
+    k, the tagged parked cloud, the tag mask, the funnel, the funnelled
+    cloud and the two pushes' closed-form records."""
     omega0 = plan.cond.omega0
+    _, s0, omega1, band = sets
     store, k, parked, stray, cf_store = _escalate_storage(
         v, omega0, mu, horizon, eps_mass, tol)
     tag = _select_untouched(parked, stray, omega0.depth(parked.positions),
                             eps_mass)
     parked = parked.with_tags(np.where(tag, "untouched", "").astype(object))
     funnel = affine_funnel_total(
-        v, plan.omega1, _cloud_box(parked.subset(~tag).positions, plan.omega1),
-        plan.s0, clock, plan.blend_band)
+        v, omega1, _cloud_box(parked.subset(~tag).positions, omega1), s0,
+        clock, band)
     funnelled, cf_funnel = flow_push(funnel, parked, *clock, tol)
-    if not np.all(plan.s0.contains(funnelled.subset(~tag).positions)):
+    if not np.all(s0.contains(funnelled.subset(~tag).positions)):
         raise RuntimeError(f"{name} funnel failed to reach the storage cube")
     return store, k, parked, tag, funnel, funnelled, cf_store, cf_funnel
 
@@ -828,13 +820,15 @@ def approx_controller(scenario) -> ControllerResult:
     # at most half the cloud's mass, so the grid has a cloud to carry; the
     # untouched set's W1 charge only falls as it shrinks
     eps_mass = min(epsilon / (2.0 * mu0.dim * rbar), 0.5 * mu0.total_mass())
+    sets = _place_sets(plan.omega, plan.cond.omega0)
+    s_box, s0, omega1, _ = sets
 
     # phases 1 and 2, and the target side's for replay after the grid
     (store_fwd, k_fwd, state1, tag_fwd, fun_fwd, state2_all, cf_store_fwd,
-     cf_fwd) = _approx_side(plan, v, mu0, t1, (t1, t2), eps_mass, tol,
+     cf_fwd) = _approx_side(plan, sets, v, mu0, t1, (t1, t2), eps_mass, tol,
                             "forward")
     (store_back, k_back, back1, tag_back, fun_back, back2_all, cf_store_back,
-     cf_back) = _approx_side(plan, plan.v_back, mu1, plan.t_back,
+     cf_back) = _approx_side(plan, sets, plan.v_back, mu1, plan.t_back,
                              (0.0, t4 - t3), eps_mass, tol, "backward")
 
     # phase 3: grid control between the two parked clouds, each cut into
@@ -864,8 +858,7 @@ def approx_controller(scenario) -> ControllerResult:
     hull_hi = np.maximum.reduce([
         src_hi + pad * (src_hi - src_lo), tgt_hi + pad * (tgt_hi - tgt_lo),
         pts.max(axis=0) + np.maximum(tgt_hi - src_hi, 0.0)])
-    room = float(np.min(np.minimum(hull_lo - plan.s_box.lo,
-                                   plan.s_box.hi - hull_hi)))
+    room = float(np.min(np.minimum(hull_lo - s_box.lo, s_box.hi - hull_hi)))
     if room <= 0:
         raise RuntimeError("parked clouds leave no gating room inside S")
     gate_region = Region.box(hull_lo - room / 3, hull_hi + room / 3)
@@ -876,7 +869,8 @@ def approx_controller(scenario) -> ControllerResult:
                                   grid_closed[~tag_fwd], cloud_tgt)
 
     # phases 4 and 5: time reversals of the backward synthesis
-    fun_rev = plan.replay(fun_back)
+    fun_rev = fun_back.reversed(t4 - t3, t3, "funnel_reversed",
+                                f"rev({fun_back.label})")
     store_rev = store_back.reversed(plan.t_back, t4, "storage_reversed",
                                     f"-({store_back.label})")
     state4_all, cf_rev = flow_push(fun_rev, state3_all, t3, t4, tol)
@@ -900,10 +894,13 @@ def approx_controller(scenario) -> ControllerResult:
     # upper bound
     w1 = w1_bracket(state5_all.with_tags(None), mu1.with_tags(None))
     w1["epsilon_certified"] = w1["estimate"] <= epsilon
-    report = plan.report("approx", fun_fwd, fun_back,
-                         state5_all.total_mass())
-    report["funnel"]["backward_expansion"] = fun_back.expansion
+    report = plan.report("approx", state5_all.total_mass())
+    report["regions"].update({"S": s_box.to_dict(), "S0": s0.to_dict(),
+                              "omega1": omega1.to_dict()})
     report.update({
+        "funnel": {"forward_ratios": fun_fwd.ratios.tolist(),
+                   "backward_ratios": fun_back.ratios.tolist(),
+                   "backward_expansion": fun_back.expansion},
         "epsilon": epsilon,
         "final_w1": w1,
         "storage_k": {"forward": k_fwd, "backward": k_back},
@@ -935,76 +932,39 @@ def approx_controller(scenario) -> ControllerResult:
 # exact controller (stopped flows + geodesic, per-atom witness)
 # ---------------------------------------------------------------------------
 
-def _escalate_exact_funnel(omega1, s0, lanes, blend_band):
-    """The exact lane's funnels: each lane's parked points ride a
-    straight-line funnel (``affine_funnel_total``) from their cloud box into
-    s0, as the approximate lane's particles do.
-
-    ``lanes`` maps a lane name to ``(v, clock, pts)``: the drift outside
-    omega1, the funnel's interval and the points at its start. Returns a
-    dict mapping each name to ``(funnel, images)``, the field and the
-    points' images in s0 at the clock's end. Raises unless the flow map
-    certifies every point over the whole clock, which keeps each path in
-    omega1, where the map is the field's flow, at every time between.
-
-    The name dates from a gain-doubling search long since replaced; the
-    benchmark tracer still looks it up by that name.
-    """
-    funnels = {}
-    for name, (v, clock, pts) in lanes.items():
-        funnel = affine_funnel_total(v, omega1, _cloud_box(pts, omega1), s0,
-                                     clock, blend_band)
-        images, certified = funnel.flow_map(pts, *clock)
-        if not np.all(certified):
-            raise RuntimeError(f"the {name} funnel cannot keep every atom in "
-                               "omega1")
-        funnels[name] = (funnel, images)
-    return funnels
-
-
 def exact_controller(scenario) -> ControllerResult:
-    """Atom-exact steering: park along the drift, funnel into S0, ride the
-    quadratic-cost geodesic, then replay the target-side construction
-    backwards, with every atom path in closed form. The atoms park at the
-    crossing check's entries and hits (``GeometricCondition.parks``), which
-    lie in omega0 and end by T0* (T1*). The parks and the geodesic are
-    per-plan-entry witnesses; the funnel segments are the approximate
-    lane's funnel fields, the backward one replayed by its time reversal.
-    Each snapshot is read off the segment that ends at or after its time.
+    """Atom-exact steering in three witness segments, every atom path in
+    closed form: park along the drift over [0, T1], ride the quadratic-cost
+    geodesic between the two sides' parks over [T1, T4], then replay the
+    target side's park, made along the reversed drift, over [T4, T5]. The
+    atoms park at the crossing check's entries and hits
+    (``GeometricCondition.parks``), which lie in the box omega0 and end by
+    T0* (T1*), so the geodesic's straight paths stay in omega0. Each
+    snapshot is read off the segment that ends at or after its time.
     ``final_w1`` is the coupling's own cost, an upper bound on W1 that
     reads 0 at exact arrival.
     """
     plan = _plan(scenario)
     v, mu0, mu1, cond = plan.v, plan.mu0, plan.mu1, plan.cond
-    bounds = list(plan.times.values())
-    _, t1, t2, t3, t4, t5 = bounds
+    t1, t4, t5 = (plan.times[key] for key in ("T1", "T4", "T5"))
 
     # parked along the drift, and along the reversed drift (replayed)
     (hits1, parked1), (hits5, parked5) = cond.parks
 
-    # both lanes funnel from their parks into s0; omega1 is a box around
-    # omega0 and S, so every atom's path is certified in closed form
-    funnels = _escalate_exact_funnel(plan.omega1, plan.s0, {
-        "forward": (v, (t1, t2), parked1),
-        "backward": (plan.v_back, (0.0, t4 - t3), parked5)}, plan.blend_band)
-    fun_fwd, fwd_in_s0 = funnels["forward"]
-    fun_back, back_in_s0 = funnels["backward"]
-    fun_rev = plan.replay(fun_back)
-
-    # geodesic coupling between the parked clouds: optimal where it is in
-    # reach, else the nested blocks, whose straight paths do not cross
-    parked = (ParticleMeasure(fwd_in_s0, mu0.weights),
-              ParticleMeasure(back_in_s0, mu1.weights))
+    # geodesic coupling between the parks: optimal where it is in reach,
+    # else the nested blocks, whose straight paths do not cross
+    parked = (ParticleMeasure(parked1, mu0.weights),
+              ParticleMeasure(parked5, mu1.weights))
     try:
         _, coupling = wp_discrete(*parked, p=2)
     except SolverCapError:
         coupling = _block_plan(*parked, 2)
     e_src, e_tgt = coupling.src_idx, coupling.tgt_idx
-    start, end = fwd_in_s0[e_src], back_in_s0[e_tgt]
-    pace = (end - start) / (t3 - t2)
+    start, end = parked1[e_src], parked5[e_tgt]
+    pace = (end - start) / (t4 - t1)
 
     def on_geodesic(t):
-        lam = (t - t2) / (t3 - t2)
+        lam = (t - t1) / (t4 - t1)
         return (1.0 - lam) * start + lam * end
 
     segments = [
@@ -1012,38 +972,31 @@ def exact_controller(scenario) -> ControllerResult:
             v, v.affine_pair, mu0.positions[e_src], hits1[e_src],
             lambda t: t, {"kind": "stopped_drift",
                           "omega0": cond.omega0.to_dict()}), "storage"),
-        ControlSegment(t1, t2, fun_fwd, "funnel"),
-        ControlSegment(t2, t3, ParticleWitnessField(
+        ControlSegment(t1, t4, ParticleWitnessField(
             on_geodesic, lambda t: pace,
             float(np.max(np.linalg.norm(pace, axis=1), initial=0.0)), v,
             "witness_geodesic",
             {"kind": "geodesic", "entries": len(coupling.mass)}), "geodesic"),
-        ControlSegment(t3, t4, fun_rev, "funnel"),
         ControlSegment(t4, t5, _park_witness(
             v, plan.v_back.affine_pair, mu1.positions[e_tgt], hits5[e_tgt],
             lambda t: t5 - t, {"kind": "stopped_drift_reversed"}), "storage"),
     ]
     schedule = ControlSchedule(segments)
-    # the entries' positions on each segment, from its start
-    read = [segments[0].field.position,
-            lambda t: fun_fwd.flow_map(parked1[e_src], t1, t)[0],
-            on_geodesic,
-            lambda t: fun_rev.flow_map(end, t3, t)[0],
-            segments[4].field.position]
 
     # sorted without repeats; plain np.unique would import numpy.ma
-    snap_times = np.sort(np.concatenate([np.array(bounds),
-                                         np.linspace(0.0, t5, 21)]))
+    ends = np.array([t1, t4, t5])
+    snap_times = np.sort(np.concatenate([ends, np.linspace(0.0, t5, 21)]))
     snap_times = snap_times[np.append(True, np.diff(snap_times) != 0.0)]
-    states = [ParticleMeasure(read[np.searchsorted(bounds[1:], t)](t),
-                              coupling.mass) for t in snap_times]
+    states = [ParticleMeasure(
+        segments[np.searchsorted(ends, t)].field.position(t), coupling.mass)
+        for t in snap_times]
     traj = Trajectory(snap_times, states, field_ref=schedule,
                       meta={"mode": "exact",
                             "plan_entries": len(coupling.mass)})
     traj.plan = coupling
 
     miss = np.linalg.norm(states[-1].positions - mu1.positions[e_tgt], axis=1)
-    report = plan.report("exact", fun_fwd, fun_back, states[-1].total_mass())
+    report = plan.report("exact", states[-1].total_mass())
     report["final_w1"] = {"estimate": float(coupling.mass @ miss),
                           "method": "coupling"}
     report["plan_entries"] = int(len(coupling.mass))

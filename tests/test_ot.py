@@ -421,6 +421,22 @@ class TestLineRoute:
         ref = (cost[rows, cols].sum() / 200) ** (1 / p)
         assert abs(dist - ref) <= 1e-12 * ref
 
+    def test_parks_rounding_their_mean_take_the_line_route(self):
+        # two 10 000-atom clouds on vertical lines at x = 2.14 and 3.26, as
+        # the exact lane parks figure1: each cloud's mean x rounds off its
+        # line by more than the tolerance, but the range of its own x is 0
+        rng = np.random.default_rng(21)
+        a, b = (np.column_stack([np.full(10000, x),
+                                 rng.uniform(0.2, 0.8, 10000)])
+                for x in (2.14, 3.26))
+        assert np.max(np.abs(a - a.mean(axis=0))[:, 0]) > 0.0
+        assert ot._principal_chain(a, b) is not None
+        dist, plan = wp_discrete(atoms(a), atoms(b), 2)
+        assert plan.method == "line"
+        gaps = np.sort(a[:, 1]) - np.sort(b[:, 1])
+        assert dist == pytest.approx(np.sqrt(1.12 ** 2 + np.mean(gaps ** 2)),
+                                     rel=1e-12)
+
     def test_no_cap_on_a_line(self):
         # far above the cap, a line still solves; off it, the cap holds
         rng = np.random.default_rng(20)
@@ -556,17 +572,22 @@ class TestBlockPlan:
     def test_unequal_weights_drop_slivers(self):
         # one cloud twice, its weights nudged by an ulp up and down: the
         # corner coupling along the shared block order then cuts slivers
-        # where the two cumulative sums all but meet, and keeps none
+        # where the two cumulative sums all but meet, about 1e-16 near the
+        # total mass, and keeps none. Each atom then pairs with itself
+        # alone, at cost 0
         rng = np.random.default_rng(33)
         mu = random_cloud(rng, 2100, dim=3, weighted=True)
         w = mu.weights.copy()
         w[::2], w[1::2] = np.nextafter(w[::2], 1), np.nextafter(w[1::2], 0)
         nu = ParticleMeasure(mu.positions, w)
-        floor = 1e-14 * max(mu.weights.max(), w.max())
+        floor = 1e-14 * mu.total_mass()
         assert _kernels.quantile_coupling(mu.weights, w)[2].min() <= floor
         plan = ot._block_plan(mu, nu, 2)
         plan.validate()
         assert plan.mass.min() > floor
+        assert len(plan.mass) == 2100
+        assert np.array_equal(plan.src_idx, plan.tgt_idx)
+        assert plan.cost() == 0.0
 
 
 # metric axioms, cross-checked against the enumeration oracle

@@ -12,8 +12,8 @@ from transportlab.measure import (DensitySpec, GridPartition, ParticleMeasure,
                                   push_forward, quantile_partition, sample)
 from transportlab.ot import wp_discrete
 from transportlab.scenarios import Scenario, random_exact_scenario
-from transportlab.synth import (GridControlField, _escalate_exact_funnel,
-                                affine_funnel_total, exact_controller)
+from transportlab.synth import (GridControlField, affine_funnel_total,
+                                exact_controller)
 
 
 def unit_box_meshes(src, tgt, n):
@@ -536,9 +536,9 @@ class TestStudyCli:
 
 
 class TestExactFunnelClosedForm:
-    """The exact lane's funnels are the approximate lane's straight-line
-    funnels: inside omega1 their flow is a similarity in closed form, so
-    each lane's paths are read off it and nothing is integrated."""
+    """The straight-line funnel on the box ``_cloud_box`` fits to its
+    atoms: inside omega1 its flow is a similarity in closed form, so the
+    atoms' paths are read off its flow map and nothing is integrated."""
 
     omega1 = Region.box([0.0, 0.0], [1.0, 1.0])
     s0 = Region.box([0.55, 0.4], [0.75, 0.6])
@@ -549,10 +549,12 @@ class TestExactFunnelClosedForm:
     times = np.linspace(0.0, delta, 33)
 
     def funnel(self, pts, clock=(0.0, delta)):
-        funnels = _escalate_exact_funnel(
-            self.omega1, self.s0, {"lane": (self.v, clock, pts)},
-            blend_band=0.2)
-        return funnels["lane"]
+        """The funnel of ``pts`` over ``clock``, and its flow map's images
+        of them at the clock's end and their certificates."""
+        fld = affine_funnel_total(self.v, self.omega1,
+                                  synth._cloud_box(pts, self.omega1), self.s0,
+                                  clock, blend_band=0.2)
+        return fld, fld.flow_map(pts, *clock)
 
     def paths(self, fld):
         """``(n, 33, d)`` positions of ``pts`` along the funnel's flow map."""
@@ -562,13 +564,11 @@ class TestExactFunnelClosedForm:
     def test_knots_run_from_the_atoms_to_the_image(self):
         # the flow map runs from the atoms at the clock's start to their
         # image in s0 at its end, inside omega1 at every time between
-        fld, end = self.funnel(self.pts)
+        fld, (end, certified) = self.funnel(self.pts)
         paths = self.paths(fld)
         assert np.max(np.abs(paths[:, 0] - self.pts)) <= 1e-15
-        images, certified = fld.flow_map(self.pts, 0.0, self.delta)
         assert np.all(certified)
-        assert np.array_equal(end, images)
-        assert np.array_equal(paths[:, -1], images)
+        assert np.array_equal(paths[:, -1], end)
         # the end of the span is exact: centre c1, scale lam
         cloud = synth._cloud_box(self.pts, self.omega1)
         c0 = 0.5 * (cloud.lo + cloud.hi)
@@ -578,7 +578,8 @@ class TestExactFunnelClosedForm:
         assert np.all(self.s0.contains(end))
         assert np.all(self.omega1.contains(paths.reshape(-1, 2)))
         # on a shifted clock the funnel is the same field, later
-        later, shifted_end = self.funnel(self.pts, (0.3, 0.3 + self.delta))
+        later, (shifted_end, _) = self.funnel(self.pts,
+                                              (0.3, 0.3 + self.delta))
         assert np.array_equal(shifted_end, end)
         assert later.descriptor == fld.descriptor
 
@@ -596,14 +597,14 @@ class TestExactFunnelClosedForm:
         with pytest.raises(ValueError, match="omega1"):
             self.funnel(pts)
 
-    def test_uncertified_atom_raises(self, monkeypatch):
+    def test_an_atom_outside_omega1_is_not_certified(self, monkeypatch):
         # a cloud box that leaves out the last atom, outside omega1: the
         # funnel fits, but its closed form cannot certify that atom
         inside = synth._cloud_box(self.pts[3:], self.omega1)
         monkeypatch.setattr(synth, "_cloud_box", lambda pts, omega1: inside)
         pts = np.vstack([self.pts[3:], [[1.05, 0.5]]])
-        with pytest.raises(RuntimeError, match="omega1"):
-            self.funnel(pts)
+        _, (_, certified) = self.funnel(pts)
+        assert certified.tolist() == [True, True, False]
 
 
 def test_storage_knots_follow_a_constant_drift():
@@ -696,22 +697,23 @@ class TestExactControllerContract:
         last = segments[-1].field.position(segments[-1].t_end)
         assert np.allclose(first, mu0.positions[plan.src_idx], atol=1e-12)
         assert np.allclose(last, mu1.positions[plan.tgt_idx], atol=1e-12)
-        # the parks and the geodesic are witnesses; the funnels are the
-        # funnel fields, the backward one replayed by its time reversal
+        # three witnesses: the park, the geodesic over [T1, T4] and the
+        # target side's park replayed
         kinds = [seg.field.descriptor["kind"] for seg in segments]
-        assert kinds == ["stopped_drift", "funnel_affine", "geodesic",
-                         "funnel_reversed", "stopped_drift_reversed"]
-        witness = [isinstance(seg.field, synth.ParticleWitnessField)
-                   for seg in segments]
-        assert witness == [True, False, True, False, True]
-        assert segments[1].field.flow_map is not None
-        assert segments[3].field.flow_map is not None
+        assert kinds == ["stopped_drift", "geodesic",
+                         "stopped_drift_reversed"]
+        assert all(isinstance(seg.field, synth.ParticleWitnessField)
+                   for seg in segments)
+        times = result.report["times"]
+        assert [(seg.t_start, seg.t_end) for seg in segments] == [
+            (0.0, times["T1"]), (times["T1"], times["T4"]),
+            (times["T4"], times["T5"])]
         assert_localized(result, self.scenario.omega_region())
 
     def test_makes_only_the_crossing_checks_two_stopped_flows(
             self, monkeypatch):
         # the lane parks at the crossing check's entries, so its two flows
-        # are the only ones; the funnels integrate nothing
+        # are the only ones
         calls = []
 
         def counting(original):
@@ -727,7 +729,9 @@ class TestExactControllerContract:
         exact_controller(self.scenario)
         assert len(calls) == 2, calls
 
-    def test_report_carries_funnel_ratios(self, tmp_path):
+    def test_report_carries_no_funnel(self, tmp_path):
+        # the lane funnels nothing, so its report names no funnel and no set
+        # but omega0, and its schedule holds the three witnesses
         path = tmp_path / "scenario.json"
         self.scenario.save(path)
         code = cli.main(["run", "--scenario", str(path), "--mode", "exact",
@@ -735,17 +739,19 @@ class TestExactControllerContract:
         assert code == 0
         with open(tmp_path / "out" / "report.json") as fh:
             report = json.load(fh)
-        assert set(report["funnel"]) == {"forward_ratios", "backward_ratios"}
-        for ratios in report["funnel"].values():
-            assert len(ratios) == 2
-            assert all(0.0 < r <= 1.0 for r in ratios)
-        assert not {"funnel_ascent", "funnel_k"} & set(report)
+        assert not {"funnel", "funnel_ascent", "funnel_k"} & set(report)
+        assert set(report["regions"]) == {"omega0"}
+        with open(tmp_path / "out" / "schedule.json") as fh:
+            schedule = json.load(fh)
+        assert [seg["field"]["kind"] for seg in schedule["segments"]] == [
+            "stopped_drift", "geodesic", "stopped_drift_reversed"]
 
 
 def test_exact_lane_on_a_long_omega():
     # omega is 4 times longer than wide and mu0 spans omega0 along it: 1% of
-    # the cloud's extent outgrows the room omega1 leaves past omega0, so the
-    # cloud box's pad must be cut to fit
+    # the parked cloud's extent outgrows the room the approximate lane's
+    # omega1 leaves past omega0, so the box a funnel would contract has its
+    # pad cut to fit. The exact lane funnels nothing and arrives
     scenario = Scenario.from_dict({
         "dim": 2,
         "v": {"kind": "constant", "value": [0.0, 0.3]},
@@ -756,9 +762,15 @@ def test_exact_lane_on_a_long_omega():
         "params": {"delta": 1.0, "seed": 0, "horizon": 4.0, "tol": 1e-6},
     })
     mu0 = scenario.measure("mu0")
+    plan = synth._plan(scenario)
+    omega1 = synth._place_sets(plan.omega, plan.cond.omega0)[2]
+    parked = plan.cond.parks[0][1]
+    room = parked[0, 0] - omega1.lo[0]
+    assert 0.0 < room < 0.01 * (11.5 - 0.5)
+    box = synth._cloud_box(parked, omega1)
+    assert box.lo[0] == parked[0, 0] - 0.99 * room
+    assert np.all(omega1.contains(np.stack([box.lo, box.hi])))
     result = exact_controller(scenario)
-    omega1 = Region.from_dict(result.report["regions"]["omega1"])
-    assert 0.01 * (11.5 - 0.5) > mu0.positions[0, 0] - omega1.lo[0]
     assert result.report["final_w1"]["estimate"] <= 1e-9
     for state in result.trajectory.states:
         assert abs(state.total_mass() - mu0.total_mass()) < 1e-12
@@ -800,11 +812,9 @@ def cluster_scenario(seed):
 
 
 def test_witness_velocities_replay_the_paths():
-    # the plan is a permutation. On every segment the velocity at the atoms
-    # is the central difference of their positions: the witnesses'
-    # velocity(t) against position(t), away from a park's hit, where an
-    # atom stops, and the funnel fields against their flow maps from the
-    # segment's first snapshot. The last snapshot is the target
+    # the plan is a permutation. On every segment the witness's velocity at
+    # its atoms is the central difference of their positions, away from a
+    # park's hit, where an atom stops. The last snapshot is the target
     scenario = cluster_scenario(8)
     result = exact_controller(scenario)
     traj = result.trajectory
@@ -813,28 +823,14 @@ def test_witness_velocities_replay_the_paths():
     for seg in result.schedule.segments:
         fld = seg.field
         h = 1e-6 * (seg.t_end - seg.t_start)
-        witness = isinstance(fld, synth.ParticleWitnessField)
-        start = traj.states[list(traj.times).index(seg.t_start)].positions
-
-        def position(t):
-            if witness:
-                return fld.position(t)
-            images, certified = fld.flow_map(start, seg.t_start, t)
-            assert np.all(certified)
-            return images
-
         checked = 0
         for t in np.linspace(seg.t_start, seg.t_end, 17)[1:-1]:
-            diff = (position(t + h) - position(t - h)) / (2.0 * h)
-            if witness:
-                vel = fld.velocity(t)
-                # leave out an atom that stops between t - h and t + h
-                keep = (fld.velocity(t - h).any(axis=1)
-                        == fld.velocity(t + h).any(axis=1))
-            else:
-                vel = fld.evaluate(position(t), t)
-                keep = np.ones(len(vel), dtype=bool)
-            assert np.max(np.abs(diff - vel)[keep], initial=0.0) < 1e-6
+            diff = (fld.position(t + h) - fld.position(t - h)) / (2.0 * h)
+            # leave out an atom that stops between t - h and t + h
+            keep = (fld.velocity(t - h).any(axis=1)
+                    == fld.velocity(t + h).any(axis=1))
+            assert np.max(np.abs(diff - fld.velocity(t))[keep],
+                          initial=0.0) < 1e-6
             checked += int(np.sum(keep))
         assert checked >= 15 * 16 - 16
     assert np.max(np.abs(traj.final().positions - scenario.measure(
@@ -851,20 +847,20 @@ def test_a_split_atom_cannot_be_replayed():
     plan = result.trajectory.plan
     src, counts = np.unique(plan.src_idx, return_counts=True)
     assert np.any(counts > 1)
-    geodesic = result.schedule.segments[2]
-    t2, t3 = geodesic.t_start, geodesic.t_end
-    pos, ends = geodesic.field.position(t2), geodesic.field.position(t3)
+    geodesic = result.schedule.segments[1]
+    t1, t4 = geodesic.t_start, geodesic.t_end
+    pos, ends = geodesic.field.position(t1), geodesic.field.position(t4)
     worst = 0.0
     for atom in src[counts > 1]:
         rows = np.flatnonzero(plan.src_idx == atom)
         assert np.array_equal(pos[rows], np.repeat(pos[rows[:1]], len(rows),
                                                    axis=0))
-        got = geodesic.field.evaluate(pos[rows], t2)
+        got = geodesic.field.evaluate(pos[rows], t1)
         assert np.array_equal(got, np.repeat(got[:1], len(rows), axis=0))
         # that one velocity is the first entry's: it carries every split
         # entry to the first one's target, away from the others'
-        assert np.array_equal(got[0], geodesic.field.velocity(t2)[rows[0]])
-        miss = np.linalg.norm(pos[rows] + (t3 - t2) * got - ends[rows],
+        assert np.array_equal(got[0], geodesic.field.velocity(t1)[rows[0]])
+        miss = np.linalg.norm(pos[rows] + (t4 - t1) * got - ends[rows],
                               axis=1)
         assert miss[0] < 1e-12 and np.min(miss[1:]) > 1e-6
         worst = max(worst, float(np.max(miss)))
@@ -977,8 +973,9 @@ def test_both_lanes_share_one_plan():
     plan = synth._plan(scenario)
     approx = synth.approx_controller(scenario).report
     exact = exact_controller(scenario).report
-    for key in ("times", "T0star", "T1star", "regions"):
+    for key in ("times", "T0star", "T1star"):
         assert approx[key] == exact[key]
+    assert exact["regions"] == {"omega0": approx["regions"]["omega0"]}
     assert approx["times"] == plan.times
     assert plan.t_back == max(exact["T1star"], 1e-3)
 
@@ -1062,72 +1059,52 @@ def exact_case(case):
 def test_snapshots_lie_on_the_exact_paths(case):
     # each snapshot is read off the segment that ends at or after its time:
     # a park entry is the drift's exact map at min(t, hit) on the park's
-    # clock, a funnel entry the funnel's flow map from the segment's first
-    # snapshot, and a geodesic entry the chord between the geodesic's ends
+    # clock, and a geodesic entry the chord between the two sides' parks
     scenario = exact_case(case)
     result = exact_controller(scenario)
     traj, coupling = result.trajectory, result.trajectory.plan
     plan = synth._plan(scenario)
-    bounds = list(plan.times.values())
-    _, t1, t2, t3, t4, t5 = bounds
+    t1, t4, t5 = (plan.times[key] for key in ("T1", "T4", "T5"))
     src = plan.mu0.positions[coupling.src_idx]
     tgt = plan.mu1.positions[coupling.tgt_idx]
-    hits1 = plan.cond.parks[0][0][coupling.src_idx]
-    hits5 = plan.cond.parks[1][0][coupling.tgt_idx]
-    segments = result.schedule.segments
-    times = list(traj.times)
-
-    def snapshot(t):
-        return traj.states[times.index(t)].positions
+    (hits1, parked1), (hits5, parked5) = plan.cond.parks
+    start, end = parked1[coupling.src_idx], parked5[coupling.tgt_idx]
+    assert traj.times[0] == 0.0 and {t1, t4, t5} <= set(traj.times)
 
     for t, state in zip(traj.times, traj.states):
-        k = int(np.searchsorted(bounds[1:], t))
-        if k == 0:
+        if t <= t1:
             expect = _affine_flow(plan.v.affine_pair, src,
-                                  np.minimum(t, hits1))
-        elif k == 4:
-            expect = _affine_flow(plan.v_back.affine_pair, tgt,
-                                  np.minimum(t5 - t, hits5))
-        elif k == 2:
-            lam = (t - t2) / (t3 - t2)
-            expect = (1.0 - lam) * snapshot(t2) + lam * snapshot(t3)
+                                  np.minimum(t, hits1[coupling.src_idx]))
+        elif t <= t4:
+            lam = (t - t1) / (t4 - t1)
+            expect = (1.0 - lam) * start + lam * end
         else:
-            seg = segments[k]
-            expect, certified = seg.field.flow_map(snapshot(seg.t_start),
-                                                   seg.t_start, t)
-            assert np.all(certified)
-        assert np.max(np.abs(state.positions - expect)) <= 1e-12, (k, t)
+            expect = _affine_flow(plan.v_back.affine_pair, tgt,
+                                  np.minimum(t5 - t, hits5[coupling.tgt_idx]))
+        assert np.max(np.abs(state.positions - expect)) <= 1e-12, t
     assert np.array_equal(traj.final().positions, tgt)
 
 
 @pytest.mark.parametrize("case", ["cluster-6", "figure1-500",
                                   "rotating-200"])
-def test_the_exact_lane_parks_at_the_crossing_checks_entries(case,
-                                                             monkeypatch):
+def test_the_exact_lane_parks_at_the_crossing_checks_entries(case):
     # the crossing check's parks are its two stopped flows' hits and
     # entries, bit for bit; they lie in omega0 and end by T0* (T1*), and a
-    # particle that starts inside keeps its start. The funnels start from
-    # those entries, and the witnesses park at those hits
-    lanes = {}
-    escalate = synth._escalate_exact_funnel
-
-    def recording(omega1, s0, given, blend_band):
-        lanes.update(given)
-        return escalate(omega1, s0, given, blend_band)
-
-    monkeypatch.setattr(synth, "_escalate_exact_funnel", recording)
+    # particle that starts inside keeps its start. The geodesic runs from
+    # the one side's entries to the other's, and the witnesses park at
+    # those hits
     scenario = exact_case(case)
     result = exact_controller(scenario)
     plan, coupling = synth._plan(scenario), result.trajectory.plan
     cond = plan.cond
     target = plan.omega.shrink(cond.margin)
-    segments = result.schedule.segments
-    sides = ((plan.mu0, plan.v, cond.T0star, "forward", coupling.src_idx,
-              segments[0].field.position(plan.times["T1"])),
+    park, geodesic, replay = result.schedule.segments
+    sides = ((plan.mu0, plan.v, cond.T0star, coupling.src_idx,
+              park.field.position(geodesic.t_start), geodesic.t_start),
              # before the segment every atom's park clock is past its hit
-             (plan.mu1, plan.v_back, cond.T1star, "backward",
-              coupling.tgt_idx, segments[4].field.position(plan.times["T3"])))
-    for (hits, entries), (mu, drift, star, lane, idx, parked) in zip(
+             (plan.mu1, plan.v_back, cond.T1star, coupling.tgt_idx,
+              replay.field.position(geodesic.t_end), geodesic.t_end))
+    for (hits, entries), (mu, drift, star, idx, parked, t) in zip(
             cond.parks, sides):
         ends, own = stopped_flow_batch(drift, target, mu.positions, 0.0,
                                        float(plan.params["horizon"]),
@@ -1138,9 +1115,30 @@ def test_the_exact_lane_parks_at_the_crossing_checks_entries(case,
         assert np.max(hits) == star
         start = hits == 0
         assert np.array_equal(entries[start], mu.positions[start])
-        assert np.array_equal(lanes[lane][2], entries)
+        assert np.array_equal(geodesic.field.position(t), entries[idx])
         assert np.array_equal(parked, _affine_flow(
             drift.affine_pair, mu.positions[idx], hits[idx]))
+
+
+@pytest.mark.parametrize("case", ["cluster-6", "figure1-500",
+                                  "rotating-200"])
+def test_the_geodesic_stays_in_omega0(case):
+    # both sides park in the box omega0, so the straight paths between
+    # the parks stay in it: every snapshot over [T1, T4], and the geodesic
+    # at 65 times across it
+    scenario = exact_case(case)
+    result = exact_controller(scenario)
+    omega0 = synth._plan(scenario).cond.omega0
+    geodesic = result.schedule.segments[1]
+    t1, t4 = geodesic.t_start, geodesic.t_end
+    traj = result.trajectory
+    inside = [t for t in traj.times if t1 <= t <= t4]
+    assert len(inside) >= 3
+    for t, state in zip(traj.times, traj.states):
+        if t1 <= t <= t4:
+            assert np.all(omega0.contains(state.positions)), t
+    for t in np.linspace(t1, t4, 65):
+        assert np.all(omega0.contains(geodesic.field.position(t))), t
 
 
 @pytest.mark.parametrize("case", ["cluster-6", "figure1-500",
@@ -1521,17 +1519,19 @@ def test_storage_holds_its_lipschitz_bound_under_a_rotating_drift():
 def test_every_gated_field_lives_in_omega(approx_runs, case):
     # localized by construction: omega0, omega1 grown by the blend band and
     # the gate core grown by its band lie inside omega, box in box, on
-    # every preset in approximate mode and for both exact-lane funnels
-    name, _, mode = case.partition("-exact")
-    if mode:
-        scenario, _, built = gated_run(name, "exact", min(
+    # every preset in approximate mode. The exact lane builds no gated
+    # field: its witnesses' control vanishes outside omega at their atoms
+    name, exact, _ = case.partition("-exact")
+    if exact:
+        scenario, result, built = gated_run(name, "exact", min(
             500, cli.load_scenario(name).params["particles"]))
-    else:
-        scenario, _, built = approx_runs[name]
+        assert built == []
+        assert_localized(result, scenario.omega_region())
+        return
+    scenario, _, built = approx_runs[name]
     omega = scenario.omega_region()
     kinds = {f.descriptor["kind"] for f, _ in built}
-    assert kinds == ({"funnel_affine"} if mode else
-                     {"storage", "funnel_affine", "grid_frame"})
+    assert kinds == {"storage", "funnel_affine", "grid_frame"}
     assert sum(f.descriptor["kind"] == "funnel_affine"
                for f, _ in built) == 2
     for field, _ in built:
