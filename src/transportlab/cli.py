@@ -4,7 +4,11 @@ demonstrations and the crossing-condition check.
 Exit codes: 0 success; 1 malformed input, usage, or an ``--out`` the
 command cannot write (``output error:``); 2 crossing-condition failure (the
 report carries the counterexample point); 120 when standard output or error
-cannot be flushed at the end, as CPython reports it.
+cannot be flushed at the end, as CPython reports it. ``main`` decides the
+exit code of every scenario failure; the commands raise. Only ``study``
+reports a bad ``--n-list`` itself (``input error:``). A drift that
+overflows before a support point enters the control region is malformed
+input (``scenario error:``, exit 1).
 
 ``main`` returns its exit code, for in-process callers. The command line
 (``python -m transportlab.cli`` and the ``transportlab`` script) goes
@@ -26,14 +30,14 @@ import numpy as np
 
 from . import __version__
 from .flow import flow_push, TimeField
-from .geometry import ConditionFailure, check_geometric_condition
+from .geometry import ConditionFailure
 from .measure import ParticleMeasure, quantile_partition
 from .oracle import sqrt_field_solution
 from .ot import w1_bracket, wp_discrete
 from .scenarios import Scenario, load_scenario
 from .synth import (GridControlField, approx_controller, exact_controller,
                     grid_error_bound, bv_blowup_diagnostic, linear_merge_toy,
-                    shear_diagnostic)
+                    shear_diagnostic, _plan)
 
 
 def _write_json(path, payload):
@@ -43,6 +47,18 @@ def _write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_table(out: Path, stem, payload, rows, line):
+    """Write ``payload`` to ``<stem>.json`` and ``rows`` to ``<stem>.csv``
+    under ``out``, then print each row through the format ``line``."""
+    _write_json(out / f"{stem}.json", payload)
+    with open(out / f"{stem}.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    for row in rows:
+        print(line.format(**row))
 
 
 def _stamp(scenario: Scenario | None, extra=None) -> dict:
@@ -64,38 +80,12 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return Scenario.from_dict(data)
 
 
-def _load(args) -> Scenario | None:
-    """The scenario ``args.scenario`` with the command-line overrides
-    applied; or None after printing ``scenario error:``, for the caller to
-    exit 1."""
-    try:
-        scenario = _apply_overrides(load_scenario(args.scenario), args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return None
-    return scenario
-
-
-def cmd_run(args) -> int:
-    scenario = _load(args)
-    if scenario is None:
-        return 1
+def cmd_run(args, scenario: Scenario) -> int:
+    if args.mode == "approx":
+        result = approx_controller(scenario)
+    else:
+        result = exact_controller(scenario)
     out = Path(args.out)
-    try:
-        if args.mode == "approx":
-            result = approx_controller(scenario)
-        else:
-            result = exact_controller(scenario)
-    except ConditionFailure as exc:
-        _write_json(out / "report.json",
-                    _stamp(scenario, {"status": "condition-failed",
-                                      **exc.to_dict()}))
-        print(f"crossing condition failed: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # e.g. an omega0 too thin for the storage cutoff's cap
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
     report = _stamp(scenario, {"status": "ok", **result.report})
     _write_json(out / "report.json", report)
     result.schedule.to_json(out / "schedule.json")
@@ -110,39 +100,15 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    scenario = _load(args)
-    if scenario is None:
-        return 1
-    out = Path(args.out)
-    v = scenario.velocity_field()
-    omega = scenario.omega_region()
-    mu0 = scenario.measure("mu0")
-    mu1 = scenario.measure("mu1")
-    try:
-        cond = check_geometric_condition(
-            v, mu0, mu1, omega, float(scenario.params["horizon"]),
-            float(scenario.params["tol"]))
-    except ConditionFailure as exc:
-        _write_json(out / "check.json",
-                    _stamp(scenario, {"status": "condition-failed",
-                                      **exc.to_dict()}))
-        print(f"crossing condition failed: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # e.g. entry points no box compactly inside omega can cover
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
-    _write_json(out / "check.json", _stamp(scenario, {
+def cmd_check(args, scenario: Scenario) -> int:
+    """The controllers' own crossing check, and nothing after it."""
+    cond = _plan(scenario).cond
+    _write_json(Path(args.out) / "check.json", _stamp(scenario, {
         "status": "ok", "T0star": cond.T0star, "T1star": cond.T1star,
         "omega0": cond.omega0.to_dict(), "margin": cond.margin,
         "resolution": cond.resolution}))
     print(f"T0* = {cond.T0star:.6g}, T1* = {cond.T1star:.6g}")
     return 0
-
-
-class MeshError(ValueError):
-    """A study n the quantile partition cannot build from the particles."""
 
 
 def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dict]:
@@ -152,10 +118,11 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
     all in world units. Each cloud is cut within its own frame, as
     ``approx_controller`` cuts its parked clouds. Both W1 values are exact
     where ``wp_discrete`` solves them, else the certified upper bound of
-    ``w1_bracket``.
+    ``w1_bracket``. With an ``out_dir``, the rows are written there and
+    printed.
 
     Every mesh is built before any flow runs; an n the particles cannot
-    partition (too fine for their count) raises ``MeshError``."""
+    partition (too fine for their count) raises ``ValueError``."""
     mu0 = scenario.measure("mu0")
     mu1 = scenario.measure("mu1")
     seed = int(scenario.params["seed"])
@@ -165,10 +132,7 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
                                                "seed": seed + 7919}})
     floor = w1_bracket(mu1, resampled.measure("mu1"))["estimate"]
 
-    try:
-        meshes = [quantile_partition(mu0, mu1, int(n)) for n in n_list]
-    except ValueError as exc:
-        raise MeshError(str(exc)) from exc
+    meshes = [quantile_partition(mu0, mu1, int(n)) for n in n_list]
     rows = []
     for n, (part_src, part_tgt) in zip(n_list, meshes):
         fld = GridControlField(part_src, part_tgt, T=1.0)
@@ -180,41 +144,24 @@ def convergence_study(scenario: Scenario, n_list, out_dir, tol=1e-6) -> list[dic
                                                          closed, mu1),
                      "sample_error": floor})
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "study.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["n", "measured_w1", "predicted_bound",
-                                "sample_error"])
-            writer.writeheader()
-            writer.writerows(rows)
-        _write_json(out / "study.json", _stamp(scenario, {"rows": rows}))
+        _write_table(Path(out_dir), "study", _stamp(scenario, {"rows": rows}),
+                     rows, "n={n:3d} measured={measured_w1:.4f} "
+                     "bound={predicted_bound:.4f} floor={sample_error:.4f}")
     return rows
 
 
-def cmd_study(args) -> int:
-    scenario = _load(args)
-    if scenario is None:
-        return 1
+def cmd_study(args, scenario: Scenario) -> int:
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok]
         if not n_list:
             raise ValueError("empty n list")
         if min(n_list) < 1:
             raise ValueError("every n must be >= 1")
+        convergence_study(scenario, n_list, args.out,
+                          tol=float(scenario.params["tol"]))
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    try:
-        rows = convergence_study(scenario, n_list, args.out,
-                                 tol=float(scenario.params["tol"]))
-    except MeshError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    for row in rows:
-        print(f"n={row['n']:3d} measured={row['measured_w1']:.4f} "
-              f"bound={row['predicted_bound']:.4f} "
-              f"floor={row['sample_error']:.4f}")
     return 0
 
 
@@ -243,31 +190,19 @@ def sqrt_split_errors(counts=(10_000, 100_000), t_end=1.0, tol=1e-8) -> list[dic
     return rows
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args, scenario) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.name == "bv-merge":
-        toy = linear_merge_toy()
-        table = bv_blowup_diagnostic(toy, pair=(0, 1))
-        _write_json(out / "bv_merge.json",
-                    _stamp(None, {"diagnostic": table}))
-        with open(out / "bv_merge.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["halvings", "gap", "integral"])
-            writer.writeheader()
-            writer.writerows(table["rows"])
-        for row in table["rows"]:
-            print(f"m={row['halvings']:2d} gap={row['gap']:.3e} "
-                  f"integral={row['integral']:.4f}")
+        table = bv_blowup_diagnostic(linear_merge_toy(), pair=(0, 1))
+        _write_table(out, "bv_merge", _stamp(None, {"diagnostic": table}),
+                     table["rows"],
+                     "m={halvings:2d} gap={gap:.3e} integral={integral:.4f}")
         return 0
     if args.name == "sqrt-split":
         rows = sqrt_split_errors()
-        _write_json(out / "sqrt_split.json", _stamp(None, {"rows": rows}))
-        with open(out / "sqrt_split.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["count", "w1_error"])
-            writer.writeheader()
-            writer.writerows(rows)
-        for row in rows:
-            print(f"N={row['count']:7d} W1 error={row['w1_error']:.3e}")
+        _write_table(out, "sqrt_split", _stamp(None, {"rows": rows}), rows,
+                     "N={count:7d} W1 error={w1_error:.3e}")
         return 0
     table = shear_diagnostic()
     _write_json(out / "shear.json", _stamp(None, {"diagnostic": table}))
@@ -325,21 +260,47 @@ def _unusable_out(out: Path) -> str | None:
     return f"{base} is not a writable directory"
 
 
+def _run(args, out: Path) -> int:
+    """Load the scenario and run the command on it; a write under ``out``
+    that fails raises ``OSError``."""
+    scenario = None
+    if args.command != "counterexample":
+        try:
+            scenario = _apply_overrides(load_scenario(args.scenario), args)
+        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            print(f"scenario error: {exc}", file=sys.stderr)
+            return 1
+    try:
+        return args.func(args, scenario)
+    except ConditionFailure as exc:
+        name = "check.json" if args.command == "check" else "report.json"
+        _write_json(out / name, _stamp(scenario, {"status": "condition-failed",
+                                                  **exc.to_dict()}))
+        print(f"crossing condition failed: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, FloatingPointError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
+
+
 def main(argv=None) -> int:
-    """Run one command and return its exit code (see the module docstring);
-    the process goes on. An ``--out`` no command could write into fails
-    before any work."""
+    """Run one command and return its exit code; the process goes on. The
+    code is decided here and in ``_run``, in this order: usage, an ``--out``
+    no command could write into (before any work), the scenario's load,
+    then the command. A ``ConditionFailure`` exits 2 with its report; a
+    ``ValueError`` or ``FloatingPointError`` (such as a drift overflowing
+    before entry) is a ``scenario error:``, an ``OSError`` an ``output
+    error:``. Any other exception is an internal fault and escapes."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on misuse
         return 1 if exc.code else 0
+    out = Path(args.out)
     try:
-        unusable = _unusable_out(Path(args.out))
+        unusable = _unusable_out(out)
         if unusable is None:
-            return args.func(args)
+            return _run(args, out)
     except OSError as exc:
-        # _load reports an unreadable scenario itself: what is left is
-        # a write under --out
         unusable = str(exc)
     print(f"output error: {unusable}", file=sys.stderr)
     return 1

@@ -266,9 +266,11 @@ def _affine_flow(pair, x0, times):
 def _entries(stop_region, pos):
     """Signed distances to ``stop_region`` of positions ``pos``
     (``(m, n, d)``) and, per column, the row of the first one inside (m for
-    a column with none)."""
-    sd = stop_region.signed_distance(
-        pos.reshape(-1, pos.shape[-1])).reshape(pos.shape[:-1])
+    a column with none). A finite position too far to square has an
+    infinite distance: outside."""
+    with np.errstate(over="ignore"):
+        sd = stop_region.signed_distance(
+            pos.reshape(-1, pos.shape[-1])).reshape(pos.shape[:-1])
     inside = sd <= 0
     return sd, np.where(inside.any(axis=0), np.argmax(inside, axis=0),
                         len(sd))
@@ -302,12 +304,14 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     path that clips a corner or an edge between two probes is not seen.
 
     A non-finite position before a point's entry raises
-    ``FloatingPointError`` naming the point. Probing stops once every point
-    is parked. Returns ``(endpoints, hit_times)``; a hit time, relative to
-    t0, is nan when the point never entered within the horizon, and its
-    endpoint is then its position at t0 + horizon. A point that starts
-    inside hits at 0 and keeps its start bit for bit. The field is
-    autonomous: t0 only dates error messages.
+    ``FloatingPointError`` naming the point, and only that: a distance or a
+    move too large to square is infinite, with no numpy overflow warning.
+    Probing stops once every point is parked. Returns
+    ``(endpoints, hit_times)``; a hit time, relative to t0, is nan when the
+    point never entered within the horizon, and its endpoint is then its
+    position at t0 + horizon. A point that starts inside hits at 0 and
+    keeps its start bit for bit. The field is autonomous: t0 only dates
+    error messages.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -318,7 +322,8 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
     x0, _ = _batch_span(pts, t0, t0 + horizon, tol)
     end = x0.copy()
     hits = np.full(x0.shape[0], np.nan)
-    dist = stop_region.signed_distance(x0)
+    with np.errstate(over="ignore"):
+        dist = stop_region.signed_distance(x0)
     hits[dist <= 0] = 0.0
     rows = np.flatnonzero(dist > 0)
     dist = dist[rows]
@@ -353,8 +358,11 @@ def stopped_flow_batch(field: TimeField, stop_region, pts, t0: float,
             bad = rows[broken[j]]
             _check_finite(pos[j][broken[j]], x0[bad], t0 + times[j], bad)
         if a.any():
-            move = np.linalg.norm(np.diff(np.concatenate([prev[None], pos]),
-                                          axis=0), axis=2)
+            # hypot keeps a finite move finite, where squaring overflows; a
+            # move after an entry, which nothing reads, may be inf - inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                move = np.hypot.reduce(np.abs(np.diff(
+                    pos, axis=0, prepend=prev[None])), axis=2)
             reach = np.concatenate([dist[None], sd[:-1]])
             worst = np.max(move[(probe <= first) & (move >= reach)],
                            initial=0.0)

@@ -1009,15 +1009,14 @@ def exact_controller(scenario) -> ControllerResult:
 # negative-result diagnostics
 # ---------------------------------------------------------------------------
 
-def bv_blowup_diagnostic(traj: Trajectory, pair: tuple[int, int],
-                         max_halvings: int = 20) -> dict:
+def bv_blowup_diagnostic(traj: Trajectory, pair: tuple[int, int]) -> dict:
     """Lower-bound accumulation of the one-sided derivative integral along a
     merging pair.
 
     Along trajectories y, z of the same field, the integral of
     |(u(y)-u(z))/(y-z)| equals the total variation of log|y-z|, which the
     table accumulates exactly (telescoping) on the recorded snapshots. Rows
-    report the value each time the gap first halves.
+    report the value each time the gap first halves, up to 20 halvings.
     """
     i, j = pair
     gaps = np.array([abs(s.positions[i, 0] - s.positions[j, 0])
@@ -1031,7 +1030,7 @@ def bv_blowup_diagnostic(traj: Trajectory, pair: tuple[int, int],
     acc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(logg)))])
     rows = []
     g0 = gaps[0]
-    for m in range(1, max_halvings + 1):
+    for m in range(1, 21):
         cutoff = g0 * 2.0 ** (-m)
         hit = np.flatnonzero(gaps <= cutoff)
         if len(hit) == 0:
@@ -1044,11 +1043,11 @@ def bv_blowup_diagnostic(traj: Trajectory, pair: tuple[int, int],
     return {"rows": rows, "merged": True, "initial_gap": float(g0)}
 
 
-def linear_merge_toy(halvings: int = 12, samples_per_halving: int = 24) -> Trajectory:
+def linear_merge_toy() -> Trajectory:
     """Two straight-line particles approaching at constant speed; gap halves
-    every fixed time fraction of the remaining distance to the merge time."""
-    t_end = 1.0 - 2.0 ** (-halvings - 2)
-    times = 1.0 - np.geomspace(1.0, 1.0 - t_end, halvings * samples_per_halving)
+    every fixed time fraction of the remaining distance to the merge time.
+    The 288 snapshots are geometric in the time left, down to 2^-14 of it."""
+    times = 1.0 - np.geomspace(1.0, 2.0 ** -14, 288)
     times = np.concatenate([[0.0], times[1:]])
     states = []
     for t in times:
@@ -1058,7 +1057,7 @@ def linear_merge_toy(halvings: int = 12, samples_per_halving: int = 24) -> Traje
     return Trajectory(times, states, field_ref="linear-merge-toy")
 
 
-def shear_diagnostic(probes: int = 7) -> dict:
+def shear_diagnostic() -> dict:
     """Velocity mismatch of the naive map that sends full outer cells onto
     their targets; the swapped two-by-two configuration makes the jump across
     the interior column line explicit."""
@@ -1074,7 +1073,7 @@ def shear_diagnostic(probes: int = 7) -> dict:
         image = tlo + (y - lo) * (thi - tlo) / (hi - lo)
         return image - y  # T = 1
 
-    ys = np.linspace(0.05, 0.95, probes)
+    ys = np.linspace(0.05, 0.95, 7)
     jump_rows = []
     for y in ys:
         left = naive_velocity(a_cols[1] - 1e-9, y)

@@ -186,8 +186,8 @@ def test_malformed_member_is_an_input_error(tmp_path, capsys, monkeypatch,
     def never(*args, **kwargs):
         raise AssertionError("the crossing check ran on a malformed scenario")
 
-    for module in (cli, transportlab.synth):
-        monkeypatch.setattr(module, "check_geometric_condition", never)
+    monkeypatch.setattr(transportlab.synth, "check_geometric_condition",
+                        never)
     err = fails_as_scenario_error(capsys, flags[0],
                                   figure1_with(tmp_path,
                                                **MALFORMED_MEMBERS[case]),
@@ -338,6 +338,35 @@ def test_check_on_an_omega_too_thin_for_its_margins(tmp_path, capsys):
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error:") and "too thin" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["check"], ["run"],
+                                   ["run", "--mode", "exact"]],
+                         ids=["check", "run-approx", "run-exact"])
+def test_a_drift_overflowing_before_entry_is_a_scenario_error(
+        tmp_path, capsys, flags):
+    # v = 60 x carries both atoms past the largest float near t = 11.8,
+    # within the horizon and before either reaches omega: one line on
+    # stderr, no numpy overflow warning (an error under this suite's
+    # warning filter), no traceback and no output. Each used to end in a
+    # traceback after two overflow warnings
+    path = tmp_path / "scenario.json"
+    atoms = [[0.5, 0.5, 0.5], [0.6, 0.4, 0.5]]
+    path.write_text(json.dumps({
+        "dim": 2, "v": {"kind": "affine", "matrix": [[60.0, 0.0],
+                                                     [0.0, 60.0]],
+                        "offset": [0.0, 0.0]},
+        "omega": {"kind": "box", "lo": [-5.0, -5.0], "hi": [-4.0, -4.0]},
+        "mu0": {"atoms": atoms}, "mu1": {"atoms": atoms},
+        "params": {"delta": 0.6, "seed": 0, "horizon": 20.0, "tol": 1e-6}}))
+    out = tmp_path / "out"
+    assert cli.main([flags[0], "--scenario", str(path), "--out", str(out),
+                     *flags[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: non-finite field value near "
+                          "particle 0")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

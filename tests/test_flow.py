@@ -366,10 +366,24 @@ class TestStoppedFlow:
         # others stay finite
         region = Region.box([-6.0, -1.0], [-4.0, 1.0])
         pts = np.array([[0.1, 0.0], [1e200, 0.0], [0.2, 0.0]])
-        with np.errstate(over="ignore"), \
-                pytest.raises(FloatingPointError, match="particle 1 "):
+        with pytest.raises(FloatingPointError, match="particle 1 "):
             stopped_flow_batch(isotropic([0.0, 0.0], 2.0), region,
                                pts, 0.0, 200.0, 1e-6)
+
+    def test_moves_too_large_to_square_stay_finite(self):
+        # under x' = 2x particle 0 enters at log(8) / 2 and then flies off;
+        # particle 1 never enters and ends near 0.5 e^400 = 2.6e173, finite
+        # but too large to square. Its moves used to overflow to inf, and
+        # the probe refinement failed on ceil(inf)
+        region = Region.box([-6.0, -1.0], [-4.0, 1.0])
+        ends, hits = stopped_flow_batch(isotropic([0.0, 0.0], 2.0), region,
+                                        [[-0.5, 0.0], [0.5, 0.0]], 0.0,
+                                        200.0, 1e-6)
+        assert hits[0] == pytest.approx(math.log(8.0) / 2.0, rel=1e-12)
+        assert ends[0] == pytest.approx([-4.0, 0.0], rel=1e-12)
+        assert math.isnan(hits[1])
+        assert ends[1] == pytest.approx([0.5 * math.exp(400.0), 0.0],
+                                        rel=1e-9)
 
     def test_expanding_drift_is_probed_finer(self):
         # x' = x moves (1, 0) about 0.95 between probes choose_step apart

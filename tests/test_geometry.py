@@ -342,11 +342,14 @@ def test_cli_check_exit_codes(tmp_path, drift, code):
     else:
         assert report["status"] == "condition-failed"
         assert report["side"] == "source"
-        # both controllers run the same check first and stop there
+        # both controllers run the same check first and stop there, on the
+        # same counterexample
+        failure = {key: report[key]
+                   for key in ("counterexample", "side", "horizon")}
         for mode in ("exact", "approx"):
             run_out = tmp_path / f"run_{mode}"
             assert cli.main(["run", "--scenario", str(path), "--mode", mode,
                              "--out", str(run_out)]) == 2
             report = json.loads((run_out / "report.json").read_text())
             assert report["status"] == "condition-failed"
-            assert report["side"] == "source"
+            assert {key: report[key] for key in failure} == failure
