@@ -211,7 +211,7 @@ def flow_push(field: TimeField, mu: ParticleMeasure, t0: float, t1: float,
               tol: float):
     """Push a particle measure through the flow from t0 to t1: rows the
     field's flow map certifies move along it, the others by fixed-step RK4
-    at ``tol``. Weights and tags ride along. Returns the pushed measure and
+    at ``tol``. Weights and order ride along. Returns the pushed measure and
     ``{"count": closed, "total": N}``, the rows moved in closed form."""
     pts, _ = _batch_span(mu.positions, t0, t1, tol)
     if field.flow_map is None:
@@ -446,12 +446,15 @@ def _locate_entry(stop_region, pair, x0, lo, hi):
 
 @dataclass
 class Trajectory:
-    """Snapshots of a measure along a flow, at increasing times."""
+    """Snapshots of a measure along a flow, at increasing times, each with
+    the same rows in the same order: ``tags``, one string per row, labels
+    them in every snapshot's ``tag`` column."""
 
     times: np.ndarray
     states: list
     field_ref: object = None
     meta: dict = dc_field(default_factory=dict)
+    tags: object = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -472,12 +475,11 @@ class Trajectory:
         for k, state in enumerate(self.states):
             name = f"snapshot_{k:04d}.csv"
             # bit-equal, as -0.0 and 0.0 print differently
-            key = (state.positions.tobytes(), state.weights.tobytes(),
-                   None if state.tags is None else state.tags.tolist())
+            key = (state.positions.tobytes(), state.weights.tobytes())
             if key == last:
                 shutil.copyfile(out / names[-1], out / name)
             else:
-                state.to_csv(out / name)
+                state.to_csv(out / name, self.tags)
             names.append(name)
             last = key
         manifest = {

@@ -32,6 +32,8 @@ class Region:
         if len(self.lo) != len(self.hi):
             raise ValueError(f"box lo and hi have different lengths: "
                              f"{len(self.lo)} and {len(self.hi)}")
+        if not np.isfinite([self.lo, self.hi]).all():
+            raise ValueError("box bounds must be finite")
         if not np.all(self.hi > self.lo):
             raise ValueError("box must have positive extent")
         self.dim = len(self.lo)

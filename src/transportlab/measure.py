@@ -1,9 +1,8 @@
 """Particle representation of compactly supported measures.
 
-A measure is a weighted point cloud: positions ``(N, d)``, strictly positive
-weights ``(N,)`` and an optional per-particle string tag (used to mark the
-untouched set left aside by the approximate controller). All operations are
-pure: they return new values and never mutate their inputs.
+A measure is a weighted point cloud: positions ``(N, d)`` and strictly
+positive weights ``(N,)``. All operations are pure: they return new values
+and never mutate their inputs.
 """
 from __future__ import annotations
 
@@ -30,11 +29,12 @@ __all__ = [
 
 
 class ParticleMeasure:
-    """Weighted point cloud standing for a compactly supported measure."""
+    """Weighted point cloud standing for a compactly supported measure:
+    positions and weights only (``to_csv`` takes a label per row)."""
 
-    __slots__ = ("dim", "positions", "weights", "tags")
+    __slots__ = ("dim", "positions", "weights")
 
-    def __init__(self, positions, weights, tags=None):
+    def __init__(self, positions, weights):
         positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if positions.shape[0] != weights.shape[0]:
@@ -49,11 +49,6 @@ class ParticleMeasure:
         self.positions = positions
         self.weights = weights
         self.dim = int(positions.shape[1]) if positions.shape[1] else 1
-        if tags is not None:
-            tags = np.asarray(tags, dtype=object).reshape(-1)
-            if tags.shape[0] != weights.shape[0]:
-                raise ValueError("tags length mismatch")
-        self.tags = tags
         self.positions.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -74,15 +69,11 @@ class ParticleMeasure:
     def scaled(self, c: float) -> "ParticleMeasure":
         if c <= 0:
             raise ValueError("scale must be positive")
-        return ParticleMeasure(self.positions, self.weights * c, self.tags)
-
-    def with_tags(self, tags) -> "ParticleMeasure":
-        return ParticleMeasure(self.positions, self.weights, tags)
+        return ParticleMeasure(self.positions, self.weights * c)
 
     def subset(self, mask) -> "ParticleMeasure":
         mask = np.asarray(mask, dtype=bool)
-        tags = self.tags[mask] if self.tags is not None else None
-        return ParticleMeasure(self.positions[mask], self.weights[mask], tags)
+        return ParticleMeasure(self.positions[mask], self.weights[mask])
 
     def normalized(self) -> "ParticleMeasure":
         return self.scaled(1.0 / self.total_mass())
@@ -107,15 +98,18 @@ class ParticleMeasure:
         h.update(np.ascontiguousarray(self.weights).tobytes())
         return h.hexdigest()
 
-    def to_csv(self, path) -> None:
-        """The bytes ``csv.writer`` writes, one ``%.17g`` format per row."""
+    def to_csv(self, path, tags=None) -> None:
+        """The bytes ``csv.writer`` writes, one ``%.17g`` format per row;
+        the ``tag`` column holds ``tags``, one string per row, or ``""``."""
         head = [f"x_{a + 1}" for a in range(self.dim)] + ["weight", "tag"]
         row = ",".join(["%.17g"] * (self.dim + 1)) + ",%s\r\n"
-        tags = self.tags if self.tags is not None else [""] * len(self)
+        tags = [""] * len(self) if tags is None else np.asarray(tags).tolist()
+        if len(tags) != len(self):
+            raise ValueError(f"{len(tags)} tags for {len(self)} rows")
         cells = {}
         for tag in set(tags):  # each tag as csv.writer writes it after a comma
             buf = io.StringIO()
-            csv.writer(buf).writerow(["", tag or ""])
+            csv.writer(buf).writerow(["", tag])
             cells[tag] = buf.getvalue()[1:-2]
         values = np.column_stack([self.positions, self.weights]).tolist()
         with open(path, "w", newline="") as fh:
@@ -124,19 +118,13 @@ class ParticleMeasure:
 
     @classmethod
     def from_csv(cls, path) -> "ParticleMeasure":
+        """The positions and weights of a CSV ``to_csv`` wrote."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            dim = len([c for c in header if c.startswith("x_")])
-            pos, wts, tags = [], [], []
-            for row in reader:
-                pos.append([float(v) for v in row[:dim]])
-                wts.append(float(row[dim]))
-                tags.append(row[dim + 1] if len(row) > dim + 1 else "")
-        tag_arr = np.array(tags, dtype=object)
-        if not any(tags):
-            tag_arr = None
-        return cls(np.array(pos), np.array(wts), tag_arr)
+            dim = sum(c.startswith("x_") for c in next(reader))
+            rows = [[float(v) for v in row[:dim + 1]] for row in reader]
+        rows = np.array(rows).reshape(-1, dim + 1)
+        return cls(rows[:, :dim], rows[:, dim])
 
     def json_envelope(self) -> dict:
         return {"dim": self.dim, "count": len(self), "total_mass": self.total_mass(),
@@ -275,7 +263,7 @@ def sample(spec: DensitySpec, count: int, seed: int) -> ParticleMeasure:
 # ---------------------------------------------------------------------------
 
 def push_forward(mu: ParticleMeasure, mapping) -> ParticleMeasure:
-    """Image measure: positions mapped, weights and tags untouched.
+    """Image measure: positions mapped, weights untouched.
 
     ``mapping`` takes an ``(N, d)`` array and returns the mapped ``(N, d)``
     array (a pointwise map applied via numpy broadcasting qualifies).
@@ -288,7 +276,7 @@ def push_forward(mu: ParticleMeasure, mapping) -> ParticleMeasure:
         raise ValueError(
             f"mapping produced a non-finite image for particle {bad} "
             f"at {mu.positions[bad].tolist()}")
-    return ParticleMeasure(new_pos, mu.weights, mu.tags)
+    return ParticleMeasure(new_pos, mu.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ class Scenario:
         # times and tolerances the controllers divide by or step over
         for key in ("horizon", "tol", "delta", "epsilon"):
             value = self.params[key]
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (math.isfinite(value) and value > 0)):
                 raise ValueError(f"scenario parameter {key!r} must be a "
                                  f"positive finite number, got {value!r}")
         # counts and seeds the controllers take as they are ("n" may be

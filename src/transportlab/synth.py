@@ -577,29 +577,19 @@ class ControllerResult:
 
 
 def _largest_free_box(omega: Region, omega0: Region) -> Region:
-    """Largest axis-aligned slab of a box omega avoiding the box omega0,
-    shrunk by 15% about its centre."""
-    best = None
-    best_vol = -1.0
+    """Largest axis-aligned slab of a box omega avoiding the box omega0 (the
+    first of the largest), shrunk by 15% about its centre. A checked omega0
+    leaves every slab a positive thickness."""
+    slabs = []
     for axis in range(omega.dim):
         for lo_a, hi_a in ((omega.lo[axis], omega0.lo[axis]),
                            (omega0.hi[axis], omega.hi[axis])):
-            if hi_a - lo_a <= 0:
-                continue
-            lo = omega.lo.copy()
-            hi = omega.hi.copy()
+            lo, hi = omega.lo.copy(), omega.hi.copy()
             lo[axis], hi[axis] = lo_a, hi_a
-            vol = float(np.prod(hi - lo))
-            if vol > best_vol and np.all(hi > lo):
-                best_vol = vol
-                best = (lo, hi)
-    if best is None:
-        raise ValueError("no room for a storage hypercube beside omega0")
-    lo, hi = best
+            slabs.append((lo, hi))
+    lo, hi = max(slabs, key=lambda slab: float(np.prod(slab[1] - slab[0])))
     c = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * 0.85
-    if np.any(half <= 0):
-        raise ValueError("free slab degenerate after shrinking")
     return Region.box(c - half, c + half)
 
 
@@ -613,8 +603,6 @@ def _place_sets(omega: Region, omega0: Region):
     hull_lo = np.minimum(omega0.lo, s_box.lo)
     hull_hi = np.maximum(omega0.hi, s_box.hi)
     gap = min(np.min(hull_lo - omega.lo), np.min(omega.hi - hull_hi))
-    if gap <= 0:
-        raise ValueError("omega0 and S leave no room for omega1 inside omega")
     omega1 = Region.box(hull_lo - gap / 2, hull_hi + gap / 2)
     return s_box, s0, omega1, 0.45 * gap
 
@@ -712,7 +700,7 @@ class MovingFrameGridField(GatedField):
         """
         pos, closed, stats = self.inner.flow(mu.positions, ta - self.t0,
                                              tb - self.t0, tol)
-        return ParticleMeasure(pos, mu.weights, mu.tags), closed, stats
+        return ParticleMeasure(pos, mu.weights), closed, stats
 
 
 def _escalate_storage(v: TimeField, omega0: Region, mu: ParticleMeasure,
@@ -740,17 +728,15 @@ def _escalate_storage(v: TimeField, omega0: Region, mu: ParticleMeasure,
 
 def _select_untouched(state: ParticleMeasure, must_tag: np.ndarray,
                       depth: np.ndarray, target_mass: float) -> np.ndarray:
-    """Boolean tag mask containing `must_tag` topped up (shallowest-first)
-    until the tagged mass reaches target_mass within one particle weight."""
-    tagged = must_tag.copy()
-    mass = float(np.sum(state.weights[tagged]))
+    """Boolean mask of `must_tag` topped up, shallowest first, until the
+    tagged mass is within half the largest weight of target_mass; the
+    cumulative sum adds in that order, one row at a time."""
+    w = state.weights
     order = np.argsort(depth, kind="stable")
-    for idx in order:
-        if mass >= target_mass - 0.5 * np.max(state.weights):
-            break
-        if not tagged[idx]:
-            tagged[idx] = True
-            mass += state.weights[idx]
+    order = order[~must_tag[order]]
+    mass = np.cumsum(np.append(np.sum(w[must_tag]), w[order]))
+    tagged = must_tag.copy()
+    tagged[order[:np.searchsorted(mass, target_mass - 0.5 * w.max())]] = True
     return tagged
 
 
@@ -777,15 +763,14 @@ def _approx_side(plan: _Plan, sets, v: TimeField, mu: ParticleMeasure,
     the rest into S0 over the interval ``clock`` by a straight-line funnel,
     whose similarity keeps the cloud's shape for the grid's quantiles.
     ``sets`` is ``_place_sets``' tuple. Returns the storage field, its index
-    k, the tagged parked cloud, the tag mask, the funnel, the funnelled
-    cloud and the two pushes' closed-form records."""
+    k, the parked cloud, the untouched rows' mask, the funnel, the
+    funnelled cloud and the two pushes' closed-form records."""
     omega0 = plan.cond.omega0
     _, s0, omega1, band = sets
     store, k, parked, stray, cf_store = _escalate_storage(
         v, omega0, mu, horizon, eps_mass, tol)
     tag = _select_untouched(parked, stray, omega0.depth(parked.positions),
                             eps_mass)
-    parked = parked.with_tags(np.where(tag, "untouched", "").astype(object))
     funnel = affine_funnel_total(
         v, omega1, _cloud_box(parked.subset(~tag).positions, omega1), s0,
         clock, band)
@@ -886,13 +871,13 @@ def approx_controller(scenario) -> ControllerResult:
     schedule = ControlSchedule(segments)
     traj = Trajectory(
         np.array([0.0, t1, t2, t3, t4, t5]),
-        [mu0.with_tags(state1.tags), state1, state2_all, state3_all,
-         state4_all, state5_all],
-        field_ref=schedule, meta={"mode": "approx"})
+        [mu0, state1, state2_all, state3_all, state4_all, state5_all],
+        field_ref=schedule, meta={"mode": "approx"},
+        tags=np.where(tag_fwd, "untouched", ""))
 
     # the estimate is exact where wp_discrete solves it, else the certified
     # upper bound
-    w1 = w1_bracket(state5_all.with_tags(None), mu1.with_tags(None))
+    w1 = w1_bracket(state5_all, mu1)
     w1["epsilon_certified"] = w1["estimate"] <= epsilon
     report = plan.report("approx", state5_all.total_mass())
     report["regions"].update({"S": s_box.to_dict(), "S0": s0.to_dict(),

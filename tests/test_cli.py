@@ -381,6 +381,80 @@ def test_a_box_with_lo_and_hi_of_different_lengths_is_an_input_error(
     assert "lo and hi have different lengths: 2 and 1" in err
 
 
+LANES = pytest.mark.parametrize("flags", [["check"], ["run"],
+                                          ["run", "--mode", "exact"]],
+                                ids=["check", "run-approx", "run-exact"])
+
+
+@LANES
+@pytest.mark.parametrize("bound", ["-Infinity", "1e400", "NaN"])
+def test_a_box_bound_that_is_not_finite_is_an_input_error(
+        tmp_path, capsys, flags, bound):
+    # json reads 1e400 as inf. An infinite bound used to fail the crossing
+    # check (exit 2) on a counterexample point that cannot enter, as the
+    # box's signed distance was inf - inf = nan; a NaN bound exited 1 and
+    # said the box had no extent
+    text = figure1_with(tmp_path, omega={
+        "kind": "box", "lo": [2.0, "BOUND"], "hi": [3.4, 1.4]}).read_text()
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace('"BOUND"', bound))
+    err = fails_as_scenario_error(capsys, flags[0], path, tmp_path / "out",
+                                  *flags[1:])
+    assert err == "scenario error: box bounds must be finite\n"
+
+
+@LANES
+@pytest.mark.parametrize("key", ["horizon", "tol", "delta", "epsilon"])
+def test_a_bool_time_or_tolerance_is_an_input_error(tmp_path, capsys, flags,
+                                                    key):
+    # a bool is a Python int: "delta": true used to run as delta = 1
+    path = figure1_with(tmp_path)
+    data = json.loads(path.read_text())
+    data["params"][key] = True
+    path.write_text(json.dumps(data))
+    err = fails_as_scenario_error(capsys, flags[0], path, tmp_path / "out",
+                                  *flags[1:])
+    assert f"parameter {key!r} must be a positive finite number, got True" \
+        in err
+
+
+def tag_columns(out):
+    """The ``tag`` column of ``final.csv`` and of every snapshot under
+    ``out``, each as a list of strings."""
+    import csv
+
+    files = [out / "final.csv", *sorted((out / "trajectory").glob("*.csv"))]
+    columns = []
+    for path in files:
+        with open(path, newline="") as fh:
+            columns.append([row["tag"] for row in csv.DictReader(fh)])
+    return columns
+
+
+def test_the_tag_column_marks_the_untouched_rows_in_every_file(tmp_path):
+    # the approximate lane's untouched set is one row mask: the same rows
+    # read "untouched" in the final cloud and in every snapshot, as many
+    # as the report counts, and every other row reads ""
+    out = tmp_path / "approx"
+    assert cli.main(["run", "--scenario", "figure1", "--particles", "1000",
+                     "--seed-override", "6", "--out", str(out)]) == 0
+    count = json.loads((out / "report.json").read_text())[
+        "untouched"]["count_source"]
+    columns = tag_columns(out)
+    assert len(columns) == 7
+    rows = [i for i, tag in enumerate(columns[0]) if tag == "untouched"]
+    assert len(rows) == count == 2
+    for column in columns:
+        assert len(column) == 1000
+        assert [i for i, tag in enumerate(column) if tag] == rows
+        assert {column[i] for i in rows} == {"untouched"}
+    # the exact lane labels no row
+    out = tmp_path / "exact"
+    assert cli.main(["run", "--scenario", "two-bump-merge", "--mode",
+                     "exact", "--out", str(out)]) == 0
+    assert all(set(column) == {""} for column in tag_columns(out))
+
+
 @pytest.mark.parametrize("particles,count", [(["--particles", "300"], 300),
                                              ([], 10000)],
                          ids=["300", "preset"])

@@ -138,12 +138,14 @@ class TestFlowPush:
         assert closed == {"count": 0, "total": 0}
 
     def test_mass_and_tags_ride_along(self):
+        # each row keeps its weight and its place, so a label kept beside
+        # the measure, one per row (``Trajectory.tags``), still fits it
         mu = sample(DensitySpec("uniform_box", 2,
                                 {"lo": [0, 0], "hi": [1, 1]}), 60, seed=1)
-        mu = mu.with_tags(np.array(["a"] * 60, dtype=object))
         out, _ = flow_push(TimeField.constant([0.5, 0.5]), mu, 0.0, 2.0, 1e-6)
         assert out.total_mass() == mu.total_mass()
-        assert list(out.tags) == list(mu.tags)
+        assert np.array_equal(out.weights, mu.weights)
+        assert np.allclose(out.positions, mu.positions + 1.0, atol=1e-12)
 
     def test_certified_rows_keep_their_images(self):
         # the flow map's certified rows are kept as it gives them; only the
@@ -533,32 +535,33 @@ class TestTrajectory:
     @pytest.mark.parametrize("case", ["repeat", "signed-zero"])
     def test_save_formats_each_distinct_state_once(self, tmp_path,
                                                    monkeypatch, case):
-        # a snapshot with the position and weight bits and the tags of the
-        # one before it is a copy of that file; -0.0 prints unlike 0.0, so
-        # a state whose only change is a signed zero is formatted
+        # a snapshot with the position and weight bits of the one before it
+        # is a copy of that file, the trajectory's tags in each; -0.0
+        # prints unlike 0.0, so a state whose only change is a signed zero
+        # is formatted
         pos = np.array([[0.0, 0.25], [0.5, 1.0 / 3.0], [0.75, 0.125]])
         a = ParticleMeasure(pos, np.full(3, 1.0 / 3.0))
+        tags = ["", "untouched", ""]
         if case == "repeat":
-            b = ParticleMeasure(pos + 0.5, a.weights, ["", "untouched", ""])
-            states = [a, ParticleMeasure(pos.copy(), a.weights.copy()), b, b,
-                      b.with_tags(None)]
-            distinct = [True, False, True, False, True]
+            b = ParticleMeasure(pos + 0.5, a.weights)
+            states = [a, ParticleMeasure(pos.copy(), a.weights.copy()), b, b]
+            distinct = [True, False, True, False]
         else:
             flipped = pos.copy()
             flipped[0, 0] = -0.0
             states = [a, ParticleMeasure(flipped, a.weights)]
             distinct = [True, True]
         for k, state in enumerate(states):
-            state.to_csv(tmp_path / f"ref_{k}.csv")
+            state.to_csv(tmp_path / f"ref_{k}.csv", tags)
         formatted = []
         to_csv = ParticleMeasure.to_csv
 
-        def counting(state, path):
+        def counting(state, path, tags=None):
             formatted.append(path.name)
-            to_csv(state, path)
+            to_csv(state, path, tags)
 
         monkeypatch.setattr(ParticleMeasure, "to_csv", counting)
-        paths = Trajectory(np.arange(len(states)), states).save(
+        paths = Trajectory(np.arange(len(states)), states, tags=tags).save(
             tmp_path / "traj")
         assert formatted == [p.name for p, new in zip(paths, distinct) if new]
         for k, path in enumerate(paths):

@@ -109,18 +109,30 @@ class TestMeasureBasics:
             ParticleMeasure([[np.nan]], [1.0])
 
     def test_csv_json_roundtrip(self, tmp_path):
-        mu = sample(unit_square_spec(), 25, seed=13).with_tags(
-            np.array(["untouched" if i % 5 == 0 else "" for i in range(25)],
-                     dtype=object))
+        # the CSV carries the row labels it is given; reading it back gives
+        # the measure, positions and weights, bit for bit
+        import csv
+
+        mu = sample(unit_square_spec(), 25, seed=13)
+        tags = ["untouched" if i % 5 == 0 else "" for i in range(25)]
         path = tmp_path / "cloud.csv"
-        mu.save(path, tmp_path / "cloud.json")
-        back = ParticleMeasure.from_csv(path)
-        assert np.allclose(back.positions, mu.positions)
-        assert np.allclose(back.weights, mu.weights)
-        assert list(back.tags) == list(mu.tags)
+        mu.to_csv(path, tags)
+        mu.save(tmp_path / "copy.csv", tmp_path / "cloud.json", copy_of=path)
+        back = ParticleMeasure.from_csv(tmp_path / "copy.csv")
+        assert np.array_equal(back.positions, mu.positions)
+        assert np.array_equal(back.weights, mu.weights)
+        with open(path, newline="") as fh:
+            assert [row["tag"] for row in csv.DictReader(fh)] == tags
         assert back.checksum() == mu.checksum()
         env = mu.json_envelope()
         assert env["count"] == 25 and env["dim"] == 2
+
+    @pytest.mark.parametrize("count", [24, 26])
+    def test_csv_wants_one_tag_per_row(self, tmp_path, count):
+        # a short or long tag list would misalign the tag column
+        mu = sample(unit_square_spec(), 25, seed=13)
+        with pytest.raises(ValueError, match=f"{count} tags for 25 rows"):
+            mu.to_csv(tmp_path / "cloud.csv", [""] * count)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_csv_bytes_match_the_csv_module(self, tmp_path, dim):
@@ -133,19 +145,18 @@ class TestMeasureBasics:
         pos = rng.standard_normal((200, dim)) * 10.0 ** rng.integers(
             -300, 300, (200, dim))
         pos[0, 0], pos[1, 0] = -0.0, 1e-320
-        tags = rng.choice(["", "untouched", "a,b", 'q"x', "l\nm", None], 200)
-        for mu in (ParticleMeasure(pos, rng.random(200) + 0.1),
-                   ParticleMeasure(pos, rng.random(200) + 0.1, tags)):
+        labels = rng.choice(["", "untouched", "a,b", 'q"x', "l\nm"], 200)
+        for tags in (None, labels):
+            mu = ParticleMeasure(pos, rng.random(200) + 0.1)
             with open(tmp_path / "ref.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow([f"x_{a + 1}" for a in range(dim)]
                                 + ["weight", "tag"])
                 for row, w, tag in zip(mu.positions, mu.weights,
-                                       mu.tags if mu.tags is not None
-                                       else [""] * 200):
+                                       [""] * 200 if tags is None else tags):
                     writer.writerow([f"{v:.17g}" for v in row]
-                                    + [f"{w:.17g}", tag or ""])
-            mu.to_csv(tmp_path / "got.csv")
+                                    + [f"{w:.17g}", tag])
+            mu.to_csv(tmp_path / "got.csv", tags)
             assert ((tmp_path / "got.csv").read_bytes()
                     == (tmp_path / "ref.csv").read_bytes())
 

@@ -607,6 +607,41 @@ class TestExactFunnelClosedForm:
         assert certified.tolist() == [True, True, False]
 
 
+def select_untouched_by_rows(weights, must_tag, depth, target_mass):
+    """The untouched set picked one row at a time, shallowest first: the
+    reference ``synth._select_untouched`` must match bit for bit."""
+    tagged = must_tag.copy()
+    mass = float(np.sum(weights[tagged]))
+    for idx in np.argsort(depth, kind="stable"):
+        if mass >= target_mass - 0.5 * np.max(weights):
+            break
+        if not tagged[idx]:
+            tagged[idx] = True
+            mass += weights[idx]
+    return tagged
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_untouched_selection_matches_the_row_loop(seed):
+    # depths with many ties, some rows that must be tagged, equal weights
+    # on odd seeds; the targets put the threshold on and about each
+    # running mass, where one row more or less is decided
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 60))
+    weights = (np.full(count, 1.0 / count) if seed % 2
+               else rng.random(count) + 0.05)
+    depth = rng.integers(0, 5, count) / 4.0
+    must = rng.random(count) < 0.2
+    mu = ParticleMeasure(np.zeros((count, 1)), weights)
+    running = np.cumsum(weights[np.argsort(depth, kind="stable")])
+    half = 0.5 * np.max(weights)
+    for target in [0.0, 2.0 * running[-1], *running, *(running + half),
+                   *np.nextafter(running + half, 0.0)]:
+        assert np.array_equal(
+            synth._select_untouched(mu, must, depth, target),
+            select_untouched_by_rows(weights, must, depth, target))
+
+
 def test_storage_knots_follow_a_constant_drift():
     # the exact lane's park positions are x0 + v min(t, tau): a time just
     # past a hit lies on the path, not on a chord to the parked point
@@ -1351,9 +1386,9 @@ class TestStorageFlowMap:
         formatted = []
         to_csv = ParticleMeasure.to_csv
 
-        def counting(state, path):
+        def counting(state, path, tags=None):
             formatted.append(path.name)
-            to_csv(state, path)
+            to_csv(state, path, tags)
 
         monkeypatch.setattr(ParticleMeasure, "to_csv", counting)
         paths = result.trajectory.save(tmp_path)
