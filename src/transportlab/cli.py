@@ -32,7 +32,6 @@ from . import __version__
 from .flow import flow_push, TimeField
 from .geometry import ConditionFailure
 from .measure import ParticleMeasure, quantile_partition
-from .oracle import sqrt_field_solution
 from .ot import w1_bracket, wp_discrete
 from .scenarios import Scenario, load_scenario
 from .synth import (GridControlField, approx_controller, exact_controller,
@@ -168,6 +167,23 @@ def cmd_study(args, scenario: Scenario) -> int:
 # ---------------------------------------------------------------------------
 # negative-result runners
 # ---------------------------------------------------------------------------
+
+def sqrt_field_solution(t: float, q: float) -> float:
+    """Quantile of the law of uniform(-1, 1) pushed through x' = sqrt(x).
+
+    Mass starting at x0 <= 0 stays put; mass at x0 > 0 moves along
+    x0 -> (sqrt(x0) + t/2)^2. The map is monotone, so the q-quantile of the
+    time-t law is the image of the q-quantile of the initial law.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError("quantile level must lie in (0, 1)")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    x0 = -1.0 + 2.0 * q
+    if x0 <= 0.0:
+        return float(x0)
+    return float((np.sqrt(x0) + 0.5 * t) ** 2)
+
 
 def sqrt_split_errors(counts=(10_000, 100_000), t_end=1.0, tol=1e-8) -> list[dict]:
     """Splitting-field demonstration: advect a stratified discretization of

@@ -109,9 +109,6 @@ class Region:
                              "region is a box")
         return cls.box(data["lo"], data["hi"])
 
-    def __repr__(self):
-        return f"Region({self.to_dict()})"
-
 
 def _smootherstep(u):
     u = np.clip(u, 0.0, 1.0)

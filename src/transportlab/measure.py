@@ -75,22 +75,6 @@ class ParticleMeasure:
         mask = np.asarray(mask, dtype=bool)
         return ParticleMeasure(self.positions[mask], self.weights[mask])
 
-    def normalized(self) -> "ParticleMeasure":
-        return self.scaled(1.0 / self.total_mass())
-
-    def merged_coincident(self) -> "ParticleMeasure":
-        """Sum weights of particles sharing a position (compared rounded to
-        12 decimals)."""
-        key = np.round(self.positions, 12)
-        uniq, inv = np.unique(key, axis=0, return_inverse=True)
-        w = np.zeros(len(uniq))
-        np.add.at(w, inv, self.weights)
-        pos = np.zeros_like(uniq)
-        # mass-weighted representative keeps exact positions when they agree
-        np.add.at(pos, inv, self.positions * self.weights[:, None])
-        pos /= w[:, None]
-        return ParticleMeasure(pos, w)
-
     # -- serialization -----------------------------------------------------
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -115,16 +99,6 @@ class ParticleMeasure:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(head) + "\r\n" + "".join(
                 row % (*r, cells[tag]) for r, tag in zip(values, tags)))
-
-    @classmethod
-    def from_csv(cls, path) -> "ParticleMeasure":
-        """The positions and weights of a CSV ``to_csv`` wrote."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            dim = sum(c.startswith("x_") for c in next(reader))
-            rows = [[float(v) for v in row[:dim + 1]] for row in reader]
-        rows = np.array(rows).reshape(-1, dim + 1)
-        return cls(rows[:, :dim], rows[:, dim])
 
     def json_envelope(self) -> dict:
         return {"dim": self.dim, "count": len(self), "total_mass": self.total_mass(),
@@ -194,9 +168,14 @@ class DensitySpec:
 
     def _axes(self, *keys):
         """The per-axis parameters ``keys``, a scalar broadcast to every
-        axis."""
-        return [np.broadcast_to(np.asarray(self.params[k], float), (self.dim,))
+        axis; a ValueError names one that is not finite."""
+        axes = [np.broadcast_to(np.asarray(self.params[k], float), (self.dim,))
                 for k in keys]
+        for key, values in zip(keys, axes):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{self.kind} {key!r} must be finite, got "
+                                 f"{self.params[key]!r}")
+        return axes
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "uniform_box":

@@ -79,10 +79,11 @@ class TransportPlan:
         return self.cost() ** (1.0 / self.p)
 
     def marginal_residuals(self):
-        row = np.zeros(len(self.source))
-        col = np.zeros(len(self.target))
-        np.add.at(row, self.src_idx, self.mass)
-        np.add.at(col, self.tgt_idx, self.mass)
+        """The largest gap between the plan's row sums and the source
+        weights, and that between its column sums and the target
+        weights."""
+        row = np.bincount(self.src_idx, self.mass, len(self.source))
+        col = np.bincount(self.tgt_idx, self.mass, len(self.target))
         return (float(np.max(np.abs(row - self.source.weights))),
                 float(np.max(np.abs(col - self.target.weights))))
 

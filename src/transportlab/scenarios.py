@@ -13,10 +13,13 @@ The accepted format, one JSON object:
   x' = Ax + b;
 - ``omega``: the control region, a box ``{"kind": "box", "lo": lo, "hi":
   hi}``;
-- ``mu0``, ``mu1``: each a density (see ``measure.DensitySpec``) or
-  ``{"atoms": rows}``, each row d coordinates and a weight;
+- ``mu0``, ``mu1``: each a density (see ``measure.DensitySpec``), whose
+  ``lo``, ``hi``, ``mean`` and ``sigma`` are finite, or ``{"atoms":
+  rows}``, each row d coordinates and a weight;
 - ``params``: ``delta`` (required), and ``particles``, ``seed``,
-  ``horizon``, ``tol``, ``epsilon`` and ``n`` (defaults below).
+  ``horizon``, ``tol``, ``epsilon`` and ``n`` (defaults below). ``delta``
+  and ``horizon`` must leave the phase times T0 < T1 < ... < T5 distinct
+  in floating point.
 
 Any other drift or region kind is an input error.
 """
@@ -34,7 +37,7 @@ from .geometry import Region
 from .measure import DensitySpec, ParticleMeasure, sample, _integer
 from .ot import MASS_TOL
 
-__all__ = ["Scenario", "PRESETS", "load_scenario", "random_exact_scenario"]
+__all__ = ["Scenario", "PRESETS", "load_scenario"]
 
 PARAM_DEFAULTS = {
     "particles": 2000,
@@ -164,10 +167,6 @@ class Scenario:
     def scenario_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
 
 def load_scenario(path_or_name) -> Scenario:
     name = str(path_or_name)
@@ -241,44 +240,3 @@ PRESETS = {
     "two-bump-merge": _preset_two_bump_merge,
 }
 
-
-def random_exact_scenario(seed: int, split_kind: str = "plain") -> Scenario:
-    """Small random atom scenario satisfying the crossing condition by
-    construction: drift points rightward through a box control region.
-
-    split_kind "merge" uses a two-component source and one-component target;
-    "split" is the reverse.
-    """
-    rng = np.random.default_rng(seed)
-    speed = rng.uniform(0.4, 1.0)
-    n0 = int(rng.integers(8, 24))
-    n1 = int(rng.integers(8, 24))
-
-    def cluster(center, spread, count):
-        return center + spread * (rng.random((count, 2)) - 0.5)
-
-    if split_kind == "merge":
-        half = n0 // 2
-        src = np.concatenate([cluster(np.array([0.3, 0.3]), 0.3, half),
-                              cluster(np.array([0.5, 0.9]), 0.3, n0 - half)])
-        tgt = cluster(np.array([4.0, 0.6]), 0.5, n1)
-    elif split_kind == "split":
-        src = cluster(np.array([0.4, 0.6]), 0.5, n0)
-        half = n1 // 2
-        tgt = np.concatenate([cluster(np.array([3.9, 0.3]), 0.3, half),
-                              cluster(np.array([4.1, 0.9]), 0.3, n1 - half)])
-    else:
-        src = cluster(np.array([0.4, 0.6]), 0.7, n0)
-        tgt = cluster(np.array([4.0, 0.6]), 0.7, n1)
-
-    atoms0 = [[*p, 1.0 / len(src)] for p in src]
-    atoms1 = [[*p, 1.0 / len(tgt)] for p in tgt]
-    return Scenario.from_dict({
-        "dim": 2,
-        "v": {"kind": "constant", "value": [float(speed), 0.0]},
-        "omega": {"kind": "box", "lo": [1.6, -0.6], "hi": [2.9, 1.6]},
-        "mu0": {"atoms": atoms0},
-        "mu1": {"atoms": atoms1},
-        "params": {"delta": 0.6, "seed": int(seed), "horizon": 24.0,
-                   "tol": 1e-6},
-    })

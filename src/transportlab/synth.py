@@ -38,8 +38,8 @@ from .geometry import (GeometricCondition, Region, cutoff_flow,
                        check_geometric_condition, _smootherstep,
                        _smootherstep_d)
 from .measure import ParticleMeasure, quantile_partition
-from .ot import (SolverCapError, wp_discrete, w1_bracket, _block_plan,
-                 _distances)
+from .ot import (SolverCapError, TransportPlan, wp_discrete, w1_bracket,
+                 _block_plan, _distances)
 
 __all__ = [
     "ControlSegment",
@@ -574,6 +574,7 @@ class ControllerResult:
     schedule: ControlSchedule
     trajectory: Trajectory
     report: dict
+    plan: TransportPlan | None = None  # the exact lane's coupling
 
 
 def _largest_free_box(omega: Region, omega0: Region) -> Region:
@@ -663,6 +664,9 @@ def _plan(scenario) -> _Plan:
     t4 = t1 + delta
     times = {"T0": 0.0, "T1": t1, "T2": t1 + delta / 3.0,
              "T3": t1 + 2.0 * delta / 3.0, "T4": t4, "T5": t4 + t_back}
+    if not np.all(np.diff(list(times.values())) > 0.0):
+        raise ValueError(f"delta {delta!r} leaves the phase times {times} "
+                         "not strictly increasing")
     return _Plan(params, v, v.negated(), mu0, mu1, omega, cond, t_back,
                  times)
 
@@ -927,7 +931,9 @@ def exact_controller(scenario) -> ControllerResult:
     T0* (T1*), so the geodesic's straight paths stay in omega0. Each
     snapshot is read off the segment that ends at or after its time.
     ``final_w1`` is the coupling's own cost, an upper bound on W1 that
-    reads 0 at exact arrival.
+    reads 0 at exact arrival, and ``mass_residual`` the largest of its
+    ``marginal_residuals``: how far it is from moving all of mu0's mass
+    onto mu1. The result's ``plan`` is the coupling.
     """
     plan = _plan(scenario)
     v, mu0, mu1, cond = plan.v, plan.mu0, plan.mu1, plan.cond
@@ -978,16 +984,16 @@ def exact_controller(scenario) -> ControllerResult:
     traj = Trajectory(snap_times, states, field_ref=schedule,
                       meta={"mode": "exact",
                             "plan_entries": len(coupling.mass)})
-    traj.plan = coupling
 
     miss = np.linalg.norm(states[-1].positions - mu1.positions[e_tgt], axis=1)
     report = plan.report("exact", states[-1].total_mass())
     report["final_w1"] = {"estimate": float(coupling.mass @ miss),
                           "method": "coupling"}
     report["plan_entries"] = int(len(coupling.mass))
+    report["mass_residual"] = max(coupling.marginal_residuals())
     report["witness_control_outside"] = witness_control_outside(
         schedule, plan.omega, snap_times)
-    return ControllerResult(schedule, traj, report)
+    return ControllerResult(schedule, traj, report, coupling)
 
 
 # ---------------------------------------------------------------------------

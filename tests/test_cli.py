@@ -13,8 +13,9 @@ import pytest
 
 import transportlab
 from transportlab import cli, scenarios
-from transportlab.scenarios import (Scenario, load_scenario,
-                                    random_exact_scenario)
+from transportlab.scenarios import Scenario, load_scenario
+
+from helpers import random_exact_scenario, save_scenario
 
 
 def figure1_with(tmp_path, **changes):
@@ -228,7 +229,7 @@ def test_a_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv):
                                       random_exact_scenario(4, "merge")])
 def test_scenario_hash_survives_save_and_load(tmp_path, scenario):
     path = tmp_path / "scenario.json"
-    scenario.save(path)
+    save_scenario(scenario, path)
     back = load_scenario(path)
     assert isinstance(back, Scenario)
     assert back.scenario_hash() == scenario.scenario_hash()
@@ -401,6 +402,57 @@ def test_a_box_bound_that_is_not_finite_is_an_input_error(
     err = fails_as_scenario_error(capsys, flags[0], path, tmp_path / "out",
                                   *flags[1:])
     assert err == "scenario error: box bounds must be finite\n"
+
+
+GAUSSIAN = {"kind": "truncated_gaussian", "dim": 2, "mean": [0.5, 0.55],
+            "sigma": [0.16, 0.13], "lo": [0.1, 0.25], "hi": [0.9, 0.85]}
+
+
+@LANES
+@pytest.mark.parametrize("density,key,bound", [
+    (GAUSSIAN, "hi", "1e400"), (GAUSSIAN, "lo", "-Infinity"),
+    (GAUSSIAN, "mean", "NaN"), (GAUSSIAN, "sigma", "1e400"),
+    (UNIT_BOX, "hi", "1e400"),
+    ({"kind": "mixture", "dim": 2, "components": [UNIT_BOX],
+      "mix_weights": [1.0]}, "lo", "NaN")],
+    ids=["gaussian-hi", "gaussian-lo", "gaussian-mean", "gaussian-sigma",
+         "box-hi", "mixture-box-lo"])
+def test_a_density_parameter_that_is_not_finite_is_an_input_error(
+        tmp_path, capsys, flags, density, key, bound):
+    # json reads 1e400 as inf. A Gaussian's infinite bound used to pass
+    # check and run (W1 0.190) on an unbounded support, and a box's failed
+    # only when sampled, at a non-finite coordinate
+    spec = json.loads(json.dumps(density))
+    box = spec["components"][0] if density["kind"] == "mixture" else spec
+    box[key] = [box[key][0], "BOUND"]
+    text = figure1_with(tmp_path, mu0=spec).read_text()
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace('"BOUND"', bound))
+    err = fails_as_scenario_error(capsys, flags[0], path, tmp_path / "out",
+                                  *flags[1:])
+    assert err.startswith(f"scenario error: {box['kind']} {key!r} must be "
+                          "finite, got [")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@LANES
+@pytest.mark.parametrize("delta", [1e-16, 1e300])
+def test_phase_times_that_do_not_separate_are_an_input_error(
+        tmp_path, capsys, flags, delta):
+    # at 1e-16, T1 + delta / 3 rounds to T1, and at 1e300 T4 + T1* to T4:
+    # check used to pass, an approximate run to end in a ZeroDivisionError
+    # traceback (1e-16) or run the grid strip's RK4 over about 3e299 steps
+    # (1e300), and an exact one to refuse a segment of no length
+    path = figure1_with(tmp_path)
+    data = json.loads(path.read_text())
+    data["params"]["delta"] = delta
+    path.write_text(json.dumps(data))
+    err = fails_as_scenario_error(capsys, flags[0], path, tmp_path / "out",
+                                  *flags[1:])
+    assert err.startswith(f"scenario error: delta {delta!r} leaves the "
+                          "phase times {'T0': 0.0")
+    assert err.endswith("not strictly increasing\n")
+    assert err.count("\n") == 1
 
 
 @LANES
@@ -605,6 +657,7 @@ def test_every_preset_finishes_in_exact_mode(tmp_path, preset):
     assert report["status"] == "ok"
     assert report["final_w1"]["estimate"] <= 1e-9
     assert report["mass_total"] == pytest.approx(1.0, abs=1e-12)
+    assert report["mass_residual"] <= 1e-12
 
 
 def cluster_scenario(seed):

@@ -11,6 +11,8 @@ from transportlab.geometry import Region
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
 from transportlab.ot import wp_discrete
 
+from helpers import measure_from_csv
+
 
 def isotropic(centre, rate):
     """x' = rate (x - centre), an isotropic affine drift about centre."""
@@ -529,7 +531,7 @@ class TestTrajectory:
         traj.save(tmp_path / "traj")
         assert (tmp_path / "traj" / "manifest.json").exists()
         assert (tmp_path / "traj" / "snapshot_0000.csv").exists()
-        back = ParticleMeasure.from_csv(tmp_path / "traj" / "snapshot_0001.csv")
+        back = measure_from_csv(tmp_path / "traj" / "snapshot_0001.csv")
         assert np.allclose(back.positions, mu.positions)
 
     @pytest.mark.parametrize("case", ["repeat", "signed-zero"])

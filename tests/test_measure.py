@@ -6,6 +6,8 @@ from transportlab.geometry import Region
 from transportlab.measure import (DensitySpec, ParticleMeasure, push_forward,
                                   quantile_partition, sample)
 
+from helpers import measure_from_csv
+
 
 def unit_square_spec():
     return DensitySpec("uniform_box", 2, {"lo": [0.0, 0.0], "hi": [1.0, 1.0]})
@@ -118,7 +120,7 @@ class TestMeasureBasics:
         path = tmp_path / "cloud.csv"
         mu.to_csv(path, tags)
         mu.save(tmp_path / "copy.csv", tmp_path / "cloud.json", copy_of=path)
-        back = ParticleMeasure.from_csv(tmp_path / "copy.csv")
+        back = measure_from_csv(tmp_path / "copy.csv")
         assert np.array_equal(back.positions, mu.positions)
         assert np.array_equal(back.weights, mu.weights)
         with open(path, newline="") as fh:

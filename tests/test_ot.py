@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportlab.measure import DensitySpec, ParticleMeasure, sample
-from transportlab.oracle import brute_force_wp, two_bump_quantile_w1
 from transportlab import _kernels, cli, ot, synth
 from transportlab.ot import w1_bracket, wp_discrete
+
+from oracles import brute_force_wp, two_bump_quantile_w1
 
 
 def atoms(positions, weights=None):

@@ -11,9 +11,12 @@ from transportlab.geometry import Region
 from transportlab.measure import (DensitySpec, GridPartition, ParticleMeasure,
                                   push_forward, quantile_partition, sample)
 from transportlab.ot import wp_discrete
-from transportlab.scenarios import Scenario, random_exact_scenario
+from transportlab.scenarios import Scenario
 from transportlab.synth import (GridControlField, affine_funnel_total,
                                 exact_controller)
+
+from helpers import (merged_coincident, normalized, random_exact_scenario,
+                     save_scenario)
 
 
 def unit_box_meshes(src, tgt, n):
@@ -719,14 +722,14 @@ class TestExactControllerContract:
         result = exact_controller(self.scenario)
         traj = result.trajectory
 
-        final = traj.final().merged_coincident()
+        final = merged_coincident(traj.final())
         assert result.report["final_w1"]["estimate"] <= 1e-9
         assert wp_discrete(final, mu1, p=1)[0] <= 1e-9
 
         for state in traj.states:
             assert abs(state.total_mass() - mu0.total_mass()) < 1e-12
 
-        plan = traj.plan
+        plan = result.plan
         segments = result.schedule.segments
         first = segments[0].field.position(0.0)
         last = segments[-1].field.position(segments[-1].t_end)
@@ -768,7 +771,7 @@ class TestExactControllerContract:
         # the lane funnels nothing, so its report names no funnel and no set
         # but omega0, and its schedule holds the three witnesses
         path = tmp_path / "scenario.json"
-        self.scenario.save(path)
+        save_scenario(self.scenario, path)
         code = cli.main(["run", "--scenario", str(path), "--mode", "exact",
                          "--out", str(tmp_path / "out")])
         assert code == 0
@@ -818,7 +821,7 @@ def test_random_exact_scenario_contract(kind):
     mu0 = scenario.measure("mu0")
     mu1 = scenario.measure("mu1")
     result = exact_controller(scenario)
-    final = result.trajectory.final().merged_coincident()
+    final = merged_coincident(result.trajectory.final())
     assert result.report["final_w1"]["estimate"] <= 1e-9
     assert wp_discrete(final, mu1, p=1)[0] <= 1e-9
     for state in result.trajectory.states:
@@ -853,7 +856,7 @@ def test_witness_velocities_replay_the_paths():
     scenario = cluster_scenario(8)
     result = exact_controller(scenario)
     traj = result.trajectory
-    plan = traj.plan
+    plan = result.plan
     assert sorted(plan.src_idx) == sorted(plan.tgt_idx) == list(range(16))
     for seg in result.schedule.segments:
         fld = seg.field
@@ -879,7 +882,7 @@ def test_a_split_atom_cannot_be_replayed():
     # witness is not a flow
     scenario = random_exact_scenario(0, "plain")
     result = exact_controller(scenario)
-    plan = result.trajectory.plan
+    plan = result.plan
     src, counts = np.unique(plan.src_idx, return_counts=True)
     assert np.any(counts > 1)
     geodesic = result.schedule.segments[1]
@@ -947,7 +950,7 @@ def test_grid_bound_certifies_the_grid_phase(monkeypatch):
         seen.clear()
         assert report["grid_bound"] == bound
         assert np.mean(closed) >= 0.98
-        exact, _ = wp_discrete(moved.normalized(), target.normalized())
+        exact, _ = wp_discrete(normalized(moved), normalized(target))
         assert 0.0 < exact <= bound
 
 
@@ -1097,7 +1100,7 @@ def test_snapshots_lie_on_the_exact_paths(case):
     # clock, and a geodesic entry the chord between the two sides' parks
     scenario = exact_case(case)
     result = exact_controller(scenario)
-    traj, coupling = result.trajectory, result.trajectory.plan
+    traj, coupling = result.trajectory, result.plan
     plan = synth._plan(scenario)
     t1, t4, t5 = (plan.times[key] for key in ("T1", "T4", "T5"))
     src = plan.mu0.positions[coupling.src_idx]
@@ -1130,7 +1133,7 @@ def test_the_exact_lane_parks_at_the_crossing_checks_entries(case):
     # those hits
     scenario = exact_case(case)
     result = exact_controller(scenario)
-    plan, coupling = synth._plan(scenario), result.trajectory.plan
+    plan, coupling = synth._plan(scenario), result.plan
     cond = plan.cond
     target = plan.omega.shrink(cond.margin)
     park, geodesic, replay = result.schedule.segments
@@ -1184,7 +1187,7 @@ def test_final_w1_is_the_couplings_own_cost(case):
     # exact solve on the merged final cloud agrees
     scenario = exact_case(case)
     result = exact_controller(scenario)
-    coupling, final = result.trajectory.plan, result.trajectory.final()
+    coupling, final = result.plan, result.trajectory.final()
     mu1 = scenario.measure("mu1")
     miss = np.linalg.norm(final.positions - mu1.positions[coupling.tgt_idx],
                           axis=1)
@@ -1192,7 +1195,58 @@ def test_final_w1_is_the_couplings_own_cost(case):
     assert w1 == {"estimate": float(coupling.mass @ miss),
                   "method": "coupling"}
     assert w1["estimate"] <= 1e-12
-    assert wp_discrete(final.merged_coincident(), mu1, p=1)[0] <= 1e-9
+    assert wp_discrete(merged_coincident(final), mu1, p=1)[0] <= 1e-9
+
+
+def weighted_inside_scenario(n0, n1):
+    """``n0`` source and ``n1`` target atoms of random weights, all inside
+    the control region under no drift: they park where they start, off a
+    line, and unequal counts and weights take the transportation LP."""
+    rng = np.random.default_rng(n0 + n1)
+
+    def atoms(count):
+        weights = rng.random(count) + 0.5
+        return [[*x, w] for x, w in zip(rng.random((count, 2)).tolist(),
+                                        (weights / weights.sum()).tolist())]
+
+    return Scenario.from_dict({
+        "dim": 2, "v": {"kind": "zero"},
+        "omega": {"kind": "box", "lo": [-0.5, -0.5], "hi": [1.5, 1.5]},
+        "mu0": {"atoms": atoms(n0)}, "mu1": {"atoms": atoms(n1)},
+        "params": {"delta": 1.0, "seed": 0, "horizon": 4.0, "tol": 1e-6}})
+
+
+@pytest.mark.parametrize("case,method", [
+    ("two-bump-merge", "line"), ("unit-shift-300", "assignment"),
+    ("unit-shift-3000", "block"), ("weighted-40x55", "transportation-lp")])
+def test_every_coupling_route_reports_its_mass_residual(case, method):
+    # the report's mass_residual is the largest gap between the coupling's
+    # row (column) sums and mu0's (mu1's) weights, on each route: the sort
+    # on a line, the assignment, the nested blocks above the solver's cap
+    # (unit-shift parks where it starts, off a line) and the LP
+    if case == "weighted-40x55":
+        scenario = weighted_inside_scenario(40, 55)
+    elif case == "two-bump-merge":
+        scenario = cli.load_scenario(case)
+    else:
+        preset = cli.load_scenario("unit-shift")
+        scenario = Scenario.from_dict({**preset.to_dict(), "params": {
+            **preset.params, "particles": int(case.split("-")[-1])}})
+    result = exact_controller(scenario)
+    plan = result.plan
+    assert plan.method == method
+    row = np.bincount(plan.src_idx, plan.mass, len(plan.source))
+    col = np.bincount(plan.tgt_idx, plan.mass, len(plan.target))
+    assert result.report["mass_residual"] == max(
+        np.max(np.abs(row - scenario.measure("mu0").weights)),
+        np.max(np.abs(col - scenario.measure("mu1").weights)))
+    assert result.report["mass_residual"] <= 1e-12
+
+
+def test_the_approximate_lane_has_no_coupling():
+    result = synth.approx_controller(cli.load_scenario("two-bump-merge"))
+    assert result.plan is None
+    assert "mass_residual" not in result.report
 
 
 def test_the_gate_core_holds_every_grid_phase_path():
